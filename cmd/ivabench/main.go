@@ -32,15 +32,10 @@ func main() {
 		seed     = flag.Int64("seed", 42, "dataset seed")
 		markdown = flag.Bool("markdown", false, "emit GitHub-flavored markdown tables")
 		list     = flag.Bool("list", false, "list experiments and exit")
-		par      = flag.Int("parallelism", 1, "iVA-file search workers: 1 = sequential (the paper's setup), 0 = all cores")
+		par      = flag.Int("parallelism", 1, "iVA-file search workers: 1 = one worker (the paper's setup), 0 = all cores")
 		metrics  = flag.String("metrics", "", "after the run, dump the harness registry in Prometheus text format to FILE ('-' for stdout)")
-		pool     = flag.Bool("pool", false, "run the buffer-pool contention benchmark instead of the paper experiments")
-		poolOut  = flag.String("pool.out", "BENCH_pool.json", "output file for -pool")
-		poolMS   = flag.Int("pool.ms", 300, "measured milliseconds per -pool point")
 		zonemap  = flag.Bool("zonemap", false, "run the stripe zone-map selectivity sweep instead of the paper experiments")
 		zoneOut  = flag.String("zonemap.out", "BENCH_zonemap.json", "output file for -zonemap")
-		codecB   = flag.Bool("codec", false, "run the block-codec sweep (raw vs packed vector lists) instead of the paper experiments")
-		codecOut = flag.String("codec.out", "BENCH_codec.json", "output file for -codec")
 		serveB   = flag.Bool("serve", false, "run the HTTP query-service traffic benchmark instead of the paper experiments")
 		serveOut = flag.String("serve.out", "BENCH_serve.json", "output file for -serve")
 		serveMS  = flag.Int("serve.ms", 1000, "measured milliseconds per -serve point")
@@ -102,62 +97,6 @@ func main() {
 				p.WallOffMS, p.WallOnMS, p.Speedup, match)
 		}
 		fmt.Printf("→ %s\n", *zoneOut)
-		return
-	}
-
-	if *codecB {
-		r, err := bench.RunCodecBench(*tuples, *par, *seed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ivabench: codec bench: %v\n", err)
-			os.Exit(1)
-		}
-		data, err := r.JSON()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ivabench: codec bench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*codecOut, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "ivabench: writing %s: %v\n", *codecOut, err)
-			os.Exit(1)
-		}
-		for _, p := range r.Points {
-			match := "match"
-			if !p.ResultsMatch {
-				match = "MISMATCH"
-			}
-			fmt.Printf("%-8s k=%-4d packed %d lists/%d blocks  disk %d→%d (%.1f%% saved)  filter reads %d→%d B (%.1f%% saved)  decode %.0f→%.0f MB/s (%.2fx)  wall %.1fms→%.1fms  results %s\n",
-				p.Layout, p.K, p.PackedLists, p.PackedBlocks,
-				p.DiskBytesRaw, p.DiskBytesPacked, 100*p.DiskSaved,
-				p.FilterReadBytesRaw, p.FilterReadBytesPacked, 100*p.FilterReadSaved,
-				p.DecodeRawMBps, p.DecodePackedMBps, p.DecodeSpeedup,
-				p.WallRawMS, p.WallPackedMS, match)
-		}
-		fmt.Printf("→ %s\n", *codecOut)
-		return
-	}
-
-	if *pool {
-		r, err := bench.RunPoolBench(*seed, time.Duration(*poolMS)*time.Millisecond)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ivabench: pool bench: %v\n", err)
-			os.Exit(1)
-		}
-		data, err := r.JSON()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ivabench: pool bench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*poolOut, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "ivabench: writing %s: %v\n", *poolOut, err)
-			os.Exit(1)
-		}
-		for i := range r.Global {
-			g, s := r.Global[i], r.Sharded[i]
-			fmt.Printf("readers=%d  global: %.0f ops/s (hit %.3f)  sharded[%d]: %.0f ops/s (hit %.3f)  waits %d→%d\n",
-				g.Readers, g.OpsPerSec, g.HitRate, s.Shards, s.OpsPerSec, s.HitRate, g.LockWaits, s.LockWaits)
-		}
-		fmt.Printf("speedup at %d readers: %.2fx (GOMAXPROCS=%d) → %s\n",
-			r.Global[len(r.Global)-1].Readers, r.SpeedupAtMax, r.GOMAXPROCS, *poolOut)
 		return
 	}
 

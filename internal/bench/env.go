@@ -42,7 +42,7 @@ type Config struct {
 	N          int     // default 2
 	Seed       int64   // default 42
 	// Parallelism is the iVA-file's SearchParallelism: 0 uses all cores,
-	// 1 forces the sequential plan (the paper's single-threaded setup).
+	// 1 = one worker (the paper's single-threaded setup).
 	Parallelism int
 }
 
@@ -71,9 +71,9 @@ func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 42
 	}
-	// The paper's experiments are single-threaded; defaulting to the
-	// sequential plan keeps the machine-independent counts (Fig. 8)
-	// stable across hosts. ivabench -parallelism opts in.
+	// The paper's experiments are single-threaded; defaulting to one
+	// worker keeps the machine-independent counts (Fig. 8) stable across
+	// hosts and schedules. ivabench -parallelism opts in.
 	if c.Parallelism == 0 {
 		c.Parallelism = 1
 	}

@@ -54,7 +54,7 @@ func TestSearchContextCancellation(t *testing.T) {
 	expired, cancel := context.WithCancel(context.Background())
 	cancel()
 	before := pool.Stats().Snapshot()
-	if _, _, err := ix.SearchContext(expired, q, nil); !errors.Is(err, context.Canceled) {
+	if _, _, err := ix.SearchContext(expired, q, nil, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("expired ctx: got %v, want context.Canceled", err)
 	}
 	after := pool.Stats().Snapshot()
@@ -66,13 +66,13 @@ func TestSearchContextCancellation(t *testing.T) {
 	}
 
 	// Mid-query: trip after a few polls so the cancellation lands inside
-	// the scan (sequential plan polls per 1024 positions and per refine
-	// fetch; stripe workers poll at every stripe claim).
+	// the scan (workers poll at every stripe claim, per 1024 positions and
+	// per refine fetch).
 	for _, par := range []int{1, 2, runtime.GOMAXPROCS(0)} {
 		ix.SetSearchParallelism(par)
 		for _, threshold := range []int64{1, 2, 4} {
 			ctx := &trippingCtx{Context: context.Background(), threshold: threshold}
-			_, _, err := ix.SearchContext(ctx, q, nil)
+			_, _, err := ix.SearchContext(ctx, q, nil, nil)
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("par=%d threshold=%d: got %v, want context.Canceled", par, threshold, err)
 			}
@@ -84,7 +84,7 @@ func TestSearchContextCancellation(t *testing.T) {
 
 	// Sanity: with no cancellation the same index still answers.
 	ix.SetSearchParallelism(0)
-	res, _, err := ix.SearchContext(context.Background(), q, nil)
+	res, _, err := ix.SearchContext(context.Background(), q, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,4 +161,35 @@ func TestCorruptionReleasesPins(t *testing.T) {
 		}
 	}
 	cf.restore(t)
+}
+
+// TestPlanSingleStripeCancels covers the deadline poll inside a stripe: with
+// no checkpoints the whole tuple list is one stripe, so the poll at the
+// stripe claim fires once and only the per-1,024-position poll can stop the
+// filter phase. The context trips three polls after the query's refine
+// fetches, dispatch check and stripe claim are paid for — a scan that polled
+// nowhere else would run to the end and succeed.
+func TestPlanSingleStripeCancels(t *testing.T) {
+	fx := newFixture(t, 4500, Options{}, 311)
+	dropCheckpoints(fx.ix)
+	q := fx.randQuery(t, 2, 5)
+	_, clean, err := fx.ix.Search(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := fx.ix.Entries() - fx.ix.Deleted()
+	for _, par := range []int{1, 8} {
+		fx.ix.SetSearchParallelism(par)
+		ctx := &trippingCtx{Context: context.Background(), threshold: clean.TableAccesses + 3}
+		_, stats, err := fx.ix.SearchContext(ctx, q, nil, nil)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("par=%d: got %v, want context.Canceled", par, err)
+		}
+		if stats.Scanned >= live {
+			t.Fatalf("par=%d: cancelled scan still filtered all %d live tuples", par, live)
+		}
+		if n := fx.pool.PinnedFrames(); n != 0 {
+			t.Fatalf("par=%d: cancellation leaked %d pins", par, n)
+		}
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/sparsewide/iva/internal/model"
+	"github.com/sparsewide/iva/internal/storage"
 	"github.com/sparsewide/iva/internal/vector"
 )
 
@@ -211,4 +212,26 @@ func (ix *Index) Attrs() []AttrReport {
 		out = append(out, r)
 	}
 	return out
+}
+
+// readerSet tracks the ChainBitReaders one scan pass opens so their pinned
+// buffer-pool windows are released when the pass ends (a dropped reader
+// would hold one page pinned — a leak the iva_pool_pinned_frames gauge
+// exists to catch).
+type readerSet []*storage.ChainBitReader
+
+func (rs *readerSet) open(ix *Index, c storage.ChainID, bits int64) *storage.ChainBitReader {
+	r := storage.NewChainBitReader(ix.segs, c, bits)
+	ix.attachVerify(r, c)
+	*rs = append(*rs, r)
+	return r
+}
+
+// close must have a pointer receiver: `defer rds.close()` evaluates the
+// receiver at defer time, and a value receiver would snapshot the empty
+// slice before any open() appended to it — leaking every pin.
+func (rs *readerSet) close() {
+	for _, r := range *rs {
+		r.Close()
+	}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // Stripe checkpoints cut the tuple list into fixed-width stripes so that the
-// parallel filter plan can open cursors in the middle of every list. A
+// filter plan's workers can open cursors in the middle of every list. A
 // checkpoint for tuple-list position P records, per attribute, the bit
 // offset of the next unconsumed element header in that attribute's vector
 // list — the "normalized" resume point: never mid-element, and never a
@@ -57,7 +57,8 @@ func (ix *Index) recordCheckpoint(pos int64, offs []int64) {
 	}
 	if want := pos / ix.ckptEvery; int64(len(ix.ckpts)) != want {
 		// Defensive: a gap would make stripe s resolve to the wrong record.
-		// Disable the parallel plan rather than scan from wrong offsets.
+		// Drop to a single origin-anchored stripe rather than scan from
+		// wrong offsets.
 		ix.ckptChain = storage.NoSegment
 		ix.ckpts = nil
 		return
@@ -196,8 +197,8 @@ func (ix *Index) readCheckpoints(count int) error {
 // everything after it — but a truncated checkpoint list cannot drive the
 // striped plan (stripe s resumes from record s, and missing tail records
 // would silently skip the tuples they cover), so checkpointing is disabled
-// in-memory: searches fall back to the sequential plan and the next rebuild
-// re-records a full set. droppedCkpts counts the discarded records.
+// in-memory: searches scan a single origin-anchored stripe on one worker and
+// the next rebuild re-records a full set. droppedCkpts counts the discarded records.
 func (ix *Index) corruptCheckpoint(i, count int) error {
 	if ix.imode == IntegrityStrict {
 		return &storage.CorruptionError{File: "iva.idx",

@@ -22,13 +22,13 @@ type codecPair struct {
 	}
 	// One catalog per engine: the catalog accumulates df counters as rows
 	// are appended, so sharing one would double every count.
-	cats           [2]*table.Catalog
-	tbls           [2]*table.Table
-	ixs            [2]*Index // [0] codec 0, [1] codec 1
-	num, spn, txt  model.AttrID
-	rows           int
-	ckptEvery      int64
-	closers        []func()
+	cats          [2]*table.Catalog
+	tbls          [2]*table.Table
+	ixs           [2]*Index // [0] codec 0, [1] codec 1
+	num, spn, txt model.AttrID
+	rows          int
+	ckptEvery     int64
+	closers       []func()
 }
 
 func (p *codecPair) close() {
@@ -124,7 +124,7 @@ func (p *codecPair) queries() []*model.Query {
 	return qs
 }
 
-// diffSearches runs every query against both engines at both plans and
+// diffSearches runs every query against both engines at one and several workers and
 // demands byte-identical results.
 func (p *codecPair) diffSearches(t *testing.T, stage string) {
 	t.Helper()
@@ -147,7 +147,7 @@ func (p *codecPair) diffSearches(t *testing.T, stage string) {
 
 // TestCodecByteIdenticalSearch is the tentpole acceptance check at the core
 // layer: the packed engine answers every query byte-identically to the raw
-// one, at both plans, with zone pruning on and off.
+// one, at one and several workers, with zone pruning on and off.
 func TestCodecByteIdenticalSearch(t *testing.T) {
 	p := buildCodecPair(t, 256)
 	defer p.close()
@@ -167,7 +167,7 @@ func TestCodecByteIdenticalSearch(t *testing.T) {
 			t.Fatalf("codec %d check: %v", c, rep.Problems)
 		}
 	}
-	// Explain and the sequential-plan baseline run the packed read path too.
+	// Explain and the VA-file plan baseline run the packed read path too.
 	q := (&model.Query{K: 3}).TextTerm(p.txt, "widget model 5")
 	exRaw, err := p.ixs[0].ExplainSearch(q, nil)
 	if err != nil {

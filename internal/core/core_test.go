@@ -139,12 +139,18 @@ func (fx *fixture) randQuery(t testing.TB, nvals, k int) *model.Query {
 // bruteForce computes the exact top-k by scanning live tuples.
 func bruteForce(t testing.TB, fx *fixture, q *model.Query, m *metric.Metric) []model.Result {
 	t.Helper()
+	return bruteForceIndex(t, fx.ix, q, m)
+}
+
+// bruteForceIndex is bruteForce for an index built outside a fixture.
+func bruteForceIndex(t testing.TB, ix *Index, q *model.Query, m *metric.Metric) []model.Result {
+	t.Helper()
 	pool := topk.New(q.K)
-	for _, e := range fx.ix.entries {
+	for _, e := range ix.entries {
 		if e.deleted {
 			continue
 		}
-		tp, err := fx.tbl.Fetch(e.ptr)
+		tp, err := ix.tbl.Fetch(e.ptr)
 		if err != nil {
 			t.Fatal(err)
 		}

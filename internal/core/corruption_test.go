@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"github.com/sparsewide/iva/internal/metric"
 	"github.com/sparsewide/iva/internal/model"
 	"github.com/sparsewide/iva/internal/storage"
 	"github.com/sparsewide/iva/internal/table"
@@ -83,8 +84,8 @@ func buildCorruptionFixtureWith(t *testing.T, opts Options, sparse bool) *corrup
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ix.parallelEligible() {
-		t.Fatal("fixture not parallel-eligible")
+	if p := ix.planShape(); !p.zoned || len(p.ckpts) < 2 {
+		t.Fatal("fixture not striped")
 	}
 	for i := range ix.attrs {
 		if ix.attrs[i].codecID != vector.CodecRaw {
@@ -146,6 +147,23 @@ func (cf *corruptionFixture) restore(t *testing.T) {
 	if _, err := cf.idxDev.WriteAt(cf.snapshot, 0); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// open opens the fixture's current device images through pool; the returned
+// func closes both files.
+func (cf *corruptionFixture) open(t *testing.T, pool *storage.Pool, opts Options) (*Index, func()) {
+	t.Helper()
+	tblF := storage.NewFile(pool, cf.tblDev)
+	idxF := storage.NewFile(pool, cf.idxDev)
+	tbl, err := table.Open(tblF, cf.cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := Open(idxF, tbl, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix, func() { tblF.Close(); idxF.Close() }
 }
 
 func (cf *corruptionFixture) flip(t *testing.T, off int64, bit uint) {
@@ -246,4 +264,49 @@ func (cf *corruptionFixture) runOnce(t *testing.T, mode IntegrityMode, off int64
 		t.Fatalf("flip at %d: v4 store scrubbed as legacy", off)
 	}
 	return !rep.Clean()
+}
+
+// TestPlanSingleStripeDegrades corrupts a vector-list segment of an index
+// that scans as one origin-anchored stripe (no checkpoints to resynchronize
+// from): the damaged term degrades for the rest of the scan and the answers
+// still equal brute force, on one worker, with no page left pinned.
+func TestPlanSingleStripeDegrades(t *testing.T) {
+	cf := buildCorruptionFixture(t)
+	probe, closeProbe := cf.open(t, storage.NewPool(0, 1<<20), Options{})
+	exts := probe.VectorExtents()
+	if len(exts) == 0 {
+		t.Fatal("fixture has no committed vector extents")
+	}
+	off := exts[0].Offset + exts[0].Len/2
+	closeProbe()
+	cf.flip(t, off, 3)
+	defer cf.restore(t)
+
+	pool := storage.NewPool(0, 1<<20)
+	ix, closeFiles := cf.open(t, pool, Options{Integrity: IntegrityDegrade})
+	defer closeFiles()
+	dropCheckpoints(ix)
+	degraded := 0
+	for _, par := range []int{1, 8} {
+		ix.SetSearchParallelism(par)
+		for qi, q := range cf.queries {
+			res, stats, err := ix.Search(q, nil)
+			if err != nil {
+				t.Fatalf("par=%d query %d: %v", par, qi, err)
+			}
+			if want := bruteForceIndex(t, ix, q, metric.Default()); !identicalResults(res, want) {
+				t.Fatalf("par=%d query %d: degraded scan diverged from brute force", par, qi)
+			}
+			if stats.Workers != 1 || stats.StripesTotal != 1 {
+				t.Fatalf("par=%d query %d: %d workers over %d stripes", par, qi, stats.Workers, stats.StripesTotal)
+			}
+			degraded += stats.DegradedSegments
+			if n := pool.PinnedFrames(); n != 0 {
+				t.Fatalf("par=%d query %d leaked %d pins", par, qi, n)
+			}
+		}
+	}
+	if degraded == 0 {
+		t.Fatal("no query read past the corrupt segment")
+	}
 }

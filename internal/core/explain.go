@@ -46,9 +46,10 @@ type Explain struct {
 	Terms        []TermExplain
 }
 
-// ExplainSearch runs q with instrumentation (see Explain). Both passes use
-// the sequential plan: Explain's counters describe the canonical Algorithm 1
-// admission sequence, which the parallel plan only has to match in results.
+// ExplainSearch runs q with instrumentation (see Explain). The result pass
+// runs with one worker whatever SearchParallelism says: Explain's counters
+// describe the canonical Algorithm 1 admission sequence, which more workers
+// only have to match in results.
 func (ix *Index) ExplainSearch(q *model.Query, m *metric.Metric) (*Explain, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -59,7 +60,9 @@ func (ix *Index) ExplainSearch(q *model.Query, m *metric.Metric) (*Explain, erro
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 
-	res, stats, err := ix.searchSequential(context.Background(), q, m, nil) // warm pass for the result itself
+	plan := ix.planShape()
+	plan.workers = 1
+	res, stats, err := ix.search(context.Background(), q, m, nil, plan) // warm pass for the result itself
 	if err != nil {
 		return nil, err
 	}
@@ -68,64 +71,33 @@ func (ix *Index) ExplainSearch(q *model.Query, m *metric.Metric) (*Explain, erro
 		ex.PoolMaxFinal = res[len(res)-1].Dist
 	}
 
-	var rds readerSet
-	defer rds.close()
-	terms := make([]termState, len(q.Terms))
-	ex.Terms = make([]TermExplain, len(q.Terms))
-	for i, term := range q.Terms {
-		ts := termState{term: term}
-		te := TermExplain{Attr: term.Attr, Kind: term.Kind, MinEst: math.Inf(1)}
-		if int(term.Attr) < len(ix.attrs) && ix.attrs[term.Attr].exists {
-			st := &ix.attrs[term.Attr]
-			src, err := ix.termSource(st, rds.open(ix, st.chain, st.physBits()))
-			if err != nil {
-				return nil, err
-			}
-			cur, err := vector.NewCursor(st.layout, src)
-			if err != nil {
-				return nil, err
-			}
-			ts.st, ts.cursor = st, cur
+	terms, err := ix.prepareTerms(q)
+	if err != nil {
+		return nil, err
+	}
+	ex.Terms = make([]TermExplain, len(terms))
+	for i := range terms {
+		te := TermExplain{Attr: terms[i].term.Attr, Kind: terms[i].term.Kind, MinEst: math.Inf(1)}
+		if st := terms[i].st; st != nil {
 			te.ListType = st.layout.Type
 			te.Alpha = st.alpha
 		}
-		if term.Kind == model.KindText {
-			codec := ix.codec
-			if ts.st != nil && ts.st.layout.Codec != nil {
-				codec = ts.st.layout.Codec
-			}
-			ts.qs = codec.NewQueryString(term.Str)
-		}
-		terms[i] = ts
 		ex.Terms[i] = te
 	}
 
-	tr := rds.open(ix, ix.tupleChain, ix.tupleBits)
 	diffs := make([]float64, len(terms))
-	for pos := int64(0); pos < int64(len(ix.entries)); pos++ {
-		tidBits, err := tr.ReadBits(ix.ltid)
-		if err != nil {
-			return nil, err
-		}
-		ptr, err := tr.ReadBits(ptrBits)
-		if err != nil {
-			return nil, err
-		}
-		if ptr == tombstonePtr {
-			continue
-		}
-		tid := model.TID(tidBits)
-		ndfHere := make([]bool, len(terms))
+	ndfHere := make([]bool, len(terms))
+	err = ix.originScan(terms, func(tid model.TID, pos, ptr int64) error {
 		for i := range terms {
 			d, ndf, err := terms[i].estimateInfo(m, tid, pos)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			diffs[i] = d
+			ndfHere[i] = ndf
 			te := &ex.Terms[i]
 			if ndf {
 				te.NDF++
-				ndfHere[i] = true
 				continue
 			}
 			te.Defined++
@@ -140,9 +112,9 @@ func (ix *Index) ExplainSearch(q *model.Query, m *metric.Metric) (*Explain, erro
 		// Tightness sample: compare bounds to exact diffs on tuples the
 		// real search would fetch (estimate below the final pool bar).
 		if m.Distance(q.Terms, diffs) < ex.PoolMaxFinal {
-			tp, err := ix.tbl.Fetch(int64(ptr))
+			tp, err := ix.tbl.Fetch(ptr)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			for i, term := range q.Terms {
 				if ndfHere[i] {
@@ -155,6 +127,10 @@ func (ix *Index) ExplainSearch(q *model.Query, m *metric.Metric) (*Explain, erro
 				}
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	for i := range ex.Terms {
 		te := &ex.Terms[i]

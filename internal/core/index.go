@@ -60,8 +60,8 @@ type Options struct {
 	// paper's attribute-list element allows (§III-D stores α per
 	// attribute). Attributes absent from the map use the global Alpha.
 	AlphaOverride map[model.AttrID]float64
-	// SearchParallelism is the worker count of the striped filter plan.
-	// 0 selects runtime.GOMAXPROCS(0); 1 forces the sequential plan.
+	// SearchParallelism caps the worker count of the striped filter plan.
+	// 0 selects runtime.GOMAXPROCS(0); 1 = one worker.
 	SearchParallelism int
 	// CheckpointEvery is the stripe width: a resumable checkpoint is
 	// recorded every CheckpointEvery tuple-list entries. Default 2048.
@@ -270,9 +270,9 @@ type Index struct {
 	posByTID   map[model.TID]int64
 	deleted    int64
 
-	// Stripe checkpoints for the parallel filter plan. ckptChain is
-	// NoSegment for indexes opened from a v1 file, which disables both
-	// checkpoint recording and the parallel plan.
+	// Stripe checkpoints for the striped filter plan. ckptChain is
+	// NoSegment for indexes opened from a v1 file, which disables
+	// checkpoint recording: searches scan one origin-anchored stripe.
 	ckptChain storage.ChainID
 	ckptEvery int64
 	ckpts     []checkpoint
@@ -310,7 +310,7 @@ func (ix *Index) Codec() *signature.Codec { return ix.codec }
 func (ix *Index) Options() Options { return ix.opts }
 
 // SetSearchParallelism changes the worker cap of the striped filter plan at
-// runtime (0 selects runtime.GOMAXPROCS, 1 forces the sequential plan).
+// runtime (0 selects runtime.GOMAXPROCS, 1 = one worker).
 // Results are identical at any setting; the differential oracle exercises
 // this to prove it.
 func (ix *Index) SetSearchParallelism(p int) {
@@ -780,8 +780,8 @@ func Open(f *storage.File, tbl *table.Table, opts Options) (*Index, error) {
 	if nattrs < 0 || int64(nattrs)*attrElemSize > f.Size() {
 		return nil, fmt.Errorf("core: superblock attribute count %d exceeds file", nattrs)
 	}
-	// v1 files predate stripe checkpoints: recording and the parallel plan
-	// stay off for them until the next rebuild writes a v2 file.
+	// v1 files predate stripe checkpoints: recording stays off for them (and
+	// searches scan a single stripe) until the next rebuild writes a v2 file.
 	ix.ckptChain = storage.NoSegment
 	ix.ckptEvery = opts.CheckpointEvery
 	if version >= 2 {

@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"math"
-	"sort"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,15 +16,15 @@ import (
 	"github.com/sparsewide/iva/internal/vector"
 )
 
-// The striped filter plan. The tuple list is cut into stripes of ckptEvery
-// entries; workers claim stripes from a shared counter, open their own
-// cursors at the stripe's checkpoint, scan with a private top-k pool and do
-// their own refine fetches. A shared admission bar (the smallest full-pool
-// max distance published by any worker) lets one stripe's tight bound prune
-// the others.
+// The striped filter plan — the only implementation of Algorithm 1. The tuple
+// list is cut into stripes (see scanPlan); workers claim stripes from a
+// shared counter, open their own cursors at the stripe's checkpoint, scan
+// with a private top-k pool and do their own refine fetches. A shared
+// admission bar (the smallest full-pool max distance published by any worker)
+// lets one stripe's tight bound prune the others.
 //
-// Determinism: the result is byte-identical to the sequential plan under any
-// worker count and scheduling. The top-k pool orders pairs by the total
+// Determinism: the result is byte-identical under any worker count and
+// scheduling. The top-k pool orders pairs by the total
 // lexicographic (dist, tid) order — admission, eviction and the tid-aware
 // fetch gate (AdmitsPair) all use it — so a pool holds exactly the k
 // lex-smallest pairs of whatever subset was offered to it, independent of
@@ -32,7 +32,7 @@ import (
 // members at that moment, and the pool's k-th bound only tightens afterward.
 // Each worker's pool is thus the exact top-k of its stripes, the global k
 // smallest pairs are contained in the union of the local pools, and the lex
-// merge reproduces the sequential answer. The shared bar prunes only on
+// merge reproduces the one-worker answer. The shared bar prunes only on
 // est > bar (strictly): such a tuple's exact distance exceeds the max of some
 // full pool, i.e. k pairs of strictly smaller distance exist, so it can never
 // appear in the answer regardless of tid ties. See DESIGN.md.
@@ -57,8 +57,8 @@ func (b *distBar) lower(d float64) {
 }
 
 // barExceeded is the strict admission-bar prune rule, shared by the
-// per-tuple checks of both plans and the stripe zone gate so the three call
-// sites cannot drift: an estimate strictly above the bar belongs to a tuple
+// per-tuple check and the stripe zone gate so the two call sites cannot
+// drift: an estimate strictly above the bar belongs to a tuple
 // whose exact distance exceeds the max of some full pool — k strictly
 // smaller pairs exist, so it can never reach the answer, tid ties included.
 func barExceeded(bar *distBar, est float64) bool { return est > bar.load() }
@@ -70,24 +70,162 @@ func admitsEst(pool *topk.Pool, bar *distBar, tid model.TID, est float64) bool {
 	return pool.AdmitsPair(tid, est) && !barExceeded(bar, est)
 }
 
+// scanPlan is the shape of one search's filter scan. It is derived from what
+// the index can observe (planShape), never from an option that names a plan.
+type scanPlan struct {
+	// ckpts holds one resume point per stripe; stripe s covers tuple-list
+	// positions [s·width, (s+1)·width) ∩ [0, n).
+	ckpts []checkpoint
+	width int64
+	// zoned says the stripes coincide with the sealed stripes the zone
+	// records describe, so the zone gate may be consulted at claim time.
+	zoned   bool
+	workers int
+}
+
+// planShape decides how a search dispatched now would run. With usable
+// checkpoints the tuple list is scanned in len(ix.ckpts) stripes of ckptEvery
+// entries. Without them — a v1 file before its first rebuild, checkpoints
+// dropped by DegradeReads or by recordCheckpoint's gap guard, an empty index —
+// it is one stripe [0, n) anchored at the origin, with the zone gate off
+// (zone records describe ckptEvery-wide stripes). Workers are capped by the
+// stripe count, and a tuple list shorter than two full stripes gets one: a
+// second private top-k pool there costs more duplicate refine fetches than
+// its half of the scan saves. Caller holds ix.mu.
+func (ix *Index) planShape() scanPlan {
+	n := int64(len(ix.entries))
+	p := scanPlan{ckpts: ix.ckpts, width: ix.ckptEvery, zoned: true}
+	if !ix.checkpointsEnabled() || len(ix.ckpts) == 0 {
+		// The zero checkpoint resumes every list at offset 0.
+		p = scanPlan{ckpts: make([]checkpoint, 1), width: n}
+	}
+	p.workers = ix.opts.SearchParallelism
+	if p.workers <= 0 {
+		p.workers = runtime.GOMAXPROCS(0)
+	}
+	if n < 2*ix.ckptEvery {
+		p.workers = 1
+	}
+	p.workers = min(p.workers, len(p.ckpts))
+	return p
+}
+
 // workerScratch holds the allocation-heavy per-worker state reused across
-// queries via a sync.Pool: readers, their seam-stitch buffers, and the
-// per-term diff slice, which dominate a worker's setup cost.
+// queries via a sync.Pool: readers and their seam-stitch buffers, which
+// dominate a worker's setup cost.
 type workerScratch struct {
 	tupleRd *storage.ChainBitReader
 	termRds []*storage.ChainBitReader
-	diffs   []float64
 }
 
 var scratchPool = sync.Pool{New: func() interface{} { return &workerScratch{} }}
 
-// stripeWorker is one goroutine of the parallel plan.
+// reopen binds a pooled reader (nil on first use) to chain c. The verify hook
+// is re-attached every time: the pooled reader may have been bound to another
+// index, or to nothing.
+func (ix *Index) reopen(r *storage.ChainBitReader, c storage.ChainID, bits int64) *storage.ChainBitReader {
+	if r == nil {
+		r = storage.NewChainBitReader(ix.segs, c, bits)
+	} else {
+		r.Reset(ix.segs, c, bits)
+	}
+	ix.attachVerify(r, c)
+	return r
+}
+
+// openTuples positions the scratch's tuple-list reader at position pos.
+func (sc *workerScratch) openTuples(ix *Index, pos int64) (*storage.ChainBitReader, error) {
+	sc.tupleRd = ix.reopen(sc.tupleRd, ix.tupleChain, ix.tupleBits)
+	return sc.tupleRd, sc.tupleRd.SeekBit(pos * int64(ix.elemBits()))
+}
+
+// openTerm gives term i a cursor that resumes its attribute's vector list at
+// tuple-list position pos from checkpoint ck; a term whose attribute has no
+// list keeps its nil cursor. The reader spans the list's PHYSICAL stream and
+// termSource wraps it in a fresh logical source — for packed lists a
+// BlockSource decoding blocks on demand — which is the coordinate checkpoint
+// offsets speak.
+func (sc *workerScratch) openTerm(ix *Index, i int, ts *termState, ck checkpoint, pos int64) error {
+	if ts.st == nil {
+		return nil
+	}
+	for len(sc.termRds) <= i {
+		sc.termRds = append(sc.termRds, nil)
+	}
+	sc.termRds[i] = ix.reopen(sc.termRds[i], ts.st.chain, ts.st.physBits())
+	src, err := ix.termSource(ts.st, sc.termRds[i])
+	if err != nil {
+		return err
+	}
+	cur, err := vector.NewCursorAt(ts.st.layout, src, ck.attrOffset(int(ts.term.Attr)), pos)
+	if err != nil {
+		return err
+	}
+	cur.EnableScratch()
+	ts.cursor = cur
+	return nil
+}
+
+// originScan is the instrumented passes' (ExplainSearch, SequentialPlanStats)
+// view of the index: one pass over the whole tuple list with every term's
+// cursor opened at the head of its list, calling visit for each live tuple.
+// Unlike a search it fails on any read error instead of degrading. Caller
+// holds ix.mu.RLock.
+func (ix *Index) originScan(terms []termState, visit func(tid model.TID, pos, ptr int64) error) error {
+	sc := scratchPool.Get().(*workerScratch)
+	defer sc.release()
+	for i := range terms {
+		if err := sc.openTerm(ix, i, &terms[i], checkpoint{}, 0); err != nil {
+			return err
+		}
+	}
+	tr, err := sc.openTuples(ix, 0)
+	if err != nil {
+		return err
+	}
+	for pos := int64(0); pos < int64(len(ix.entries)); pos++ {
+		tidBits, err := tr.ReadBits(ix.ltid)
+		if err != nil {
+			return err
+		}
+		ptr, err := tr.ReadBits(ptrBits)
+		if err != nil {
+			return err
+		}
+		if ptr == tombstonePtr {
+			continue
+		}
+		if err := visit(model.TID(tidBits), pos, int64(ptr)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// release closes the readers — their windows are pinned buffer-pool frames,
+// and an idle pin would block eviction between queries — then returns the
+// scratch (readers, stitch buffers) to the pool for reuse.
+func (sc *workerScratch) release() {
+	if sc.tupleRd != nil {
+		sc.tupleRd.Close()
+	}
+	for _, r := range sc.termRds {
+		if r != nil {
+			r.Close()
+		}
+	}
+	scratchPool.Put(sc)
+}
+
+// stripeWorker is one filter worker of a search.
 type stripeWorker struct {
 	ix    *Index
 	ctx   context.Context
 	q     *model.Query
 	m     *metric.Metric
+	plan  *scanPlan
 	terms []termState // private copies: counters and cursors are per-worker
+	diffs []float64   // per-term lower bounds of the tuple (or stripe) at hand
 	pool  *topk.Pool
 	bar   *distBar
 	next  *atomic.Int64 // shared stripe claim counter
@@ -99,27 +237,21 @@ type stripeWorker struct {
 
 	scratch *workerScratch
 
-	stripes     int64 // stripes claimed from the shared counter
-	zoneChecked int64 // claimed stripes with a usable zone bound
-	zonePruned  int64 // of those, skipped whole without opening a cursor
-	scanned     int64
-	fetched     int64
+	prof        WorkerStats // this worker's share, reported as is
+	zoneChecked int64       // claimed stripes with a usable zone bound
 	refineWall  time.Duration
 	fetchWall   time.Duration
-	busyWall    time.Duration
 	err         error
 }
 
-// searchParallel executes the striped plan with par workers. Caller holds
-// ix.mu.RLock and has verified parallelEligible.
-func (ix *Index) searchParallel(ctx context.Context, q *model.Query, m *metric.Metric, parent *obs.Span, par int) ([]model.Result, SearchStats, error) {
+// search executes Algorithm 1 over plan. Worker 0 runs on the calling
+// goroutine, so a one-worker search starts none, claims the stripes in order
+// and carries one pool across them — the canonical admission sequence
+// ExplainSearch reports. Caller holds ix.mu.RLock.
+func (ix *Index) search(ctx context.Context, q *model.Query, m *metric.Metric, parent *obs.Span, plan scanPlan) ([]model.Result, SearchStats, error) {
 	var stats SearchStats
-	nstripes := len(ix.ckpts)
-	if par > nstripes {
-		par = nstripes
-	}
-	stats.Workers = par
-	stats.StripesTotal = nstripes
+	stats.Workers = plan.workers
+	stats.StripesTotal = len(plan.ckpts)
 	idxIO := ix.segs.File().IOStats()
 	tblIO := ix.tbl.IOStats()
 	startIdx, startTbl := idxIO.Snapshot(), tblIO.Snapshot()
@@ -134,28 +266,29 @@ func (ix *Index) searchParallel(ctx context.Context, q *model.Query, m *metric.M
 	bar.init()
 	var next atomic.Int64
 	var abort atomic.Bool
-	workers := make([]*stripeWorker, par)
-	var wg sync.WaitGroup
-	for w := 0; w < par; w++ {
+	workers := make([]*stripeWorker, plan.workers)
+	for w := range workers {
 		terms := make([]termState, len(shared))
 		copy(terms, shared) // st and qs shared, counters/cursor per worker
-		sw := &stripeWorker{
-			ix: ix, ctx: ctx, q: q, m: m, terms: terms,
+		workers[w] = &stripeWorker{
+			ix: ix, ctx: ctx, q: q, m: m, plan: &plan,
+			terms: terms, diffs: make([]float64, len(terms)),
 			pool: topk.New(q.K), bar: &bar, next: &next, abort: &abort,
 			degSegs: make(map[uint32]struct{}),
 			scratch: scratchPool.Get().(*workerScratch),
 		}
-		workers[w] = sw
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sw.run(nstripes)
-		}()
 	}
+	var wg sync.WaitGroup
+	for _, sw := range workers[1:] {
+		wg.Add(1)
+		go func(sw *stripeWorker) {
+			defer wg.Done()
+			sw.run()
+		}(sw)
+	}
+	workers[0].run()
 	wg.Wait()
 
-	merged := make([]termState, len(shared))
-	copy(merged, shared)
 	allDeg := make(map[uint32]struct{})
 	var sumBusy, sumRefine, sumFetch time.Duration
 	var claimed int64
@@ -165,32 +298,29 @@ func (ix *Index) searchParallel(ctx context.Context, q *model.Query, m *metric.M
 		if sw.err != nil && err == nil {
 			err = sw.err
 		}
-		stats.Scanned += sw.scanned
-		stats.TableAccesses += sw.fetched
-		sumBusy += sw.busyWall
+		stats.WorkerProfiles[w] = sw.prof
+		stats.Scanned += sw.prof.Scanned
+		stats.TableAccesses += sw.prof.Fetched
+		sumBusy += sw.prof.Busy
 		sumRefine += sw.refineWall
 		sumFetch += sw.fetchWall
-		claimed += sw.stripes
+		claimed += sw.prof.Stripes
 		stats.StripesZoneChecked += int(sw.zoneChecked)
-		stats.StripesZonePruned += int(sw.zonePruned)
-		stats.WorkerProfiles[w] = WorkerStats{
-			Stripes: sw.stripes, ZonePruned: sw.zonePruned,
-			Scanned: sw.scanned, Fetched: sw.fetched, Busy: sw.busyWall,
-		}
+		stats.StripesZonePruned += int(sw.prof.ZonePruned)
 		for id := range sw.degSegs {
 			allDeg[id] = struct{}{}
 		}
-		for i := range merged {
-			merged[i].defined += sw.terms[i].defined
-			merged[i].ndf += sw.terms[i].ndf
-			merged[i].pruned += sw.terms[i].pruned
+		for i := range shared { // counters summed over workers, for the trace
+			shared[i].defined += sw.terms[i].defined
+			shared[i].ndf += sw.terms[i].ndf
+			shared[i].pruned += sw.terms[i].pruned
 		}
 	}
 	stats.DegradedSegments = len(allDeg)
 	stats.DegradedSegIDs = sortedSegIDs(allDeg)
-	if n := int64(nstripes) - claimed; n > 0 {
-		stats.StripesSkipped = int(n) // the plan aborted before covering them
-	}
+	// A stripe is claimed at most once, so the difference is what an aborted
+	// search never covered.
+	stats.StripesSkipped = stats.StripesTotal - int(claimed)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -207,6 +337,8 @@ func (ix *Index) searchParallel(ctx context.Context, q *model.Query, m *metric.M
 		stats.RefineWall = time.Duration(float64(total-stats.MergeWall) * float64(sumRefine) / float64(sumBusy))
 	}
 	stats.FilterWall = total - stats.RefineWall - stats.MergeWall
+	// Per-file attribution: the filter phase reads only the index file, the
+	// refine phase only the table file.
 	stats.FilterIO = idxIO.Snapshot().Sub(startIdx)
 	stats.RefineIO = tblIO.Snapshot().Sub(startTbl)
 	if parent != nil {
@@ -214,65 +346,57 @@ func (ix *Index) searchParallel(ctx context.Context, q *model.Query, m *metric.M
 		if sumRefine > 0 {
 			fetchWall = time.Duration(float64(stats.RefineWall) * float64(sumFetch) / float64(sumRefine))
 		}
-		ix.traceSearch(parent, merged, stats, stats.TableAccesses, fetchWall, par, nstripes)
+		ix.traceSearch(parent, shared, stats, fetchWall)
 	}
 	return results, stats, nil
 }
 
-// mergeWorkerPools concatenates the per-worker pools and keeps the k
-// lexicographically-smallest (dist, tid) pairs — the deterministic merge.
+// mergeWorkerPools offers every worker's pool to one more pool, which keeps
+// the k lexicographically-smallest (dist, tid) pairs — the deterministic
+// merge, under the same order every worker admitted by.
 func mergeWorkerPools(workers []*stripeWorker, k int) []model.Result {
-	var all []model.Result
+	merged := topk.New(k)
 	for _, sw := range workers {
-		all = append(all, sw.pool.Results()...)
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Dist != all[j].Dist {
-			return all[i].Dist < all[j].Dist
+		for _, r := range sw.pool.Results() {
+			merged.Insert(r.TID, r.Dist)
 		}
-		return all[i].TID < all[j].TID
-	})
-	if len(all) > k {
-		all = all[:k]
 	}
-	return all
+	return merged.Results()
 }
 
-func (sw *stripeWorker) run(nstripes int) {
+func (sw *stripeWorker) run() {
 	start := time.Now()
-	defer func() { sw.busyWall = time.Since(start) }()
+	defer func() {
+		sw.prof.Busy = time.Since(start)
+		if sw.err != nil {
+			sw.abort.Store(true) // stops the other workers' next claims too
+		}
+	}()
 	for {
 		s := sw.next.Add(1) - 1
-		if s >= int64(nstripes) || sw.abort.Load() {
+		if s >= int64(len(sw.plan.ckpts)) || sw.abort.Load() {
 			return
 		}
-		// Stripe boundaries are the cancellation points of the parallel
-		// filter phase: one worker observing an expired context aborts the
-		// other workers' next claims too.
-		if err := sw.ctx.Err(); err != nil {
-			sw.err = err
-			sw.abort.Store(true)
+		// Every stripe claim is a cancellation point.
+		if sw.err = sw.ctx.Err(); sw.err != nil {
 			return
 		}
-		sw.stripes++
+		sw.prof.Stripes++
 		// Zone gate: when the stripe's zone record proves even its best
 		// tuple cannot beat the current shared bar (or the stripe holds no
 		// live tuples), release the worker to the next claim without
 		// opening a cursor. The bar only tightens over time, so a bound
 		// computed now remains disqualifying for the rest of the query.
-		if cap(sw.scratch.diffs) < len(sw.terms) {
-			sw.scratch.diffs = make([]float64, len(sw.terms))
-		}
-		if est, empty, ok := sw.ix.zoneBound(s, sw.terms, sw.q, sw.m, sw.scratch.diffs[:len(sw.terms)]); ok {
-			sw.zoneChecked++
-			if empty || barExceeded(sw.bar, est) {
-				sw.zonePruned++
-				continue
+		if sw.plan.zoned {
+			if est, empty, ok := sw.ix.zoneBound(s, sw.terms, sw.q, sw.m, sw.diffs); ok {
+				sw.zoneChecked++
+				if empty || barExceeded(sw.bar, est) {
+					sw.prof.ZonePruned++
+					continue
+				}
 			}
 		}
-		if err := sw.scanStripe(s); err != nil {
-			sw.err = err
-			sw.abort.Store(true)
+		if sw.err = sw.scanStripe(s); sw.err != nil {
 			return
 		}
 	}
@@ -282,70 +406,34 @@ func (sw *stripeWorker) run(nstripes int) {
 // from the stripe's checkpoint.
 func (sw *stripeWorker) scanStripe(s int64) error {
 	ix := sw.ix
-	startPos := s * ix.ckptEvery
-	endPos := startPos + ix.ckptEvery
-	if n := int64(len(ix.entries)); endPos > n {
-		endPos = n
-	}
-	ck := ix.ckpts[s]
+	startPos := s * sw.plan.width
+	endPos := min(startPos+sw.plan.width, int64(len(ix.entries)))
+	ck := sw.plan.ckpts[s]
 
-	sc := sw.scratch
-	if sc.tupleRd == nil {
-		sc.tupleRd = storage.NewChainBitReader(ix.segs, ix.tupleChain, ix.tupleBits)
-	} else {
-		sc.tupleRd.Reset(ix.segs, ix.tupleChain, ix.tupleBits)
-	}
-	tr := sc.tupleRd
-	// Readers come from the scratch pool, so the verify hook must be
-	// re-attached after every Reset (the pooled reader may have been bound to
-	// another index, or to nothing).
-	ix.attachVerify(tr, ix.tupleChain)
-	if err := tr.SeekBit(startPos * int64(ix.elemBits())); err != nil {
+	tr, err := sw.scratch.openTuples(ix, startPos)
+	if err != nil {
 		return err
 	}
 	for i := range sw.terms {
 		ts := &sw.terms[i]
-		if ts.st == nil {
-			continue
-		}
 		// Each stripe reopens cursors from its checkpoint, so a term degraded
 		// in an earlier stripe resynchronizes here: degradation is scoped to
 		// the stripe that read the corrupt segment.
 		ts.degraded = false
-		for len(sc.termRds) <= i {
-			sc.termRds = append(sc.termRds, nil)
+		if err := sw.scratch.openTerm(ix, i, ts, ck, startPos); err != nil && !ix.degradeTerm(ts, err, sw.degSegs) {
+			return err
 		}
-		if sc.termRds[i] == nil {
-			sc.termRds[i] = storage.NewChainBitReader(ix.segs, ts.st.chain, ts.st.physBits())
-		} else {
-			sc.termRds[i].Reset(ix.segs, ts.st.chain, ts.st.physBits())
-		}
-		ix.attachVerify(sc.termRds[i], ts.st.chain)
-		// A fresh logical source per stripe per term: for packed lists the
-		// BlockSource decodes blocks on demand, and checkpoint offsets — which
-		// are logical — seek straight through it.
-		src, err := ix.termSource(ts.st, sc.termRds[i])
-		if err == nil {
-			var cur *vector.Cursor
-			if cur, err = vector.NewCursorAt(ts.st.layout, src,
-				ck.attrOffset(int(ts.term.Attr)), startPos); err == nil {
-				cur.EnableScratch()
-				ts.cursor = cur
-				continue
+	}
+
+	m, q, pool, diffs := sw.m, sw.q, sw.pool, sw.diffs
+	for pos := startPos; pos < endPos; pos++ {
+		// A stripe may be the whole tuple list, so deadlines are also polled
+		// inside it.
+		if pos&1023 == 0 {
+			if err := sw.ctx.Err(); err != nil {
+				return err
 			}
 		}
-		if ix.degradeTerm(ts, err, sw.degSegs) {
-			continue
-		}
-		return err
-	}
-	if cap(sc.diffs) < len(sw.terms) {
-		sc.diffs = make([]float64, len(sw.terms))
-	}
-	diffs := sc.diffs[:len(sw.terms)]
-
-	m, q, pool := sw.m, sw.q, sw.pool
-	for pos := startPos; pos < endPos; pos++ {
 		tidBits, err := tr.ReadBits(ix.ltid)
 		if err != nil {
 			return err
@@ -355,10 +443,10 @@ func (sw *stripeWorker) scanStripe(s int64) error {
 			return err
 		}
 		if ptrBitsVal == tombstonePtr {
-			continue
+			continue // deleted tuple: no filtering, cursors skip in passing
 		}
 		tid := model.TID(tidBits)
-		sw.scanned++
+		sw.prof.Scanned++
 
 		for i := range sw.terms {
 			d, ndf, err := sw.terms[i].boundWithPolicy(ix, m, tid, pos, sw.degSegs)
@@ -373,10 +461,13 @@ func (sw *stripeWorker) scanStripe(s int64) error {
 			diffs[i] = d
 		}
 		estDist := m.Distance(q.Terms, diffs)
-		// Local pool first (the sequential admission rule on this worker's
+		// Local pool first (Algorithm 1's admission rule on this worker's
 		// subset), then the shared bar — strictly, so a distance tie can
 		// still be resolved by tid at the merge.
 		if !admitsEst(pool, sw.bar, tid, estDist) {
+			// Credit the prune to the term with the largest lower bound:
+			// the combiners are monotone, so that term alone pushed the
+			// estimate hardest toward the pool bar.
 			if len(sw.terms) > 0 {
 				argmax := 0
 				for i := 1; i < len(diffs); i++ {
@@ -389,6 +480,7 @@ func (sw *stripeWorker) scanStripe(s int64) error {
 			continue
 		}
 
+		// Refine: random access to the table file, exact distance.
 		if err := sw.ctx.Err(); err != nil {
 			return err
 		}
@@ -398,7 +490,7 @@ func (sw *stripeWorker) scanStripe(s int64) error {
 			return err
 		}
 		sw.fetchWall += time.Since(rStart)
-		sw.fetched++
+		sw.prof.Fetched++
 		actual := m.TupleDistance(q, tp)
 		pool.Insert(tid, actual)
 		if pool.Full() {
@@ -407,19 +499,4 @@ func (sw *stripeWorker) scanStripe(s int64) error {
 		sw.refineWall += time.Since(rStart)
 	}
 	return nil
-}
-
-// release closes the readers — their windows are pinned buffer-pool frames,
-// and an idle pin would block eviction between queries — then returns the
-// scratch (readers, stitch buffers, diff slice) to the pool for reuse.
-func (sc *workerScratch) release() {
-	if sc.tupleRd != nil {
-		sc.tupleRd.Close()
-	}
-	for _, r := range sc.termRds {
-		if r != nil {
-			r.Close()
-		}
-	}
-	scratchPool.Put(sc)
 }

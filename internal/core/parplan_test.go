@@ -1,7 +1,7 @@
 package core
 
 import (
-	"context"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -11,14 +11,25 @@ import (
 	"github.com/sparsewide/iva/internal/table"
 )
 
-// stripedFixture builds a fixture small stripes wide enough for the parallel
-// plan, with tombstones straddling several stripe boundaries.
+// stripedFixture builds a fixture with stripes narrow enough that the scan is
+// cut into several of them and more than one worker may run, with tombstones
+// (see straddleDeletes) straddling several stripe boundaries.
 func stripedFixture(t testing.TB, tuples int, every int64, seed int64) *fixture {
 	fx := newFixture(t, tuples, Options{CheckpointEvery: every, TIDHeadroom: 1 << 20}, seed)
-	if !fx.ix.parallelEligible() {
-		t.Fatalf("fixture not parallel-eligible: %d ckpts over %d entries", len(fx.ix.ckpts), len(fx.ix.entries))
+	if !fx.ix.planShape().zoned || fx.ix.Entries() < 2*every {
+		t.Fatalf("fixture not striped: %d ckpts over %d entries", len(fx.ix.ckpts), len(fx.ix.entries))
 	}
 	return fx
+}
+
+// dropCheckpoints puts the index in the shape of a v1 file before its first
+// rebuild (or of one whose checkpoint chain DegradeReads discarded): no
+// checkpoint chain, so a search scans one origin-anchored stripe.
+func dropCheckpoints(ix *Index) {
+	ix.mu.Lock()
+	ix.ckptChain = storage.NoSegment
+	ix.ckpts = nil
+	ix.mu.Unlock()
 }
 
 // straddleDeletes tombstones the tuples on both sides of every stripe
@@ -69,79 +80,106 @@ func identicalResults(a, b []model.Result) bool {
 	return true
 }
 
-// TestParallelMatchesSequential is the randomized equivalence suite: the
-// parallel plan must return byte-identical results to the sequential plan
-// under every metric/weighting pair, with identical Scanned counts, on a
-// fixture whose tombstones straddle stripe boundaries.
-func TestParallelMatchesSequential(t *testing.T) {
+// TestStripedMatchesBruteForce is the randomized equivalence suite: at every
+// worker count the search must return the byte-identical (dist, tid) answer
+// of an exhaustive scan, under every metric/weighting pair, on a fixture
+// whose tombstones straddle stripe boundaries. Counters are held only to what
+// no schedule can change: zone pruning depends on when the shared bar
+// tightens, so Scanned is bounded by the live count and equals it with zone
+// maps off.
+func TestStripedMatchesBruteForce(t *testing.T) {
 	fx := stripedFixture(t, 3000, 256, 301)
 	straddleDeletes(t, fx)
+	live := fx.ix.Entries() - fx.ix.Deleted()
 	for name, m := range fixtureMetrics(fx) {
 		for trial := 0; trial < 8; trial++ {
 			q := fx.randQuery(t, 1+fx.rng.Intn(3), 1+fx.rng.Intn(10))
-			fx.ix.mu.RLock()
-			seq, seqStats, seqErr := fx.ix.searchSequential(context.Background(), q, m, nil)
-			fx.ix.mu.RUnlock()
-			if seqErr != nil {
-				t.Fatalf("%s trial %d: sequential: %v", name, trial, seqErr)
-			}
-			for _, par := range []int{2, 4, 8} {
-				fx.ix.mu.RLock()
-				got, stats, err := fx.ix.searchParallel(context.Background(), q, m, nil, par)
-				fx.ix.mu.RUnlock()
-				if err != nil {
-					t.Fatalf("%s trial %d par %d: %v", name, trial, par, err)
+			want := bruteForce(t, fx, q, m)
+			for _, par := range []int{1, 2, 4, 8} {
+				fx.ix.SetSearchParallelism(par)
+				for _, zones := range []bool{true, false} {
+					fx.ix.SetZoneMaps(zones)
+					got, stats, err := fx.ix.Search(q, m)
+					if err != nil {
+						t.Fatalf("%s trial %d par %d: %v", name, trial, par, err)
+					}
+					if !identicalResults(got, want) {
+						t.Fatalf("%s trial %d par %d zones %v: results differ\n got %v\nwant %v\nquery %+v",
+							name, trial, par, zones, got, want, q)
+					}
+					if stats.Scanned > live || (!zones && stats.Scanned != live) {
+						t.Fatalf("%s trial %d par %d zones %v: scanned %d of %d live",
+							name, trial, par, zones, stats.Scanned, live)
+					}
 				}
-				if !identicalResults(got, seq) {
-					t.Fatalf("%s trial %d par %d: results differ\n got %v\nwant %v\nquery %+v",
-						name, trial, par, got, seq, q)
-				}
-				if stats.Scanned != seqStats.Scanned {
-					t.Fatalf("%s trial %d par %d: scanned %d, sequential %d",
-						name, trial, par, stats.Scanned, seqStats.Scanned)
-				}
-			}
-			// Brute force anchors both plans to the ground truth.
-			if want := bruteForce(t, fx, q, m); !sameDistances(seq, want) {
-				t.Fatalf("%s trial %d: sequential diverged from brute force", name, trial)
 			}
 		}
 	}
 }
 
-// TestParallelOneWorkerFullStatsEquality pins the checkpoint resume logic: a
+// TestStripedOneWorkerMatchesUnstriped pins the checkpoint resume logic: a
 // single worker claims stripes in order and carries one pool across them, so
 // its admission sequence — and with it every counter, including the fetch
-// count — must be exactly the sequential plan's.
-func TestParallelOneWorkerFullStatsEquality(t *testing.T) {
+// count — must be exactly that of one uninterrupted scan from the origin
+// (the same index with its checkpoints dropped), and the same on every run.
+func TestStripedOneWorkerMatchesUnstriped(t *testing.T) {
 	fx := stripedFixture(t, 2000, 128, 302)
 	straddleDeletes(t, fx)
+	fx.ix.SetSearchParallelism(1)
+	type run struct {
+		res   []model.Result
+		stats SearchStats
+	}
+	type query struct {
+		name string
+		m    *metric.Metric
+		q    *model.Query
+	}
+	var queries []query
 	for name, m := range fixtureMetrics(fx) {
 		for trial := 0; trial < 6; trial++ {
-			q := fx.randQuery(t, 2, 5)
-			fx.ix.mu.RLock()
-			seq, seqStats, err1 := fx.ix.searchSequential(context.Background(), q, m, nil)
-			got, stats, err2 := fx.ix.searchParallel(context.Background(), q, m, nil, 1)
-			fx.ix.mu.RUnlock()
-			if err1 != nil || err2 != nil {
-				t.Fatalf("%s trial %d: %v / %v", name, trial, err1, err2)
-			}
-			if !identicalResults(got, seq) {
-				t.Fatalf("%s trial %d: results differ", name, trial)
-			}
-			if stats.Scanned != seqStats.Scanned || stats.TableAccesses != seqStats.TableAccesses {
-				t.Fatalf("%s trial %d: stats differ: scanned %d/%d accesses %d/%d",
-					name, trial, stats.Scanned, seqStats.Scanned,
-					stats.TableAccesses, seqStats.TableAccesses)
-			}
+			queries = append(queries, query{name, m, fx.randQuery(t, 2, 5)})
+		}
+	}
+	search := func(i int) run {
+		res, stats, err := fx.ix.Search(queries[i].q, queries[i].m)
+		if err != nil {
+			t.Fatalf("%s query %d: %v", queries[i].name, i, err)
+		}
+		return run{res, stats}
+	}
+	var striped []run
+	for i := range queries {
+		a, b := search(i), search(i)
+		if !identicalResults(a.res, b.res) || a.stats.Scanned != b.stats.Scanned ||
+			a.stats.TableAccesses != b.stats.TableAccesses ||
+			a.stats.StripesZonePruned != b.stats.StripesZonePruned {
+			t.Fatalf("query %d: one worker is not deterministic: %+v vs %+v", i, a.stats, b.stats)
+		}
+		fx.ix.SetZoneMaps(false)
+		striped = append(striped, search(i))
+		fx.ix.SetZoneMaps(true)
+	}
+	dropCheckpoints(fx.ix)
+	for i := range queries {
+		got, want := search(i), striped[i]
+		if got.stats.StripesTotal != 1 {
+			t.Fatalf("query %d: %d stripes without checkpoints", i, got.stats.StripesTotal)
+		}
+		if !identicalResults(got.res, want.res) {
+			t.Fatalf("query %d: results differ", i)
+		}
+		if got.stats.Scanned != want.stats.Scanned || got.stats.TableAccesses != want.stats.TableAccesses {
+			t.Fatalf("query %d: stats differ: scanned %d/%d accesses %d/%d", i,
+				got.stats.Scanned, want.stats.Scanned, got.stats.TableAccesses, want.stats.TableAccesses)
 		}
 	}
 }
 
-// TestParallelAfterUpdates drives checkpoints through the update paths:
+// TestStripedAfterUpdates drives checkpoints through the update paths:
 // single inserts and a boundary-crossing batch must both extend the stripe
-// set, and the parallel plan must keep matching afterwards.
-func TestParallelAfterUpdates(t *testing.T) {
+// set, and searches must keep matching brute force afterwards.
+func TestStripedAfterUpdates(t *testing.T) {
 	fx := newFixture(t, 300, Options{CheckpointEvery: 128, TIDHeadroom: 1 << 20}, 303)
 	for i := 0; i < 150; i++ {
 		if _, err := fx.ix.Insert(fx.randValues()); err != nil {
@@ -165,25 +203,23 @@ func TestParallelAfterUpdates(t *testing.T) {
 	m := metric.Default()
 	for trial := 0; trial < 10; trial++ {
 		q := fx.randQuery(t, 2, 8)
-		fx.ix.mu.RLock()
-		seq, _, err1 := fx.ix.searchSequential(context.Background(), q, m, nil)
-		got, _, err2 := fx.ix.searchParallel(context.Background(), q, m, nil, 4)
-		fx.ix.mu.RUnlock()
-		if err1 != nil || err2 != nil {
-			t.Fatalf("trial %d: %v / %v", trial, err1, err2)
-		}
-		if !identicalResults(got, seq) {
-			t.Fatalf("trial %d after updates: plans differ\n got %v\nwant %v", trial, got, seq)
-		}
-		if want := bruteForce(t, fx, q, m); !sameDistances(seq, want) {
-			t.Fatalf("trial %d: diverged from brute force", trial)
+		want := bruteForce(t, fx, q, m)
+		for _, par := range []int{1, 4} {
+			fx.ix.SetSearchParallelism(par)
+			got, _, err := fx.ix.Search(q, m)
+			if err != nil {
+				t.Fatalf("trial %d par %d: %v", trial, par, err)
+			}
+			if !identicalResults(got, want) {
+				t.Fatalf("trial %d par %d after updates: diverged from brute force\n got %v\nwant %v", trial, par, got, want)
+			}
 		}
 	}
 }
 
 // TestCheckpointPersistence round-trips checkpoints through Sync and Open:
-// the reopened index must hold the same stripe set and the parallel plan
-// must still match the sequential one.
+// the reopened index must hold the same stripe set and answer identically at
+// one and at several workers.
 func TestCheckpointPersistence(t *testing.T) {
 	pool := storage.NewPool(0, 10<<20)
 	cat := table.NewCatalog()
@@ -229,59 +265,167 @@ func TestCheckpointPersistence(t *testing.T) {
 			}
 		}
 	}
-	if !ix2.parallelEligible() {
-		t.Fatal("reopened index not parallel-eligible")
-	}
 	m := metric.Default()
 	q := (&model.Query{K: 7}).TextTerm(a, "canon").NumTerm(b, 300)
-	ix2.mu.RLock()
-	seq, _, err1 := ix2.searchSequential(context.Background(), q, m, nil)
-	par, _, err2 := ix2.searchParallel(context.Background(), q, m, nil, 4)
-	ix2.mu.RUnlock()
-	if err1 != nil || err2 != nil {
-		t.Fatalf("%v / %v", err1, err2)
-	}
-	if !identicalResults(par, seq) {
-		t.Fatalf("reopened parallel plan differs: %v vs %v", par, seq)
-	}
-}
-
-// TestDisabledCheckpointsFallBack simulates a v1 index (no checkpoint chain):
-// dispatch must stay sequential and correct.
-func TestDisabledCheckpointsFallBack(t *testing.T) {
-	fx := newFixture(t, 600, Options{CheckpointEvery: 128, SearchParallelism: 8}, 304)
-	fx.ix.ckptChain = storage.NoSegment
-	fx.ix.ckpts = nil
-	if fx.ix.parallelEligible() {
-		t.Fatal("disabled checkpoints still parallel-eligible")
-	}
-	if got := fx.ix.SearchWorkers(); got != 1 {
-		t.Fatalf("SearchWorkers = %d, want 1", got)
-	}
-	m := metric.Default()
-	q := fx.randQuery(t, 2, 5)
-	got, _, err := fx.ix.Search(q, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := bruteForce(t, fx, q, m); !sameDistances(got, want) {
-		t.Fatal("sequential fallback diverged from brute force")
+	want := bruteForceIndex(t, ix2, q, m)
+	for _, par := range []int{1, 4} {
+		ix2.SetSearchParallelism(par)
+		got, stats, err := ix2.Search(q, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Workers != par || stats.StripesTotal != len(ix.ckpts) {
+			t.Fatalf("reopened index ran %d workers over %d stripes, want %d over %d",
+				stats.Workers, stats.StripesTotal, par, len(ix.ckpts))
+		}
+		if !identicalResults(got, want) {
+			t.Fatalf("reopened index par %d differs: %v vs %v", par, got, want)
+		}
 	}
 }
 
-// TestSearchWorkersGaugeValues pins the iva_search_workers gauge source.
-func TestSearchWorkersGaugeValues(t *testing.T) {
+// singleStripeCase is one index whose searches must run as one
+// origin-anchored stripe on one worker, whatever SearchParallelism says.
+type singleStripeCase struct {
+	name    string
+	ix      *Index
+	pool    *storage.Pool
+	queries []*model.Query
+}
+
+// singleStripeCases builds the geometries the striped loop has to absorb
+// without usable stripes: checkpoints dropped by DegradeReads after a flipped
+// checkpoint byte, no checkpoint chain at all (the v1 shape), fewer entries
+// than one stripe, and no entries.
+func singleStripeCases(t *testing.T) []singleStripeCase {
+	t.Helper()
+	var cases []singleStripeCase
+
+	cf := buildCorruptionFixture(t)
+	probe, probeFiles := cf.open(t, storage.NewPool(0, 1<<20), Options{})
+	// Past the segment header and the chain's count word: inside record 0.
+	off := probe.segs.SegmentOffset(probe.ckptChain) + 8 + 4 + 1
+	probeFiles()
+	cf.flip(t, off, 2)
+	pool := storage.NewPool(0, 1<<20)
+	ix, closeFiles := cf.open(t, pool, Options{Integrity: IntegrityDegrade})
+	t.Cleanup(closeFiles)
+	if ix.DroppedCheckpoints() == 0 || ix.checkpointsEnabled() {
+		t.Fatalf("flipped checkpoint byte at %d was not dropped", off)
+	}
+	cases = append(cases, singleStripeCase{"ckpts-dropped-by-degrade", ix, pool, cf.queries})
+
+	v1 := newFixture(t, 600, Options{CheckpointEvery: 128}, 304)
+	queries := []*model.Query{v1.randQuery(t, 2, 5), v1.randQuery(t, 3, 9)}
+	dropCheckpoints(v1.ix)
+	cases = append(cases, singleStripeCase{"v1-no-checkpoint-chain", v1.ix, v1.pool, queries})
+
+	tiny := newFixture(t, 100, Options{CheckpointEvery: 128}, 307)
+	cases = append(cases, singleStripeCase{"under-one-stripe", tiny.ix, tiny.pool,
+		[]*model.Query{tiny.randQuery(t, 2, 5), tiny.randQuery(t, 1, 200)}})
+
+	empty := newFixture(t, 0, Options{CheckpointEvery: 128}, 308)
+	cases = append(cases, singleStripeCase{"empty", empty.ix, empty.pool, []*model.Query{
+		(&model.Query{K: 3}).TextTerm(empty.textAttrs[0], "canon").NumTerm(empty.numAttrs[0], 5)}})
+	return cases
+}
+
+// TestPlanSingleStripe covers the single-stripe geometry at SearchParallelism
+// 1 and 8: brute-force answers, one worker, one stripe, no pinned page left.
+func TestPlanSingleStripe(t *testing.T) {
+	for _, c := range singleStripeCases(t) {
+		for _, par := range []int{1, 8} {
+			c.ix.SetSearchParallelism(par)
+			if got := c.ix.SearchWorkers(); got != 1 {
+				t.Fatalf("%s par %d: SearchWorkers = %d, want 1", c.name, par, got)
+			}
+			for qi, q := range c.queries {
+				got, stats, err := c.ix.Search(q, nil)
+				if err != nil {
+					t.Fatalf("%s par %d query %d: %v", c.name, par, qi, err)
+				}
+				if want := bruteForceIndex(t, c.ix, q, metric.Default()); !identicalResults(got, want) {
+					t.Fatalf("%s par %d query %d: diverged from brute force\n got %v\nwant %v", c.name, par, qi, got, want)
+				}
+				if stats.Workers != 1 || stats.StripesTotal != 1 {
+					t.Fatalf("%s par %d query %d: %d workers over %d stripes, want 1 over 1",
+						c.name, par, qi, stats.Workers, stats.StripesTotal)
+				}
+				if n := c.pool.PinnedFrames(); n != 0 {
+					t.Fatalf("%s par %d query %d: %d pages left pinned", c.name, par, qi, n)
+				}
+			}
+		}
+	}
+}
+
+// TestPlanStatsInvariants holds the plan counters to each other on every
+// geometry and worker count: the stripe total is the real stripe count, the
+// zone counters nest inside it, the worker profiles account for every stripe,
+// and the executed worker count is the one the iva_search_workers gauge
+// reports.
+func TestPlanStatsInvariants(t *testing.T) {
+	striped := stripedFixture(t, 2000, 128, 309)
+	straddleDeletes(t, striped)
+	cases := append(singleStripeCases(t), singleStripeCase{"striped", striped.ix, striped.pool,
+		[]*model.Query{striped.randQuery(t, 1, 1), striped.randQuery(t, 2, 5), striped.randQuery(t, 3, 10)}})
+	for _, c := range cases {
+		wantStripes := 1
+		if c.name == "striped" {
+			wantStripes = len(c.ix.ckpts)
+		}
+		for _, par := range []int{1, 2, runtime.GOMAXPROCS(0)} {
+			c.ix.SetSearchParallelism(par)
+			for qi, q := range c.queries {
+				_, st, err := c.ix.Search(q, nil)
+				if err != nil {
+					t.Fatalf("%s par %d query %d: %v", c.name, par, qi, err)
+				}
+				var claimed int64
+				for _, wp := range st.WorkerProfiles {
+					claimed += wp.Stripes
+				}
+				switch {
+				case st.StripesTotal != wantStripes:
+					t.Errorf("%s par %d query %d: StripesTotal %d, want %d", c.name, par, qi, st.StripesTotal, wantStripes)
+				case st.StripesZonePruned > st.StripesZoneChecked || st.StripesZoneChecked > st.StripesTotal:
+					t.Errorf("%s par %d query %d: pruned %d ≤ checked %d ≤ total %d violated",
+						c.name, par, qi, st.StripesZonePruned, st.StripesZoneChecked, st.StripesTotal)
+				case claimed+int64(st.StripesSkipped) != int64(st.StripesTotal):
+					t.Errorf("%s par %d query %d: %d claimed + %d skipped != %d stripes",
+						c.name, par, qi, claimed, st.StripesSkipped, st.StripesTotal)
+				case len(st.WorkerProfiles) != st.Workers || st.Workers != c.ix.SearchWorkers():
+					t.Errorf("%s par %d query %d: %d profiles, %d workers, gauge %d",
+						c.name, par, qi, len(st.WorkerProfiles), st.Workers, c.ix.SearchWorkers())
+				}
+			}
+		}
+	}
+}
+
+// TestPlanShapeWorkers pins the iva_search_workers gauge source: the
+// configured parallelism, clamped to the stripe count, and one worker while
+// the tuple list holds fewer than two full stripes.
+func TestPlanShapeWorkers(t *testing.T) {
 	fx := newFixture(t, 1000, Options{CheckpointEvery: 64, SearchParallelism: 4}, 305)
 	if got := fx.ix.SearchWorkers(); got != 4 {
 		t.Fatalf("SearchWorkers = %d, want 4", got)
 	}
-	fx.ix.opts.SearchParallelism = 1
+	fx.ix.SetSearchParallelism(1)
 	if got := fx.ix.SearchWorkers(); got != 1 {
 		t.Fatalf("SearchWorkers with parallelism 1 = %d, want 1", got)
 	}
-	fx.ix.opts.SearchParallelism = 1 << 20 // clamped to the stripe count
+	fx.ix.SetSearchParallelism(0)
+	if got, want := fx.ix.SearchWorkers(), min(runtime.GOMAXPROCS(0), len(fx.ix.ckpts)); got != want {
+		t.Fatalf("SearchWorkers with parallelism 0 = %d, want %d", got, want)
+	}
+	fx.ix.SetSearchParallelism(1 << 20) // clamped to the stripe count
 	if got, n := fx.ix.SearchWorkers(), len(fx.ix.ckpts); got != n {
 		t.Fatalf("SearchWorkers = %d, want stripe count %d", got, n)
+	}
+	short := newFixture(t, 127, Options{CheckpointEvery: 64, SearchParallelism: 4}, 310)
+	if got := short.ix.SearchWorkers(); got != 1 {
+		t.Fatalf("SearchWorkers under two full stripes = %d, want 1", got)
 	}
 }
 
@@ -368,27 +512,35 @@ func benchFixture(b *testing.B) (*fixture, []*model.Query) {
 	return benchFx, benchQs
 }
 
-func benchmarkPlan(b *testing.B, par int) {
-	fx, queries := benchFixture(b)
+func benchmarkPlan(b *testing.B, ix *Index, queries []*model.Query, par int) {
 	m := metric.Default()
+	ix.SetSearchParallelism(par)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q := queries[i%len(queries)]
-		fx.ix.mu.RLock()
-		var err error
-		if par == 0 {
-			_, _, err = fx.ix.searchSequential(context.Background(), q, m, nil)
-		} else {
-			_, _, err = fx.ix.searchParallel(context.Background(), q, m, nil, par)
-		}
-		fx.ix.mu.RUnlock()
-		if err != nil {
+		if _, _, err := ix.Search(queries[i%len(queries)], m); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkSearchSequential(b *testing.B) { benchmarkPlan(b, 0) }
-func BenchmarkSearchParallel1(b *testing.B)  { benchmarkPlan(b, 1) }
-func BenchmarkSearchParallel4(b *testing.B)  { benchmarkPlan(b, 4) }
-func BenchmarkSearchParallel8(b *testing.B)  { benchmarkPlan(b, 8) }
+func benchmarkStriped(b *testing.B, par int) {
+	fx, queries := benchFixture(b)
+	benchmarkPlan(b, fx.ix, queries, par)
+}
+
+func BenchmarkSearchParallel1(b *testing.B) { benchmarkStriped(b, 1) }
+func BenchmarkSearchParallel4(b *testing.B) { benchmarkStriped(b, 4) }
+func BenchmarkSearchParallel8(b *testing.B) { benchmarkStriped(b, 8) }
+
+// BenchmarkSearchSingleStripe scans the same data as one origin-anchored
+// stripe (no checkpoints): against BenchmarkSearchParallel1 it prices the
+// per-stripe cursor reopening.
+func BenchmarkSearchSingleStripe(b *testing.B) {
+	fx := newFixture(b, 16384, Options{CheckpointEvery: 512}, 400)
+	queries := make([]*model.Query, 16)
+	for i := range queries {
+		queries[i] = fx.randQuery(b, 3, 10)
+	}
+	dropCheckpoints(fx.ix)
+	benchmarkPlan(b, fx.ix, queries, 1)
+}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"time"
 
@@ -14,7 +13,6 @@ import (
 	"github.com/sparsewide/iva/internal/obs"
 	"github.com/sparsewide/iva/internal/signature"
 	"github.com/sparsewide/iva/internal/storage"
-	"github.com/sparsewide/iva/internal/topk"
 	"github.com/sparsewide/iva/internal/vector"
 )
 
@@ -35,26 +33,24 @@ type SearchStats struct {
 	// FilterIO and RefineIO split the physical page I/O.
 	FilterIO storage.Snapshot
 	RefineIO storage.Snapshot
-	// Workers is the number of filter workers the executed plan ran with
-	// (1 for the sequential plan).
+	// Workers is the number of filter workers the search ran with.
 	Workers int
-	// StripesTotal is the number of stripes the plan covered (1 for the
-	// sequential plan); StripesSkipped counts stripes never claimed because
-	// the plan aborted early (cancellation or an error).
+	// StripesTotal is the number of stripes the tuple list was cut into, at
+	// every worker count (1 when the index has no usable checkpoints);
+	// StripesSkipped counts stripes never claimed because the search
+	// aborted early (cancellation or an error).
 	StripesTotal   int
 	StripesSkipped int
 	// StripesZoneChecked counts stripes whose zone record produced a usable
 	// lower bound at claim time; StripesZonePruned of them were skipped
 	// without opening a cursor because that proven minimum was strictly
 	// above the admission bar (or the stripe had no live tuples). Pruning
-	// never changes results. Both plans report these; the sequential plan
-	// keeps StripesTotal = 1 (its historical meaning) and counts its
-	// internal stripe boundaries here instead.
+	// never changes results. Pruned ≤ Checked ≤ Total.
 	StripesZoneChecked int
 	StripesZonePruned  int
 	// WorkerProfiles breaks the filter work down per worker: stripes
-	// claimed, tuples scanned, candidates fetched, and busy wall time. One
-	// entry for the sequential plan.
+	// claimed, tuples scanned, candidates fetched, and busy wall time —
+	// Workers entries whose Stripes sum to StripesTotal - StripesSkipped.
 	WorkerProfiles []WorkerStats
 	// DegradedSegments is the number of distinct corrupt vector-list
 	// segments the query read past under DegradeReads (each forced its
@@ -91,28 +87,6 @@ func sortedSegIDs(m map[uint32]struct{}) []uint32 {
 	return ids
 }
 
-// readerSet tracks the ChainBitReaders one scan pass opens so their pinned
-// buffer-pool windows are released when the pass ends (a dropped reader
-// would hold one page pinned — a leak the iva_pool_pinned_frames gauge
-// exists to catch).
-type readerSet []*storage.ChainBitReader
-
-func (rs *readerSet) open(ix *Index, c storage.ChainID, bits int64) *storage.ChainBitReader {
-	r := storage.NewChainBitReader(ix.segs, c, bits)
-	ix.attachVerify(r, c)
-	*rs = append(*rs, r)
-	return r
-}
-
-// close must have a pointer receiver: `defer rds.close()` evaluates the
-// receiver at defer time, and a value receiver would snapshot the empty
-// slice before any open() appended to it — leaking every pin.
-func (rs *readerSet) close() {
-	for _, r := range *rs {
-		r.Close()
-	}
-}
-
 // termState is one query term prepared for scanning.
 type termState struct {
 	term   model.QueryTerm
@@ -126,11 +100,11 @@ type termState struct {
 	pruned  int64 // pruned tuples where this term's bound was the largest
 
 	// degraded marks a term whose vector list hit a checksum mismatch under
-	// DegradeReads: for the rest of the scan unit it contributes a zero
-	// lower bound — always ≤ the true difference, so no false negatives —
-	// and every tuple it would have pruned goes to refine instead. The
-	// parallel plan clears it per stripe (each stripe reopens cursors from
-	// a checkpoint, resynchronizing past the damage).
+	// DegradeReads: for the rest of the stripe it contributes a zero lower
+	// bound — always ≤ the true difference, so no false negatives — and
+	// every tuple it would have pruned goes to refine instead. It is cleared
+	// per stripe (each stripe reopens cursors from a checkpoint,
+	// resynchronizing past the damage).
 	degraded bool
 }
 
@@ -173,32 +147,25 @@ func (ix *Index) degradeTerm(ts *termState, err error, deg map[uint32]struct{}) 
 // Prop. 3.3 and §III-C) gates a random access to the table file where the
 // exact distance is computed against the temporary result pool.
 func (ix *Index) Search(q *model.Query, m *metric.Metric) ([]model.Result, SearchStats, error) {
-	return ix.SearchTracedContext(context.Background(), q, m, nil)
+	return ix.SearchContext(context.Background(), q, m, nil)
 }
 
-// SearchContext is Search under a context: cancellation and deadlines are
-// honored at stripe boundaries in the filter phase and before each refine
-// fetch, returning ctx.Err() with the stats accumulated so far. An already-
-// expired context fails before any device read.
-func (ix *Index) SearchContext(ctx context.Context, q *model.Query, m *metric.Metric) ([]model.Result, SearchStats, error) {
-	return ix.SearchTracedContext(ctx, q, m, nil)
-}
-
-// SearchTraced is Search with per-query tracing: when parent is non-nil, the
-// query's phases are recorded as child spans —
+// SearchContext is Search under a context, with optional per-query tracing.
+// Cancellation and deadlines are honored at every stripe claim, every 1,024
+// tuple-list positions within a stripe and before each refine fetch,
+// returning ctx.Err() with the stats accumulated so far. An already-expired
+// context fails before any device read.
+//
+// When parent is non-nil, the query's phases are recorded as child spans —
 //
 //	filter            scanned/pruned counts and filter-phase I/O
 //	  term:<name>     per-term defined/ndf/pruned annotations (duration 0)
 //	refine            exact-distance work on fetched candidates
 //	  fetch           time spent in random table-file reads
+//	merge             the deterministic (dist, tid) merge of the worker pools
 //
 // A nil parent makes tracing free (no spans are allocated).
-func (ix *Index) SearchTraced(q *model.Query, m *metric.Metric, parent *obs.Span) ([]model.Result, SearchStats, error) {
-	return ix.SearchTracedContext(context.Background(), q, m, parent)
-}
-
-// SearchTracedContext is SearchTraced under a context (see SearchContext).
-func (ix *Index) SearchTracedContext(ctx context.Context, q *model.Query, m *metric.Metric, parent *obs.Span) ([]model.Result, SearchStats, error) {
+func (ix *Index) SearchContext(ctx context.Context, q *model.Query, m *metric.Metric, parent *obs.Span) ([]model.Result, SearchStats, error) {
 	if err := q.Validate(); err != nil {
 		return nil, SearchStats{}, err
 	}
@@ -211,49 +178,21 @@ func (ix *Index) SearchTracedContext(ctx context.Context, q *model.Query, m *met
 	}
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	if par := ix.effectiveParallelism(); par > 1 && ix.parallelEligible() {
-		return ix.searchParallel(ctx, q, m, parent, par)
-	}
-	return ix.searchSequential(ctx, q, m, parent)
-}
-
-// effectiveParallelism resolves Options.SearchParallelism (0 = all cores).
-func (ix *Index) effectiveParallelism() int {
-	if p := ix.opts.SearchParallelism; p > 0 {
-		return p
-	}
-	return runtime.GOMAXPROCS(0)
+	return ix.search(ctx, q, m, parent, ix.planShape())
 }
 
 // SearchWorkers reports how many workers a search dispatched right now would
-// run with: 1 while the index is too small for the striped plan (or it is
-// disabled), the effective parallelism otherwise. It backs the
-// iva_search_workers gauge.
+// run with (see planShape). It backs the iva_search_workers gauge.
 func (ix *Index) SearchWorkers() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	par := ix.effectiveParallelism()
-	if par <= 1 || !ix.parallelEligible() {
-		return 1
-	}
-	if n := len(ix.ckpts); par > n {
-		par = n
-	}
-	return par
-}
-
-// parallelEligible reports whether the striped plan can run: checkpoints
-// must exist (v2 index) and the tuple list must span at least two full
-// stripes, otherwise the sequential plan is at least as fast.
-func (ix *Index) parallelEligible() bool {
-	return ix.checkpointsEnabled() && len(ix.ckpts) >= 2 &&
-		int64(len(ix.entries)) >= 2*ix.ckptEvery
+	return ix.planShape().workers
 }
 
 // prepareTerms resolves the query terms against the attribute list and
 // builds the shared per-term query state (codecs, query strings). Cursors
-// are not opened here: the sequential plan opens one per term, the parallel
-// plan one per term per stripe. Caller holds ix.mu.RLock.
+// are not opened here: each worker opens one per term per stripe
+// (workerScratch.openTerm). Caller holds ix.mu.RLock.
 func (ix *Index) prepareTerms(q *model.Query) ([]termState, error) {
 	terms := make([]termState, len(q.Terms))
 	for i, term := range q.Terms {
@@ -282,230 +221,19 @@ func (ix *Index) prepareTerms(q *model.Query) ([]termState, error) {
 	return terms, nil
 }
 
-// searchSequential is the single-goroutine Algorithm 1 pass. It remains the
-// plan for small indexes, v1 index files (no checkpoints), SearchParallelism
-// = 1, and the instrumented Explain path. Caller holds ix.mu.RLock.
-// The stats return is named so the deferred DegradedSegments assignment below
-// reaches the caller on every return path, including early errors.
-func (ix *Index) searchSequential(ctx context.Context, q *model.Query, m *metric.Metric, parent *obs.Span) (_ []model.Result, stats SearchStats, _ error) {
-	stats.Workers = 1
-	stats.StripesTotal = 1
-	idxIO := ix.segs.File().IOStats()
-	tblIO := ix.tbl.IOStats()
-	startIdx, startTbl := idxIO.Snapshot(), tblIO.Snapshot()
-	wallStart := time.Now()
-
-	terms, err := ix.prepareTerms(q)
-	if err != nil {
-		return nil, stats, err
-	}
-	degSegs := make(map[uint32]struct{})
-	defer func() {
-		stats.DegradedSegments = len(degSegs)
-		stats.DegradedSegIDs = sortedSegIDs(degSegs)
-	}()
-	var rds readerSet
-	defer rds.close()
-	// Term sources are kept by index so a zone-pruned stripe can reseat the
-	// cursors from the next checkpoint instead of reopening readers. Each
-	// reader spans the attribute's PHYSICAL stream; termSource wraps it so
-	// cursors see logical element bits regardless of codec.
-	termSrcs := make([]vector.BitSource, len(terms))
-	for i := range terms {
-		if terms[i].st == nil {
-			continue
-		}
-		st := terms[i].st
-		src, err := ix.termSource(st, rds.open(ix, st.chain, st.physBits()))
-		if err == nil {
-			var cur *vector.Cursor
-			if cur, err = vector.NewCursor(st.layout, src); err == nil {
-				cur.EnableScratch()
-				termSrcs[i] = src
-				terms[i].cursor = cur
-				continue
-			}
-		}
-		if ix.degradeTerm(&terms[i], err, degSegs) {
-			continue
-		}
-		return nil, stats, err
-	}
-
-	pool := topk.New(q.K)
-	// The local bar mirrors the parallel plan's shared bar on this single
-	// worker: +Inf until the pool fills, then the pool's k-th (max) exact
-	// distance. Between inserts it equals pool.MaxDist(), so gating on it is
-	// the same admission rule AdmitsPair already applies — the bar exists so
-	// the stripe zone gate and the per-tuple check share one prune rule.
-	var bar distBar
-	bar.init()
-	diffs := make([]float64, len(terms))
-	var refineWall, fetchWall time.Duration
-	var fetched int64
-
-	tr := rds.open(ix, ix.tupleChain, ix.tupleBits)
-	n := int64(len(ix.entries))
-	for pos := int64(0); pos < n; {
-		if pos%ix.ckptEvery == 0 {
-			// Stripe boundary: if the stripe's zone record proves no tuple
-			// in it can beat the bar, skip it whole. The skip needs a resume
-			// point — the next stripe's checkpoint — unless the stripe is
-			// the last, where the scan just ends. A sealed stripe is always
-			// full, so the zone record existing implies pos+ckptEvery ≤ n.
-			s := pos / ix.ckptEvery
-			if est, empty, ok := ix.zoneBound(s, terms, q, m, diffs); ok {
-				stats.StripesZoneChecked++
-				if empty || barExceeded(&bar, est) {
-					next := pos + ix.ckptEvery
-					if next >= n {
-						stats.StripesZonePruned++
-						break
-					}
-					if ix.checkpointsEnabled() && s+1 < int64(len(ix.ckpts)) {
-						if err := ix.seqReseat(terms, termSrcs, tr, next, ix.ckpts[s+1], degSegs); err != nil {
-							return nil, stats, err
-						}
-						stats.StripesZonePruned++
-						pos = next
-						continue
-					}
-				}
-			}
-		}
-		if pos&1023 == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, stats, err
-			}
-		}
-		tidBits, err := tr.ReadBits(ix.ltid)
-		if err != nil {
-			return nil, stats, err
-		}
-		ptrBitsVal, err := tr.ReadBits(ptrBits)
-		if err != nil {
-			return nil, stats, err
-		}
-		if ptrBitsVal == tombstonePtr {
-			pos++
-			continue // deleted tuple: no filtering, cursors skip in passing
-		}
-		tid := model.TID(tidBits)
-		pos++
-		stats.Scanned++
-
-		for i := range terms {
-			d, ndf, err := terms[i].boundWithPolicy(ix, m, tid, pos-1, degSegs)
-			if err != nil {
-				return nil, stats, err
-			}
-			if ndf {
-				terms[i].ndf++
-			} else {
-				terms[i].defined++
-			}
-			diffs[i] = d
-		}
-		estDist := m.Distance(q.Terms, diffs)
-		if !admitsEst(pool, &bar, tid, estDist) {
-			// Credit the prune to the term with the largest lower bound:
-			// the combiners are monotone, so that term alone pushed the
-			// estimate hardest toward the pool bar.
-			if len(terms) > 0 {
-				argmax := 0
-				for i := 1; i < len(diffs); i++ {
-					if diffs[i] > diffs[argmax] {
-						argmax = i
-					}
-				}
-				terms[argmax].pruned++
-			}
-			continue
-		}
-
-		// Refine: random access to the table file, exact distance.
-		if err := ctx.Err(); err != nil {
-			return nil, stats, err
-		}
-		rStart := time.Now()
-		tp, err := ix.tbl.Fetch(int64(ptrBitsVal))
-		if err != nil {
-			return nil, stats, err
-		}
-		fetchWall += time.Since(rStart)
-		fetched++
-		actual := m.TupleDistance(q, tp)
-		pool.Insert(tid, actual)
-		if pool.Full() {
-			bar.lower(pool.MaxDist())
-		}
-		refineWall += time.Since(rStart)
-	}
-
-	mergeStart := time.Now()
-	results := pool.Results()
-	stats.MergeWall = time.Since(mergeStart)
-	total := time.Since(wallStart)
-	stats.TableAccesses = fetched
-	stats.RefineWall = refineWall
-	stats.FilterWall = total - refineWall - stats.MergeWall
-	// Per-file attribution: the filter phase reads only the index file, the
-	// refine phase only the table file.
-	stats.FilterIO = idxIO.Snapshot().Sub(startIdx)
-	stats.RefineIO = tblIO.Snapshot().Sub(startTbl)
-	stats.WorkerProfiles = []WorkerStats{{
-		Stripes: 1, ZonePruned: int64(stats.StripesZonePruned),
-		Scanned: stats.Scanned, Fetched: fetched, Busy: total,
-	}}
-	if parent != nil {
-		ix.traceSearch(parent, terms, stats, fetched, fetchWall, 1, 1)
-	}
-	return results, stats, nil
-}
-
-// seqReseat advances the sequential scan past a zone-pruned stripe: the
-// tuple reader seeks to position next, and every usable term cursor reopens
-// on its existing source at ck — the checkpoint of the stripe starting at
-// next. Checkpoint offsets are logical, which is exactly the coordinate a
-// term source's SeekBit speaks. Terms already degraded stay degraded
-// (sequential semantics: a degraded term contributes a zero bound for the
-// rest of the scan).
-func (ix *Index) seqReseat(terms []termState, termSrcs []vector.BitSource, tr *storage.ChainBitReader, next int64, ck checkpoint, degSegs map[uint32]struct{}) error {
-	if err := tr.SeekBit(next * int64(ix.elemBits())); err != nil {
-		return err
-	}
-	for i := range terms {
-		ts := &terms[i]
-		if ts.st == nil || ts.cursor == nil || ts.degraded {
-			continue
-		}
-		cur, err := vector.NewCursorAt(ts.st.layout, termSrcs[i], ck.attrOffset(int(ts.term.Attr)), next)
-		if err != nil {
-			if ix.degradeTerm(ts, err, degSegs) {
-				continue
-			}
-			return err
-		}
-		cur.EnableScratch()
-		ts.cursor = cur
-	}
-	return nil
-}
-
 // traceSearch attaches the filter/refine/fetch span hierarchy for one
 // finished query to parent. The phases interleave in the scan loop, so the
 // spans carry the accumulated phase durations rather than start-to-end
-// times; per-term spans are pure annotation carriers (duration 0). For the
-// parallel plan, terms carry the counters merged across all workers and
-// workers/stripes describe the executed plan shape.
-func (ix *Index) traceSearch(parent *obs.Span, terms []termState, stats SearchStats, fetched int64, fetchWall time.Duration, workers, stripes int) {
+// times; per-term spans are pure annotation carriers (duration 0). terms
+// carry the counters merged across all workers.
+func (ix *Index) traceSearch(parent *obs.Span, terms []termState, stats SearchStats, fetchWall time.Duration) {
 	fsp := parent.Child("filter")
 	fsp.SetInt("scanned", stats.Scanned)
-	fsp.SetInt("pruned", stats.Scanned-fetched)
+	fsp.SetInt("pruned", stats.Scanned-stats.TableAccesses)
 	fsp.SetInt("phys_reads", stats.FilterIO.PhysReads)
 	fsp.SetInt("cache_hits", stats.FilterIO.CacheHits)
-	fsp.SetInt("workers", int64(workers))
-	fsp.SetInt("stripes", int64(stripes))
+	fsp.SetInt("workers", int64(stats.Workers))
+	fsp.SetInt("stripes", int64(stats.StripesTotal))
 	cat := ix.tbl.Catalog()
 	for i := range terms {
 		name := fmt.Sprintf("attr%d", terms[i].term.Attr)
@@ -525,7 +253,7 @@ func (ix *Index) traceSearch(parent *obs.Span, terms []termState, stats SearchSt
 	fsp.EndAt(stats.FilterWall)
 
 	rsp := parent.Child("refine")
-	rsp.SetInt("fetched", fetched)
+	rsp.SetInt("fetched", stats.TableAccesses)
 	rsp.SetInt("table_accesses", stats.TableAccesses)
 	rsp.SetInt("phys_reads", stats.RefineIO.PhysReads)
 	rsp.SetInt("cache_hits", stats.RefineIO.CacheHits)
@@ -535,7 +263,7 @@ func (ix *Index) traceSearch(parent *obs.Span, terms []termState, stats SearchSt
 	rsp.EndAt(stats.RefineWall)
 
 	msp := parent.Child("merge")
-	msp.SetInt("pools", int64(workers))
+	msp.SetInt("pools", int64(stats.Workers))
 	msp.EndAt(stats.MergeWall)
 }
 

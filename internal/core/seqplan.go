@@ -6,7 +6,6 @@ import (
 
 	"github.com/sparsewide/iva/internal/metric"
 	"github.com/sparsewide/iva/internal/model"
-	"github.com/sparsewide/iva/internal/vector"
 )
 
 // PlanStats compares the VA-file's two-phase sequential plan against the
@@ -48,61 +47,29 @@ func (ix *Index) SequentialPlanStats(q *model.Query, m *metric.Metric) (PlanStat
 
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	var rds readerSet
-	defer rds.close()
-	terms := make([]termState, len(q.Terms))
-	for i, term := range q.Terms {
-		ts := termState{term: term}
-		if int(term.Attr) < len(ix.attrs) && ix.attrs[term.Attr].exists {
-			st := &ix.attrs[term.Attr]
-			src, err := ix.termSource(st, rds.open(ix, st.chain, st.physBits()))
-			if err != nil {
-				return ps, err
-			}
-			cur, err := vector.NewCursor(st.layout, src)
-			if err != nil {
-				return ps, err
-			}
-			ts.st, ts.cursor = st, cur
-		}
-		if term.Kind == model.KindText {
-			codec := ix.codec
-			if ts.st != nil && ts.st.layout.Codec != nil {
-				codec = ts.st.layout.Codec
-			}
-			ts.qs = codec.NewQueryString(term.Str)
-		}
-		terms[i] = ts
+	terms, err := ix.prepareTerms(q)
+	if err != nil {
+		return ps, err
 	}
-
 	lowers := make([]float64, 0, len(ix.entries))
 	uppers := make([]float64, 0, len(ix.entries))
 	lo := make([]float64, len(terms))
 	hi := make([]float64, len(terms))
-	tr := rds.open(ix, ix.tupleChain, ix.tupleBits)
-	for pos := int64(0); pos < int64(len(ix.entries)); pos++ {
-		tidBits, err := tr.ReadBits(ix.ltid)
-		if err != nil {
-			return ps, err
-		}
-		ptr, err := tr.ReadBits(ptrBits)
-		if err != nil {
-			return ps, err
-		}
-		if ptr == tombstonePtr {
-			continue
-		}
+	err = ix.originScan(terms, func(tid model.TID, pos, _ int64) error {
 		ps.Scanned++
-		tid := model.TID(tidBits)
 		for i := range terms {
 			l, u, err := terms[i].bounds(m, tid, pos)
 			if err != nil {
-				return ps, err
+				return err
 			}
 			lo[i], hi[i] = l, u
 		}
 		lowers = append(lowers, m.Distance(q.Terms, lo))
 		uppers = append(uppers, m.Distance(q.Terms, hi))
+		return nil
+	})
+	if err != nil {
+		return ps, err
 	}
 
 	// Pruning bar: k-th smallest upper bound.

@@ -1,21 +1,22 @@
 package core
 
 import (
+	"context"
 	"strconv"
 	"testing"
 
 	"github.com/sparsewide/iva/internal/obs"
 )
 
-// TestSearchTraced verifies the span hierarchy a traced search emits:
+// TestSearchTrace verifies the span hierarchy a traced search emits:
 // query → filter (with one term:<name> child per query term) and
 // query → refine → fetch, with consistent annotation counts.
-func TestSearchTraced(t *testing.T) {
+func TestSearchTrace(t *testing.T) {
 	fx := newFixture(t, 400, Options{}, 7)
 	q := fx.randQuery(t, 3, 10)
 
 	root := obs.StartSpan("query")
-	_, st, err := fx.ix.SearchTraced(q, nil, root)
+	_, st, err := fx.ix.SearchContext(context.Background(), q, nil, root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestSearchUntracedMatchesTraced(t *testing.T) {
 		t.Fatal(err)
 	}
 	root := obs.StartSpan("query")
-	traced, _, err := fx.ix.SearchTraced(q, nil, root)
+	traced, _, err := fx.ix.SearchContext(context.Background(), q, nil, root)
 	if err != nil {
 		t.Fatal(err)
 	}

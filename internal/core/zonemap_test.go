@@ -63,7 +63,7 @@ func requireSameResults(t *testing.T, stage string, want, got []model.Result) {
 
 // TestZoneMapPruningByteIdentical is the core acceptance check: a selective
 // query over the skewed layout must actually prune stripes, and the pruned
-// answer must be byte-identical to the unpruned one at both plans.
+// answer must be byte-identical to the unpruned one at one and two workers.
 func TestZoneMapPruningByteIdentical(t *testing.T) {
 	_, _, _, _, ix, num, _, _ := skewedZoneStore(t)
 	if known, sealed := ix.ZoneMapCoverage(); known != 32 || sealed != 32 {

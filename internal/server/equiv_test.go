@@ -154,7 +154,7 @@ func checkEquivalence(t *testing.T, be Backend, seed uint64, nq int) {
 
 // TestServerEquivalence is the battery's core: over a seeded randomized
 // workload, every HTTP answer is byte-identical to the in-process answer, at
-// sequential and full parallelism, with zone maps on and off, on a single
+// one worker and full parallelism, with zone maps on and off, on a single
 // store and on a sharded one. (The degraded-read configuration lives in the
 // root package's TestServerEquivalenceDegraded, which needs fault-injection
 // access to the index file.)
@@ -169,7 +169,7 @@ func TestServerEquivalence(t *testing.T) {
 		opts   iva.Options
 		shards int
 	}{
-		{"sequential", iva.Options{SearchParallelism: 1}, 0},
+		{"one-worker", iva.Options{SearchParallelism: 1}, 0},
 		{fmt.Sprintf("parallel-%d", runtime.GOMAXPROCS(0)), iva.Options{SearchParallelism: 0}, 0},
 		{"zonemaps-off", iva.Options{DisableZoneMaps: true}, 0},
 		{"sharded", iva.Options{}, 3},

@@ -26,8 +26,8 @@ func fuzzLayout(t *testing.T, sel [4]byte) Layout {
 			lay.Kind = model.KindNumeric
 		}
 	}
-	lay.LTid = 8 + int(sel[1])%25  // 8..32: every tid below 256 fits
-	lay.LNum = 2 + int(sel[2])%15  // 2..16: counts up to 3 fit
+	lay.LTid = 8 + int(sel[1])%25 // 8..32: every tid below 256 fits
+	lay.LNum = 2 + int(sel[2])%15 // 2..16: counts up to 3 fit
 	lay.VecBits = 1 + int(sel[3])%63
 	if lay.Kind == model.KindText {
 		codec, err := signature.NewCodec(1+int(sel[3])%4, float64(1+sel[1]%8)/8)

@@ -14,8 +14,8 @@ import (
 
 // WorkerProfile is one filter worker's share of a profiled query: how many
 // stripes it claimed from the shared counter, the tuples it scanned, the
-// candidates it fetched, and its busy wall time. The sequential plan reports
-// a single worker covering everything.
+// candidates it fetched, and its busy wall time. A one-worker search reports
+// a single entry covering every stripe.
 type WorkerProfile struct {
 	Stripes int64
 	// ZonePruned is how many of the claimed stripes the worker skipped on
@@ -36,9 +36,10 @@ type PhaseProfile struct {
 	FilterTime time.Duration
 	RefineTime time.Duration
 	MergeTime  time.Duration
-	// StripesTotal is the number of stripes the plan covered (1 for the
-	// sequential plan); StripesSkipped counts stripes never claimed because
-	// the plan aborted early. StripesZoneChecked counts claimed stripes
+	// StripesTotal is the number of stripes the tuple list was cut into, at
+	// every worker count (1 when the index has no usable checkpoints);
+	// StripesSkipped counts stripes never claimed because the search
+	// aborted early. StripesZoneChecked counts claimed stripes
 	// whose zone-map record was consulted, and StripesZonePruned the subset
 	// skipped outright because their best-possible estimated distance could
 	// not beat the top-k bar — zone pruning, distinct from the bar-raced

@@ -77,10 +77,10 @@ type Options struct {
 	SlowQueryThreshold time.Duration
 	// SlowQueryLogSize caps the retained slow-query entries (default 64).
 	SlowQueryLogSize int
-	// SearchParallelism caps the worker count of the striped parallel
-	// filter plan. 0 (the default) selects runtime.GOMAXPROCS; 1 forces
-	// the sequential plan. Results are identical either way — the parallel
-	// plan is byte-for-byte deterministic.
+	// SearchParallelism caps the worker count of the striped filter plan.
+	// 0 (the default) selects runtime.GOMAXPROCS; 1 = one worker, which
+	// starts no goroutine. Results are identical either way — the plan is
+	// byte-for-byte deterministic at any worker count.
 	SearchParallelism int
 	// Integrity selects how a checksum mismatch found at read time is
 	// handled. DegradeReads (the default) keeps queries answerable: a
@@ -786,8 +786,8 @@ type QueryStats struct {
 	CacheHits  int64
 	PhysReads  int64
 	DiskCostMS float64
-	// Workers is the number of filter workers the executed plan ran with
-	// (1 for the sequential plan; on a Sharded store, the largest shard's).
+	// Workers is the number of filter workers the search ran with (on a
+	// Sharded store, the largest shard's).
 	Workers int
 	// DegradedSegments counts the distinct corrupt vector-list segments the
 	// query read past under DegradeReads. Zero on a healthy store; any
@@ -865,7 +865,7 @@ func (s *Store) search(ctx context.Context, q *Query, parent *obs.Span) ([]Resul
 	plan.SetInt("terms", int64(len(mq.Terms)))
 	plan.End()
 
-	res, st, err := s.ix.SearchTracedContext(ctx, mq, s.met, sp)
+	res, st, err := s.ix.SearchContext(ctx, mq, s.met, sp)
 	s.engineMu.RUnlock()
 	if len(st.DegradedSegIDs) > 0 {
 		s.enqueueRepair(st.DegradedSegIDs)
