@@ -165,10 +165,11 @@ func TestCorruptionReleasesPins(t *testing.T) {
 
 // TestPlanSingleStripeCancels covers the deadline poll inside a stripe: with
 // no checkpoints the whole tuple list is one stripe, so the poll at the
-// stripe claim fires once and only the per-1,024-position poll can stop the
-// filter phase. The context trips three polls after the query's refine
-// fetches, dispatch check and stripe claim are paid for — a scan that polled
-// nowhere else would run to the end and succeed.
+// stripe claim fires once and only the poll at the head of every batch — at
+// most 1,024 positions apart — can stop the filter phase. The context trips
+// three polls after the query's refine fetches, dispatch check and stripe
+// claim are paid for — a scan that polled nowhere else would run to the end
+// and succeed.
 func TestPlanSingleStripeCancels(t *testing.T) {
 	fx := newFixture(t, 4500, Options{}, 311)
 	dropCheckpoints(fx.ix)
@@ -187,6 +188,10 @@ func TestPlanSingleStripeCancels(t *testing.T) {
 		}
 		if stats.Scanned >= live {
 			t.Fatalf("par=%d: cancelled scan still filtered all %d live tuples", par, live)
+		}
+		if batchSize > 1024 || stats.Scanned%batchSize != 0 {
+			t.Fatalf("par=%d: scan of %d-position batches stopped after %d tuples, want a batch boundary at most 1,024 apart",
+				par, batchSize, stats.Scanned)
 		}
 		if n := fx.pool.PinnedFrames(); n != 0 {
 			t.Fatalf("par=%d: cancellation leaked %d pins", par, n)

@@ -15,9 +15,10 @@ import (
 
 // fixture is a small random SWT with its index.
 type fixture struct {
-	pool *storage.Pool
-	tbl  *table.Table
-	ix   *Index
+	pool           *storage.Pool
+	tblDev, idxDev *storage.MemDevice // for tests that damage or reopen the images
+	tbl            *table.Table
+	ix             *Index
 
 	textAttrs []model.AttrID
 	numAttrs  []model.AttrID
@@ -27,11 +28,13 @@ type fixture struct {
 func newFixture(t testing.TB, tuples int, opts Options, seed int64) *fixture {
 	t.Helper()
 	fx := &fixture{
-		pool: storage.NewPool(0, 10<<20),
-		rng:  rand.New(rand.NewSource(seed)),
+		pool:   storage.NewPool(0, 10<<20),
+		tblDev: storage.NewMemDevice(),
+		idxDev: storage.NewMemDevice(),
+		rng:    rand.New(rand.NewSource(seed)),
 	}
 	cat := table.NewCatalog()
-	tbl, err := table.New(storage.NewFile(fx.pool, storage.NewMemDevice()), cat)
+	tbl, err := table.New(storage.NewFile(fx.pool, fx.tblDev), cat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +58,7 @@ func newFixture(t testing.TB, tuples int, opts Options, seed int64) *fixture {
 			t.Fatal(err)
 		}
 	}
-	ix, err := Build(tbl, storage.NewFile(fx.pool, storage.NewMemDevice()), opts)
+	ix, err := Build(tbl, storage.NewFile(fx.pool, fx.idxDev), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

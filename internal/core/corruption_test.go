@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -308,5 +309,133 @@ func TestPlanSingleStripeDegrades(t *testing.T) {
 	}
 	if degraded == 0 {
 		t.Fatal("no query read past the corrupt segment")
+	}
+}
+
+// reopenFixture opens a fixture's device images through a fresh pool, so that
+// bytes damaged on the devices are what the index reads.
+func reopenFixture(t *testing.T, fx *fixture, opts Options) (*Index, *storage.Pool, func()) {
+	t.Helper()
+	pool := storage.NewPool(0, 10<<20)
+	tblF := storage.NewFile(pool, fx.tblDev)
+	idxF := storage.NewFile(pool, fx.idxDev)
+	tbl, err := table.Open(tblF, fx.tbl.Catalog())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := Open(idxF, tbl, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix, pool, func() { tblF.Close(); idxF.Close() }
+}
+
+func flipByte(t *testing.T, dev *storage.MemDevice, off int64) {
+	t.Helper()
+	var b [1]byte
+	if _, err := dev.ReadAt(b[:], off); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0x10
+	if _, err := dev.WriteAt(b[:], off); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestProjectedRefineDetectsTableCorruption flips one byte of a table record
+// the refine step is certain to read (the first live tuple: the pool is
+// empty when it is reached). The projected refine interprets no byte before
+// the record's checksum holds, so the query fails with a typed corruption
+// error in both integrity modes — degrading is for vector lists, refinement
+// cannot run without the record — and releases every pin.
+func TestProjectedRefineDetectsTableCorruption(t *testing.T) {
+	fx := newFixture(t, 700, Options{}, 515)
+	q := fx.randQuery(t, 3, 5)
+	if err := fx.ix.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	first := fx.ix.entries[0].ptr
+	for _, off := range []int64{first + 5, first + 12} { // the tuple id, an attribute's payload
+		flipByte(t, fx.tblDev, off)
+		for _, mode := range []IntegrityMode{IntegrityStrict, IntegrityDegrade} {
+			ix, pool, closeFiles := reopenFixture(t, fx, Options{Integrity: mode})
+			for _, par := range []int{1, 2} {
+				ix.SetSearchParallelism(par)
+				_, _, err := ix.Search(q, nil)
+				var ce *storage.CorruptionError
+				if !errors.As(err, &ce) || ce.File != "table.swt" || ce.Offset != first {
+					t.Fatalf("mode=%v par=%d flip at %d: got %v, want a corruption error on the record at %d", mode, par, off, err, first)
+				}
+				if n := pool.PinnedFrames(); n != 0 {
+					t.Fatalf("mode=%v par=%d: failed refine leaked %d pins", mode, par, n)
+				}
+			}
+			closeFiles()
+		}
+		flipByte(t, fx.tblDev, off) // undo
+	}
+}
+
+// TestMidBatchDegrade damages a vector-list segment that a stripe reaches in
+// the middle of a batch (the list's second segment: its first verifies clean,
+// so the batch kernel is past the batch's first entries when the checksum
+// fails). Under DegradeReads the term contributes a zero bound from the first
+// unresolved entry to the end of the stripe, and the answers equal brute
+// force; under Strict the query fails. Either way no page stays pinned.
+func TestMidBatchDegrade(t *testing.T) {
+	fx := newFixture(t, 6000, Options{}, 907)
+	if err := fx.ix.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	// A text attribute whose list spans several segments.
+	attr, ids := -1, []storage.SegID(nil)
+	for i := range fx.ix.attrs {
+		st := &fx.ix.attrs[i]
+		if !st.exists || st.layout.Kind != model.KindText {
+			continue
+		}
+		if segs, err := fx.ix.segs.ChainSegments(st.chain); err == nil && len(segs) >= 3 {
+			attr, ids = i, segs
+			break
+		}
+	}
+	if attr < 0 {
+		t.Fatal("fixture has no multi-segment text list")
+	}
+	flipByte(t, fx.idxDev, fx.ix.segs.SegmentOffset(ids[1])+8+100)
+	q := (&model.Query{K: 10}).TextTerm(model.AttrID(attr), fx.randWord()).NumTerm(fx.numAttrs[0], 250)
+	m := metric.Default()
+
+	strict, pool, closeStrict := reopenFixture(t, fx, Options{Integrity: IntegrityStrict})
+	var ce *storage.CorruptionError
+	if _, _, err := strict.Search(q, m); !errors.As(err, &ce) {
+		t.Fatalf("strict: got %v, want a corruption error", err)
+	}
+	if n := pool.PinnedFrames(); n != 0 {
+		t.Fatalf("strict: failed query leaked %d pins", n)
+	}
+	closeStrict()
+
+	ix, pool, closeFiles := reopenFixture(t, fx, Options{Integrity: IntegrityDegrade})
+	defer closeFiles()
+	want := bruteForceIndex(t, ix, q, m)
+	for _, par := range []int{1, 2} {
+		ix.SetSearchParallelism(par)
+		res, stats, err := ix.Search(q, m)
+		if err != nil {
+			t.Fatalf("par=%d: %v", par, err)
+		}
+		if !identicalResults(res, want) {
+			t.Fatalf("par=%d: degraded answers diverged from brute force", par)
+		}
+		if stats.DegradedSegments < 1 {
+			t.Fatalf("par=%d: the damaged segment was never reported", par)
+		}
+		if stats.Scanned != 6000 {
+			t.Fatalf("par=%d: scanned %d of 6000", par, stats.Scanned)
+		}
+		if n := pool.PinnedFrames(); n != 0 {
+			t.Fatalf("par=%d: degraded query leaked %d pins", par, n)
+		}
 	}
 }

@@ -4,8 +4,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"testing"
 
+	"github.com/sparsewide/iva/internal/metric"
 	"github.com/sparsewide/iva/internal/model"
 	"github.com/sparsewide/iva/internal/storage"
 	"github.com/sparsewide/iva/internal/table"
@@ -227,5 +230,186 @@ func FuzzZoneMap(f *testing.F) {
 			return
 		}
 		sameResults(ix3)
+	})
+}
+
+// refDecodeRecord is the record decoder FuzzRecordWalk holds the walker
+// against: the materialising parser of the table format as it stood before
+// table.Walker replaced it, kept here verbatim as the reference.
+func refDecodeRecord(buf []byte) (*model.Tuple, error) {
+	if len(buf) < 6 {
+		return nil, fmt.Errorf("table: truncated record")
+	}
+	tid := model.TID(binary.LittleEndian.Uint32(buf[0:4]))
+	n := int(binary.LittleEndian.Uint16(buf[4:6]))
+	p := 6
+	tp := model.NewTuple(tid)
+	for i := 0; i < n; i++ {
+		if p+5 > len(buf) {
+			return nil, fmt.Errorf("table: truncated attribute %d", i)
+		}
+		a := model.AttrID(binary.LittleEndian.Uint32(buf[p:]))
+		kind := model.Kind(buf[p+4])
+		p += 5
+		switch kind {
+		case model.KindNumeric:
+			if p+8 > len(buf) {
+				return nil, fmt.Errorf("table: truncated numeric value")
+			}
+			tp.Set(a, model.Num(math.Float64frombits(binary.LittleEndian.Uint64(buf[p:]))))
+			p += 8
+		case model.KindText:
+			if p >= len(buf) {
+				return nil, fmt.Errorf("table: truncated text value")
+			}
+			ns := int(buf[p])
+			p++
+			strs := make([]string, 0, ns)
+			for j := 0; j < ns; j++ {
+				if p >= len(buf) {
+					return nil, fmt.Errorf("table: truncated string header")
+				}
+				sl := int(buf[p])
+				p++
+				if p+sl > len(buf) {
+					return nil, fmt.Errorf("table: truncated string body")
+				}
+				strs = append(strs, string(buf[p:p+sl]))
+				p += sl
+			}
+			tp.Set(a, model.Text(strs...))
+		default:
+			return nil, fmt.Errorf("table: unknown value kind %d", kind)
+		}
+	}
+	return tp, nil
+}
+
+// sameFloat is == that also holds for two NaNs.
+func sameFloat(a, b float64) bool { return a == b || a != a && b != b }
+
+// recordWalkSeeds returns the bodies of real records — multi-string values, a
+// 255-byte string, a numeric NaN, a lone number — as the table file holds
+// them.
+func recordWalkSeeds(tb testing.TB) [][]byte {
+	tb.Helper()
+	f := storage.NewFile(storage.NewPool(0, 1<<20), storage.NewMemDevice())
+	cat := table.NewCatalog()
+	for a := 0; a < 8; a++ { // attributes 2 and 3 numeric, the rest text
+		kind := model.KindText
+		if a == 2 || a == 3 {
+			kind = model.KindNumeric
+		}
+		if _, err := cat.AddAttr(fmt.Sprintf("a%d", a), kind); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	tbl, err := table.New(f, cat)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	long := make([]byte, model.MaxStringLen)
+	for i := range long {
+		long[i] = byte('a' + i%26)
+	}
+	var bodies [][]byte
+	for _, vals := range []map[model.AttrID]model.Value{
+		{0: model.Text("canon", "cannon", "kanon"), 3: model.Num(230)},
+		{1: model.Text(string(long)), 2: model.Num(-1), 7: model.Text("x")},
+		{3: model.Num(-0.5)},
+		{0: model.Text("digital camera"), 1: model.Text("a", "b"), 2: model.Num(1e300), 3: model.Num(0)},
+	} {
+		_, ptr, err := tbl.Append(vals)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		var n [4]byte
+		if err := f.ReadAt(n[:], ptr); err != nil {
+			tb.Fatal(err)
+		}
+		body := make([]byte, binary.LittleEndian.Uint32(n[:]))
+		if err := f.ReadAt(body, ptr+4); err != nil {
+			tb.Fatal(err)
+		}
+		bodies = append(bodies, body)
+	}
+	// Append refuses a NaN, a damaged pre-CRC record may still hold one.
+	nan := []byte{4, 0, 0, 0, 1, 0, 2, 0, 0, 0, byte(model.KindNumeric)}
+	return append(bodies, binary.LittleEndian.AppendUint64(nan, math.Float64bits(math.NaN())))
+}
+
+// FuzzRecordWalk feeds arbitrary bytes to the record walker and to the
+// decoder it replaced: they must agree on error versus success, on the tuple
+// id and on every (attribute, kind, value); table.Table's own Fetch path
+// (decodeRecord, a client of the walker) is covered by table's
+// FuzzDecodeRecord. On a record that parses, the differences the refine step
+// projects from the bytes must equal metric.TermDiff on the decoded tuple,
+// for a fuzzer-chosen text term and numeric term.
+func FuzzRecordWalk(f *testing.F) {
+	for _, body := range recordWalkSeeds(f) {
+		f.Add(body, uint8(0), "cannon", uint8(3), 200.0)
+		f.Add(body, uint8(1), "", uint8(2), math.Inf(1))
+	}
+	f.Add([]byte{}, uint8(0), "a", uint8(1), 0.0)
+	f.Add([]byte{1, 0, 0, 0, 255, 255}, uint8(0), "a", uint8(1), 0.0) // huge claimed attr count
+	// One attribute stored twice with different kinds: the later one wins.
+	f.Add([]byte{9, 0, 0, 0, 2, 0, 5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x40, 5, 0, 0, 0, 1, 1, 2, 'o', 'k'},
+		uint8(5), "ok", uint8(5), 2.0)
+	m := metric.Default()
+	f.Fuzz(func(t *testing.T, body []byte, textAttr uint8, qstr string, numAttr uint8, qnum float64) {
+		want, wantErr := refDecodeRecord(body)
+		w := table.Walk(body)
+		got := model.NewTuple(w.TID)
+		var fld table.Field
+		for w.Next(&fld) {
+			if fld.Kind == model.KindNumeric {
+				got.Set(fld.Attr, model.Num(fld.Num))
+				continue
+			}
+			strs := make([]string, 0, fld.NStr)
+			for rest := fld.Strs; len(rest) > 0; {
+				var s []byte
+				s, rest = table.CutString(rest)
+				strs = append(strs, string(s))
+			}
+			if len(strs) != fld.NStr {
+				t.Fatalf("field of attribute %d: NStr %d, payload holds %d strings", fld.Attr, fld.NStr, len(strs))
+			}
+			got.Set(fld.Attr, model.Text(strs...))
+		}
+		if (w.Err() != nil) != (wantErr != nil) {
+			t.Fatalf("walker error %v, reference decoder error %v", w.Err(), wantErr)
+		}
+		if wantErr != nil {
+			if w.Err().Error() != wantErr.Error() {
+				t.Fatalf("walker error %q, reference decoder error %q", w.Err(), wantErr)
+			}
+			return
+		}
+		if got.TID != want.TID || len(got.Values) != len(want.Values) {
+			t.Fatalf("walker saw tuple %d with %d values, reference %d with %d", got.TID, len(got.Values), want.TID, len(want.Values))
+		}
+		for a, wv := range want.Values {
+			gv, ok := got.Values[a]
+			if !ok || gv.Kind != wv.Kind || !sameFloat(gv.Num, wv.Num) || !slices.Equal(gv.Strs, wv.Strs) {
+				t.Fatalf("attribute %d: walker %+v, reference %+v", a, gv, wv)
+			}
+		}
+
+		q := (&model.Query{K: 1}).TextTerm(model.AttrID(textAttr), qstr).NumTerm(model.AttrID(numAttr), qnum)
+		terms := make([]termState, len(q.Terms))
+		for i, term := range q.Terms {
+			terms[i].exact = new(metric.TermExact)
+			terms[i].exact.Set(term)
+		}
+		diffs := make([]float64, len(terms))
+		if err := projectDiffs(table.Walk(body), terms, m.NDFPenalty, diffs); err != nil {
+			t.Fatalf("projection fails on a record that decodes: %v", err)
+		}
+		for i, term := range q.Terms {
+			if exact := m.TermDiff(term, want); !sameFloat(diffs[i], exact) {
+				t.Fatalf("term %d (%+v): projected difference %v, TermDiff on the decoded tuple %v", i, term, diffs[i], exact)
+			}
+		}
 	})
 }

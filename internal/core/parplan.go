@@ -12,6 +12,7 @@ import (
 	"github.com/sparsewide/iva/internal/model"
 	"github.com/sparsewide/iva/internal/obs"
 	"github.com/sparsewide/iva/internal/storage"
+	"github.com/sparsewide/iva/internal/table"
 	"github.com/sparsewide/iva/internal/topk"
 	"github.com/sparsewide/iva/internal/vector"
 )
@@ -110,15 +111,51 @@ func (ix *Index) planShape() scanPlan {
 	return p
 }
 
-// workerScratch holds the allocation-heavy per-worker state reused across
-// queries via a sync.Pool: readers and their seam-stitch buffers, which
-// dominate a worker's setup cost.
+// batchSize is the number of tuple-list positions the filter decodes, bounds
+// and admits at a time. It is a constant, not a knob: a batch's columns (28
+// bytes of id, position, pointer and estimate plus 8 per term per entry —
+// 26 KiB at three terms) should stay in the first-level cache, and the
+// positions scanned between two polls of the query's context may not exceed
+// 1,024. On the benchmark's search-warm workload every size from 128 to 1,024
+// ran within 4% of every other; 512 and 1,024 shared the best median.
+const batchSize = 512
+
+// workerScratch holds the per-worker state reused across queries via a
+// sync.Pool, so that a query allocates none of it: readers and their
+// seam-stitch buffers, the columns of the batch at hand, the record buffer
+// of the refine step.
 type workerScratch struct {
 	tupleRd *storage.ChainBitReader
 	termRds []*storage.ChainBitReader
+
+	// The live entries of the batch at hand, in tuple-list order.
+	tids []model.TID
+	pos  []int64
+	ptrs []int64
+	cols [][]float64 // cols[i][j]: term i's lower bound for entry j
+	est  []float64   // combined lower bounds
+
+	diffs []float64 // one tuple's (or stripe's) per-term differences
+	rec   table.Record
 }
 
-var scratchPool = sync.Pool{New: func() interface{} { return &workerScratch{} }}
+var scratchPool = sync.Pool{New: func() interface{} {
+	return &workerScratch{
+		tids: make([]model.TID, batchSize), pos: make([]int64, batchSize),
+		ptrs: make([]int64, batchSize), est: make([]float64, batchSize),
+	}
+}}
+
+// forTerms sizes the per-term scratch for an n-term query.
+func (sc *workerScratch) forTerms(n int) {
+	for len(sc.cols) < n {
+		sc.cols = append(sc.cols, make([]float64, batchSize))
+	}
+	if cap(sc.diffs) < n {
+		sc.diffs = make([]float64, n)
+	}
+	sc.diffs = sc.diffs[:n]
+}
 
 // reopen binds a pooled reader (nil on first use) to chain c. The verify hook
 // is re-attached every time: the pooled reader may have been bound to another
@@ -133,21 +170,48 @@ func (ix *Index) reopen(r *storage.ChainBitReader, c storage.ChainID, bits int64
 	return r
 }
 
-// openTuples positions the scratch's tuple-list reader at position pos.
-func (sc *workerScratch) openTuples(ix *Index, pos int64) (*storage.ChainBitReader, error) {
-	sc.tupleRd = ix.reopen(sc.tupleRd, ix.tupleChain, ix.tupleBits)
-	return sc.tupleRd, sc.tupleRd.SeekBit(pos * int64(ix.elemBits()))
+// decodeBatch reads tuple-list positions [pos, end) — at most batchSize of
+// them — into the tid/pos/ptr columns, dropping deleted entries, and returns
+// the number of live ones. It is the only decoder of tuple-list entries a
+// search or an instrumented pass has.
+func (sc *workerScratch) decodeBatch(ix *Index, pos, end int64) (int, error) {
+	tr := sc.tupleRd
+	if err := tr.SeekBit(pos * int64(ix.elemBits())); err != nil {
+		return 0, err
+	}
+	n := 0
+	for ; pos < end; pos++ {
+		tid, err := tr.ReadBits(ix.ltid)
+		if err != nil {
+			return 0, err
+		}
+		ptr, err := tr.ReadBits(ptrBits)
+		if err != nil {
+			return 0, err
+		}
+		if ptr == tombstonePtr {
+			continue // deleted tuple: no filtering, cursors skip in passing
+		}
+		sc.tids[n], sc.pos[n], sc.ptrs[n] = model.TID(tid), pos, int64(ptr)
+		n++
+	}
+	return n, nil
 }
 
-// openTerm gives term i a cursor that resumes its attribute's vector list at
+// openTerm positions term i's cursor to resume its attribute's vector list at
 // tuple-list position pos from checkpoint ck; a term whose attribute has no
-// list keeps its nil cursor. The reader spans the list's PHYSICAL stream and
-// termSource wraps it in a fresh logical source — for packed lists a
-// BlockSource decoding blocks on demand — which is the coordinate checkpoint
-// offsets speak.
+// list has no cursor. The worker's first stripe binds a pooled reader to the
+// list's PHYSICAL stream, wraps it in a logical source (termSource) — for
+// packed lists a BlockSource decoding blocks on demand — which is the
+// coordinate checkpoint offsets speak, and builds the cursor; later stripes
+// only reposition it.
 func (sc *workerScratch) openTerm(ix *Index, i int, ts *termState, ck checkpoint, pos int64) error {
 	if ts.st == nil {
 		return nil
+	}
+	off := ck.attrOffset(int(ts.term.Attr))
+	if ts.cursor != nil {
+		return ts.cursor.ResetAt(off, pos)
 	}
 	for len(sc.termRds) <= i {
 		sc.termRds = append(sc.termRds, nil)
@@ -157,7 +221,7 @@ func (sc *workerScratch) openTerm(ix *Index, i int, ts *termState, ck checkpoint
 	if err != nil {
 		return err
 	}
-	cur, err := vector.NewCursorAt(ts.st.layout, src, ck.attrOffset(int(ts.term.Attr)), pos)
+	cur, err := vector.NewCursorAt(ts.st.layout, src, off, pos)
 	if err != nil {
 		return err
 	}
@@ -179,24 +243,16 @@ func (ix *Index) originScan(terms []termState, visit func(tid model.TID, pos, pt
 			return err
 		}
 	}
-	tr, err := sc.openTuples(ix, 0)
-	if err != nil {
-		return err
-	}
-	for pos := int64(0); pos < int64(len(ix.entries)); pos++ {
-		tidBits, err := tr.ReadBits(ix.ltid)
+	sc.tupleRd = ix.reopen(sc.tupleRd, ix.tupleChain, ix.tupleBits)
+	for pos, end := int64(0), int64(len(ix.entries)); pos < end; pos += batchSize {
+		n, err := sc.decodeBatch(ix, pos, min(pos+batchSize, end))
 		if err != nil {
 			return err
 		}
-		ptr, err := tr.ReadBits(ptrBits)
-		if err != nil {
-			return err
-		}
-		if ptr == tombstonePtr {
-			continue
-		}
-		if err := visit(model.TID(tidBits), pos, int64(ptr)); err != nil {
-			return err
+		for j := 0; j < n; j++ {
+			if err := visit(sc.tids[j], sc.pos[j], sc.ptrs[j]); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -219,17 +275,16 @@ func (sc *workerScratch) release() {
 
 // stripeWorker is one filter worker of a search.
 type stripeWorker struct {
-	ix    *Index
-	ctx   context.Context
-	q     *model.Query
-	m     *metric.Metric
-	plan  *scanPlan
-	terms []termState // private copies: counters and cursors are per-worker
-	diffs []float64   // per-term lower bounds of the tuple (or stripe) at hand
-	pool  *topk.Pool
-	bar   *distBar
-	next  *atomic.Int64 // shared stripe claim counter
-	abort *atomic.Bool
+	ix      *Index
+	ctx     context.Context
+	m       *metric.Metric
+	weights []float64 // the terms' resolved λ, shared read-only
+	plan    *scanPlan
+	terms   []termState // private copies: counters and cursors are per-worker
+	pool    *topk.Pool
+	bar     *distBar
+	next    *atomic.Int64 // shared stripe claim counter
+	abort   *atomic.Bool
 
 	// degSegs collects the distinct corrupt vector-list segments this worker
 	// degraded past (DegradeReads); merged into SearchStats at the end.
@@ -261,6 +316,7 @@ func (ix *Index) search(ctx context.Context, q *model.Query, m *metric.Metric, p
 	if err != nil {
 		return nil, stats, err
 	}
+	weights := m.Weights(q.Terms)
 
 	var bar distBar
 	bar.init()
@@ -271,12 +327,13 @@ func (ix *Index) search(ctx context.Context, q *model.Query, m *metric.Metric, p
 		terms := make([]termState, len(shared))
 		copy(terms, shared) // st and qs shared, counters/cursor per worker
 		workers[w] = &stripeWorker{
-			ix: ix, ctx: ctx, q: q, m: m, plan: &plan,
-			terms: terms, diffs: make([]float64, len(terms)),
-			pool: topk.New(q.K), bar: &bar, next: &next, abort: &abort,
+			ix: ix, ctx: ctx, m: m, weights: weights, plan: &plan,
+			terms: terms,
+			pool:  topk.New(q.K), bar: &bar, next: &next, abort: &abort,
 			degSegs: make(map[uint32]struct{}),
 			scratch: scratchPool.Get().(*workerScratch),
 		}
+		workers[w].scratch.forTerms(len(terms))
 	}
 	var wg sync.WaitGroup
 	for _, sw := range workers[1:] {
@@ -372,6 +429,7 @@ func (sw *stripeWorker) run() {
 			sw.abort.Store(true) // stops the other workers' next claims too
 		}
 	}()
+	sw.scratch.tupleRd = sw.ix.reopen(sw.scratch.tupleRd, sw.ix.tupleChain, sw.ix.tupleBits)
 	for {
 		s := sw.next.Add(1) - 1
 		if s >= int64(len(sw.plan.ckpts)) || sw.abort.Load() {
@@ -388,7 +446,7 @@ func (sw *stripeWorker) run() {
 		// opening a cursor. The bar only tightens over time, so a bound
 		// computed now remains disqualifying for the rest of the query.
 		if sw.plan.zoned {
-			if est, empty, ok := sw.ix.zoneBound(s, sw.terms, sw.q, sw.m, sw.diffs); ok {
+			if est, empty, ok := sw.ix.zoneBound(s, sw); ok {
 				sw.zoneChecked++
 				if empty || barExceeded(sw.bar, est) {
 					sw.prof.ZonePruned++
@@ -403,100 +461,178 @@ func (sw *stripeWorker) run() {
 }
 
 // scanStripe runs the Algorithm 1 loop over stripe s, resuming every cursor
-// from the stripe's checkpoint.
+// from the stripe's checkpoint. The loop is batch-at-a-time: decode a batch of
+// tuple-list entries into columns, let every term fill its lower-bound column,
+// combine them, then walk the batch in tuple-list order admitting and
+// refining exactly as a tuple-at-a-time loop would — bounds do not depend on
+// the pool, so the admission sequence, and with one worker every counter, is
+// the same.
 func (sw *stripeWorker) scanStripe(s int64) error {
-	ix := sw.ix
+	ix, sc := sw.ix, sw.scratch
 	startPos := s * sw.plan.width
 	endPos := min(startPos+sw.plan.width, int64(len(ix.entries)))
 	ck := sw.plan.ckpts[s]
 
-	tr, err := sw.scratch.openTuples(ix, startPos)
-	if err != nil {
-		return err
-	}
 	for i := range sw.terms {
 		ts := &sw.terms[i]
-		// Each stripe reopens cursors from its checkpoint, so a term degraded
+		// Each stripe repositions cursors at its checkpoint, so a term degraded
 		// in an earlier stripe resynchronizes here: degradation is scoped to
 		// the stripe that read the corrupt segment.
 		ts.degraded = false
-		if err := sw.scratch.openTerm(ix, i, ts, ck, startPos); err != nil && !ix.degradeTerm(ts, err, sw.degSegs) {
+		if err := sc.openTerm(ix, i, ts, ck, startPos); err != nil && !ix.degradeTerm(ts, err, sw.degSegs) {
 			return err
 		}
 	}
 
-	m, q, pool, diffs := sw.m, sw.q, sw.pool, sw.diffs
-	for pos := startPos; pos < endPos; pos++ {
+	for pos := startPos; pos < endPos; pos += batchSize {
 		// A stripe may be the whole tuple list, so deadlines are also polled
 		// inside it.
-		if pos&1023 == 0 {
-			if err := sw.ctx.Err(); err != nil {
-				return err
-			}
-		}
-		tidBits, err := tr.ReadBits(ix.ltid)
-		if err != nil {
-			return err
-		}
-		ptrBitsVal, err := tr.ReadBits(ptrBits)
-		if err != nil {
-			return err
-		}
-		if ptrBitsVal == tombstonePtr {
-			continue // deleted tuple: no filtering, cursors skip in passing
-		}
-		tid := model.TID(tidBits)
-		sw.prof.Scanned++
-
-		for i := range sw.terms {
-			d, ndf, err := sw.terms[i].boundWithPolicy(ix, m, tid, pos, sw.degSegs)
-			if err != nil {
-				return err
-			}
-			if ndf {
-				sw.terms[i].ndf++
-			} else {
-				sw.terms[i].defined++
-			}
-			diffs[i] = d
-		}
-		estDist := m.Distance(q.Terms, diffs)
-		// Local pool first (Algorithm 1's admission rule on this worker's
-		// subset), then the shared bar — strictly, so a distance tie can
-		// still be resolved by tid at the merge.
-		if !admitsEst(pool, sw.bar, tid, estDist) {
-			// Credit the prune to the term with the largest lower bound:
-			// the combiners are monotone, so that term alone pushed the
-			// estimate hardest toward the pool bar.
-			if len(sw.terms) > 0 {
-				argmax := 0
-				for i := 1; i < len(diffs); i++ {
-					if diffs[i] > diffs[argmax] {
-						argmax = i
-					}
-				}
-				sw.terms[argmax].pruned++
-			}
-			continue
-		}
-
-		// Refine: random access to the table file, exact distance.
 		if err := sw.ctx.Err(); err != nil {
 			return err
 		}
-		rStart := time.Now()
-		tp, err := ix.tbl.Fetch(int64(ptrBitsVal))
+		n, err := sc.decodeBatch(ix, pos, min(pos+batchSize, endPos))
 		if err != nil {
 			return err
 		}
-		sw.fetchWall += time.Since(rStart)
-		sw.prof.Fetched++
-		actual := m.TupleDistance(q, tp)
-		pool.Insert(tid, actual)
-		if pool.Full() {
-			sw.bar.lower(pool.MaxDist())
+		sw.prof.Scanned += int64(n)
+		for i := range sw.terms {
+			if err := sw.fillColumn(i, n); err != nil {
+				return err
+			}
 		}
-		sw.refineWall += time.Since(rStart)
+		// Combine the columns; a batch whose best estimate is already above the
+		// shared bar (which only tightens) needs no admission walk.
+		best := math.Inf(1)
+		for j := 0; j < n; j++ {
+			for i := range sc.diffs {
+				sc.diffs[i] = sc.cols[i][j]
+			}
+			sc.est[j] = sw.distance(sc.diffs)
+			best = min(best, sc.est[j])
+		}
+		skip := barExceeded(sw.bar, best)
+		for j := 0; j < n; j++ {
+			// Local pool first (Algorithm 1's admission rule on this worker's
+			// subset), then the shared bar — strictly, so a distance tie can
+			// still be resolved by tid at the merge.
+			if skip || !admitsEst(sw.pool, sw.bar, sc.tids[j], sc.est[j]) {
+				sw.creditPrune(j)
+				continue
+			}
+			if err := sw.refine(j); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
+}
+
+// distance weighs per-term differences in place by the query's resolved λ and
+// combines them: metric.Distance without the per-call weight lookups.
+func (sw *stripeWorker) distance(diffs []float64) float64 {
+	for i := range diffs {
+		diffs[i] *= sw.weights[i]
+	}
+	return sw.m.Combine(diffs)
+}
+
+// fillColumn computes term i's lower bounds for the n entries of the batch:
+// the ndf penalty wherever the term's vector list has no element, the
+// element's estimate elsewhere (termState.Text/Num, called from the cursor's
+// merge-join). A *storage.CorruptionError from the list degrades the term
+// when the index allows it (noting the segment in degSegs): from the first
+// unresolved entry to the end of the stripe its bound is zero. Every other
+// error — and every error under IntegrityStrict — fails the query.
+func (sw *stripeWorker) fillColumn(i, n int) error {
+	ts, sc := &sw.terms[i], sw.scratch
+	ts.col, ts.hits = sc.cols[i][:n], 0
+	fill(ts.col, sw.m.NDFPenalty)
+	k := n // entries from k on are unresolved
+	if ts.degraded {
+		k = 0
+	} else if ts.st != nil { // else unknown to the index: every tuple is ndf
+		var err error
+		k, err = ts.cursor.FillBatch(sc.tids[:n], sc.pos[:n], ts)
+		if err != nil && !sw.ix.degradeTerm(ts, err, sw.degSegs) {
+			return err
+		}
+	}
+	clear(ts.col[k:])
+	ts.defined += int64(ts.hits + n - k)
+	ts.ndf += int64(k - ts.hits)
+	return nil
+}
+
+func fill(col []float64, v float64) {
+	for j := range col {
+		col[j] = v
+	}
+}
+
+// creditPrune credits the prune of batch entry j to the term with the largest
+// lower bound: the combiners are monotone, so that term alone pushed the
+// estimate hardest toward the pool bar.
+func (sw *stripeWorker) creditPrune(j int) {
+	cols := sw.scratch.cols[:len(sw.terms)]
+	argmax := 0
+	for i := 1; i < len(cols); i++ {
+		if cols[i][j] > cols[argmax][j] {
+			argmax = i
+		}
+	}
+	sw.terms[argmax].pruned++
+}
+
+// refine is Algorithm 1's random access to the table file for batch entry j.
+// The record is read into the worker's buffer and verified, then walked for
+// the query's attributes only: the exact differences come from the payload
+// bytes, and no tuple is materialised.
+func (sw *stripeWorker) refine(j int) error {
+	if err := sw.ctx.Err(); err != nil {
+		return err
+	}
+	sc := sw.scratch
+	rStart := time.Now()
+	if err := sw.ix.tbl.FetchRecord(sc.ptrs[j], &sc.rec); err != nil {
+		return err
+	}
+	sw.fetchWall += time.Since(rStart)
+	sw.prof.Fetched++
+	if err := projectDiffs(table.Walk(sc.rec.Body), sw.terms, sw.m.NDFPenalty, sc.diffs); err != nil {
+		return err
+	}
+	sw.pool.Insert(sc.tids[j], sw.distance(sc.diffs))
+	if sw.pool.Full() {
+		sw.bar.lower(sw.pool.MaxDist())
+	}
+	sw.refineWall += time.Since(rStart)
+	return nil
+}
+
+// projectDiffs walks a record for the exact differences d[A](T,Q) of the
+// query's terms (parallel to diffs): what metric.TermDiff computes on the
+// decoded tuple, from the record's bytes.
+func projectDiffs(w table.Walker, terms []termState, ndf float64, diffs []float64) error {
+	fill(diffs, ndf)
+	var f table.Field
+	for w.Next(&f) {
+		for i := range terms {
+			x := terms[i].exact
+			switch {
+			case x.Term.Attr != f.Attr:
+			case x.Term.Kind != f.Kind:
+				diffs[i] = ndf // defined with the other kind
+			case f.Kind == model.KindNumeric:
+				diffs[i] = x.Num(f.Num)
+			default:
+				diffs[i] = math.Inf(1)
+				for rest := f.Strs; len(rest) > 0; {
+					var s []byte
+					s, rest = table.CutString(rest)
+					diffs[i] = x.StrBytes(diffs[i], s)
+				}
+			}
+		}
+	}
+	return w.Err()
 }

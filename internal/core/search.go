@@ -87,12 +87,20 @@ func sortedSegIDs(m map[uint32]struct{}) []uint32 {
 	return ids
 }
 
-// termState is one query term prepared for scanning.
+// termState is one query term prepared for scanning. prepareTerms builds the
+// query-wide part once (st, qs, exact: read-only, shared by the workers);
+// each worker's copy adds its own cursor, column and counters.
 type termState struct {
 	term   model.QueryTerm
 	st     *attrState             // nil when the attribute has no vector list
-	cursor *vector.Cursor         // nil when st == nil
+	cursor *vector.Cursor         // nil until the worker's first stripe opens it
 	qs     *signature.QueryString // text terms
+	exact  *metric.TermExact      // the refine step's exact differences
+
+	// col is the lower-bound column the cursor's merge-join is filling
+	// (vector.Sink) and hits the elements it has seen in the batch.
+	col  []float64
+	hits int
 
 	// Per-term trace annotations accumulated during the scan.
 	defined int64 // tuples with an indexed value on the attribute
@@ -103,27 +111,35 @@ type termState struct {
 	// DegradeReads: for the rest of the stripe it contributes a zero lower
 	// bound — always ≤ the true difference, so no false negatives — and
 	// every tuple it would have pruned goes to refine instead. It is cleared
-	// per stripe (each stripe reopens cursors from a checkpoint,
+	// per stripe (each stripe repositions cursors at a checkpoint,
 	// resynchronizing past the damage).
 	degraded bool
 }
 
-// boundWithPolicy is estimateInfo under the read-integrity policy: a
-// *storage.CorruptionError from the term's vector list degrades the term
-// when the index allows it (noting the segment in deg), every other error —
-// and every error under IntegrityStrict — fails the query.
-func (ts *termState) boundWithPolicy(ix *Index, m *metric.Metric, tid model.TID, pos int64, deg map[uint32]struct{}) (float64, bool, error) {
-	if ts.degraded {
-		return 0, false, nil
-	}
-	d, ndf, err := ts.estimateInfo(m, tid, pos)
-	if err != nil {
-		if !ix.degradeTerm(ts, err, deg) {
-			return 0, false, err
+// Text implements vector.Sink: est over the element's signatures (Eq. 3).
+func (ts *termState) Text(j int, sigs []signature.Sig) {
+	ts.col[j] = ts.textBound(sigs)
+	ts.hits++
+}
+
+// Num implements vector.Sink: the slice distance of the element's code.
+func (ts *termState) Num(j int, code uint64) {
+	ts.col[j] = ts.st.quant.MinDist(ts.term.Num, code)
+	ts.hits++
+}
+
+// textBound is the smallest estimate over a text value's signatures.
+func (ts *termState) textBound(sigs []signature.Sig) float64 {
+	best := math.Inf(1)
+	for i := range sigs {
+		if d := ts.qs.Est(sigs[i]); d < best {
+			best = d
 		}
-		return 0, false, nil
+		if best == 0 {
+			break
+		}
 	}
-	return d, ndf, nil
+	return best
 }
 
 // degradeTerm applies the DegradeReads policy to an error from a term's
@@ -151,10 +167,11 @@ func (ix *Index) Search(q *model.Query, m *metric.Metric) ([]model.Result, Searc
 }
 
 // SearchContext is Search under a context, with optional per-query tracing.
-// Cancellation and deadlines are honored at every stripe claim, every 1,024
-// tuple-list positions within a stripe and before each refine fetch,
-// returning ctx.Err() with the stats accumulated so far. An already-expired
-// context fails before any device read.
+// Cancellation and deadlines are honored at every stripe claim, at every
+// batch of tuple-list positions within a stripe (batchSize, at most 1,024)
+// and before each refine fetch, returning ctx.Err() with the stats
+// accumulated so far. An already-expired context fails before any device
+// read.
 //
 // When parent is non-nil, the query's phases are recorded as child spans —
 //
@@ -190,13 +207,16 @@ func (ix *Index) SearchWorkers() int {
 }
 
 // prepareTerms resolves the query terms against the attribute list and
-// builds the shared per-term query state (codecs, query strings). Cursors
-// are not opened here: each worker opens one per term per stripe
+// builds the shared per-term query state: the query string with its gram
+// masks, the exact-difference evaluator with its edit-distance pattern.
+// Cursors are not opened here: each worker opens one per term
 // (workerScratch.openTerm). Caller holds ix.mu.RLock.
 func (ix *Index) prepareTerms(q *model.Query) ([]termState, error) {
 	terms := make([]termState, len(q.Terms))
+	exact := make([]metric.TermExact, len(q.Terms))
 	for i, term := range q.Terms {
-		ts := termState{term: term}
+		exact[i].Set(term)
+		ts := termState{term: term, exact: &exact[i]}
 		if int(term.Attr) < len(ix.attrs) && ix.attrs[term.Attr].exists {
 			st := &ix.attrs[term.Attr]
 			if st.layout.Kind != term.Kind {
@@ -267,12 +287,11 @@ func (ix *Index) traceSearch(parent *obs.Span, terms []termState, stats SearchSt
 	msp.EndAt(stats.MergeWall)
 }
 
-// estimateInfo computes the lower-bound difference for one term on the tuple
-// at (tid, pos) — est over signatures for text, slice distance for numbers,
-// and the ndf penalty when the element is absent — plus whether the tuple
-// was ndf on the attribute (for trace and Explain instrumentation).
+// estimateInfo is the one-position form of fillColumn for the instrumented
+// passes: the lower-bound difference for one term on the tuple at (tid, pos)
+// plus whether the tuple was ndf on the attribute.
 func (ts *termState) estimateInfo(m *metric.Metric, tid model.TID, pos int64) (float64, bool, error) {
-	if ts.cursor == nil {
+	if ts.st == nil {
 		// Attribute unknown to the index: every tuple is ndf on it.
 		return m.NDFPenalty, true, nil
 	}
@@ -283,20 +302,8 @@ func (ts *termState) estimateInfo(m *metric.Metric, tid model.TID, pos int64) (f
 	if e.NDF {
 		return m.NDFPenalty, true, nil
 	}
-	switch ts.term.Kind {
-	case model.KindText:
-		best := math.Inf(1)
-		for i := range e.Sigs {
-			if d := ts.qs.Est(e.Sigs[i]); d < best {
-				best = d
-			}
-			if best == 0 {
-				break
-			}
-		}
-		return best, false, nil
-	case model.KindNumeric:
-		return ts.st.quant.MinDist(ts.term.Num, e.Code), false, nil
+	if ts.term.Kind == model.KindText {
+		return ts.textBound(e.Sigs), false, nil
 	}
-	return m.NDFPenalty, true, nil
+	return ts.st.quant.MinDist(ts.term.Num, e.Code), false, nil
 }

@@ -95,7 +95,7 @@ func (ix *Index) SequentialPlanStats(q *model.Query, m *metric.Metric) (PlanStat
 // unlimited number of strings share any signature); ndf is exact on both
 // sides.
 func (ts *termState) bounds(m *metric.Metric, tid model.TID, pos int64) (lower, upper float64, err error) {
-	if ts.cursor == nil {
+	if ts.st == nil {
 		return m.NDFPenalty, m.NDFPenalty, nil
 	}
 	e, err := ts.cursor.MoveTo(tid, pos)

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"github.com/sparsewide/iva/internal/metric"
 	"github.com/sparsewide/iva/internal/model"
 	"github.com/sparsewide/iva/internal/storage"
 )
@@ -263,8 +262,9 @@ func (ix *Index) zoneNoteDelete(pos int64) {
 // combined through the metric (monotone in every coordinate). ok is false
 // when no usable record exists (unsealed tail stripe, unknown record, zone
 // maps off); empty marks a stripe with no live tuples, skippable regardless
-// of the bar. diffs is caller-provided scratch of len(terms).
-func (ix *Index) zoneBound(s int64, terms []termState, q *model.Query, m *metric.Metric, diffs []float64) (est float64, empty, ok bool) {
+// of the bar.
+func (ix *Index) zoneBound(s int64, sw *stripeWorker) (est float64, empty, ok bool) {
+	terms, m, diffs := sw.terms, sw.m, sw.scratch.diffs
 	if !ix.zonePruneEligible() || s >= int64(len(ix.zones)) {
 		return 0, false, false
 	}
@@ -312,7 +312,7 @@ func (ix *Index) zoneBound(s int64, terms []termState, q *model.Query, m *metric
 		}
 		diffs[i] = best
 	}
-	return m.Distance(q.Terms, diffs), false, true
+	return sw.distance(diffs), false, true
 }
 
 // --- persistence -----------------------------------------------------------

@@ -2,32 +2,6 @@ package gram
 
 import "testing"
 
-// FuzzEditDistanceBounded cross-checks the banded implementation against
-// the exact one for fuzzer-chosen strings and bounds.
-func FuzzEditDistanceBounded(f *testing.F) {
-	f.Add("kitten", "sitting", 3)
-	f.Add("", "abc", 0)
-	f.Add("canon", "cannon", 10)
-	f.Fuzz(func(t *testing.T, a, b string, bound int) {
-		if len(a) > 64 || len(b) > 64 {
-			return
-		}
-		bound %= 32
-		if bound < 0 {
-			bound = -bound
-		}
-		exact := EditDistance(a, b)
-		got := EditDistanceBounded(a, b, bound)
-		if exact <= bound {
-			if got != exact {
-				t.Fatalf("bounded(%q,%q,%d) = %d, want %d", a, b, bound, got, exact)
-			}
-		} else if got != bound+1 {
-			t.Fatalf("bounded(%q,%q,%d) = %d, want %d", a, b, bound, got, bound+1)
-		}
-	})
-}
-
 // FuzzEstPrimeLowerBound verifies the n-gram bound never exceeds the true
 // edit distance for arbitrary byte strings.
 func FuzzEstPrimeLowerBound(f *testing.F) {

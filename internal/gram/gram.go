@@ -1,7 +1,7 @@
 // Package gram implements the n-gram machinery behind the nG-signature:
 // n-gram extraction with '#'/'$' padding, positional n-gram multisets, the
 // common-gram-set lower bound est' of Gravano et al. (the paper's Eq. 1–2),
-// and the exact dynamic-programming edit distance used by the refine step.
+// and the exact bit-parallel edit distance used by the refine step.
 package gram
 
 // PrefixPad and SuffixPad are the two symbols outside the text alphabet used
@@ -104,23 +104,94 @@ func EstFromCommon(lq, ld, common, n int) float64 {
 	return est
 }
 
-// EditDistance returns the Levenshtein distance between a and b: the minimum
-// number of single-character insertions, deletions and substitutions that
-// transform a into b. This is the exact metric of the refine step.
-func EditDistance(a, b string) int {
-	if a == b {
-		return 0
+// text is what the edit-distance kernels accept: table strings come decoded
+// (string) or straight from verified record bytes ([]byte).
+type text interface{ ~string | ~[]byte }
+
+// Pattern is a string prepared for many exact edit-distance computations: the
+// Peq table of Myers' bit-parallel algorithm (in Hyyrö's global-distance
+// form), built once. The refine step holds one per text query term. A string
+// longer than one machine word carries no table and falls back on the DP.
+type Pattern struct {
+	s   string
+	peq [256]uint64 // peq[c] bit i set ⇔ s[i] == c (len(s) ≤ 64)
+}
+
+// maxPattern is the longest string the one-word bit-parallel core handles.
+const maxPattern = 64
+
+// Set prepares p for the string s. It is a method on a value so that one-off
+// callers (EditDistance, metric.TermDiff) keep the 2 KiB table on the stack.
+func (p *Pattern) Set(s string) {
+	if len(p.s) <= maxPattern {
+		for i := 0; i < len(p.s); i++ {
+			p.peq[p.s[i]] = 0 // forget the previous string
+		}
 	}
-	if len(a) == 0 {
+	p.s = s
+	if len(s) <= maxPattern {
+		for i := 0; i < len(s); i++ {
+			p.peq[s[i]] |= 1 << uint(i)
+		}
+	}
+}
+
+// Distance returns the edit distance between the pattern and b.
+func (p *Pattern) Distance(b string) int { return patternDistance(p, b) }
+
+// DistanceBytes is Distance over a byte slice.
+func (p *Pattern) DistanceBytes(b []byte) int { return patternDistance(p, b) }
+
+// patternDistance is the bit-parallel Levenshtein core: the DP matrix's
+// column of vertical deltas lives in two words (pv: +1, mv: −1), one step per
+// byte of b, and the score follows the bottom row's horizontal delta.
+func patternDistance[T text](p *Pattern, b T) int {
+	m := len(p.s)
+	if m > maxPattern {
+		return editDistanceDP(p.s, b)
+	}
+	if m == 0 {
 		return len(b)
 	}
-	if len(b) == 0 {
-		return len(a)
+	pv, mv := ^uint64(0), uint64(0)
+	last := uint64(1) << uint(m-1)
+	score := m
+	for i := 0; i < len(b); i++ {
+		eq := p.peq[b[i]]
+		xv := eq | mv
+		xh := (((eq & pv) + pv) ^ pv) | eq
+		ph := mv | ^(xh | pv)
+		mh := pv & xh
+		if ph&last != 0 {
+			score++
+		} else if mh&last != 0 {
+			score--
+		}
+		ph = ph<<1 | 1 // row 0 of the global matrix grows by one per column
+		mh <<= 1
+		pv = mh | ^(xv | ph)
+		mv = ph & xv
 	}
-	// Keep the inner loop over the shorter string.
-	if len(b) > len(a) {
-		a, b = b, a
+	return score
+}
+
+// EditDistance returns the Levenshtein distance between a and b: the minimum
+// number of single-character insertions, deletions and substitutions that
+// transform a into b. This is the exact metric of the refine step, which
+// prepares the query string's Pattern once instead.
+func EditDistance(a, b string) int {
+	if len(b) < len(a) {
+		a, b = b, a // the shorter string is the pattern
 	}
+	var p Pattern
+	p.Set(a)
+	return p.Distance(b)
+}
+
+// editDistanceDP is the two-row dynamic program: the fallback for a pattern
+// longer than 64 bytes, and the reference the bit-parallel core is tested
+// against.
+func editDistanceDP[T text](a string, b T) int {
 	prev := make([]int, len(b)+1)
 	cur := make([]int, len(b)+1)
 	for j := range prev {
@@ -146,83 +217,4 @@ func EditDistance(a, b string) int {
 		prev, cur = cur, prev
 	}
 	return prev[len(b)]
-}
-
-// EditDistanceBounded returns min(EditDistance(a,b), bound+1) while doing
-// less work when the distance exceeds bound. Queries that only need to know
-// whether a tuple beats the pool's current maximum use this.
-func EditDistanceBounded(a, b string, bound int) int {
-	if bound < 0 {
-		bound = 0
-	}
-	la, lb := len(a), len(b)
-	diff := la - lb
-	if diff < 0 {
-		diff = -diff
-	}
-	if diff > bound {
-		return bound + 1
-	}
-	if a == b {
-		return 0
-	}
-	if lb > la {
-		a, b = b, a
-		la, lb = lb, la
-	}
-	if lb == 0 {
-		// la <= bound is guaranteed by the length-difference check above.
-		return la
-	}
-	const inf = 1 << 29
-	prev := make([]int, lb+1)
-	cur := make([]int, lb+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= la; i++ {
-		// Only cells with |i-j| <= bound can end ≤ bound.
-		lo := i - bound
-		if lo < 1 {
-			lo = 1
-		}
-		hi := i + bound
-		if hi > lb {
-			hi = lb
-		}
-		cur[0] = i
-		if lo > 1 {
-			cur[lo-1] = inf
-		}
-		rowMin := inf
-		ca := a[i-1]
-		for j := lo; j <= hi; j++ {
-			cost := 1
-			if ca == b[j-1] {
-				cost = 0
-			}
-			d := prev[j-1] + cost
-			if v := prev[j] + 1; v < d {
-				d = v
-			}
-			if v := cur[j-1] + 1; v < d {
-				d = v
-			}
-			cur[j] = d
-			if d < rowMin {
-				rowMin = d
-			}
-		}
-		if hi < lb {
-			cur[hi+1] = inf
-		}
-		if rowMin > bound {
-			return bound + 1
-		}
-		prev, cur = cur, prev
-	}
-	if prev[lb] > bound {
-		return bound + 1
-	}
-	return prev[lb]
 }

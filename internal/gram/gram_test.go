@@ -3,6 +3,7 @@ package gram
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -166,31 +167,45 @@ func TestEstFromCommonClamp(t *testing.T) {
 	}
 }
 
-func TestEditDistanceBoundedAgreesWithExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 2000; trial++ {
-		a := randomString(rng, 15)
-		b := mutate(rng, a, rng.Intn(8))
-		exact := EditDistance(a, b)
-		for bound := 0; bound <= 10; bound++ {
-			got := EditDistanceBounded(a, b, bound)
-			if exact <= bound {
-				if got != exact {
-					t.Fatalf("bounded(%q,%q,%d) = %d, want exact %d", a, b, bound, got, exact)
-				}
-			} else if got != bound+1 {
-				t.Fatalf("bounded(%q,%q,%d) = %d, want %d (exact %d)", a, b, bound, got, bound+1, exact)
-			}
+// TestBitParallelMatchesDP holds the bit-parallel core — through EditDistance
+// and through a prepared Pattern, over strings and bytes — equal to the DP it
+// replaced, across the one-word boundary (63/64/65), bytes ≥ 0x80, empty and
+// equal strings.
+func TestBitParallelMatchesDP(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	draw := func(n, alphabet int) string {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(0x7c + rng.Intn(alphabet)) // straddles 0x80
+		}
+		return string(b)
+	}
+	check := func(a, b string) {
+		t.Helper()
+		want := editDistanceDP(a, b)
+		if got := EditDistance(a, b); got != want {
+			t.Fatalf("EditDistance(%q,%q) = %d, DP says %d", a, b, got, want)
+		}
+		var p Pattern
+		p.Set(a)
+		if got := p.Distance(b); got != want {
+			t.Fatalf("Pattern(%q).Distance(%q) = %d, DP says %d", a, b, got, want)
+		}
+		if got := p.DistanceBytes([]byte(b)); got != want {
+			t.Fatalf("Pattern(%q).DistanceBytes(%q) = %d, DP says %d", a, b, got, want)
 		}
 	}
-}
-
-func TestEditDistanceBoundedEmpty(t *testing.T) {
-	if got := EditDistanceBounded("", "abc", 5); got != 3 {
-		t.Fatalf("got %d, want 3", got)
-	}
-	if got := EditDistanceBounded("", "abc", 1); got != 2 {
-		t.Fatalf("got %d, want 2 (bound+1)", got)
+	for la := 0; la <= 70; la++ {
+		for lb := 0; lb <= 70; lb++ {
+			a := draw(la, 2+rng.Intn(6))
+			check(a, draw(lb, 2+rng.Intn(6)))
+			if la == lb {
+				check(a, a)
+			}
+			if la > 0 {
+				check(a, mutate(rng, a, rng.Intn(5)))
+			}
+		}
 	}
 }
 
@@ -228,16 +243,41 @@ func mutate(rng *rand.Rand, s string, k int) string {
 	return string(b)
 }
 
-func BenchmarkEditDistance16(b *testing.B) {
+var benchSink int
+
+// The refine kernel (a Pattern prepared once per query term) next to the DP
+// it replaced, on one pair.
+func BenchmarkEditDistanceBitParallel(b *testing.B) {
+	var p Pattern
+	p.Set("digital camerass")
+	y := []byte("digital cannerae")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchSink += p.DistanceBytes(y)
+	}
+}
+
+func BenchmarkEditDistanceDP(b *testing.B) {
 	x, y := "digital camerass", "digital cannerae"
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		EditDistance(x, y)
+		benchSink += editDistanceDP(x, y)
 	}
 }
 
 func BenchmarkEstPrime(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		EstPrime("digital camera", "digital cannera", 2)
+	}
+}
+
+// TestPatternReuse: Set on a used Pattern forgets the previous string.
+func TestPatternReuse(t *testing.T) {
+	var p Pattern
+	for _, s := range []string{"kitten", strings.Repeat("ab", 40), "", "sitting"} {
+		p.Set(s)
+		if got, want := p.Distance("sitten"), editDistanceDP(s, "sitten"); got != want {
+			t.Fatalf("after Set(%q): Distance = %d, want %d", s, got, want)
+		}
 	}
 }

@@ -147,14 +147,46 @@ func New(c Combiner, w Weighter) *Metric {
 // Default returns the paper's Table I setting: Euclidean with equal weights.
 func Default() *Metric { return New(L2{}, Equal{}) }
 
+// Combine folds weighted differences λi·di into the similarity distance. The
+// built-in combiners are called by their concrete type so that a caller's
+// stack buffer stays on the stack; an unknown combiner may keep its argument,
+// so it gets a copy.
+func (m *Metric) Combine(weighted []float64) float64 {
+	switch c := m.Combiner.(type) {
+	case L1:
+		return c.Combine(weighted)
+	case L2:
+		return c.Combine(weighted)
+	case LInf:
+		return c.Combine(weighted)
+	}
+	return m.Combiner.Combine(append([]float64(nil), weighted...))
+}
+
+// stackTerms is the query width up to which Distance and its callers need no
+// heap buffer.
+const stackTerms = 8
+
 // Distance combines raw per-attribute differences (parallel to terms) into
 // the similarity distance, applying term or scheme weights.
 func (m *Metric) Distance(terms []model.QueryTerm, diffs []float64) float64 {
-	weighted := make([]float64, len(diffs))
+	var buf [stackTerms]float64
+	weighted := buf[:0]
 	for i, d := range diffs {
-		weighted[i] = m.TermWeight(terms[i]) * d
+		weighted = append(weighted, m.TermWeight(terms[i])*d)
 	}
-	return m.Combiner.Combine(weighted)
+	return m.Combine(weighted)
+}
+
+// Weights resolves the λ of every query term once, so a search weighs each
+// tuple's differences itself (for Combine) without going back through the
+// Weighter — ITF takes a logarithm per call.
+func (m *Metric) Weights(terms []model.QueryTerm) []float64 {
+	w := make([]float64, len(terms))
+	for i, t := range terms {
+		w[i] = m.TermWeight(t)
+	}
+	return w
 }
 
 // TermWeight resolves the λ of one query term: an explicit positive term
@@ -171,6 +203,40 @@ func (m *Metric) Name() string {
 	return m.Weighter.Name() + "+" + m.Combiner.Name()
 }
 
+// TermExact is one query term prepared for exact differences d[A](T,Q) of
+// §III-A: |Δ| for a number, the smallest edit distance to any data string for
+// text. TermDiff evaluates decoded tuples through it and the engine's refine
+// evaluates record bytes through it, so the two cannot drift.
+type TermExact struct {
+	Term model.QueryTerm
+	pat  gram.Pattern
+}
+
+// Set prepares x for term. It is a method on a value so that TermDiff keeps
+// the pattern on its stack.
+func (x *TermExact) Set(term model.QueryTerm) {
+	x.Term = term
+	if term.Kind == model.KindText {
+		x.pat.Set(term.Str)
+	}
+}
+
+// Num is the difference to a numeric value.
+func (x *TermExact) Num(v float64) float64 { return numDiff(x.Term.Num, v) }
+
+func numDiff(q, v float64) float64 { return math.Abs(q - v) }
+
+// Str and StrBytes lower best to the edit distance to one more data string
+// of a text value; start from +Inf.
+func (x *TermExact) Str(best float64, s string) float64 {
+	return math.Min(best, float64(x.pat.Distance(s)))
+}
+
+// StrBytes is Str over record bytes.
+func (x *TermExact) StrBytes(best float64, s []byte) float64 {
+	return math.Min(best, float64(x.pat.DistanceBytes(s)))
+}
+
 // TermDiff computes the exact per-attribute difference d[A](T,Q) of §III-A
 // for one query term against a fetched tuple: the smallest edit distance to
 // any data string for text, |Δ| for numeric, and the ndf penalty when the
@@ -182,13 +248,13 @@ func (m *Metric) TermDiff(term model.QueryTerm, tp *model.Tuple) float64 {
 	}
 	switch term.Kind {
 	case model.KindNumeric:
-		return math.Abs(term.Num - v.Num)
+		return numDiff(term.Num, v.Num)
 	case model.KindText:
+		var x TermExact
+		x.Set(term)
 		best := math.Inf(1)
 		for _, s := range v.Strs {
-			if d := float64(gram.EditDistance(term.Str, s)); d < best {
-				best = d
-			}
+			best = x.Str(best, s)
 		}
 		return best
 	}
@@ -196,11 +262,12 @@ func (m *Metric) TermDiff(term model.QueryTerm, tp *model.Tuple) float64 {
 }
 
 // TupleDistance evaluates the exact similarity distance D(T,Q) used by the
-// refine step and by the DST baseline.
+// SII and DST baselines and by ExplainSearch.
 func (m *Metric) TupleDistance(q *model.Query, tp *model.Tuple) float64 {
-	diffs := make([]float64, len(q.Terms))
-	for i, term := range q.Terms {
-		diffs[i] = m.TermDiff(term, tp)
+	var buf [stackTerms]float64
+	diffs := buf[:0]
+	for _, term := range q.Terms {
+		diffs = append(diffs, m.TermDiff(term, tp))
 	}
 	return m.Distance(q.Terms, diffs)
 }
@@ -209,9 +276,10 @@ func (m *Metric) TupleDistance(q *model.Query, tp *model.Tuple) float64 {
 // query's attributes: every difference is the ndf penalty. It is exact
 // without fetching the tuple, which the SII baseline exploits.
 func (m *Metric) AllNDFDistance(q *model.Query) float64 {
-	diffs := make([]float64, len(q.Terms))
-	for i := range diffs {
-		diffs[i] = m.NDFPenalty
+	var buf [stackTerms]float64
+	diffs := buf[:0]
+	for range q.Terms {
+		diffs = append(diffs, m.NDFPenalty)
 	}
 	return m.Distance(q.Terms, diffs)
 }

@@ -20,7 +20,6 @@ package signature
 import (
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"github.com/sparsewide/iva/internal/gram"
@@ -39,11 +38,17 @@ type Codec struct {
 	n     int
 	alpha float64
 
-	mu sync.RWMutex
-	tc map[tKey]int // (m,l) → optimal t
+	// The hash parameters per data-string length (§III-B.3's in-memory
+	// table): bits is l, filled at construction — every signature a cursor
+	// decodes asks for it — and ts the optimal t, zero until first use.
+	// Strings in the table file are at most 255 bytes, so the table is total
+	// for them and both Encode and QueryString.Hits read it without a lock.
+	bits [maxLenPlans]uint32
+	ts   [maxLenPlans]atomic.Uint32
 }
 
-type tKey struct{ m, l int }
+// maxLenPlans is one more than the longest string length the cL byte holds.
+const maxLenPlans = 1 << LenBits
 
 // NewCodec returns a codec. n must be ≥ 1 and α in (0, 1].
 func NewCodec(n int, alpha float64) (*Codec, error) {
@@ -53,7 +58,11 @@ func NewCodec(n int, alpha float64) (*Codec, error) {
 	if !(alpha > 0 && alpha <= 1) { // rejects NaN too
 		return nil, fmt.Errorf("signature: alpha = %v, want in (0,1]", alpha)
 	}
-	return &Codec{n: n, alpha: alpha, tc: make(map[tKey]int)}, nil
+	c := &Codec{n: n, alpha: alpha}
+	for strLen := range c.bits {
+		c.bits[strLen] = uint32(c.sigBits(strLen))
+	}
+	return c, nil
 }
 
 // N returns the gram length.
@@ -68,6 +77,13 @@ const LenBits = 8
 // SigBits returns the cH width in bits for a data string of the given byte
 // length: 8·⌈α·(len+n−1)⌉, with a one-byte floor.
 func (c *Codec) SigBits(strLen int) int {
+	if uint(strLen) < maxLenPlans {
+		return int(c.bits[strLen])
+	}
+	return c.sigBits(strLen)
+}
+
+func (c *Codec) sigBits(strLen int) int {
 	m := strLen + c.n - 1
 	b := int(math.Ceil(c.alpha * float64(m)))
 	if b < 1 {
@@ -80,15 +96,8 @@ func (c *Codec) SigBits(strLen int) int {
 func (c *Codec) TotalBits(strLen int) int { return LenBits + c.SigBits(strLen) }
 
 // OptimalT returns the t ∈ [1, l−1] minimizing the expected relative error
-// ê = (1−(1−t/l)^m)^t for m grams hashed into l bits. Results are memoized.
+// ê = (1−(1−t/l)^m)^t for m grams hashed into l bits.
 func (c *Codec) OptimalT(m, l int) int {
-	key := tKey{m, l}
-	c.mu.RLock()
-	t, ok := c.tc[key]
-	c.mu.RUnlock()
-	if ok {
-		return t
-	}
 	best, bestErr := 1, math.Inf(1)
 	for cand := 1; cand < l; cand++ {
 		e := ExpectedError(m, l, cand)
@@ -96,10 +105,21 @@ func (c *Codec) OptimalT(m, l int) int {
 			best, bestErr = cand, e
 		}
 	}
-	c.mu.Lock()
-	c.tc[key] = best
-	c.mu.Unlock()
 	return best
+}
+
+// params returns the (l, t) every signature of a strLen-byte data string is
+// hashed with: l = SigBits(strLen), t = OptimalT(strLen+n−1, l).
+func (c *Codec) params(strLen int) (l, t int) {
+	l = c.SigBits(strLen)
+	if uint(strLen) >= maxLenPlans {
+		return l, c.OptimalT(strLen+c.n-1, l)
+	}
+	if t = int(c.ts[strLen].Load()); t == 0 {
+		t = c.OptimalT(strLen+c.n-1, l)
+		c.ts[strLen].Store(uint32(t))
+	}
+	return l, t
 }
 
 // ExpectedError evaluates ê = (1−(1−t/l)^m)^t (Eq. 5): the expected relative
@@ -111,9 +131,7 @@ func ExpectedError(m, l, t int) float64 {
 
 // Encode returns the nG-signature of data string s.
 func (c *Codec) Encode(s string) Sig {
-	l := c.SigBits(len(s))
-	m := len(s) + c.n - 1
-	t := c.OptimalT(m, l)
+	l, t := c.params(len(s))
 	h := make([]uint64, (l+63)/64)
 	for _, g := range gram.Grams(s, c.n) {
 		orMask(h, g, l, t)
@@ -137,13 +155,6 @@ func orMask(dst []uint64, g string, l, t int) {
 			break
 		}
 	}
-}
-
-// hashMask returns h[l,t](g) as a fresh word slice.
-func hashMask(g string, l, t int) []uint64 {
-	h := make([]uint64, (l+63)/64)
-	orMask(h, g, l, t)
-	return h
 }
 
 // wordsFull reports whether all l bits of dst are set (guard against an
@@ -200,74 +211,77 @@ func maskSubset(mask, sig []uint64) bool {
 
 // QueryString pre-processes a query string so that estimating against many
 // signatures is cheap. Signatures of different data-string lengths use
-// different (l,t) hash parameters, so per-(l,t) gram masks are cached
-// lazily as the scan encounters them. The cache is copy-on-write so that
-// concurrent stripe workers estimate lock-free once it is warm.
+// different (l,t) hash parameters, so the gram masks are kept per data length
+// and filled lazily as the scan encounters a length. A filled slot is
+// immutable and published atomically, so concurrent stripe workers estimate
+// without a lock; two workers racing on an empty slot compute the same plan.
 type QueryString struct {
-	codec *Codec
-	str   string
-	grams []gramCount
-
-	mu    sync.Mutex                          // serializes cache growth
-	masks atomic.Pointer[map[tKey][][]uint64] // (l,t) → mask per gram (parallel to grams)
+	codec  *Codec
+	str    string
+	grams  []string // distinct grams of str
+	counts []int    // occurrences, parallel to grams
+	total  int      // Σ counts
+	plans  [maxLenPlans]atomic.Pointer[lenPlan]
 }
 
-type gramCount struct {
-	g     string
-	count int
+// lenPlan holds the query's gram masks under one data length's (l, t).
+type lenPlan struct {
+	nw    int      // words per mask, ⌈l/64⌉
+	masks []uint64 // gram i's mask is masks[i·nw : (i+1)·nw]
 }
 
 // NewQueryString prepares sq for estimation under the codec.
 func (c *Codec) NewQueryString(sq string) *QueryString {
 	set := gram.NewSet(sq, c.n)
-	grams := make([]gramCount, 0, len(set))
+	q := &QueryString{codec: c, str: sq,
+		grams: make([]string, 0, len(set)), counts: make([]int, 0, len(set))}
 	for g, a := range set {
-		grams = append(grams, gramCount{g, a})
+		q.grams = append(q.grams, g)
+		q.counts = append(q.counts, a)
+		q.total += a
 	}
-	q := &QueryString{codec: c, str: sq, grams: grams}
-	empty := make(map[tKey][][]uint64)
-	q.masks.Store(&empty)
 	return q
 }
 
 // Str returns the query string.
 func (q *QueryString) Str() string { return q.str }
 
-func (q *QueryString) masksFor(l, t int) [][]uint64 {
-	key := tKey{l, t}
-	if ms, ok := (*q.masks.Load())[key]; ok {
-		return ms
+func (q *QueryString) plan(strLen int) *lenPlan {
+	cached := uint(strLen) < maxLenPlans
+	if cached {
+		if p := q.plans[strLen].Load(); p != nil {
+			return p
+		}
 	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	cur := *q.masks.Load()
-	if ms, ok := cur[key]; ok {
-		return ms
+	l, t := q.codec.params(strLen)
+	p := &lenPlan{nw: (l + 63) / 64}
+	p.masks = make([]uint64, len(q.grams)*p.nw)
+	for i, g := range q.grams {
+		orMask(p.masks[i*p.nw:(i+1)*p.nw], g, l, t)
 	}
-	ms := make([][]uint64, len(q.grams))
-	for i, gc := range q.grams {
-		ms[i] = hashMask(gc.g, l, t)
+	if cached {
+		q.plans[strLen].Store(p)
 	}
-	next := make(map[tKey][][]uint64, len(cur)+1)
-	for k, v := range cur {
-		next[k] = v
-	}
-	next[key] = ms
-	q.masks.Store(&next)
-	return ms
+	return p
 }
 
 // Hits returns |hg(sq, c(sd))|: the total count of query grams that hit the
 // signature (Def. 3.3).
 func (q *QueryString) Hits(sig Sig) int {
-	l := q.codec.SigBits(sig.Len)
-	m := sig.Len + q.codec.n - 1
-	t := q.codec.OptimalT(m, l)
-	masks := q.masksFor(l, t)
+	p := q.plan(sig.Len)
 	hits := 0
-	for i, gc := range q.grams {
-		if maskSubset(masks[i], sig.H) {
-			hits += gc.count
+	if p.nw == 1 { // strings up to ~40 bytes at the default α: one word, one AND
+		h := sig.H[0]
+		for i, m := range p.masks {
+			if h&m == m {
+				hits += q.counts[i]
+			}
+		}
+		return hits
+	}
+	for i, a := range q.counts {
+		if maskSubset(p.masks[i*p.nw:(i+1)*p.nw], sig.H) {
+			hits += a
 		}
 	}
 	return hits
@@ -286,10 +300,6 @@ func (q *QueryString) Est(sig Sig) float64 {
 // Stripe zone maps use this as a per-stripe lower bound: it never exceeds
 // Est for any signature actually stored in the stripe.
 func (q *QueryString) MinEstLenRange(minLen, maxLen int) float64 {
-	total := 0
-	for _, gc := range q.grams {
-		total += gc.count
-	}
 	ld := len(q.str)
 	if ld < minLen {
 		ld = minLen
@@ -297,5 +307,5 @@ func (q *QueryString) MinEstLenRange(minLen, maxLen int) float64 {
 	if ld > maxLen {
 		ld = maxLen
 	}
-	return gram.EstFromCommon(len(q.str), ld, total, q.codec.n)
+	return gram.EstFromCommon(len(q.str), ld, q.total, q.codec.n)
 }

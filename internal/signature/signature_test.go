@@ -164,13 +164,14 @@ func TestHashMaskExactlyTBits(t *testing.T) {
 			if tt < 1 || tt >= l {
 				continue
 			}
-			m := hashMask("ab", l, tt)
+			m := make([]uint64, (l+63)/64)
+			orMask(m, "ab", l, tt)
 			n := 0
 			for _, w := range m {
 				n += popcount(w)
 			}
 			if n != tt {
-				t.Fatalf("hashMask set %d bits, want %d (l=%d)", n, tt, l)
+				t.Fatalf("orMask set %d bits, want %d (l=%d)", n, tt, l)
 			}
 			// No bits outside l.
 			if rem := l % 64; rem != 0 {
@@ -247,3 +248,62 @@ func BenchmarkEst(b *testing.B) {
 		q.Est(sig)
 	}
 }
+
+// TestHitsMatchesPerGramMasks holds the per-length plan (flattened masks, the
+// one-word fast path, the codec's (l,t) table) equal to Def. 3.3 evaluated
+// gram by gram with freshly hashed masks, across the one-word boundary and
+// past the 255-byte table, from several goroutines sharing one QueryString.
+func TestHitsMatchesPerGramMasks(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	c := mustCodec(t, 2, 0.2)
+	q := c.NewQueryString("digital camera shop")
+	want := func(sig Sig) int {
+		l := c.SigBits(sig.Len)
+		tt := c.OptimalT(sig.Len+c.N()-1, l)
+		hits := 0
+		for g, a := range gram.NewSet(q.Str(), c.N()) {
+			m := make([]uint64, (l+63)/64)
+			orMask(m, g, l, tt)
+			if maskSubset(m, sig.H) {
+				hits += a
+			}
+		}
+		return hits
+	}
+	var sigs []Sig
+	for _, n := range []int{1, 2, 15, 38, 39, 40, 41, 100, 255, 256, 300} {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = "digtal cmersho"[rng.Intn(14)]
+		}
+		sigs = append(sigs, c.Encode(string(b)), c.Encode("digital camera shop"[:min(n, 19)]))
+	}
+	done := make(chan struct{})
+	for g := 0; g < 4; g++ {
+		go func() {
+			defer func() { done <- struct{}{} }()
+			for _, sig := range sigs {
+				if got, w := q.Hits(sig), want(sig); got != w {
+					t.Errorf("Hits(len %d) = %d, per-gram evaluation says %d", sig.Len, got, w)
+				}
+			}
+		}()
+	}
+	for g := 0; g < 4; g++ {
+		<-done
+	}
+}
+
+func BenchmarkHits(b *testing.B) {
+	c := mustCodec(b, 2, 0.2)
+	sig := c.Encode("digital camera")
+	q := c.NewQueryString("digtal camrea")
+	q.Hits(sig) // fill the length's plan
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink += q.Hits(sig)
+	}
+}
+
+var benchSink int

@@ -19,6 +19,19 @@ func ChecksumUpdate(crc uint32, p []byte) uint32 {
 	return crc32.Update(crc, castagnoli, p)
 }
 
+// ChecksumUpdateUint64 continues a running CRC32C over the eight
+// little-endian bytes of v — what ChecksumUpdate gives for them, without a
+// slice the caller would have to heap-allocate (crc32.Update dispatches
+// through a function value, so its argument escapes).
+func ChecksumUpdateUint64(crc uint32, v uint64) uint32 {
+	crc = ^crc
+	for i := 0; i < 8; i++ {
+		crc = castagnoli[byte(crc)^byte(v)] ^ crc>>8
+		v >>= 8
+	}
+	return ^crc
+}
+
 // NoCorruptSegment is the CorruptionError.Segment value for damage outside
 // the index segment array (table records, the catalog, the superblock).
 const NoCorruptSegment = uint32(0xFFFFFFFF)

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -457,6 +458,20 @@ func TestTruncateInvalidates(t *testing.T) {
 	for _, b := range p {
 		if b != 0 {
 			t.Fatal("stale cached page after truncate")
+		}
+	}
+}
+
+// TestChecksumUpdateUint64 holds the allocation-free offset mix-in equal to
+// ChecksumUpdate over the value's little-endian bytes.
+func TestChecksumUpdateUint64(t *testing.T) {
+	for _, v := range []uint64{0, 1, 64, 0xdeadbeef, 1<<40 - 1, ^uint64(0)} {
+		for _, crc := range []uint32{0, Checksum([]byte("record")), ^uint32(0)} {
+			var b [8]byte
+			binary.LittleEndian.PutUint64(b[:], v)
+			if got, want := ChecksumUpdateUint64(crc, v), ChecksumUpdate(crc, b[:]); got != want {
+				t.Fatalf("ChecksumUpdateUint64(%#x, %#x) = %#x, want %#x", crc, v, got, want)
+			}
 		}
 	}
 }

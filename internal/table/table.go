@@ -28,9 +28,12 @@ type Table struct {
 	live     int64        // live (non-deleted) tuples
 	total    int64        // records present in the file, incl. deleted
 	dataEnd  int64        // next append offset
-	crcStart int64        // records at ptr >= crcStart carry a CRC32C trailer
 	upgraded bool         // header flags bit 0 was unset when the file was opened
 	accesses atomic.Int64 // random tuple fetches (Fig. 8 metric)
+
+	// crcStart is the watermark from which records carry a CRC32C trailer. It
+	// is fixed when the table is created or opened, so readers need no lock.
+	crcStart int64
 }
 
 const (
@@ -148,11 +151,7 @@ func (t *Table) Accesses() int64 { return t.accesses.Load() }
 // CRCStart returns the watermark from which records carry CRC32C trailers.
 // Records before it (written by a pre-v4 store) are read unverified until a
 // rebuild rewrites them.
-func (t *Table) CRCStart() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.crcStart
-}
+func (t *Table) CRCStart() int64 { return t.crcStart }
 
 // Legacy reports whether the file holds any trailer-free pre-v4 records.
 func (t *Table) Legacy() bool { return t.CRCStart() > headerSize }
@@ -161,9 +160,7 @@ func (t *Table) Legacy() bool { return t.CRCStart() > headerSize }
 // ptr. The offset is mixed in so a record read from the wrong place — a
 // misdirected I/O — fails verification even if its bytes are intact.
 func recordCRC(rec []byte, ptr int64) uint32 {
-	var off [8]byte
-	binary.LittleEndian.PutUint64(off[:], uint64(ptr))
-	return storage.ChecksumUpdate(storage.Checksum(rec), off[:])
+	return storage.ChecksumUpdateUint64(storage.Checksum(rec), uint64(ptr))
 }
 
 // ResetAccesses zeroes the fetch counter.
@@ -212,51 +209,118 @@ func sortedAttrs(values map[model.AttrID]model.Value) []model.AttrID {
 	return t.Attrs()
 }
 
-func decodeRecord(buf []byte) (*model.Tuple, error) {
+// Field is one attribute value of a record as stored: a number decoded, a
+// text value left as its payload bytes.
+type Field struct {
+	Attr model.AttrID
+	Kind model.Kind
+	Num  float64 // KindNumeric
+	NStr int     // KindText: number of strings
+	Strs []byte  // KindText: NStr × (u8 len, bytes), bounds already checked
+}
+
+// CutString splits the first string off a Field's Strs.
+func CutString(strs []byte) (s, rest []byte) {
+	n := 1 + int(strs[0])
+	return strs[1:n], strs[n:]
+}
+
+// Walker steps through the grammar of a record body (see encodeRecord)
+// without materialising values. It is the only parser of the record format:
+// decodeRecord walks every field into a tuple, a search's refine step walks
+// the same fields and keeps the queried ones.
+type Walker struct {
+	TID  model.TID
+	buf  []byte
+	p    int
+	i, n int // attributes walked, attributes in the record
+	err  error
+}
+
+// Walk starts a walk over a record body.
+func Walk(buf []byte) Walker {
 	if len(buf) < 6 {
-		return nil, fmt.Errorf("table: truncated record")
+		return Walker{err: fmt.Errorf("table: truncated record")}
 	}
-	tid := model.TID(binary.LittleEndian.Uint32(buf[0:4]))
-	n := int(binary.LittleEndian.Uint16(buf[4:6]))
-	p := 6
-	tp := model.NewTuple(tid)
-	for i := 0; i < n; i++ {
-		if p+5 > len(buf) {
-			return nil, fmt.Errorf("table: truncated attribute %d", i)
+	return Walker{
+		TID: model.TID(binary.LittleEndian.Uint32(buf[0:4])),
+		buf: buf, p: 6,
+		n: int(binary.LittleEndian.Uint16(buf[4:6])),
+	}
+}
+
+// Err reports what stopped the walk short of the record's last attribute.
+func (w *Walker) Err() error { return w.err }
+
+func (w *Walker) fail(format string, args ...interface{}) bool {
+	w.err = fmt.Errorf(format, args...)
+	return false
+}
+
+// Next walks one attribute into f, returning false at the end of the record
+// or at malformed bytes (see Err).
+func (w *Walker) Next(f *Field) bool {
+	if w.err != nil || w.i == w.n {
+		return false
+	}
+	buf, p := w.buf, w.p
+	if p+5 > len(buf) {
+		return w.fail("table: truncated attribute %d", w.i)
+	}
+	f.Attr = model.AttrID(binary.LittleEndian.Uint32(buf[p:]))
+	f.Kind = model.Kind(buf[p+4])
+	p += 5
+	switch f.Kind {
+	case model.KindNumeric:
+		if p+8 > len(buf) {
+			return w.fail("table: truncated numeric value")
 		}
-		a := model.AttrID(binary.LittleEndian.Uint32(buf[p:]))
-		kind := model.Kind(buf[p+4])
-		p += 5
-		switch kind {
-		case model.KindNumeric:
-			if p+8 > len(buf) {
-				return nil, fmt.Errorf("table: truncated numeric value")
-			}
-			tp.Set(a, model.Num(math.Float64frombits(binary.LittleEndian.Uint64(buf[p:]))))
-			p += 8
-		case model.KindText:
+		f.Num = math.Float64frombits(binary.LittleEndian.Uint64(buf[p:]))
+		p += 8
+	case model.KindText:
+		if p >= len(buf) {
+			return w.fail("table: truncated text value")
+		}
+		f.NStr = int(buf[p])
+		p++
+		start := p
+		for j := 0; j < f.NStr; j++ {
 			if p >= len(buf) {
-				return nil, fmt.Errorf("table: truncated text value")
+				return w.fail("table: truncated string header")
 			}
-			ns := int(buf[p])
-			p++
-			strs := make([]string, 0, ns)
-			for j := 0; j < ns; j++ {
-				if p >= len(buf) {
-					return nil, fmt.Errorf("table: truncated string header")
-				}
-				sl := int(buf[p])
-				p++
-				if p+sl > len(buf) {
-					return nil, fmt.Errorf("table: truncated string body")
-				}
-				strs = append(strs, string(buf[p:p+sl]))
-				p += sl
+			if p += 1 + int(buf[p]); p > len(buf) {
+				return w.fail("table: truncated string body")
 			}
-			tp.Set(a, model.Text(strs...))
-		default:
-			return nil, fmt.Errorf("table: unknown value kind %d", kind)
 		}
+		f.Strs = buf[start:p]
+	default:
+		return w.fail("table: unknown value kind %d", f.Kind)
+	}
+	w.p = p
+	w.i++
+	return true
+}
+
+// decodeRecord walks every field of a record body into a tuple.
+func decodeRecord(buf []byte) (*model.Tuple, error) {
+	w := Walk(buf)
+	tp := model.NewTuple(w.TID)
+	var f Field
+	for w.Next(&f) {
+		if f.Kind == model.KindNumeric {
+			tp.Set(f.Attr, model.Num(f.Num))
+			continue
+		}
+		strs := make([]string, 0, f.NStr)
+		for rest := f.Strs; len(rest) > 0; {
+			var s []byte
+			s, rest = CutString(rest)
+			strs = append(strs, string(s))
+		}
+		tp.Set(f.Attr, model.Text(strs...))
+	}
+	if w.err != nil {
+		return nil, w.err
 	}
 	return tp, nil
 }
@@ -320,46 +384,70 @@ func (t *Table) NoteDelete(values map[model.AttrID]model.Value) error {
 	return nil
 }
 
+// Record is a caller-owned buffer holding one verified record at a time.
+// Reusing one across reads makes them allocation-free.
+type Record struct {
+	Body []byte // of the record last read: Walk it
+	buf  []byte // length word | body | trailer
+	next int64  // offset of the record behind this one
+}
+
+// read is the one record reader: the length word, then body and trailer in
+// one read into r's buffer, then — at or beyond the CRC watermark — checksum
+// and offset verified before any body byte is interpreted.
+func (t *Table) read(ptr int64, r *Record) error {
+	if cap(r.buf) < 4 {
+		r.buf = make([]byte, 0, 512)
+	}
+	if err := t.f.ReadAt(r.buf[:4], ptr); err != nil {
+		return err
+	}
+	n := binary.LittleEndian.Uint32(r.buf[:4])
+	covered := ptr >= t.crcStart
+	if n == 0 || n > maxRecordLen {
+		if covered {
+			return &storage.CorruptionError{File: "table.swt", Offset: ptr,
+				Segment: storage.NoCorruptSegment, Detail: fmt.Sprintf("bad record length %d", n)}
+		}
+		return fmt.Errorf("table: bad record length %d at %d", n, ptr)
+	}
+	end := 4 + int(n) // of the CRC-covered bytes
+	size := end
+	if covered {
+		size += recordTrailerLen
+	}
+	if cap(r.buf) < size {
+		grown := make([]byte, 4, 2*size)
+		copy(grown, r.buf[:4])
+		r.buf = grown
+	}
+	rec := r.buf[:size]
+	if err := t.f.ReadAt(rec[4:], ptr+4); err != nil {
+		return err
+	}
+	if covered && recordCRC(rec[:end], ptr) != binary.LittleEndian.Uint32(rec[end:]) {
+		return &storage.CorruptionError{File: "table.swt", Offset: ptr,
+			Segment: storage.NoCorruptSegment, Detail: "record checksum mismatch"}
+	}
+	r.Body, r.next = rec[4:end], ptr+int64(size)
+	return nil
+}
+
+// FetchRecord reads the record stored at ptr into r, verified but not
+// decoded. Like Fetch it counts as one random table-file access.
+func (t *Table) FetchRecord(ptr int64, r *Record) error {
+	t.accesses.Add(1)
+	return t.read(ptr, r)
+}
+
 // Fetch reads the tuple stored at ptr. Every call counts as one random
 // table-file access.
 func (t *Table) Fetch(ptr int64) (*model.Tuple, error) {
-	t.accesses.Add(1)
-	return t.readAt(ptr)
-}
-
-func (t *Table) readAt(ptr int64) (*model.Tuple, error) {
-	var lenBuf [4]byte
-	if err := t.f.ReadAt(lenBuf[:], ptr); err != nil {
+	var r Record
+	if err := t.FetchRecord(ptr, &r); err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(lenBuf[:])
-	if n == 0 || n > maxRecordLen {
-		if ptr >= t.CRCStart() {
-			return nil, &storage.CorruptionError{File: "table.swt", Offset: ptr,
-				Segment: storage.NoCorruptSegment, Detail: fmt.Sprintf("bad record length %d", n)}
-		}
-		return nil, fmt.Errorf("table: bad record length %d at %d", n, ptr)
-	}
-	covered := ptr >= t.CRCStart()
-	body := make([]byte, n, n+recordTrailerLen)
-	if covered {
-		body = body[:n+recordTrailerLen]
-	}
-	if err := t.f.ReadAt(body, ptr+4); err != nil {
-		return nil, err
-	}
-	if covered {
-		want := binary.LittleEndian.Uint32(body[n:])
-		body = body[:n]
-		var off [8]byte
-		binary.LittleEndian.PutUint64(off[:], uint64(ptr))
-		crc := storage.ChecksumUpdate(storage.ChecksumUpdate(storage.Checksum(lenBuf[:]), body), off[:])
-		if crc != want {
-			return nil, &storage.CorruptionError{File: "table.swt", Offset: ptr,
-				Segment: storage.NoCorruptSegment, Detail: "record checksum mismatch"}
-		}
-	}
-	return decodeRecord(body)
+	return decodeRecord(r.Body)
 }
 
 // Scan iterates every record in file order (including records of deleted
@@ -369,35 +457,20 @@ func (t *Table) Scan(fn func(ptr int64, tp *model.Tuple) error) error {
 	t.mu.Lock()
 	end := t.dataEnd
 	t.mu.Unlock()
-	for ptr := int64(headerSize); ptr < end; {
-		tp, next, err := t.scanOne(ptr)
+	var r Record
+	for ptr := int64(headerSize); ptr < end; ptr = r.next {
+		if err := t.read(ptr, &r); err != nil {
+			return err
+		}
+		tp, err := decodeRecord(r.Body)
 		if err != nil {
 			return err
 		}
 		if err := fn(ptr, tp); err != nil {
 			return err
 		}
-		ptr = next
 	}
 	return nil
-}
-
-// scanOne reads, verifies and decodes the record at ptr, returning the
-// decoded tuple and the offset of the next record.
-func (t *Table) scanOne(ptr int64) (*model.Tuple, int64, error) {
-	tp, err := t.readAt(ptr)
-	if err != nil {
-		return nil, 0, err
-	}
-	var lenBuf [4]byte
-	if err := t.f.ReadAt(lenBuf[:], ptr); err != nil {
-		return nil, 0, err
-	}
-	next := ptr + 4 + int64(binary.LittleEndian.Uint32(lenBuf[:]))
-	if ptr >= t.CRCStart() {
-		next += recordTrailerLen
-	}
-	return tp, next, nil
 }
 
 // ScrubReport summarizes a table checksum sweep.
@@ -427,8 +500,12 @@ func (t *Table) ScrubYield(yield func()) ScrubReport {
 	crcStart := t.crcStart
 	t.mu.Unlock()
 	var rep ScrubReport
-	for ptr := int64(headerSize); ptr < end; {
-		_, next, err := t.scanOne(ptr)
+	var r Record
+	for ptr := int64(headerSize); ptr < end; ptr = r.next {
+		err := t.read(ptr, &r)
+		if err == nil {
+			_, err = decodeRecord(r.Body)
+		}
 		if err != nil {
 			rep.Corrupt++
 			if len(rep.Problems) < 50 {
@@ -442,7 +519,6 @@ func (t *Table) ScrubYield(yield func()) ScrubReport {
 		} else {
 			rep.Legacy++
 		}
-		ptr = next
 		if yield != nil {
 			yield()
 		}

@@ -391,3 +391,68 @@ func randString(rng *rand.Rand) string {
 	}
 	return string(b)
 }
+
+// benchRecords appends 512 sixteen-attribute tuples and returns their ptrs.
+func benchRecords(b *testing.B) (*Table, []int64) {
+	pool := storage.NewPool(0, 4<<20)
+	cat := NewCatalog()
+	tb, err := New(storage.NewFile(pool, storage.NewMemDevice()), cat)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(4))
+	for i := 0; i < 16; i++ {
+		kind := model.KindText
+		if i%4 == 0 {
+			kind = model.KindNumeric
+		}
+		if _, err := cat.AddAttr(attrName(i), kind); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ptrs := make([]int64, 512)
+	for i := range ptrs {
+		vals := make(map[model.AttrID]model.Value)
+		for a := 0; a < 16; a++ {
+			if a%4 == 0 {
+				vals[model.AttrID(a)] = model.Num(rng.NormFloat64())
+			} else {
+				vals[model.AttrID(a)] = model.Text(randString(rng))
+			}
+		}
+		if _, ptrs[i], err = tb.Append(vals); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return tb, ptrs
+}
+
+// BenchmarkRecordWalk is what a search's refine step pays per candidate: read
+// and verify the record into a reused buffer, walk its fields.
+func BenchmarkRecordWalk(b *testing.B) {
+	tb, ptrs := benchRecords(b)
+	var r Record
+	var f Field
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := tb.FetchRecord(ptrs[i%len(ptrs)], &r); err != nil {
+			b.Fatal(err)
+		}
+		for w := Walk(r.Body); w.Next(&f); {
+		}
+	}
+}
+
+// BenchmarkFetchDecode is the materialising path it replaced there: the same
+// read, then a map and a string per value.
+func BenchmarkFetchDecode(b *testing.B) {
+	tb, ptrs := benchRecords(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := tb.Fetch(ptrs[i%len(ptrs)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

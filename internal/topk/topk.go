@@ -84,7 +84,9 @@ func (p *Pool) Insert(tid model.TID, dist float64) bool {
 		heap.Fix(&p.h, 0)
 		return true
 	}
-	heap.Push(&p.h, model.Result{TID: tid, Dist: dist})
+	// Append and sift up in place: heap.Push would box the pair.
+	p.h = append(p.h, model.Result{TID: tid, Dist: dist})
+	heap.Fix(&p.h, len(p.h)-1)
 	return true
 }
 

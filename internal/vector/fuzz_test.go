@@ -46,15 +46,18 @@ func fuzzLayout(t *testing.T, sel [4]byte) Layout {
 }
 
 // FuzzVectorList encodes a fuzzer-chosen element sequence under a
-// fuzzer-chosen (but legal) layout, decodes it back with a Cursor and
-// demands exact agreement; then it points a cursor of the same layout at the
-// raw fuzz bytes and walks it until error to prove hostile bit streams are
-// rejected without panics.
+// fuzzer-chosen (but legal) layout, decodes it back with a Cursor — one
+// MoveTo per position, then the batch kernel from a fuzzer-chosen checkpoint
+// with fuzzer-chosen tombstones and batch size, over raw or packed storage —
+// and demands exact agreement; then it points a cursor of the same layout at
+// the raw fuzz bytes and walks it until error to prove hostile bit streams
+// are rejected without panics.
 func FuzzVectorList(f *testing.F) {
 	f.Add([]byte{0, 10, 3, 20, 0xff, 0x0f, 0xf0, 7, 1, 2, 3})
 	f.Add([]byte{1, 0, 0, 0, 0x55, 0xaa, 0x55, 0xaa})
 	f.Add([]byte{2, 31, 15, 62, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0})
 	f.Add([]byte{3, 1, 1, 1, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{4, 0xa3, 0x52, 0x9e, 1, 2, 3, 4, 17, 6, 7, 8, 9, 31, 11, 12, 13, 14, 45, 16, 17, 18, 19, 21})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 5 || len(data) > 1<<12 {
 			return
@@ -64,11 +67,6 @@ func FuzzVectorList(f *testing.F) {
 
 		// Encode one element per tuple-list position; body bytes decide
 		// ndf/defined and the payload.
-		type elem struct {
-			ndf  bool
-			code uint64
-			strs []string
-		}
 		enc, err := NewEncoder(lay)
 		if err != nil {
 			t.Fatal(err)
@@ -77,77 +75,81 @@ func FuzzVectorList(f *testing.F) {
 		if n > 40 {
 			n = 40
 		}
-		var w bitio.Writer
-		elems := make([]elem, n)
+		l := &batchList{lay: lay, offAt: make([]int, n), want: make([]Entry, n)}
+		w := &l.logical
 		for i := 0; i < n; i++ {
 			b := body[i]
-			e := &elems[i]
-			e.ndf = b%5 == 0
+			l.offAt[i] = w.Len()
+			e := &l.want[i]
+			e.NDF = b%5 == 0
 			tid := model.TID(i)
 			if lay.Kind == model.KindNumeric {
 				// Keep defined codes clear of the Type IV ndf code.
-				e.code = uint64(b)
-				if max := uint64(1)<<uint(lay.VecBits) - 1; e.code >= max {
-					e.code = max - 1
+				code := uint64(b)
+				if max := uint64(1)<<uint(lay.VecBits) - 1; code >= max {
+					code = max - 1
 				}
-				if e.code == lay.NDFCode {
-					e.code = 0
+				if code == lay.NDFCode {
+					code = 0
 				}
-				if err := enc.EncodeNumeric(&w, tid, e.code, e.ndf); err != nil {
+				if !e.NDF {
+					e.Code = code
+				}
+				if err := enc.EncodeNumeric(w, tid, code, e.NDF); err != nil {
 					t.Fatalf("elem %d: %v", i, err)
 				}
 				continue
 			}
-			var sigs []signature.Sig
-			if !e.ndf {
+			if !e.NDF {
 				ns := int(b)%3 + 1
 				if lay.Type != TypeI && ns >= 1<<uint(lay.LNum) {
 					ns = 1
 				}
 				for j := 0; j < ns; j++ {
-					s := fmt.Sprintf("s%d-%d-%c", i, j, 'a'+b%26)
-					e.strs = append(e.strs, s)
-					sigs = append(sigs, lay.Codec.Encode(s))
+					e.Sigs = append(e.Sigs, lay.Codec.Encode(fmt.Sprintf("s%d-%d-%c", i, j, 'a'+b%26)))
 				}
 			}
-			if err := enc.EncodeText(&w, tid, sigs); err != nil {
+			if err := enc.EncodeText(w, tid, e.Sigs); err != nil {
 				t.Fatalf("elem %d: %v", i, err)
 			}
 		}
 
-		cur, err := NewCursor(lay, MemSource{R: bitio.NewReader(w.Bytes(), w.Len())})
+		cur, err := NewCursor(lay, l.raw())
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, e := range elems {
+		for i, want := range l.want {
 			got, err := cur.MoveTo(model.TID(i), int64(i))
 			if err != nil {
 				t.Fatalf("MoveTo(%d): %v", i, err)
 			}
-			if got.NDF != e.ndf {
-				t.Fatalf("pos %d: NDF = %v, want %v", i, got.NDF, e.ndf)
+			if !sameEntry(got, want) {
+				t.Fatalf("pos %d: MoveTo = %+v, encoded %+v", i, got, want)
 			}
-			if e.ndf {
-				continue
-			}
-			if lay.Kind == model.KindNumeric {
-				if got.Code != e.code {
-					t.Fatalf("pos %d: code %d, want %d", i, got.Code, e.code)
+		}
+
+		if n > 0 {
+			start := int(data[1]>>5) * n / 8
+			var live []int
+			for p := start; p < n; p++ {
+				if body[p]%7 != 3 { // the rest are tombstones the driver skips
+					live = append(live, p)
 				}
-				continue
 			}
-			if len(got.Sigs) != len(e.strs) {
-				t.Fatalf("pos %d: %d sigs, want %d", i, len(got.Sigs), len(e.strs))
+			src := l.raw()
+			if data[3]&0x80 != 0 {
+				stripe := 1 + n/3
+				src = l.packed(t, stripe, n/stripe*stripe)
 			}
-			for j, s := range e.strs {
-				want := lay.Codec.Encode(s)
-				if got.Sigs[j].Len != want.Len {
-					t.Fatalf("pos %d sig %d: Len %d, want %d", i, j, got.Sigs[j].Len, want.Len)
-				}
-				for k := range want.H {
-					if got.Sigs[j].H[k] != want.H[k] {
-						t.Fatalf("pos %d sig %d word %d: %#x, want %#x", i, j, k, got.Sigs[j].H[k], want.H[k])
-					}
+			bc, err := NewCursorAt(lay, src, int64(l.offAt[start]), int64(start))
+			if err != nil {
+				t.Fatal(err)
+			}
+			bc.EnableScratch()
+			batch := 1 + int(data[2]>>4)
+			for i, got := range fillAll(t, bc, live, batch) {
+				if !sameEntry(got, l.want[live[i]]) {
+					t.Fatalf("batch %d from %d, pos %d: FillBatch = %+v, encoded %+v", batch, start, live[i], got, l.want[live[i]])
 				}
 			}
 		}
