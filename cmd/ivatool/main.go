@@ -345,7 +345,8 @@ func stats(st *iva.Store, dir string, args []string) error {
 	fmt.Printf("attributes  %d\n", s.Attributes)
 	fmt.Printf("table bytes %d\n", s.TableBytes)
 	fmt.Printf("index bytes %d\n", s.IndexBytes)
-	fmt.Printf("rebuilds    %d\n", s.Rebuilds)
+	fmt.Printf("rebuilds    %d (clean %d growth %d needs_rebuild %d explicit %d)\n", s.Rebuilds,
+		s.RebuildsBy.Clean, s.RebuildsBy.Growth, s.RebuildsBy.NeedsRebuild, s.RebuildsBy.Explicit)
 	fmt.Printf("cache hits  %d (%.1f%% hit rate)\n", s.IO.CacheHits, 100*s.IO.HitRate())
 	fmt.Printf("phys reads  %d (seq %d near %d rand %d)\n",
 		s.IO.PhysReads, s.IO.SeqReads, s.IO.NearReads, s.IO.RandReads)

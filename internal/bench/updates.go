@@ -102,7 +102,7 @@ func measureIVA(cfg Config, nOps int) (updateCosts, error) {
 		insert: func(v map[model.AttrID]model.Value) error { _, err := e.IVA.Insert(v); return err },
 		delete: e.IVA.Delete,
 		rebuild: func() error {
-			newTbl, _, err := e.Tbl.Rebuild(storage.NewFile(e.Pool, storage.NewMemDevice()), e.IVA.Live)
+			newTbl, err := e.Tbl.Rebuild(storage.NewFile(e.Pool, storage.NewMemDevice()), e.IVA.Live)
 			if err != nil {
 				return err
 			}
@@ -128,7 +128,7 @@ func measureSII(cfg Config, nOps int) (updateCosts, error) {
 			for _, tid := range live {
 				keep[tid] = true
 			}
-			newTbl, _, err := e.Tbl.Rebuild(storage.NewFile(e.Pool, storage.NewMemDevice()),
+			newTbl, err := e.Tbl.Rebuild(storage.NewFile(e.Pool, storage.NewMemDevice()),
 				func(t model.TID) bool { return keep[t] })
 			if err != nil {
 				return err
@@ -155,7 +155,7 @@ func measureDST(cfg Config, nOps int) (updateCosts, error) {
 			for _, tid := range live {
 				keep[tid] = true
 			}
-			_, _, err := e.Tbl.Rebuild(storage.NewFile(e.Pool, storage.NewMemDevice()),
+			_, err := e.Tbl.Rebuild(storage.NewFile(e.Pool, storage.NewMemDevice()),
 				func(t model.TID) bool { return keep[t] })
 			return err
 		},

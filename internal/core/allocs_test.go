@@ -5,6 +5,7 @@ import (
 
 	"github.com/sparsewide/iva/internal/metric"
 	"github.com/sparsewide/iva/internal/model"
+	"github.com/sparsewide/iva/internal/storage"
 )
 
 // TestSearchAllocs is the allocation gate of the search hot path: a query
@@ -43,4 +44,52 @@ func TestSearchAllocs(t *testing.T) {
 	if !raceEnabled && large > 400 {
 		t.Errorf("%.0f allocations per query at 8,192 tuples, want <= 400", large)
 	}
+}
+
+// rebuildOnce compacts the fixture's table and builds an index over the copy,
+// the two passes of a store rebuild.
+func rebuildOnce(tb testing.TB, fx *fixture) {
+	nt, err := fx.tbl.Rebuild(storage.NewFile(fx.pool, storage.NewMemDevice()), func(model.TID) bool { return true })
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := Build(nt, storage.NewFile(fx.pool, storage.NewMemDevice()), Options{}); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// TestBuildAllocs is the allocation gate of the build path: what a rebuild
+// allocates beyond its fixed per-attribute set-up grows with the pages and
+// stripes it writes, not with the values it encodes — a small fraction of an
+// allocation per tuple, the same at any table size. (The parent allocated
+// about seventy objects per tuple: a map, a string per value and per gram.)
+func TestBuildAllocs(t *testing.T) {
+	allocs := func(tuples int) float64 {
+		fx := newFixture(t, tuples, Options{}, 78)
+		rebuildOnce(t, fx) // fills the codec's lazy (l, t) table
+		n := testing.AllocsPerRun(3, func() { rebuildOnce(t, fx) })
+		t.Logf("%d tuples: %.0f allocs/rebuild", tuples, n)
+		return n
+	}
+	small, mid, large := allocs(2048), allocs(4096), allocs(8192)
+	perTuple, perTupleLarge := (mid-small)/2048, (large-mid)/4096
+	if d := perTupleLarge - perTuple; d > 0.1 || d < -0.1 {
+		t.Errorf("allocations per added tuple depend on the table size: %.3f from 2,048 to 4,096 tuples, %.3f from 4,096 to 8,192", perTuple, perTupleLarge)
+	}
+	if !raceEnabled && perTupleLarge > 0.25 {
+		t.Errorf("%.3f allocations per rebuilt tuple, want <= 0.25", perTupleLarge)
+	}
+}
+
+// BenchmarkBuild measures one rebuild — table compaction plus index build —
+// of an 8,192-tuple table.
+func BenchmarkBuild(b *testing.B) {
+	const tuples = 8192
+	fx := newFixture(b, tuples, Options{}, 79)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rebuildOnce(b, fx)
+	}
+	b.ReportMetric(float64(tuples)*float64(b.N)/b.Elapsed().Seconds(), "tuples/s")
 }

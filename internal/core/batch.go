@@ -5,7 +5,6 @@ import (
 
 	"github.com/sparsewide/iva/internal/bitio"
 	"github.com/sparsewide/iva/internal/model"
-	"github.com/sparsewide/iva/internal/signature"
 	"github.com/sparsewide/iva/internal/storage"
 	"github.com/sparsewide/iva/internal/vector"
 )
@@ -34,24 +33,6 @@ func (ix *Index) InsertBatch(batch []map[model.AttrID]model.Value) ([]model.TID,
 
 	// Encode everything per attribute before mutating any state.
 	writers := make(map[model.AttrID]*bitio.Writer)
-	encoders := make(map[model.AttrID]*vector.Encoder)
-	writerFor := func(a model.AttrID) (*bitio.Writer, *vector.Encoder, error) {
-		if w, ok := writers[a]; ok {
-			return w, encoders[a], nil
-		}
-		if ix.attrs[a].dirBroken {
-			// No known tail position on a packed list whose block directory
-			// was dropped; the rebuild path recreates it (see Insert).
-			return nil, nil, ErrNeedsRebuild
-		}
-		enc, err := vector.NewEncoder(ix.attrs[a].layout)
-		if err != nil {
-			return nil, nil, err
-		}
-		w := &bitio.Writer{}
-		writers[a], encoders[a] = w, enc
-		return w, enc, nil
-	}
 	var positional []model.AttrID
 	for id := range ix.attrs {
 		t := ix.attrs[id].layout.Type
@@ -60,33 +41,12 @@ func (ix *Index) InsertBatch(batch []map[model.AttrID]model.Value) ([]model.TID,
 		}
 	}
 	encodeOne := func(tid model.TID, a model.AttrID, v model.Value, ndf bool) error {
-		st := &ix.attrs[a]
-		w, enc, err := writerFor(a)
-		if err != nil {
-			return err
+		w, ok := writers[a]
+		if !ok {
+			w = &bitio.Writer{}
+			writers[a] = w
 		}
-		if ndf {
-			if st.layout.Kind == model.KindText {
-				err = enc.EncodeText(w, tid, nil)
-			} else {
-				err = enc.EncodeNumeric(w, tid, 0, true)
-			}
-		} else {
-			switch st.layout.Kind {
-			case model.KindText:
-				sigs := make([]signature.Sig, len(v.Strs))
-				for i, s := range v.Strs {
-					sigs[i] = st.layout.Codec.Encode(s)
-				}
-				err = enc.EncodeText(w, tid, sigs)
-			case model.KindNumeric:
-				err = enc.EncodeNumeric(w, tid, st.quant.Encode(v.Num), false)
-			}
-		}
-		if err == vector.ErrWidthOverflow {
-			return ErrNeedsRebuild
-		}
-		return err
+		return encodeElement(&ix.attrs[a], w, tid, v, ndf)
 	}
 	// Stripe boundaries crossed by the batch: snapshot resume offsets while
 	// encoding, since each attribute's offset at a boundary is its committed

@@ -55,7 +55,8 @@ func Build(tbl *table.Table, f *storage.File, opts Options) (*Index, error) {
 		codec:    codec,
 		tbl:      tbl,
 		ltid:     ltid,
-		posByTID: make(map[model.TID]int64),
+		entries:  make([]tupleEntry, 0, tbl.Total()),
+		posByTID: make(map[model.TID]int64, tbl.Total()),
 		// A fresh build writes the current format directly: Sync must not take
 		// its upgrade path (which would allocate a second checkpoint chain).
 		version:   indexVersion,
@@ -91,9 +92,10 @@ func Build(tbl *table.Table, f *storage.File, opts Options) (*Index, error) {
 	ix.zacc.reset(true)
 
 	// Lay out one vector list per attribute.
-	infos := tbl.Catalog().Attrs()
+	infos := tbl.Attrs()
 	tupleEntries := tbl.Total()
 	builders := make([]*listBuilder, len(infos))
+	var sc sigScratch
 	var positional []model.AttrID
 	for id, info := range infos {
 		attrCodec := codec
@@ -121,7 +123,7 @@ func Build(tbl *table.Table, f *storage.File, opts Options) (*Index, error) {
 			st.codecID = vector.CodecPacked
 		}
 		ix.attrs = append(ix.attrs, st)
-		b, err := newListBuilder(ix, model.AttrID(id))
+		b, err := newListBuilder(ix, model.AttrID(id), &sc)
 		if err != nil {
 			return nil, err
 		}
@@ -131,18 +133,27 @@ func Build(tbl *table.Table, f *storage.File, opts Options) (*Index, error) {
 		}
 	}
 
-	// Single pass over the table: emit tuple-list elements and vector-list
-	// elements in tuple order.
-	var tupleW bitio.Writer
+	// Single pass over the table, one walk per verified record: emit
+	// tuple-list elements and vector-list elements in tuple order.
+	var (
+		tupleW  bitio.Writer
+		fld     table.Field
+		defined []model.AttrID // of the record being walked, ascending
+	)
 	lastTID := model.TID(0)
 	first := true
-	err = tbl.Scan(func(ptr int64, tp *model.Tuple) error {
-		if !first && tp.TID <= lastTID {
-			return fmt.Errorf("core: table not in tid order (%d after %d)", tp.TID, lastTID)
+	err = tbl.ScanRecords(func(ptr int64, body []byte) error {
+		rec := table.Walk(body)
+		if err := rec.Err(); err != nil {
+			return err
 		}
-		first, lastTID = false, tp.TID
-		if tp.TID > ix.maxTID() {
-			return fmt.Errorf("core: tid %d exceeds packed width %d bits", tp.TID, ix.ltid)
+		tid := rec.TID
+		if !first && tid <= lastTID {
+			return fmt.Errorf("core: table not in tid order (%d after %d)", tid, lastTID)
+		}
+		first, lastTID = false, tid
+		if tid > ix.maxTID() {
+			return fmt.Errorf("core: tid %d exceeds packed width %d bits", tid, ix.ltid)
 		}
 		if uint64(ptr) >= tombstonePtr {
 			return fmt.Errorf("core: table offset %d exceeds %d ptr bits", ptr, ptrBits)
@@ -163,29 +174,48 @@ func Build(tbl *table.Table, f *storage.File, opts Options) (*Index, error) {
 				return int64(builders[a].w.Len())
 			}))
 		}
-		tupleW.WriteBits(uint64(tp.TID), ix.ltid)
+		tupleW.WriteBits(uint64(tid), ix.ltid)
 		tupleW.WriteBits(uint64(ptr), ptrBits)
 		if tupleW.Len() >= flushThreshold {
 			if err := ix.flushTupleList(&tupleW); err != nil {
 				return err
 			}
 		}
-		ix.entries = append(ix.entries, tupleEntry{tid: tp.TID, ptr: ptr})
-		ix.posByTID[tp.TID] = pos
-		ix.zoneObserve(tp.Values)
+		ix.entries = append(ix.entries, tupleEntry{tid: tid, ptr: ptr})
+		ix.posByTID[tid] = pos
 
 		// Defined attributes.
-		for _, a := range tp.Attrs() {
-			if err := builders[a].add(tp.TID, tp.Values[a]); err != nil {
+		ix.zoneBegin()
+		defined = defined[:0]
+		for rec.Next(&fld) {
+			a := fld.Attr
+			if int(a) >= len(builders) {
+				return fmt.Errorf("core: tuple %d defines unregistered attribute %d", tid, a)
+			}
+			if n := len(defined); n > 0 && a <= defined[n-1] {
+				return fmt.Errorf("core: tuple %d stores attribute %d after %d, not in ascending order", tid, a, defined[n-1])
+			}
+			defined = append(defined, a)
+			if err := builders[a].add(tid, &fld); err != nil {
 				return err
 			}
+			ix.zoneField(&fld)
 		}
-		// Positional lists need explicit ndf elements for this tuple.
+		if err := rec.Err(); err != nil {
+			return err
+		}
+		ix.zoneEnd()
+		// Positional lists need explicit ndf elements for this tuple: those
+		// of the (ascending) positional attributes the record skipped.
+		i := 0
 		for _, a := range positional {
-			if _, ok := tp.Values[a]; ok {
+			for i < len(defined) && defined[i] < a {
+				i++
+			}
+			if i < len(defined) && defined[i] == a {
 				continue
 			}
-			if err := builders[a].addNDF(tp.TID); err != nil {
+			if err := builders[a].addNDF(tid); err != nil {
 				return err
 			}
 		}
@@ -228,46 +258,60 @@ type listBuilder struct {
 	attr model.AttrID
 	enc  *vector.Encoder
 	w    bitio.Writer
+	sc   *sigScratch
 }
 
-func newListBuilder(ix *Index, attr model.AttrID) (*listBuilder, error) {
+// sigScratch holds the signatures of the text value being added and their cH
+// words. One is shared by all the builders of a Build, which adds one value
+// at a time.
+type sigScratch struct {
+	sigs  []signature.Sig
+	words []uint64
+}
+
+func newListBuilder(ix *Index, attr model.AttrID, sc *sigScratch) (*listBuilder, error) {
 	enc, err := vector.NewEncoder(ix.attrs[attr].layout)
 	if err != nil {
 		return nil, err
 	}
-	return &listBuilder{ix: ix, attr: attr, enc: enc}, nil
+	return &listBuilder{ix: ix, attr: attr, enc: enc, sc: sc}, nil
 }
 
-// add appends the element(s) for one defined value.
-func (b *listBuilder) add(tid model.TID, v model.Value) error {
+// add appends the element(s) for one defined value, read from its record.
+func (b *listBuilder) add(tid model.TID, f *table.Field) error {
 	st := &b.ix.attrs[b.attr]
-	switch st.layout.Kind {
+	if f.Kind != st.layout.Kind {
+		return fmt.Errorf("core: tuple %d stores a %v value on %v attribute %d", tid, f.Kind, st.layout.Kind, b.attr)
+	}
+	var err error
+	switch f.Kind {
 	case model.KindText:
-		sigs := make([]signature.Sig, len(v.Strs))
-		for i, s := range v.Strs {
-			sigs[i] = st.layout.Codec.Encode(s)
+		sc := b.sc
+		sc.sigs = sc.sigs[:0]
+		used := 0
+		for rest := f.Strs; len(rest) > 0; {
+			var s []byte
+			s, rest = table.CutString(rest)
+			sig := st.layout.Codec.EncodeBytes(sc.words[min(used, len(sc.words)):], s)
+			used += len(sig.H)
+			sc.sigs = append(sc.sigs, sig)
 		}
-		if err := b.enc.EncodeText(&b.w, tid, sigs); err != nil {
-			return err
+		err = b.enc.EncodeText(&b.w, tid, sc.sigs)
+		if used > len(sc.words) { // some signature had to allocate: make room for the next value this wide
+			sc.words = make([]uint64, 2*used)
 		}
 	case model.KindNumeric:
-		if err := b.enc.EncodeNumeric(&b.w, tid, st.quant.Encode(v.Num), false); err != nil {
-			return err
-		}
+		err = b.enc.EncodeNumeric(&b.w, tid, st.quant.Encode(f.Num), false)
+	}
+	if err != nil {
+		return err
 	}
 	return b.maybeFlush()
 }
 
 // addNDF appends an explicit ndf element (positional lists only).
 func (b *listBuilder) addNDF(tid model.TID) error {
-	st := &b.ix.attrs[b.attr]
-	var err error
-	if st.layout.Kind == model.KindText {
-		err = b.enc.EncodeText(&b.w, tid, nil)
-	} else {
-		err = b.enc.EncodeNumeric(&b.w, tid, 0, true)
-	}
-	if err != nil {
+	if err := encodeElement(&b.ix.attrs[b.attr], &b.w, tid, model.Value{}, true); err != nil {
 		return err
 	}
 	return b.maybeFlush()

@@ -40,40 +40,8 @@ func (ix *Index) Insert(values map[model.AttrID]model.Value) (model.TID, error) 
 	var writes []pendingWrite
 	touched := make(map[model.AttrID]bool, len(values))
 	encodeFor := func(a model.AttrID, v model.Value, ndf bool) error {
-		st := &ix.attrs[a]
-		if st.dirBroken {
-			// A packed list whose block directory was dropped at open has no
-			// known tail position; appending would corrupt it further. The
-			// rebuild path recreates the list from the table.
-			return ErrNeedsRebuild
-		}
-		enc, err := vector.NewEncoder(st.layout)
-		if err != nil {
-			return err
-		}
 		w := &bitio.Writer{}
-		if ndf {
-			if st.layout.Kind == model.KindText {
-				err = enc.EncodeText(w, tid, nil)
-			} else {
-				err = enc.EncodeNumeric(w, tid, 0, true)
-			}
-		} else {
-			switch st.layout.Kind {
-			case model.KindText:
-				sigs := make([]signature.Sig, len(v.Strs))
-				for i, s := range v.Strs {
-					sigs[i] = st.layout.Codec.Encode(s)
-				}
-				err = enc.EncodeText(w, tid, sigs)
-			case model.KindNumeric:
-				err = enc.EncodeNumeric(w, tid, st.quant.Encode(v.Num), false)
-			}
-		}
-		if err == vector.ErrWidthOverflow {
-			return ErrNeedsRebuild
-		}
-		if err != nil {
+		if err := encodeElement(&ix.attrs[a], w, tid, v, ndf); err != nil {
 			return err
 		}
 		writes = append(writes, pendingWrite{a, w})
@@ -136,6 +104,44 @@ func (ix *Index) Insert(values map[model.AttrID]model.Value) (model.TID, error) 
 		}
 	}
 	return tid, nil
+}
+
+// encodeElement appends to w what the list of st holds for tuple tid: the
+// element(s) of its value v, or — ndf, which only positional lists ask for —
+// the explicit undefined element. It returns ErrNeedsRebuild when the list
+// cannot take the element as it is laid out.
+func encodeElement(st *attrState, w *bitio.Writer, tid model.TID, v model.Value, ndf bool) error {
+	if st.dirBroken {
+		// A packed list whose block directory was dropped at open has no
+		// known tail position; appending would corrupt it further. The
+		// rebuild path recreates the list from the table.
+		return ErrNeedsRebuild
+	}
+	if err := st.layout.Validate(); err != nil {
+		return err
+	}
+	enc := vector.Encoder{L: st.layout}
+	var err error
+	switch {
+	case st.layout.Kind == model.KindNumeric:
+		var code uint64
+		if !ndf {
+			code = st.quant.Encode(v.Num)
+		}
+		err = enc.EncodeNumeric(w, tid, code, ndf)
+	case ndf:
+		err = enc.EncodeText(w, tid, nil)
+	default:
+		sigs := make([]signature.Sig, len(v.Strs))
+		for i, s := range v.Strs {
+			sigs[i] = st.layout.Codec.Encode(s)
+		}
+		err = enc.EncodeText(w, tid, sigs)
+	}
+	if err == vector.ErrWidthOverflow {
+		return ErrNeedsRebuild
+	}
+	return err
 }
 
 // appendList appends nbits of encoded elements at an attribute's physical

@@ -6,6 +6,8 @@ import (
 
 	"github.com/sparsewide/iva/internal/model"
 	"github.com/sparsewide/iva/internal/storage"
+	"github.com/sparsewide/iva/internal/table"
+	"github.com/sparsewide/iva/internal/vaq"
 )
 
 // Stripe zone maps (format v5). Every sealed stripe — a full run of
@@ -142,10 +144,13 @@ func (ix *Index) DroppedZones() int {
 
 // --- recording -------------------------------------------------------------
 
-// zoneObserve folds the values of the entry just appended at the tail into
-// the open stripe's accumulator, sealing a zone record when the stripe
-// fills. Caller holds ix.mu and has already appended to ix.entries.
-func (ix *Index) zoneObserve(values map[model.AttrID]model.Value) {
+// The open stripe's accumulator is fed one tuple-list entry at a time, right
+// after the entry is appended to ix.entries (caller holds ix.mu): zoneBegin,
+// the entry's defined attributes, then zoneEnd, which seals a zone record
+// when the stripe fills. Build feeds it record fields (zoneField), Insert the
+// value map it was handed (zoneObserve, which does all three steps).
+
+func (ix *Index) zoneBegin() {
 	if !ix.zonesEnabled() {
 		return
 	}
@@ -156,47 +161,89 @@ func (ix *Index) zoneObserve(values map[model.AttrID]model.Value) {
 		for len(acc.attrs) < len(ix.attrs) {
 			acc.attrs = append(acc.attrs, zoneAttrAcc{})
 		}
-		for a, v := range values {
-			if int(a) >= len(acc.attrs) {
-				continue
+	}
+}
+
+// zoneAttr returns the open stripe's accumulator for attribute a, or nil when
+// nothing is being recorded for it.
+func (ix *Index) zoneAttr(a model.AttrID) *zoneAttrAcc {
+	if !ix.zonesEnabled() || !ix.zacc.valid || int(a) >= len(ix.zacc.attrs) {
+		return nil
+	}
+	return &ix.zacc.attrs[a]
+}
+
+// numeric folds in the value of a numeric attribute. (Attributes without a
+// quantizer have no code to bound and are left unobserved.)
+func (za *zoneAttrAcc) numeric(q *vaq.Quantizer, num float64) {
+	if q == nil {
+		return
+	}
+	code := q.Encode(num)
+	if za.defined == 0 || code < za.minCode {
+		za.minCode = code
+	}
+	if za.defined == 0 || code > za.maxCode {
+		za.maxCode = code
+	}
+	za.defined++
+}
+
+// strLen folds in the length of one string of a text value; the value counts
+// as defined once all of its strings are in.
+func (za *zoneAttrAcc) strLen(n int) {
+	if za.defined == 0 && za.minLen == 0 && za.maxLen == 0 {
+		za.minLen, za.maxLen = n, n
+		return
+	}
+	if n < za.minLen {
+		za.minLen = n
+	}
+	if n > za.maxLen {
+		za.maxLen = n
+	}
+}
+
+// zoneField observes one field of the entry's record.
+func (ix *Index) zoneField(f *table.Field) {
+	za := ix.zoneAttr(f.Attr)
+	switch {
+	case za == nil:
+	case f.Kind == model.KindNumeric:
+		za.numeric(ix.attrs[f.Attr].quant, f.Num)
+	case f.NStr > 0: // no strings: indistinguishable from ndf
+		for rest := f.Strs; len(rest) > 0; rest = rest[1+int(rest[0]):] {
+			za.strLen(int(rest[0]))
+		}
+		za.defined++
+	}
+}
+
+// zoneObserve observes a whole entry from the values it was inserted with.
+func (ix *Index) zoneObserve(values map[model.AttrID]model.Value) {
+	ix.zoneBegin()
+	for a, v := range values {
+		za := ix.zoneAttr(a)
+		switch {
+		case za == nil:
+		case ix.attrs[a].layout.Kind == model.KindNumeric:
+			za.numeric(ix.attrs[a].quant, v.Num)
+		case len(v.Strs) > 0:
+			for _, s := range v.Strs {
+				za.strLen(len(s))
 			}
-			za := &acc.attrs[a]
-			switch ix.attrs[a].layout.Kind {
-			case model.KindNumeric:
-				if q := ix.attrs[a].quant; q != nil {
-					code := q.Encode(v.Num)
-					if za.defined == 0 || code < za.minCode {
-						za.minCode = code
-					}
-					if za.defined == 0 || code > za.maxCode {
-						za.maxCode = code
-					}
-					za.defined++
-				}
-			case model.KindText:
-				if len(v.Strs) == 0 {
-					continue // no strings: indistinguishable from ndf
-				}
-				for _, s := range v.Strs {
-					if za.defined == 0 && za.minLen == 0 && za.maxLen == 0 {
-						za.minLen, za.maxLen = len(s), len(s)
-						continue
-					}
-					if len(s) < za.minLen {
-						za.minLen = len(s)
-					}
-					if len(s) > za.maxLen {
-						za.maxLen = len(s)
-					}
-				}
-				za.defined++
-			}
+			za.defined++
 		}
 	}
-	// Seal on the entry count, not the accumulator count: after a mid-stripe
-	// upgrade the accumulator starts cold partway through a stripe and its
-	// count never equals the stripe width at the boundary.
-	if int64(len(ix.entries))%ix.ckptEvery == 0 {
+	ix.zoneEnd()
+}
+
+// zoneEnd seals the stripe when the entry filled it. Seal on the entry
+// count, not the accumulator count: after a mid-stripe upgrade the
+// accumulator starts cold partway through a stripe and its count never
+// equals the stripe width at the boundary.
+func (ix *Index) zoneEnd() {
+	if ix.zonesEnabled() && int64(len(ix.entries))%ix.ckptEvery == 0 {
 		ix.zoneSeal()
 	}
 }

@@ -746,7 +746,7 @@ func (h *harness) rebuildIVA() error {
 	if err != nil {
 		return h.failf("iva rebuild: %v", err)
 	}
-	newTbl, _, err := h.iva.tbl.Rebuild(newTblH.f, h.refKeep)
+	newTbl, err := h.iva.tbl.Rebuild(newTblH.f, h.refKeep)
 	if err != nil {
 		return h.failf("iva rebuild: %v", err)
 	}
@@ -758,6 +758,7 @@ func (h *harness) rebuildIVA() error {
 	if err != nil {
 		return h.failf("iva rebuild: %v", err)
 	}
+	newTbl.PublishStats()
 	h.iva.tblH.f.Close()
 	h.iva.ixH.f.Close()
 	h.iva.tblH, h.iva.ixH = newTblH, newIxH
@@ -770,7 +771,7 @@ func (h *harness) rebuildSII() error {
 	if err != nil {
 		return h.failf("sii rebuild: %v", err)
 	}
-	newTbl, _, err := h.sii.tbl.Rebuild(newTblH.f, h.refKeep)
+	newTbl, err := h.sii.tbl.Rebuild(newTblH.f, h.refKeep)
 	if err != nil {
 		return h.failf("sii rebuild: %v", err)
 	}
@@ -782,6 +783,7 @@ func (h *harness) rebuildSII() error {
 	if err != nil {
 		return h.failf("sii rebuild: %v", err)
 	}
+	newTbl.PublishStats()
 	h.sii.tblH.f.Close()
 	h.sii.ixH.f.Close()
 	h.sii.tblH, h.sii.ixH = newTblH, newIxH
@@ -797,7 +799,7 @@ func (h *harness) rebuildIVA2() error {
 	if err != nil {
 		return h.failf("iva2 rebuild: %v", err)
 	}
-	newTbl, _, err := h.iva2.tbl.Rebuild(newTblH.f, h.refKeep)
+	newTbl, err := h.iva2.tbl.Rebuild(newTblH.f, h.refKeep)
 	if err != nil {
 		return h.failf("iva2 rebuild: %v", err)
 	}
@@ -809,6 +811,7 @@ func (h *harness) rebuildIVA2() error {
 	if err != nil {
 		return h.failf("iva2 rebuild: %v", err)
 	}
+	newTbl.PublishStats()
 	h.iva2.tblH.f.Close()
 	h.iva2.ixH.f.Close()
 	h.iva2.tblH, h.iva2.ixH = newTblH, newIxH
@@ -836,7 +839,7 @@ func (h *harness) rebuildDST() error {
 	if err != nil {
 		return h.failf("dst rebuild: %v", err)
 	}
-	newTbl, _, err := h.dst.tbl.Rebuild(newTblH.f, h.refKeep)
+	newTbl, err := h.dst.tbl.Rebuild(newTblH.f, h.refKeep)
 	if err != nil {
 		return h.failf("dst rebuild: %v", err)
 	}
@@ -844,6 +847,7 @@ func (h *harness) rebuildDST() error {
 	if err != nil {
 		return h.failf("dst rebuild: %v", err)
 	}
+	newTbl.PublishStats()
 	h.dst.tblH.f.Close()
 	h.dst.tblH, h.dst.tbl, h.dst.sc = newTblH, newTbl, newSc
 	return nil

@@ -20,6 +20,7 @@ package signature
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync/atomic"
 
 	"github.com/sparsewide/iva/internal/gram"
@@ -129,19 +130,50 @@ func ExpectedError(m, l, t int) float64 {
 	return math.Pow(p, float64(t))
 }
 
+// text is what Encode accepts: decoded strings, or the string bytes of a
+// verified table record.
+type text interface{ ~string | ~[]byte }
+
 // Encode returns the nG-signature of data string s.
-func (c *Codec) Encode(s string) Sig {
+func (c *Codec) Encode(s string) Sig { return encode(c, nil, s) }
+
+// EncodeBytes is Encode over string bytes, with the cH words taken from dst
+// when it has room for them: a build encodes every string of a table through
+// one buffer. The signature is bit-identical to Encode's.
+func (c *Codec) EncodeBytes(dst []uint64, s []byte) Sig { return encode(c, dst, s) }
+
+// encode hashes each n-gram window of the '#'/'$'-extended string in place
+// (FNV-1a over the window's bytes) — no gram strings are materialised.
+func encode[T text](c *Codec, dst []uint64, s T) Sig {
 	l, t := c.params(len(s))
-	h := make([]uint64, (l+63)/64)
-	for _, g := range gram.Grams(s, c.n) {
-		orMask(h, g, l, t)
+	nw := (l + 63) / 64
+	if cap(dst) < nw {
+		dst = make([]uint64, nw)
+	}
+	h := dst[:nw]
+	clear(h)
+	pad := c.n - 1
+	for i := 0; i < len(s)+pad; i++ { // window i covers extended bytes [i, i+n)
+		seed := uint64(fnvOffset)
+		for k := i - pad; k <= i; k++ { // k indexes s; outside it lies padding
+			b := byte(gram.SuffixPad)
+			if k < 0 {
+				b = gram.PrefixPad
+			} else if k < len(s) {
+				b = s[k]
+			}
+			seed = (seed ^ uint64(b)) * fnvPrime
+		}
+		orMask(h, seed, l, t)
 	}
 	return Sig{Len: len(s), H: h}
 }
 
-// orMask ORs h[l,t](g) into dst.
-func orMask(dst []uint64, g string, l, t int) {
-	seed := fnv64(g)
+// orMask ORs h[l,t] of the gram hashed to seed into dst: the probe sequence
+// splitmix64(seed+i) mod l is walked until t bits that were still clear are
+// set, so a gram of a data string always leaves the first t distinct probes
+// of its query mask set.
+func orMask(dst []uint64, seed uint64, l, t int) {
 	set := 0
 	for i := uint64(0); set < t; i++ {
 		pos := int(splitmix64(seed+i) % uint64(l))
@@ -150,7 +182,7 @@ func orMask(dst []uint64, g string, l, t int) {
 		if dst[w]&bit == 0 {
 			dst[w] |= bit
 			set++
-		} else if wordsFull(dst, l, t-set) {
+		} else if wordsFull(dst, l) {
 			// All l bits already set (possible for tiny l): nothing to add.
 			break
 		}
@@ -159,33 +191,24 @@ func orMask(dst []uint64, g string, l, t int) {
 
 // wordsFull reports whether all l bits of dst are set (guard against an
 // infinite loop when t approaches l on a saturated signature).
-func wordsFull(dst []uint64, l, _ int) bool {
+func wordsFull(dst []uint64, l int) bool {
 	full := 0
 	for _, w := range dst {
-		full += popcount(w)
+		full += bits.OnesCount64(w)
 	}
 	return full >= l
 }
 
-func popcount(x uint64) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
-}
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
 
 // fnv64 is FNV-1a over the gram bytes.
 func fnv64(s string) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
+	h := uint64(fnvOffset)
 	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime
+		h = (h ^ uint64(s[i])) * fnvPrime
 	}
 	return h
 }
@@ -257,7 +280,7 @@ func (q *QueryString) plan(strLen int) *lenPlan {
 	p := &lenPlan{nw: (l + 63) / 64}
 	p.masks = make([]uint64, len(q.grams)*p.nw)
 	for i, g := range q.grams {
-		orMask(p.masks[i*p.nw:(i+1)*p.nw], g, l, t)
+		orMask(p.masks[i*p.nw:(i+1)*p.nw], fnv64(g), l, t)
 	}
 	if cached {
 		q.plans[strLen].Store(p)

@@ -2,6 +2,7 @@ package signature
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -165,10 +166,10 @@ func TestHashMaskExactlyTBits(t *testing.T) {
 				continue
 			}
 			m := make([]uint64, (l+63)/64)
-			orMask(m, "ab", l, tt)
+			orMask(m, fnv64("ab"), l, tt)
 			n := 0
 			for _, w := range m {
-				n += popcount(w)
+				n += bits.OnesCount64(w)
 			}
 			if n != tt {
 				t.Fatalf("orMask set %d bits, want %d (l=%d)", n, tt, l)
@@ -263,7 +264,7 @@ func TestHitsMatchesPerGramMasks(t *testing.T) {
 		hits := 0
 		for g, a := range gram.NewSet(q.Str(), c.N()) {
 			m := make([]uint64, (l+63)/64)
-			orMask(m, g, l, tt)
+			orMask(m, fnv64(g), l, tt)
 			if maskSubset(m, sig.H) {
 				hits += a
 			}

@@ -87,8 +87,9 @@ func (f *File) ReadAt(p []byte, off int64) error {
 	return nil
 }
 
-// WriteAt writes p at offset off through the buffer pool (read-modify-write
-// on partial pages), growing the logical size as needed.
+// WriteAt writes p at offset off through the buffer pool, growing the
+// logical size as needed. Whole pages go to the device as they are; a partial
+// page is patched over its cached frame (see Pool.write).
 func (f *File) WriteAt(p []byte, off int64) error {
 	if off < 0 {
 		return fmt.Errorf("storage: negative write offset %d", off)
@@ -96,23 +97,12 @@ func (f *File) WriteAt(p []byte, off int64) error {
 	end := off + int64(len(p))
 	ps := int64(f.pool.PageSize())
 	for len(p) > 0 {
-		page := off / ps
 		in := off % ps
 		n := int(ps - in)
 		if n > len(p) {
 			n = len(p)
 		}
-		var buf []byte
-		if in == 0 && n == int(ps) {
-			buf = p[:n]
-		} else {
-			buf = make([]byte, ps)
-			if _, err := f.pool.readInto(f.id, page, 0, buf); err != nil {
-				return err
-			}
-			copy(buf[in:], p[:n])
-		}
-		if err := f.pool.writePage(f.id, page, buf[:ps:ps]); err != nil {
+		if err := f.pool.write(f.id, off/ps, int(in), p[:n]); err != nil {
 			return err
 		}
 		p = p[n:]

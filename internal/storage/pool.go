@@ -28,7 +28,7 @@ const minShardQuota = 8
 // because every resident frame is pinned, are tracked in small atomic
 // counters (spare / overflow).
 //
-// Pages are write-through: writePage updates both the device and the cached
+// Pages are write-through: write updates both the device and the cached
 // frame, so a crash between Sync calls loses no committed page (the store
 // above provides checkpoint consistency, not WAL recovery; see DESIGN.md §6).
 //
@@ -111,6 +111,8 @@ type poolShard struct {
 	hand   int
 	extra  int // pages claimed from pool.spare
 	over   int // resident pages beyond quota+extra (pin-forced)
+
+	scratch []byte // page image of a partial write in flight (see write)
 }
 
 // lock acquires the shard mutex, counting contended acquisitions so the
@@ -222,6 +224,14 @@ func (p *Pool) Register(dev Device) uint32 {
 	fs.lastRead.Store(-1)
 	p.files[id] = fs
 	return id
+}
+
+// Files reports how many files are registered: a store that opens files for
+// a rebuild and fails must be back at the count it started from.
+func (p *Pool) Files() int {
+	p.filesMu.RLock()
+	defer p.filesMu.RUnlock()
+	return len(p.files)
 }
 
 // fileState resolves a registered file, or nil.
@@ -441,7 +451,7 @@ func (p *Pool) Get(id uint32, page int64) (*Frame, error) {
 
 // readInto copies the bytes of page `page` of file `id` starting at in-page
 // offset `in` into dst, returning the number of bytes copied. The single
-// copy runs under the page's shard lock, so a concurrent writePage to the
+// copy runs under the page's shard lock, so a concurrent write to the
 // same page can never tear it — this is what makes Search safe against
 // concurrent updates. (On a miss the device reads directly into the frame
 // that will be cached; the old pool staged misses through a scratch buffer,
@@ -471,13 +481,17 @@ func (p *Pool) readInto(id uint32, page int64, in int, dst []byte) (int, error) 
 	return n, nil
 }
 
-// writePage stores data as page `page` of file `id` and writes it through to
-// the device. len(data) must equal the page size. If the resident frame is
-// pinned, it is detached and a fresh frame installed (copy-on-write), so
-// pinned readers keep their snapshot; an unpinned frame is updated in place.
-func (p *Pool) writePage(id uint32, page int64, data []byte) error {
-	if len(data) != p.pageSize {
-		return fmt.Errorf("storage: writePage with %d bytes, page size %d", len(data), p.pageSize)
+// write stores data at in-page offset `in` of page `page` of file `id` and
+// writes the page through to the device. A whole page is written as given; a
+// partial one is patched over the resident frame (loaded first on a miss,
+// which counts as the read it is) — the page image is assembled in the
+// shard's scratch page, so a sub-page write allocates and re-reads nothing.
+// If the resident frame is pinned, it is detached and a fresh frame installed
+// (copy-on-write), so pinned readers keep their snapshot; an unpinned frame
+// is updated in place.
+func (p *Pool) write(id uint32, page int64, in int, data []byte) error {
+	if in < 0 || in+len(data) > p.pageSize {
+		return fmt.Errorf("storage: write of %d bytes at offset %d, page size %d", len(data), in, p.pageSize)
 	}
 	fs := p.fileState(id)
 	if fs == nil {
@@ -487,25 +501,45 @@ func (p *Pool) writePage(id uint32, page int64, data []byte) error {
 	sh := p.shardOf(key)
 	sh.lock()
 	defer sh.unlock()
+	fr, ok := sh.frames[key]
+	img := data
+	if len(data) < p.pageSize {
+		if ok {
+			p.stats.recordHit()
+			fs.stats.recordHit()
+		} else {
+			var err error
+			if fr, err = sh.loadLocked(fs, key); err != nil {
+				return err
+			}
+			ok = true
+		}
+		if sh.scratch == nil {
+			sh.scratch = make([]byte, p.pageSize)
+		}
+		img = sh.scratch
+		copy(img, fr.data)
+		copy(img[in:], data)
+	}
 	// Device first, under the shard lock: a failed write leaves the cache
 	// untouched, and two racing writers cannot publish device and cache
 	// states in opposite orders.
-	if _, err := fs.dev.WriteAt(data, page*int64(p.pageSize)); err != nil {
+	if _, err := fs.dev.WriteAt(img, page*int64(p.pageSize)); err != nil {
 		return err
 	}
 	p.stats.recordWrite()
 	fs.stats.recordWrite()
-	if fr, ok := sh.frames[key]; ok {
+	if ok {
 		if fr.pins == 0 {
-			copy(fr.data, data)
+			copy(fr.data[in:], data)
 			fr.ref = true
 			return nil
 		}
 		sh.detachLocked(fr)
 	}
 	cp := make([]byte, p.pageSize)
-	copy(cp, data)
-	fr := &Frame{key: key, shard: sh, data: cp, ref: true}
+	copy(cp, img)
+	fr = &Frame{key: key, shard: sh, data: cp, ref: true}
 	sh.ensureRoomLocked()
 	sh.frames[key] = fr
 	sh.ring = append(sh.ring, fr)

@@ -17,8 +17,9 @@ import (
 )
 
 // The pool invariant battery. A randomized concurrent workload (Get/Release,
-// readInto, writePage, InvalidateFile, Unregister) runs against a model kept
-// in plain Go maps, asserting the pool's contract the whole time:
+// readInto, whole- and partial-page write, InvalidateFile, Unregister) runs
+// against a model kept in plain Go maps, asserting the pool's contract the
+// whole time:
 //
 //   - the byte budget is never exceeded beyond what outstanding pins force;
 //   - a pinned frame's bytes never change (copy-on-write on writes);
@@ -27,7 +28,8 @@ import (
 //   - every pin is returned (PinnedFrames ends at 0) and the pool shrinks
 //     back to budget (OverflowPages ends at 0);
 //   - cache hits + physical reads add up to exactly the successful request
-//     count — the accounting the query planner's I/O attribution rests on.
+//     count — the accounting the query planner's I/O attribution rests on;
+//     a partial-page write is one request (it reads the page it patches).
 //
 // Failures reproduce from one line, like the differential oracle:
 //
@@ -49,40 +51,71 @@ func poolRepro(run string, ops int) string {
 		run, *poolSeed, ops)
 }
 
-// fillPropPage writes the deterministic content of (file, page, ver): the
-// version in the first 8 bytes, a splitmix stream keyed by all three after.
-// Any mix of two versions in one page fails verification — that is the torn-
-// read detector.
-func fillPropPage(buf []byte, file uint32, page, ver int64) {
-	binary.LittleEndian.PutUint64(buf, uint64(ver))
-	seed := uint64(file+1)*0x9E3779B97F4A7C15 ^ uint64(page)*0xBF58476D1CE4E5B9 ^ uint64(ver)*0x94D049BB133111EB
-	for i := 8; i < len(buf); i++ {
+// propSplit cuts a page into two parts, [0,propSplit) and [propSplit,size),
+// each versioned on its own so that a partial-page write has a committed
+// state to produce. The cut is deliberately unaligned.
+const propSplit = 24
+
+// propPart returns part h of a page buffer.
+func propPart(buf []byte, h int) []byte {
+	if h == 0 {
+		return buf[:propSplit]
+	}
+	return buf[propSplit:]
+}
+
+// fillPropPart writes the deterministic content of (file, page, part, ver):
+// the version in the first 8 bytes, a splitmix stream keyed by all four
+// after. Any mix of two versions in one part fails verification — that is the
+// torn-read detector.
+func fillPropPart(part []byte, file uint32, page int64, h int, ver int64) {
+	binary.LittleEndian.PutUint64(part, uint64(ver))
+	seed := uint64(file+1)*0x9E3779B97F4A7C15 ^ uint64(page)*0xBF58476D1CE4E5B9 ^ uint64(ver)*0x94D049BB133111EB ^ uint64(h)<<63
+	for i := 8; i < len(part); i++ {
 		x := seed + uint64(i)*0x2545F4914F6CDD1D
 		x ^= x >> 29
 		x *= 0xBF58476D1CE4E5B9
-		buf[i] = byte(x >> 56)
+		part[i] = byte(x >> 56)
 	}
 }
 
-// checkPropPage verifies buf is exactly one committed version of the page
+// fillPropPage writes both parts of a page at one version.
+func fillPropPage(buf []byte, file uint32, page, ver int64) {
+	for h := 0; h < 2; h++ {
+		fillPropPart(propPart(buf, h), file, page, h, ver)
+	}
+}
+
+// propVers reads the version each part of a page claims.
+func propVers(buf []byte) [2]int64 {
+	return [2]int64{
+		int64(binary.LittleEndian.Uint64(propPart(buf, 0))),
+		int64(binary.LittleEndian.Uint64(propPart(buf, 1))),
+	}
+}
+
+// checkPropPage verifies each part of buf is exactly one committed version
 // (whichever version its header claims), i.e. untorn.
 func checkPropPage(buf []byte, file uint32, page int64) error {
-	ver := int64(binary.LittleEndian.Uint64(buf))
-	want := make([]byte, len(buf))
-	fillPropPage(want, file, page, ver)
-	if !bytes.Equal(buf, want) {
-		return fmt.Errorf("file %d page %d: torn or corrupt content (header claims ver %d)", file, page, ver)
+	vers := propVers(buf)
+	for h := 0; h < 2; h++ {
+		part := propPart(buf, h)
+		want := make([]byte, len(part))
+		fillPropPart(want, file, page, h, vers[h])
+		if !bytes.Equal(part, want) {
+			return fmt.Errorf("file %d page %d part %d: torn or corrupt content (header claims ver %d)", file, page, h, vers[h])
+		}
 	}
 	return nil
 }
 
-// propModel is the reference state: the committed version of every page,
-// guarded per page so writers serialize with the verified-read op without
-// serializing the whole workload.
+// propModel is the reference state: the committed version of both parts of
+// every page, guarded per page so writers serialize with the verified-read op
+// without serializing the whole workload.
 type propModel struct {
 	pages [propFiles][propPages]struct {
 		mu  sync.Mutex
-		ver int64
+		ver [2]int64
 	}
 }
 
@@ -145,7 +178,8 @@ func runPoolProp(t *testing.T, cfg poolPropConfig) {
 
 	var (
 		fail     firstErr
-		requests atomic.Int64 // successful Get/readInto calls
+		requests atomic.Int64 // successful Get/readInto/partial-write calls
+		unsure   atomic.Int64 // failed partial writes: the page request may have been counted
 		done     = make(chan struct{})
 		deadline time.Time
 	)
@@ -230,19 +264,36 @@ func runPoolProp(t *testing.T, cfg poolPropConfig) {
 				if err := checkPropPage(scratch, uint32(f), pg); err != nil {
 					return fmt.Errorf("op %d: %v", op, err)
 				}
-			case c < 80: // write next version
+			case c < 72: // write the next version of the whole page
 				slot := &model.pages[f][pg]
 				slot.mu.Lock()
-				next := slot.ver + 1
+				next := max(slot.ver[0], slot.ver[1]) + 1
 				data := make([]byte, propPageSize)
 				fillPropPage(data, uint32(f), pg, next)
-				err := p.writePage(ids[f], pg, data)
+				err := p.write(ids[f], pg, 0, data)
 				if err == nil {
-					slot.ver = next
+					slot.ver = [2]int64{next, next}
 				}
 				slot.mu.Unlock()
 				if err != nil && !(cfg.faults && errors.Is(err, ErrInjected)) {
-					return fmt.Errorf("op %d writePage(%d,%d): %v", op, f, pg, err)
+					return fmt.Errorf("op %d write(%d,%d): %v", op, f, pg, err)
+				}
+			case c < 80: // patch the next version of one part over the resident page
+				h := c & 1
+				slot := &model.pages[f][pg]
+				slot.mu.Lock()
+				part := propPart(make([]byte, propPageSize), h)
+				fillPropPart(part, uint32(f), pg, h, slot.ver[h]+1)
+				err := p.write(ids[f], pg, h*propSplit, part)
+				if err == nil {
+					slot.ver[h]++
+					requests.Add(1)
+				} else {
+					unsure.Add(1)
+				}
+				slot.mu.Unlock()
+				if err != nil && !(cfg.faults && errors.Is(err, ErrInjected)) {
+					return fmt.Errorf("op %d partial write(%d,%d,%d): %v", op, f, pg, h, err)
 				}
 			case c < 95: // read-your-writes: under the page lock, the exact model version
 				slot := &model.pages[f][pg]
@@ -250,8 +301,8 @@ func runPoolProp(t *testing.T, cfg poolPropConfig) {
 				fr, err := p.Get(ids[f], pg)
 				if err == nil {
 					requests.Add(1)
-					if got := int64(binary.LittleEndian.Uint64(fr.Data())); got != slot.ver {
-						err = fmt.Errorf("op %d: file %d page %d served ver %d, model has %d", op, f, pg, got, slot.ver)
+					if got := propVers(fr.Data()); got != slot.ver {
+						err = fmt.Errorf("op %d: file %d page %d served ver %v, model has %v", op, f, pg, got, slot.ver)
 						fr.Release()
 						slot.mu.Unlock()
 						return err
@@ -303,9 +354,11 @@ func runPoolProp(t *testing.T, cfg poolPropConfig) {
 		t.Fatalf("quiesced pool holds %d pages, budget %d\n  %s", n, p.CapPages(), poolRepro(cfg.run, ops))
 	}
 	snap := p.Stats().Snapshot()
-	if snap.CacheHits+snap.PhysReads != requests.Load() {
-		t.Fatalf("accounting drift: %d hits + %d physical reads != %d successful requests\n  %s",
-			snap.CacheHits, snap.PhysReads, requests.Load(), poolRepro(cfg.run, ops))
+	// A partial write whose device write failed has already made its page
+	// request; only the fault runs have any.
+	if got, lo := snap.CacheHits+snap.PhysReads, requests.Load(); got < lo || got > lo+unsure.Load() {
+		t.Fatalf("accounting drift: %d hits + %d physical reads, %d successful requests (+%d failed partial writes)\n  %s",
+			snap.CacheHits, snap.PhysReads, lo, unsure.Load(), poolRepro(cfg.run, ops))
 	}
 	if snap.SeqReads+snap.NearReads+snap.RandReads != snap.PhysReads {
 		t.Fatalf("read classes sum to %d, physical reads %d\n  %s",
@@ -319,10 +372,10 @@ func runPoolProp(t *testing.T, cfg poolPropConfig) {
 			if err != nil {
 				t.Fatalf("final verify Get(%d,%d): %v\n  %s", f, pg, err, poolRepro(cfg.run, ops))
 			}
-			got := int64(binary.LittleEndian.Uint64(fr.Data()))
+			got := propVers(fr.Data())
 			if want := model.pages[f][pg].ver; got != want {
 				fr.Release()
-				t.Fatalf("final verify: file %d page %d at ver %d, model committed %d\n  %s",
+				t.Fatalf("final verify: file %d page %d at ver %v, model committed %v\n  %s",
 					f, pg, got, want, poolRepro(cfg.run, ops))
 			}
 			if err := checkPropPage(fr.Data(), uint32(f), pg); err != nil {
@@ -519,7 +572,7 @@ func TestPoolWriteCopyOnWrite(t *testing.T) {
 	snapshot := append([]byte(nil), fr.Data()...)
 
 	neu := bytes.Repeat([]byte{0x22}, 64)
-	if err := p.writePage(id, 0, neu); err != nil {
+	if err := p.write(id, 0, 0, neu); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(fr.Data(), snapshot) {
@@ -545,7 +598,7 @@ func TestPoolWriteCopyOnWrite(t *testing.T) {
 	// Unpinned in-place update: no new frame, no device read.
 	fr2.Release()
 	neu2 := bytes.Repeat([]byte{0x33}, 64)
-	if err := p.writePage(id, 0, neu2); err != nil {
+	if err := p.write(id, 0, 0, neu2); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(fr2.Data(), neu2) {
@@ -561,6 +614,122 @@ func TestPoolWriteCopyOnWrite(t *testing.T) {
 	}
 	if got := p.Stats().Snapshot().PhysReads; got != readsAfterCOW {
 		t.Fatalf("in-place write path touched the device for reads: %d -> %d", readsAfterCOW, got)
+	}
+}
+
+// TestPoolPartialWrite pins the sub-page write rules: the page is patched
+// over the resident frame (loaded first on a miss, one request either way),
+// the device gets the whole patched page before the cache changes, a pinned
+// frame is replaced instead of patched, and a resident unpinned page costs no
+// allocation.
+func TestPoolPartialWrite(t *testing.T) {
+	mem := NewMemDevice()
+	if _, err := mem.WriteAt(bytes.Repeat([]byte{0x11}, 128), 0); err != nil {
+		t.Fatal(err)
+	}
+	fd := NewFaultDevice(mem, -1)
+	p := NewPoolShards(64, 64*4, 1)
+	id := p.Register(fd)
+	want := bytes.Repeat([]byte{0x11}, 64)
+	devPage := func() []byte {
+		b := make([]byte, 64)
+		mem.ReadAt(b, 0)
+		return b
+	}
+	cached := func() []byte {
+		t.Helper()
+		before := p.Stats().Snapshot().PhysReads
+		fr, err := p.Get(id, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fr.Release()
+		if p.Stats().Snapshot().PhysReads != before {
+			t.Fatal("page 0 was not resident")
+		}
+		return append([]byte(nil), fr.Data()...)
+	}
+
+	// Miss: one physical read, one physical write of the whole patched page.
+	copy(want[8:], bytes.Repeat([]byte{0x22}, 16))
+	if err := p.write(id, 0, 8, want[8:24]); err != nil {
+		t.Fatal(err)
+	}
+	if s := p.Stats().Snapshot(); s.PhysReads != 1 || s.CacheHits != 0 || s.PhysWrites != 1 {
+		t.Fatalf("partial write on a miss: %+v, want 1 read, 0 hits, 1 write", s)
+	}
+	if !bytes.Equal(devPage(), want) || !bytes.Equal(cached(), want) {
+		t.Fatal("partial write on a miss: device or cache does not hold the patched page")
+	}
+
+	// Hit, unpinned: patched in place, no read, no allocation.
+	before := p.Stats().Snapshot()
+	copy(want[40:], bytes.Repeat([]byte{0x33}, 8))
+	if n := testing.AllocsPerRun(10, func() {
+		if err := p.write(id, 0, 40, want[40:48]); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("partial write to a resident page allocates %v times", n)
+	}
+	if d := p.Stats().Snapshot().Sub(before); d.PhysReads != 0 || d.CacheHits != d.PhysWrites {
+		t.Fatalf("partial writes on a hit: %+v, want one hit per write and no read", d)
+	}
+	if !bytes.Equal(devPage(), want) || !bytes.Equal(cached(), want) {
+		t.Fatal("partial write on a hit: device or cache does not hold the patched page")
+	}
+
+	// Pinned: the snapshot stays, the next reader sees old bytes + patch.
+	fr, err := p.Get(id, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshot := append([]byte(nil), fr.Data()...)
+	copy(want[60:], []byte{0x44, 0x44, 0x44, 0x44})
+	if err := p.write(id, 0, 60, want[60:]); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fr.Data(), snapshot) {
+		t.Fatal("partial write mutated a pinned frame in place")
+	}
+	if p.OverflowPages() != 1 {
+		t.Fatalf("detached frame not counted: OverflowPages=%d, want 1", p.OverflowPages())
+	}
+	if !bytes.Equal(devPage(), want) || !bytes.Equal(cached(), want) {
+		t.Fatal("partial write under a pin: device or cache does not hold the patched page")
+	}
+	fr.Release()
+	if p.OverflowPages() != 0 || p.PinnedFrames() != 0 {
+		t.Fatalf("after release: overflow %d, pinned %d", p.OverflowPages(), p.PinnedFrames())
+	}
+
+	// A failed device write — clean or torn — leaves the cache untouched.
+	for _, torn := range []bool{false, true} {
+		fd.Reset(0)
+		fd.SetTornWrites(torn)
+		if err := p.write(id, 0, 0, bytes.Repeat([]byte{0x55}, 48)); !errors.Is(err, ErrInjected) {
+			t.Fatalf("torn=%v: err=%v, want ErrInjected", torn, err)
+		}
+		if !bytes.Equal(cached(), want) {
+			t.Fatalf("torn=%v: failed partial write changed the cached page", torn)
+		}
+		if got := devPage(); torn == bytes.Equal(got, want) {
+			t.Fatalf("torn=%v: device page %x", torn, got)
+		}
+	}
+
+	// A failed load on a miss changes nothing at all.
+	fd.Reset(0)
+	fd.SetTornWrites(false)
+	before, resident := p.Stats().Snapshot(), p.CachedPages()
+	if err := p.write(id, 1, 4, []byte{1, 2, 3}); !errors.Is(err, ErrInjected) {
+		t.Fatalf("partial write over an unreadable page: err=%v, want ErrInjected", err)
+	}
+	if after := p.Stats().Snapshot(); after != before || p.CachedPages() != resident {
+		t.Fatalf("failed load moved counters or residency: %+v -> %+v", before, after)
+	}
+	if err := p.write(id, 0, 60, make([]byte, 5)); err == nil {
+		t.Fatal("write past the page end accepted")
 	}
 }
 

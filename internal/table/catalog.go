@@ -101,7 +101,7 @@ func (c *Catalog) NumAttrs() int {
 }
 
 // noteValue folds one defined value into the statistics (sign=+1 on insert,
-// −1 on delete). Numeric deletes do not shrink the domain; Rebuild does.
+// −1 on delete).
 func (c *Catalog) noteValue(id model.AttrID, v model.Value, sign int64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -112,38 +112,45 @@ func (c *Catalog) noteValue(id model.AttrID, v model.Value, sign int64) error {
 	if a.Kind != v.Kind {
 		return fmt.Errorf("table: attribute %q is %v, value is %v", a.Name, a.Kind, v.Kind)
 	}
+	a.note(int64(len(v.Strs)), v.Num, sign)
+	return nil
+}
+
+// note folds one value of the entry's kind — nstr strings, or the number
+// num — into its statistics. Numeric deletes do not shrink the domain;
+// Rebuild does.
+func (a *AttrInfo) note(nstr int64, num float64, sign int64) {
 	a.DF += sign
-	switch v.Kind {
+	switch a.Kind {
 	case model.KindText:
-		a.Str += sign * int64(len(v.Strs))
-		if sign > 0 && int64(len(v.Strs)) > a.MaxStrs {
-			a.MaxStrs = int64(len(v.Strs))
+		a.Str += sign * nstr
+		if sign > 0 && nstr > a.MaxStrs {
+			a.MaxStrs = nstr
 		}
 	case model.KindNumeric:
 		if sign > 0 {
 			if !a.HasDomain {
-				a.HasDomain, a.Min, a.Max = true, v.Num, v.Num
+				a.HasDomain, a.Min, a.Max = true, num, num
 			} else {
-				if v.Num < a.Min {
-					a.Min = v.Num
+				if num < a.Min {
+					a.Min = num
 				}
-				if v.Num > a.Max {
-					a.Max = v.Num
+				if num > a.Max {
+					a.Max = num
 				}
 			}
 		}
 	}
-	return nil
 }
 
-// ResetStats zeroes DF/Str/domain for every attribute (used by Rebuild
-// before re-inserting live tuples).
-func (c *Catalog) ResetStats() {
+// setStats replaces the statistics of the first len(stats) attributes (a
+// rebuild's count of what survived it); names and kinds stay.
+func (c *Catalog) setStats(stats []AttrInfo) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for i := range c.attrs {
-		c.attrs[i].DF, c.attrs[i].Str, c.attrs[i].MaxStrs = 0, 0, 0
-		c.attrs[i].HasDomain, c.attrs[i].Min, c.attrs[i].Max = false, 0, 0
+	for i, st := range stats {
+		st.Name, st.Kind = c.attrs[i].Name, c.attrs[i].Kind
+		c.attrs[i] = st
 	}
 }
 

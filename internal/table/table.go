@@ -34,6 +34,10 @@ type Table struct {
 	// crcStart is the watermark from which records carry a CRC32C trailer. It
 	// is fixed when the table is created or opened, so readers need no lock.
 	crcStart int64
+
+	// rebuilt holds the statistics Rebuild counted over this table's records
+	// until PublishStats hands them to the catalog; nil otherwise.
+	rebuilt []AttrInfo
 }
 
 const (
@@ -46,6 +50,11 @@ const (
 	flagRecordCRC = 1 << 0
 
 	recordTrailerLen = 4
+
+	// rebuildChunk is how many bytes of records Rebuild gathers before
+	// writing them: a page reaches the device once (twice where two chunks
+	// meet) instead of once per record in it.
+	rebuildChunk = 256 << 10
 )
 
 // New creates an empty table over f. Existing file contents are discarded.
@@ -115,6 +124,32 @@ func (t *Table) Sync() error {
 
 // Catalog returns the table's catalog.
 func (t *Table) Catalog() *Catalog { return t.cat }
+
+// Attrs returns the catalog entries describing this table's records, indexed
+// by AttrID: the catalog's own, or — for a table Rebuild has written and
+// nobody has published yet — the catalog's names with the statistics of the
+// rebuilt records.
+func (t *Table) Attrs() []AttrInfo {
+	t.mu.Lock()
+	rebuilt := t.rebuilt
+	t.mu.Unlock()
+	infos := t.cat.Attrs()
+	copy(infos, rebuilt) // attributes registered since then have no records yet
+	return infos
+}
+
+// PublishStats commits a rebuild: the statistics of the rebuilt records
+// replace the catalog's. The caller does it once the new table (and the index
+// built over it) takes over from the old one, and before writing to it.
+func (t *Table) PublishStats() {
+	t.mu.Lock()
+	rebuilt := t.rebuilt
+	t.rebuilt = nil
+	t.mu.Unlock()
+	if rebuilt != nil {
+		t.cat.setStats(rebuilt)
+	}
+}
 
 // Live returns the number of live tuples (|T| in the paper).
 func (t *Table) Live() int64 {
@@ -450,10 +485,11 @@ func (t *Table) Fetch(ptr int64) (*model.Tuple, error) {
 	return decodeRecord(r.Body)
 }
 
-// Scan iterates every record in file order (including records of deleted
-// tuples; the caller filters with its tombstone set). Scanning is sequential
-// and does not count as random table accesses.
-func (t *Table) Scan(fn func(ptr int64, tp *model.Tuple) error) error {
+// ScanRecords iterates the verified body of every record in file order
+// (including records of deleted tuples; the caller filters with its tombstone
+// set). body is valid until fn returns. Scanning is sequential and does not
+// count as random table accesses.
+func (t *Table) ScanRecords(fn func(ptr int64, body []byte) error) error {
 	t.mu.Lock()
 	end := t.dataEnd
 	t.mu.Unlock()
@@ -462,15 +498,22 @@ func (t *Table) Scan(fn func(ptr int64, tp *model.Tuple) error) error {
 		if err := t.read(ptr, &r); err != nil {
 			return err
 		}
-		tp, err := decodeRecord(r.Body)
-		if err != nil {
-			return err
-		}
-		if err := fn(ptr, tp); err != nil {
+		if err := fn(ptr, r.Body); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// Scan is ScanRecords with every record decoded into a tuple.
+func (t *Table) Scan(fn func(ptr int64, tp *model.Tuple) error) error {
+	return t.ScanRecords(func(ptr int64, body []byte) error {
+		tp, err := decodeRecord(body)
+		if err != nil {
+			return err
+		}
+		return fn(ptr, tp)
+	})
 }
 
 // ScrubReport summarizes a table checksum sweep.
@@ -479,7 +522,7 @@ type ScrubReport struct {
 	Covered int // records carrying a CRC32C trailer
 	Legacy  int // pre-v4 records with no trailer (unverifiable)
 	Corrupt int // records whose trailer or structure failed verification
-	// Problems holds one message per corrupt record (capped at 50).
+	// Problems holds the message of the corrupt record, if any.
 	Problems []string
 }
 
@@ -495,26 +538,13 @@ func (t *Table) Scrub() ScrubReport { return t.ScrubYield(nil) }
 // swept record, letting a background scrubber time-slice and I/O-throttle
 // the sweep (see the iva package's scrub scheduler).
 func (t *Table) ScrubYield(yield func()) ScrubReport {
-	t.mu.Lock()
-	end := t.dataEnd
-	crcStart := t.crcStart
-	t.mu.Unlock()
 	var rep ScrubReport
-	var r Record
-	for ptr := int64(headerSize); ptr < end; ptr = r.next {
-		err := t.read(ptr, &r)
-		if err == nil {
-			_, err = decodeRecord(r.Body)
-		}
-		if err != nil {
-			rep.Corrupt++
-			if len(rep.Problems) < 50 {
-				rep.Problems = append(rep.Problems, err.Error())
-			}
-			return rep
+	err := t.ScanRecords(func(ptr int64, body []byte) error {
+		if _, err := decodeRecord(body); err != nil {
+			return err
 		}
 		rep.Records++
-		if ptr >= crcStart {
+		if ptr >= t.crcStart {
 			rep.Covered++
 		} else {
 			rep.Legacy++
@@ -522,47 +552,80 @@ func (t *Table) ScrubYield(yield func()) ScrubReport {
 		if yield != nil {
 			yield()
 		}
+		return nil
+	})
+	if err != nil {
+		rep.Corrupt++
+		rep.Problems = append(rep.Problems, err.Error())
 	}
 	return rep
 }
 
 // Rebuild rewrites the table into dst keeping only tuples for which keep
-// returns true, preserving tids, and returns the new table plus the mapping
-// tid → new ptr. Catalog statistics (including numeric relative domains) are
-// recomputed from the surviving data, as §III-C and §IV-B prescribe.
-func (t *Table) Rebuild(dst *storage.File, keep func(model.TID) bool) (*Table, map[model.TID]int64, error) {
-	t.cat.ResetStats()
+// returns true, preserving tids. Each surviving record is copied as its
+// verified bytes — length word and body as they are, the trailer recomputed
+// for the new offset — so the new file is what re-inserting the survivors
+// would have written. Their statistics (including numeric relative domains,
+// as §III-C and §IV-B prescribe) are counted from the same bytes into the new
+// table, not into the catalog the two tables share: the old table keeps
+// serving under the catalog as it is until the caller commits the rebuild
+// with PublishStats, and a failed rebuild leaves no trace in it.
+func (t *Table) Rebuild(dst *storage.File, keep func(model.TID) bool) (*Table, error) {
 	nt, err := New(dst, t.cat)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	ptrs := make(map[model.TID]int64)
-	maxTID := model.TID(0)
-	err = t.Scan(func(_ int64, tp *model.Tuple) error {
-		if !keep(tp.TID) {
-			return nil
+	stats := t.cat.Attrs()
+	for i := range stats {
+		stats[i] = AttrInfo{Name: stats[i].Name, Kind: stats[i].Kind}
+	}
+	chunk, chunkOff := make([]byte, 0, rebuildChunk), nt.dataEnd
+	flush := func() error {
+		err := dst.WriteAt(chunk, chunkOff)
+		chunk, chunkOff = chunk[:0], nt.dataEnd
+		return err
+	}
+	var f Field
+	err = t.ScanRecords(func(ptr int64, body []byte) error {
+		w := Walk(body)
+		if w.err != nil || !keep(w.TID) {
+			return w.err
 		}
-		ptr, err := nt.AppendWithTID(tp.TID, tp.Values)
-		if err != nil {
-			return err
+		for w.Next(&f) {
+			if int(f.Attr) >= len(stats) || stats[f.Attr].Kind != f.Kind {
+				return fmt.Errorf("table: record %d at %d: attribute %d is not a %v attribute of the catalog", w.TID, ptr, f.Attr, f.Kind)
+			}
+			stats[f.Attr].note(int64(f.NStr), f.Num, +1)
 		}
-		ptrs[tp.TID] = ptr
-		if tp.TID > maxTID {
-			maxTID = tp.TID
+		if w.err != nil {
+			return w.err
 		}
+		if len(chunk)+4+len(body)+recordTrailerLen > rebuildChunk && len(chunk) > 0 {
+			if err := flush(); err != nil {
+				return err
+			}
+		}
+		start := len(chunk)
+		chunk = binary.LittleEndian.AppendUint32(chunk, uint32(len(body)))
+		chunk = append(chunk, body...)
+		chunk = binary.LittleEndian.AppendUint32(chunk, recordCRC(chunk[start:], nt.dataEnd))
+		nt.dataEnd = chunkOff + int64(len(chunk))
+		nt.total++
+		nt.nextTID = max(nt.nextTID, w.TID+1)
 		return nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
+	if err := flush(); err != nil {
+		return nil, err
+	}
+	nt.live = nt.total
 	// Keep the id space monotone across rebuilds.
-	nt.mu.Lock()
-	if t.nextTID > nt.nextTID {
-		nt.nextTID = t.nextTID
-	}
-	nt.mu.Unlock()
+	nt.nextTID = max(nt.nextTID, t.NextTID())
+	nt.rebuilt = stats
 	if err := nt.Sync(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return nt, ptrs, nil
+	return nt, nil
 }

@@ -289,7 +289,8 @@ func TestRebuildDropsDeleted(t *testing.T) {
 	for tid := range deleted {
 		tb.NoteDelete(map[model.AttrID]model.Value{a: model.Num(float64(tid))})
 	}
-	nt, ptrs, err := tb.Rebuild(storage.NewFile(pool, storage.NewMemDevice()),
+	before, _ := cat.Info(a)
+	nt, err := tb.Rebuild(storage.NewFile(pool, storage.NewMemDevice()),
 		func(tid model.TID) bool { return !deleted[tid] })
 	if err != nil {
 		t.Fatal(err)
@@ -300,18 +301,33 @@ func TestRebuildDropsDeleted(t *testing.T) {
 	if nt.NextTID() != 20 {
 		t.Fatalf("rebuilt nextTID = %d, want 20", nt.NextTID())
 	}
-	for tid, ptr := range ptrs {
+	seen := 0
+	err = nt.Scan(func(ptr int64, tp *model.Tuple) error {
+		seen++
 		got, err := nt.Fetch(ptr)
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
-		if got.TID != tid {
-			t.Fatalf("ptr map wrong: fetched %d via %d's ptr", got.TID, tid)
+		if deleted[tp.TID] || got.TID != tp.TID {
+			t.Fatalf("rebuilt table holds tid %d (fetched %d)", tp.TID, got.TID)
 		}
-		if v, _ := got.Get(a); v.Num != float64(tid) {
-			t.Fatalf("tid %d value %v", tid, v.Num)
+		if v, _ := got.Get(a); v.Num != float64(tp.TID) {
+			t.Fatalf("tid %d value %v", tp.TID, v.Num)
 		}
+		return nil
+	})
+	if err != nil || seen != 20-len(deleted) {
+		t.Fatalf("rebuilt scan: %d records, err %v", seen, err)
 	}
+	// The survivors' statistics are the new table's until published: the
+	// catalog the old table still serves under has not moved.
+	if info, _ := cat.Info(a); info != before {
+		t.Fatalf("Rebuild touched the shared catalog: %+v -> %+v", before, info)
+	}
+	if info := nt.Attrs()[a]; info.DF != int64(20-len(deleted)) || info.Min == 0 {
+		t.Fatalf("rebuilt table's statistics: %+v", info)
+	}
+	nt.PublishStats()
 	// Catalog domain recomputed over survivors only.
 	info, _ := cat.Info(a)
 	if info.DF != int64(20-len(deleted)) {

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -89,128 +91,157 @@ func TestGrowthRebuildSearchRace(t *testing.T) {
 }
 
 // TestGrowthRebuildCrashSweep kills a growth rebuild at every I/O operation
-// budget (a FaultDevice under the rebuild's ".new" files, torn writes on
-// odd budgets) and requires the reopened store to land on a consistent
+// budget (a FaultDevice under the rebuild's ".new" files, each budget once
+// with the tripping write failing whole and once with it torn) and requires the reopened store to land on a consistent
 // generation: Open succeeds, a scrub is clean, and every previously synced
-// row is intact.
+// row is intact. A crashed process runs no error path, so what the failed
+// rebuild's cleanup removes is put back before the reopen: the hook keeps a
+// hard link to each ".new" file, and the reopened store finds them exactly as
+// the crash would have left them.
 func TestGrowthRebuildCrashSweep(t *testing.T) {
-	type faultSet struct {
-		mu     sync.Mutex
-		budget int64
-		torn   bool
-		devs   []*storage.FaultDevice
-	}
 	// The growth bar is max(64, builtTuples*factor); with nothing built yet
 	// it sits at 64 live tuples. Seed just below it so the sweep's fault
 	// budget is consumed by exactly one rebuild, triggered on demand.
 	const seedRows = 60
-	completed := false
-	for budget := int64(1); !completed; budget = budget + 1 + budget/4 {
+	step := int64(1)
+	if testing.Short() {
+		step = 9
+	}
+	for budget, completed := int64(1), false; !completed; budget += step {
 		if budget > 100000 {
 			t.Fatal("rebuild still tripping at budget 100000; sweep cannot terminate")
 		}
-		fs := &faultSet{budget: budget, torn: budget%2 == 1}
-		opts := Options{
-			// The growth bar must stay put across the sweep: rebuild exactly
-			// when live reaches 2x the seeded build.
-			GrowthRebuildFactor: 2,
-			CleanThreshold:      1,
-			deviceHook: func(name string, dev storage.Device) storage.Device {
-				if !strings.HasSuffix(name, ".new") {
-					return dev
-				}
-				fd := storage.NewFaultDevice(dev, fs.budget)
-				fd.SetTornWrites(fs.torn)
-				fs.mu.Lock()
-				fs.devs = append(fs.devs, fd)
-				fs.mu.Unlock()
-				return fd
-			},
+		// Every budget is run twice: the tripping write fails whole, then torn.
+		for _, torn := range []bool{false, true} {
+			completed = growthRebuildCrash(t, seedRows, budget, torn)
 		}
-		dir := t.TempDir()
-		st, err := Create(dir, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(budget))
-		rows := make([]Row, 0, seedRows)
-		tids := make([]TID, 0, seedRows)
-		for i := 0; i < seedRows; i++ {
-			row := Row{
-				"num": Num(float64(rng.Intn(500))),
-				"cat": Strings(fmt.Sprintf("cat-%02d", rng.Intn(12))),
-			}
-			tid, err := st.Insert(row)
-			if err != nil {
-				t.Fatalf("budget %d: seed insert: %v", budget, err)
-			}
-			rows, tids = append(rows, row), append(tids, tid)
-		}
-		if err := st.Sync(); err != nil {
-			t.Fatalf("budget %d: seed sync: %v", budget, err)
-		}
-
-		// Insert past the growth bar: the rebuild fires and runs into the
-		// fault budget. Unsynced inserts may vanish in the crash — only the
-		// synced prefix is owed.
-		var rebuildErr error
-		for i := 0; i < seedRows*2 && rebuildErr == nil; i++ {
-			_, rebuildErr = st.Insert(Row{
-				"num": Num(float64(rng.Intn(500))),
-				"cat": Strings(fmt.Sprintf("cat-%02d", rng.Intn(12))),
-			})
-		}
-		fs.mu.Lock()
-		tripped := false
-		for _, d := range fs.devs {
-			tripped = tripped || d.Tripped()
-		}
-		nDevs := len(fs.devs)
-		fs.mu.Unlock()
-		if nDevs == 0 {
-			t.Fatalf("budget %d: growth rebuild never started", budget)
-		}
-		if !tripped {
-			// The whole rebuild fit in the budget: the sweep has covered
-			// every failure point. One last pass must have succeeded cleanly.
-			if rebuildErr != nil {
-				t.Fatalf("budget %d: no device tripped but insert failed: %v", budget, rebuildErr)
-			}
-			completed = true
-		} else if rebuildErr == nil {
-			t.Fatalf("budget %d: device tripped but the rebuild reported success", budget)
-		}
-
-		// Crash: abandon without Close, reopen without faults.
-		st = nil
-		re, err := Open(dir, Options{GrowthRebuildFactor: 1e9, CleanThreshold: 1})
-		if err != nil {
-			t.Fatalf("budget %d: reopen after mid-rebuild crash: %v", budget, err)
-		}
-		rep, err := re.Scrub()
-		if err != nil {
-			t.Fatalf("budget %d: scrub: %v", budget, err)
-		}
-		if !rep.Clean() {
-			t.Fatalf("budget %d: reopened store not clean: %v", budget, rep.Problems)
-		}
-		for i, tid := range tids {
-			got, err := re.Get(tid)
-			if err != nil {
-				t.Fatalf("budget %d: synced row %d lost after crash: %v", budget, tid, err)
-			}
-			if len(got) != len(rows[i]) {
-				t.Fatalf("budget %d: synced row %d came back with %d attrs, want %d", budget, tid, len(got), len(rows[i]))
-			}
-		}
-		// The reopened generation keeps working: a query and an insert both
-		// succeed.
-		if _, _, err := re.Search(NewQuery(5).WhereNum("num", 100)); err != nil {
-			t.Fatalf("budget %d: search on reopened store: %v", budget, err)
-		}
-		if _, err := re.Insert(Row{"num": Num(1)}); err != nil {
-			t.Fatalf("budget %d: insert on reopened store: %v", budget, err)
-		}
-		re.Close()
 	}
+}
+
+// growthRebuildCrash is one crash point of TestGrowthRebuildCrashSweep. It
+// reports whether the rebuild fit in the budget.
+func growthRebuildCrash(t *testing.T, seedRows int, budget int64, torn bool) (completed bool) {
+	var (
+		mu   sync.Mutex
+		devs []*storage.FaultDevice // the ".new" devices the hook wrapped
+	)
+	dir := t.TempDir()
+	opts := Options{
+		// The growth bar must stay put across the sweep: rebuild exactly
+		// when live reaches 2x the seeded build.
+		GrowthRebuildFactor: 2,
+		CleanThreshold:      1,
+		deviceHook: func(name string, dev storage.Device) storage.Device {
+			if !strings.HasSuffix(name, ".new") {
+				return dev
+			}
+			os.Remove(filepath.Join(dir, name+".crash")) // of an earlier rebuild of this run
+			if err := os.Link(filepath.Join(dir, name), filepath.Join(dir, name+".crash")); err != nil {
+				t.Errorf("budget %d: %v", budget, err)
+			}
+			fd := storage.NewFaultDevice(dev, budget)
+			fd.SetTornWrites(torn)
+			mu.Lock()
+			devs = append(devs, fd)
+			mu.Unlock()
+			return fd
+		},
+	}
+	st, err := Create(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(budget))
+	rows := make([]Row, 0, seedRows)
+	tids := make([]TID, 0, seedRows)
+	for i := 0; i < seedRows; i++ {
+		row := Row{
+			"num": Num(float64(rng.Intn(500))),
+			"cat": Strings(fmt.Sprintf("cat-%02d", rng.Intn(12))),
+		}
+		tid, err := st.Insert(row)
+		if err != nil {
+			t.Fatalf("budget %d: seed insert: %v", budget, err)
+		}
+		rows, tids = append(rows, row), append(tids, tid)
+	}
+	if err := st.Sync(); err != nil {
+		t.Fatalf("budget %d: seed sync: %v", budget, err)
+	}
+
+	// Insert past the growth bar: the rebuild fires and runs into the
+	// fault budget. Unsynced inserts may vanish in the crash — only the
+	// synced prefix is owed.
+	var rebuildErr error
+	for i := 0; i < seedRows*2 && rebuildErr == nil; i++ {
+		_, rebuildErr = st.Insert(Row{
+			"num": Num(float64(rng.Intn(500))),
+			"cat": Strings(fmt.Sprintf("cat-%02d", rng.Intn(12))),
+		})
+	}
+	mu.Lock()
+	tripped := false
+	for _, d := range devs {
+		tripped = tripped || d.Tripped()
+	}
+	nDevs := len(devs)
+	mu.Unlock()
+	if nDevs == 0 {
+		t.Fatalf("budget %d: growth rebuild never started", budget)
+	}
+	if !tripped {
+		// The whole rebuild fit in the budget: the sweep has covered
+		// every failure point. One last pass must have succeeded cleanly.
+		if rebuildErr != nil {
+			t.Fatalf("budget %d: no device tripped but insert failed: %v", budget, rebuildErr)
+		}
+		completed = true
+		t.Logf("sweep done: the rebuild uses fewer than %d device operations", budget)
+	} else if rebuildErr == nil {
+		t.Fatalf("budget %d: device tripped but the rebuild reported success", budget)
+	}
+
+	// Crash: abandon without Close, put back the ".new" files of a
+	// rebuild that did not finish, reopen without faults.
+	st = nil
+	if tripped {
+		for _, name := range []string{tableFileName + ".new", indexFileName + ".new"} {
+			if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
+				t.Fatalf("budget %d: failed rebuild left %s behind", budget, name)
+			}
+			if err := os.Rename(filepath.Join(dir, name+".crash"), filepath.Join(dir, name)); err != nil && !os.IsNotExist(err) {
+				t.Fatal(err)
+			}
+		}
+	}
+	re, err := Open(dir, Options{GrowthRebuildFactor: 1e9, CleanThreshold: 1})
+	if err != nil {
+		t.Fatalf("budget %d: reopen after mid-rebuild crash: %v", budget, err)
+	}
+	rep, err := re.Scrub()
+	if err != nil {
+		t.Fatalf("budget %d: scrub: %v", budget, err)
+	}
+	if !rep.Clean() {
+		t.Fatalf("budget %d: reopened store not clean: %v", budget, rep.Problems)
+	}
+	for i, tid := range tids {
+		got, err := re.Get(tid)
+		if err != nil {
+			t.Fatalf("budget %d: synced row %d lost after crash: %v", budget, tid, err)
+		}
+		if len(got) != len(rows[i]) {
+			t.Fatalf("budget %d: synced row %d came back with %d attrs, want %d", budget, tid, len(got), len(rows[i]))
+		}
+	}
+	// The reopened generation keeps working: a query and an insert both
+	// succeed.
+	if _, _, err := re.Search(NewQuery(5).WhereNum("num", 100)); err != nil {
+		t.Fatalf("budget %d: search on reopened store: %v", budget, err)
+	}
+	if _, err := re.Insert(Row{"num": Num(1)}); err != nil {
+		t.Fatalf("budget %d: insert on reopened store: %v", budget, err)
+	}
+	re.Close()
+	return completed
 }

@@ -303,6 +303,10 @@ func (s *Sharded) Stats() StoreStats {
 		agg.TableBytes += ss.TableBytes
 		agg.IndexBytes += ss.IndexBytes
 		agg.Rebuilds += ss.Rebuilds
+		agg.RebuildsBy.Clean += ss.RebuildsBy.Clean
+		agg.RebuildsBy.Growth += ss.RebuildsBy.Growth
+		agg.RebuildsBy.NeedsRebuild += ss.RebuildsBy.NeedsRebuild
+		agg.RebuildsBy.Explicit += ss.RebuildsBy.Explicit
 		agg.IO = agg.IO.Add(ss.IO)
 		if ss.Attributes > agg.Attributes {
 			agg.Attributes = ss.Attributes

@@ -184,7 +184,7 @@ type Store struct {
 	// exclusively for the swap.
 	engineMu sync.RWMutex
 
-	rebuilds    int64
+	rebuilds    [numRebuildCauses]int64
 	builtTuples int64 // live count at the last (re)build
 	tidHeadroom int64 // extra id-space hint for the next (re)build
 	closed      bool
@@ -237,7 +237,7 @@ type storeMetrics struct {
 	inserts     *obs.Counter
 	deletes     *obs.Counter
 	updates     *obs.Counter
-	rebuilds    *obs.Counter
+	rebuilds    [numRebuildCauses]*obs.Counter
 	scanned     *obs.Counter
 	accesses    *obs.Counter
 	corruptSegs *obs.Counter
@@ -286,7 +286,6 @@ func (s *Store) initObs() {
 		inserts:     s.reg.Counter("iva_inserts_total", "Tuples inserted.", labels),
 		deletes:     s.reg.Counter("iva_deletes_total", "Tuples deleted.", labels),
 		updates:     s.reg.Counter("iva_updates_total", "Tuples updated.", labels),
-		rebuilds:    s.reg.Counter("iva_rebuilds_total", "Table/index file rebuilds.", labels),
 		scanned:     s.reg.Counter("iva_query_scanned_tuples_total", "Tuple-list entries filtered across all queries.", labels),
 		accesses:    s.reg.Counter("iva_query_table_accesses_total", "Random table-file accesses across all queries.", labels),
 		corruptSegs: s.reg.Counter("iva_corrupt_segments_total", "Corrupt vector-list segments queries degraded past.", labels),
@@ -304,6 +303,10 @@ func (s *Store) initObs() {
 			obs.With(labels, "phase", "filter"), physReadBuckets),
 		refineReads: s.reg.Histogram("iva_query_phase_phys_reads", "Physical page reads per query, by phase.",
 			obs.With(labels, "phase", "refine"), physReadBuckets),
+	}
+	for c, name := range rebuildCauseNames {
+		s.om.rebuilds[c] = s.reg.Counter("iva_rebuilds_total", "Table/index file rebuilds, by what triggered them.",
+			obs.With(labels, "cause", name))
 	}
 
 	// Store-shape gauges read live under the engine lock at scrape time.
@@ -608,7 +611,7 @@ func (s *Store) Insert(row Row) (TID, error) {
 	defer s.mu.Unlock()
 	tid, err := s.ix.Insert(vals)
 	if err == core.ErrNeedsRebuild {
-		if err = s.rebuildLocked(); err != nil {
+		if err = s.rebuildLocked(rebuildNeeded); err != nil {
 			return 0, err
 		}
 		tid, err = s.ix.Insert(vals)
@@ -639,7 +642,7 @@ func (s *Store) maybeGrowthRebuild() error {
 	if float64(live) < bar {
 		return nil
 	}
-	return s.rebuildLocked()
+	return s.rebuildLocked(rebuildGrowth)
 }
 
 // InsertBatch stores several rows in one critical section — the bulk-feed
@@ -667,7 +670,7 @@ func (s *Store) InsertBatch(rows []Row) ([]TID, error) {
 		if s.tidHeadroom < 1024 {
 			s.tidHeadroom = 1024
 		}
-		rerr := s.rebuildLocked()
+		rerr := s.rebuildLocked(rebuildNeeded)
 		s.tidHeadroom = 0
 		if rerr != nil {
 			return nil, rerr
@@ -704,7 +707,7 @@ func (s *Store) Delete(tid TID) error {
 	}
 	s.om.deletes.Inc()
 	if s.opts.CleanThreshold > 0 && s.ix.DeletedFraction() >= s.opts.CleanThreshold {
-		return s.rebuildLocked()
+		return s.rebuildLocked(rebuildClean)
 	}
 	return nil
 }
@@ -728,7 +731,7 @@ func (s *Store) Update(tid TID, row Row) (TID, error) {
 	}
 	newTID, err := s.ix.Insert(vals)
 	if err == core.ErrNeedsRebuild {
-		if err = s.rebuildLocked(); err != nil {
+		if err = s.rebuildLocked(rebuildNeeded); err != nil {
 			return 0, err
 		}
 		newTID, err = s.ix.Insert(vals)
@@ -737,7 +740,7 @@ func (s *Store) Update(tid TID, row Row) (TID, error) {
 		return 0, err
 	}
 	if s.opts.CleanThreshold > 0 && s.ix.DeletedFraction() >= s.opts.CleanThreshold {
-		if err := s.rebuildLocked(); err != nil {
+		if err := s.rebuildLocked(rebuildClean); err != nil {
 			return 0, err
 		}
 	} else if err := s.maybeGrowthRebuild(); err != nil {
@@ -995,16 +998,52 @@ func (s *Store) Rebuild() error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.rebuildLocked()
+	return s.rebuildLocked(rebuildExplicit)
 }
 
-func (s *Store) rebuildLocked() error {
+// rebuildCause says what made the store rewrite its files; it is the cause
+// label of iva_rebuilds_total and the split in StoreStats.
+type rebuildCause int
+
+const (
+	rebuildClean    rebuildCause = iota // the deleted share reached β (§IV-B)
+	rebuildGrowth                       // the live count passed GrowthRebuildFactor × the last build's (§III-C)
+	rebuildNeeded                       // core.ErrNeedsRebuild: a packed width overflowed
+	rebuildExplicit                     // Store.Rebuild
+	numRebuildCauses
+)
+
+var rebuildCauseNames = [numRebuildCauses]string{"clean", "growth", "needs_rebuild", "explicit"}
+
+// dropNewFile undoes the opening of a ".new" file a failed rebuild leaves
+// behind: out of the pool, device closed, tracker forgotten, file removed.
+func (s *Store) dropNewFile(name string, f *storage.File) {
+	if f != nil {
+		f.Close()
+	}
+	s.trkMu.Lock()
+	delete(s.trackers, name)
+	s.trkMu.Unlock()
+	if s.dir != "" {
+		os.Remove(filepath.Join(s.dir, name)) // absent when the open itself failed
+	}
+}
+
+func (s *Store) rebuildLocked(cause rebuildCause) error {
+	var newTblFile, newIxFile *storage.File
+	swapped := false
+	defer func() {
+		if !swapped {
+			s.dropNewFile(tableFileName+".new", newTblFile)
+			s.dropNewFile(indexFileName+".new", newIxFile)
+		}
+	}()
 	newTblDev, err := s.device(tableFileName + ".new")
 	if err != nil {
 		return err
 	}
-	newTblFile := storage.NewFile(s.pool, newTblDev)
-	newTbl, _, err := s.tbl.Rebuild(newTblFile, func(tid model.TID) bool { return s.ix.Live(tid) })
+	newTblFile = storage.NewFile(s.pool, newTblDev)
+	newTbl, err := s.tbl.Rebuild(newTblFile, func(tid model.TID) bool { return s.ix.Live(tid) })
 	if err != nil {
 		return err
 	}
@@ -1012,7 +1051,7 @@ func (s *Store) rebuildLocked() error {
 	if err != nil {
 		return err
 	}
-	newIxFile := storage.NewFile(s.pool, newIxDev)
+	newIxFile = storage.NewFile(s.pool, newIxDev)
 	newIx, err := core.Build(newTbl, newIxFile, s.coreOptions())
 	if err != nil {
 		return err
@@ -1021,6 +1060,8 @@ func (s *Store) rebuildLocked() error {
 	// exclusive engine lock drains in-flight readers before the old files
 	// close under them.
 	s.engineMu.Lock()
+	swapped = true
+	newTbl.PublishStats()
 	oldTbl, oldIx := s.tblFile, s.ixFile
 	s.tbl, s.tblFile = newTbl, newTblFile
 	s.ix, s.ixFile = newIx, newIxFile
@@ -1054,8 +1095,8 @@ func (s *Store) rebuildLocked() error {
 	if s.replP != nil {
 		s.replInvalidateLocked()
 	}
-	s.rebuilds++
-	s.om.rebuilds.Inc()
+	s.rebuilds[cause]++
+	s.om.rebuilds[cause].Inc()
 	s.builtTuples = s.tbl.Live()
 	return nil
 }
@@ -1099,8 +1140,9 @@ type StoreStats struct {
 	Attributes int   // registered attributes
 	TableBytes int64
 	IndexBytes int64
-	Rebuilds   int64
-	IO         IOStats // buffer pool counters over the store's lifetime
+	Rebuilds   int64         // table/index file rebuilds, all causes
+	RebuildsBy RebuildCounts // the same, split by what triggered them
+	IO         IOStats       // buffer pool counters over the store's lifetime
 
 	// Zone-map shape and lifetime pruning effectiveness. ZoneSealed is the
 	// number of full stripes the index holds; ZoneKnown of them carry a
@@ -1115,19 +1157,31 @@ type StoreStats struct {
 	ZoneMapsOn  bool
 }
 
+// RebuildCounts splits a rebuild count by cause: the cleaning threshold β, the
+// growth factor, a packed width that overflowed (core.ErrNeedsRebuild), and
+// explicit Rebuild calls.
+type RebuildCounts struct {
+	Clean, Growth, NeedsRebuild, Explicit int64
+}
+
 // Stats returns current store statistics.
 func (s *Store) Stats() StoreStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	snap := s.pool.Stats().Snapshot()
 	known, sealed := s.ix.ZoneMapCoverage()
+	by := RebuildCounts{
+		Clean: s.rebuilds[rebuildClean], Growth: s.rebuilds[rebuildGrowth],
+		NeedsRebuild: s.rebuilds[rebuildNeeded], Explicit: s.rebuilds[rebuildExplicit],
+	}
 	return StoreStats{
 		Tuples:      s.tbl.Live(),
 		Deleted:     s.ix.Deleted(),
 		Attributes:  s.cat.NumAttrs(),
 		TableBytes:  s.tbl.Bytes(),
 		IndexBytes:  s.ix.SizeBytes(),
-		Rebuilds:    s.rebuilds,
+		Rebuilds:    by.Clean + by.Growth + by.NeedsRebuild + by.Explicit,
+		RebuildsBy:  by,
 		ZoneKnown:   known,
 		ZoneSealed:  sealed,
 		ZoneDropped: s.ix.DroppedZones(),
