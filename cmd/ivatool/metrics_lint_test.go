@@ -206,7 +206,7 @@ func TestMetricsLint(t *testing.T) {
 		t.Error(p)
 	}
 	// The telemetry families this PR adds must actually be in the scrape.
-	for _, want := range []string{"iva_scrub_sweeps_total", "iva_health_state", "iva_build_info", "iva_format_version",
+	for _, want := range []string{"iva_scrub_sweeps_total", "iva_health_state", "iva_build_info",
 		"iva_server_requests_total", "iva_server_shed_total"} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/metrics missing %s", want)

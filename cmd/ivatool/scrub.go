@@ -92,8 +92,6 @@ func persistScrub(dir string, rep *iva.ScrubReport) {
 	health := "ok"
 	if !rep.Clean() {
 		health = "damaged"
-	} else if rep.Legacy {
-		health = "degraded"
 	}
 	now := time.Now()
 	snap := iva.ScrubSnapshot{Time: now, Health: health}
@@ -113,11 +111,9 @@ func printScrub(rep *iva.ScrubReport) {
 	status := "ok"
 	if !rep.Clean() {
 		status = "fail"
-	} else if rep.Legacy {
-		status = "legacy" // clean, but pre-v4: nothing was verifiable
 	}
-	fmt.Printf("scrub: status=%s version=%d segments=%d corrupt=%d dirty=%d ckpts=%d ckpt_corrupt=%d ckpt_dropped=%d zones=%d zone_corrupt=%d zone_dropped=%d table_records=%d table_corrupt=%d superblock_ok=%v catalog_ok=%v problems=%d\n",
-		status, rep.FormatVersion, rep.IndexSegments, rep.CorruptIndexSegments,
+	fmt.Printf("scrub: status=%s segments=%d corrupt=%d dirty=%d ckpts=%d ckpt_corrupt=%d ckpt_dropped=%d zones=%d zone_corrupt=%d zone_dropped=%d table_records=%d table_corrupt=%d superblock_ok=%v catalog_ok=%v problems=%d\n",
+		status, rep.IndexSegments, rep.CorruptIndexSegments,
 		rep.DirtyIndexSegments, rep.Checkpoints, rep.CorruptCheckpoints,
 		rep.DroppedCheckpoints, rep.Zones, rep.CorruptZones, rep.DroppedZones,
 		rep.TableRecords, rep.CorruptTable,

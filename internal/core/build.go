@@ -57,12 +57,7 @@ func Build(tbl *table.Table, f *storage.File, opts Options) (*Index, error) {
 		ltid:     ltid,
 		entries:  make([]tupleEntry, 0, tbl.Total()),
 		posByTID: make(map[model.TID]int64, tbl.Total()),
-		// A fresh build writes the current format directly: Sync must not take
-		// its upgrade path (which would allocate a second checkpoint chain).
-		version:   indexVersion,
-		imode:     opts.Integrity,
-		crcChainA: storage.NoSegment,
-		crcChainB: storage.NoSegment,
+		imode:    opts.Integrity,
 	}
 	// Arm checksum tracking before any chain is written; the full-map flag
 	// makes Build's final Sync compute every covered segment's word.
@@ -231,6 +226,13 @@ func Build(tbl *table.Table, f *storage.File, opts Options) (*Index, error) {
 		if err := b.flush(); err != nil {
 			return nil, err
 		}
+	}
+	// The two checksum-map slots Sync ping-pongs between.
+	if ix.crcChainA, err = segs.Create(); err != nil {
+		return nil, err
+	}
+	if ix.crcChainB, err = segs.Create(); err != nil {
+		return nil, err
 	}
 	if err := ix.Sync(); err != nil {
 		return nil, err

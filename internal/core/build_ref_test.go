@@ -63,12 +63,7 @@ func referenceBuild(tbl *table.Table, f *storage.File, opts Options) (*Index, er
 		tbl:      tbl,
 		ltid:     ltid,
 		posByTID: make(map[model.TID]int64),
-		// A fresh build writes the current format directly: Sync must not take
-		// its upgrade path (which would allocate a second checkpoint chain).
-		version:   indexVersion,
-		imode:     opts.Integrity,
-		crcChainA: storage.NoSegment,
-		crcChainB: storage.NoSegment,
+		imode:    opts.Integrity,
 	}
 	// Arm checksum tracking before any chain is written; the full-map flag
 	// makes Build's final Sync compute every covered segment's word.
@@ -209,6 +204,12 @@ func referenceBuild(tbl *table.Table, f *storage.File, opts Options) (*Index, er
 			return nil, err
 		}
 	}
+	if ix.crcChainA, err = segs.Create(); err != nil {
+		return nil, err
+	}
+	if ix.crcChainB, err = segs.Create(); err != nil {
+		return nil, err
+	}
 	if err := ix.Sync(); err != nil {
 		return nil, err
 	}
@@ -240,8 +241,8 @@ func referenceAdd(b *listBuilder, tid model.TID, v model.Value) error {
 // table's exported API: every record decoded, the survivors re-encoded and
 // appended to a table over its own catalog (whose statistics those appends
 // count). The byte-level comparison of table.Rebuild with this — including a
-// dead tail and legacy records — lives in the table package; here it supplies
-// the reference pipeline's input.
+// dead tail — lives in the table package; here it supplies the reference
+// pipeline's input.
 func referenceCompact(t *testing.T, src *table.Table, dst *storage.File, keep func(model.TID) bool) *table.Table {
 	t.Helper()
 	cat := table.NewCatalog()

@@ -178,8 +178,8 @@ type AttrReport struct {
 	BitLen   int64
 	DF       int64
 	Str      int64
-	// Codec names the block codec the list is stored under (format v6);
-	// CodedBlocks is the number of sealed block containers it holds.
+	// Codec names the block codec the list is stored under; CodedBlocks is
+	// the number of sealed block containers it holds.
 	Codec       string
 	CodedBlocks int
 }

@@ -45,7 +45,8 @@ func (c checkpoint) attrOffset(a int) int64 {
 }
 
 // checkpointsEnabled reports whether this index records checkpoints (false
-// for indexes opened from a v1 file, until their next rebuild).
+// after checkpoint damage was degraded around at open or recordCheckpoint's
+// gap guard tripped, until the next rebuild).
 func (ix *Index) checkpointsEnabled() bool { return ix.ckptChain != storage.NoSegment }
 
 // recordCheckpoint appends the checkpoint for the stripe starting at the
@@ -86,13 +87,14 @@ func (ix *Index) currentAttrOffsets(extra func(a int) int64) []int64 {
 // Checkpoint chain layout (little-endian, byte-aligned):
 //
 //	u32 count
-//	count × record: u32 nattrs | nattrs × u64 attrOff | u32 crc   (v4)
+//	count × record: u32 nattrs | nattrs × u64 attrOff | u32 crc
 //
-// The per-record CRC32C trailer covers the record bytes folded with the
-// record's index, so a record that is bit-perfect but sitting at the wrong
-// position still fails verification. Trailers are deterministic, which keeps
-// the chain append-stable (old records re-serialize to identical bytes).
-// Pre-v4 chains carry no trailers; Sync migrates them to a fresh chain.
+// The count word is informational: it is rewritten ahead of the superblock
+// commit, so the authoritative count is the superblock's. The per-record
+// CRC32C trailer covers the record bytes folded with the record's index, so
+// a record that is bit-perfect but sitting at the wrong position still fails
+// verification. Trailers are deterministic, which keeps the chain
+// append-stable (old records re-serialize to identical bytes).
 const ckptTrailerLen = 4
 
 // ckptRecordCRC folds a serialized record (nattrs word + offsets) with its
@@ -128,27 +130,16 @@ func (ix *Index) writeCheckpoints() error {
 	return ix.segs.WriteAt(ix.ckptChain, buf, 0)
 }
 
-// readCheckpoints loads the checkpoint records. count is the committed
-// record count from a v3 superblock; pass -1 for older files, which keep the
-// count in the chain header. Either way the count is clamped to the stripes
-// the (committed) entry count implies: a torn pre-v3 sync, or a corrupt
-// file, can present a larger chain-header count, and the excess records
-// describe stripes beyond the synced prefix. Records inside the clamp are
-// trustworthy because the chain is append-stable — a rewrite re-serializes
-// old stripes to identical bytes at identical offsets.
+// readCheckpoints loads the count checkpoint records the superblock
+// committed. The count is clamped to the stripes the committed entry count
+// implies, bounding the pre-allocation below against hostile counts. Records
+// inside the count are the committed ones even after a torn Sync rewrote the
+// chain, because the chain is append-stable — a rewrite re-serializes old
+// stripes to identical bytes at identical offsets.
 func (ix *Index) readCheckpoints(count int) error {
 	if !ix.checkpointsEnabled() {
 		return nil
 	}
-	if count < 0 {
-		var hdr [4]byte
-		if err := ix.segs.ReadAt(ix.ckptChain, hdr[:], 0); err != nil {
-			return err
-		}
-		count = int(binary.LittleEndian.Uint32(hdr[:]))
-	}
-	// One checkpoint per reached stripe boundary; the clamp also bounds the
-	// pre-allocation below against hostile counts.
 	if maxCkpts := int64(len(ix.entries))/ix.ckptEvery + 1; int64(count) > maxCkpts {
 		count = int(maxCkpts)
 	}
@@ -161,27 +152,22 @@ func (ix *Index) readCheckpoints(count int) error {
 		}
 		nattrs := int(binary.LittleEndian.Uint32(nb[:]))
 		if nattrs > len(ix.attrs) {
-			if ix.version >= 4 {
-				// An implausible count in a v4 chain is corruption (the nattrs
-				// word is covered by the record trailer it ruins).
-				return ix.corruptCheckpoint(i, count)
-			}
-			return fmt.Errorf("core: checkpoint %d references %d attrs, index has %d", i, nattrs, len(ix.attrs))
+			// An implausible count is corruption (the nattrs word is covered
+			// by the record trailer it ruins).
+			return ix.corruptCheckpoint(i, count)
 		}
 		rec := make([]byte, 4+8*nattrs)
 		if err := ix.segs.ReadAt(ix.ckptChain, rec, off); err != nil {
 			return err
 		}
 		off += int64(len(rec))
-		if ix.version >= 4 {
-			var tr [ckptTrailerLen]byte
-			if err := ix.segs.ReadAt(ix.ckptChain, tr[:], off); err != nil {
-				return err
-			}
-			off += ckptTrailerLen
-			if binary.LittleEndian.Uint32(tr[:]) != ckptRecordCRC(rec, i) {
-				return ix.corruptCheckpoint(i, count)
-			}
+		var tr [ckptTrailerLen]byte
+		if err := ix.segs.ReadAt(ix.ckptChain, tr[:], off); err != nil {
+			return err
+		}
+		off += ckptTrailerLen
+		if binary.LittleEndian.Uint32(tr[:]) != ckptRecordCRC(rec, i) {
+			return ix.corruptCheckpoint(i, count)
 		}
 		offs := make([]int64, nattrs)
 		for a := 0; a < nattrs; a++ {

@@ -185,7 +185,7 @@ func TestCodecByteIdenticalSearch(t *testing.T) {
 
 // TestCodecTailAndReopen drives the straddling cases: inserts append to the
 // raw tail behind sealed blocks, deletes tombstone across both, and a
-// Sync+reopen (the v6 open path: attr codec bytes, block-directory walk)
+// Sync+reopen (the open path: attr codec bytes, block-directory walk)
 // must reproduce everything byte-identically.
 func TestCodecTailAndReopen(t *testing.T) {
 	p := buildCodecPair(t, 200)
@@ -365,11 +365,11 @@ func TestCodecDirBrokenDegrade(t *testing.T) {
 }
 
 // TestCodecTortureSweep reruns the bit-flip torture sweep over an index whose
-// vector lists are stored packed: flips land in v6 block headers and delta
+// vector lists are stored packed: flips land in block headers and delta
 // payloads, and the contract is unchanged — typed failure or the exact clean
 // answer, never silence.
 func TestCodecTortureSweep(t *testing.T) {
-	cf := buildCorruptionFixtureWith(t, Options{CheckpointEvery: 16, Codec: 1}, true)
+	cf := buildCorruptionFixtureWith(t, Options{CheckpointEvery: 16, Codec: 1}, true, 160)
 	if cf.packedAttrs == 0 {
 		t.Fatal("codec torture fixture packed no attribute")
 	}

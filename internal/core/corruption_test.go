@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"testing"
@@ -25,21 +26,22 @@ type corruptionFixture struct {
 	// checksum-covered segment.
 	committed map[int64]bool
 	// packedAttrs counts vector lists stored under a block codec, so sweeps
-	// that exist to torture v6 blocks can assert they are not vacuous.
+	// that exist to torture packed blocks can assert they are not vacuous.
 	packedAttrs int
 }
 
 func buildCorruptionFixture(t *testing.T) *corruptionFixture {
 	t.Helper()
-	return buildCorruptionFixtureWith(t, Options{CheckpointEvery: 16}, false)
+	return buildCorruptionFixtureWith(t, Options{CheckpointEvery: 16}, false, 160)
 }
 
 // buildCorruptionFixtureWith builds the fixture under explicit options, so
-// the sweep can rerun against packed vector lists (format v6 codec 1).
+// the sweep can rerun against packed vector lists (codec 1).
 // sparse switches to a low-density population: the cost-based layout chooser
 // only assigns the tid-bearing Types I/II — the ones the packed codec
 // applies to — when attributes are sparse enough to beat positional storage.
-func buildCorruptionFixtureWith(t *testing.T, opts Options, sparse bool) *corruptionFixture {
+// rows sizes the table (at CheckpointEvery 16 it needs at least 17 to stripe).
+func buildCorruptionFixtureWith(t *testing.T, opts Options, sparse bool, rows int) *corruptionFixture {
 	t.Helper()
 	cf := &corruptionFixture{
 		tblDev:    storage.NewMemDevice(),
@@ -69,7 +71,7 @@ func buildCorruptionFixtureWith(t *testing.T, opts Options, sparse bool) *corrup
 		// tortures packed blocks and a raw list side by side.
 		txtEvery = 11
 	}
-	for i := 0; i < 160; i++ {
+	for i := 0; i < rows; i++ {
 		vals := map[model.AttrID]model.Value{num: model.Num(float64(i%37) * 3)}
 		if i%txtEvery == 0 {
 			vals[txt] = model.Text(fmt.Sprintf("camera model %d", i%23))
@@ -261,9 +263,6 @@ func (cf *corruptionFixture) runOnce(t *testing.T, mode IntegrityMode, off int64
 	if err != nil {
 		return true
 	}
-	if rep.Legacy {
-		t.Fatalf("flip at %d: v4 store scrubbed as legacy", off)
-	}
 	return !rep.Clean()
 }
 
@@ -437,5 +436,48 @@ func TestMidBatchDegrade(t *testing.T) {
 		if n := pool.PinnedFrames(); n != 0 {
 			t.Fatalf("par=%d: degraded query leaked %d pins", par, n)
 		}
+	}
+}
+
+// TestCrossLinkedChainsRefused splices one vector list's chain into
+// another's by rewriting a segment's next pointer — the one index structure
+// no checksum covers. Every spliced-in segment still matches its own
+// checksum word, so nothing downstream could tell; the open must refuse the
+// file with a typed corruption error in both integrity modes.
+func TestCrossLinkedChainsRefused(t *testing.T) {
+	cf := buildCorruptionFixtureWith(t, Options{CheckpointEvery: 16, SegmentSize: 128}, false, 160)
+	ix, closeFiles := cf.open(t, storage.NewPool(0, 1<<20), Options{})
+	a, err := ix.segs.ChainSegments(ix.attrs[0].chain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := ix.segs.ChainSegments(ix.attrs[1].chain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a) < 3 || len(b) < 2 {
+		t.Fatalf("fixture chains too short to splice: %v %v", a, b)
+	}
+	at := ix.segs.SegmentOffset(a[1]) // its next pointer leads to a[2]
+	closeFiles()
+	var next [4]byte
+	binary.LittleEndian.PutUint32(next[:], uint32(b[1]))
+	if _, err := cf.idxDev.WriteAt(next[:], at); err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []IntegrityMode{IntegrityDegrade, IntegrityStrict} {
+		pool := storage.NewPool(0, 1<<20)
+		tblF, idxF := storage.NewFile(pool, cf.tblDev), storage.NewFile(pool, cf.idxDev)
+		tbl, err := table.Open(tblF, cf.cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = Open(idxF, tbl, Options{Integrity: mode})
+		var ce *storage.CorruptionError
+		if !errors.As(err, &ce) || ce.Segment != uint32(b[1]) {
+			t.Fatalf("mode=%v: open of cross-linked chains: %v, want a corruption error on segment %d", mode, err, b[1])
+		}
+		tblF.Close()
+		idxF.Close()
 	}
 }

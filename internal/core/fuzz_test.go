@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -18,14 +19,21 @@ import (
 // the head of the index device — superblock first, then segment metadata —
 // and re-opens it. Open must either fail with an error or hand back an index
 // whose accessors, Search and Check run without panicking or unbounded
-// allocation: a corrupt or hostile file may be rejected, never trusted.
+// allocation: a corrupt or hostile file may be rejected, never trusted. And
+// there is no checksum-free parse to steer into: whenever Open succeeds, the
+// superblock it read names the current version and carries a valid trailer.
 func FuzzSuperblock(f *testing.F) {
 	f.Add([]byte{0x00})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
-	// Version field (offset 4) raised past the supported range.
-	f.Add([]byte{'i', 'V', 'A', 'f', 0x7f, 0x00, 0x00, 0x00})
-	// Plausible magic with hostile counters behind it.
-	f.Add(append([]byte{'i', 'V', 'A', 'f', 0x03}, make([]byte, 90)...))
+	// A refused version behind the right magic (the committed corpus holds
+	// one seed per refused version).
+	f.Add([]byte{'F', 'A', 'V', 'i', 0x07, 0x00, 0x00, 0x00})
+	// The current version, hostile counters, and a trailer that vouches for
+	// them: past the gate and the checksum, into the field validation.
+	hostile := binary.LittleEndian.AppendUint32(nil, indexMagic)
+	hostile = binary.LittleEndian.AppendUint32(hostile, indexVersion)
+	hostile = append(hostile, bytes.Repeat([]byte{0xff}, sbCRCOff-len(hostile))...)
+	f.Add(binary.LittleEndian.AppendUint32(hostile, storage.Checksum(hostile)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 || len(data) > 4096 {
 			return
@@ -83,6 +91,16 @@ func FuzzSuperblock(f *testing.F) {
 		ix2, err := Open(idxF2, tbl2, Options{})
 		if err != nil {
 			return // graceful rejection is a correct outcome
+		}
+		var sb [sbCRCOff + 4]byte
+		if _, err := idxDev.ReadAt(sb[:], 0); err != nil {
+			t.Fatal(err)
+		}
+		if v := binary.LittleEndian.Uint32(sb[4:]); v != indexVersion {
+			t.Fatalf("Open accepted format version %d", v)
+		}
+		if storage.Checksum(sb[:sbCRCOff]) != binary.LittleEndian.Uint32(sb[sbCRCOff:]) {
+			t.Fatal("Open accepted a superblock whose trailer does not verify")
 		}
 		// The corruption happened to parse: every read path must still be
 		// panic-free. Errors are acceptable, wrong-but-clean results are

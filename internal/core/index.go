@@ -76,12 +76,12 @@ type Options struct {
 	// IntegrityDegrade (default) widens corrupt vector segments to zero
 	// lower bounds, IntegrityStrict fails fast.
 	Integrity IntegrityMode
-	// Codec selects the block codec for vector lists built by Build/Rebuild
-	// (format v6): 0 stores the raw bit-packed streams byte-compatible with
-	// v5; 1 packs sealed stripes into word-aligned blocks with skip headers
-	// and delta-coded tuple-id gaps. Results are byte-identical either way
-	// — the codec changes only the physical layout. Type III/IV lists and
-	// post-build tail appends always store raw bits regardless.
+	// Codec selects the block codec for vector lists built by Build/Rebuild:
+	// 0 stores the raw bit-packed streams; 1 packs sealed stripes into
+	// word-aligned blocks with skip headers and delta-coded tuple-id gaps.
+	// Results are byte-identical either way — the codec changes only the
+	// physical layout. Type III/IV lists and post-build tail appends always
+	// store raw bits regardless.
 	Codec int
 }
 
@@ -138,46 +138,23 @@ var ErrNotFound = errors.New("core: tuple not found")
 const (
 	superblockSize = 4096
 	indexMagic     = 0x69564146 // "iVAF"
-	// v2 added the checkpoint chain; v3 added the shadow attribute-list slot
-	// and moved the authoritative checkpoint count into the superblock so a
-	// torn Sync can never mix new attribute tails with an old superblock; v4
-	// adds CRC32C integrity: a superblock trailer, per-record checkpoint
-	// trailers, and an out-of-line per-segment checksum map in a ping-ponged
-	// pair of checksum chains; v5 adds the stripe zone-map chain (see
-	// zonemap.go), which shifts the superblock CRC trailer to make room for
-	// its two fields; v6 adds pluggable block codecs for vector lists (see
-	// vector/codec.go) — the codec id and coded-region length live in the
-	// attribute element (bytes 5 and 56..59), so the superblock layout and
-	// its CRC trailer offset are unchanged from v5 and a v5 file upgrades in
-	// place on its first Sync just by committing the new version word.
-	// Older versions still open (checksum-free for pre-v4, with a warning
-	// gauge) and are upgraded in place by their next Sync.
+	// indexVersion is the one on-disk format this package reads and writes.
+	// A format change bumps it; Open refuses every other value (FORMAT.md §
+	// Format policy) — there is no upgrade code.
 	indexVersion = 6
 	ptrBits      = 40 // table offsets up to 1 TiB
 )
 
-// Superblock byte offsets of the v4/v5 fields. The CRC trailer covers
-// bytes [0, sbCRCOff) — v4 files, whose trailer predates the zone fields,
-// keep theirs at sbCRCOffV4 until their upgrade Sync rewrites the block.
+// Superblock byte offsets of the checksum-map and zone-map fields. The
+// CRC32C trailer at sbCRCOff covers bytes [0, sbCRCOff).
 const (
 	sbCRCChainAOff = 88
 	sbCRCChainBOff = 92
 	sbCRCSlotOff   = 96
-	sbCRCOffV4     = 100
 	sbZoneChainOff = 100
 	sbZoneCountOff = 104
 	sbCRCOff       = 108
 )
-
-// sbCRCOffFor returns the superblock CRC trailer offset a given committed
-// format version uses. Both Open and Scrub must check the trailer where the
-// on-disk version put it, not where the current version would.
-func sbCRCOffFor(version uint32) int {
-	if version < 5 {
-		return sbCRCOffV4
-	}
-	return sbCRCOff
-}
 
 // SuperblockStamp hashes a committed superblock page into a state stamp,
 // EXCLUDING the embedded CRC trailer word. The exclusion is load-bearing,
@@ -187,19 +164,12 @@ func sbCRCOffFor(version uint32) int {
 // constant, in fact, for every valid superblock ever written (the classic
 // crc(m‖crc(m)) residue, generalized). A whole-page stamp therefore can
 // never distinguish two committed states. Skipping the 4 trailer bytes
-// (version-aware, like Open and Scrub) restores content sensitivity.
+// restores content sensitivity.
 func SuperblockStamp(page []byte) uint32 {
-	if len(page) < 8 {
+	if len(page) < sbCRCOff+4 {
 		return storage.Checksum(page)
 	}
-	if binary.LittleEndian.Uint32(page[0:]) != indexMagic {
-		return storage.Checksum(page)
-	}
-	at := sbCRCOffFor(binary.LittleEndian.Uint32(page[4:]))
-	if at+4 > len(page) {
-		return storage.Checksum(page)
-	}
-	return storage.ChecksumUpdate(storage.Checksum(page[:at]), page[at+4:])
+	return storage.ChecksumUpdate(storage.Checksum(page[:sbCRCOff]), page[sbCRCOff+4:])
 }
 
 // tombstonePtr marks a deleted tuple in the tuple list.
@@ -222,7 +192,7 @@ type attrState struct {
 	quant  *vaq.Quantizer // numeric attributes
 	exists bool           // attribute has a vector list
 
-	// Format-v6 block codec state. codecID and codedWords persist in the
+	// Block codec state. codecID and codedWords persist in the
 	// attribute element; codedLogical and dir are rebuilt at open time by
 	// walking the self-describing block headers (vector.WalkBlocks), so
 	// they survive dropped checkpoint chains. dirBroken marks a packed
@@ -261,7 +231,7 @@ type Index struct {
 	mu         sync.RWMutex
 	attrs      []attrState
 	attrChain  storage.ChainID
-	attrChainB storage.ChainID // shadow attribute-list slot (v3; see Sync)
+	attrChainB storage.ChainID // shadow attribute-list slot (see Sync)
 	attrSlot   int             // slot the last committed superblock points at
 	tupleChain storage.ChainID
 	tupleBits  int64
@@ -271,15 +241,16 @@ type Index struct {
 	deleted    int64
 
 	// Stripe checkpoints for the striped filter plan. ckptChain is
-	// NoSegment for indexes opened from a v1 file, which disables
-	// checkpoint recording: searches scan one origin-anchored stripe.
+	// NoSegment after checkpoint damage was degraded around at open, which
+	// disables checkpoint recording: searches scan one origin-anchored
+	// stripe.
 	ckptChain storage.ChainID
 	ckptEvery int64
 	ckpts     []checkpoint
 
-	// Stripe zone maps (v5; see zonemap.go). zoneChain is NoSegment for
-	// pre-v5 files until their upgrade Sync, and after zone damage was
-	// degraded around at open — both disable recording and pruning.
+	// Stripe zone maps (see zonemap.go). zoneChain is NoSegment after zone
+	// damage was degraded around at open, which disables recording and
+	// pruning.
 	// zoneDiskRecs is the record count of the last committed writeZones,
 	// bounding the spans ZoneExtents reports; zoneOff is the runtime
 	// pruning toggle (recording continues regardless).
@@ -289,10 +260,9 @@ type Index struct {
 	zoneDiskRecs int
 	zoneOff      bool
 
-	// Format-v4 integrity: the committed on-disk version, the read-time
-	// mismatch policy, the ping-ponged checksum-map chains, and the
-	// in-memory checksum state (see integrity.go).
-	version   uint32
+	// Integrity: the read-time mismatch policy, the ping-ponged
+	// checksum-map chains, and the in-memory checksum state (see
+	// integrity.go).
 	imode     IntegrityMode
 	crcChainA storage.ChainID
 	crcChainB storage.ChainID
@@ -543,18 +513,13 @@ func (ix *Index) readAttrList(n int, chain storage.ChainID) error {
 		a.bitLen = int64(binary.LittleEndian.Uint64(e[12:]))
 		a.layout.NDFCode = binary.LittleEndian.Uint64(e[20:])
 		a.alpha = math.Float64frombits(binary.LittleEndian.Uint64(e[44:]))
-		// Codec fields are meaningful from v6 on; genuine v5 elements hold
-		// zeros there, but gate on the committed version anyway so stray
-		// bytes in an older file cannot fabricate a coded region.
-		if ix.version >= 6 {
-			a.codecID = e[5]
-			a.codedWords = int64(binary.LittleEndian.Uint32(e[56:]))
-			if _, ok := vector.CodecByID(a.codecID); !ok {
-				return fmt.Errorf("core: attr %d: unknown codec %d", i, a.codecID)
-			}
-			if a.codecID == vector.CodecRaw && a.codedWords != 0 {
-				return fmt.Errorf("core: attr %d: raw codec with %d coded words", i, a.codedWords)
-			}
+		a.codecID = e[5]
+		a.codedWords = int64(binary.LittleEndian.Uint32(e[56:]))
+		if _, ok := vector.CodecByID(a.codecID); !ok {
+			return fmt.Errorf("core: attr %d: unknown codec %d", i, a.codecID)
+		}
+		if a.codecID == vector.CodecRaw && a.codedWords != 0 {
+			return fmt.Errorf("core: attr %d: raw codec with %d coded words", i, a.codedWords)
 		}
 		if a.alpha == 0 {
 			a.alpha = ix.opts.Alpha
@@ -599,66 +564,6 @@ func (ix *Index) Sync() error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	target := 1 - ix.attrSlot
-	if target == 1 && ix.attrChainB == storage.NoSegment {
-		// File predates the shadow slot (v1/v2): allocate it now; the
-		// superblock write below upgrades the file to v3. A crash before
-		// that commit leaves the old superblock pointing at slot 0,
-		// untouched, and the fresh chain unreferenced.
-		chain, err := ix.segs.Create()
-		if err != nil {
-			return err
-		}
-		ix.attrChainB = chain
-	}
-	if ix.version < 4 {
-		// Upgrading a pre-v4 file: v4 checkpoint records carry CRC trailers
-		// (a different record size), so they go into a NEW chain — the old
-		// superblock keeps pointing at the intact old-format chain if we
-		// crash before the commit below. The checksum-map chains are fresh
-		// allocations for the same reason. The old checkpoint chain leaks a
-		// few segments; a rebuild reclaims them.
-		if ix.ckptChain != storage.NoSegment {
-			chain, err := ix.segs.Create()
-			if err != nil {
-				return err
-			}
-			ix.ckptChain = chain
-		}
-		ix.initIntegrity(true)
-	}
-	if ix.version < 5 && ix.ckptChain != storage.NoSegment && ix.zoneChain == storage.NoSegment {
-		// Upgrading a pre-v5 file: allocate the zone chain and backfill one
-		// explicit "unknown" record per already-sealed stripe, preserving the
-		// record-per-stripe alignment without having observed their values
-		// (a rebuild replaces them with real summaries). A crash before the
-		// superblock commit leaves the old superblock — which has no zone
-		// fields — untouched, and the fresh chain unreferenced. A v5 file
-		// whose committed superblock says NoSegment stays disabled: its zone
-		// records were dropped for damage, and resurrecting an empty chain
-		// here would break stripe alignment for the records already sealed
-		// in memory.
-		chain, err := ix.segs.Create()
-		if err != nil {
-			return err
-		}
-		ix.zoneChain = chain
-		ix.zones = make([]zoneRec, int64(len(ix.entries))/ix.ckptEvery)
-		ix.zacc.reset(int64(len(ix.entries))%ix.ckptEvery == 0)
-	}
-	if ix.crcChainA == storage.NoSegment {
-		chain, err := ix.segs.Create()
-		if err != nil {
-			return err
-		}
-		ix.crcChainA = chain
-	}
-	if ix.crcChainB == storage.NoSegment {
-		chain, err := ix.segs.Create()
-		if err != nil {
-			return err
-		}
-		ix.crcChainB = chain
-	}
 	if err := ix.writeAttrList(ix.slotChain(target)); err != nil {
 		return err
 	}
@@ -669,11 +574,6 @@ func (ix *Index) Sync() error {
 		return err
 	}
 	crcTarget := 1 - ix.crcSlot
-	if ix.version < 4 {
-		// First v4 commit: there is no committed map yet, either slot works;
-		// keep slot 0 so the layout is deterministic.
-		crcTarget = 0
-	}
 	if err := ix.writeCRCMap(ix.crcChain(crcTarget)); err != nil {
 		return err
 	}
@@ -685,7 +585,6 @@ func (ix *Index) Sync() error {
 	// the flush errors, a retry will not overwrite the committed slot.
 	ix.attrSlot = target
 	ix.crcSlot = crcTarget
-	ix.version = indexVersion
 	ix.commitIntegrity()
 	return ix.f.Sync()
 }
@@ -708,19 +607,16 @@ func Open(f *storage.File, tbl *table.Table, opts Options) (*Index, error) {
 	if binary.LittleEndian.Uint32(b[0:]) != indexMagic {
 		return nil, fmt.Errorf("core: bad index magic")
 	}
-	version := binary.LittleEndian.Uint32(b[4:])
-	if version < 1 || version > indexVersion {
-		return nil, fmt.Errorf("core: index version %d unsupported", version)
+	// The version word gates everything: no other field is read, and nothing
+	// is written, for a format this build does not speak.
+	if version := binary.LittleEndian.Uint32(b[4:]); version != indexVersion {
+		return nil, fmt.Errorf("core: index format version %d unsupported: this build reads only version %d", version, indexVersion)
 	}
-	if version >= 4 {
-		// Everything below trusts the superblock fields, so the trailer is
-		// checked before any of them are used. v4 trailers sit where v5 put
-		// the zone fields, so the offset is version-dependent.
-		crcAt := sbCRCOffFor(version)
-		if storage.Checksum(b[:crcAt]) != binary.LittleEndian.Uint32(b[crcAt:]) {
-			return nil, &storage.CorruptionError{File: "iva.idx", Offset: 0,
-				Segment: storage.NoCorruptSegment, Detail: "superblock checksum mismatch"}
-		}
+	// Everything below trusts the superblock fields, so the trailer is
+	// checked before any of them are used.
+	if storage.Checksum(b[:sbCRCOff]) != binary.LittleEndian.Uint32(b[sbCRCOff:]) {
+		return nil, &storage.CorruptionError{File: "iva.idx", Offset: 0,
+			Segment: storage.NoCorruptSegment, Detail: "superblock checksum mismatch"}
 	}
 	opts.Alpha = math.Float64frombits(binary.LittleEndian.Uint64(b[8:]))
 	opts.N = int(binary.LittleEndian.Uint32(b[16:]))
@@ -751,14 +647,16 @@ func Open(f *storage.File, tbl *table.Table, opts Options) (*Index, error) {
 		deleted:    int64(binary.LittleEndian.Uint64(b[44:])),
 		attrChain:  storage.ChainID(binary.LittleEndian.Uint32(b[52:])),
 		posByTID:   make(map[model.TID]int64),
-		version:    version,
 		imode:      opts.Integrity,
-		crcChainA:  storage.NoSegment,
-		crcChainB:  storage.NoSegment,
-		// The ChainID zero value is a valid id, so the zone chain must be
-		// disabled explicitly for files that predate it.
-		zoneChain: storage.NoSegment,
-		zoneOff:   opts.DisableZoneMaps,
+		ckptChain:  storage.ChainID(binary.LittleEndian.Uint32(b[68:])),
+		ckptEvery:  opts.CheckpointEvery,
+		attrChainB: storage.ChainID(binary.LittleEndian.Uint32(b[76:])),
+		attrSlot:   int(b[80]),
+		crcChainA:  storage.ChainID(binary.LittleEndian.Uint32(b[sbCRCChainAOff:])),
+		crcChainB:  storage.ChainID(binary.LittleEndian.Uint32(b[sbCRCChainBOff:])),
+		crcSlot:    int(b[sbCRCSlotOff]),
+		zoneChain:  storage.ChainID(binary.LittleEndian.Uint32(b[sbZoneChainOff:])),
+		zoneOff:    opts.DisableZoneMaps,
 	}
 	if pb := int(b[21]); pb != ptrBits {
 		return nil, fmt.Errorf("core: index built with %d ptr bits, binary uses %d", pb, ptrBits)
@@ -780,45 +678,20 @@ func Open(f *storage.File, tbl *table.Table, opts Options) (*Index, error) {
 	if nattrs < 0 || int64(nattrs)*attrElemSize > f.Size() {
 		return nil, fmt.Errorf("core: superblock attribute count %d exceeds file", nattrs)
 	}
-	// v1 files predate stripe checkpoints: recording stays off for them (and
-	// searches scan a single stripe) until the next rebuild writes a v2 file.
-	ix.ckptChain = storage.NoSegment
-	ix.ckptEvery = opts.CheckpointEvery
-	if version >= 2 {
-		ix.ckptChain = storage.ChainID(binary.LittleEndian.Uint32(b[68:]))
-		if every := int64(binary.LittleEndian.Uint32(b[72:])); every > 0 {
-			ix.ckptEvery = every
-		}
+	if every := int64(binary.LittleEndian.Uint32(b[72:])); every > 0 {
+		ix.ckptEvery = every
 	}
-	// v3 superblocks name the committed attribute-list slot and the valid
-	// checkpoint count; older files have a single slot and keep the count in
-	// the checkpoint chain (clamped on read, see readCheckpoints).
-	ix.attrChainB = storage.NoSegment
-	ckptCount := -1
-	if version >= 3 {
-		ix.attrChainB = storage.ChainID(binary.LittleEndian.Uint32(b[76:]))
-		ix.attrSlot = int(b[80])
-		if ix.attrSlot != 0 && ix.attrSlot != 1 {
-			return nil, fmt.Errorf("core: superblock attribute slot %d", ix.attrSlot)
-		}
-		ckptCount = int(binary.LittleEndian.Uint32(b[84:]))
+	if ix.attrSlot != 0 && ix.attrSlot != 1 {
+		return nil, fmt.Errorf("core: superblock attribute slot %d", ix.attrSlot)
 	}
-	// v4 superblocks name the ping-ponged checksum-map chains. The committed
-	// map loads before any chain data is read so the first-touch verification
-	// hooks below have words to check against.
-	if version >= 4 {
-		ix.crcChainA = storage.ChainID(binary.LittleEndian.Uint32(b[sbCRCChainAOff:]))
-		ix.crcChainB = storage.ChainID(binary.LittleEndian.Uint32(b[sbCRCChainBOff:]))
-		ix.crcSlot = int(b[sbCRCSlotOff])
-		if ix.crcSlot != 0 && ix.crcSlot != 1 {
-			return nil, fmt.Errorf("core: superblock checksum slot %d", ix.crcSlot)
-		}
-		ix.initIntegrity(false)
-		if ix.crcChain(ix.crcSlot) != storage.NoSegment {
-			if err := ix.loadCRCMap(ix.crcChain(ix.crcSlot)); err != nil {
-				return nil, err
-			}
-		}
+	if ix.crcSlot != 0 && ix.crcSlot != 1 {
+		return nil, fmt.Errorf("core: superblock checksum slot %d", ix.crcSlot)
+	}
+	// The committed checksum map loads before any chain data is read so the
+	// first-touch verification hooks below have words to check against.
+	ix.initIntegrity(false)
+	if err := ix.loadCRCMap(ix.crcChain(ix.crcSlot)); err != nil {
+		return nil, err
 	}
 	// The attribute list is read through segs.ReadAt (no reader hook), and
 	// corrupt layout metadata cannot be degraded around — verify its
@@ -835,18 +708,15 @@ func Open(f *storage.File, tbl *table.Table, opts Options) (*Index, error) {
 	if err := ix.loadTupleList(entryCount); err != nil {
 		return nil, err
 	}
-	if err := ix.readCheckpoints(ckptCount); err != nil {
+	if err := ix.readCheckpoints(int(binary.LittleEndian.Uint32(b[84:]))); err != nil {
 		return nil, err
 	}
-	// v5 superblocks name the zone-map chain; the count is clamped and each
-	// record verified in readZones. The accumulator only starts valid when
-	// the tuple list ends exactly on a stripe boundary — otherwise the open
-	// stripe has entries this instance never observed and it seals unknown.
-	if version >= 5 {
-		ix.zoneChain = storage.ChainID(binary.LittleEndian.Uint32(b[sbZoneChainOff:]))
-		if err := ix.readZones(int(binary.LittleEndian.Uint32(b[sbZoneCountOff:]))); err != nil {
-			return nil, err
-		}
+	// The zone count is clamped and each record verified in readZones. The
+	// accumulator only starts valid when the tuple list ends exactly on a
+	// stripe boundary — otherwise the open stripe has entries this instance
+	// never observed and it seals unknown.
+	if err := ix.readZones(int(binary.LittleEndian.Uint32(b[sbZoneCountOff:]))); err != nil {
+		return nil, err
 	}
 	ix.zacc.reset(ix.zonesEnabled() && int64(len(ix.entries))%ix.ckptEvery == 0)
 	return ix, nil

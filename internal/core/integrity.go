@@ -32,19 +32,18 @@ type segCRC struct {
 	off  int64  // byte offset of this crc word in the committed crc chain; -1 = not on disk
 }
 
-// integrityState is the v4 checksum machinery of an open index. The
+// integrityState is the checksum machinery of an open index. The
 // per-segment CRC32C words live out-of-line in a ping-ponged pair of
-// checksum chains committed by the superblock, so segment payloads keep
-// their full v3 size and a v3 file upgrades in place without rewriting data.
+// checksum chains committed by the superblock, so segment payloads stay
+// whole pages of list bits.
 type integrityState struct {
 	mu       sync.Mutex
-	enabled  bool // v4 semantics active (building or committed)
 	words    map[storage.SegID]segCRC
 	dirty    map[storage.SegID]struct{} // written since the last Sync; unverifiable
 	verified map[storage.SegID]struct{} // verified since open
 
-	// full forces the next Sync to recompute every covered segment: set on a
-	// v3→v4 upgrade and when the committed map itself failed verification.
+	// full forces the next Sync to recompute every covered segment: set by
+	// Build and when the committed map itself failed verification.
 	full bool
 	// mapDropped records that the committed checksum map was unreadable and
 	// DegradeReads continued without it (reads run unverified until the next
@@ -73,31 +72,20 @@ const crcMapMagic = 0x4352434D // "CRCM"
 func (ix *Index) markDirty(id storage.SegID) {
 	it := &ix.integ
 	it.mu.Lock()
-	if it.enabled {
-		it.dirty[id] = struct{}{}
-		delete(it.verified, id)
-	}
+	it.dirty[id] = struct{}{}
+	delete(it.verified, id)
 	it.mu.Unlock()
 }
 
-// initIntegrity arms the integrity state and installs the write observer.
-// full requests a whole-map recompute at the next Sync (fresh build or
-// upgrade from a pre-v4 file).
+// initIntegrity arms the integrity state of a fresh Index and installs the
+// write observer. full requests a whole-map recompute at the next Sync
+// (fresh build).
 func (ix *Index) initIntegrity(full bool) {
 	it := &ix.integ
-	it.mu.Lock()
-	it.enabled = true
-	it.full = it.full || full
-	if it.words == nil {
-		it.words = make(map[storage.SegID]segCRC)
-	}
-	if it.dirty == nil {
-		it.dirty = make(map[storage.SegID]struct{})
-	}
-	if it.verified == nil {
-		it.verified = make(map[storage.SegID]struct{})
-	}
-	it.mu.Unlock()
+	it.full = full
+	it.words = make(map[storage.SegID]segCRC)
+	it.dirty = make(map[storage.SegID]struct{})
+	it.verified = make(map[storage.SegID]struct{})
 	ix.segs.SetWriteObserver(ix.markDirty)
 }
 
@@ -339,10 +327,19 @@ func (ix *Index) loadCRCMap(c storage.ChainID) error {
 	}
 	it := &ix.integ
 	it.mu.Lock()
+	defer it.mu.Unlock()
 	for _, p := range pending {
+		// Segment headers carry no checksum, so a damaged next pointer can
+		// splice one chain into another, and the later chain's word would
+		// then vouch for bytes read as part of the earlier one. No layout
+		// survives that, so it fails the open in both modes.
+		if _, dup := it.words[p.id]; dup {
+			return &storage.CorruptionError{File: "iva.idx",
+				Offset: ix.segs.SegmentOffset(p.id), Segment: uint32(p.id),
+				Detail: "segment linked into two chains"}
+		}
 		it.words[p.id] = p.segCRC
 	}
-	it.mu.Unlock()
 	return nil
 }
 
@@ -353,10 +350,6 @@ func (ix *Index) loadCRCMap(c storage.ChainID) error {
 func (ix *Index) verifySegment(id storage.SegID) error {
 	it := &ix.integ
 	it.mu.Lock()
-	if !it.enabled {
-		it.mu.Unlock()
-		return nil
-	}
 	if _, ok := it.dirty[id]; ok {
 		it.mu.Unlock()
 		return nil
@@ -402,14 +395,6 @@ func (ix *Index) checkWord(id storage.SegID, e segCRC) error {
 // The chain's segment list is resolved once: appends cannot race a query
 // (both run under ix.mu), and pooled readers re-attach after every Reset.
 func (ix *Index) attachVerify(r *storage.ChainBitReader, c storage.ChainID) {
-	it := &ix.integ
-	it.mu.Lock()
-	enabled := it.enabled
-	it.mu.Unlock()
-	if !enabled {
-		r.SetVerify(nil)
-		return
-	}
 	ids, err := ix.segs.ChainSegments(c)
 	if err != nil {
 		return // the read itself will surface the chain error
@@ -436,12 +421,6 @@ func (ix *Index) attachVerify(r *storage.ChainBitReader, c storage.ChainID) {
 // detected (never silent) mismatch on that segment; scrub -repair rebuilds.
 func (ix *Index) crcRepairRange(c storage.ChainID, bitOff int64, width int) error {
 	it := &ix.integ
-	it.mu.Lock()
-	enabled := it.enabled
-	it.mu.Unlock()
-	if !enabled {
-		return nil
-	}
 	ids, err := ix.segs.ChainSegments(c)
 	if err != nil {
 		return err
@@ -484,13 +463,6 @@ func (ix *Index) crcRepairRange(c storage.ChainID, bitOff int64, width int) erro
 // degraded around (it defines every layout), so damage here fails the open
 // in both modes.
 func (ix *Index) verifyChain(c storage.ChainID) error {
-	it := &ix.integ
-	it.mu.Lock()
-	enabled := it.enabled
-	it.mu.Unlock()
-	if !enabled || c == storage.NoSegment {
-		return nil
-	}
 	ids, err := ix.segs.ChainSegments(c)
 	if err != nil {
 		return err
@@ -509,14 +481,6 @@ func (ix *Index) crcChain(slot int) storage.ChainID {
 		return ix.crcChainA
 	}
 	return ix.crcChainB
-}
-
-// FormatVersion returns the committed on-disk format version (4 after the
-// first Sync of an upgraded store; pre-4 files read checksum-free).
-func (ix *Index) FormatVersion() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return int(ix.version)
 }
 
 // IntegrityMode returns the mode the index was opened with.

@@ -86,13 +86,13 @@ type scanPlan struct {
 
 // planShape decides how a search dispatched now would run. With usable
 // checkpoints the tuple list is scanned in len(ix.ckpts) stripes of ckptEvery
-// entries. Without them — a v1 file before its first rebuild, checkpoints
-// dropped by DegradeReads or by recordCheckpoint's gap guard, an empty index —
-// it is one stripe [0, n) anchored at the origin, with the zone gate off
-// (zone records describe ckptEvery-wide stripes). Workers are capped by the
-// stripe count, and a tuple list shorter than two full stripes gets one: a
-// second private top-k pool there costs more duplicate refine fetches than
-// its half of the scan saves. Caller holds ix.mu.
+// entries. Without them — checkpoints dropped by DegradeReads or by
+// recordCheckpoint's gap guard, an empty index — it is one stripe [0, n)
+// anchored at the origin, with the zone gate off (zone records describe
+// ckptEvery-wide stripes). Workers are capped by the stripe count, and a
+// tuple list shorter than two full stripes gets one: a second private top-k
+// pool there costs more duplicate refine fetches than its half of the scan
+// saves. Caller holds ix.mu.
 func (ix *Index) planShape() scanPlan {
 	n := int64(len(ix.entries))
 	p := scanPlan{ckpts: ix.ckpts, width: ix.ckptEvery, zoned: true}

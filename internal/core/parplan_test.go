@@ -22,9 +22,9 @@ func stripedFixture(t testing.TB, tuples int, every int64, seed int64) *fixture 
 	return fx
 }
 
-// dropCheckpoints puts the index in the shape of a v1 file before its first
-// rebuild (or of one whose checkpoint chain DegradeReads discarded): no
-// checkpoint chain, so a search scans one origin-anchored stripe.
+// dropCheckpoints puts the index in the shape of one whose checkpoint chain
+// DegradeReads discarded at open: no checkpoint chain, so a search scans one
+// origin-anchored stripe.
 func dropCheckpoints(ix *Index) {
 	ix.mu.Lock()
 	ix.ckptChain = storage.NoSegment
@@ -282,6 +282,30 @@ func TestCheckpointPersistence(t *testing.T) {
 			t.Fatalf("reopened index par %d differs: %v vs %v", par, got, want)
 		}
 	}
+
+	// A torn Sync: inserts cross further stripe boundaries and the checkpoint
+	// chain is rewritten — its count word now claims the new records — but
+	// the superblock never commits. The superblock's count is the
+	// authoritative one: a reopen sees the committed stripes and no more.
+	for i := 0; i < 300; i++ {
+		if _, err := ix.Insert(map[model.AttrID]model.Value{b: model.Num(float64(i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(ix.ckpts) <= len(ix2.ckpts) {
+		t.Fatalf("fixture: inserts recorded no new checkpoint (%d)", len(ix.ckpts))
+	}
+	if err := ix.writeCheckpoints(); err != nil {
+		t.Fatal(err)
+	}
+	ix3, err := Open(storage.NewFile(pool, idxDev), tbl, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ix3.Entries() != 1200 || len(ix3.ckpts) != len(ix2.ckpts) {
+		t.Fatalf("reopen after a torn sync: %d entries in %d stripes, want the committed 1200 in %d",
+			ix3.Entries(), len(ix3.ckpts), len(ix2.ckpts))
+	}
 }
 
 // singleStripeCase is one index whose searches must run as one
@@ -295,7 +319,7 @@ type singleStripeCase struct {
 
 // singleStripeCases builds the geometries the striped loop has to absorb
 // without usable stripes: checkpoints dropped by DegradeReads after a flipped
-// checkpoint byte, no checkpoint chain at all (the v1 shape), fewer entries
+// checkpoint byte, no checkpoint chain at all, fewer entries
 // than one stripe, and no entries.
 func singleStripeCases(t *testing.T) []singleStripeCase {
 	t.Helper()
@@ -315,10 +339,10 @@ func singleStripeCases(t *testing.T) []singleStripeCase {
 	}
 	cases = append(cases, singleStripeCase{"ckpts-dropped-by-degrade", ix, pool, cf.queries})
 
-	v1 := newFixture(t, 600, Options{CheckpointEvery: 128}, 304)
-	queries := []*model.Query{v1.randQuery(t, 2, 5), v1.randQuery(t, 3, 9)}
-	dropCheckpoints(v1.ix)
-	cases = append(cases, singleStripeCase{"v1-no-checkpoint-chain", v1.ix, v1.pool, queries})
+	bare := newFixture(t, 600, Options{CheckpointEvery: 128}, 304)
+	queries := []*model.Query{bare.randQuery(t, 2, 5), bare.randQuery(t, 3, 9)}
+	dropCheckpoints(bare.ix)
+	cases = append(cases, singleStripeCase{"no-checkpoint-chain", bare.ix, bare.pool, queries})
 
 	tiny := newFixture(t, 100, Options{CheckpointEvery: 128}, 307)
 	cases = append(cases, singleStripeCase{"under-one-stripe", tiny.ix, tiny.pool,

@@ -16,10 +16,10 @@ import (
 
 // SegmentSpan returns the file-byte span of segment seg's committed payload
 // in iva.idx: the offset of the first payload byte and the committed length.
-// ok is false when the segment is not covered by the committed checksum map,
-// holds unsynced writes (dirty — its word is stale by design), or the file
-// predates v4. The caller fetches exactly [off, off+n) from the peer's
-// iva.idx and hands the bytes to RepairSegment.
+// ok is false when the segment is not covered by the committed checksum map
+// or holds unsynced writes (dirty — its word is stale by design). The caller
+// fetches exactly [off, off+n) from the peer's iva.idx and hands the bytes to
+// RepairSegment.
 func (ix *Index) SegmentSpan(seg uint32) (off, n int64, ok bool) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -28,7 +28,7 @@ func (ix *Index) SegmentSpan(seg uint32) (off, n int64, ok bool) {
 	e, covered := it.words[storage.SegID(seg)]
 	_, dirty := it.dirty[storage.SegID(seg)]
 	it.mu.Unlock()
-	if !it.enabled || !covered || dirty || e.n == 0 {
+	if !covered || dirty || e.n == 0 {
 		return 0, 0, false
 	}
 	hdr := int64(ix.segs.SegmentSize() - ix.segs.PayloadSize())
@@ -48,11 +48,10 @@ func (ix *Index) RepairSegment(seg uint32, payload []byte) error {
 	id := storage.SegID(seg)
 	it := &ix.integ
 	it.mu.Lock()
-	enabled := it.enabled
 	e, covered := it.words[id]
 	_, dirty := it.dirty[id]
 	it.mu.Unlock()
-	if !enabled || !covered {
+	if !covered {
 		return fmt.Errorf("core: repair segment %d: not covered by the committed checksum map", seg)
 	}
 	if dirty {

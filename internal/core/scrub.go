@@ -10,11 +10,6 @@ import (
 
 // ScrubReport is the machine-readable outcome of one index scrub pass.
 type ScrubReport struct {
-	// FormatVersion is the committed on-disk version; Legacy marks pre-v4
-	// files, which carry no checksums to verify.
-	FormatVersion int
-	Legacy        bool
-
 	// Segments is the number of covered index segments swept;
 	// CorruptSegments of them failed their committed CRC32C word, and
 	// DirtySegments were skipped because they hold unsynced writes (their
@@ -36,13 +31,13 @@ type ScrubReport struct {
 	DroppedCheckpoints int
 
 	// Zones / CorruptZones / DroppedZones are the same sweep over the
-	// committed zone-map records (v5). Zone damage only ever disables
+	// committed zone-map records. Zone damage only ever disables
 	// stripe pruning, never changes answers, but it is still damage.
 	Zones        int
 	CorruptZones int
 	DroppedZones int
 
-	// DroppedCodecDirs counts packed vector lists (v6) whose block
+	// DroppedCodecDirs counts packed vector lists whose block
 	// directory failed its header walk at open: under DegradeReads their
 	// terms degrade to zero bounds (answers stay exact, filtering does
 	// not), and writes demand a rebuild.
@@ -58,9 +53,7 @@ type ScrubReport struct {
 	Problems []string
 }
 
-// Clean reports whether the sweep found no damage. A legacy (pre-v4) file is
-// clean by definition — there is nothing to check against — but Legacy is
-// set so callers can surface the reduced assurance.
+// Clean reports whether the sweep found no damage.
 func (r *ScrubReport) Clean() bool {
 	return r.CorruptSegments == 0 && r.CorruptCheckpoints == 0 &&
 		r.DroppedCheckpoints == 0 && r.CorruptZones == 0 && r.DroppedZones == 0 &&
@@ -87,21 +80,14 @@ func (ix *Index) Scrub() (*ScrubReport, error) { return ix.ScrubYield(nil) }
 func (ix *Index) ScrubYield(yield func()) (*ScrubReport, error) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	rep := &ScrubReport{FormatVersion: int(ix.version), SuperblockOK: true}
-	if ix.version < 4 {
-		rep.Legacy = true
-		return rep, nil
-	}
+	rep := &ScrubReport{SuperblockOK: true}
 
 	// Superblock trailer.
 	var b [superblockSize]byte
 	if err := ix.f.ReadAt(b[:], 0); err != nil {
 		return nil, err
 	}
-	// The committed trailer sits where the committed version put it (v4
-	// trailers predate the v5 zone fields).
-	crcAt := sbCRCOffFor(ix.version)
-	if storage.Checksum(b[:crcAt]) != binary.LittleEndian.Uint32(b[crcAt:]) {
+	if storage.Checksum(b[:sbCRCOff]) != binary.LittleEndian.Uint32(b[sbCRCOff:]) {
 		rep.SuperblockOK = false
 		rep.addProblem("superblock checksum mismatch")
 	}
@@ -171,7 +157,7 @@ func (ix *Index) ScrubYield(yield func()) (*ScrubReport, error) {
 		}
 	}
 
-	// Committed zone-map records, count from the superblock (v5).
+	// Committed zone-map records, count from the superblock.
 	it.mu.Lock()
 	rep.DroppedZones = it.droppedZones
 	it.mu.Unlock()
@@ -184,7 +170,7 @@ func (ix *Index) ScrubYield(yield func()) (*ScrubReport, error) {
 	if rep.DroppedCodecDirs > 0 {
 		rep.addProblem("%d packed vector-list block directories dropped at open", rep.DroppedCodecDirs)
 	}
-	if ix.version >= 5 && ix.zonesEnabled() {
+	if ix.zonesEnabled() {
 		count := int(binary.LittleEndian.Uint32(b[sbZoneCountOff:]))
 		if n, bad, err := ix.scrubZones(count, yield); err != nil {
 			return nil, err
@@ -207,13 +193,10 @@ type VectorExtent struct{ Offset, Len int64 }
 
 // VectorExtents lists the committed spans of every attribute's vector list.
 // Segments with unsynced writes are excluded (their words are stale by
-// design until the next Sync); pre-v4 files have no committed spans.
+// design until the next Sync).
 func (ix *Index) VectorExtents() []VectorExtent {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	if ix.version < 4 {
-		return nil
-	}
 	it := &ix.integ
 	var out []VectorExtent
 	for i := range ix.attrs {

@@ -68,12 +68,12 @@ func TestCorruptionSoak(t *testing.T) {
 	corruptionSoak(t, buildCorruptionFixture(t), soakBudget(t, "IVA_CORRUPTION_SOAK"), 0x50a4_c0de)
 }
 
-// TestCodecCorruptionSoak repeats the randomized soak over a format-v6
-// image whose text list is stored as packed blocks, so random flips land in
-// block headers, delta payloads and the raw tail as well as the structures
-// the codec-0 soak covers. Nightly CI sets IVA_CODEC_SOAK.
+// TestCodecCorruptionSoak repeats the randomized soak over an image whose
+// text list is stored as packed blocks, so random flips land in block
+// headers, delta payloads and the raw tail as well as the structures the
+// codec-0 soak covers. Nightly CI sets IVA_CODEC_SOAK.
 func TestCodecCorruptionSoak(t *testing.T) {
-	cf := buildCorruptionFixtureWith(t, Options{CheckpointEvery: 16, Codec: 1}, true)
+	cf := buildCorruptionFixtureWith(t, Options{CheckpointEvery: 16, Codec: 1}, true, 160)
 	if cf.packedAttrs == 0 {
 		t.Fatal("codec soak fixture packed no attribute")
 	}

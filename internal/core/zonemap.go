@@ -10,10 +10,10 @@ import (
 	"github.com/sparsewide/iva/internal/vaq"
 )
 
-// Stripe zone maps (format v5). Every sealed stripe — a full run of
-// ckptEvery tuple-list entries — carries one zone record summarizing, per
-// attribute, the information needed to lower-bound the estimated distance of
-// ANY tuple in the stripe for an arbitrary query:
+// Stripe zone maps. Every sealed stripe — a full run of ckptEvery
+// tuple-list entries — carries one zone record summarizing, per attribute,
+// the information needed to lower-bound the estimated distance of ANY tuple
+// in the stripe for an arbitrary query:
 //
 //   - numeric attributes: the min/max quantizer code observed, so
 //     vaq.MinDistRange bounds every per-tuple MinDist from below;
@@ -87,9 +87,8 @@ func (z *zoneAcc) reset(valid bool) {
 	z.attrs = z.attrs[:0]
 }
 
-// zonesEnabled reports whether this index records zone maps (false for
-// pre-v5 files until their upgrade Sync, and after zone damage was degraded
-// around at open).
+// zonesEnabled reports whether this index records zone maps (false after
+// zone damage was degraded around at open).
 func (ix *Index) zonesEnabled() bool { return ix.zoneChain != storage.NoSegment }
 
 // zonePruneEligible reports whether stripe-claim pruning can run right now.
@@ -117,8 +116,8 @@ func (ix *Index) ZoneMapsOn() bool {
 
 // ZoneMapCoverage reports how many stripes carry a usable (known) zone
 // record out of the sealed stripes the tuple list implies. A freshly built
-// index covers everything; upgraded pre-v5 files start at zero and grow as
-// new stripes seal (a rebuild covers the backlog).
+// index covers everything; a stripe that was open across a reopen seals
+// unknown (a rebuild covers the backlog).
 func (ix *Index) ZoneMapCoverage() (known, sealed int) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -239,7 +238,7 @@ func (ix *Index) zoneObserve(values map[model.AttrID]model.Value) {
 }
 
 // zoneEnd seals the stripe when the entry filled it. Seal on the entry
-// count, not the accumulator count: after a mid-stripe upgrade the
+// count, not the accumulator count: after a mid-stripe reopen the
 // accumulator starts cold partway through a stripe and its count never
 // equals the stripe width at the boundary.
 func (ix *Index) zoneEnd() {
@@ -509,7 +508,7 @@ func (ix *Index) readZoneRec(off int64, index int) (zoneRec, int64, bool, error)
 }
 
 // readZones loads the committed zone records at open. count comes from the
-// superblock (v5); it is clamped to the sealed stripes the committed entry
+// superblock; it is clamped to the sealed stripes the committed entry
 // count implies, bounding allocation against hostile counts.
 func (ix *Index) readZones(count int) error {
 	if !ix.zonesEnabled() {

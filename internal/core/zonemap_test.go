@@ -245,3 +245,61 @@ func TestZoneMapDisableOption(t *testing.T) {
 	}
 	requireSameResults(t, "re-enabled", on, again)
 }
+
+// TestZoneMapMidStripeReopen reopens an index whose tuple list ends inside a
+// stripe. The reopened instance never observed that stripe's first entries,
+// so the stripe seals with an explicit "unknown" record — record s keeps
+// describing stripe s — while the stripes sealed after it carry real
+// summaries again, and answers match with pruning on and off.
+func TestZoneMapMidStripeReopen(t *testing.T) {
+	tblDev, idxDev, cat, tbl, ix, num, _, _ := skewedZoneStore(t)
+	for i := 0; i < 3; i++ { // 256 rows sealed 32 stripes; 3 more open the 33rd
+		if _, err := ix.Insert(map[model.AttrID]model.Value{num: model.Num(float64(256 + i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tbl.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Sync(); err != nil {
+		t.Fatal(err)
+	}
+
+	p := storage.NewPool(0, 1<<20)
+	tb2, err := table.Open(storage.NewFile(p, tblDev), cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix2, err := Open(storage.NewFile(p, idxDev), tb2, Options{CheckpointEvery: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if known, sealed := ix2.ZoneMapCoverage(); known != 32 || sealed != 32 {
+		t.Fatalf("reopened coverage %d/%d, want 32/32", known, sealed)
+	}
+	for i := 3; i < 16; i++ { // fills stripe 33, then all of stripe 34
+		if _, err := ix2.Insert(map[model.AttrID]model.Value{num: model.Num(float64(256 + i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if known, sealed := ix2.ZoneMapCoverage(); known != 33 || sealed != 34 {
+		t.Fatalf("coverage %d/%d after the open stripe sealed, want 33/34 (stripe 33 unknown)", known, sealed)
+	}
+	if err := ix2.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	q := (&model.Query{K: 2}).NumTerm(num, 9)
+	on, st, err := ix2.Search(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.StripesZonePruned == 0 {
+		t.Fatalf("no stripe pruned after the reopen (%+v)", st)
+	}
+	ix2.SetZoneMaps(false)
+	off, _, err := ix2.Search(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameResults(t, "mid-stripe reopen", off, on)
+}

@@ -140,9 +140,9 @@ func (h *harness) corruptionSweep() error {
 	return h.zoneCorruptionSweep()
 }
 
-// zoneCorruptionSweep proves the corruption contract for the zone-map chain
-// (format v5): one seeded bit flipped inside a committed zone extent must
-// never change answers. Under DegradeReads the open drops every zone record
+// zoneCorruptionSweep proves the corruption contract for the zone-map chain:
+// one seeded bit flipped inside a committed zone extent must never change
+// answers. Under DegradeReads the open drops every zone record
 // — pruning turns off, the grid queries stay bit-identical, and Scrub
 // reports the drop. Under Strict the open itself must refuse the file with
 // a *storage.CorruptionError (zone records verify at open, not lazily).

@@ -53,10 +53,10 @@ type Options struct {
 	// Logf, when non-nil, receives progress lines.
 	Logf func(format string, args ...interface{})
 	// CodecMirror, when true, runs a fourth engine: a second iVA-file built
-	// with the packed block codec (format v6 codec 1). It sees every
+	// with the packed block codec (codec 1). It sees every
 	// mutation, sync, reopen, and rebuild the raw iVA engine sees, and its
 	// answers must stay byte-identical across the whole parallelism grid —
-	// the codec differential of the v6 format.
+	// the codec differential.
 	CodecMirror bool
 }
 
@@ -1001,7 +1001,7 @@ func (h *harness) reopenOp() error {
 		return h.failf("iva check after reopen: %v", rep.Problems)
 	}
 
-	// Packed mirror: same reopen, same invariant. The v6 open path — codec
+	// Packed mirror: same reopen, same invariant. The open path — codec
 	// bytes in the attribute elements, the block-directory walk — must
 	// reproduce byte-identical answers and a clean fsck.
 	if h.iva2 != nil {

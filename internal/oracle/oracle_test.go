@@ -57,7 +57,7 @@ func TestDifferentialSmallPool(t *testing.T) {
 	t.Logf("oracle (small pool): %+v", res)
 }
 
-// TestDifferentialCodec is the format-v6 codec differential: a second
+// TestDifferentialCodec is the codec differential: a second
 // iVA-file built with the packed block codec rides the full op mix —
 // inserts, deletes, updates, syncs, reopens, rebuilds — and every answer it
 // gives must be byte-identical to the reference across the parallelism grid.

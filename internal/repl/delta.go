@@ -1,7 +1,7 @@
 // Package repl defines the replication wire format and HTTP client of the
 // iVA-file store: log-shipped synced-prefix deltas.
 //
-// The v3+ crash-atomic commit makes "what changed between two Syncs" a
+// The crash-atomic commit makes "what changed between two Syncs" a
 // well-defined set of byte ranges per store file: every non-superblock write
 // is invisible until the superblock page commits it, so shipping the written
 // ranges (bytes snapshotted after the Sync) and applying them with the

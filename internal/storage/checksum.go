@@ -6,7 +6,7 @@ import (
 )
 
 // castagnoli is the CRC32C polynomial table. Castagnoli is the checksum the
-// format-v4 trailers use everywhere: the Go runtime dispatches it to the
+// trailers use everywhere: the Go runtime dispatches it to the
 // SSE4.2 / ARMv8 CRC instructions, so verifying a 4 KiB segment costs well
 // under a microsecond and can sit on the buffer-pool miss path.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -37,7 +37,7 @@ func ChecksumUpdateUint64(crc uint32, v uint64) uint32 {
 const NoCorruptSegment = uint32(0xFFFFFFFF)
 
 // CorruptionError reports a checksum mismatch: the bytes at File/Offset do
-// not match the CRC32C trailer the committed format-v4 metadata records for
+// not match the CRC32C trailer the committed metadata records for
 // them. Under Options.Integrity = Strict it fails the operation; under
 // DegradeReads a corrupt vector-list segment merely widens that segment's
 // lower bounds to zero (see DESIGN.md §3.8), while corrupt table records and

@@ -52,7 +52,7 @@ func (d *FaultDevice) Reset(ops int64) {
 
 // SetTornWrites toggles torn-write mode: when the budget trips on a WriteAt,
 // the first half of the buffer is persisted before the call fails. This
-// models a power cut mid-write — the failure the format-v4 checksums must
+// models a power cut mid-write — the failure the checksums must
 // detect rather than a clean all-or-nothing device error.
 func (d *FaultDevice) SetTornWrites(on bool) {
 	d.mu.Lock()

@@ -170,6 +170,10 @@ func (s *SegStore) loadLocked(c ChainID) ([]SegID, error) {
 	}
 	var segs []SegID
 	for cur := c; cur != NoSegment; {
+		if int64(len(segs)) == s.nseg {
+			// More links than segments: a damaged next pointer closed a loop.
+			return nil, fmt.Errorf("storage: chain %d loops back on itself", c)
+		}
 		segs = append(segs, cur)
 		next, err := s.readNext(cur)
 		if err != nil {

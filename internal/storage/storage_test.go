@@ -308,6 +308,29 @@ func TestSegStoreReload(t *testing.T) {
 	}
 }
 
+// TestSegStoreChainLoop: a damaged next pointer that closes a loop must fail
+// the chain walk, not spin it.
+func TestSegStoreChainLoop(t *testing.T) {
+	pool := NewPool(256, 1<<20)
+	f := NewFile(pool, NewMemDevice())
+	s, _ := NewSegStore(f, 0, 64)
+	c, _ := s.Create()
+	if err := s.WriteAt(c, make([]byte, 150), 0); err != nil { // three segments
+		t.Fatal(err)
+	}
+	ids, err := s.ChainSegments(c)
+	if err != nil || len(ids) != 3 {
+		t.Fatalf("fixture chain: %v, %v", ids, err)
+	}
+	if err := s.writeNext(ids[2], ids[1]); err != nil {
+		t.Fatal(err)
+	}
+	s2, _ := NewSegStore(f, 0, 64)
+	if _, err := s2.ChainSegments(c); err == nil {
+		t.Fatal("walk of a looping chain returned")
+	}
+}
+
 func TestSegStoreReadPastCapacity(t *testing.T) {
 	pool := NewPool(256, 1<<20)
 	s, _ := NewSegStore(NewFile(pool, NewMemDevice()), 0, 64)

@@ -12,7 +12,7 @@ type Range struct {
 // since the last TakeDirty, coalescing adjacent and overlapping spans. The
 // replication primary wraps its store devices with it: the set of ranges
 // written between two Syncs, read back after the second Sync commits, IS the
-// synced-prefix delta the v3/v4 crash-atomic format makes well-defined.
+// synced-prefix delta the crash-atomic format makes well-defined.
 // Tracking is disarmed until Arm is called, so non-replicating stores pay
 // only an atomic load per write.
 type TrackDevice struct {

@@ -39,15 +39,6 @@ type Catalog struct {
 	mu     sync.RWMutex
 	attrs  []AttrInfo
 	byName map[string]model.AttrID
-	legacy bool // decoded from a pre-v4 "CTLG" blob (no trailer to verify)
-}
-
-// Legacy reports whether the catalog was decoded from a pre-v4 blob that
-// carried no checksum. The next Sync rewrites it in v4 form.
-func (c *Catalog) Legacy() bool {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.legacy
 }
 
 // NewCatalog returns an empty catalog.
@@ -155,12 +146,12 @@ func (c *Catalog) setStats(stats []AttrInfo) {
 }
 
 // Encode serializes the catalog to a self-describing binary blob ending in
-// a CRC32C trailer over everything before it (format v4, magic "CTL4").
+// a CRC32C trailer over everything before it (magic "CTL4").
 func (c *Catalog) Encode() []byte {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	var buf []byte
-	buf = binary.LittleEndian.AppendUint32(buf, catalogMagicV4)
+	buf = binary.LittleEndian.AppendUint32(buf, catalogCTL4)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(c.attrs)))
 	for _, a := range c.attrs {
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(a.Name)))
@@ -180,39 +171,30 @@ func (c *Catalog) Encode() []byte {
 	return binary.LittleEndian.AppendUint32(buf, storage.Checksum(buf))
 }
 
-const (
-	catalogMagic   = 0x43544C47 // "CTLG" — pre-v4, no trailer
-	catalogMagicV4 = 0x43544C34 // "CTL4" — ends in a CRC32C trailer
-)
+// catalogCTL4 is the catalog's format word. A format change picks a new one;
+// DecodeCatalog refuses every other value (FORMAT.md § Format policy).
+const catalogCTL4 = 0x43544C34 // "CTL4"
 
-// DecodeCatalog parses a blob produced by Encode. A "CTL4" blob is verified
-// against its CRC32C trailer; a legacy "CTLG" blob is accepted unverified
-// (Legacy() reports which was seen) and upgrades on the next Sync.
+// DecodeCatalog parses a blob produced by Encode, verifying it against its
+// CRC32C trailer before any entry is read.
 func DecodeCatalog(buf []byte) (*Catalog, error) {
-	if len(buf) < 8 {
-		return nil, fmt.Errorf("table: bad catalog magic")
+	if len(buf) < 4 {
+		return nil, fmt.Errorf("table: truncated catalog")
 	}
-	legacy := false
-	switch binary.LittleEndian.Uint32(buf) {
-	case catalogMagicV4:
-		if len(buf) < 12 {
-			return nil, fmt.Errorf("table: truncated catalog")
-		}
-		body, trailer := buf[:len(buf)-4], binary.LittleEndian.Uint32(buf[len(buf)-4:])
-		if storage.Checksum(body) != trailer {
-			return nil, &storage.CorruptionError{File: "catalog.bin", Offset: 0,
-				Segment: storage.NoCorruptSegment, Detail: "catalog checksum mismatch"}
-		}
-		buf = body
-	case catalogMagic:
-		legacy = true
-	default:
-		return nil, fmt.Errorf("table: bad catalog magic")
+	if magic := binary.LittleEndian.Uint32(buf); magic != catalogCTL4 {
+		return nil, fmt.Errorf("table: catalog format word %#x unsupported: this build reads only %#x (\"CTL4\")", magic, uint32(catalogCTL4))
+	}
+	if len(buf) < 12 {
+		return nil, fmt.Errorf("table: truncated catalog")
+	}
+	buf, trailer := buf[:len(buf)-4], binary.LittleEndian.Uint32(buf[len(buf)-4:])
+	if storage.Checksum(buf) != trailer {
+		return nil, &storage.CorruptionError{File: "catalog.bin", Offset: 0,
+			Segment: storage.NoCorruptSegment, Detail: "catalog checksum mismatch"}
 	}
 	n := int(binary.LittleEndian.Uint32(buf[4:]))
 	p := 8
 	c := NewCatalog()
-	c.legacy = legacy
 	for i := 0; i < n; i++ {
 		if p+2 > len(buf) {
 			return nil, fmt.Errorf("table: truncated catalog")

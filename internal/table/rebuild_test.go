@@ -2,7 +2,6 @@ package table
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -112,18 +111,15 @@ func deviceBytes(t *testing.T, dev storage.Device) []byte {
 // TestRebuildMatchesReference: the table file Rebuild writes, its logical
 // size and header counters, and the statistics it publishes are exactly what
 // decoding and re-appending every survivor produces — for a table inside one
-// write chunk, one spanning several, and one with a trailer-free legacy
-// prefix.
+// write chunk, one spanning several, and an empty one.
 func TestRebuildMatchesReference(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		n      int
-		legacy bool
+		name string
+		n    int
 	}{
-		{"one-chunk", 300, false},
-		{"several-chunks", 6000, false},
-		{"legacy-prefix", 300, true},
-		{"empty", 0, false},
+		{"one-chunk", 300},
+		{"several-chunks", 6000},
+		{"empty", 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			pool := storage.NewPool(0, 1<<20)
@@ -134,14 +130,6 @@ func TestRebuildMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			dead := rebuildFixture(t, tb, cat, tc.n, int64(tc.n)+7)
-			if tc.legacy {
-				tb = stripTrailers(t, tb, pool, cat)
-				for i := 0; i < 20; i++ { // covered records behind the legacy ones
-					if _, _, err := tb.Append(map[model.AttrID]model.Value{0: model.Num(float64(i))}); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
 			if tc.n > 1000 && tb.Bytes() < 3*rebuildChunk {
 				t.Fatalf("fixture of %d bytes does not span several %d-byte chunks", tb.Bytes(), rebuildChunk)
 			}
@@ -162,7 +150,7 @@ func TestRebuildMatchesReference(t *testing.T) {
 				t.Fatalf("table files differ (%d vs %d bytes, first difference at %d)", len(g), len(w), firstDiff(g, w))
 			}
 			if got.Bytes() != want.Bytes() || got.Live() != want.Live() || got.Total() != want.Total() ||
-				got.NextTID() != want.NextTID() || got.CRCStart() != want.CRCStart() {
+				got.NextTID() != want.NextTID() {
 				t.Fatalf("rebuilt table shape: size %d live %d total %d next %d, reference %d %d %d %d",
 					got.Bytes(), got.Live(), got.Total(), got.NextTID(), want.Bytes(), want.Live(), want.Total(), want.NextTID())
 			}
@@ -181,41 +169,6 @@ func firstDiff(a, b []byte) int {
 		}
 	}
 	return min(len(a), len(b))
-}
-
-// stripTrailers rewrites tb as a pre-v4 file — header flags clear, records
-// without CRC trailers — and opens it, so its records sit below the CRC
-// watermark as they do in a store created before format v4.
-func stripTrailers(t *testing.T, tb *Table, pool *storage.Pool, cat *Catalog) *Table {
-	t.Helper()
-	out := make([]byte, headerSize)
-	total := 0
-	err := tb.ScanRecords(func(_ int64, body []byte) error {
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(body)))
-		out = append(out, body...)
-		total++
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	binary.LittleEndian.PutUint32(out[0:4], tableMagic)
-	binary.LittleEndian.PutUint32(out[4:8], uint32(tb.NextTID()))
-	binary.LittleEndian.PutUint64(out[8:16], uint64(tb.Live()))
-	binary.LittleEndian.PutUint64(out[16:24], uint64(total))
-	binary.LittleEndian.PutUint64(out[24:32], uint64(len(out)))
-	dev := storage.NewMemDevice()
-	if _, err := dev.WriteAt(out, 0); err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := Open(storage.NewFile(pool, dev), cat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !legacy.Legacy() && total > 0 {
-		t.Fatal("fixture is not a legacy table")
-	}
-	return legacy
 }
 
 // TestRebuildFailureLeavesCatalog: a rebuild that dies part-way — here on

@@ -28,12 +28,7 @@ type Table struct {
 	live     int64        // live (non-deleted) tuples
 	total    int64        // records present in the file, incl. deleted
 	dataEnd  int64        // next append offset
-	upgraded bool         // header flags bit 0 was unset when the file was opened
 	accesses atomic.Int64 // random tuple fetches (Fig. 8 metric)
-
-	// crcStart is the watermark from which records carry a CRC32C trailer. It
-	// is fixed when the table is created or opened, so readers need no lock.
-	crcStart int64
 
 	// rebuilt holds the statistics Rebuild counted over this table's records
 	// until PublishStats hands them to the catalog; nil otherwise.
@@ -45,8 +40,9 @@ const (
 	headerSize   = 64
 	maxRecordLen = 1 << 24
 
-	// flagRecordCRC marks a header whose crcStart watermark is valid: every
-	// record appended at or beyond it ends in a CRC32C trailer (format v4).
+	// flagRecordCRC with a watermark of headerSize is the header's format
+	// word: every record in the file ends in a CRC32C trailer. Open refuses
+	// any other value (FORMAT.md § Format policy).
 	flagRecordCRC = 1 << 0
 
 	recordTrailerLen = 4
@@ -62,7 +58,7 @@ func New(f *storage.File, cat *Catalog) (*Table, error) {
 	if err := f.Truncate(0); err != nil {
 		return nil, err
 	}
-	t := &Table{f: f, cat: cat, dataEnd: headerSize, crcStart: headerSize}
+	t := &Table{f: f, cat: cat, dataEnd: headerSize}
 	if err := t.writeHeader(); err != nil {
 		return nil, err
 	}
@@ -78,6 +74,12 @@ func Open(f *storage.File, cat *Catalog) (*Table, error) {
 	if binary.LittleEndian.Uint32(hdr[0:4]) != tableMagic {
 		return nil, fmt.Errorf("table: bad magic")
 	}
+	// The format word gates everything: no checksum covers the header, so a
+	// file claiming trailer-free records must be refused, not believed.
+	flags, mark := binary.LittleEndian.Uint32(hdr[32:36]), binary.LittleEndian.Uint64(hdr[36:44])
+	if flags != flagRecordCRC || mark != headerSize {
+		return nil, fmt.Errorf("table: header format (flags %#x, record-checksum watermark %d) unsupported: this build reads only flags %#x with watermark %d", flags, mark, flagRecordCRC, headerSize)
+	}
 	t := &Table{
 		f:       f,
 		cat:     cat,
@@ -85,16 +87,6 @@ func Open(f *storage.File, cat *Catalog) (*Table, error) {
 		live:    int64(binary.LittleEndian.Uint64(hdr[8:16])),
 		total:   int64(binary.LittleEndian.Uint64(hdr[16:24])),
 		dataEnd: int64(binary.LittleEndian.Uint64(hdr[24:32])),
-	}
-	if binary.LittleEndian.Uint32(hdr[32:36])&flagRecordCRC != 0 {
-		t.crcStart = int64(binary.LittleEndian.Uint64(hdr[36:44]))
-	} else {
-		// Pre-v4 file: existing records stay trailer-free, but everything
-		// appended from here on is covered. The watermark equals the
-		// committed dataEnd, so a crash before the next Sync (which persists
-		// the upgraded header) rolls both back together.
-		t.crcStart = t.dataEnd
-		t.upgraded = true
 	}
 	return t, nil
 }
@@ -107,7 +99,7 @@ func (t *Table) writeHeader() error {
 	binary.LittleEndian.PutUint64(hdr[16:24], uint64(t.total))
 	binary.LittleEndian.PutUint64(hdr[24:32], uint64(t.dataEnd))
 	binary.LittleEndian.PutUint32(hdr[32:36], flagRecordCRC)
-	binary.LittleEndian.PutUint64(hdr[36:44], uint64(t.crcStart))
+	binary.LittleEndian.PutUint64(hdr[36:44], headerSize)
 	return t.f.WriteAt(hdr[:], 0)
 }
 
@@ -182,14 +174,6 @@ func (t *Table) IOStats() *storage.Stats { return t.f.IOStats() }
 
 // Accesses returns the number of random tuple fetches since the last reset.
 func (t *Table) Accesses() int64 { return t.accesses.Load() }
-
-// CRCStart returns the watermark from which records carry CRC32C trailers.
-// Records before it (written by a pre-v4 store) are read unverified until a
-// rebuild rewrites them.
-func (t *Table) CRCStart() int64 { return t.crcStart }
-
-// Legacy reports whether the file holds any trailer-free pre-v4 records.
-func (t *Table) Legacy() bool { return t.CRCStart() > headerSize }
 
 // recordCRC returns the trailer value for a record (length word + body) at
 // ptr. The offset is mixed in so a record read from the wrong place — a
@@ -428,8 +412,8 @@ type Record struct {
 }
 
 // read is the one record reader: the length word, then body and trailer in
-// one read into r's buffer, then — at or beyond the CRC watermark — checksum
-// and offset verified before any body byte is interpreted.
+// one read into r's buffer, then checksum and offset verified before any body
+// byte is interpreted.
 func (t *Table) read(ptr int64, r *Record) error {
 	if cap(r.buf) < 4 {
 		r.buf = make([]byte, 0, 512)
@@ -438,19 +422,12 @@ func (t *Table) read(ptr int64, r *Record) error {
 		return err
 	}
 	n := binary.LittleEndian.Uint32(r.buf[:4])
-	covered := ptr >= t.crcStart
 	if n == 0 || n > maxRecordLen {
-		if covered {
-			return &storage.CorruptionError{File: "table.swt", Offset: ptr,
-				Segment: storage.NoCorruptSegment, Detail: fmt.Sprintf("bad record length %d", n)}
-		}
-		return fmt.Errorf("table: bad record length %d at %d", n, ptr)
+		return &storage.CorruptionError{File: "table.swt", Offset: ptr,
+			Segment: storage.NoCorruptSegment, Detail: fmt.Sprintf("bad record length %d", n)}
 	}
 	end := 4 + int(n) // of the CRC-covered bytes
-	size := end
-	if covered {
-		size += recordTrailerLen
-	}
+	size := end + recordTrailerLen
 	if cap(r.buf) < size {
 		grown := make([]byte, 4, 2*size)
 		copy(grown, r.buf[:4])
@@ -460,7 +437,7 @@ func (t *Table) read(ptr int64, r *Record) error {
 	if err := t.f.ReadAt(rec[4:], ptr+4); err != nil {
 		return err
 	}
-	if covered && recordCRC(rec[:end], ptr) != binary.LittleEndian.Uint32(rec[end:]) {
+	if recordCRC(rec[:end], ptr) != binary.LittleEndian.Uint32(rec[end:]) {
 		return &storage.CorruptionError{File: "table.swt", Offset: ptr,
 			Segment: storage.NoCorruptSegment, Detail: "record checksum mismatch"}
 	}
@@ -519,8 +496,6 @@ func (t *Table) Scan(fn func(ptr int64, tp *model.Tuple) error) error {
 // ScrubReport summarizes a table checksum sweep.
 type ScrubReport struct {
 	Records int // records swept
-	Covered int // records carrying a CRC32C trailer
-	Legacy  int // pre-v4 records with no trailer (unverifiable)
 	Corrupt int // records whose trailer or structure failed verification
 	// Problems holds the message of the corrupt record, if any.
 	Problems []string
@@ -539,16 +514,11 @@ func (t *Table) Scrub() ScrubReport { return t.ScrubYield(nil) }
 // the sweep (see the iva package's scrub scheduler).
 func (t *Table) ScrubYield(yield func()) ScrubReport {
 	var rep ScrubReport
-	err := t.ScanRecords(func(ptr int64, body []byte) error {
+	err := t.ScanRecords(func(_ int64, body []byte) error {
 		if _, err := decodeRecord(body); err != nil {
 			return err
 		}
 		rep.Records++
-		if ptr >= t.crcStart {
-			rep.Covered++
-		} else {
-			rep.Legacy++
-		}
 		if yield != nil {
 			yield()
 		}

@@ -10,11 +10,11 @@ import (
 	"github.com/sparsewide/iva/internal/storage"
 )
 
-// Block codecs (format v6).
+// Block codecs.
 //
 // A vector list is logically the bit stream the Encoder produces — every
 // reader (Cursor, zone accumulator, checkpoints) addresses it by logical bit
-// offset. Codec 0 stores that stream verbatim, byte-compatible with v5.
+// offset. Codec 0 stores that stream verbatim.
 // Codec 1 ("packed") re-stores it as a sequence of self-describing blocks,
 // one per sealed checkpoint stripe: a word-aligned container with a skip
 // header (element count, decoded length, payload size, first tuple id, a
@@ -33,7 +33,7 @@ import (
 
 // Codec ids recorded per attribute list in the attribute element.
 const (
-	CodecRaw    uint8 = 0 // legacy raw bit-packed layout, byte-compatible with v5
+	CodecRaw    uint8 = 0 // the raw bit-packed stream
 	CodecPacked uint8 = 1 // word-aligned blocks, skip headers, delta-coded tid gaps
 )
 

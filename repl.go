@@ -143,7 +143,7 @@ func loadReplPrimaryState(path string) (replPrimaryState, error) {
 // whole-page hash identical for EVERY validly self-checksummed superblock
 // (the trailer difference always cancels the payload difference), which
 // would blind the epoch resume guard completely. core.SuperblockStamp does
-// the version-aware exclusion.
+// the exclusion.
 func (s *Store) replSuperblockCRC() (uint32, error) {
 	buf := make([]byte, replSuperblockSize)
 	if err := s.ixFile.ReadAt(buf, 0); err != nil {

@@ -46,12 +46,6 @@ func (s *Store) SearchContext(ctx context.Context, q *Query) ([]Result, QuerySta
 
 // ScrubReport is the machine-readable outcome of one Store.Scrub pass.
 type ScrubReport struct {
-	// FormatVersion is the index file's committed on-disk version; Legacy
-	// marks pre-v4 index files, which carry no checksums (the first Sync
-	// upgrades them in place).
-	FormatVersion int
-	Legacy        bool
-
 	// Index segment sweep: segments covered by the committed checksum map,
 	// how many failed their CRC32C word, and how many were skipped because
 	// they hold unsynced writes. CorruptIndexSegIDs lists the failing
@@ -68,7 +62,7 @@ type ScrubReport struct {
 	CorruptCheckpoints int
 	DroppedCheckpoints int
 
-	// Zone-map record sweep (format v5): committed records verified, records
+	// Zone-map record sweep: committed records verified, records
 	// failing their trailer, and records already dropped when the index was
 	// opened. Zone damage only disables stripe pruning — answers never
 	// change — but it is still damage worth repairing with a rebuild.
@@ -82,11 +76,9 @@ type ScrubReport struct {
 	SuperblockOK bool
 	MapDropped   bool
 
-	// Table record sweep: records swept, records carrying a CRC32C trailer,
-	// pre-v4 records without one, and records that failed verification.
+	// Table record sweep: records swept and records that failed
+	// verification.
 	TableRecords int
-	TableCovered int
-	TableLegacy  int
 	CorruptTable int
 	// CatalogOK reports that the catalog file re-decoded cleanly (always
 	// true for in-memory stores, which have no catalog file).
@@ -101,9 +93,7 @@ type ScrubReport struct {
 	Shards []*ScrubReport
 }
 
-// Clean reports whether the scrub found no damage. A Legacy index is clean
-// by definition — there is nothing to verify against — but the flag (and the
-// iva_format_legacy gauge) surface the reduced assurance.
+// Clean reports whether the scrub found no damage.
 func (r *ScrubReport) Clean() bool {
 	return r.CorruptIndexSegments == 0 && r.CorruptCheckpoints == 0 &&
 		r.DroppedCheckpoints == 0 && r.CorruptZones == 0 && r.DroppedZones == 0 &&
@@ -132,8 +122,6 @@ func (s *Store) scrubYield(yield func()) (*ScrubReport, error) {
 		return nil, err
 	}
 	rep := &ScrubReport{
-		FormatVersion:        ixRep.FormatVersion,
-		Legacy:               ixRep.Legacy,
 		IndexSegments:        ixRep.Segments,
 		CorruptIndexSegments: ixRep.CorruptSegments,
 		DirtyIndexSegments:   ixRep.DirtySegments,
@@ -154,8 +142,6 @@ func (s *Store) scrubYield(yield func()) (*ScrubReport, error) {
 
 	tblRep := s.tbl.ScrubYield(yield)
 	rep.TableRecords = tblRep.Records
-	rep.TableCovered = tblRep.Covered
-	rep.TableLegacy = tblRep.Legacy
 	rep.CorruptTable = tblRep.Corrupt
 	for _, p := range tblRep.Problems {
 		rep.Problems = append(rep.Problems, "table.swt: "+p)
@@ -186,9 +172,8 @@ func (s *Sharded) SearchContext(ctx context.Context, q *Query) ([]Result, QueryS
 }
 
 // Scrub sweeps every shard (see Store.Scrub) and sums the reports. The
-// summed report keeps each shard's full report in Shards; FormatVersion is
-// the lowest across shards and Legacy/flags are ORed so a single damaged or
-// lagging shard marks the whole partition.
+// summed report keeps each shard's full report in Shards; flags are combined
+// so a single damaged shard marks the whole partition.
 func (s *Sharded) Scrub() (*ScrubReport, error) {
 	agg := &ScrubReport{SuperblockOK: true, CatalogOK: true}
 	for i, st := range s.shards {
@@ -196,10 +181,6 @@ func (s *Sharded) Scrub() (*ScrubReport, error) {
 		if err != nil {
 			return nil, fmt.Errorf("iva: shard %d: %w", i, err)
 		}
-		if i == 0 || r.FormatVersion < agg.FormatVersion {
-			agg.FormatVersion = r.FormatVersion
-		}
-		agg.Legacy = agg.Legacy || r.Legacy
 		agg.IndexSegments += r.IndexSegments
 		agg.CorruptIndexSegments += r.CorruptIndexSegments
 		agg.DirtyIndexSegments += r.DirtyIndexSegments
@@ -212,8 +193,6 @@ func (s *Sharded) Scrub() (*ScrubReport, error) {
 		agg.SuperblockOK = agg.SuperblockOK && r.SuperblockOK
 		agg.MapDropped = agg.MapDropped || r.MapDropped
 		agg.TableRecords += r.TableRecords
-		agg.TableCovered += r.TableCovered
-		agg.TableLegacy += r.TableLegacy
 		agg.CorruptTable += r.CorruptTable
 		agg.CatalogOK = agg.CatalogOK && r.CatalogOK
 		for _, p := range r.Problems {

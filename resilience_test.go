@@ -43,8 +43,8 @@ func TestQueryTimeout(t *testing.T) {
 	}
 }
 
-// TestScrubFreshClean asserts a freshly written store scrubs clean on the
-// current format version — the ivatool `scrub` happy path.
+// TestScrubFreshClean asserts a freshly written store scrubs clean — the
+// ivatool `scrub` happy path.
 func TestScrubFreshClean(t *testing.T) {
 	s, err := Create(t.TempDir(), Options{})
 	if err != nil {
@@ -58,9 +58,6 @@ func TestScrubFreshClean(t *testing.T) {
 	}
 	if !rep.Clean() {
 		t.Fatalf("fresh store not clean: %+v", rep.Problems)
-	}
-	if rep.Legacy || rep.FormatVersion < 4 {
-		t.Fatalf("fresh store should be v4+, got version=%d legacy=%v", rep.FormatVersion, rep.Legacy)
 	}
 	if rep.IndexSegments == 0 || rep.TableRecords == 0 {
 		t.Fatalf("scrub covered nothing: %+v", rep)

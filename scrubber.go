@@ -63,8 +63,8 @@ const (
 	// degradation.
 	HealthOK HealthState = iota
 	// HealthDegraded: assurance is reduced but nothing is confirmed broken —
-	// a legacy (pre-v4) shard without checksum coverage, queries degrading
-	// past corrupt segments not yet confirmed by a sweep, or a sweep error.
+	// queries degrading past corrupt segments not yet confirmed by a sweep,
+	// or a sweep error.
 	HealthDegraded
 	// HealthDamaged: the last sweep of some shard found checksum failures.
 	HealthDamaged
@@ -336,14 +336,9 @@ func (sc *Scrubber) Health() (HealthState, string) {
 		}
 	}
 	for i, st := range sc.stores {
-		if rep := sc.lastReport[i]; rep != nil {
-			if !rep.Clean() {
-				worsen(HealthDamaged, fmt.Sprintf("shard %d: scrub found damage", i))
-				continue
-			}
-			if rep.Legacy {
-				worsen(HealthDegraded, fmt.Sprintf("shard %d: legacy format, no checksum coverage", i))
-			}
+		if rep := sc.lastReport[i]; rep != nil && !rep.Clean() {
+			worsen(HealthDamaged, fmt.Sprintf("shard %d: scrub found damage", i))
+			continue
 		}
 		if sc.lastErr[i] != "" {
 			worsen(HealthDegraded, fmt.Sprintf("shard %d: sweep error: %s", i, sc.lastErr[i]))

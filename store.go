@@ -98,19 +98,18 @@ type Options struct {
 	// returns context.DeadlineExceeded. Zero disables the bound;
 	// SearchContext composes with it (the earlier deadline wins).
 	QueryTimeout time.Duration
-	// DisableZoneMaps turns off stripe zone-map pruning (format v5): the
+	// DisableZoneMaps turns off stripe zone-map pruning: the
 	// per-stripe summaries are still maintained and persisted, but searches
 	// no longer skip stripes whose best-possible distance cannot beat the
 	// top-k bar. Results are identical either way — the switch exists for
 	// A/B measurement and as an escape hatch. See also Store.SetZoneMaps.
 	DisableZoneMaps bool
-	// Codec selects the block codec vector lists are stored under (format
-	// v6): 0 keeps the legacy raw bit-packed layout (byte-compatible with
-	// v5), 1 seals Type I/II lists into word-aligned packed blocks with
-	// per-block skip headers and delta-coded tuple-id gaps. Answers are
-	// byte-identical under either codec; the choice trades build-time
-	// transcoding for smaller filter reads. Takes effect at the next build
-	// or rebuild; positional (Type III/IV) lists always stay raw.
+	// Codec selects the block codec vector lists are stored under: 0 keeps
+	// the raw bit-packed layout, 1 seals Type I/II lists into word-aligned
+	// packed blocks with per-block skip headers and delta-coded tuple-id
+	// gaps. Answers are byte-identical under either codec; the choice trades
+	// build-time transcoding for smaller filter reads. Takes effect at the
+	// next build or rebuild; positional (Type III/IV) lists always stay raw.
 	Codec int
 	// TraceRingSize caps the sampled in-process trace ring served by
 	// WriteTraces (/debug/trace): one query trace in every
@@ -339,19 +338,6 @@ func (s *Store) initObs() {
 		s.engineMu.RLock()
 		defer s.engineMu.RUnlock()
 		return float64(s.ix.SearchWorkers())
-	})
-	s.reg.GaugeFunc("iva_format_legacy", "1 while the index file predates format v4 (no checksum coverage until the next sync).", labels, func() float64 {
-		s.engineMu.RLock()
-		defer s.engineMu.RUnlock()
-		if s.ix.FormatVersion() < 4 {
-			return 1
-		}
-		return 0
-	})
-	s.reg.GaugeFunc("iva_format_version", "Committed on-disk format version of the index file.", labels, func() float64 {
-		s.engineMu.RLock()
-		defer s.engineMu.RUnlock()
-		return float64(s.ix.FormatVersion())
 	})
 	s.reg.GaugeFunc("iva_zonemap_coverage_ratio", "Fraction of sealed stripes with a known zone-map record (0 when zone maps are absent or disabled on disk).", labels, func() float64 {
 		s.engineMu.RLock()
@@ -1346,7 +1332,7 @@ type AttrInfo struct {
 	Bits     int64   // vector list size in bits
 	DF       int64   // tuples defining the attribute
 	Strings  int64   // total strings (text attributes)
-	Codec    string  // block codec the list is stored under (format v6)
+	Codec    string  // block codec the list is stored under
 	Blocks   int     // sealed block containers (packed codec only)
 }
 
@@ -1415,7 +1401,7 @@ func (s *Store) syncLocked() error {
 		return err
 	}
 	if s.dir != "" {
-		if err := os.WriteFile(filepath.Join(s.dir, catalogFileName), s.cat.Encode(), 0o644); err != nil {
+		if err := writeFileAtomic(filepath.Join(s.dir, catalogFileName), s.cat.Encode()); err != nil {
 			return fmt.Errorf("iva: write catalog: %w", err)
 		}
 	}
