@@ -58,7 +58,7 @@ func main() {
 		addr       = flag.String("addr", "127.0.0.1:9090", "listen address for serve")
 		slow       = flag.Duration("slow", 250*time.Millisecond, "slow-query log threshold for serve")
 		pprofFlag  = flag.Bool("pprof", false, "expose /debug/pprof on serve (off by default; see README security note)")
-		scrubEvery = flag.Duration("scrub-interval", 10*time.Minute, "background scrub cycle target for serve (0 disables)")
+		scrubEvery = flag.Duration("scrub-interval", 10*time.Minute, "pause between background scrub sweeps for serve (0 disables)")
 		qps        = flag.Float64("qps", 0, "per-tenant sustained query quota for serve (0 = unlimited)")
 		burst      = flag.Int("burst", 0, "per-tenant quota burst for serve (0 = auto from -qps)")
 		maxConc    = flag.Int("max-concurrent", 0, "per-tenant concurrent search cap for serve (0 = 2x GOMAXPROCS)")
@@ -231,25 +231,12 @@ func run(cmd string, args []string, dir string, k int, sv serveOpts, opts iva.Op
 				q.WhereText(attr, val)
 			}
 		}
-		if *profile {
-			res, prof, err := st.SearchProfiled(q)
-			if err != nil {
-				return err
-			}
-			for _, r := range res {
-				row, err := st.Get(r.TID)
-				if err != nil {
-					return err
-				}
-				fmt.Printf("tid=%d dist=%.3f %s\n", r.TID, r.Dist, formatRow(row))
-			}
-			fmt.Print(prof.Render())
-			return nil
-		}
+		start := time.Now()
 		res, stats, err := st.Search(q)
 		if err != nil {
 			return err
 		}
+		elapsed := time.Since(start)
 		for _, r := range res {
 			row, err := st.Get(r.TID)
 			if err != nil {
@@ -257,8 +244,12 @@ func run(cmd string, args []string, dir string, k int, sv serveOpts, opts iva.Op
 			}
 			fmt.Printf("tid=%d dist=%.3f %s\n", r.TID, r.Dist, formatRow(row))
 		}
-		fmt.Printf("(scanned %d, table accesses %d, filter %v, refine %v)\n",
-			stats.Scanned, stats.TableAccesses, stats.FilterTime, stats.RefineTime)
+		if *profile {
+			fmt.Print(stats.Render(q, len(res), elapsed))
+		} else {
+			fmt.Printf("(scanned %d, table accesses %d, filter %v, refine %v)\n",
+				stats.Scanned, stats.TableAccesses, stats.FilterTime, stats.RefineTime)
+		}
 	case "explain":
 		q := iva.NewQuery(k)
 		for _, a := range args {
@@ -331,8 +322,9 @@ func run(cmd string, args []string, dir string, k int, sv serveOpts, opts iva.Op
 
 // stats prints the store's shape and, when a scrub report has been persisted
 // (by `ivatool scrub` or a background scrubber), the last sweep's age and
-// per-shard damage. With -strict, recorded damage (or a damaged/degraded
-// health verdict) exits non-zero so cron jobs can alert on it.
+// damage. With -strict, recorded damage, a sweep error, a damaged health
+// verdict or a report without a completed sweep exits non-zero so cron jobs
+// can alert on it.
 func stats(st *iva.Store, dir string, args []string) error {
 	fs := flag.NewFlagSet("stats", flag.ContinueOnError)
 	strict := fs.Bool("strict", false, "exit non-zero when the persisted scrub report records damage")
@@ -405,22 +397,23 @@ func stats(st *iva.Store, dir string, args []string) error {
 		return err
 	}
 	fmt.Printf("scrub       %s ago, health=%s\n", time.Since(snap.Time).Round(time.Second), snap.Health)
-	damaged := 0
-	for _, sh := range snap.Shards {
-		if sh.Report == nil {
-			fmt.Printf("  shard %d: not yet swept\n", sh.Shard)
-			continue
-		}
-		bad := sh.Report.CorruptIndexSegments + sh.Report.CorruptCheckpoints + sh.Report.CorruptTable
-		fmt.Printf("  shard %d: swept %s ago, degraded segments %d, corrupt checkpoints %d, corrupt table records %d\n",
-			sh.Shard, time.Since(sh.LastSweep).Round(time.Second),
-			sh.Report.CorruptIndexSegments, sh.Report.CorruptCheckpoints, sh.Report.CorruptTable)
-		if bad > 0 || sh.Err != "" {
-			damaged++
-		}
+	if snap.Err != "" {
+		fmt.Printf("  sweep error: %s\n", snap.Err)
+	} else if snap.Report == nil {
+		fmt.Printf("  not yet swept\n")
 	}
-	if *strict && (snap.Health == "damaged" || damaged > 0) {
-		return fmt.Errorf("stats -strict: scrub recorded damage on %d shard(s) (health=%s)", damaged, snap.Health)
+	if snap.Report == nil {
+		if *strict {
+			return fmt.Errorf("stats -strict: the scrub report records no completed sweep")
+		}
+		return nil
+	}
+	bad := snap.Report.CorruptIndexSegments + snap.Report.CorruptCheckpoints + snap.Report.CorruptTable
+	fmt.Printf("  swept %s ago, degraded segments %d, corrupt checkpoints %d, corrupt table records %d\n",
+		time.Since(snap.LastSweep).Round(time.Second),
+		snap.Report.CorruptIndexSegments, snap.Report.CorruptCheckpoints, snap.Report.CorruptTable)
+	if *strict && (snap.Health == "damaged" || bad > 0 || snap.Err != "") {
+		return fmt.Errorf("stats -strict: scrub recorded damage (health=%s)", snap.Health)
 	}
 	return nil
 }

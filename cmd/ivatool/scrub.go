@@ -94,14 +94,7 @@ func persistScrub(dir string, rep *iva.ScrubReport) {
 		health = "damaged"
 	}
 	now := time.Now()
-	snap := iva.ScrubSnapshot{Time: now, Health: health}
-	if len(rep.Shards) > 0 {
-		for i, r := range rep.Shards {
-			snap.Shards = append(snap.Shards, iva.ShardScrubStatus{Shard: i, LastSweep: now, Report: r})
-		}
-	} else {
-		snap.Shards = []iva.ShardScrubStatus{{Shard: 0, LastSweep: now, Report: rep}}
-	}
+	snap := iva.ScrubSnapshot{Time: now, Health: health, LastSweep: now, Report: rep}
 	if err := iva.SaveScrubReport(filepath.Join(dir, "scrub-report.json"), snap); err != nil {
 		fmt.Printf("scrub: warning: could not persist report: %v\n", err)
 	}

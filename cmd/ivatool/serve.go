@@ -23,7 +23,7 @@ import (
 //	/v1/stats        store + server shape as JSON
 //	/metrics         Prometheus text exposition (text/plain; version=0.0.4);
 //	                 store families followed by iva_server_* families
-//	/healthz         the scrub scheduler's verdict (ok/degraded/damaged) when
+//	/healthz         the scrubber's verdict (ok/degraded/damaged) when
 //	                 a scrubber runs; otherwise runs Store.Check, 200 "ok" or
 //	                 503 with the problems
 //	/debug/querylog  the slow-query log: JSON (default) or ?format=text
@@ -185,7 +185,7 @@ func gracefulServe(hs *http.Server, ln net.Listener, api *server.Server, drainTi
 
 // serve runs the query service plus observability endpoints until SIGTERM or
 // SIGINT, then drains gracefully. A positive scrub interval starts the
-// background scrub scheduler for the server's lifetime.
+// background scrubber for the server's lifetime.
 func serve(st *iva.Store, sv serveOpts) error {
 	if sv.follow == "" {
 		// Any served store is a potential primary: cut synced-prefix deltas

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -11,8 +12,9 @@ import (
 
 // TestStatsScrubReport covers the stats command's scrub-report surface:
 // without a report it stays informational (but -strict demands one), after a
-// scrub it reports age and per-shard counts, and -strict turns recorded
-// damage into a non-zero exit.
+// scrub it reports age and damage counts, -strict turns recorded damage into
+// a non-zero exit, and a report in the pre-flattening shape reads as "never
+// swept".
 func TestStatsScrubReport(t *testing.T) {
 	dir := t.TempDir()
 	opts := iva.Options{}
@@ -43,11 +45,7 @@ func TestStatsScrubReport(t *testing.T) {
 	// scrub` persist) must fail -strict but not plain stats.
 	rep := &iva.ScrubReport{}
 	rep.CorruptIndexSegments = 2
-	snap := iva.ScrubSnapshot{
-		Time:   time.Now(),
-		Health: "damaged",
-		Shards: []iva.ShardScrubStatus{{Shard: 0, LastSweep: time.Now(), Report: rep}},
-	}
+	snap := iva.ScrubSnapshot{Time: time.Now(), Health: "damaged", LastSweep: time.Now(), Report: rep}
 	if err := iva.SaveScrubReport(filepath.Join(dir, "scrub-report.json"), snap); err != nil {
 		t.Fatal(err)
 	}
@@ -60,6 +58,19 @@ func TestStatsScrubReport(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "damage") {
 		t.Fatalf("strict failure does not name the damage: %v", err)
+	}
+
+	// A report written before the snapshot was flattened carries a "shards"
+	// array the loader no longer knows: no completed sweep, not an error.
+	old := `{"time":"2026-01-02T03:04:05Z","health":"ok","shards":[{"shard":0,"last_sweep":"2026-01-02T03:04:05Z","report":{"SuperblockOK":true,"CatalogOK":true}}]}`
+	if err := os.WriteFile(filepath.Join(dir, "scrub-report.json"), []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run("stats", nil, dir, 10, serveOpts{}, opts); err != nil {
+		t.Fatalf("plain stats on an old-shape report: %v", err)
+	}
+	if err := run("stats", []string{"-strict"}, dir, 10, serveOpts{}, opts); err == nil {
+		t.Fatal("stats -strict passed on an old-shape report that records no sweep")
 	}
 }
 

@@ -1,7 +1,6 @@
 // Operations: the care-and-feeding surface of the store — bulk ingestion,
 // per-term query diagnostics (Explain), index introspection (Attrs), the
-// integrity checker (Check), the §VI-style sharded deployment with
-// parallel fan-out search, and the observability layer (Prometheus-style
+// integrity checker (Check), and the observability layer (Prometheus-style
 // metrics scrape plus the slow-query log with its per-term trace).
 //
 // Run with: go run ./examples/operations
@@ -18,58 +17,40 @@ import (
 )
 
 func main() {
-	// A sharded, in-memory deployment: four partitions, searched in
-	// parallel and merged exactly (the paper's §VI observation that a flat
-	// index partitions trivially).
 	// SlowQueryThreshold arms the slow-query log; a nanosecond threshold
 	// captures every query so the demo always has a trace to show.
-	cluster, err := iva.CreateSharded("", 4, iva.Options{SlowQueryThreshold: time.Nanosecond})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer cluster.Close()
-
-	rng := rand.New(rand.NewSource(99))
-	makes := []string{"canon", "nikon", "sony", "olympus", "pentax", "leica"}
-	for i := 0; i < 8000; i++ {
-		if _, err := cluster.Insert(iva.Row{
-			"brand": iva.Strings(makes[rng.Intn(len(makes))]),
-			"model": iva.Strings(fmt.Sprintf("mk%d", rng.Intn(400))),
-			"price": iva.Num(float64(150 + rng.Intn(3000))),
-		}); err != nil {
-			log.Fatal(err)
-		}
-	}
-	q := iva.NewQuery(5).
-		WhereText("brand", "cannon").
-		WhereNum("price", 800)
-	res, stats, err := cluster.Search(q)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("sharded search over %d shards: %d results, %d of %d tuples fetched\n",
-		cluster.Shards(), len(res), stats.TableAccesses, stats.Scanned)
-	for i, r := range res {
-		row, _ := cluster.Get(r.TID)
-		fmt.Printf("  %d. tid=%-9d dist=%-8.3f brand=%v price=%v\n",
-			i+1, r.TID, r.Dist, row["brand"], row["price"])
-	}
-
-	// A single store exposes the deeper operational tools.
-	st, err := iva.Create("", iva.Options{})
+	st, err := iva.Create("", iva.Options{SlowQueryThreshold: time.Nanosecond})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer st.Close()
-	rows := make([]iva.Row, 0, 3000)
-	for i := 0; i < 3000; i++ {
+
+	rng := rand.New(rand.NewSource(99))
+	makes := []string{"canon", "nikon", "sony", "olympus", "pentax", "leica"}
+	rows := make([]iva.Row, 0, 8000)
+	for i := 0; i < 8000; i++ {
 		rows = append(rows, iva.Row{
 			"brand": iva.Strings(makes[rng.Intn(len(makes))]),
+			"model": iva.Strings(fmt.Sprintf("mk%d", rng.Intn(400))),
 			"price": iva.Num(float64(150 + rng.Intn(3000))),
 		})
 	}
 	if _, err := st.InsertBatch(rows); err != nil { // bulk-feed ingestion
 		log.Fatal(err)
+	}
+	q := iva.NewQuery(5).
+		WhereText("brand", "cannon").
+		WhereNum("price", 800)
+	res, stats, err := st.Search(q)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("search with %d workers: %d results, %d of %d tuples fetched\n",
+		stats.Workers, len(res), stats.TableAccesses, stats.Scanned)
+	for i, r := range res {
+		row, _ := st.Get(r.TID)
+		fmt.Printf("  %d. tid=%-9d dist=%-8.3f brand=%v price=%v\n",
+			i+1, r.TID, r.Dist, row["brand"], row["price"])
 	}
 
 	// Explain: where do the bounds come from, and how tight are they?
@@ -103,24 +84,23 @@ func main() {
 		rep.Entries, rep.VectorElems, rep.Ok())
 
 	// Metrics scrape: the same text a Prometheus server would pull from
-	// `ivatool serve` /metrics. Every shard reports under its own label;
-	// here we pick out the query counters and the cache hit ratio.
+	// `ivatool serve` /metrics; here we pick out the query counters and the
+	// cache hit ratio.
 	fmt.Println("\nmetrics scrape (selected series):")
-	for _, line := range strings.Split(cluster.MetricsText(), "\n") {
+	for _, line := range strings.Split(st.MetricsText(), "\n") {
 		if strings.HasPrefix(line, "iva_queries_total") ||
-			strings.HasPrefix(line, "iva_fanout_queries_total") ||
 			strings.HasPrefix(line, "iva_io_cache_hit_ratio") ||
 			strings.HasPrefix(line, "iva_query_duration_seconds_count") {
 			fmt.Printf("  %s\n", line)
 		}
 	}
 
-	// The slow-query log keeps the full trace of each offending query:
-	// the fan-out root, one "query" span per shard, and under each the
-	// filter phase with its per-term scan counters.
-	fmt.Printf("\nslow-query log: %d entries; latest trace:\n", cluster.SlowQueryCount())
+	// The slow-query log keeps the full trace of each offending query: the
+	// "query" root span, and under it the filter phase with its per-term
+	// scan counters.
+	fmt.Printf("\nslow-query log: %d entries; latest trace:\n", st.SlowQueryCount())
 	var sb strings.Builder
-	if err := cluster.WriteSlowQueries(&sb); err != nil {
+	if err := st.WriteSlowQueries(&sb); err != nil {
 		log.Fatal(err)
 	}
 	excerpt := sb.String()

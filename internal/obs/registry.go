@@ -21,8 +21,8 @@ import (
 	"time"
 )
 
-// Labels attach dimensions to a metric series (e.g. shard="3"). A nil map is
-// the empty label set.
+// Labels attach dimensions to a metric series (e.g. phase="filter"). A nil
+// map is the empty label set.
 type Labels map[string]string
 
 // With returns a copy of base with k=v added (base is not modified).

@@ -83,27 +83,6 @@ func (s *Span) Child(name string) *Span {
 	return c
 }
 
-// Adopt attaches an independently started span as a child (used when a
-// fan-out creates the child on another goroutine), folding the adopted
-// subtree into the parent's trace id so the whole tree shares one.
-func (s *Span) Adopt(c *Span) {
-	if s == nil || c == nil {
-		return
-	}
-	c.retrace(s.traceID)
-	s.mu.Lock()
-	s.children = append(s.children, c)
-	s.mu.Unlock()
-}
-
-// retrace rewrites the trace id across a subtree (adoption).
-func (s *Span) retrace(traceID uint64) {
-	s.traceID = traceID
-	for _, c := range s.Children() {
-		c.retrace(traceID)
-	}
-}
-
 // TraceID returns the span's trace id as 16 hex digits ("" on nil).
 func (s *Span) TraceID() string {
 	if s == nil {

@@ -154,10 +154,10 @@ func checkEquivalence(t *testing.T, be Backend, seed uint64, nq int) {
 
 // TestServerEquivalence is the battery's core: over a seeded randomized
 // workload, every HTTP answer is byte-identical to the in-process answer, at
-// one worker and full parallelism, with zone maps on and off, on a single
-// store and on a sharded one. (The degraded-read configuration lives in the
-// root package's TestServerEquivalenceDegraded, which needs fault-injection
-// access to the index file.)
+// one worker and full parallelism, with zone maps on and off. (The
+// degraded-read configuration lives in the root package's
+// TestServerEquivalenceDegraded, which needs fault-injection access to the
+// index file.)
 func TestServerEquivalence(t *testing.T) {
 	const (
 		seed  = 7331
@@ -165,37 +165,22 @@ func TestServerEquivalence(t *testing.T) {
 		nq    = 80
 	)
 	cases := []struct {
-		name   string
-		opts   iva.Options
-		shards int
+		name string
+		opts iva.Options
 	}{
-		{"one-worker", iva.Options{SearchParallelism: 1}, 0},
-		{fmt.Sprintf("parallel-%d", runtime.GOMAXPROCS(0)), iva.Options{SearchParallelism: 0}, 0},
-		{"zonemaps-off", iva.Options{DisableZoneMaps: true}, 0},
-		{"sharded", iva.Options{}, 3},
+		{"one-worker", iva.Options{SearchParallelism: 1}},
+		{fmt.Sprintf("parallel-%d", runtime.GOMAXPROCS(0)), iva.Options{SearchParallelism: 0}},
+		{"zonemaps-off", iva.Options{DisableZoneMaps: true}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			var be Backend
-			if tc.shards > 0 {
-				s, err := iva.CreateSharded(dir, tc.shards, tc.opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer s.Close()
-				seedStore(t, seed, nrows, s.Insert, s.Sync)
-				be = s
-			} else {
-				s, err := iva.Create(dir, tc.opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer s.Close()
-				seedStore(t, seed, nrows, s.Insert, s.Sync)
-				be = s
+			s, err := iva.Create(t.TempDir(), tc.opts)
+			if err != nil {
+				t.Fatal(err)
 			}
-			checkEquivalence(t, be, seed+1, nq)
+			defer s.Close()
+			seedStore(t, seed, nrows, s.Insert, s.Sync)
+			checkEquivalence(t, s, seed+1, nq)
 		})
 	}
 }

@@ -1,6 +1,6 @@
 // Package server is the network query service over an iVA-file store: an
-// HTTP JSON search API (POST /v1/search, /v1/get, /v1/stats) running over
-// Store or Sharded through the SearchContext/QueryTimeout lifecycle, with
+// HTTP JSON search API (POST /v1/search, /v1/get, /v1/stats) running over a
+// Store through the SearchContext/QueryTimeout lifecycle, with
 // per-tenant admission control in front — token-bucket quotas, concurrency
 // limits, a bounded deadline-aware admission queue that sheds with 429 +
 // Retry-After, and graceful drain for shutdown.
@@ -28,8 +28,9 @@ import (
 	"github.com/sparsewide/iva/internal/obs"
 )
 
-// Backend is the store surface the server runs over; *iva.Store and
-// *iva.Sharded both satisfy it.
+// Backend is the store surface the server runs over. *iva.Store satisfies
+// it; the interface is the seam where tests and the benchmark substitute
+// wrappers around one.
 type Backend interface {
 	SearchContext(ctx context.Context, q *iva.Query) ([]iva.Result, iva.QueryStats, error)
 	Get(tid iva.TID) (iva.Row, error)

@@ -42,9 +42,6 @@ func TestQueryStatsIO(t *testing.T) {
 	if qs.DiskCostMS < 0 {
 		t.Errorf("negative modeled cost %v", qs.DiskCostMS)
 	}
-	if qs.Shards != nil {
-		t.Error("single-store stats should have no per-shard breakdown")
-	}
 }
 
 // TestStoreMetricsText runs a store under load and checks the Prometheus
@@ -140,97 +137,5 @@ func TestSlowQueryDisabled(t *testing.T) {
 	}
 	if strings.TrimSpace(b.String()) != "[]" {
 		t.Fatalf("disabled log serialized %q", b.String())
-	}
-}
-
-// TestShardedQueryStatsAggregation checks the fan-out no longer drops
-// per-shard stats: counters sum, times take the critical path, and the
-// breakdown is preserved.
-func TestShardedQueryStatsAggregation(t *testing.T) {
-	cl, err := CreateSharded("", 3, Options{SlowQueryThreshold: time.Nanosecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	for i := 0; i < 300; i++ {
-		if _, err := cl.Insert(Row{"price": Num(float64(i))}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	_, qs, err := cl.Search(NewQuery(5).WhereNum("price", 42))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(qs.Shards) != 3 {
-		t.Fatalf("per-shard breakdown has %d entries, want 3", len(qs.Shards))
-	}
-	var scanned, hits, reads int64
-	var cost float64
-	var maxFilter time.Duration
-	for _, sh := range qs.Shards {
-		scanned += sh.Scanned
-		hits += sh.CacheHits
-		reads += sh.PhysReads
-		cost += sh.DiskCostMS
-		if sh.FilterTime > maxFilter {
-			maxFilter = sh.FilterTime
-		}
-	}
-	if qs.Scanned != scanned || qs.CacheHits != hits || qs.PhysReads != reads {
-		t.Errorf("aggregate counters do not sum the shards: %+v", qs)
-	}
-	if qs.DiskCostMS != cost {
-		t.Errorf("aggregate cost %v, shard sum %v", qs.DiskCostMS, cost)
-	}
-	if qs.FilterTime != maxFilter {
-		t.Errorf("aggregate filter time %v, want slowest shard %v", qs.FilterTime, maxFilter)
-	}
-	if qs.Scanned != 300 {
-		t.Errorf("scanned %d of 300 live tuples", qs.Scanned)
-	}
-}
-
-// TestShardedMetricsAndSlowLog checks per-shard labeling in the shared
-// registry and the single fan-out slow-log entry with per-shard spans.
-func TestShardedMetricsAndSlowLog(t *testing.T) {
-	cl, err := CreateSharded("", 2, Options{SlowQueryThreshold: time.Nanosecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	for i := 0; i < 100; i++ {
-		if _, err := cl.Insert(Row{"n": Num(float64(i))}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, _, err := cl.Search(NewQuery(3).WhereNum("n", 7)); err != nil {
-		t.Fatal(err)
-	}
-	text := cl.MetricsText()
-	for _, want := range []string{
-		`iva_queries_total{shard="0"} 1`,
-		`iva_queries_total{shard="1"} 1`,
-		"iva_fanout_queries_total 1",
-		"iva_fanout_query_duration_seconds_bucket",
-		"iva_shards 2",
-		`iva_io_phys_reads_total{shard="0"}`,
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("sharded metrics missing %q", want)
-		}
-	}
-	// One fan-out entry (not one per shard), holding both shard subtraces.
-	if cl.SlowQueryCount() != 1 {
-		t.Fatalf("fan-out slow count = %d, want 1", cl.SlowQueryCount())
-	}
-	var b strings.Builder
-	if err := cl.WriteSlowQueries(&b); err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.Count(b.String(), `"name":"query"`); got != 2 {
-		t.Errorf("fan-out trace has %d shard query spans, want 2: %s", got, b.String())
-	}
-	if !strings.Contains(b.String(), `"name":"fanout"`) {
-		t.Errorf("missing fanout root span: %s", b.String())
 	}
 }

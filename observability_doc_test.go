@@ -8,14 +8,14 @@ import (
 )
 
 // TestMetricsDocumented keeps OBSERVABILITY.md honest: every metric family a
-// running partitioned store (with a scrubber) actually registers must appear
-// in the reference table. New metrics fail this test until documented.
+// running store (with a scrubber) actually registers must appear in the
+// reference table. New metrics fail this test until documented.
 func TestMetricsDocumented(t *testing.T) {
 	doc, err := os.ReadFile("OBSERVABILITY.md")
 	if err != nil {
 		t.Fatalf("OBSERVABILITY.md unreadable: %v", err)
 	}
-	s, err := CreateSharded(t.TempDir(), 2, Options{})
+	s, err := Create(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

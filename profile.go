@@ -2,7 +2,6 @@ package iva
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"io"
 	"strconv"
@@ -31,7 +30,7 @@ type WorkerProfile struct {
 // fetches for surviving candidates), and the deterministic (dist, tid) top-k
 // merge — plus the striped plan's work distribution and the buffer pool's
 // contribution. FilterTime+RefineTime+MergeTime equals the measured query
-// wall clock (on a Sharded store, the slowest shard's).
+// wall clock.
 type PhaseProfile struct {
 	FilterTime time.Duration
 	RefineTime time.Duration
@@ -48,57 +47,11 @@ type PhaseProfile struct {
 	StripesSkipped     int
 	StripesZoneChecked int
 	StripesZonePruned  int
-	// Workers holds each filter worker's share. On a Sharded store the
-	// slices of all shards are concatenated in shard order.
+	// Workers holds each filter worker's share.
 	Workers []WorkerProfile
 	// PoolHitRatio is the fraction of the query's page requests served by
 	// the buffer pool.
 	PoolHitRatio float64
-}
-
-// QueryProfile is the EXPLAIN ANALYZE companion to a search: the executed
-// plan's per-phase timing and work distribution, rendered human-readable by
-// Render. Profiling changes nothing about execution — the same plan runs with
-// or without it, and results are byte-identical to Search.
-type QueryProfile struct {
-	Query   string // rendered query description
-	Results int
-	Elapsed time.Duration
-	TraceID string
-	Stats   QueryStats
-}
-
-// SearchProfiled runs Search and additionally returns the executed plan's
-// profile. Results are byte-identical to Search — the instrumentation is
-// always on; this entry point only materializes it.
-func (s *Store) SearchProfiled(q *Query) ([]Result, *QueryProfile, error) {
-	start := time.Now()
-	res, qs, err := s.search(context.Background(), q, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, newQueryProfile(q, res, qs, time.Since(start)), nil
-}
-
-// SearchProfiled runs Search across every shard and returns the fan-out's
-// profile; per-shard breakdowns are in Stats.Shards.
-func (s *Sharded) SearchProfiled(q *Query) ([]Result, *QueryProfile, error) {
-	start := time.Now()
-	res, qs, err := s.searchContext(context.Background(), q)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, newQueryProfile(q, res, qs, time.Since(start)), nil
-}
-
-func newQueryProfile(q *Query, res []Result, qs QueryStats, elapsed time.Duration) *QueryProfile {
-	return &QueryProfile{
-		Query:   q.describe(),
-		Results: len(res),
-		Elapsed: elapsed,
-		TraceID: qs.TraceID,
-		Stats:   qs,
-	}
 }
 
 func fmtMS(d time.Duration) string {
@@ -124,60 +77,44 @@ func phaseBreakdown(qs QueryStats) *obs.PhaseBreakdown {
 	return pb
 }
 
-// Render formats the profile in an EXPLAIN ANALYZE style: one header line,
-// one line per phase, the I/O summary, and one line per filter worker (and
-// per shard on a partitioned store).
-func (p *QueryProfile) Render() string {
+// Render formats the stats of a finished search in an EXPLAIN ANALYZE style:
+// one header line, one line per phase, the I/O summary, and one line per
+// filter worker. q is the query that ran, results the number of answers it
+// returned and elapsed the caller's wall clock around the call.
+func (qs QueryStats) Render(q *Query, results int, elapsed time.Duration) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Search %s\n", p.Query)
-	fmt.Fprintf(&b, "  time=%s results=%d workers=%d", fmtMS(p.Elapsed), p.Results, p.Stats.Workers)
-	if p.TraceID != "" {
-		fmt.Fprintf(&b, " trace=%s", p.TraceID)
+	fmt.Fprintf(&b, "Search %s\n", q.describe())
+	fmt.Fprintf(&b, "  time=%s results=%d workers=%d", fmtMS(elapsed), results, qs.Workers)
+	if qs.TraceID != "" {
+		fmt.Fprintf(&b, " trace=%s", qs.TraceID)
 	}
 	b.WriteByte('\n')
-	ph := p.Stats.Phase
-	if ph != nil {
-		fmt.Fprintf(&b, "  Filter: %s  scanned=%d stripes=%d", fmtMS(ph.FilterTime), p.Stats.Scanned, ph.StripesTotal)
-		if ph.StripesSkipped > 0 {
-			fmt.Fprintf(&b, " (skipped %d)", ph.StripesSkipped)
-		}
-		if ph.StripesZoneChecked > 0 {
-			fmt.Fprintf(&b, " zone_checked=%d zone_pruned=%d", ph.StripesZoneChecked, ph.StripesZonePruned)
-		}
-		b.WriteByte('\n')
-		fmt.Fprintf(&b, "  Refine: %s  fetched=%d\n", fmtMS(ph.RefineTime), p.Stats.TableAccesses)
-		fmt.Fprintf(&b, "  Merge:  %s\n", fmtMS(ph.MergeTime))
-		fmt.Fprintf(&b, "  I/O: cache_hits=%d phys_reads=%d pool_hit_ratio=%.1f%% disk_cost=%.3fms",
-			p.Stats.CacheHits, p.Stats.PhysReads, ph.PoolHitRatio*100, p.Stats.DiskCostMS)
-	} else {
-		fmt.Fprintf(&b, "  Filter: %s  scanned=%d\n", fmtMS(p.Stats.FilterTime), p.Stats.Scanned)
-		fmt.Fprintf(&b, "  Refine: %s  fetched=%d\n", fmtMS(p.Stats.RefineTime), p.Stats.TableAccesses)
-		fmt.Fprintf(&b, "  I/O: cache_hits=%d phys_reads=%d disk_cost=%.3fms",
-			p.Stats.CacheHits, p.Stats.PhysReads, p.Stats.DiskCostMS)
+	ph := qs.Phase
+	if ph == nil { // a failed search's partial stats carry no profile
+		ph = &PhaseProfile{FilterTime: qs.FilterTime, RefineTime: qs.RefineTime}
 	}
-	if p.Stats.DegradedSegments > 0 {
-		fmt.Fprintf(&b, " degraded_segments=%d", p.Stats.DegradedSegments)
+	fmt.Fprintf(&b, "  Filter: %s  scanned=%d stripes=%d", fmtMS(ph.FilterTime), qs.Scanned, ph.StripesTotal)
+	if ph.StripesSkipped > 0 {
+		fmt.Fprintf(&b, " (skipped %d)", ph.StripesSkipped)
+	}
+	if ph.StripesZoneChecked > 0 {
+		fmt.Fprintf(&b, " zone_checked=%d zone_pruned=%d", ph.StripesZoneChecked, ph.StripesZonePruned)
 	}
 	b.WriteByte('\n')
-	if ph != nil {
-		for i, w := range ph.Workers {
-			fmt.Fprintf(&b, "  Worker %d: stripes=%d", i, w.Stripes)
-			if w.ZonePruned > 0 {
-				fmt.Fprintf(&b, " zone_pruned=%d", w.ZonePruned)
-			}
-			fmt.Fprintf(&b, " scanned=%d fetched=%d busy=%s\n", w.Scanned, w.Fetched, fmtMS(w.Busy))
-		}
+	fmt.Fprintf(&b, "  Refine: %s  fetched=%d\n", fmtMS(ph.RefineTime), qs.TableAccesses)
+	fmt.Fprintf(&b, "  Merge:  %s\n", fmtMS(ph.MergeTime))
+	fmt.Fprintf(&b, "  I/O: cache_hits=%d phys_reads=%d pool_hit_ratio=%.1f%% disk_cost=%.3fms",
+		qs.CacheHits, qs.PhysReads, ph.PoolHitRatio*100, qs.DiskCostMS)
+	if qs.DegradedSegments > 0 {
+		fmt.Fprintf(&b, " degraded_segments=%d", qs.DegradedSegments)
 	}
-	for i, sh := range p.Stats.Shards {
-		fmt.Fprintf(&b, "  Shard %d: filter=%s refine=%s", i, fmtMS(sh.FilterTime), fmtMS(sh.RefineTime))
-		if shp := sh.Phase; shp != nil {
-			fmt.Fprintf(&b, " merge=%s", fmtMS(shp.MergeTime))
+	b.WriteByte('\n')
+	for i, w := range ph.Workers {
+		fmt.Fprintf(&b, "  Worker %d: stripes=%d", i, w.Stripes)
+		if w.ZonePruned > 0 {
+			fmt.Fprintf(&b, " zone_pruned=%d", w.ZonePruned)
 		}
-		fmt.Fprintf(&b, " scanned=%d fetched=%d workers=%d", sh.Scanned, sh.TableAccesses, sh.Workers)
-		if sh.DegradedSegments > 0 {
-			fmt.Fprintf(&b, " degraded_segments=%d", sh.DegradedSegments)
-		}
-		b.WriteByte('\n')
+		fmt.Fprintf(&b, " scanned=%d fetched=%d busy=%s\n", w.Scanned, w.Fetched, fmtMS(w.Busy))
 	}
 	return b.String()
 }
@@ -189,60 +126,46 @@ func (p *QueryProfile) Render() string {
 // most recent query that landed in it (joinable against "traces" and the
 // slow-query log).
 func (s *Store) WriteTraces(w io.Writer) error {
-	return writeTraces(w, s.ring, s.om.queryDur)
-}
-
-// WriteTraces serializes the partition's shared trace ring and the fan-out
-// latency histogram's exemplars (see Store.WriteTraces).
-func (s *Sharded) WriteTraces(w io.Writer) error {
-	return writeTraces(w, s.ring, s.dur)
-}
-
-// FindTrace returns the retained trace with the given 16-hex-digit id, or
-// nil; the lookup behind /debug/trace?id=.
-func (s *Store) FindTrace(traceID string) *obs.Span { return s.ring.Find(traceID) }
-
-// FindTrace returns the partition's retained trace with the given id, or nil.
-func (s *Sharded) FindTrace(traceID string) *obs.Span { return s.ring.Find(traceID) }
-
-func writeTraces(w io.Writer, ring *obs.TraceRing, h *obs.Histogram) error {
 	var b bytes.Buffer
 	b.WriteString(`{"total":`)
-	b.WriteString(strconv.FormatInt(ring.Total(), 10))
+	b.WriteString(strconv.FormatInt(s.ring.Total(), 10))
 	b.WriteString(`,"traces":`)
 	var tb bytes.Buffer
-	if err := ring.WriteJSON(&tb); err != nil {
+	if err := s.ring.WriteJSON(&tb); err != nil {
 		return err
 	}
 	b.Write(bytes.TrimSpace(tb.Bytes()))
 	b.WriteString(`,"exemplars":[`)
-	if h != nil {
-		bounds := h.Bounds()
-		first := true
-		for i, e := range h.Exemplars() {
-			if e == nil {
-				continue
-			}
-			if !first {
-				b.WriteByte(',')
-			}
-			first = false
-			le := "+Inf"
-			if i < len(bounds) {
-				le = strconv.FormatFloat(bounds[i], 'g', -1, 64)
-			}
-			b.WriteString(`{"le":`)
-			b.WriteString(strconv.Quote(le))
-			b.WriteString(`,"value":`)
-			b.WriteString(strconv.FormatFloat(e.Value, 'g', -1, 64))
-			b.WriteString(`,"trace_id":`)
-			b.WriteString(strconv.Quote(e.TraceID))
-			b.WriteString(`,"time":`)
-			b.WriteString(strconv.Quote(e.Time.Format(time.RFC3339Nano)))
-			b.WriteByte('}')
+	h := s.om.queryDur
+	bounds := h.Bounds()
+	first := true
+	for i, e := range h.Exemplars() {
+		if e == nil {
+			continue
 		}
+		if !first {
+			b.WriteByte(',')
+		}
+		first = false
+		le := "+Inf"
+		if i < len(bounds) {
+			le = strconv.FormatFloat(bounds[i], 'g', -1, 64)
+		}
+		b.WriteString(`{"le":`)
+		b.WriteString(strconv.Quote(le))
+		b.WriteString(`,"value":`)
+		b.WriteString(strconv.FormatFloat(e.Value, 'g', -1, 64))
+		b.WriteString(`,"trace_id":`)
+		b.WriteString(strconv.Quote(e.TraceID))
+		b.WriteString(`,"time":`)
+		b.WriteString(strconv.Quote(e.Time.Format(time.RFC3339Nano)))
+		b.WriteByte('}')
 	}
 	b.WriteString("]}\n")
 	_, err := w.Write(b.Bytes())
 	return err
 }
+
+// FindTrace returns the retained trace with the given 16-hex-digit id, or
+// nil; the lookup behind /debug/trace?id=.
+func (s *Store) FindTrace(traceID string) *obs.Span { return s.ring.Find(traceID) }

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 func fillProfiled(t *testing.T, n int, opts Options) (*Store, *Query) {
@@ -29,107 +30,73 @@ func fillProfiled(t *testing.T, n int, opts Options) (*Store, *Query) {
 	return s, NewQuery(7).WhereNum("Price", 150).WhereText("Type", "Camera")
 }
 
-// TestSearchProfiledIdentical asserts the profiled entry point changes
-// nothing about execution: results are bit-identical to Search, and the
-// profile describes a plan whose phases fit inside the measured wall clock.
-func TestSearchProfiledIdentical(t *testing.T) {
+// TestSearchPhaseProfile asserts what every Search reports about its own
+// execution: the phases fit inside the caller's wall clock, there is one
+// profile per worker, and the workers' shares sum to the query's totals.
+func TestSearchPhaseProfile(t *testing.T) {
 	s, q := fillProfiled(t, 400, Options{})
-	want, _, err := s.Search(q)
+	start := time.Now()
+	_, qs, err := s.Search(q)
+	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, prof, err := s.SearchProfiled(q)
-	if err != nil {
-		t.Fatal(err)
+	if qs.Phase == nil {
+		t.Fatal("stats missing phase breakdown")
 	}
-	checkResults(t, "profiled", res, want)
-	if prof == nil || prof.Stats.Phase == nil {
-		t.Fatal("profile missing phase breakdown")
+	if len(qs.TraceID) != 16 {
+		t.Fatalf("trace id %q, want 16 hex digits", qs.TraceID)
 	}
-	if len(prof.TraceID) != 16 {
-		t.Fatalf("trace id %q, want 16 hex digits", prof.TraceID)
-	}
-	ph := prof.Stats.Phase
+	ph := qs.Phase
 	total := ph.FilterTime + ph.RefineTime + ph.MergeTime
 	if total <= 0 {
 		t.Fatalf("phase times sum to %v", total)
 	}
-	if total > prof.Elapsed {
-		t.Fatalf("phases (%v) exceed measured wall clock (%v)", total, prof.Elapsed)
+	if total > elapsed {
+		t.Fatalf("phases (%v) exceed measured wall clock (%v)", total, elapsed)
 	}
 	if ph.StripesTotal < 1 {
 		t.Fatalf("plan covered %d stripes", ph.StripesTotal)
 	}
-	if len(ph.Workers) != prof.Stats.Workers {
-		t.Fatalf("%d worker profiles for %d workers", len(ph.Workers), prof.Stats.Workers)
+	if len(ph.Workers) != qs.Workers {
+		t.Fatalf("%d worker profiles for %d workers", len(ph.Workers), qs.Workers)
 	}
-	var scanned int64
+	var scanned, fetched int64
 	for _, w := range ph.Workers {
 		scanned += w.Scanned
+		fetched += w.Fetched
 	}
-	if scanned != prof.Stats.Scanned {
-		t.Fatalf("worker profiles scanned %d, query scanned %d", scanned, prof.Stats.Scanned)
+	if scanned != qs.Scanned || fetched != qs.TableAccesses {
+		t.Fatalf("worker profiles scanned %d fetched %d, query scanned %d fetched %d",
+			scanned, fetched, qs.Scanned, qs.TableAccesses)
 	}
 }
 
-// TestProfileRender is the EXPLAIN ANALYZE smoke test: every phase line, the
-// I/O summary, and the trace id appear in the rendering.
+// TestProfileRender pins the `ivatool query -profile` rendering against a
+// golden text, with durations and the trace id normalised. One worker keeps
+// the per-worker line and the I/O counters deterministic.
 func TestProfileRender(t *testing.T) {
-	s, q := fillProfiled(t, 200, Options{SearchParallelism: 4})
-	_, prof, err := s.SearchProfiled(q)
+	s, q := fillProfiled(t, 200, Options{SearchParallelism: 1})
+	res, qs, err := s.Search(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := prof.Render()
-	for _, frag := range []string{
-		"Search ", "results=7", "trace=" + prof.TraceID,
-		"Filter:", "scanned=", "stripes=",
-		"Refine:", "fetched=",
-		"Merge:",
-		"pool_hit_ratio=",
-		"Worker 0:",
-	} {
-		if !strings.Contains(out, frag) {
-			t.Errorf("rendering missing %q:\n%s", frag, out)
-		}
+	out := qs.Render(q, len(res), time.Millisecond)
+	if !strings.Contains(out, "trace="+qs.TraceID) {
+		t.Errorf("rendering does not carry the query's trace id %s:\n%s", qs.TraceID, out)
 	}
-}
-
-// TestShardedProfile covers the fan-out profile: byte-identical results, the
-// concatenated worker breakdown, and per-shard lines in the rendering.
-func TestShardedProfile(t *testing.T) {
-	s, err := CreateSharded("", 2, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	for i := 0; i < 200; i++ {
-		if _, err := s.Insert(map[string]Value{"Price": Num(float64(i % 61))}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	q := NewQuery(5).WhereNum("Price", 30)
-	want, _, err := s.Search(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, prof, err := s.SearchProfiled(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkResults(t, "sharded profiled", res, want)
-	if prof.Stats.Phase == nil || len(prof.Stats.Phase.Workers) < 2 {
-		t.Fatalf("fan-out profile lost the per-shard workers: %+v", prof.Stats.Phase)
-	}
-	if len(prof.Stats.Shards) != 2 {
-		t.Fatalf("%d shard breakdowns, want 2", len(prof.Stats.Shards))
-	}
-	out := prof.Render()
-	if !strings.Contains(out, "Shard 0:") || !strings.Contains(out, "Shard 1:") {
-		t.Fatalf("rendering missing per-shard lines:\n%s", out)
+	out = regexp.MustCompile(`[0-9.]+ms`).ReplaceAllString(out, "Xms")
+	out = strings.Replace(out, qs.TraceID, "T", 1)
+	const golden = `Search k=7 Price=150 Type="Camera"
+  time=Xms results=7 workers=1 trace=T
+  Filter: Xms  scanned=200 stripes=1
+  Refine: Xms  fetched=73
+  Merge:  Xms
+  I/O: cache_hits=149 phys_reads=0 pool_hit_ratio=100.0% disk_cost=Xms
+  Worker 0: stripes=1 scanned=200 fetched=73 busy=Xms
+`
+	if out != golden {
+		t.Errorf("rendering changed:\n got:\n%s\nwant:\n%s", out, golden)
 	}
 }
 

@@ -55,15 +55,14 @@ func (s *Store) SetRepairPeer(peer ReplPeer) {
 		r.mu.Unlock()
 		return
 	}
-	labels := s.opts.obsLabels
 	r := &repairer{
 		s:        s,
 		peer:     peer,
 		pending:  make(map[uint32]struct{}),
 		done:     make(chan struct{}),
-		attempts: s.reg.Counter("iva_readrepair_attempts_total", "Corrupt segments a peer re-fetch was attempted for.", labels),
-		repaired: s.reg.Counter("iva_readrepair_repaired_total", "Corrupt segments healed in place from a peer.", labels),
-		failed:   s.reg.Counter("iva_readrepair_failed_total", "Repair attempts that failed (peer unreachable, mismatched generation, or local refusal).", labels),
+		attempts: s.reg.Counter("iva_readrepair_attempts_total", "Corrupt segments a peer re-fetch was attempted for.", nil),
+		repaired: s.reg.Counter("iva_readrepair_repaired_total", "Corrupt segments healed in place from a peer.", nil),
+		failed:   s.reg.Counter("iva_readrepair_failed_total", "Repair attempts that failed (peer unreachable, mismatched generation, or local refusal).", nil),
 	}
 	r.cond = sync.NewCond(&r.mu)
 	ctx, cancel := context.WithCancel(context.Background())

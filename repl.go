@@ -101,17 +101,16 @@ func (s *Store) EnableReplSource() error {
 			p.epoch = st.Epoch + 1
 		}
 	}
-	labels := s.opts.obsLabels
-	p.cuts = s.reg.Counter("iva_repl_deltas_cut_total", "Replication deltas cut at sync boundaries.", labels)
-	p.cutBytes = s.reg.Counter("iva_repl_delta_bytes_total", "Payload bytes carried by cut replication deltas.", labels)
-	p.snapshots = s.reg.Counter("iva_repl_snapshots_served_total", "Full-state snapshots served to followers.", labels)
-	p.resets = s.reg.Counter("iva_repl_log_resets_total", "Delta-log invalidations (rebuilds, cut failures) that force followers to resync.", labels)
-	s.reg.GaugeFunc("iva_repl_generation", "Committed replication generation (primary: cut; follower: applied).", labels, func() float64 {
+	p.cuts = s.reg.Counter("iva_repl_deltas_cut_total", "Replication deltas cut at sync boundaries.", nil)
+	p.cutBytes = s.reg.Counter("iva_repl_delta_bytes_total", "Payload bytes carried by cut replication deltas.", nil)
+	p.snapshots = s.reg.Counter("iva_repl_snapshots_served_total", "Full-state snapshots served to followers.", nil)
+	p.resets = s.reg.Counter("iva_repl_log_resets_total", "Delta-log invalidations (rebuilds, cut failures) that force followers to resync.", nil)
+	s.reg.GaugeFunc("iva_repl_generation", "Committed replication generation (primary: cut; follower: applied).", nil, func() float64 {
 		p.mu.Lock()
 		defer p.mu.Unlock()
 		return float64(p.gen)
 	})
-	s.reg.GaugeFunc("iva_repl_log_deltas", "Deltas currently retained in the primary's replication log.", labels, func() float64 {
+	s.reg.GaugeFunc("iva_repl_log_deltas", "Deltas currently retained in the primary's replication log.", nil, func() float64 {
 		p.mu.Lock()
 		defer p.mu.Unlock()
 		return float64(len(p.log))

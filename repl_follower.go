@@ -154,18 +154,17 @@ func openFollower(dir string, src replSource, fopts FollowerOptions, opts Option
 		epoch: cur.Epoch,
 		gen:   cur.Gen,
 	}
-	labels := s.opts.obsLabels
-	f.applied = s.reg.Counter("iva_repl_applied_total", "Replication deltas applied and committed.", labels)
-	f.appliedBytes = s.reg.Counter("iva_repl_applied_bytes_total", "Payload bytes of applied replication deltas.", labels)
-	f.failures = s.reg.Counter("iva_repl_apply_failures_total", "Delta applies abandoned before commit (verification or I/O failure).", labels)
-	f.resyncs = s.reg.Counter("iva_repl_resyncs_total", "Full snapshot resyncs taken after losing incremental continuity.", labels)
-	f.pollErrs = s.reg.Counter("iva_repl_poll_errors_total", "Failed poll round trips to the primary.", labels)
-	s.reg.GaugeFunc("iva_repl_generation", "Committed replication generation (primary: cut; follower: applied).", labels, func() float64 {
+	f.applied = s.reg.Counter("iva_repl_applied_total", "Replication deltas applied and committed.", nil)
+	f.appliedBytes = s.reg.Counter("iva_repl_applied_bytes_total", "Payload bytes of applied replication deltas.", nil)
+	f.failures = s.reg.Counter("iva_repl_apply_failures_total", "Delta applies abandoned before commit (verification or I/O failure).", nil)
+	f.resyncs = s.reg.Counter("iva_repl_resyncs_total", "Full snapshot resyncs taken after losing incremental continuity.", nil)
+	f.pollErrs = s.reg.Counter("iva_repl_poll_errors_total", "Failed poll round trips to the primary.", nil)
+	s.reg.GaugeFunc("iva_repl_generation", "Committed replication generation (primary: cut; follower: applied).", nil, func() float64 {
 		f.mu.Lock()
 		defer f.mu.Unlock()
 		return float64(f.gen)
 	})
-	s.reg.GaugeFunc("iva_repl_lag_generations", "Generations the follower trails the primary by, as of the last successful poll.", labels, func() float64 {
+	s.reg.GaugeFunc("iva_repl_lag_generations", "Generations the follower trails the primary by, as of the last successful poll.", nil, func() float64 {
 		f.mu.Lock()
 		defer f.mu.Unlock()
 		if f.primaryGen > f.gen {

@@ -1,7 +1,6 @@
 package iva
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -34,15 +33,6 @@ const (
 // byte position of the damaged structure, and Segment the index segment id
 // when the damage is segment-scoped.
 type CorruptionError = storage.CorruptionError
-
-// SearchContext is Search under a context: cancellation and deadlines are
-// honored at stripe boundaries during the filter phase and before every
-// refine fetch, returning ctx.Err() with the partial stats accumulated so
-// far. An already-expired context fails before any device read. It composes
-// with Options.QueryTimeout — the earlier deadline wins.
-func (s *Store) SearchContext(ctx context.Context, q *Query) ([]Result, QueryStats, error) {
-	return s.search(ctx, q, nil)
-}
 
 // ScrubReport is the machine-readable outcome of one Store.Scrub pass.
 type ScrubReport struct {
@@ -87,10 +77,6 @@ type ScrubReport struct {
 	// Problems holds one line per damaged structure, prefixed with the file
 	// it lives in.
 	Problems []string
-
-	// Shards holds the per-shard reports when the scrub ran on a Sharded
-	// store; the top-level counters are sums.
-	Shards []*ScrubReport
 }
 
 // Clean reports whether the scrub found no damage.
@@ -163,42 +149,4 @@ func (s *Store) scrubYield(yield func()) (*ScrubReport, error) {
 		s.enqueueRepair(rep.CorruptIndexSegIDs)
 	}
 	return rep, nil
-}
-
-// SearchContext is Sharded.Search under a context; the context fans out to
-// every shard (see Store.SearchContext).
-func (s *Sharded) SearchContext(ctx context.Context, q *Query) ([]Result, QueryStats, error) {
-	return s.searchContext(ctx, q)
-}
-
-// Scrub sweeps every shard (see Store.Scrub) and sums the reports. The
-// summed report keeps each shard's full report in Shards; flags are combined
-// so a single damaged shard marks the whole partition.
-func (s *Sharded) Scrub() (*ScrubReport, error) {
-	agg := &ScrubReport{SuperblockOK: true, CatalogOK: true}
-	for i, st := range s.shards {
-		r, err := st.Scrub()
-		if err != nil {
-			return nil, fmt.Errorf("iva: shard %d: %w", i, err)
-		}
-		agg.IndexSegments += r.IndexSegments
-		agg.CorruptIndexSegments += r.CorruptIndexSegments
-		agg.DirtyIndexSegments += r.DirtyIndexSegments
-		agg.Checkpoints += r.Checkpoints
-		agg.CorruptCheckpoints += r.CorruptCheckpoints
-		agg.DroppedCheckpoints += r.DroppedCheckpoints
-		agg.Zones += r.Zones
-		agg.CorruptZones += r.CorruptZones
-		agg.DroppedZones += r.DroppedZones
-		agg.SuperblockOK = agg.SuperblockOK && r.SuperblockOK
-		agg.MapDropped = agg.MapDropped || r.MapDropped
-		agg.TableRecords += r.TableRecords
-		agg.CorruptTable += r.CorruptTable
-		agg.CatalogOK = agg.CatalogOK && r.CatalogOK
-		for _, p := range r.Problems {
-			agg.Problems = append(agg.Problems, fmt.Sprintf("shard %d: %s", i, p))
-		}
-		agg.Shards = append(agg.Shards, r)
-	}
-	return agg, nil
 }

@@ -177,44 +177,3 @@ func TestCorruptionEndToEnd(t *testing.T) {
 		}
 	}
 }
-
-// TestShardedResilience covers the partition-level surface: Scrub sums shard
-// reports and SearchContext propagates cancellation across shards.
-func TestShardedResilience(t *testing.T) {
-	s, err := CreateSharded("", 2, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	for i := 0; i < 160; i++ {
-		if _, err := s.Insert(map[string]Value{
-			"Type":  Strings("Digital Camera"),
-			"Price": Num(float64(100 + i%71)),
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := s.Scrub()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Clean() {
-		t.Fatalf("sharded scrub not clean: %+v", rep.Problems)
-	}
-	if len(rep.Shards) != 2 {
-		t.Fatalf("summed report kept %d shard reports, want 2", len(rep.Shards))
-	}
-
-	q := NewQuery(3).WhereNum("Price", 120)
-	if _, _, err := s.SearchContext(context.Background(), q); err != nil {
-		t.Fatal(err)
-	}
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, _, err := s.SearchContext(cancelled, q); !errors.Is(err, context.Canceled) {
-		t.Fatalf("sharded cancelled search: got %v, want context.Canceled", err)
-	}
-}

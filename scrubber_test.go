@@ -7,44 +7,40 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
-// healthzStatus probes a scrubber's /healthz handler and returns the HTTP
-// status code plus the decoded "status" field.
-func healthzStatus(t *testing.T, sc *Scrubber) (int, string) {
+// healthz probes a scrubber's /healthz handler and returns the HTTP status
+// code plus the decoded "status" and "reason" fields.
+func healthz(t *testing.T, sc *Scrubber) (code int, status, reason string) {
 	t.Helper()
 	rec := httptest.NewRecorder()
 	sc.ServeHealthz(rec, httptest.NewRequest("GET", "/healthz", nil))
 	var body struct {
 		Status string `json:"status"`
+		Reason string `json:"reason"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
 		t.Fatalf("healthz body %q: %v", rec.Body.String(), err)
 	}
-	return rec.Code, body.Status
+	return rec.Code, body.Status, body.Reason
 }
 
 // noThrottle keeps sweeps instantaneous and the background loop out of the
 // way so SweepNow drives every assertion deterministically.
 var noThrottle = ScrubberOptions{Interval: time.Hour, Throttle: -1}
 
-// TestScrubberSeededCorruption is the telemetry plane's end-to-end story on a
-// partitioned store: corrupt one shard's committed index on disk, watch
-// queries observe DegradedSegments, confirm the scheduler sweeps that shard
-// first (degradation-priority), walk /healthz through ok → degraded →
-// damaged → ok across discovery and repair, check the iva_scrub_* metrics
-// recorded the sweeps, and verify queries racing a sweep stay bit-identical
-// to the pre-corruption baseline.
-func TestScrubberSeededCorruption(t *testing.T) {
-	dir := t.TempDir()
-	s, err := CreateSharded(dir, 3, Options{})
+// scrubTestStore creates an on-disk store of n camera rows, synced.
+func scrubTestStore(t *testing.T, dir string, n int) *Store {
+	t.Helper()
+	s, err := Create(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 240; i++ {
+	for i := 0; i < n; i++ {
 		if _, err := s.Insert(map[string]Value{
 			"Type":  Strings("Digital Camera"),
 			"Price": Num(float64(100 + i%83)),
@@ -55,39 +51,45 @@ func TestScrubberSeededCorruption(t *testing.T) {
 	if err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
+	return s
+}
+
+// TestScrubberSeededCorruption is the telemetry plane's end-to-end story:
+// corrupt the store's committed index on disk, watch queries observe
+// DegradedSegments, walk /healthz through ok → degraded → damaged → ok across
+// discovery and repair, check the iva_scrub_* metrics recorded the sweeps,
+// verify queries racing a sweep stay bit-identical to the pre-corruption
+// baseline, and round-trip the persisted snapshot.
+func TestScrubberSeededCorruption(t *testing.T) {
+	dir := t.TempDir()
+	s := scrubTestStore(t, dir, 240)
 	q := NewQuery(5).WhereNum("Price", 140).WhereText("Type", "Camera")
 	want, _, err := s.Search(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Healthy phase: after one full rotation the verdict is ok.
+	// Healthy phase: after a sweep the verdict is ok.
 	sc := s.StartScrubber(noThrottle)
-	swept := map[int]bool{}
-	for range s.shards {
-		swept[sc.SweepNow()] = true
-	}
-	if len(swept) != len(s.shards) {
-		t.Fatalf("full rotation swept shards %v, want all 3", swept)
-	}
-	if code, status := healthzStatus(t, sc); code != 200 || status != "ok" {
+	sc.SweepNow()
+	if code, status, _ := healthz(t, sc); code != 200 || status != "ok" {
 		t.Fatalf("healthy store: healthz %d %q, want 200 ok", code, status)
 	}
 	if sc.Units() == 0 {
-		t.Fatal("sweeps verified zero units")
+		t.Fatal("sweep verified zero units")
 	}
 	sc.Stop()
 
-	// Flip one committed bit in shard 1's index while the store is closed.
-	exts := s.shards[1].ix.VectorExtents()
+	// Flip one committed bit in the index while the store is closed.
+	exts := s.ix.VectorExtents()
 	if len(exts) == 0 {
-		t.Fatal("shard 1 has no committed vector extents")
+		t.Fatal("store has no committed vector extents")
 	}
 	off := exts[0].Offset + exts[0].Len/2
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	idxPath := filepath.Join(dir, "shard-1", "iva.idx")
+	idxPath := filepath.Join(dir, indexFileName)
 	blob, err := os.ReadFile(idxPath)
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +99,7 @@ func TestScrubberSeededCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, err = OpenSharded(dir, 3, Options{})
+	s, err = Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,21 +117,19 @@ func TestScrubberSeededCorruption(t *testing.T) {
 	}
 	checkResults(t, "degraded", res, want)
 
-	// Query-reported degradation downgrades health before any sweep runs...
-	if code, status := healthzStatus(t, sc); code != 200 || status != "degraded" {
+	// Query-reported degradation downgrades health before any sweep runs,
+	// and the sweep then confirms the damage.
+	if code, status, _ := healthz(t, sc); code != 200 || status != "degraded" {
 		t.Fatalf("pre-sweep healthz %d %q, want 200 degraded", code, status)
 	}
-	// ...and prioritizes the damaged shard for the next sweep.
-	if got := sc.SweepNow(); got != 1 {
-		t.Fatalf("scheduler swept shard %d first, want the degraded shard 1", got)
-	}
-	if code, status := healthzStatus(t, sc); code != 503 || status != "damaged" {
+	sc.SweepNow()
+	if code, status, _ := healthz(t, sc); code != 503 || status != "damaged" {
 		t.Fatalf("post-sweep healthz %d %q, want 503 damaged", code, status)
 	}
 
 	// Queries racing a sweep stay bit-identical to the baseline.
 	var wg sync.WaitGroup
-	qerrs := make(chan error, 4)
+	qerrs := make(chan error, 4) // one slot per querying goroutine
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func() {
@@ -156,25 +156,15 @@ func TestScrubberSeededCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Repair shard 1 from its clean table; the next sweeps restore ok.
-	if err := s.shards[1].Rebuild(); err != nil {
+	// Repair from the clean table; the next sweep restores ok.
+	if err := s.Rebuild(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.shards[1].Sync(); err != nil {
+	if err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	// A full rotation re-sweeps the repaired shard and gives the age gauge
-	// a complete picture (it reports -1 until every shard has been swept).
-	for range s.shards {
-		sc.SweepNow()
-	}
-	for i := 0; i < len(s.shards); i++ {
-		if h, _ := sc.Health(); h == HealthOK {
-			break
-		}
-		sc.SweepNow()
-	}
-	if code, status := healthzStatus(t, sc); code != 200 || status != "ok" {
+	sc.SweepNow()
+	if code, status, _ := healthz(t, sc); code != 200 || status != "ok" {
 		t.Fatalf("post-repair healthz %d %q, want 200 ok", code, status)
 	}
 	res, qs, err = s.Search(q)
@@ -186,14 +176,13 @@ func TestScrubberSeededCorruption(t *testing.T) {
 	}
 	checkResults(t, "post-repair", res, want)
 
-	// The sweeps left their trail in the shared registry...
+	// The sweeps left their trail in the registry...
 	text := s.MetricsText()
 	for _, pat := range []string{
-		`iva_scrub_sweeps_total [1-9]`,
+		`iva_scrub_sweeps_total 3`,
 		`iva_scrub_units_total [1-9]`,
 		`iva_scrub_corrupt_found_total [1-9]`,
 		`iva_scrub_errors_total 0`,
-		`iva_scrub_sweeping_shard -1`,
 		`iva_scrub_last_sweep_age_seconds \d`,
 		`iva_health_state 0`,
 	} {
@@ -201,16 +190,21 @@ func TestScrubberSeededCorruption(t *testing.T) {
 			t.Errorf("metrics missing %q (err=%v)", pat, err)
 		}
 	}
-	// ...and the persisted snapshot agrees.
-	snap, err := LoadScrubReport(filepath.Join(dir, "scrub-report.json"))
+	// ...and the persisted snapshot is the scrubber's own, round-tripped.
+	snap, err := LoadScrubReport(filepath.Join(dir, scrubReportFileName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Health != "ok" || len(snap.Shards) != 3 {
-		t.Fatalf("persisted snapshot health=%q shards=%d, want ok/3", snap.Health, len(snap.Shards))
+	if snap.Health != "ok" || snap.Report == nil || !snap.Report.Clean() || snap.Err != "" {
+		t.Fatalf("persisted snapshot %+v, want a clean ok sweep", snap)
 	}
-	if len(sc.History()) == 0 {
-		t.Fatal("scrubber recorded no sweep history")
+	live := sc.Snapshot()
+	if !snap.LastSweep.Equal(live.LastSweep) || snap.Report.TableRecords != live.Report.TableRecords ||
+		snap.Report.IndexSegments != live.Report.IndexSegments {
+		t.Fatalf("persisted snapshot %+v diverges from the live one %+v", snap, live)
+	}
+	if got := len(sc.History()); got != 3 {
+		t.Fatalf("scrubber recorded %d sweeps, want 3", got)
 	}
 }
 
@@ -227,9 +221,9 @@ func checkResults(t *testing.T, phase string, got, want []Result) {
 	}
 }
 
-// TestScrubberSingleStore covers the single-store surface: SweepNow always
-// picks shard 0, the throttle counter moves when a throttle is configured,
-// and Stop is idempotent.
+// TestScrubberSingleStore covers throttle accounting — every table record is
+// a unit, the throttle counter moves when a throttle is configured — the
+// sweep history, and an idempotent Stop.
 func TestScrubberSingleStore(t *testing.T) {
 	s, err := Create(t.TempDir(), Options{})
 	if err != nil {
@@ -247,9 +241,7 @@ func TestScrubberSingleStore(t *testing.T) {
 	sc := s.StartScrubber(ScrubberOptions{
 		Interval: time.Hour, Throttle: time.Microsecond, ThrottleEvery: 16,
 	})
-	if got := sc.SweepNow(); got != 0 {
-		t.Fatalf("single store swept shard %d, want 0", got)
-	}
+	sc.SweepNow()
 	if sc.Units() < 300 {
 		t.Fatalf("sweep verified %d units, want >= 300 (one per table record)", sc.Units())
 	}
@@ -257,20 +249,109 @@ func TestScrubberSingleStore(t *testing.T) {
 		t.Fatalf("clean store health %v (%s), want ok", h, reason)
 	}
 	text := s.MetricsText()
-	for _, pat := range []string{
-		`iva_scrub_throttle_sleeps_total [1-9]`,
-		`iva_scrub_throttle_seconds [0-9.e-]`,
-	} {
-		if ok, _ := regexp.MatchString(pat, text); !ok {
-			t.Errorf("metrics missing %q", pat)
-		}
+	if got, want := metricValue(t, text, "iva_scrub_throttle_sleeps_total"), float64(sc.Units()/16); got != want {
+		t.Errorf("%g throttle sleeps for %d units at one per 16, want %g", got, sc.Units(), want)
+	}
+	if got := metricValue(t, text, "iva_scrub_throttle_seconds"); got != 1e-6 {
+		t.Errorf("iva_scrub_throttle_seconds = %g, want 1e-06", got)
 	}
 	hist := sc.History()
-	if len(hist) != 1 || hist[0].Shard != 0 || hist[0].Report == nil || !hist[0].Report.Clean() {
+	if len(hist) != 1 || hist[0].Report == nil || !hist[0].Report.Clean() || hist[0].Err != "" {
 		t.Fatalf("history after one clean sweep: %+v", hist)
 	}
 	sc.Stop()
 	sc.Stop() // idempotent
+}
+
+// TestScrubberBackgroundLoop lets the timer loop sweep for real while
+// SweepNow calls cut in: sweeps serialize, every one of them is counted and
+// recorded once, and Stop returns only after the loop has exited.
+func TestScrubberBackgroundLoop(t *testing.T) {
+	s := scrubTestStore(t, t.TempDir(), 120)
+	defer s.Close()
+	sc := s.StartScrubber(ScrubberOptions{Interval: time.Millisecond, Throttle: -1})
+	const manual = 5
+	for i := 0; i < manual; i++ {
+		sc.SweepNow()
+	}
+	for deadline := time.Now().Add(10 * time.Second); len(sc.History()) <= manual; {
+		if time.Now().After(deadline) {
+			t.Fatalf("background loop never swept: %d sweeps recorded after %d manual ones", len(sc.History()), manual)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	sc.Stop()
+	hist := sc.History()
+	if got := metricValue(t, s.MetricsText(), "iva_scrub_sweeps_total"); got != float64(len(hist)) {
+		t.Fatalf("iva_scrub_sweeps_total = %g with %d sweeps recorded", got, len(hist))
+	}
+	for i := 1; i < len(hist); i++ {
+		if hist[i].Start.Before(hist[i-1].End) {
+			t.Fatalf("sweep %d started at %v, before sweep %d ended at %v", i, hist[i].Start, i-1, hist[i-1].End)
+		}
+	}
+	if h, reason := sc.Health(); h != HealthOK {
+		t.Fatalf("health %v (%s), want ok", h, reason)
+	}
+}
+
+// TestScrubberReportUnwritable points ReportPath below a regular file: the
+// sweep itself succeeds, but a report that cannot be persisted must not pass
+// silently — `ivatool stats -strict` would keep reading the previous verdict.
+func TestScrubberReportUnwritable(t *testing.T) {
+	dir := t.TempDir()
+	s := scrubTestStore(t, dir, 60)
+	defer s.Close()
+	blocker := filepath.Join(dir, "not-a-directory")
+	if err := os.WriteFile(blocker, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	opts := noThrottle
+	opts.ReportPath = filepath.Join(blocker, scrubReportFileName)
+	sc := s.StartScrubber(opts)
+	defer sc.Stop()
+	sc.SweepNow()
+
+	hist := sc.History()
+	if len(hist) != 1 || !strings.Contains(hist[0].Err, "persist report") {
+		t.Fatalf("sweep record does not carry the persist failure: %+v", hist)
+	}
+	if hist[0].Report == nil || !hist[0].Report.Clean() {
+		t.Fatalf("the sweep itself should have come back clean: %+v", hist[0])
+	}
+	if got := metricValue(t, s.MetricsText(), "iva_scrub_errors_total"); got != 1 {
+		t.Fatalf("iva_scrub_errors_total = %g, want 1", got)
+	}
+	code, status, reason := healthz(t, sc)
+	if code != 200 || status != "degraded" || !strings.Contains(reason, "persist report") {
+		t.Fatalf("healthz %d %q (%q), want 200 degraded naming the persist failure", code, status, reason)
+	}
+}
+
+// TestLoadScrubReportOldShape feeds LoadScrubReport a file in the shape
+// written before the snapshot was flattened (a "shards" array): it must read
+// as a report without a completed sweep, not fail.
+func TestLoadScrubReportOldShape(t *testing.T) {
+	const old = `{
+  "time": "2026-01-02T03:04:05Z",
+  "health": "ok",
+  "shards": [
+    {"shard": 0, "last_sweep": "2026-01-02T03:04:05Z",
+     "report": {"IndexSegments": 12, "SuperblockOK": true, "CatalogOK": true}}
+  ]
+}
+`
+	path := filepath.Join(t.TempDir(), scrubReportFileName)
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := LoadScrubReport(path)
+	if err != nil {
+		t.Fatalf("old-shape report: %v", err)
+	}
+	if snap.Report != nil || !snap.LastSweep.IsZero() || snap.Err != "" {
+		t.Fatalf("old-shape report loaded as swept: %+v", snap)
+	}
 }
 
 // TestScrubberSoak runs the background loop for real — tight interval,
@@ -285,20 +366,9 @@ func TestScrubberSoak(t *testing.T) {
 	if err != nil {
 		dur = 2 * time.Second
 	}
-	s, err := CreateSharded(t.TempDir(), 3, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := scrubTestStore(t, t.TempDir(), 120)
 	defer s.Close()
-	for i := 0; i < 120; i++ {
-		if _, err := s.Insert(map[string]Value{"Price": Num(float64(i % 53))}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	sc := s.StartScrubber(ScrubberOptions{Interval: 30 * time.Millisecond, ShardPause: time.Millisecond})
+	sc := s.StartScrubber(ScrubberOptions{Interval: 10 * time.Millisecond})
 	defer sc.Stop()
 
 	deadline := time.Now().Add(dur)

@@ -42,11 +42,6 @@ type Options struct {
 	CacheBytes int64
 	// PageSize is the cache page size (default 4 KiB).
 	PageSize int
-	// CacheShards is the buffer pool's lock-stripe count, rounded up to a
-	// power of two. 0 (the default) auto-sizes to GOMAXPROCS×4; 1 gives a
-	// single global lock (useful as a contention baseline). Small caches
-	// collapse to fewer shards so every stripe keeps a useful quota.
-	CacheShards int
 	// Metric names the combining function: "L1", "L2" (default) or "Linf".
 	Metric string
 	// Weights names the attribute weighting scheme: "EQU" (default) or
@@ -117,13 +112,6 @@ type Options struct {
 	// 64 entries sampling 1 in 16; a negative size disables the ring.
 	TraceRingSize    int
 	TraceSampleEvery int
-
-	// Set by CreateSharded/OpenSharded so every shard publishes into one
-	// registry, slow-query log and trace ring under a per-shard label.
-	obsReg    *obs.Registry
-	obsLog    *obs.QueryLog
-	obsRing   *obs.TraceRing
-	obsLabels obs.Labels
 
 	// deviceHook, when set, wraps every raw device the store opens (keyed by
 	// file name) before the retry and tracking layers. It is the fault-
@@ -255,91 +243,79 @@ type storeMetrics struct {
 // two from the all-cached query (0) to a badly I/O-bound scan.
 var physReadBuckets = []float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384}
 
-// initObs wires the store into its metrics registry and slow-query log
-// (shared ones when the store is a shard, private ones otherwise).
+// initObs wires the store into its metrics registry, slow-query log and
+// trace ring.
 func (s *Store) initObs() {
-	s.reg = s.opts.obsReg
-	if s.reg == nil {
-		s.reg = obs.NewRegistry()
-	}
-	s.slowLog = s.opts.obsLog
-	if s.slowLog == nil {
-		s.slowLog = obs.NewQueryLog(s.opts.SlowQueryThreshold, s.opts.SlowQueryLogSize)
-	}
-	s.ring = s.opts.obsRing
-	if s.ring == nil && s.opts.obsReg == nil {
-		s.ring = obs.NewTraceRing(s.opts.TraceRingSize, s.opts.TraceSampleEvery)
-	}
+	s.reg = obs.NewRegistry()
+	s.slowLog = obs.NewQueryLog(s.opts.SlowQueryThreshold, s.opts.SlowQueryLogSize)
+	s.ring = obs.NewTraceRing(s.opts.TraceRingSize, s.opts.TraceSampleEvery)
 	s.disk = storage.DefaultDiskModel()
-	labels := s.opts.obsLabels
-	if s.opts.obsReg == nil {
-		registerBuildInfo(s.reg)
-	}
+	registerBuildInfo(s.reg)
 
-	s.pool.RegisterPoolMetrics(s.reg, labels, s.disk)
+	s.pool.RegisterPoolMetrics(s.reg, nil, s.disk)
 
 	s.om = storeMetrics{
-		queries:     s.reg.Counter("iva_queries_total", "Search queries served.", labels),
-		queryErrs:   s.reg.Counter("iva_query_errors_total", "Search queries that returned an error.", labels),
-		slowQueries: s.reg.Counter("iva_slow_queries_total", "Queries at or above the slow-query threshold.", labels),
-		inserts:     s.reg.Counter("iva_inserts_total", "Tuples inserted.", labels),
-		deletes:     s.reg.Counter("iva_deletes_total", "Tuples deleted.", labels),
-		updates:     s.reg.Counter("iva_updates_total", "Tuples updated.", labels),
-		scanned:     s.reg.Counter("iva_query_scanned_tuples_total", "Tuple-list entries filtered across all queries.", labels),
-		accesses:    s.reg.Counter("iva_query_table_accesses_total", "Random table-file accesses across all queries.", labels),
-		corruptSegs: s.reg.Counter("iva_corrupt_segments_total", "Corrupt vector-list segments queries degraded past.", labels),
-		devRetries:  s.reg.Counter("iva_device_retries_total", "Device operations retried after transient kernel errors.", labels),
-		zoneChecked: s.reg.Counter("iva_zonemap_stripes_checked_total", "Stripes whose zone-map record was consulted at claim time.", labels),
-		zonePruned:  s.reg.Counter("iva_zonemap_stripes_pruned_total", "Stripes skipped outright because their zone lower bound could not beat the top-k bar.", labels),
-		queryDur:    s.reg.Histogram("iva_query_duration_seconds", "End-to-end search latency.", labels, nil),
+		queries:     s.reg.Counter("iva_queries_total", "Search queries served.", nil),
+		queryErrs:   s.reg.Counter("iva_query_errors_total", "Search queries that returned an error.", nil),
+		slowQueries: s.reg.Counter("iva_slow_queries_total", "Queries at or above the slow-query threshold.", nil),
+		inserts:     s.reg.Counter("iva_inserts_total", "Tuples inserted.", nil),
+		deletes:     s.reg.Counter("iva_deletes_total", "Tuples deleted.", nil),
+		updates:     s.reg.Counter("iva_updates_total", "Tuples updated.", nil),
+		scanned:     s.reg.Counter("iva_query_scanned_tuples_total", "Tuple-list entries filtered across all queries.", nil),
+		accesses:    s.reg.Counter("iva_query_table_accesses_total", "Random table-file accesses across all queries.", nil),
+		corruptSegs: s.reg.Counter("iva_corrupt_segments_total", "Corrupt vector-list segments queries degraded past.", nil),
+		devRetries:  s.reg.Counter("iva_device_retries_total", "Device operations retried after transient kernel errors.", nil),
+		zoneChecked: s.reg.Counter("iva_zonemap_stripes_checked_total", "Stripes whose zone-map record was consulted at claim time.", nil),
+		zonePruned:  s.reg.Counter("iva_zonemap_stripes_pruned_total", "Stripes skipped outright because their zone lower bound could not beat the top-k bar.", nil),
+		queryDur:    s.reg.Histogram("iva_query_duration_seconds", "End-to-end search latency.", nil, nil),
 		filterDur: s.reg.Histogram("iva_query_phase_duration_seconds", "Per-phase search latency.",
-			obs.With(labels, "phase", "filter"), nil),
+			obs.Labels{"phase": "filter"}, nil),
 		refineDur: s.reg.Histogram("iva_query_phase_duration_seconds", "Per-phase search latency.",
-			obs.With(labels, "phase", "refine"), nil),
+			obs.Labels{"phase": "refine"}, nil),
 		mergeDur: s.reg.Histogram("iva_query_phase_duration_seconds", "Per-phase search latency.",
-			obs.With(labels, "phase", "merge"), nil),
+			obs.Labels{"phase": "merge"}, nil),
 		filterReads: s.reg.Histogram("iva_query_phase_phys_reads", "Physical page reads per query, by phase.",
-			obs.With(labels, "phase", "filter"), physReadBuckets),
+			obs.Labels{"phase": "filter"}, physReadBuckets),
 		refineReads: s.reg.Histogram("iva_query_phase_phys_reads", "Physical page reads per query, by phase.",
-			obs.With(labels, "phase", "refine"), physReadBuckets),
+			obs.Labels{"phase": "refine"}, physReadBuckets),
 	}
 	for c, name := range rebuildCauseNames {
 		s.om.rebuilds[c] = s.reg.Counter("iva_rebuilds_total", "Table/index file rebuilds, by what triggered them.",
-			obs.With(labels, "cause", name))
+			obs.Labels{"cause": name})
 	}
 
 	// Store-shape gauges read live under the engine lock at scrape time.
-	s.reg.GaugeFunc("iva_tuples_live", "Live tuples in the store.", labels, func() float64 {
+	s.reg.GaugeFunc("iva_tuples_live", "Live tuples in the store.", nil, func() float64 {
 		s.engineMu.RLock()
 		defer s.engineMu.RUnlock()
 		return float64(s.tbl.Live())
 	})
-	s.reg.GaugeFunc("iva_tuples_deleted", "Tombstoned tuples awaiting cleaning.", labels, func() float64 {
+	s.reg.GaugeFunc("iva_tuples_deleted", "Tombstoned tuples awaiting cleaning.", nil, func() float64 {
 		s.engineMu.RLock()
 		defer s.engineMu.RUnlock()
 		return float64(s.ix.Deleted())
 	})
-	s.reg.GaugeFunc("iva_attributes", "Registered attributes.", labels, func() float64 {
+	s.reg.GaugeFunc("iva_attributes", "Registered attributes.", nil, func() float64 {
 		s.engineMu.RLock()
 		defer s.engineMu.RUnlock()
 		return float64(s.cat.NumAttrs())
 	})
-	s.reg.GaugeFunc("iva_table_bytes", "Table file size.", labels, func() float64 {
+	s.reg.GaugeFunc("iva_table_bytes", "Table file size.", nil, func() float64 {
 		s.engineMu.RLock()
 		defer s.engineMu.RUnlock()
 		return float64(s.tbl.Bytes())
 	})
-	s.reg.GaugeFunc("iva_index_bytes", "iVA-file size.", labels, func() float64 {
+	s.reg.GaugeFunc("iva_index_bytes", "iVA-file size.", nil, func() float64 {
 		s.engineMu.RLock()
 		defer s.engineMu.RUnlock()
 		return float64(s.ix.SizeBytes())
 	})
-	s.reg.GaugeFunc("iva_search_workers", "Workers a search dispatched now would run with.", labels, func() float64 {
+	s.reg.GaugeFunc("iva_search_workers", "Workers a search dispatched now would run with.", nil, func() float64 {
 		s.engineMu.RLock()
 		defer s.engineMu.RUnlock()
 		return float64(s.ix.SearchWorkers())
 	})
-	s.reg.GaugeFunc("iva_zonemap_coverage_ratio", "Fraction of sealed stripes with a known zone-map record (0 when zone maps are absent or disabled on disk).", labels, func() float64 {
+	s.reg.GaugeFunc("iva_zonemap_coverage_ratio", "Fraction of sealed stripes with a known zone-map record (0 when zone maps are absent or disabled on disk).", nil, func() float64 {
 		s.engineMu.RLock()
 		defer s.engineMu.RUnlock()
 		known, sealed := s.ix.ZoneMapCoverage()
@@ -348,7 +324,7 @@ func (s *Store) initObs() {
 		}
 		return float64(known) / float64(sealed)
 	})
-	s.reg.GaugeFunc("iva_zonemap_dropped_records", "Zone-map records dropped at open after failing verification (DegradeReads).", labels, func() float64 {
+	s.reg.GaugeFunc("iva_zonemap_dropped_records", "Zone-map records dropped at open after failing verification (DegradeReads).", nil, func() float64 {
 		s.engineMu.RLock()
 		defer s.engineMu.RUnlock()
 		return float64(s.ix.DroppedZones())
@@ -357,8 +333,7 @@ func (s *Store) initObs() {
 
 // registerBuildInfo publishes the binary's build metadata as a constant-1
 // gauge whose labels carry the interesting values, the Prometheus convention
-// for joining version info onto other series. Called once per registry (a
-// Sharded partition registers it on the shared registry, not per shard).
+// for joining version info onto other series.
 func registerBuildInfo(reg *obs.Registry) {
 	labels := obs.Labels{"go_version": runtime.Version()}
 	if bi, ok := debug.ReadBuildInfo(); ok {
@@ -412,7 +387,7 @@ func (s *Store) coreOptions() core.Options {
 // is empty. An existing directory must not already contain a store.
 func Create(dir string, opts Options) (*Store, error) {
 	opts = opts.withDefaults()
-	s := &Store{dir: dir, opts: opts, pool: storage.NewPoolShards(opts.PageSize, opts.CacheBytes, opts.CacheShards)}
+	s := &Store{dir: dir, opts: opts, pool: storage.NewPool(opts.PageSize, opts.CacheBytes)}
 	s.cat = table.NewCatalog()
 	if dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -459,7 +434,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{dir: dir, opts: opts, pool: storage.NewPoolShards(opts.PageSize, opts.CacheBytes, opts.CacheShards), cat: cat}
+	s := &Store{dir: dir, opts: opts, pool: storage.NewPool(opts.PageSize, opts.CacheBytes), cat: cat}
 	if cur, err := loadFollowerState(dir); err == nil {
 		s.replicaCur = &cur
 	}
@@ -775,13 +750,12 @@ type QueryStats struct {
 	CacheHits  int64
 	PhysReads  int64
 	DiskCostMS float64
-	// Workers is the number of filter workers the search ran with (on a
-	// Sharded store, the largest shard's).
+	// Workers is the number of filter workers the search ran with.
 	Workers int
 	// DegradedSegments counts the distinct corrupt vector-list segments the
 	// query read past under DegradeReads. Zero on a healthy store; any
 	// other value means the results are still exact but the index needs a
-	// scrub and rebuild (on a Sharded store, the per-shard sum).
+	// scrub and rebuild.
 	DegradedSegments int
 	// TraceID is the 16-hex-digit id of the query's trace — the join key
 	// into the sampled trace ring (WriteTraces, /debug/trace), the
@@ -790,12 +764,8 @@ type QueryStats struct {
 	// Phase is the per-phase profile of the executed plan: filter/refine/
 	// merge wall time, the striped plan's work distribution per worker, and
 	// the buffer pool hit ratio. Always populated by Search (profiling is
-	// free); SearchProfiled renders it EXPLAIN ANALYZE-style.
+	// free); Render prints it EXPLAIN ANALYZE-style.
 	Phase *PhaseProfile
-	// Shards holds the per-shard breakdown when the query ran on a
-	// Sharded store (nil on a single store). The top-level counters are
-	// sums; the times are the slowest shard's (the critical path).
-	Shards []QueryStats
 }
 
 // Search answers a top-k structured similarity query. Unknown attribute
@@ -806,14 +776,15 @@ type QueryStats struct {
 // store's metrics registry; a query at or above Options.SlowQueryThreshold
 // is captured in the slow-query log with its full per-term trace.
 func (s *Store) Search(q *Query) ([]Result, QueryStats, error) {
-	return s.search(context.Background(), q, nil)
+	return s.SearchContext(context.Background(), q)
 }
 
-// search runs one query under a trace span. A non-nil parent adopts the
-// query's trace (the sharded fan-out), and then the slow-query decision is
-// the parent's: only root queries are logged, so a slow fan-out appears once
-// with its per-shard children rather than once per shard.
-func (s *Store) search(ctx context.Context, q *Query, parent *obs.Span) ([]Result, QueryStats, error) {
+// SearchContext is Search under a context: cancellation and deadlines are
+// honored at stripe boundaries during the filter phase and before every
+// refine fetch, returning ctx.Err() with the partial stats accumulated so
+// far. An already-expired context fails before any device read. It composes
+// with Options.QueryTimeout — the earlier deadline wins.
+func (s *Store) SearchContext(ctx context.Context, q *Query) ([]Result, QueryStats, error) {
 	var qs QueryStats
 	if q.err != nil {
 		return nil, qs, q.err
@@ -824,10 +795,6 @@ func (s *Store) search(ctx context.Context, q *Query, parent *obs.Span) ([]Resul
 		defer cancel()
 	}
 	sp := obs.StartSpan("query")
-	parent.Adopt(sp)
-	if shard, ok := s.opts.obsLabels["shard"]; ok {
-		sp.SetStr("shard", shard)
-	}
 	sp.SetInt("k", int64(q.k))
 
 	// The engine lock covers term resolution too: a follower's delta apply
@@ -930,18 +897,16 @@ func (s *Store) search(ctx context.Context, q *Query, parent *obs.Span) ([]Resul
 	s.om.mergeDur.Observe(st.MergeWall.Seconds())
 	s.om.filterReads.Observe(float64(st.FilterIO.PhysReads))
 	s.om.refineReads.Observe(float64(st.RefineIO.PhysReads))
-	if parent == nil {
-		if s.slowLog.ObserveEntry(obs.LogEntry{
-			Query:    q.describe(),
-			Duration: sp.Duration(),
-			Trace:    sp,
-			Phases:   phaseBreakdown(qs),
-		}) {
-			s.om.slowQueries.Inc()
-			s.ring.Force(sp)
-		} else {
-			s.ring.Offer(sp)
-		}
+	if s.slowLog.ObserveEntry(obs.LogEntry{
+		Query:    q.describe(),
+		Duration: sp.Duration(),
+		Trace:    sp,
+		Phases:   phaseBreakdown(qs),
+	}) {
+		s.om.slowQueries.Inc()
+		s.ring.Force(sp)
+	} else {
+		s.ring.Offer(sp)
 	}
 
 	out := make([]Result, len(res))
@@ -955,7 +920,7 @@ func (s *Store) search(ctx context.Context, q *Query, parent *obs.Span) ([]Resul
 // Prometheus text exposition format (text/plain; version=0.0.4): query
 // latency and per-phase histograms, insert/delete/rebuild counters, buffer
 // pool cache and seq/near/rand I/O counters, modeled disk cost, and the
-// store-shape gauges. On a shard it writes the whole partition's registry.
+// store-shape gauges.
 func (s *Store) WriteMetrics(w io.Writer) error { return s.reg.WritePrometheus(w) }
 
 // MetricsText returns WriteMetrics output as a string.
