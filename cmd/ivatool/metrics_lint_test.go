@@ -218,7 +218,7 @@ func TestMetricsLint(t *testing.T) {
 // mux: the trace ring with exemplars, the querylog format switch, the
 // scrubber-backed healthz, and the pprof gate.
 func TestServeTelemetryEndpoints(t *testing.T) {
-	st, err := iva.Create(t.TempDir(), iva.Options{TraceSampleEvery: 1})
+	st, err := iva.Create(t.TempDir(), iva.Options{SlowQueryThreshold: time.Nanosecond}) // every query is slow, and so retained
 	if err != nil {
 		t.Fatal(err)
 	}

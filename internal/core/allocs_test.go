@@ -46,6 +46,23 @@ func TestSearchAllocs(t *testing.T) {
 	}
 }
 
+// TestInsertAllocs is the allocation gate of the write path, on the loop of
+// BenchmarkInsert (the row's own map and strings included): a run of one
+// encodes into the index's reusable writers, so inserting through the batch
+// routine costs no more than the single-row routine it replaced (60).
+func TestInsertAllocs(t *testing.T) {
+	fx := newFixture(t, 100, Options{TIDHeadroom: 1 << 24}, 201)
+	n := testing.AllocsPerRun(2000, func() {
+		if _, err := fx.ix.Insert(fx.randValues()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.1f allocs/insert", n)
+	if !raceEnabled && n > 60 {
+		t.Errorf("%.1f allocations per insert, want <= 60", n)
+	}
+}
+
 // rebuildOnce compacts the fixture's table and builds an index over the copy,
 // the two passes of a store rebuild.
 func rebuildOnce(tb testing.TB, fx *fixture) {

@@ -81,7 +81,6 @@ func Build(tbl *table.Table, f *storage.File, opts Options) (*Index, error) {
 	if ix.zoneChain, err = segs.Create(); err != nil {
 		return nil, err
 	}
-	ix.zoneOff = opts.DisableZoneMaps
 	// A fresh build observes every tuple from position 0, so every sealed
 	// stripe gets a known zone record.
 	ix.zacc.reset(true)

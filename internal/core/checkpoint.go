@@ -130,6 +130,35 @@ func (ix *Index) writeCheckpoints() error {
 	return ix.segs.WriteAt(ix.ckptChain, buf, 0)
 }
 
+// readCkptRec parses the record at off, returning its offsets, the bytes
+// consumed (including the trailer), and whether it verified as record index.
+// Used by both readCheckpoints and scrubCheckpoints.
+func (ix *Index) readCkptRec(off int64, index int) ([]int64, int64, bool, error) {
+	var nb [4]byte
+	if err := ix.segs.ReadAt(ix.ckptChain, nb[:], off); err != nil {
+		return nil, 0, false, err
+	}
+	nattrs := int(binary.LittleEndian.Uint32(nb[:]))
+	if nattrs > len(ix.attrs) {
+		// An implausible count is corruption (the nattrs word is covered
+		// by the record trailer it ruins).
+		return nil, 0, false, nil
+	}
+	rec := make([]byte, 4+8*nattrs+ckptTrailerLen)
+	if err := ix.segs.ReadAt(ix.ckptChain, rec, off); err != nil {
+		return nil, 0, false, err
+	}
+	body := rec[:len(rec)-ckptTrailerLen]
+	if binary.LittleEndian.Uint32(rec[len(body):]) != ckptRecordCRC(body, index) {
+		return nil, 0, false, nil
+	}
+	offs := make([]int64, nattrs)
+	for a := range offs {
+		offs[a] = int64(binary.LittleEndian.Uint64(body[4+a*8:]))
+	}
+	return offs, int64(len(rec)), true, nil
+}
+
 // readCheckpoints loads the count checkpoint records the superblock
 // committed. The count is clamped to the stripes the committed entry count
 // implies, bounding the pre-allocation below against hostile counts. Records
@@ -146,36 +175,37 @@ func (ix *Index) readCheckpoints(count int) error {
 	ix.ckpts = make([]checkpoint, 0, count)
 	off := int64(4)
 	for i := 0; i < count; i++ {
-		var nb [4]byte
-		if err := ix.segs.ReadAt(ix.ckptChain, nb[:], off); err != nil {
+		offs, n, ok, err := ix.readCkptRec(off, i)
+		if err != nil {
 			return err
 		}
-		nattrs := int(binary.LittleEndian.Uint32(nb[:]))
-		if nattrs > len(ix.attrs) {
-			// An implausible count is corruption (the nattrs word is covered
-			// by the record trailer it ruins).
+		if !ok {
 			return ix.corruptCheckpoint(i, count)
 		}
-		rec := make([]byte, 4+8*nattrs)
-		if err := ix.segs.ReadAt(ix.ckptChain, rec, off); err != nil {
-			return err
-		}
-		off += int64(len(rec))
-		var tr [ckptTrailerLen]byte
-		if err := ix.segs.ReadAt(ix.ckptChain, tr[:], off); err != nil {
-			return err
-		}
-		off += ckptTrailerLen
-		if binary.LittleEndian.Uint32(tr[:]) != ckptRecordCRC(rec, i) {
-			return ix.corruptCheckpoint(i, count)
-		}
-		offs := make([]int64, nattrs)
-		for a := 0; a < nattrs; a++ {
-			offs[a] = int64(binary.LittleEndian.Uint64(rec[4+a*8:]))
-		}
+		off += n
 		ix.ckpts = append(ix.ckpts, checkpoint{attrOff: offs})
 	}
 	return nil
+}
+
+// scrubCheckpoints re-reads the committed checkpoint records, verifying each
+// trailer. Framing past a damaged or unreadable record is untrustworthy (the
+// length prefix is inside the damage), so the remainder is counted corrupt and
+// the sweep stops.
+func (ix *Index) scrubCheckpoints(count int, yield func()) (checked, bad int) {
+	off := int64(4)
+	for i := 0; i < count; i++ {
+		if yield != nil {
+			yield()
+		}
+		_, n, ok, err := ix.readCkptRec(off, i)
+		if err != nil || !ok {
+			return checked, count - i
+		}
+		off += n
+		checked++
+	}
+	return checked, 0
 }
 
 // corruptCheckpoint handles a checkpoint record whose CRC trailer failed at

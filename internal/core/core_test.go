@@ -294,7 +294,7 @@ func TestDeleteThenSearch(t *testing.T) {
 func TestUpdateAssignsNewTID(t *testing.T) {
 	fx := newFixture(t, 50, Options{}, 106)
 	vals := fx.randValues()
-	newTID, err := fx.ix.Update(7, vals)
+	newTID, err := fx.ix.Replace(7, vals)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,12 +66,6 @@ type Options struct {
 	// CheckpointEvery is the stripe width: a resumable checkpoint is
 	// recorded every CheckpointEvery tuple-list entries. Default 2048.
 	CheckpointEvery int64
-	// DisableZoneMaps turns off zone-map stripe pruning at query time (zone
-	// records are still maintained). Pruning never changes results — a
-	// stripe is skipped only when its proven lower bound exceeds the
-	// admission bar — so this exists for benchmarking and differential
-	// testing, not tuning.
-	DisableZoneMaps bool
 	// Integrity selects how checksum mismatches are handled at read time:
 	// IntegrityDegrade (default) widens corrupt vector segments to zero
 	// lower bounds, IntegrityStrict fails fast.
@@ -239,6 +233,7 @@ type Index struct {
 	entries    []tupleEntry
 	posByTID   map[model.TID]int64
 	deleted    int64
+	run        runScratch
 
 	// Stripe checkpoints for the striped filter plan. ckptChain is
 	// NoSegment after checkpoint damage was degraded around at open, which
@@ -656,7 +651,6 @@ func Open(f *storage.File, tbl *table.Table, opts Options) (*Index, error) {
 		crcChainB:  storage.ChainID(binary.LittleEndian.Uint32(b[sbCRCChainBOff:])),
 		crcSlot:    int(b[sbCRCSlotOff]),
 		zoneChain:  storage.ChainID(binary.LittleEndian.Uint32(b[sbZoneChainOff:])),
-		zoneOff:    opts.DisableZoneMaps,
 	}
 	if pb := int(b[21]); pb != ptrBits {
 		return nil, fmt.Errorf("core: index built with %d ptr bits, binary uses %d", pb, ptrBits)

@@ -173,7 +173,7 @@ func (ix *Index) recomputeChainCRCs(cov chainCover, onlyStale bool, buf []byte) 
 
 // writeCRCMap recomputes stale segment words, serializes the checksum map,
 // and writes it to the target checksum-chain slot. Offsets of the crc words
-// within the target chain are recorded so a later Delete can write its word
+// within the target chain are recorded so a later tombstone can write its word
 // through; they become authoritative when the superblock commits the slot.
 // Caller holds ix.mu.
 func (ix *Index) writeCRCMap(target storage.ChainID) error {
@@ -412,40 +412,46 @@ func (ix *Index) attachVerify(r *storage.ChainBitReader, c storage.ChainID) {
 	})
 }
 
-// crcRepairRange recomputes and writes through the checksum words of the
-// segments under a bit range that was just mutated in place (tombstoning a
-// tuple-list ptr is the only such mutation). The committed map must stay
-// true for the committed bytes it describes without waiting for a Sync,
-// because a tombstone may become durable before the Sync that acknowledges
-// it. A crash between the tombstone write and this write-through leaves a
-// detected (never silent) mismatch on that segment; scrub -repair rebuilds.
-func (ix *Index) crcRepairRange(c storage.ChainID, bitOff int64, width int) error {
+// tombstone overwrites the ptr of tuple-list entry pos with the all-ones
+// marker, in place — the one mutation of committed bytes (§IV-B deletion). The
+// committed checksum map must stay true for those bytes without waiting for a
+// Sync, because the marker may become durable before the Sync that
+// acknowledges it: the word of each segment under the ptr is computed over the
+// bytes as they are about to be and written through first, then the marker. A
+// failure at either write leaves the entry, and this index's view of its
+// checksum, as they were. A crash between the two leaves a detected (never
+// silent) mismatch on that segment; scrub -repair rebuilds.
+func (ix *Index) tombstone(pos int64) error {
 	it := &ix.integ
-	ids, err := ix.segs.ChainSegments(c)
+	bitOff := pos*int64(ix.elemBits()) + int64(ix.ltid)
+	ids, err := ix.segs.ChainSegments(ix.tupleChain)
 	if err != nil {
 		return err
 	}
 	pay := int64(ix.segs.PayloadSize())
-	firstSeg := (bitOff / 8) / pay
-	lastSeg := ((bitOff+int64(width)+7)/8 - 1) / pay
-	for k := firstSeg; k <= lastSeg && k < int64(len(ids)); k++ {
-		id := ids[k]
+	var marked [2]struct { // a ptr lies in at most two segments
+		id storage.SegID
+		e  segCRC
+	}
+	n := 0
+	for k := bitOff / 8 / pay; k <= (bitOff+ptrBits-1)/8/pay && k < int64(len(ids)); k++ {
 		it.mu.Lock()
-		e, ok := it.words[id]
+		e, ok := it.words[ids[k]]
 		it.mu.Unlock()
 		if !ok || e.n == 0 {
 			continue
 		}
 		buf := make([]byte, e.n)
-		if err := ix.segs.ReadSegmentPayload(id, buf); err != nil {
+		if err := ix.segs.ReadSegmentPayload(ids[k], buf); err != nil {
 			return err
+		}
+		for bit := bitOff; bit < bitOff+ptrBits; bit++ {
+			if b := bit/8 - k*pay; b >= 0 && b < int64(e.n) {
+				buf[b] |= 0x80 >> (bit & 7)
+			}
 		}
 		maskTail(buf, e.mask)
 		e.crc = storage.Checksum(buf)
-		it.mu.Lock()
-		it.words[id] = e
-		it.verified[id] = struct{}{}
-		it.mu.Unlock()
 		if e.off >= 0 && ix.crcChain(ix.crcSlot) != storage.NoSegment {
 			var w [4]byte
 			binary.LittleEndian.PutUint32(w[:], e.crc)
@@ -453,7 +459,18 @@ func (ix *Index) crcRepairRange(c storage.ChainID, bitOff int64, width int) erro
 				return err
 			}
 		}
+		marked[n].id, marked[n].e = ids[k], e
+		n++
 	}
+	if err := storage.WriteBitsAt(ix.segs, ix.tupleChain, bitOff, tombstonePtr, ptrBits); err != nil {
+		return err
+	}
+	it.mu.Lock()
+	for _, m := range marked[:n] {
+		it.words[m.id] = m.e
+		it.verified[m.id] = struct{}{}
+	}
+	it.mu.Unlock()
 	return nil
 }
 

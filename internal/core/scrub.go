@@ -146,14 +146,9 @@ func (ix *Index) ScrubYield(yield func()) (*ScrubReport, error) {
 	}
 	if ix.checkpointsEnabled() {
 		count := int(binary.LittleEndian.Uint32(b[84:]))
-		if n, bad, err := ix.scrubCheckpoints(count, yield); err != nil {
-			return nil, err
-		} else {
-			rep.Checkpoints = n
-			rep.CorruptCheckpoints = bad
-			if bad > 0 {
-				rep.addProblem("%d of %d checkpoint records failed verification", bad, count)
-			}
+		rep.Checkpoints, rep.CorruptCheckpoints = ix.scrubCheckpoints(count, yield)
+		if bad := rep.CorruptCheckpoints; bad > 0 {
+			rep.addProblem("%d of %d checkpoint records failed verification", bad, count)
 		}
 	}
 
@@ -172,14 +167,9 @@ func (ix *Index) ScrubYield(yield func()) (*ScrubReport, error) {
 	}
 	if ix.zonesEnabled() {
 		count := int(binary.LittleEndian.Uint32(b[sbZoneCountOff:]))
-		if n, bad, err := ix.scrubZones(count, yield); err != nil {
-			return nil, err
-		} else {
-			rep.Zones = n
-			rep.CorruptZones = bad
-			if bad > 0 {
-				rep.addProblem("%d of %d zone-map records failed verification", bad, count)
-			}
+		rep.Zones, rep.CorruptZones = ix.scrubZones(count, yield)
+		if bad := rep.CorruptZones; bad > 0 {
+			rep.addProblem("%d of %d zone-map records failed verification", bad, count)
 		}
 	}
 	return rep, nil
@@ -226,40 +216,4 @@ func (ix *Index) VectorExtents() []VectorExtent {
 		}
 	}
 	return out
-}
-
-// scrubCheckpoints re-reads the committed checkpoint records, verifying each
-// trailer. Framing past a damaged record is untrustworthy (the length prefix
-// is inside the damage), so the remainder is counted corrupt and the sweep
-// stops.
-func (ix *Index) scrubCheckpoints(count int, yield func()) (checked, bad int, err error) {
-	off := int64(4)
-	for i := 0; i < count; i++ {
-		if yield != nil {
-			yield()
-		}
-		var nb [4]byte
-		if err := ix.segs.ReadAt(ix.ckptChain, nb[:], off); err != nil {
-			return checked, count - i, nil // truncated chain: rest unverifiable
-		}
-		nattrs := int(binary.LittleEndian.Uint32(nb[:]))
-		if nattrs > len(ix.attrs) {
-			return checked, count - i, nil
-		}
-		rec := make([]byte, 4+8*nattrs)
-		if err := ix.segs.ReadAt(ix.ckptChain, rec, off); err != nil {
-			return checked, count - i, nil
-		}
-		off += int64(len(rec))
-		var tr [ckptTrailerLen]byte
-		if err := ix.segs.ReadAt(ix.ckptChain, tr[:], off); err != nil {
-			return checked, count - i, nil
-		}
-		off += ckptTrailerLen
-		if binary.LittleEndian.Uint32(tr[:]) != ckptRecordCRC(rec, i) {
-			return checked, count - i, nil
-		}
-		checked++
-	}
-	return checked, 0, nil
 }

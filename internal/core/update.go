@@ -7,103 +7,188 @@ import (
 	"github.com/sparsewide/iva/internal/model"
 	"github.com/sparsewide/iva/internal/signature"
 	"github.com/sparsewide/iva/internal/storage"
-	"github.com/sparsewide/iva/internal/table"
 	"github.com/sparsewide/iva/internal/vector"
 )
 
-// Insert adds a tuple to the table and appends the corresponding elements to
-// the tail of the tuple list and of every affected vector list (§IV-B).
-// Attributes registered in the catalog after the last build get fresh Type I
-// lists lazily. ErrNeedsRebuild is returned — before any state changes —
-// when a packed field can no longer represent the new element.
+// Insert adds a tuple to the table and the index (§IV-B) and returns its id:
+// an appendRun of one.
 func (ix *Index) Insert(values map[model.AttrID]model.Value) (model.TID, error) {
+	return ix.appendRun([]map[model.AttrID]model.Value{values}, 0, false)
+}
+
+// InsertBatch inserts several tuples in one critical section, appending to
+// each affected vector list once instead of once per tuple — the bulk-feed
+// ingestion path of a community system. Tuples receive consecutive ids,
+// returned in order.
+func (ix *Index) InsertBatch(batch []map[model.AttrID]model.Value) ([]model.TID, error) {
+	first, err := ix.appendRun(batch, 0, false)
+	if err != nil || len(batch) == 0 {
+		return nil, err
+	}
+	tids := make([]model.TID, len(batch))
+	for i := range tids {
+		tids[i] = first + model.TID(i)
+	}
+	return tids, nil
+}
+
+// Replace is §IV-B's update — a deletion plus an insertion under a fresh tid,
+// which is returned — as one step: the new tuple is appended and old
+// tombstoned, or, on any error, neither.
+func (ix *Index) Replace(old model.TID, values map[model.AttrID]model.Value) (model.TID, error) {
+	return ix.appendRun([]map[model.AttrID]model.Value{values}, old, true)
+}
+
+// runScratch is what appendRun encodes into, kept from run to run (under
+// ix.mu) so that a run of one allocates no writer.
+type runScratch struct {
+	tuple      bitio.Writer   // the run's tuple-list elements
+	lists      []bitio.Writer // by attribute id: the elements the run adds to that list
+	positional []model.AttrID // attributes whose list takes an element for every tuple
+}
+
+// appendRun is the one insertion routine (§IV-B): a run of tuples gets
+// consecutive ids from the one returned, a record each at the tail of the
+// table file, an element each at the tail of the tuple list, and elements at
+// the tail of every vector list they touch — attributes registered in the
+// catalog after the last build get fresh Type I lists first. With replacing
+// set, the live tuple old is tombstoned in the same step.
+//
+// Everything is validated and encoded before the first write, and nothing is
+// committed before the last: the writes land behind the committed ends of the
+// table and the lists — the table's first, then the tuple list's, then the
+// vector lists' in ascending attribute id, then the tombstone — and only when
+// all succeeded do those ends, the in-memory mirror, the zone maps, the
+// checkpoints of the stripe boundaries the run crosses and the catalog
+// statistics move. On any error return — ErrNeedsRebuild when a packed field
+// (tid, ptr or string count) cannot represent a new element, ErrNotFound for
+// a replaced tid that is not live, a device error — no tuple has been inserted
+// or deleted; the next run overwrites what a failed one wrote.
+func (ix *Index) appendRun(batch []map[model.AttrID]model.Value, old model.TID, replacing bool) (model.TID, error) {
+	if len(batch) == 0 {
+		return 0, nil
+	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 
-	tid := ix.tbl.NextTID()
-	if tid > ix.maxTID() {
+	var oldPos int64
+	var oldTuple *model.Tuple
+	if replacing {
+		var err error
+		if oldPos, oldTuple, err = ix.fetchLive(old); err != nil {
+			return 0, err
+		}
+	}
+	first := ix.tbl.NextTID()
+	if last := first + model.TID(len(batch)) - 1; last > ix.maxTID() || last < first {
 		return 0, ErrNeedsRebuild
 	}
-	// Grow the attribute-state table for catalog attributes added after the
-	// last build.
 	if n := ix.tbl.Catalog().NumAttrs(); n > len(ix.attrs) {
 		if err := ix.growAttrs(n); err != nil {
 			return 0, err
 		}
 	}
-	// Pre-encode everything so nothing is mutated on overflow. Positional
-	// lists need elements even for undefined attributes.
-	type pendingWrite struct {
-		attr model.AttrID
-		w    *bitio.Writer
+	run, err := ix.tbl.EncodeRun(first, batch)
+	if err != nil {
+		return 0, err
 	}
-	var writes []pendingWrite
-	touched := make(map[model.AttrID]bool, len(values))
-	encodeFor := func(a model.AttrID, v model.Value, ndf bool) error {
-		w := &bitio.Writer{}
-		if err := encodeElement(&ix.attrs[a], w, tid, v, ndf); err != nil {
-			return err
-		}
-		writes = append(writes, pendingWrite{a, w})
-		return nil
+	if uint64(run.Ptrs[len(batch)-1]) >= tombstonePtr {
+		return 0, ErrNeedsRebuild
 	}
-	for a, v := range values {
-		if int(a) >= len(ix.attrs) {
-			return 0, fmt.Errorf("core: value on unregistered attribute %d", a)
-		}
-		if ix.attrs[a].layout.Kind != v.Kind {
-			return 0, fmt.Errorf("core: attribute %d is %v, value is %v", a, ix.attrs[a].layout.Kind, v.Kind)
-		}
-		if err := encodeFor(a, v, false); err != nil {
-			return 0, err
-		}
-		touched[a] = true
+
+	// Encode per attribute. Positional lists take an element for every tuple,
+	// defined or not.
+	sc := &ix.run
+	sc.tuple.Reset()
+	sc.positional = sc.positional[:0]
+	for len(sc.lists) < len(ix.attrs) {
+		sc.lists = append(sc.lists, bitio.Writer{})
 	}
-	for id := range ix.attrs {
-		a := model.AttrID(id)
-		if touched[a] {
-			continue
+	for a := range ix.attrs {
+		sc.lists[a].Reset()
+		if t := ix.attrs[a].layout.Type; t == vector.TypeIII || t == vector.TypeIV {
+			sc.positional = append(sc.positional, model.AttrID(a))
 		}
-		t := ix.attrs[a].layout.Type
-		if t == vector.TypeIII || t == vector.TypeIV {
-			if err := encodeFor(a, model.Value{}, true); err != nil {
+	}
+	startPos := int64(len(ix.entries))
+	type boundary struct {
+		pos  int64
+		offs []int64
+	}
+	var crossed []boundary
+	for i, values := range batch {
+		if pos := startPos + int64(i); pos%ix.ckptEvery == 0 && ix.checkpointsEnabled() {
+			// Stripe boundary at this tuple: each list's resume offset is its
+			// committed length plus what the run's earlier tuples add to it.
+			crossed = append(crossed, boundary{pos, ix.currentAttrOffsets(func(a int) int64 {
+				return int64(sc.lists[a].Len())
+			})})
+		}
+		tid := first + model.TID(i)
+		sc.tuple.WriteBits(uint64(tid), ix.ltid)
+		sc.tuple.WriteBits(uint64(run.Ptrs[i]), ptrBits)
+		for a, v := range values {
+			if int(a) >= len(ix.attrs) {
+				return 0, fmt.Errorf("core: value on unregistered attribute %d", a)
+			}
+			if ix.attrs[a].layout.Kind != v.Kind {
+				return 0, fmt.Errorf("core: attribute %d is %v, value is %v", a, ix.attrs[a].layout.Kind, v.Kind)
+			}
+			if err := encodeElement(&ix.attrs[a], &sc.lists[a], tid, v, false); err != nil {
+				return 0, err
+			}
+		}
+		for _, a := range sc.positional {
+			if _, defined := values[a]; defined {
+				continue
+			}
+			if err := encodeElement(&ix.attrs[a], &sc.lists[a], tid, model.Value{}, true); err != nil {
 				return 0, err
 			}
 		}
 	}
 
-	// Commit: table record first, then the index tails.
-	gotTID, ptr, err := ix.tbl.Append(values)
+	// Write, behind the committed ends.
+	if err := ix.tbl.AppendRun(run); err != nil {
+		return 0, err
+	}
+	tupleBits, err := storage.AppendBits(ix.segs, ix.tupleChain, ix.tupleBits, sc.tuple.Bytes(), sc.tuple.Len())
 	if err != nil {
 		return 0, err
 	}
-	if gotTID != tid {
-		return 0, fmt.Errorf("core: tid raced: expected %d, table assigned %d", tid, gotTID)
-	}
-	if uint64(ptr) >= tombstonePtr {
-		return 0, ErrNeedsRebuild
-	}
-	var tw bitio.Writer
-	tw.WriteBits(uint64(tid), ix.ltid)
-	tw.WriteBits(uint64(ptr), ptrBits)
-	if ix.tupleBits, err = storage.AppendBits(ix.segs, ix.tupleChain, ix.tupleBits, tw.Bytes(), tw.Len()); err != nil {
-		return 0, err
-	}
-	pos := int64(len(ix.entries))
-	if pos%ix.ckptEvery == 0 {
-		// Stripe boundary at this tuple: the vector-list tails, captured
-		// before this tuple's elements land, are the resume offsets.
-		ix.recordCheckpoint(pos, ix.currentAttrOffsets(nil))
-	}
-	ix.entries = append(ix.entries, tupleEntry{tid: tid, ptr: ptr})
-	ix.posByTID[tid] = pos
-	ix.zoneObserve(values)
-	for _, pw := range writes {
-		if err := ix.appendList(&ix.attrs[pw.attr], pw.w.Bytes(), pw.w.Len()); err != nil {
+	for a := range ix.attrs {
+		// Under codec 0 a list's physical and logical tails coincide; under
+		// codec 1 the raw tail starts word-aligned behind the sealed blocks.
+		w := &sc.lists[a]
+		if _, err := storage.AppendBits(ix.segs, ix.attrs[a].chain, ix.attrs[a].physBits(), w.Bytes(), w.Len()); err != nil {
 			return 0, err
 		}
 	}
-	return tid, nil
+	if replacing {
+		if err := ix.tombstone(oldPos); err != nil {
+			return 0, err
+		}
+	}
+
+	// Commit: nothing below can fail.
+	ix.tbl.CommitRun(run)
+	ix.tupleBits = tupleBits
+	for i, values := range batch {
+		tid := first + model.TID(i)
+		ix.posByTID[tid] = int64(len(ix.entries))
+		ix.entries = append(ix.entries, tupleEntry{tid: tid, ptr: run.Ptrs[i]})
+		ix.zoneObserve(values)
+	}
+	for a := range ix.attrs {
+		ix.attrs[a].bitLen += int64(sc.lists[a].Len())
+	}
+	for _, b := range crossed {
+		ix.recordCheckpoint(b.pos, b.offs)
+	}
+	if replacing {
+		ix.dropEntry(oldPos, oldTuple)
+	}
+	return first, nil
 }
 
 // encodeElement appends to w what the list of st holds for tuple tid: the
@@ -144,17 +229,6 @@ func encodeElement(st *attrState, w *bitio.Writer, tid model.TID, v model.Value,
 	return err
 }
 
-// appendList appends nbits of encoded elements at an attribute's physical
-// tail and advances its logical length. Under codec 0 the two coincide;
-// under codec 1 the raw tail starts word-aligned behind the sealed blocks.
-func (ix *Index) appendList(st *attrState, src []byte, nbits int) error {
-	if _, err := storage.AppendBits(ix.segs, st.chain, st.physBits(), src, nbits); err != nil {
-		return err
-	}
-	st.bitLen += int64(nbits)
-	return nil
-}
-
 // growAttrs creates lazy Type I lists for newly registered attributes.
 func (ix *Index) growAttrs(n int) error {
 	for id := len(ix.attrs); id < n; id++ {
@@ -174,11 +248,7 @@ func (ix *Index) growAttrs(n int) error {
 		if err != nil {
 			return err
 		}
-		layout, quant, err := chooseLayout(forced, codec, table.AttrInfo{
-			Name: info.Name, Kind: info.Kind,
-			HasDomain: info.HasDomain, Min: info.Min, Max: info.Max,
-			MaxStrs: info.MaxStrs,
-		}, ix.ltid, int64(len(ix.entries)))
+		layout, quant, err := chooseLayout(forced, codec, info, ix.ltid, int64(len(ix.entries)))
 		if err != nil {
 			return err
 		}
@@ -197,40 +267,36 @@ func (ix *Index) growAttrs(n int) error {
 func (ix *Index) Delete(tid model.TID) error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	pos, ok := ix.posByTID[tid]
-	if !ok {
-		return ErrNotFound
-	}
-	tp, err := ix.tbl.Fetch(ix.entries[pos].ptr)
+	pos, tp, err := ix.fetchLive(tid)
 	if err != nil {
 		return err
 	}
-	bitOff := pos*int64(ix.elemBits()) + int64(ix.ltid)
-	if err := storage.WriteBitsAt(ix.segs, ix.tupleChain, bitOff, tombstonePtr, ptrBits); err != nil {
+	if err := ix.tombstone(pos); err != nil {
 		return err
 	}
-	// The tombstone mutates committed bytes in place, so the committed
-	// checksum map must be written through (see crcRepairRange).
-	if err := ix.crcRepairRange(ix.tupleChain, bitOff, ptrBits); err != nil {
-		return err
-	}
-	if err := ix.tbl.NoteDelete(tp.Values); err != nil {
-		return err
-	}
-	ix.entries[pos].deleted = true
-	ix.zoneNoteDelete(pos)
-	delete(ix.posByTID, tid)
-	ix.deleted++
+	ix.dropEntry(pos, tp)
 	return nil
 }
 
-// Update replaces a tuple: §IV-B breaks it into a deletion and an insertion
-// under a fresh tid, which is returned.
-func (ix *Index) Update(tid model.TID, values map[model.AttrID]model.Value) (model.TID, error) {
-	if err := ix.Delete(tid); err != nil {
-		return 0, err
+// fetchLive reads the live tuple tid, whose values a deletion takes out of the
+// catalog statistics, and its tuple-list position. Caller holds ix.mu.
+func (ix *Index) fetchLive(tid model.TID) (int64, *model.Tuple, error) {
+	pos, ok := ix.posByTID[tid]
+	if !ok {
+		return 0, nil, ErrNotFound
 	}
-	return ix.Insert(values)
+	tp, err := ix.tbl.Fetch(ix.entries[pos].ptr)
+	return pos, tp, err
+}
+
+// dropEntry is the in-memory half of a deletion, once the entry at pos holds
+// the tombstone.
+func (ix *Index) dropEntry(pos int64, tp *model.Tuple) {
+	ix.tbl.NoteDelete(tp.Values)
+	ix.entries[pos].deleted = true
+	ix.zoneNoteDelete(pos)
+	delete(ix.posByTID, ix.entries[pos].tid)
+	ix.deleted++
 }
 
 // Fetch returns a live tuple by id (one random table access).

@@ -102,7 +102,6 @@ func (ix *Index) zonePruneEligible() bool {
 func (ix *Index) SetZoneMaps(enabled bool) {
 	ix.mu.Lock()
 	ix.zoneOff = !enabled
-	ix.opts.DisableZoneMaps = !enabled
 	ix.mu.Unlock()
 }
 
@@ -440,7 +439,7 @@ func (ix *Index) writeZones() error {
 // readZoneRec parses the record at off, returning the record, the bytes
 // consumed (including the trailer), and whether it verified. Used by both
 // readZones and scrubZones.
-func (ix *Index) readZoneRec(off int64, index int) (zoneRec, int64, bool, error) {
+func (ix *Index) readZoneRec(off int64, index int) (zoneRec, int64, bool) {
 	var rec []byte
 	pos := off
 	read := func(n int) ([]byte, bool) {
@@ -454,27 +453,27 @@ func (ix *Index) readZoneRec(off int64, index int) (zoneRec, int64, bool, error)
 	}
 	fl, ok := read(1)
 	if !ok {
-		return zoneRec{}, 0, false, nil
+		return zoneRec{}, 0, false
 	}
 	var z zoneRec
 	if fl[0]&1 != 0 {
 		z.known = true
 		hdr, ok := read(8)
 		if !ok {
-			return zoneRec{}, 0, false, nil
+			return zoneRec{}, 0, false
 		}
 		z.live = int64(binary.LittleEndian.Uint32(hdr[0:4]))
 		nattrs := int(binary.LittleEndian.Uint32(hdr[4:8]))
 		if nattrs > len(ix.attrs) {
 			// Implausible count: the attrs word is inside the damage the
 			// trailer would have caught — treat as a failed record.
-			return zoneRec{}, 0, false, nil
+			return zoneRec{}, 0, false
 		}
 		z.attrs = make([]zoneAttr, nattrs)
 		for a := 0; a < nattrs; a++ {
 			af, ok := read(1)
 			if !ok {
-				return zoneRec{}, 0, false, nil
+				return zoneRec{}, 0, false
 			}
 			za := &z.attrs[a]
 			za.defined = af[0]&1 != 0
@@ -483,14 +482,14 @@ func (ix *Index) readZoneRec(off int64, index int) (zoneRec, int64, bool, error)
 			if za.numeric {
 				p, ok := read(16)
 				if !ok {
-					return zoneRec{}, 0, false, nil
+					return zoneRec{}, 0, false
 				}
 				za.minCode = binary.LittleEndian.Uint64(p[0:8])
 				za.maxCode = binary.LittleEndian.Uint64(p[8:16])
 			} else {
 				p, ok := read(2)
 				if !ok {
-					return zoneRec{}, 0, false, nil
+					return zoneRec{}, 0, false
 				}
 				za.minLen, za.maxLen = p[0], p[1]
 			}
@@ -498,13 +497,13 @@ func (ix *Index) readZoneRec(off int64, index int) (zoneRec, int64, bool, error)
 	}
 	var tr [zoneTrailerLen]byte
 	if err := ix.segs.ReadAt(ix.zoneChain, tr[:], pos); err != nil {
-		return zoneRec{}, 0, false, nil
+		return zoneRec{}, 0, false
 	}
 	pos += zoneTrailerLen
 	if binary.LittleEndian.Uint32(tr[:]) != zoneRecordCRC(rec, index) {
-		return zoneRec{}, 0, false, nil
+		return zoneRec{}, 0, false
 	}
-	return z, pos - off, true, nil
+	return z, pos - off, true
 }
 
 // readZones loads the committed zone records at open. count comes from the
@@ -523,10 +522,7 @@ func (ix *Index) readZones(count int) error {
 	ix.zones = make([]zoneRec, 0, count)
 	off := int64(4)
 	for i := 0; i < count; i++ {
-		z, n, okRec, err := ix.readZoneRec(off, i)
-		if err != nil {
-			return err
-		}
+		z, n, okRec := ix.readZoneRec(off, i)
 		if !okRec {
 			return ix.corruptZone(i, count)
 		}
@@ -563,23 +559,20 @@ func (ix *Index) corruptZone(i, count int) error {
 // scrubZones re-reads the committed zone records, verifying each trailer.
 // Framing past a damaged record is untrustworthy, so the remainder is
 // counted corrupt and the sweep stops — the same rule as scrubCheckpoints.
-func (ix *Index) scrubZones(count int, yield func()) (checked, bad int, err error) {
+func (ix *Index) scrubZones(count int, yield func()) (checked, bad int) {
 	off := int64(4)
 	for i := 0; i < count; i++ {
 		if yield != nil {
 			yield()
 		}
-		_, n, okRec, err := ix.readZoneRec(off, i)
-		if err != nil {
-			return checked, count - i, nil
-		}
+		_, n, okRec := ix.readZoneRec(off, i)
 		if !okRec {
-			return checked, count - i, nil
+			return checked, count - i
 		}
 		off += n
 		checked++
 	}
-	return checked, 0, nil
+	return checked, 0
 }
 
 // ZoneExtents lists the committed byte spans of the zone-map chain in the

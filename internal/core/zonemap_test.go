@@ -209,9 +209,9 @@ func TestZoneMapCorruption(t *testing.T) {
 	}
 }
 
-// TestZoneMapDisableOption proves the A/B escape hatch: an index opened with
-// DisableZoneMaps answers identically and never consults a zone record, while
-// still recording summaries for when pruning is re-enabled.
+// TestZoneMapDisableOption proves the A/B escape hatch: an index after
+// SetZoneMaps(false) answers identically and never consults a zone record,
+// while still recording summaries for when pruning is re-enabled.
 func TestZoneMapDisableOption(t *testing.T) {
 	_, _, _, _, ix, num, _, _ := skewedZoneStore(t)
 	q := (&model.Query{K: 2}).NumTerm(num, 9)

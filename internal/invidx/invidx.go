@@ -500,9 +500,7 @@ func (ix *Index) Delete(tid model.TID) error {
 	if err := storage.WriteBitsAt(ix.segs, ix.dirChain, bitOff, tombstonePtr, ptrBits); err != nil {
 		return err
 	}
-	if err := ix.tbl.NoteDelete(tp.Values); err != nil {
-		return err
-	}
+	ix.tbl.NoteDelete(tp.Values)
 	ix.entries[pos].deleted = true
 	delete(ix.posByTID, tid)
 	ix.deleted++

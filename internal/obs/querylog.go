@@ -51,14 +51,11 @@ type QueryLog struct {
 }
 
 // NewQueryLog returns a log capturing queries at or above threshold,
-// retaining at most capEntries (default 64 when <= 0). A non-positive
-// threshold returns nil: the disabled log.
+// retaining at most capEntries. A non-positive threshold returns nil: the
+// disabled log.
 func NewQueryLog(threshold time.Duration, capEntries int) *QueryLog {
 	if threshold <= 0 {
 		return nil
-	}
-	if capEntries <= 0 {
-		capEntries = 64
 	}
 	return &QueryLog{threshold: threshold, cap: capEntries}
 }

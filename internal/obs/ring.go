@@ -15,8 +15,6 @@ import (
 // every `every` (an atomic counter, no lock on the common drop path), and
 // Force records unconditionally — the slow-query path, so a trace referenced
 // by the slow-query log or a histogram exemplar is usually still resident.
-//
-// All methods are safe on a nil receiver (a nil ring is a disabled ring).
 type TraceRing struct {
 	every int64
 	n     atomic.Int64 // queries offered, for the 1-in-every decision
@@ -35,27 +33,13 @@ type TraceEntry struct {
 
 // NewTraceRing returns a ring keeping the most recent capEntries sampled
 // traces, recording one query in every `every` (plus everything Forced).
-// capEntries <= 0 defaults to 64; every <= 0 defaults to 16. A negative
-// capacity returns nil: the disabled ring.
 func NewTraceRing(capEntries, every int) *TraceRing {
-	if capEntries < 0 {
-		return nil
-	}
-	if capEntries == 0 {
-		capEntries = 64
-	}
-	if every <= 0 {
-		every = 16
-	}
 	return &TraceRing{every: int64(every), entries: make([]TraceEntry, 0, capEntries)}
 }
 
 // Offer records the trace if it falls on the sampling grid, reporting whether
 // it was kept.
 func (r *TraceRing) Offer(tr *Span) bool {
-	if r == nil || tr == nil {
-		return false
-	}
 	if (r.n.Add(1)-1)%r.every != 0 {
 		return false
 	}
@@ -65,9 +49,6 @@ func (r *TraceRing) Offer(tr *Span) bool {
 
 // Force records the trace unconditionally (slow queries).
 func (r *TraceRing) Force(tr *Span) {
-	if r == nil || tr == nil {
-		return
-	}
 	e := TraceEntry{Time: time.Now(), Trace: tr}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -82,9 +63,6 @@ func (r *TraceRing) Force(tr *Span) {
 
 // Total returns how many traces were ever recorded (kept or since evicted).
 func (r *TraceRing) Total() int64 {
-	if r == nil {
-		return 0
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.total
@@ -92,9 +70,6 @@ func (r *TraceRing) Total() int64 {
 
 // Entries returns the retained traces, newest first.
 func (r *TraceRing) Entries() []TraceEntry {
-	if r == nil {
-		return nil
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]TraceEntry, len(r.entries))
@@ -119,7 +94,7 @@ func (r *TraceRing) Find(traceID string) *Span {
 }
 
 // WriteJSON serializes the retained traces, newest first, as a JSON array of
-// {"time","trace"} objects. A disabled (nil) ring writes an empty array.
+// {"time","trace"} objects.
 func (r *TraceRing) WriteJSON(w io.Writer) error {
 	var b bytes.Buffer
 	r.appendEntriesJSON(&b)

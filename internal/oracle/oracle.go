@@ -559,23 +559,54 @@ func (h *harness) step(op workload.OpKind) error {
 
 // --- mutation ops ------------------------------------------------------
 
-// insertTuple pushes vals into all engines and the reference, transparently
-// rebuilding an engine whose packed tid width overflows. The engines must
-// assign the same tid: they see identical append sequences and rebuilds
-// preserve nextTID.
+// insertTuple pushes vals into all engines and the reference.
 func (h *harness) insertTuple(vals map[model.AttrID]model.Value) (model.TID, error) {
-	tidIVA, err := h.iva.ix.Insert(vals)
+	return h.writeTuple(vals, 0, false)
+}
+
+// ivaWrite puts vals into one iVA-file engine — in place of the tuple old when
+// replacing is set — the way Store does: an overflowed packed width (reported
+// with nothing written) is answered by one rebuild and one more try. The
+// rebuild keeps the reference's tuples, so old, which left the reference
+// first, is gone by then and the second try is a plain insert.
+func (h *harness) ivaWrite(e *ivaEngine, name string, rebuild func() error, vals map[model.AttrID]model.Value, old model.TID, replacing bool) (model.TID, error) {
+	var tid model.TID
+	var err error
+	if replacing {
+		tid, err = e.ix.Replace(old, vals)
+	} else {
+		tid, err = e.ix.Insert(vals)
+	}
 	if errors.Is(err, core.ErrNeedsRebuild) {
 		h.res.Rebuilds++
-		if err = h.rebuildIVA(); err != nil {
+		if err := rebuild(); err != nil {
 			return 0, err
 		}
-		tidIVA, err = h.iva.ix.Insert(vals)
+		tid, err = e.ix.Insert(vals)
 	}
 	if err != nil {
-		return 0, h.failf("iva insert: %v", err)
+		return 0, h.failf("%s write (replacing=%v %d): %v", name, replacing, old, err)
 	}
-	tidSII, err := h.sii.ix.Insert(vals)
+	return tid, nil
+}
+
+// writeTuple pushes vals into all engines and the reference — as an insert, or
+// as the engines' update of the tuple old (delete + fresh-tid insert, §IV-B),
+// which the caller has dropped from the reference — transparently rebuilding
+// an engine whose packed tid width overflows (the SII reports that with the
+// delete half applied). The engines must assign the same tid: they see
+// identical append sequences and rebuilds preserve nextTID.
+func (h *harness) writeTuple(vals map[model.AttrID]model.Value, old model.TID, replacing bool) (model.TID, error) {
+	tidIVA, err := h.ivaWrite(&h.iva, "iva", h.rebuildIVA, vals, old, replacing)
+	if err != nil {
+		return 0, err
+	}
+	var tidSII, tidDST model.TID
+	if replacing {
+		tidSII, err = h.sii.ix.Update(old, vals)
+	} else {
+		tidSII, err = h.sii.ix.Insert(vals)
+	}
 	if errors.Is(err, invidx.ErrNeedsRebuild) {
 		h.res.Rebuilds++
 		if err = h.rebuildSII(); err != nil {
@@ -584,26 +615,23 @@ func (h *harness) insertTuple(vals map[model.AttrID]model.Value) (model.TID, err
 		tidSII, err = h.sii.ix.Insert(vals)
 	}
 	if err != nil {
-		return 0, h.failf("sii insert: %v", err)
+		return 0, h.failf("sii write (replacing=%v %d): %v", replacing, old, err)
 	}
-	tidDST, err := h.dst.sc.Insert(vals)
+	if replacing {
+		tidDST, err = h.dst.sc.Update(old, vals)
+	} else {
+		tidDST, err = h.dst.sc.Insert(vals)
+	}
 	if err != nil {
-		return 0, h.failf("dst insert: %v", err)
+		return 0, h.failf("dst write (replacing=%v %d): %v", replacing, old, err)
 	}
 	if tidIVA != tidSII || tidIVA != tidDST {
 		return 0, h.failf("tid divergence: iva=%d sii=%d dst=%d", tidIVA, tidSII, tidDST)
 	}
 	if h.iva2 != nil {
-		tid2, err := h.iva2.ix.Insert(vals)
-		if errors.Is(err, core.ErrNeedsRebuild) {
-			h.res.Rebuilds++
-			if err = h.rebuildIVA2(); err != nil {
-				return 0, err
-			}
-			tid2, err = h.iva2.ix.Insert(vals)
-		}
+		tid2, err := h.ivaWrite(h.iva2, "iva2", h.rebuildIVA2, vals, old, replacing)
 		if err != nil {
-			return 0, h.failf("iva2 insert: %v", err)
+			return 0, err
 		}
 		if tid2 != tidIVA {
 			return 0, h.failf("codec mirror tid divergence: iva=%d iva2=%d", tidIVA, tid2)
@@ -670,65 +698,16 @@ func (h *harness) deleteOp() error {
 	return nil
 }
 
-// updateOp exercises the engines' Update (delete + fresh-tid insert, §IV-B).
-// When the insert half overflows the packed tid width the engine reports
-// ErrNeedsRebuild with the delete half already applied; the harness then
-// rebuilds and completes with a plain insert.
+// updateOp exercises the engines' update: the victim leaves the reference,
+// then every engine replaces it.
 func (h *harness) updateOp() error {
 	old := h.dropRef(h.gen.PickLive(len(h.liveTIDs)))
 	vals, err := h.resolveRow(h.gen.Row())
 	if err != nil {
 		return err
 	}
-	tidIVA, err := h.iva.ix.Update(old, vals)
-	if errors.Is(err, core.ErrNeedsRebuild) {
-		h.res.Rebuilds++
-		if err = h.rebuildIVA(); err != nil {
-			return err
-		}
-		tidIVA, err = h.iva.ix.Insert(vals)
-	}
-	if err != nil {
-		return h.failf("iva update %d: %v", old, err)
-	}
-	tidSII, err := h.sii.ix.Update(old, vals)
-	if errors.Is(err, invidx.ErrNeedsRebuild) {
-		h.res.Rebuilds++
-		if err = h.rebuildSII(); err != nil {
-			return err
-		}
-		tidSII, err = h.sii.ix.Insert(vals)
-	}
-	if err != nil {
-		return h.failf("sii update %d: %v", old, err)
-	}
-	tidDST, err := h.dst.sc.Update(old, vals)
-	if err != nil {
-		return h.failf("dst update %d: %v", old, err)
-	}
-	if tidIVA != tidSII || tidIVA != tidDST {
-		return h.failf("update tid divergence: iva=%d sii=%d dst=%d", tidIVA, tidSII, tidDST)
-	}
-	if h.iva2 != nil {
-		tid2, err := h.iva2.ix.Update(old, vals)
-		if errors.Is(err, core.ErrNeedsRebuild) {
-			h.res.Rebuilds++
-			if err = h.rebuildIVA2(); err != nil {
-				return err
-			}
-			tid2, err = h.iva2.ix.Insert(vals)
-		}
-		if err != nil {
-			return h.failf("iva2 update %d: %v", old, err)
-		}
-		if tid2 != tidIVA {
-			return h.failf("codec mirror update tid divergence: iva=%d iva2=%d", tidIVA, tid2)
-		}
-	}
-	h.ref[tidIVA] = &model.Tuple{TID: tidIVA, Values: vals}
-	h.liveTIDs = append(h.liveTIDs, tidIVA)
-	for a := range vals {
-		h.refDF[a]++
+	if _, err := h.writeTuple(vals, old, true); err != nil {
+		return err
 	}
 	h.res.Updates++
 	return nil
@@ -741,30 +720,34 @@ func (h *harness) refKeep(tid model.TID) bool {
 	return ok
 }
 
-func (h *harness) rebuildIVA() error {
-	newTblH, err := h.iva.tblH.fresh()
+// rebuildEngine rewrites one iVA-file engine's table and index, keeping the
+// reference's tuples.
+func (h *harness) rebuildEngine(e *ivaEngine, name string, opts core.Options) error {
+	newTblH, err := e.tblH.fresh()
 	if err != nil {
-		return h.failf("iva rebuild: %v", err)
+		return h.failf("%s rebuild: %v", name, err)
 	}
-	newTbl, err := h.iva.tbl.Rebuild(newTblH.f, h.refKeep)
+	newTbl, err := e.tbl.Rebuild(newTblH.f, h.refKeep)
 	if err != nil {
-		return h.failf("iva rebuild: %v", err)
+		return h.failf("%s rebuild: %v", name, err)
 	}
-	newIxH, err := h.iva.ixH.fresh()
+	newIxH, err := e.ixH.fresh()
 	if err != nil {
-		return h.failf("iva rebuild: %v", err)
+		return h.failf("%s rebuild: %v", name, err)
 	}
-	newIx, err := core.Build(newTbl, newIxH.f, coreOpts())
+	newIx, err := core.Build(newTbl, newIxH.f, opts)
 	if err != nil {
-		return h.failf("iva rebuild: %v", err)
+		return h.failf("%s rebuild: %v", name, err)
 	}
 	newTbl.PublishStats()
-	h.iva.tblH.f.Close()
-	h.iva.ixH.f.Close()
-	h.iva.tblH, h.iva.ixH = newTblH, newIxH
-	h.iva.tbl, h.iva.ix = newTbl, newIx
+	e.tblH.f.Close()
+	e.ixH.f.Close()
+	e.tblH, e.ixH = newTblH, newIxH
+	e.tbl, e.ix = newTbl, newIx
 	return nil
 }
+
+func (h *harness) rebuildIVA() error { return h.rebuildEngine(&h.iva, "iva", coreOpts()) }
 
 func (h *harness) rebuildSII() error {
 	newTblH, err := h.sii.tblH.fresh()
@@ -795,27 +778,9 @@ func (h *harness) rebuildSII() error {
 // earns its keep: core.Build re-runs layout selection over real data, so
 // this is the moment lists actually adopt the packed codec.
 func (h *harness) rebuildIVA2() error {
-	newTblH, err := h.iva2.tblH.fresh()
-	if err != nil {
-		return h.failf("iva2 rebuild: %v", err)
+	if err := h.rebuildEngine(h.iva2, "iva2", mirrorOpts()); err != nil {
+		return err
 	}
-	newTbl, err := h.iva2.tbl.Rebuild(newTblH.f, h.refKeep)
-	if err != nil {
-		return h.failf("iva2 rebuild: %v", err)
-	}
-	newIxH, err := h.iva2.ixH.fresh()
-	if err != nil {
-		return h.failf("iva2 rebuild: %v", err)
-	}
-	newIx, err := core.Build(newTbl, newIxH.f, mirrorOpts())
-	if err != nil {
-		return h.failf("iva2 rebuild: %v", err)
-	}
-	newTbl.PublishStats()
-	h.iva2.tblH.f.Close()
-	h.iva2.ixH.f.Close()
-	h.iva2.tblH, h.iva2.ixH = newTblH, newIxH
-	h.iva2.tbl, h.iva2.ix = newTbl, newIx
 	h.notePackedLists()
 	return nil
 }

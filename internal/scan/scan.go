@@ -109,9 +109,7 @@ func (s *Scanner) Delete(tid model.TID) error {
 	if err != nil {
 		return err
 	}
-	if err := s.tbl.NoteDelete(tp.Values); err != nil {
-		return err
-	}
+	s.tbl.NoteDelete(tp.Values)
 	s.deleted[tid] = true
 	return nil
 }

@@ -170,7 +170,6 @@ func TestServerEquivalence(t *testing.T) {
 	}{
 		{"one-worker", iva.Options{SearchParallelism: 1}},
 		{fmt.Sprintf("parallel-%d", runtime.GOMAXPROCS(0)), iva.Options{SearchParallelism: 0}},
-		{"zonemaps-off", iva.Options{DisableZoneMaps: true}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -91,20 +91,32 @@ func (c *Catalog) NumAttrs() int {
 	return len(c.attrs)
 }
 
-// noteValue folds one defined value into the statistics (sign=+1 on insert,
-// −1 on delete).
-func (c *Catalog) noteValue(id model.AttrID, v model.Value, sign int64) error {
+// check reports whether every value of a tuple sits on a registered attribute
+// of its kind.
+func (c *Catalog) check(values map[model.AttrID]model.Value) error {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	for id, v := range values {
+		if int(id) >= len(c.attrs) {
+			return fmt.Errorf("table: unknown attribute %d", id)
+		}
+		if a := &c.attrs[id]; a.Kind != v.Kind {
+			return fmt.Errorf("table: attribute %q is %v, value is %v", a.Name, a.Kind, v.Kind)
+		}
+	}
+	return nil
+}
+
+// note folds a tuple's values into the statistics (sign=+1 on insert, −1 on
+// delete). A value check refuses has no statistics: no append admitted it.
+func (c *Catalog) note(values map[model.AttrID]model.Value, sign int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if int(id) >= len(c.attrs) {
-		return fmt.Errorf("table: unknown attribute %d", id)
+	for id, v := range values {
+		if int(id) < len(c.attrs) && c.attrs[id].Kind == v.Kind {
+			c.attrs[id].note(int64(len(v.Strs)), v.Num, sign)
+		}
 	}
-	a := &c.attrs[id]
-	if a.Kind != v.Kind {
-		return fmt.Errorf("table: attribute %q is %v, value is %v", a.Name, a.Kind, v.Kind)
-	}
-	a.note(int64(len(v.Strs)), v.Num, sign)
-	return nil
 }
 
 // note folds one value of the entry's kind — nstr strings, or the number

@@ -9,7 +9,7 @@ import (
 // FuzzDecodeRecord feeds arbitrary bytes to the record decoder: it must
 // either parse or error, never panic or over-read.
 func FuzzDecodeRecord(f *testing.F) {
-	rec, err := encodeRecord(7, map[model.AttrID]model.Value{
+	rec, err := encodeRecord(nil, 7, map[model.AttrID]model.Value{
 		0: model.Text("canon", "cannon"),
 		3: model.Num(230),
 	})
@@ -27,7 +27,7 @@ func FuzzDecodeRecord(f *testing.F) {
 		}
 		// A successful decode must re-encode without error (the decoder
 		// only accepts well-formed values).
-		if _, err := encodeRecord(tp.TID, tp.Values); err != nil {
+		if _, err := encodeRecord(nil, tp.TID, tp.Values); err != nil {
 			t.Fatalf("decoded record does not re-encode: %v", err)
 		}
 	})
@@ -49,7 +49,7 @@ func FuzzEncodeDecodeRoundTrip(f *testing.F) {
 			0: model.Text(strs...),
 			1: model.Num(num),
 		}
-		rec, err := encodeRecord(model.TID(tid), vals)
+		rec, err := encodeRecord(nil, model.TID(tid), vals)
 		if err != nil {
 			t.Fatal(err)
 		}

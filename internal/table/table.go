@@ -185,17 +185,18 @@ func recordCRC(rec []byte, ptr int64) uint32 {
 // ResetAccesses zeroes the fetch counter.
 func (t *Table) ResetAccesses() { t.accesses.Store(0) }
 
-// encodeRecord serializes a tuple. Layout (little-endian):
+// encodeRecord serializes a tuple onto buf. Layout (little-endian):
 //
 //	u32 bodyLen | u32 tid | u16 nattrs |
 //	repeat: u32 attrID, u8 kind, payload
 //	  numeric payload: f64 bits
 //	  text payload:    u8 nstrs, repeat (u8 len, bytes)
-func encodeRecord(tid model.TID, values map[model.AttrID]model.Value) ([]byte, error) {
+func encodeRecord(buf []byte, tid model.TID, values map[model.AttrID]model.Value) ([]byte, error) {
 	if len(values) > math.MaxUint16 {
 		return nil, fmt.Errorf("table: tuple with %d attributes", len(values))
 	}
-	buf := make([]byte, 4, 64+16*len(values))
+	start := len(buf)
+	buf = append(buf, 0, 0, 0, 0)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(tid))
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(values)))
 	for _, a := range sortedAttrs(values) {
@@ -219,7 +220,7 @@ func encodeRecord(tid model.TID, values map[model.AttrID]model.Value) ([]byte, e
 			}
 		}
 	}
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(buf)-4))
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(buf)-start-4))
 	return buf, nil
 }
 
@@ -344,63 +345,97 @@ func decodeRecord(buf []byte) (*model.Tuple, error) {
 	return tp, nil
 }
 
+// Run is a run of tuples encoded as the records that follow the table's last
+// one: tuple i sits at Ptrs[i].
+type Run struct {
+	Ptrs []int64
+
+	first model.TID // tuple i gets tid first+i
+	batch []map[model.AttrID]model.Value
+	at    int64  // where the first record sits
+	buf   []byte // the records, trailers included
+}
+
+// EncodeRun encodes one record per tuple of batch, numbered from first — the
+// table's next tid, or a later one — after checking every value against the
+// catalog. Nothing is written. A run is good for the table as it stands: the
+// caller keeps other appends out until it has committed or dropped the run (an
+// index's write lock does).
+func (t *Table) EncodeRun(first model.TID, batch []map[model.AttrID]model.Value) (*Run, error) {
+	r := &Run{Ptrs: make([]int64, len(batch)), first: first, batch: batch}
+	t.mu.Lock()
+	r.at = t.dataEnd
+	t.mu.Unlock()
+	for i, values := range batch {
+		if len(values) == 0 {
+			return nil, fmt.Errorf("table: empty tuple")
+		}
+		if err := t.cat.check(values); err != nil {
+			return nil, err
+		}
+		start := len(r.buf)
+		buf, err := encodeRecord(r.buf, first+model.TID(i), values)
+		if err != nil {
+			return nil, err
+		}
+		r.Ptrs[i] = r.at + int64(start)
+		r.buf = binary.LittleEndian.AppendUint32(buf, recordCRC(buf[start:], r.Ptrs[i]))
+	}
+	return r, nil
+}
+
+// AppendRun writes the run's records behind the table's last one. They
+// become part of the table at CommitRun; until then nothing refers to them and
+// the next append overwrites them, so a failed AppendRun, or a run dropped
+// after it, leaves the table as it was found.
+func (t *Table) AppendRun(r *Run) error { return t.f.WriteAt(r.buf, r.at) }
+
+// CommitRun makes a written run part of the table: the tuples are live, their
+// values are in the catalog statistics, and the next tid follows the run's last.
+func (t *Table) CommitRun(r *Run) {
+	for _, values := range r.batch {
+		t.cat.note(values, +1)
+	}
+	n := int64(len(r.Ptrs))
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.dataEnd = r.at + int64(len(r.buf))
+	t.total += n
+	t.live += n
+	t.nextTID = max(t.nextTID, r.first+model.TID(n))
+}
+
 // Append inserts a tuple, assigning it the next tid, and returns the tid and
 // the record's byte offset (the tuple-list ptr). Catalog statistics are
 // updated.
 func (t *Table) Append(values map[model.AttrID]model.Value) (model.TID, int64, error) {
-	t.mu.Lock()
-	tid := t.nextTID
-	t.mu.Unlock()
+	tid := t.NextTID()
 	ptr, err := t.AppendWithTID(tid, values)
-	if err != nil {
-		return 0, 0, err
-	}
-	return tid, ptr, nil
+	return tid, ptr, err
 }
 
-// AppendWithTID inserts a tuple with an explicit tid (used by Rebuild to
-// preserve ids). The table's next tid advances past it.
+// AppendWithTID inserts a tuple with an explicit tid (a reference rebuild
+// preserves ids with it). The table's next tid advances past it.
 func (t *Table) AppendWithTID(tid model.TID, values map[model.AttrID]model.Value) (int64, error) {
-	if len(values) == 0 {
-		return 0, fmt.Errorf("table: empty tuple")
-	}
-	rec, err := encodeRecord(tid, values)
+	r, err := t.EncodeRun(tid, []map[model.AttrID]model.Value{values})
 	if err != nil {
 		return 0, err
 	}
-	for a, v := range values {
-		if err := t.cat.noteValue(a, v, +1); err != nil {
-			return 0, err
-		}
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	ptr := t.dataEnd
-	rec = binary.LittleEndian.AppendUint32(rec, recordCRC(rec, ptr))
-	if err := t.f.WriteAt(rec, ptr); err != nil {
+	if err := t.AppendRun(r); err != nil {
 		return 0, err
 	}
-	t.dataEnd += int64(len(rec))
-	t.total++
-	t.live++
-	if tid >= t.nextTID {
-		t.nextTID = tid + 1
-	}
-	return ptr, nil
+	t.CommitRun(r)
+	return r.Ptrs[0], nil
 }
 
-// NoteDelete subtracts a deleted tuple's values from the catalog statistics
-// and decrements the live count. The record itself stays until Rebuild.
-func (t *Table) NoteDelete(values map[model.AttrID]model.Value) error {
-	for a, v := range values {
-		if err := t.cat.noteValue(a, v, -1); err != nil {
-			return err
-		}
-	}
+// NoteDelete subtracts a deleted tuple's values — as Fetch returned them —
+// from the catalog statistics and decrements the live count. The record itself
+// stays until Rebuild.
+func (t *Table) NoteDelete(values map[model.AttrID]model.Value) {
+	t.cat.note(values, -1)
 	t.mu.Lock()
 	t.live--
 	t.mu.Unlock()
-	return nil
 }
 
 // Record is a caller-owned buffer holding one verified record at a time.

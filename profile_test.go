@@ -155,7 +155,7 @@ func TestPhaseHistogramsSumToLatency(t *testing.T) {
 // to retained trace ids, and FindTrace resolves an id round-tripped through
 // QueryStats.
 func TestWriteTracesJSON(t *testing.T) {
-	s, q := fillProfiled(t, 200, Options{TraceSampleEvery: 1})
+	s, q := fillProfiled(t, 200, Options{SlowQueryThreshold: time.Nanosecond}) // every query is slow, and so retained
 	_, qs, err := s.Search(q)
 	if err != nil {
 		t.Fatal(err)

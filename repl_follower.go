@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/sparsewide/iva/internal/core"
 	"github.com/sparsewide/iva/internal/obs"
 	"github.com/sparsewide/iva/internal/repl"
 	"github.com/sparsewide/iva/internal/storage"
@@ -460,18 +459,7 @@ func (s *Store) reopenEnginesLocked(catBlob []byte) error {
 		}
 		s.cat = cat
 	}
-	tbl, err := table.Open(s.tblFile, s.cat)
-	if err != nil {
-		return err
-	}
-	s.tbl = tbl
-	ix, err := core.Open(s.ixFile, tbl, s.coreOptions())
-	if err != nil {
-		return err
-	}
-	s.ix = ix
-	s.builtTuples = tbl.Live()
-	return s.buildMetric()
+	return s.openEngines(false)
 }
 
 // bootstrapFollower materializes a fresh follower directory from a full

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,8 +41,6 @@ type Options struct {
 	// CacheBytes is the shared file-cache size over the table and index
 	// files (paper setup: 10 MiB).
 	CacheBytes int64
-	// PageSize is the cache page size (default 4 KiB).
-	PageSize int
 	// Metric names the combining function: "L1", "L2" (default) or "Linf".
 	Metric string
 	// Weights names the attribute weighting scheme: "EQU" (default) or
@@ -68,10 +67,8 @@ type Options struct {
 	GrowthRebuildFactor float64
 	// SlowQueryThreshold enables the slow-query log: queries whose wall
 	// time meets the threshold are captured with their full per-term trace
-	// (see WriteSlowQueries). Zero disables the log.
+	// (see WriteSlowQueries) in a ring of the latest 64. Zero disables the log.
 	SlowQueryThreshold time.Duration
-	// SlowQueryLogSize caps the retained slow-query entries (default 64).
-	SlowQueryLogSize int
 	// SearchParallelism caps the worker count of the striped filter plan.
 	// 0 (the default) selects runtime.GOMAXPROCS; 1 = one worker, which
 	// starts no goroutine. Results are identical either way — the plan is
@@ -93,12 +90,6 @@ type Options struct {
 	// returns context.DeadlineExceeded. Zero disables the bound;
 	// SearchContext composes with it (the earlier deadline wins).
 	QueryTimeout time.Duration
-	// DisableZoneMaps turns off stripe zone-map pruning: the
-	// per-stripe summaries are still maintained and persisted, but searches
-	// no longer skip stripes whose best-possible distance cannot beat the
-	// top-k bar. Results are identical either way — the switch exists for
-	// A/B measurement and as an escape hatch. See also Store.SetZoneMaps.
-	DisableZoneMaps bool
 	// Codec selects the block codec vector lists are stored under: 0 keeps
 	// the raw bit-packed layout, 1 seals Type I/II lists into word-aligned
 	// packed blocks with per-block skip headers and delta-coded tuple-id
@@ -106,13 +97,6 @@ type Options struct {
 	// build-time transcoding for smaller filter reads. Takes effect at the
 	// next build or rebuild; positional (Type III/IV) lists always stay raw.
 	Codec int
-	// TraceRingSize caps the sampled in-process trace ring served by
-	// WriteTraces (/debug/trace): one query trace in every
-	// TraceSampleEvery is retained, plus every slow query. 0 defaults to
-	// 64 entries sampling 1 in 16; a negative size disables the ring.
-	TraceRingSize    int
-	TraceSampleEvery int
-
 	// deviceHook, when set, wraps every raw device the store opens (keyed by
 	// file name) before the retry and tracking layers. It is the fault-
 	// injection seam store-level crash and corruption tests use; unexported
@@ -145,9 +129,6 @@ func (o Options) withDefaults() Options {
 	if o.GrowthRebuildFactor == 0 {
 		o.GrowthRebuildFactor = 2
 	}
-	if o.SlowQueryLogSize == 0 {
-		o.SlowQueryLogSize = 64
-	}
 	return o
 }
 
@@ -173,7 +154,6 @@ type Store struct {
 
 	rebuilds    [numRebuildCauses]int64
 	builtTuples int64 // live count at the last (re)build
-	tidHeadroom int64 // extra id-space hint for the next (re)build
 	closed      bool
 
 	reg     *obs.Registry
@@ -247,8 +227,8 @@ var physReadBuckets = []float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 
 // trace ring.
 func (s *Store) initObs() {
 	s.reg = obs.NewRegistry()
-	s.slowLog = obs.NewQueryLog(s.opts.SlowQueryThreshold, s.opts.SlowQueryLogSize)
-	s.ring = obs.NewTraceRing(s.opts.TraceRingSize, s.opts.TraceSampleEvery)
+	s.slowLog = obs.NewQueryLog(s.opts.SlowQueryThreshold, 64)
+	s.ring = obs.NewTraceRing(64, 16) // the latest 64 of one trace in 16, plus every slow query
 	s.disk = storage.DefaultDiskModel()
 	registerBuildInfo(s.reg)
 
@@ -366,10 +346,9 @@ const (
 // (per-attribute α overrides are keyed by name publicly, by id internally).
 func (s *Store) coreOptions() core.Options {
 	opts := core.Options{
-		Alpha: s.opts.Alpha, N: s.opts.N, TIDHeadroom: s.tidHeadroom,
+		Alpha: s.opts.Alpha, N: s.opts.N,
 		SearchParallelism: s.opts.SearchParallelism,
 		Integrity:         core.IntegrityMode(s.opts.Integrity),
-		DisableZoneMaps:   s.opts.DisableZoneMaps,
 		Codec:             s.opts.Codec,
 	}
 	if len(s.opts.AlphaPerAttr) > 0 {
@@ -387,7 +366,7 @@ func (s *Store) coreOptions() core.Options {
 // is empty. An existing directory must not already contain a store.
 func Create(dir string, opts Options) (*Store, error) {
 	opts = opts.withDefaults()
-	s := &Store{dir: dir, opts: opts, pool: storage.NewPool(opts.PageSize, opts.CacheBytes)}
+	s := &Store{dir: dir, opts: opts, pool: storage.NewPool(0, opts.CacheBytes)}
 	s.cat = table.NewCatalog()
 	if dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -397,26 +376,9 @@ func Create(dir string, opts Options) (*Store, error) {
 			return nil, fmt.Errorf("iva: store already exists in %s", dir)
 		}
 	}
-	tblDev, err := s.device(tableFileName)
-	if err != nil {
+	if err := s.attach(true); err != nil {
 		return nil, err
 	}
-	s.tblFile = storage.NewFile(s.pool, tblDev)
-	if s.tbl, err = table.New(s.tblFile, s.cat); err != nil {
-		return nil, err
-	}
-	ixDev, err := s.device(indexFileName)
-	if err != nil {
-		return nil, err
-	}
-	s.ixFile = storage.NewFile(s.pool, ixDev)
-	if s.ix, err = core.Build(s.tbl, s.ixFile, s.coreOptions()); err != nil {
-		return nil, err
-	}
-	if err := s.buildMetric(); err != nil {
-		return nil, err
-	}
-	s.initObs()
 	return s, nil
 }
 
@@ -434,32 +396,75 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{dir: dir, opts: opts, pool: storage.NewPool(opts.PageSize, opts.CacheBytes), cat: cat}
+	s := &Store{dir: dir, opts: opts, pool: storage.NewPool(0, opts.CacheBytes), cat: cat}
 	if cur, err := loadFollowerState(dir); err == nil {
 		s.replicaCur = &cur
 	}
+	if err := s.attach(false); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// attach opens the store's two files and the engines over them, and wires up
+// the metrics. On an error it closes again what it had opened.
+func (s *Store) attach(create bool) (err error) {
+	defer func() {
+		if err != nil {
+			s.closeFiles()
+		}
+	}()
 	tblDev, err := s.device(tableFileName)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	s.tblFile = storage.NewFile(s.pool, tblDev)
-	if s.tbl, err = table.Open(s.tblFile, cat); err != nil {
-		return nil, err
-	}
 	ixDev, err := s.device(indexFileName)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	s.ixFile = storage.NewFile(s.pool, ixDev)
-	if s.ix, err = core.Open(s.ixFile, s.tbl, s.coreOptions()); err != nil {
-		return nil, err
-	}
-	s.builtTuples = s.tbl.Live()
-	if err := s.buildMetric(); err != nil {
-		return nil, err
+	if err := s.openEngines(create); err != nil {
+		return err
 	}
 	s.initObs()
-	return s, nil
+	return nil
+}
+
+// openEngines puts the table, the index and the metric over the store's open
+// files: a new table and index when create is set, the ones the files hold
+// otherwise.
+func (s *Store) openEngines(create bool) error {
+	openTable := table.Open
+	if create {
+		openTable = table.New
+	}
+	tbl, err := openTable(s.tblFile, s.cat)
+	if err != nil {
+		return err
+	}
+	var ix *core.Index
+	if create {
+		ix, err = core.Build(tbl, s.ixFile, s.coreOptions())
+	} else {
+		ix, err = core.Open(s.ixFile, tbl, s.coreOptions())
+	}
+	if err != nil {
+		return err
+	}
+	s.tbl, s.ix, s.builtTuples = tbl, ix, tbl.Live()
+	return s.buildMetric()
+}
+
+// closeFiles closes the table and index files, those of them that are open.
+func (s *Store) closeFiles() error {
+	var errs []error
+	for _, f := range []*storage.File{s.tblFile, s.ixFile} {
+		if f != nil {
+			errs = append(errs, f.Close())
+		}
+	}
+	return errors.Join(errs...)
 }
 
 func (s *Store) device(name string) (storage.Device, error) {
@@ -538,10 +543,24 @@ func (s *Store) DefineAttr(name string, kind Kind) error {
 	return err
 }
 
-// resolveRow maps names to ids, registering new attributes.
+// resolveRow maps names to ids, registering new attributes — a row's unseen
+// names in sorted order, so the same calls assign the same ids, and with them
+// write the same files, on every run.
 func (s *Store) resolveRow(row Row) (map[model.AttrID]model.Value, error) {
 	if len(row) == 0 {
 		return nil, fmt.Errorf("iva: empty row")
+	}
+	var unseen []string
+	for name := range row {
+		if _, ok := s.cat.Lookup(name); !ok {
+			unseen = append(unseen, name)
+		}
+	}
+	sort.Strings(unseen)
+	for _, name := range unseen {
+		if _, err := s.cat.AddAttr(name, row[name].v.Kind); err != nil {
+			return nil, err
+		}
 	}
 	out := make(map[model.AttrID]model.Value, len(row))
 	for name, v := range row {
@@ -558,9 +577,14 @@ func (s *Store) resolveRow(row Row) (map[model.AttrID]model.Value, error) {
 }
 
 // Insert stores a row and returns its tuple id. New attribute names are
-// registered with the kind of their value. A packed-width overflow triggers
-// a transparent rebuild and retry.
-func (s *Store) Insert(row Row) (TID, error) {
+// registered with the kind of their value.
+func (s *Store) Insert(row Row) (TID, error) { return s.writeRow(row, nil) }
+
+// Update replaces a tuple's row under a fresh id, which is returned. On an
+// error the old tuple is still there, with its old row.
+func (s *Store) Update(tid TID, row Row) (TID, error) { return s.writeRow(row, &tid) }
+
+func (s *Store) writeRow(row Row, old *TID) (TID, error) {
 	if s.followerReadOnly() {
 		return 0, ErrFollower
 	}
@@ -568,48 +592,16 @@ func (s *Store) Insert(row Row) (TID, error) {
 	if err != nil {
 		return 0, err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	tid, err := s.ix.Insert(vals)
-	if err == core.ErrNeedsRebuild {
-		if err = s.rebuildLocked(rebuildNeeded); err != nil {
-			return 0, err
-		}
-		tid, err = s.ix.Insert(vals)
-	}
+	tids, err := s.write([]map[model.AttrID]model.Value{vals}, old, 0)
 	if err != nil {
 		return 0, err
 	}
-	s.om.inserts.Inc()
-	if err := s.maybeGrowthRebuild(); err != nil {
-		return 0, err
-	}
-	return TID(tid), nil
-}
-
-// maybeGrowthRebuild applies the §III-C renewal policy: rebuild once the
-// store has grown past GrowthRebuildFactor times its size at the last
-// build, so relative domains, list types and packed widths track the data.
-func (s *Store) maybeGrowthRebuild() error {
-	f := s.opts.GrowthRebuildFactor
-	if f <= 0 {
-		return nil
-	}
-	live := s.tbl.Live()
-	bar := float64(s.builtTuples) * f
-	if bar < 64 {
-		bar = 64
-	}
-	if float64(live) < bar {
-		return nil
-	}
-	return s.rebuildLocked(rebuildGrowth)
+	return tids[0], nil
 }
 
 // InsertBatch stores several rows in one critical section — the bulk-feed
 // ingestion path. Rows receive consecutive ids, returned in order; on error
-// nothing is inserted. A packed-width overflow triggers one transparent
-// rebuild and retry.
+// nothing is inserted.
 func (s *Store) InsertBatch(rows []Row) ([]TID, error) {
 	if s.followerReadOnly() {
 		return nil, ErrFollower
@@ -622,27 +614,45 @@ func (s *Store) InsertBatch(rows []Row) ([]TID, error) {
 		}
 		batch[i] = vals
 	}
+	// A rebuild on the batch's behalf must leave id space for all of it.
+	return s.write(batch, nil, max(1024, 2*int64(len(batch))))
+}
+
+// write is the store's one write section: under the store lock the resolved
+// rows go to the index as one run — which also tombstones the tuple *old, when
+// old is set. It owns the one retry: when a packed width has overflowed
+// (core.ErrNeedsRebuild, returned with nothing inserted) the files are rebuilt,
+// leaving headroom tuple ids of space (0: the index's default), and the run is
+// tried once more. Like Delete it ends in maintainLocked.
+func (s *Store) write(batch []map[model.AttrID]model.Value, old *TID, headroom int64) ([]TID, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	tids, err := s.ix.InsertBatch(batch)
+	run := func() ([]model.TID, error) {
+		if old == nil {
+			return s.ix.InsertBatch(batch)
+		}
+		tid, err := s.ix.Replace(model.TID(*old), batch[0])
+		return []model.TID{tid}, err
+	}
+	tids, err := run()
 	if err == core.ErrNeedsRebuild {
-		// The rebuild must leave id space for the whole batch.
-		s.tidHeadroom = int64(len(batch)) * 2
-		if s.tidHeadroom < 1024 {
-			s.tidHeadroom = 1024
+		if err = s.rebuildLocked(rebuildNeeded, headroom); err != nil {
+			return nil, err
 		}
-		rerr := s.rebuildLocked(rebuildNeeded)
-		s.tidHeadroom = 0
-		if rerr != nil {
-			return nil, rerr
-		}
-		tids, err = s.ix.InsertBatch(batch)
+		tids, err = run()
+	}
+	if err == core.ErrNotFound {
+		return nil, ErrNotFound
 	}
 	if err != nil {
 		return nil, err
 	}
-	s.om.inserts.Add(int64(len(tids)))
-	if err := s.maybeGrowthRebuild(); err != nil {
+	if old != nil {
+		s.om.updates.Inc()
+	} else {
+		s.om.inserts.Add(int64(len(tids)))
+	}
+	if err := s.maintainLocked(); err != nil {
 		return nil, err
 	}
 	out := make([]TID, len(tids))
@@ -652,8 +662,7 @@ func (s *Store) InsertBatch(rows []Row) ([]TID, error) {
 	return out, nil
 }
 
-// Delete removes a tuple. When the tombstone fraction reaches the cleaning
-// threshold β, the store rebuilds its files (§IV-B).
+// Delete removes a tuple.
 func (s *Store) Delete(tid TID) error {
 	if s.followerReadOnly() {
 		return ErrFollower
@@ -667,48 +676,22 @@ func (s *Store) Delete(tid TID) error {
 		return err
 	}
 	s.om.deletes.Inc()
-	if s.opts.CleanThreshold > 0 && s.ix.DeletedFraction() >= s.opts.CleanThreshold {
-		return s.rebuildLocked(rebuildClean)
-	}
-	return nil
+	return s.maintainLocked()
 }
 
-// Update replaces a tuple's row under a fresh id, which is returned.
-func (s *Store) Update(tid TID, row Row) (TID, error) {
-	if s.followerReadOnly() {
-		return 0, ErrFollower
+// maintainLocked is the one place the store decides, after a write, to rewrite
+// its files on its own: cleaning when the tombstoned share of the tuple list
+// has reached β (§IV-B), else the §III-C renewal — once the store has grown
+// past GrowthRebuildFactor times its size at the last build, so that relative
+// domains, list types and packed widths track the data — else nothing.
+func (s *Store) maintainLocked() error {
+	if beta := s.opts.CleanThreshold; beta > 0 && s.ix.DeletedFraction() >= beta {
+		return s.rebuildLocked(rebuildClean, 0)
 	}
-	vals, err := s.resolveRow(row)
-	if err != nil {
-		return 0, err
+	if f := s.opts.GrowthRebuildFactor; f > 0 && float64(s.tbl.Live()) >= max(64, float64(s.builtTuples)*f) {
+		return s.rebuildLocked(rebuildGrowth, 0)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.ix.Delete(model.TID(tid)); err != nil {
-		if err == core.ErrNotFound {
-			return 0, ErrNotFound
-		}
-		return 0, err
-	}
-	newTID, err := s.ix.Insert(vals)
-	if err == core.ErrNeedsRebuild {
-		if err = s.rebuildLocked(rebuildNeeded); err != nil {
-			return 0, err
-		}
-		newTID, err = s.ix.Insert(vals)
-	}
-	if err != nil {
-		return 0, err
-	}
-	if s.opts.CleanThreshold > 0 && s.ix.DeletedFraction() >= s.opts.CleanThreshold {
-		if err := s.rebuildLocked(rebuildClean); err != nil {
-			return 0, err
-		}
-	} else if err := s.maybeGrowthRebuild(); err != nil {
-		return 0, err
-	}
-	s.om.updates.Inc()
-	return TID(newTID), nil
+	return nil
 }
 
 // Get returns a live tuple's row.
@@ -949,7 +932,7 @@ func (s *Store) Rebuild() error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.rebuildLocked(rebuildExplicit)
+	return s.rebuildLocked(rebuildExplicit, 0)
 }
 
 // rebuildCause says what made the store rewrite its files; it is the cause
@@ -980,7 +963,9 @@ func (s *Store) dropNewFile(name string, f *storage.File) {
 	}
 }
 
-func (s *Store) rebuildLocked(cause rebuildCause) error {
+// rebuildLocked rewrites both files; headroom is the id space the new index
+// leaves above the table's next tid (0: the index's default).
+func (s *Store) rebuildLocked(cause rebuildCause, headroom int64) error {
 	var newTblFile, newIxFile *storage.File
 	swapped := false
 	defer func() {
@@ -1003,7 +988,9 @@ func (s *Store) rebuildLocked(cause rebuildCause) error {
 		return err
 	}
 	newIxFile = storage.NewFile(s.pool, newIxDev)
-	newIx, err := core.Build(newTbl, newIxFile, s.coreOptions())
+	opts := s.coreOptions()
+	opts.TIDHeadroom = headroom
+	newIx, err := core.Build(newTbl, newIxFile, opts)
 	if err != nil {
 		return err
 	}
@@ -1323,27 +1310,6 @@ func (s *Store) Attrs() []AttrInfo {
 	return out
 }
 
-// SetZoneMaps toggles stripe zone-map pruning at runtime (the live
-// counterpart of Options.DisableZoneMaps). The per-stripe summaries keep
-// being maintained either way; only their use at stripe-claim time changes,
-// so flipping the switch never affects results. The setting sticks across
-// rebuilds.
-func (s *Store) SetZoneMaps(enabled bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.opts.DisableZoneMaps = !enabled
-	s.engineMu.RLock()
-	s.ix.SetZoneMaps(enabled)
-	s.engineMu.RUnlock()
-}
-
-// ZoneMapsOn reports whether stripe zone-map pruning is currently in effect.
-func (s *Store) ZoneMapsOn() bool {
-	s.engineMu.RLock()
-	defer s.engineMu.RUnlock()
-	return s.ix.ZoneMapsOn()
-}
-
 // Sync checkpoints all files (catalog, table header, index metadata).
 func (s *Store) Sync() error {
 	s.mu.Lock()
@@ -1394,8 +1360,5 @@ func (s *Store) Close() error {
 		return err
 	}
 	s.closed = true
-	if err := s.tblFile.Close(); err != nil {
-		return err
-	}
-	return s.ixFile.Close()
+	return s.closeFiles()
 }
