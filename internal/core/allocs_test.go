@@ -6,16 +6,40 @@ import (
 	"github.com/sparsewide/iva/internal/metric"
 	"github.com/sparsewide/iva/internal/model"
 	"github.com/sparsewide/iva/internal/storage"
+	"github.com/sparsewide/iva/internal/table"
 )
 
 // TestSearchAllocs is the allocation gate of the search hot path: a query
 // allocates a bounded number of objects that does not grow with the tuples it
-// scans or the candidates it fetches — only, by a few, with the stripes.
+// scans or the candidates it fetches — only, by a few, with the stripes. Nor
+// with the pages it misses: the cold variant runs the same queries over a pool
+// of 16 pages, where every query reads its pages from the device into
+// recycled frames.
 func TestSearchAllocs(t *testing.T) {
+	for _, poolPages := range []int64{0, 16} {
+		searchAllocs(t, poolPages)
+	}
+}
+
+func searchAllocs(t *testing.T, poolPages int64) {
 	m := metric.Default()
 	allocs := func(tuples int) float64 {
 		fx := newFixture(t, tuples, Options{}, 77)
-		fx.ix.SetSearchParallelism(1)
+		ix := fx.ix
+		if poolPages > 0 {
+			if err := ix.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			pool := storage.NewPool(0, poolPages*storage.DefaultPageSize)
+			tbl, err := table.Open(storage.NewFile(pool, fx.tblDev), fx.tbl.Catalog())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ix, err = Open(storage.NewFile(pool, fx.idxDev), tbl, Options{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ix.SetSearchParallelism(1)
 		// A dense text attribute (Type III), a sparse one (tid-addressed) and
 		// the dense numeric one (Type IV).
 		q := (&model.Query{K: 10}).
@@ -25,7 +49,7 @@ func TestSearchAllocs(t *testing.T) {
 		var stats SearchStats
 		run := func() {
 			var err error
-			if _, stats, err = fx.ix.Search(q, m); err != nil {
+			if _, stats, err = ix.Search(q, m); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -34,15 +58,18 @@ func TestSearchAllocs(t *testing.T) {
 		if stats.Scanned != int64(tuples) || stats.TableAccesses < 10 {
 			t.Fatalf("%d tuples: scanned %d, fetched %d", tuples, stats.Scanned, stats.TableAccesses)
 		}
-		t.Logf("%d tuples: %.0f allocs/query, %d fetched", tuples, n, stats.TableAccesses)
+		if cold := stats.FilterIO.PhysReads > 0 && stats.RefineIO.PhysReads > 0; cold != (poolPages > 0) {
+			t.Fatalf("%d tuples, pool of %d pages: %d + %d physical reads in the last query", tuples, poolPages, stats.FilterIO.PhysReads, stats.RefineIO.PhysReads)
+		}
+		t.Logf("pool %d pages, %d tuples: %.0f allocs/query, %d fetched, %d pages read", poolPages, tuples, n, stats.TableAccesses, stats.FilterIO.PhysReads+stats.RefineIO.PhysReads)
 		return n
 	}
 	small, large := allocs(2048), allocs(8192)
 	if d := large - small; d > 16 || d < -16 {
-		t.Errorf("allocations grow with the data: %.0f at 2,048 tuples, %.0f at 8,192", small, large)
+		t.Errorf("pool %d pages: allocations grow with the data: %.0f at 2,048 tuples, %.0f at 8,192", poolPages, small, large)
 	}
 	if !raceEnabled && large > 400 {
-		t.Errorf("%.0f allocations per query at 8,192 tuples, want <= 400", large)
+		t.Errorf("pool %d pages: %.0f allocations per query at 8,192 tuples, want <= 400", poolPages, large)
 	}
 }
 

@@ -258,10 +258,11 @@ func (ix *Index) originScan(terms []termState, visit func(tid model.TID, pos, pt
 	return nil
 }
 
-// release closes the readers — their windows are pinned buffer-pool frames,
-// and an idle pin would block eviction between queries — then returns the
-// scratch (readers, stitch buffers) to the pool for reuse.
+// release closes the readers and the record — their windows are pinned
+// buffer-pool frames, and an idle pin would block eviction between queries —
+// then returns the scratch (readers, stitch buffers) to the pool for reuse.
 func (sc *workerScratch) release() {
+	sc.rec.Release()
 	if sc.tupleRd != nil {
 		sc.tupleRd.Close()
 	}
@@ -584,7 +585,8 @@ func (sw *stripeWorker) creditPrune(j int) {
 }
 
 // refine is Algorithm 1's random access to the table file for batch entry j.
-// The record is read into the worker's buffer and verified, then walked for
+// The record is verified where it lies in its pinned page (the worker keeps
+// the pin until the next record on another page, or release), then walked for
 // the query's attributes only: the exact differences come from the payload
 // bytes, and no tuple is materialised.
 func (sw *stripeWorker) refine(j int) error {

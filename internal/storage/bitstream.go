@@ -212,9 +212,6 @@ func (r *ChainBitReader) ReadWords(dst []uint64, width int) error {
 	return nil
 }
 
-// SetBitLen grows the readable region (after a tail append).
-func (r *ChainBitReader) SetBitLen(n int64) { r.bitLen = n }
-
 // WriteBitsAt overwrites `width` bits (≤64) of chain c at absolute bit
 // offset off with the low bits of v (MSB-first). The chain must already
 // cover the range. Used to tombstone tuple-list ptrs in place (§IV-B

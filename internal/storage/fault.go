@@ -60,19 +60,6 @@ func (d *FaultDevice) SetTornWrites(on bool) {
 	d.mu.Unlock()
 }
 
-// CorruptBitFlip flips one bit of the underlying device in place, bypassing
-// the operation budget. It models silent media corruption: no error at write
-// time, wrong bytes at read time.
-func (d *FaultDevice) CorruptBitFlip(off int64, bit uint) error {
-	var b [1]byte
-	if _, err := d.inner.ReadAt(b[:], off); err != nil {
-		return err
-	}
-	b[0] ^= 1 << (bit % 8)
-	_, err := d.inner.WriteAt(b[:], off)
-	return err
-}
-
 func (d *FaultDevice) step() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()

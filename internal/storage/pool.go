@@ -2,6 +2,8 @@ package storage
 
 import (
 	"fmt"
+	"maps"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -35,8 +37,15 @@ const minShardQuota = 8
 // Frames can be pinned (Get / Frame.Release): a pinned frame is never
 // evicted and its bytes never change — a write to a pinned page detaches the
 // old frame (copy-on-write) and installs a fresh one, so pinned readers keep
-// a page-consistent snapshot. ChainBitReader decodes straight from pinned
-// frames instead of copying every window.
+// a page-consistent snapshot. ChainBitReader and table.Record decode straight
+// from pinned frames instead of copying.
+//
+// An unpinned frame that leaves its shard's ring — evicted, or dropped with
+// its file — becomes the shard's free frame, inside the shard's page budget,
+// and the next miss reads into it: a miss on a full shard allocates nothing.
+// One is all a shard keeps (a miss takes it, the eviction that makes room
+// leaves the next), so a dropped file's memory goes back to the collector. A
+// frame detached while pinned is never recycled: its readers may hold it.
 type Pool struct {
 	pageSize int
 	capPages int
@@ -45,8 +54,10 @@ type Pool struct {
 	shards []*poolShard
 	mask   uint64 // len(shards)-1; shard count is a power of two
 
-	filesMu sync.RWMutex
-	files   map[uint32]*fileState
+	// files is copy-on-write: a page touch resolves its file with one atomic
+	// load; Register and Unregister, serialized by filesMu, publish a new map.
+	filesMu sync.Mutex
+	files   atomic.Pointer[map[uint32]*fileState]
 	next    uint32
 
 	spare    atomic.Int64 // unassigned page quota shards may claim
@@ -89,13 +100,12 @@ func (f *Frame) Release() {
 		panic("storage: Frame released more times than pinned")
 	}
 	p.pinned.Add(-1)
-	if f.pins == 0 {
-		if f.stale {
-			p.detached.Add(-1)
-		} else if sh.over > 0 {
-			// The shard ran past its quota while this pin blocked eviction;
-			// shrink back toward budget now that a frame is evictable.
-			sh.reclaimLocked()
+	if f.pins == 0 && f.stale {
+		p.detached.Add(-1)
+	} else if f.pins == 0 {
+		// If the shard ran past its quota while this pin blocked eviction,
+		// shrink back toward budget now that a frame is evictable.
+		for sh.over > 0 && sh.evictOneLocked() {
 		}
 	}
 	sh.unlock()
@@ -108,6 +118,7 @@ type poolShard struct {
 	mu     sync.Mutex
 	frames map[pageKey]*Frame
 	ring   []*Frame // CLOCK ring; hand walks it circularly
+	free   *Frame   // the free list, one frame long: unowned, inside the budget
 	hand   int
 	extra  int // pages claimed from pool.spare
 	over   int // resident pages beyond quota+extra (pin-forced)
@@ -161,7 +172,7 @@ func NewPoolShards(pageSize int, capBytes int64, shards int) *Pool {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0) * 4
 	}
-	n = nextPow2(n)
+	n = 1 << bits.Len(uint(n-1)) // the next power of two
 	for n > 1 && capPages/n < minShardQuota {
 		n >>= 1
 	}
@@ -171,8 +182,8 @@ func NewPoolShards(pageSize int, capBytes int64, shards int) *Pool {
 		stats:    &Stats{},
 		shards:   make([]*poolShard, n),
 		mask:     uint64(n - 1),
-		files:    make(map[uint32]*fileState),
 	}
+	p.files.Store(&map[uint32]*fileState{})
 	quota := capPages / n
 	p.spare.Store(int64(capPages - quota*n))
 	for i := range p.shards {
@@ -181,15 +192,6 @@ func NewPoolShards(pageSize int, capBytes int64, shards int) *Pool {
 			quota:  quota,
 			frames: make(map[pageKey]*Frame),
 		}
-	}
-	return p
-}
-
-// nextPow2 returns the smallest power of two ≥ n (n ≥ 1).
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
 	}
 	return p
 }
@@ -216,30 +218,33 @@ func (p *Pool) Stats() *Stats { return p.stats }
 
 // Register attaches a device to the pool and returns its file handle id.
 func (p *Pool) Register(dev Device) uint32 {
+	fs := &fileState{dev: dev, stats: &Stats{}}
+	fs.lastRead.Store(-1)
 	p.filesMu.Lock()
 	defer p.filesMu.Unlock()
 	id := p.next
 	p.next++
-	fs := &fileState{dev: dev, stats: &Stats{}}
-	fs.lastRead.Store(-1)
-	p.files[id] = fs
+	p.publishFile(id, fs)
 	return id
+}
+
+// publishFile replaces the file table by a copy in which id maps to fs, or to
+// nothing for a nil fs. Caller holds filesMu.
+func (p *Pool) publishFile(id uint32, fs *fileState) {
+	files := maps.Clone(*p.files.Load())
+	delete(files, id)
+	if fs != nil {
+		files[id] = fs
+	}
+	p.files.Store(&files)
 }
 
 // Files reports how many files are registered: a store that opens files for
 // a rebuild and fails must be back at the count it started from.
-func (p *Pool) Files() int {
-	p.filesMu.RLock()
-	defer p.filesMu.RUnlock()
-	return len(p.files)
-}
+func (p *Pool) Files() int { return len(*p.files.Load()) }
 
 // fileState resolves a registered file, or nil.
-func (p *Pool) fileState(id uint32) *fileState {
-	p.filesMu.RLock()
-	defer p.filesMu.RUnlock()
-	return p.files[id]
-}
+func (p *Pool) fileState(id uint32) *fileState { return (*p.files.Load())[id] }
 
 // FileStats returns the per-file I/O counters of a registered file, or nil if
 // the id is unknown. The pointer stays valid (and frozen) after Unregister.
@@ -258,8 +263,8 @@ func (p *Pool) FileStats(id uint32) *Stats {
 // freed: their readers keep a stable snapshot until Release.
 func (p *Pool) Unregister(id uint32) {
 	p.filesMu.Lock()
-	fs := p.files[id]
-	delete(p.files, id)
+	fs := p.fileState(id)
+	p.publishFile(id, nil)
 	p.filesMu.Unlock()
 	if fs != nil {
 		fs.gone.Store(true)
@@ -276,108 +281,113 @@ func (p *Pool) InvalidateFile(id uint32) {
 	}
 }
 
-// dropFilePages sweeps every shard, removing the file's frames. Shards are
-// locked one at a time; the pool never holds two shard locks at once.
+// dropFilePages sweeps every shard, filtering the file's frames out of the
+// ring in one pass. A pinned frame stays alive (stale, counted in detached)
+// until its last Release. Shards are locked one at a time; the pool never
+// holds two shard locks at once.
 func (p *Pool) dropFilePages(id uint32) {
 	for _, sh := range p.shards {
 		sh.lock()
-		for key, fr := range sh.frames {
-			if key.file != id {
+		kept, hand := sh.ring[:0], 0
+		for i, fr := range sh.ring {
+			if i == sh.hand {
+				hand = len(kept)
+			}
+			if fr.key.file != id {
+				kept = append(kept, fr)
 				continue
 			}
-			sh.detachLocked(fr)
+			delete(sh.frames, fr.key)
+			if fr.pins > 0 {
+				fr.stale = true
+				p.detached.Add(1)
+			} else {
+				sh.free = fr
+			}
 		}
-		sh.syncOverLocked()
+		clear(sh.ring[len(kept):])
+		sh.ring, sh.hand = kept, hand%max(len(kept), 1)
+		sh.syncBudgetLocked()
 		sh.unlock()
 	}
 }
 
-// detachLocked removes a frame from the shard's map and ring. A pinned frame
-// stays alive (stale, counted in detached) until its last Release.
-func (sh *poolShard) detachLocked(fr *Frame) {
+// ringRemoveLocked takes the frame in ring slot i out of the shard.
+func (sh *poolShard) ringRemoveLocked(i int) *Frame {
+	fr, last := sh.ring[i], len(sh.ring)-1
 	delete(sh.frames, fr.key)
-	sh.ringRemoveLocked(fr)
-	if fr.pins > 0 {
-		fr.stale = true
-		sh.pool.detached.Add(1)
+	sh.ring[i] = sh.ring[last]
+	sh.ring[last] = nil
+	sh.ring = sh.ring[:last]
+	if sh.hand >= last {
+		sh.hand = 0
 	}
+	return fr
 }
 
-func (sh *poolShard) ringRemoveLocked(fr *Frame) {
-	for i, g := range sh.ring {
-		if g == fr {
-			last := len(sh.ring) - 1
-			sh.ring[i] = sh.ring[last]
-			sh.ring[last] = nil
-			sh.ring = sh.ring[:last]
-			if sh.hand >= len(sh.ring) {
-				sh.hand = 0
-			}
-			return
-		}
+// syncBudgetLocked reconciles the shard with its page budget after the ring
+// or the free frame changed: the free frame stays only where the resident
+// pages leave the budget room for it, and the over-budget count (with the
+// pool's atomic overflow total) follows the ring occupancy.
+func (sh *poolShard) syncBudgetLocked() {
+	room := sh.quota + sh.extra - len(sh.ring)
+	if room <= 0 {
+		sh.free = nil
 	}
-}
-
-// syncOverLocked reconciles the shard's over-budget count (and the pool's
-// atomic overflow total) with the current ring occupancy.
-func (sh *poolShard) syncOverLocked() {
-	over := len(sh.ring) - (sh.quota + sh.extra)
-	if over < 0 {
-		over = 0
-	}
-	if over != sh.over {
+	if over := max(-room, 0); over != sh.over {
 		sh.pool.overflow.Add(int64(over - sh.over))
 		sh.over = over
 	}
 }
 
 // evictOneLocked runs the CLOCK hand: skip pinned frames, give referenced
-// frames a second chance, evict the first unpinned unreferenced frame. Two
+// frames a second chance, free the first unpinned unreferenced frame. Two
 // full sweeps guarantee progress when any frame is evictable.
 func (sh *poolShard) evictOneLocked() bool {
 	n := len(sh.ring)
 	for i := 0; i < 2*n; i++ {
 		fr := sh.ring[sh.hand]
-		if fr.pins > 0 {
-			sh.hand = (sh.hand + 1) % len(sh.ring)
-			continue
+		if fr.pins == 0 && !fr.ref {
+			sh.free = sh.ringRemoveLocked(sh.hand)
+			sh.syncBudgetLocked()
+			return true
 		}
-		if fr.ref {
+		if fr.pins == 0 {
 			fr.ref = false
-			sh.hand = (sh.hand + 1) % len(sh.ring)
-			continue
 		}
-		delete(sh.frames, fr.key)
-		sh.ringRemoveLocked(fr)
-		return true
+		sh.hand = (sh.hand + 1) % n
 	}
 	return false
 }
 
-// ensureRoomLocked makes space for one more resident page: evict if
-// possible, claim a spare quota page otherwise, and as a last resort (every
-// frame pinned) run over budget, counted in the overflow gauge.
-func (sh *poolShard) ensureRoomLocked() {
-	for len(sh.ring) >= sh.quota+sh.extra {
+// takeFrameLocked hands out an unowned frame for page key, its bytes
+// undefined: the free frame — on a full shard the victim just evicted — else a
+// new one, which runs the shard over budget when every frame is pinned and no
+// spare quota page is left (counted in the overflow gauge at installLocked).
+func (sh *poolShard) takeFrameLocked(key pageKey) *Frame {
+	for sh.free == nil && len(sh.ring) >= sh.quota+sh.extra {
 		if sh.evictOneLocked() {
-			continue
+			continue // the victim is free, unless the shard is still over budget
 		}
-		if sh.pool.takeSpare() {
-			sh.extra++
-			continue
-		}
-		break // pin-forced overflow; syncOverLocked accounts for it
-	}
-}
-
-// reclaimLocked evicts back down to quota after pin-forced overflow.
-func (sh *poolShard) reclaimLocked() {
-	for len(sh.ring) > sh.quota+sh.extra {
-		if !sh.evictOneLocked() {
+		if !sh.pool.takeSpare() {
 			break
 		}
+		sh.extra++
 	}
-	sh.syncOverLocked()
+	fr := sh.free
+	if fr == nil {
+		fr = &Frame{data: make([]byte, sh.pool.pageSize)}
+	}
+	sh.free = nil
+	*fr = Frame{key: key, shard: sh, data: fr.data, ref: true}
+	return fr
+}
+
+// installLocked makes a taken frame the resident frame of its page.
+func (sh *poolShard) installLocked(fr *Frame) {
+	sh.frames[fr.key] = fr
+	sh.ring = append(sh.ring, fr)
+	sh.syncBudgetLocked()
 }
 
 func (p *Pool) takeSpare() bool {
@@ -392,30 +402,55 @@ func (p *Pool) takeSpare() bool {
 	}
 }
 
-// loadLocked reads page `key.page` from the device straight into a fresh
-// frame and installs it. On a failed device read nothing changes: no frame
-// is inserted, no counter moves, and the file's read-position is not
-// advanced (a failed miss must not promote the key or skew the seq/near/rand
-// classification — see TestPoolFailedRead*).
+// loadLocked reads page `key.page` from the device straight into the frame
+// that will hold it and installs it. On a failed device read no frame is
+// inserted, no counter moves, and the file's read-position is not advanced (a
+// failed miss must not promote the key or skew the seq/near/rand
+// classification — see TestPoolFailedRead*): the frame is free again.
 func (sh *poolShard) loadLocked(fs *fileState, key pageKey) (*Frame, error) {
 	p := sh.pool
-	data := make([]byte, p.pageSize)
-	if _, err := fs.dev.ReadAt(data, key.page*int64(p.pageSize)); err != nil {
-		return nil, err
-	}
-	if fs.gone.Load() {
+	fr := sh.takeFrameLocked(key)
+	_, err := fs.dev.ReadAt(fr.data, key.page*int64(p.pageSize))
+	if err == nil && fs.gone.Load() {
 		// Unregistered while we were reading: serve nothing rather than
 		// resurrect a page the sweep may already have dropped.
-		return nil, fmt.Errorf("storage: unknown file %d", key.file)
+		err = fmt.Errorf("storage: unknown file %d", key.file)
+	}
+	if err != nil {
+		sh.free = fr
+		sh.syncBudgetLocked()
+		return nil, err
 	}
 	c := classifyRead(fs.lastRead.Swap(key.page), key.page)
 	p.stats.recordRead(c)
 	fs.stats.recordRead(c)
-	fr := &Frame{key: key, shard: sh, data: data, ref: true}
-	sh.ensureRoomLocked()
-	sh.frames[key] = fr
-	sh.ring = append(sh.ring, fr)
-	sh.syncOverLocked()
+	sh.installLocked(fr)
+	return fr, nil
+}
+
+// enter resolves a page of a registered file to the file's state, the page's
+// key and its shard, and locks the shard.
+func (p *Pool) enter(id uint32, page int64) (*fileState, pageKey, *poolShard, error) {
+	fs := p.fileState(id)
+	if fs == nil {
+		return nil, pageKey{}, nil, fmt.Errorf("storage: unknown file %d", id)
+	}
+	key := pageKey{id, page}
+	sh := p.shardOf(key)
+	sh.lock()
+	return fs, key, sh, nil
+}
+
+// touchLocked is the one lookup-or-load: the resident frame of the page,
+// counted as a hit, or the page loaded from the device; referenced either way.
+func (sh *poolShard) touchLocked(fs *fileState, key pageKey) (*Frame, error) {
+	fr, ok := sh.frames[key]
+	if !ok {
+		return sh.loadLocked(fs, key)
+	}
+	sh.pool.stats.recordHit()
+	fs.stats.recordHit()
+	fr.ref = true
 	return fr, nil
 }
 
@@ -424,28 +459,17 @@ func (sh *poolShard) loadLocked(fs *fileState, key pageKey) (*Frame, error) {
 // install a fresh frame instead of mutating a pinned one) and the frame is
 // exempt from eviction.
 func (p *Pool) Get(id uint32, page int64) (*Frame, error) {
-	fs := p.fileState(id)
-	if fs == nil {
-		return nil, fmt.Errorf("storage: unknown file %d", id)
+	fs, key, sh, err := p.enter(id, page)
+	if err != nil {
+		return nil, err
 	}
-	key := pageKey{id, page}
-	sh := p.shardOf(key)
-	sh.lock()
-	fr, ok := sh.frames[key]
-	if ok {
-		p.stats.recordHit()
-		fs.stats.recordHit()
-	} else {
-		var err error
-		if fr, err = sh.loadLocked(fs, key); err != nil {
-			sh.unlock()
-			return nil, err
-		}
+	defer sh.unlock()
+	fr, err := sh.touchLocked(fs, key)
+	if err != nil {
+		return nil, err
 	}
 	fr.pins++
-	fr.ref = true
 	p.pinned.Add(1)
-	sh.unlock()
 	return fr, nil
 }
 
@@ -453,32 +477,18 @@ func (p *Pool) Get(id uint32, page int64) (*Frame, error) {
 // offset `in` into dst, returning the number of bytes copied. The single
 // copy runs under the page's shard lock, so a concurrent write to the
 // same page can never tear it — this is what makes Search safe against
-// concurrent updates. (On a miss the device reads directly into the frame
-// that will be cached; the old pool staged misses through a scratch buffer,
-// copying every missed page twice.)
+// concurrent updates.
 func (p *Pool) readInto(id uint32, page int64, in int, dst []byte) (int, error) {
-	fs := p.fileState(id)
-	if fs == nil {
-		return 0, fmt.Errorf("storage: unknown file %d", id)
+	fs, key, sh, err := p.enter(id, page)
+	if err != nil {
+		return 0, err
 	}
-	key := pageKey{id, page}
-	sh := p.shardOf(key)
-	sh.lock()
-	fr, ok := sh.frames[key]
-	if ok {
-		p.stats.recordHit()
-		fs.stats.recordHit()
-		fr.ref = true
-	} else {
-		var err error
-		if fr, err = sh.loadLocked(fs, key); err != nil {
-			sh.unlock()
-			return 0, err
-		}
+	defer sh.unlock()
+	fr, err := sh.touchLocked(fs, key)
+	if err != nil {
+		return 0, err
 	}
-	n := copy(dst, fr.data[in:])
-	sh.unlock()
-	return n, nil
+	return copy(dst, fr.data[in:]), nil
 }
 
 // write stores data at in-page offset `in` of page `page` of file `id` and
@@ -486,33 +496,22 @@ func (p *Pool) readInto(id uint32, page int64, in int, dst []byte) (int, error) 
 // partial one is patched over the resident frame (loaded first on a miss,
 // which counts as the read it is) — the page image is assembled in the
 // shard's scratch page, so a sub-page write allocates and re-reads nothing.
-// If the resident frame is pinned, it is detached and a fresh frame installed
+// If the resident frame is pinned, it is detached and another frame installed
 // (copy-on-write), so pinned readers keep their snapshot; an unpinned frame
 // is updated in place.
 func (p *Pool) write(id uint32, page int64, in int, data []byte) error {
 	if in < 0 || in+len(data) > p.pageSize {
 		return fmt.Errorf("storage: write of %d bytes at offset %d, page size %d", len(data), in, p.pageSize)
 	}
-	fs := p.fileState(id)
-	if fs == nil {
-		return fmt.Errorf("storage: unknown file %d", id)
+	fs, key, sh, err := p.enter(id, page)
+	if err != nil {
+		return err
 	}
-	key := pageKey{id, page}
-	sh := p.shardOf(key)
-	sh.lock()
 	defer sh.unlock()
-	fr, ok := sh.frames[key]
-	img := data
+	fr, img := sh.frames[key], data
 	if len(data) < p.pageSize {
-		if ok {
-			p.stats.recordHit()
-			fs.stats.recordHit()
-		} else {
-			var err error
-			if fr, err = sh.loadLocked(fs, key); err != nil {
-				return err
-			}
-			ok = true
+		if fr, err = sh.touchLocked(fs, key); err != nil {
+			return err
 		}
 		if sh.scratch == nil {
 			sh.scratch = make([]byte, p.pageSize)
@@ -529,21 +528,26 @@ func (p *Pool) write(id uint32, page int64, in int, data []byte) error {
 	}
 	p.stats.recordWrite()
 	fs.stats.recordWrite()
-	if ok {
+	if fr != nil {
 		if fr.pins == 0 {
 			copy(fr.data[in:], data)
 			fr.ref = true
 			return nil
 		}
-		sh.detachLocked(fr)
+		// Copy-on-write: the pinned frame stays alive, stale and counted in
+		// detached, until its last Release.
+		for i := range sh.ring {
+			if sh.ring[i] == fr {
+				sh.ringRemoveLocked(i)
+				break
+			}
+		}
+		fr.stale = true
+		p.detached.Add(1)
 	}
-	cp := make([]byte, p.pageSize)
-	copy(cp, img)
-	fr = &Frame{key: key, shard: sh, data: cp, ref: true}
-	sh.ensureRoomLocked()
-	sh.frames[key] = fr
-	sh.ring = append(sh.ring, fr)
-	sh.syncOverLocked()
+	fr = sh.takeFrameLocked(key)
+	copy(fr.data, img)
+	sh.installLocked(fr)
 	return nil
 }
 
@@ -551,10 +555,8 @@ func (p *Pool) write(id uint32, page int64, in int, data []byte) error {
 // (detached pinned frames excluded).
 func (p *Pool) CachedPages() int {
 	n := 0
-	for _, sh := range p.shards {
-		sh.lock()
-		n += len(sh.ring)
-		sh.unlock()
+	for i := range p.shards {
+		n += p.ShardResident(i)
 	}
 	return n
 }

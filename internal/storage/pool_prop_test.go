@@ -22,7 +22,9 @@ import (
 // whole time:
 //
 //   - the byte budget is never exceeded beyond what outstanding pins force;
-//   - a pinned frame's bytes never change (copy-on-write on writes);
+//   - a pinned frame's bytes never change (copy-on-write on writes), also
+//     while evictions and drops recycle frames around it, and no page buffer
+//     belongs to two live frames — resident, free or pinned;
 //   - no read ever observes a torn page or a version the model never wrote;
 //   - after Unregister, no page of the file is served;
 //   - every pin is returned (PinnedFrames ends at 0) and the pool shrinks
@@ -145,6 +147,58 @@ func (f *firstErr) get() error {
 	return nil
 }
 
+// checkFrames is the recycling half of the model, one shard at a time under
+// its lock: ring and map hold the same frames under their own keys, the free
+// frame is unpinned, out of the map and inside the budget, and no two of them
+// — nor held, a frame some worker has pinned — share a page buffer.
+func (p *Pool) checkFrames(held *Frame) error {
+	for i, sh := range p.shards {
+		sh.lock()
+		err := func() error {
+			owner := make(map[*byte]*Frame, len(sh.ring)+2)
+			if held != nil && held.shard == sh {
+				owner[&held.data[0]] = held
+			}
+			claim := func(fr *Frame) error {
+				if len(fr.data) != p.pageSize {
+					return fmt.Errorf("shard %d: frame of page %v has a %d-byte buffer", i, fr.key, len(fr.data))
+				}
+				if o := owner[&fr.data[0]]; o != nil && o != fr {
+					return fmt.Errorf("shard %d: pages %v and %v share one buffer", i, o.key, fr.key)
+				}
+				owner[&fr.data[0]] = fr
+				return nil
+			}
+			if len(sh.frames) != len(sh.ring) {
+				return fmt.Errorf("shard %d: %d mapped frames, %d in the ring", i, len(sh.frames), len(sh.ring))
+			}
+			for _, fr := range sh.ring {
+				if sh.frames[fr.key] != fr || fr.stale || fr.shard != sh {
+					return fmt.Errorf("shard %d: ring frame of page %v is stale, foreign or not the mapped one", i, fr.key)
+				}
+				if err := claim(fr); err != nil {
+					return err
+				}
+			}
+			if fr := sh.free; fr != nil {
+				if fr.pins != 0 || sh.frames[fr.key] == fr {
+					return fmt.Errorf("shard %d: free frame (last page %v) is pinned (%d) or still mapped", i, fr.key, fr.pins)
+				}
+				if len(sh.ring) >= sh.quota+sh.extra {
+					return fmt.Errorf("shard %d: a free frame beside %d resident pages, budget %d", i, len(sh.ring), sh.quota+sh.extra)
+				}
+				return claim(fr)
+			}
+			return nil
+		}()
+		sh.unlock()
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func runPoolProp(t *testing.T, cfg poolPropConfig) {
 	t.Helper()
 	p := NewPoolShards(propPageSize, propPageSize*propCapPages, 4)
@@ -206,6 +260,10 @@ func runPoolProp(t *testing.T, cfg poolPropConfig) {
 					n, limit, p.CapPages(), cfg.workers))
 				return
 			}
+			if err := p.checkFrames(nil); err != nil {
+				fail.set(err)
+				return
+			}
 			runtime.Gosched()
 		}
 	}()
@@ -239,13 +297,28 @@ func runPoolProp(t *testing.T, cfg poolPropConfig) {
 					fr.Release()
 					return fmt.Errorf("op %d: %v", op, err)
 				}
-				if c < 8 { // hold the pin across scheduling points
+				if c < 8 { // hold the pin while the shards are churned past their quota
 					copy(scratch, fr.Data())
-					runtime.Gosched()
-					runtime.Gosched()
-					if !bytes.Equal(scratch, fr.Data()) {
+					for i := 0; i < 2*propCapPages; i++ {
+						g, err := p.Get(ids[(f+i)%propFiles], int64(r.Intn(propPages)))
+						if err == nil {
+							requests.Add(1)
+							g.Release()
+						} else if !(cfg.faults && errors.Is(err, ErrInjected)) {
+							fr.Release()
+							return fmt.Errorf("op %d churn Get: %v", op, err)
+						}
+						if i == propCapPages {
+							p.InvalidateFile(ids[(f+1)%propFiles])
+						}
+					}
+					err := p.checkFrames(fr)
+					if err == nil && !bytes.Equal(scratch, fr.Data()) {
+						err = fmt.Errorf("pinned frame of file %d page %d mutated under the pin", f, pg)
+					}
+					if err != nil {
 						fr.Release()
-						return fmt.Errorf("op %d: pinned frame of file %d page %d mutated under the pin", op, f, pg)
+						return fmt.Errorf("op %d: %v", op, err)
 					}
 				}
 				fr.Release()
@@ -790,5 +863,67 @@ func TestPoolShardSpread(t *testing.T) {
 	}
 	if len(counts) < 3 {
 		t.Fatalf("64 sequential pages hit only %d shards", len(counts))
+	}
+}
+
+// missLoop returns a one-shard pool of capPages pages, filled, over a device
+// of twice as many, and a function that touches the next page of a cyclic
+// scan: on a CLOCK ring half the size of the cycle every touch is a miss.
+func missLoop(tb testing.TB, capPages int) (*Pool, func()) {
+	mem := NewMemDevice()
+	if _, err := mem.WriteAt(make([]byte, 2*capPages*propPageSize), 0); err != nil {
+		tb.Fatal(err)
+	}
+	p := NewPoolShards(propPageSize, int64(capPages*propPageSize), 1)
+	id := p.Register(mem)
+	next := int64(0)
+	touch := func() {
+		fr, err := p.Get(id, next)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		fr.Release()
+		next = (next + 1) % int64(2*capPages)
+	}
+	for i := 0; i < 2*capPages; i++ {
+		touch()
+	}
+	return p, touch
+}
+
+// TestPoolMissAllocs is the allocation gate of the miss path: on a full shard
+// a miss reads into the frame its eviction freed — nothing is allocated,
+// whatever the size of the ring. (Under the race detector only the equality
+// is asserted, like the other allocation gates.)
+func TestPoolMissAllocs(t *testing.T) {
+	allocs := func(capPages int) float64 {
+		p, touch := missLoop(t, capPages)
+		before := p.Stats().Snapshot()
+		n := testing.AllocsPerRun(500, touch)
+		if d := p.Stats().Snapshot().Sub(before); d.PhysReads != 501 || d.CacheHits != 0 {
+			t.Fatalf("%d-page pool: %d physical reads and %d hits over 501 touches, want every touch a miss", capPages, d.PhysReads, d.CacheHits)
+		}
+		if got := p.CachedPages(); got != capPages {
+			t.Fatalf("%d-page pool holds %d pages", capPages, got)
+		}
+		return n
+	}
+	small, large := allocs(8), allocs(256)
+	if small != large {
+		t.Errorf("allocations per miss depend on the ring: %v at 8 pages, %v at 256", small, large)
+	}
+	if !raceEnabled && large != 0 {
+		t.Errorf("a miss on a full shard allocates %v times, want 0", large)
+	}
+}
+
+// BenchmarkPoolMiss is one miss on a full shard: CLOCK eviction at the hand,
+// the device read into the recycled frame, pin and release. 0 B/op.
+func BenchmarkPoolMiss(b *testing.B) {
+	_, touch := missLoop(b, 320) // a shard of the default 10 MiB pool
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		touch()
 	}
 }

@@ -302,17 +302,3 @@ func (s *SegStore) WriteAt(c ChainID, p []byte, off int64) error {
 	}
 	return nil
 }
-
-// Forget drops in-memory chain caches (used after a rebuild replaces the
-// underlying file contents).
-func (s *SegStore) Forget() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.chains = make(map[ChainID][]SegID)
-	s.tails = make(map[ChainID]SegID)
-	if sz := s.f.Size(); sz > s.base {
-		s.nseg = (sz - s.base + int64(s.segSize) - 1) / int64(s.segSize)
-	} else {
-		s.nseg = 0
-	}
-}

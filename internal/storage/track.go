@@ -33,13 +33,6 @@ func (d *TrackDevice) Arm() {
 	d.mu.Unlock()
 }
 
-// Armed reports whether writes are being recorded.
-func (d *TrackDevice) Armed() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.armed
-}
-
 // TakeDirty returns the coalesced ranges written since the last call and
 // resets the set. The caller snapshots range contents from the device itself
 // (write-through caching keeps device bytes current).

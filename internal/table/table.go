@@ -182,9 +182,6 @@ func recordCRC(rec []byte, ptr int64) uint32 {
 	return storage.ChecksumUpdateUint64(storage.Checksum(rec), uint64(ptr))
 }
 
-// ResetAccesses zeroes the fetch counter.
-func (t *Table) ResetAccesses() { t.accesses.Store(0) }
-
 // encodeRecord serializes a tuple onto buf. Layout (little-endian):
 //
 //	u32 bodyLen | u32 tid | u16 nattrs |
@@ -438,50 +435,81 @@ func (t *Table) NoteDelete(values map[model.AttrID]model.Value) {
 	t.mu.Unlock()
 }
 
-// Record is a caller-owned buffer holding one verified record at a time.
-// Reusing one across reads makes them allocation-free.
+// Record holds one verified record at a time, and the pin on the table page
+// it lies in: Body aliases that page unless the record runs past the page end.
+// Reusing one across reads makes them allocation-free, and a read from the
+// page already pinned does not enter the buffer pool. A pinned page is a
+// snapshot: Release the Record before the table is written to.
 type Record struct {
-	Body []byte // of the record last read: Walk it
-	buf  []byte // length word | body | trailer
+	Body []byte // of the record last read: Walk it; gone at the next read or Release
+	buf  []byte // a record that runs past its page: length word | body | trailer
 	next int64  // offset of the record behind this one
+
+	fr   *storage.Frame // the pinned page, or nil
+	page int64          // fr's offset in the file
 }
 
-// read is the one record reader: the length word, then body and trailer in
-// one read into r's buffer, then checksum and offset verified before any body
-// byte is interpreted.
-func (t *Table) read(ptr int64, r *Record) error {
-	if cap(r.buf) < 4 {
-		r.buf = make([]byte, 0, 512)
+// Release drops the Record's page pin, and with it Body.
+func (r *Record) Release() {
+	if r.fr != nil {
+		r.fr.Release()
 	}
-	if err := t.f.ReadAt(r.buf[:4], ptr); err != nil {
+	r.fr, r.Body = nil, nil
+}
+
+// window returns the size bytes at ptr: in place where head — what ptr's page
+// holds from ptr on — has them all, else assembled in r's own buffer from head
+// and the pages behind it.
+func (r *Record) window(f *storage.File, head []byte, ptr int64, size int) ([]byte, error) {
+	if len(head) >= size {
+		return head[:size], nil
+	}
+	if cap(r.buf) < size {
+		r.buf = make([]byte, 2*size)
+	}
+	n := copy(r.buf[:size], head)
+	return r.buf[:size], f.ReadAt(r.buf[n:size], ptr+int64(n))
+}
+
+// read is the one record reader: it pins the record's page unless r holds it
+// already, takes the length word, then verifies checksum and offset over the
+// page's own bytes — over a copy only where the record runs past the page end
+// — before any body byte is interpreted.
+func (t *Table) read(ptr int64, r *Record) error {
+	if ps := int64(t.f.Pool().PageSize()); r.fr == nil || ptr < r.page || ptr >= r.page+ps {
+		r.Release()
+		fr, _, err := t.f.PinPage(ptr)
+		if err != nil {
+			return err
+		}
+		r.fr, r.page = fr, ptr-ptr%ps
+	}
+	head := r.fr.Data()[ptr-r.page:]
+	word, err := r.window(t.f, head, ptr, 4)
+	if err != nil {
 		return err
 	}
-	n := binary.LittleEndian.Uint32(r.buf[:4])
+	n := binary.LittleEndian.Uint32(word)
 	if n == 0 || n > maxRecordLen {
 		return &storage.CorruptionError{File: "table.swt", Offset: ptr,
 			Segment: storage.NoCorruptSegment, Detail: fmt.Sprintf("bad record length %d", n)}
 	}
 	end := 4 + int(n) // of the CRC-covered bytes
-	size := end + recordTrailerLen
-	if cap(r.buf) < size {
-		grown := make([]byte, 4, 2*size)
-		copy(grown, r.buf[:4])
-		r.buf = grown
-	}
-	rec := r.buf[:size]
-	if err := t.f.ReadAt(rec[4:], ptr+4); err != nil {
+	rec, err := r.window(t.f, head, ptr, end+recordTrailerLen)
+	if err != nil {
 		return err
 	}
 	if recordCRC(rec[:end], ptr) != binary.LittleEndian.Uint32(rec[end:]) {
 		return &storage.CorruptionError{File: "table.swt", Offset: ptr,
 			Segment: storage.NoCorruptSegment, Detail: "record checksum mismatch"}
 	}
-	r.Body, r.next = rec[4:end], ptr+int64(size)
+	r.Body, r.next = rec[4:end], ptr+int64(len(rec))
 	return nil
 }
 
 // FetchRecord reads the record stored at ptr into r, verified but not
-// decoded. Like Fetch it counts as one random table-file access.
+// decoded; the caller Releases r when done with it. Like Fetch it counts as
+// one random table-file access.
 func (t *Table) FetchRecord(ptr int64, r *Record) error {
 	t.accesses.Add(1)
 	return t.read(ptr, r)
@@ -491,6 +519,7 @@ func (t *Table) FetchRecord(ptr int64, r *Record) error {
 // table-file access.
 func (t *Table) Fetch(ptr int64) (*model.Tuple, error) {
 	var r Record
+	defer r.Release()
 	if err := t.FetchRecord(ptr, &r); err != nil {
 		return nil, err
 	}
@@ -506,6 +535,7 @@ func (t *Table) ScanRecords(fn func(ptr int64, body []byte) error) error {
 	end := t.dataEnd
 	t.mu.Unlock()
 	var r Record
+	defer r.Release()
 	for ptr := int64(headerSize); ptr < end; ptr = r.next {
 		if err := t.read(ptr, &r); err != nil {
 			return err

@@ -3,6 +3,8 @@ package iva
 import (
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -158,5 +160,75 @@ func TestSearchContextReleasesPoolPins(t *testing.T) {
 	}
 	if n := s.pool.PinnedFrames(); n != 0 {
 		t.Fatalf("clean search leaked %d pins", n)
+	}
+}
+
+// TestFailedReadsReleasePoolPins extends the invariant to the pinned record
+// reader: a search whose refine step meets a corrupt record in the middle of a
+// batch, a Get of that record, a Scan that runs into it, and a record scan
+// whose callback gives up all return their error with zero frames left pinned.
+func TestFailedReadsReleasePoolPins(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Create(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rows = 300
+	fillStore(t, s, rows)
+	var ptrs []int64
+	stop := errors.New("enough")
+	err = s.tbl.ScanRecords(func(ptr int64, _ []byte) error {
+		if ptrs = append(ptrs, ptr); len(ptrs) == rows/2+1 {
+			return stop
+		}
+		return nil
+	})
+	if err != stop || s.pool.PinnedFrames() != 0 {
+		t.Fatalf("abandoned record scan: err %v, %d pins", err, s.pool.PinnedFrames())
+	}
+	bad := ptrs[rows/2]
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "table.swt")
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob[bad+12] ^= 0x04 // inside the body
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err = Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	assertCorrupt := func(stage string, err error) {
+		t.Helper()
+		var ce *CorruptionError
+		if !errors.As(err, &ce) || ce.Offset != bad {
+			t.Fatalf("%s: got %v, want a corruption error on the record at %d", stage, err, bad)
+		}
+		if n := s.pool.PinnedFrames(); n != 0 {
+			t.Fatalf("%s leaked %d pinned frames", stage, n)
+		}
+	}
+	// k = every tuple: the pool never fills, so every record is fetched.
+	q := NewQuery(rows).WhereNum("Price", 150).WhereText("Type", "Camera")
+	for _, par := range []int{1, 2} {
+		s.ix.SetSearchParallelism(par)
+		_, qs, err := s.Search(q)
+		assertCorrupt("Search", err)
+		if par == 1 && qs.TableAccesses != rows/2 {
+			t.Fatalf("the search failed after %d good fetches, want %d: mid-batch", qs.TableAccesses, rows/2)
+		}
+	}
+	_, err = s.Get(TID(rows / 2))
+	assertCorrupt("Get", err)
+	assertCorrupt("Scan", s.Scan(func(TID, Row) bool { return true }))
+	if _, err := s.Get(TID(rows/2 - 1)); err != nil {
+		t.Fatalf("the record before the corrupt one: %v", err)
 	}
 }

@@ -92,7 +92,7 @@ func TestProfileRender(t *testing.T) {
   Filter: Xms  scanned=200 stripes=1
   Refine: Xms  fetched=73
   Merge:  Xms
-  I/O: cache_hits=149 phys_reads=0 pool_hit_ratio=100.0% disk_cost=Xms
+  I/O: cache_hits=5 phys_reads=0 pool_hit_ratio=100.0% disk_cost=Xms
   Worker 0: stripes=1 scanned=200 fetched=73 busy=Xms
 `
 	if out != golden {
