@@ -343,24 +343,6 @@ func stats(st *iva.Store, dir string, args []string) error {
 	fmt.Printf("phys reads  %d (seq %d near %d rand %d)\n",
 		s.IO.PhysReads, s.IO.SeqReads, s.IO.NearReads, s.IO.RandReads)
 	fmt.Printf("phys writes %d\n", s.IO.PhysWrites)
-	zstate := "on"
-	if !s.ZoneMapsOn {
-		zstate = "off"
-	}
-	coverage := 0.0
-	if s.ZoneSealed > 0 {
-		coverage = 100 * float64(s.ZoneKnown) / float64(s.ZoneSealed)
-	}
-	fmt.Printf("zone maps   %s, coverage %d/%d sealed stripes (%.1f%%)", zstate, s.ZoneKnown, s.ZoneSealed, coverage)
-	if s.ZoneDropped > 0 {
-		fmt.Printf(", dropped %d", s.ZoneDropped)
-	}
-	fmt.Println()
-	pruneRatio := 0.0
-	if s.ZoneChecked > 0 {
-		pruneRatio = 100 * float64(s.ZonePruned) / float64(s.ZoneChecked)
-	}
-	fmt.Printf("zone prune  %d/%d stripes this session (%.1f%%)\n", s.ZonePruned, s.ZoneChecked, pruneRatio)
 	packed, blocks := 0, 0
 	attrs := st.Attrs()
 	for _, a := range attrs {

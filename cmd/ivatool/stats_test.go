@@ -1,8 +1,12 @@
 package main
 
 import (
+	"bytes"
+	"encoding/binary"
+	"io"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -88,5 +92,158 @@ func TestQueryProfileCommand(t *testing.T) {
 	}
 	if err := run("query", []string{"-profile", "Type=Camera", "Price=200"}, dir, 5, serveOpts{}, opts); err != nil {
 		t.Fatalf("query -profile: %v", err)
+	}
+}
+
+// captureStdout runs fn with os.Stdout redirected and returns what it printed.
+func captureStdout(t *testing.T, fn func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	out := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- string(b)
+	}()
+	defer func() { os.Stdout = stdout }()
+	fn()
+	w.Close()
+	return <-out
+}
+
+// goldenStore is the fixed in-memory store the operator-output goldens read:
+// 60 rows, one deleted, synced, one search served.
+func goldenStore(t *testing.T) *iva.Store {
+	t.Helper()
+	st, err := iva.Create("", iva.Options{SearchParallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	for i := 0; i < 60; i++ {
+		row := map[string]iva.Value{"Type": iva.Strings("Digital Camera"), "Price": iva.Num(float64(100 + i%17))}
+		if i%4 == 0 {
+			row["Company"] = iva.Strings("Canon", "Sony")
+		}
+		if _, err := st.Insert(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Delete(7); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := st.Search(iva.NewQuery(5).WhereNum("Price", 110).WhereText("Type", "Camera")); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// TestStatsGolden pins what `ivatool stats` prints, line for line, so a line
+// added or lost shows up as a diff: without a scrub report, then the lines a
+// persisted one adds (ages normalised).
+func TestStatsGolden(t *testing.T) {
+	st := goldenStore(t)
+	dir := t.TempDir()
+	const golden = `tuples      59
+deleted     1
+attributes  3
+table bytes 3199
+index bytes 37195
+rebuilds    0 (clean 0 growth 0 needs_rebuild 0 explicit 0)
+cache hits  440 (97.8% hit rate)
+phys reads  10 (seq 9 near 1 rand 0)
+phys writes 274
+codec       raw
+scrub       never (no scrub report)
+`
+	got := captureStdout(t, func() {
+		if err := stats(st, dir, nil); err != nil {
+			t.Error(err)
+		}
+	})
+	if got != golden {
+		t.Errorf("stats output changed:\n got:\n%s\nwant:\n%s", got, golden)
+	}
+
+	rep, err := st.Scrub()
+	if err != nil {
+		t.Fatal(err)
+	}
+	persistScrub(dir, rep)
+	got = captureStdout(t, func() {
+		if err := stats(st, dir, []string{"-strict"}); err != nil {
+			t.Error(err)
+		}
+	})
+	// The sweep moved the cache counters; only the report's lines are new.
+	_, got, _ = strings.Cut(got, "codec       raw\n")
+	got = regexp.MustCompile(`[0-9hms]+ ago`).ReplaceAllString(got, "T ago")
+	const report = `scrub       T ago, health=ok
+  swept T ago, degraded segments 0, corrupt checkpoints 0, corrupt table records 0
+`
+	if got != report {
+		t.Errorf("stats output with a scrub report changed:\n got:\n%s\nwant:\n%s", got, report)
+	}
+}
+
+// TestScrubSummaryGolden pins the one-line machine-readable summary `ivatool
+// scrub` prints, clean and with damage.
+func TestScrubSummaryGolden(t *testing.T) {
+	rep, err := goldenStore(t).Scrub()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := captureStdout(t, func() { printScrub(rep) })
+	const clean = "scrub: status=ok segments=5 corrupt=0 dirty=0 ckpts=1 ckpt_corrupt=0 ckpt_dropped=0 table_records=60 table_corrupt=0 superblock_ok=true catalog_ok=true problems=0\n"
+	if got != clean {
+		t.Errorf("scrub summary changed:\n got: %swant: %s", got, clean)
+	}
+
+	rep.CorruptIndexSegments = 2
+	rep.Problems = []string{"iva.idx: segment 9 checksum mismatch", "iva.idx: segment 12 checksum mismatch"}
+	got = captureStdout(t, func() { printScrub(rep) })
+	const damaged = "scrub: status=fail segments=5 corrupt=2 dirty=0 ckpts=1 ckpt_corrupt=0 ckpt_dropped=0 table_records=60 table_corrupt=0 superblock_ok=true catalog_ok=true problems=2\n" +
+		"PROBLEM: iva.idx: segment 9 checksum mismatch\nPROBLEM: iva.idx: segment 12 checksum mismatch\n"
+	if got != damaged {
+		t.Errorf("damaged scrub summary changed:\n got: %swant: %s", got, damaged)
+	}
+}
+
+// TestOldFormatRefused: `stats` and `scrub` on a store whose index carries the
+// previous format word fail with the one plain error naming both versions,
+// and leave the file as it was.
+func TestOldFormatRefused(t *testing.T) {
+	dir := t.TempDir()
+	opts := iva.Options{}
+	if err := run("create", nil, dir, 10, serveOpts{}, opts); err != nil {
+		t.Fatal(err)
+	}
+	if err := run("insert", []string{"Type=Camera", "Price=230"}, dir, 10, serveOpts{}, opts); err != nil {
+		t.Fatal(err)
+	}
+	idx := filepath.Join(dir, "iva.idx")
+	image, err := os.ReadFile(idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(image[4:], 6)
+	if err := os.WriteFile(idx, image, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, cmd := range []string{"stats", "scrub"} {
+		err := run(cmd, nil, dir, 10, serveOpts{}, opts)
+		if err == nil || !strings.Contains(err.Error(), "version 6 ") || !strings.Contains(err.Error(), "version 7") {
+			t.Fatalf("%s on a version-6 store: %v", cmd, err)
+		}
+		if after, err := os.ReadFile(idx); err != nil || !bytes.Equal(after, image) {
+			t.Fatalf("%s changed the refused index file (%v)", cmd, err)
+		}
 	}
 }

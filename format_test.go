@@ -17,7 +17,8 @@ import (
 // catalog magic name any format but the current one does not open — under
 // DegradeReads or Strict, with the superblock trailer recomputed to match or
 // left stale — the error names what was found, no device sees a write, and
-// the directory is byte-identical afterwards. (internal/core's TestFormatGate
+// the directory is byte-identical afterwards; a follower start on such a
+// replica is refused the same way. (internal/core's TestFormatGate
 // holds the bit-flip sweeps that show the checksums behind the gate suffice.)
 func TestFormatGate(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "store")
@@ -38,19 +39,19 @@ func TestFormatGate(t *testing.T) {
 		want []string // substrings of the error
 	}
 	var cases []tamper
-	for _, version := range []uint32{0, 1, 2, 3, 4, 5, 7, 0xFFFFFFFF} {
+	for _, version := range []uint32{0, 1, 2, 3, 4, 5, 6, 8, 0xFFFFFFFF} {
 		for _, fixCRC := range []bool{false, true} {
 			cases = append(cases, tamper{
 				name: fmt.Sprintf("index-version=%d/crc-recomputed=%v", version, fixCRC),
 				file: indexFileName,
 				edit: func(b []byte) []byte {
 					binary.LittleEndian.PutUint32(b[4:], version)
-					if fixCRC { // the superblock trailer at byte 108 covers [0, 108)
-						binary.LittleEndian.PutUint32(b[108:], storage.Checksum(b[:108]))
+					if fixCRC { // the superblock trailer at byte 100 covers [0, 100)
+						binary.LittleEndian.PutUint32(b[100:], storage.Checksum(b[:100]))
 					}
 					return b
 				},
-				want: []string{fmt.Sprintf("version %d ", version), "version 6"},
+				want: []string{fmt.Sprintf("version %d ", version), "version 7"},
 			})
 		}
 	}
@@ -117,6 +118,38 @@ func TestFormatGate(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+	}
+
+	// A follower restarting on a replica of the previous index format meets
+	// the same gate before its poll loop starts, and leaves the replica as it
+	// found it.
+	image := append([]byte(nil), clean[indexFileName]...)
+	binary.LittleEndian.PutUint32(image[4:], 6)
+	if err := os.WriteFile(filepath.Join(dir, indexFileName), image, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := saveFollowerState(dir, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	replica := readDir(t, dir)
+	fol, err := openFollower(dir, localSource{}, FollowerOptions{}, Options{})
+	if err == nil {
+		fol.Close()
+		t.Fatal("follower opened a version-6 replica")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "version 6 ") || !strings.Contains(msg, "version 7") {
+		t.Fatalf("follower refusal does not name both versions: %v", err)
+	}
+	for file, b := range readDir(t, dir) {
+		if !bytes.Equal(b, replica[file]) {
+			t.Fatalf("refused follower open changed %s", file)
+		}
+	}
+	if err := os.Remove(filepath.Join(dir, replFollowerStateFile)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, indexFileName), clean[indexFileName], 0o644); err != nil {
+		t.Fatal(err)
 	}
 
 	// The untampered store still opens.

@@ -80,9 +80,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// DefaultConfig returns the paper's Table I defaults (scaled tuple count).
-func DefaultConfig() Config { return Config{}.withDefaults() }
-
 // Env is one built environment: dataset, table, and the three engines over
 // a shared buffer pool.
 type Env struct {

@@ -27,7 +27,7 @@ func chainWords(t *testing.T, ix *Index, c storage.ChainID, bits int64) []uint64
 // TestInsertBatchMatchesSingleInserts feeds the same rows to twin indexes, one
 // in batches that end before, on and after stripe boundaries and one row by
 // row, and requires the same index of both: tuple list and every vector list
-// bit for bit, checkpoints, zone records, answers and the work they cost.
+// bit for bit, checkpoints, answers and the work they cost.
 func TestInsertBatchMatchesSingleInserts(t *testing.T) {
 	opts := Options{CheckpointEvery: 64}
 	a := newFixture(t, 80, opts, 701)
@@ -73,9 +73,6 @@ func TestInsertBatchMatchesSingleInserts(t *testing.T) {
 	}
 	if len(a.ix.ckpts) != len(a.ix.entries)/64+1 || !reflect.DeepEqual(a.ix.ckpts, b.ix.ckpts) {
 		t.Fatalf("checkpoints: %d for %d entries, row by row %d", len(a.ix.ckpts), len(a.ix.entries), len(b.ix.ckpts))
-	}
-	if len(a.ix.zones) != len(a.ix.entries)/64 || !reflect.DeepEqual(a.ix.zones, b.ix.zones) {
-		t.Fatalf("zone records: %d for %d entries, row by row %d", len(a.ix.zones), len(a.ix.entries), len(b.ix.zones))
 	}
 
 	m := metric.Default()
@@ -149,11 +146,11 @@ func TestFailedRunInsertsNothing(t *testing.T) {
 			type state struct {
 				entries, live, total int64
 				next                 model.TID
-				ckpts, zones         int
+				ckpts                int
 				cat                  string
 			}
 			observe := func() state {
-				return state{ix.Entries(), tbl.Live(), tbl.Total(), tbl.NextTID(), len(ix.ckpts), len(ix.zones), fmt.Sprint(tbl.Catalog().Attrs())}
+				return state{ix.Entries(), tbl.Live(), tbl.Total(), tbl.NextTID(), len(ix.ckpts), fmt.Sprint(tbl.Catalog().Attrs())}
 			}
 			before := observe()
 			fd := faulty[target]

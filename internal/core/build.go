@@ -78,12 +78,6 @@ func Build(tbl *table.Table, f *storage.File, opts Options) (*Index, error) {
 		return nil, err
 	}
 	ix.ckptEvery = opts.CheckpointEvery
-	if ix.zoneChain, err = segs.Create(); err != nil {
-		return nil, err
-	}
-	// A fresh build observes every tuple from position 0, so every sealed
-	// stripe gets a known zone record.
-	ix.zacc.reset(true)
 
 	// Lay out one vector list per attribute.
 	infos := tbl.Attrs()
@@ -179,7 +173,6 @@ func Build(tbl *table.Table, f *storage.File, opts Options) (*Index, error) {
 		ix.posByTID[tid] = pos
 
 		// Defined attributes.
-		ix.zoneBegin()
 		defined = defined[:0]
 		for rec.Next(&fld) {
 			a := fld.Attr
@@ -193,12 +186,10 @@ func Build(tbl *table.Table, f *storage.File, opts Options) (*Index, error) {
 			if err := builders[a].add(tid, &fld); err != nil {
 				return err
 			}
-			ix.zoneField(&fld)
 		}
 		if err := rec.Err(); err != nil {
 			return err
 		}
-		ix.zoneEnd()
 		// Positional lists need explicit ndf elements for this tuple: those
 		// of the (ascending) positional attributes the record skipped.
 		i := 0

@@ -20,8 +20,8 @@ import (
 // referenceBuild is Build as it was before it streamed record bytes, kept
 // verbatim as the reference of TestBuildStreamMatchesReference: every record
 // is decoded into a map-backed tuple (table.Scan), signatures are encoded
-// from its strings one slice per value, the zone accumulator is fed the value
-// map, and explicit ndf elements come from a map lookup per positional list.
+// from its strings one slice per value, and explicit ndf elements come from a
+// map lookup per positional list.
 // Only the statistics source (tbl.Attrs), the name of the element encoder
 // (referenceAdd, the old listBuilder.add) and the builders' unused scratch
 // argument differ from the parent's text.
@@ -84,12 +84,6 @@ func referenceBuild(tbl *table.Table, f *storage.File, opts Options) (*Index, er
 		return nil, err
 	}
 	ix.ckptEvery = opts.CheckpointEvery
-	if ix.zoneChain, err = segs.Create(); err != nil {
-		return nil, err
-	}
-	// A fresh build observes every tuple from position 0, so every sealed
-	// stripe gets a known zone record.
-	ix.zacc.reset(true)
 
 	// Lay out one vector list per attribute.
 	infos := tbl.Attrs()
@@ -173,7 +167,6 @@ func referenceBuild(tbl *table.Table, f *storage.File, opts Options) (*Index, er
 		}
 		ix.entries = append(ix.entries, tupleEntry{tid: tp.TID, ptr: ptr})
 		ix.posByTID[tp.TID] = pos
-		ix.zoneObserve(tp.Values)
 
 		// Defined attributes.
 		for _, a := range tp.Attrs() {
@@ -362,8 +355,8 @@ func imageOf(t *testing.T, dev storage.Device) []byte {
 // walking them yields, byte for byte, the table and index files of the
 // parent's decode-and-re-encode compaction and tuple-materialising builder —
 // across the size-chosen and each forced list type, both codecs, multi-string
-// and 255-byte values, tombstoned records, an α override, zone maps off, and
-// tables of several stripes and several list-buffer flushes.
+// and 255-byte values, tombstoned records, an α override, and tables of
+// several stripes and several list-buffer flushes.
 func TestBuildStreamMatchesReference(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -417,9 +410,6 @@ func TestBuildStreamMatchesReference(t *testing.T) {
 			}
 			if g, w := fmt.Sprint(gotTbl.Attrs()), fmt.Sprint(wantTbl.Attrs()); g != w {
 				t.Fatalf("statistics differ:\n got %s\nwant %s", g, w)
-			}
-			if g, w := fmt.Sprintf("%+v", got.zones), fmt.Sprintf("%+v", want.zones); g != w {
-				t.Fatal("zone records differ")
 			}
 			flushed := false
 			for _, r := range got.Attrs() {

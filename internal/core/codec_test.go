@@ -124,6 +124,18 @@ func (p *codecPair) queries() []*model.Query {
 	return qs
 }
 
+func requireSameResults(t *testing.T, stage string, want, got []model.Result) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d results, want %d", stage, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: result %d = %+v, want %+v", stage, i, got[i], want[i])
+		}
+	}
+}
+
 // diffSearches runs every query against both engines at one and several workers and
 // demands byte-identical results.
 func (p *codecPair) diffSearches(t *testing.T, stage string) {
@@ -147,16 +159,11 @@ func (p *codecPair) diffSearches(t *testing.T, stage string) {
 
 // TestCodecByteIdenticalSearch is the tentpole acceptance check at the core
 // layer: the packed engine answers every query byte-identically to the raw
-// one, at one and several workers, with zone pruning on and off.
+// one, at one and several workers.
 func TestCodecByteIdenticalSearch(t *testing.T) {
 	p := buildCodecPair(t, 256)
 	defer p.close()
 	p.diffSearches(t, "fresh")
-	p.ixs[0].SetZoneMaps(false)
-	p.ixs[1].SetZoneMaps(false)
-	p.diffSearches(t, "zones-off")
-	p.ixs[0].SetZoneMaps(true)
-	p.ixs[1].SetZoneMaps(true)
 
 	for c := 0; c < 2; c++ {
 		rep, err := p.ixs[c].Check()

@@ -87,7 +87,7 @@ func buildCorruptionFixtureWith(t *testing.T, opts Options, sparse bool, rows in
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p := ix.planShape(); !p.zoned || len(p.ckpts) < 2 {
+	if p := ix.planShape(); len(p.ckpts) < 2 {
 		t.Fatal("fixture not striped")
 	}
 	for i := range ix.attrs {

@@ -24,7 +24,7 @@ func TestFormatGate(t *testing.T) {
 	cf := buildCorruptionFixtureWith(t, Options{CheckpointEvery: 16, SegmentSize: segSize}, false, 48)
 	modes := []IntegrityMode{IntegrityDegrade, IntegrityStrict}
 
-	for _, version := range []uint32{0, 1, 2, 3, 4, 5, 7, 0xFFFFFFFF} {
+	for _, version := range []uint32{0, 1, 2, 3, 4, 5, 6, 8, 0xFFFFFFFF} {
 		for _, fixCRC := range []bool{false, true} {
 			for _, mode := range modes {
 				name := fmt.Sprintf("version=%d/crc-recomputed=%v/mode=%d", version, fixCRC, mode)

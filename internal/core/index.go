@@ -135,19 +135,17 @@ const (
 	// indexVersion is the one on-disk format this package reads and writes.
 	// A format change bumps it; Open refuses every other value (FORMAT.md §
 	// Format policy) — there is no upgrade code.
-	indexVersion = 6
+	indexVersion = 7
 	ptrBits      = 40 // table offsets up to 1 TiB
 )
 
-// Superblock byte offsets of the checksum-map and zone-map fields. The
-// CRC32C trailer at sbCRCOff covers bytes [0, sbCRCOff).
+// Superblock byte offsets of the checksum-map fields. The CRC32C trailer at
+// sbCRCOff covers bytes [0, sbCRCOff).
 const (
 	sbCRCChainAOff = 88
 	sbCRCChainBOff = 92
 	sbCRCSlotOff   = 96
-	sbZoneChainOff = 100
-	sbZoneCountOff = 104
-	sbCRCOff       = 108
+	sbCRCOff       = 100
 )
 
 // SuperblockStamp hashes a committed superblock page into a state stamp,
@@ -172,7 +170,7 @@ const tombstonePtr = uint64(1)<<ptrBits - 1
 // attrState is the in-memory attribute-list element.
 //
 // bitLen is always the LOGICAL length of the vector list — the bit stream
-// the Encoder produced and every reader, checkpoint and zone map addresses.
+// the Encoder produced and every reader and checkpoint addresses.
 // Under codec 0 the physical stream is identical. Under codec 1 sealed
 // stripes are transcoded into block containers occupying codedWords whole
 // 64-bit words, followed by a raw tail of (bitLen - codedLogical) logical
@@ -242,18 +240,6 @@ type Index struct {
 	ckptChain storage.ChainID
 	ckptEvery int64
 	ckpts     []checkpoint
-
-	// Stripe zone maps (see zonemap.go). zoneChain is NoSegment after zone
-	// damage was degraded around at open, which disables recording and
-	// pruning.
-	// zoneDiskRecs is the record count of the last committed writeZones,
-	// bounding the spans ZoneExtents reports; zoneOff is the runtime
-	// pruning toggle (recording continues regardless).
-	zoneChain    storage.ChainID
-	zones        []zoneRec
-	zacc         zoneAcc
-	zoneDiskRecs int
-	zoneOff      bool
 
 	// Integrity: the read-time mismatch policy, the ping-ponged
 	// checksum-map chains, and the in-memory checksum state (see
@@ -448,8 +434,6 @@ func (ix *Index) writeSuperblock(slot, crcSlot int) error {
 	binary.LittleEndian.PutUint32(b[sbCRCChainAOff:], uint32(ix.crcChainA))
 	binary.LittleEndian.PutUint32(b[sbCRCChainBOff:], uint32(ix.crcChainB))
 	b[sbCRCSlotOff] = byte(crcSlot)
-	binary.LittleEndian.PutUint32(b[sbZoneChainOff:], uint32(ix.zoneChain))
-	binary.LittleEndian.PutUint32(b[sbZoneCountOff:], uint32(len(ix.zones)))
 	binary.LittleEndian.PutUint32(b[sbCRCOff:], storage.Checksum(b[:sbCRCOff]))
 	return ix.f.WriteAt(b[:], 0)
 }
@@ -565,9 +549,6 @@ func (ix *Index) Sync() error {
 	if err := ix.writeCheckpoints(); err != nil {
 		return err
 	}
-	if err := ix.writeZones(); err != nil {
-		return err
-	}
 	crcTarget := 1 - ix.crcSlot
 	if err := ix.writeCRCMap(ix.crcChain(crcTarget)); err != nil {
 		return err
@@ -650,7 +631,6 @@ func Open(f *storage.File, tbl *table.Table, opts Options) (*Index, error) {
 		crcChainA:  storage.ChainID(binary.LittleEndian.Uint32(b[sbCRCChainAOff:])),
 		crcChainB:  storage.ChainID(binary.LittleEndian.Uint32(b[sbCRCChainBOff:])),
 		crcSlot:    int(b[sbCRCSlotOff]),
-		zoneChain:  storage.ChainID(binary.LittleEndian.Uint32(b[sbZoneChainOff:])),
 	}
 	if pb := int(b[21]); pb != ptrBits {
 		return nil, fmt.Errorf("core: index built with %d ptr bits, binary uses %d", pb, ptrBits)
@@ -705,14 +685,6 @@ func Open(f *storage.File, tbl *table.Table, opts Options) (*Index, error) {
 	if err := ix.readCheckpoints(int(binary.LittleEndian.Uint32(b[84:]))); err != nil {
 		return nil, err
 	}
-	// The zone count is clamped and each record verified in readZones. The
-	// accumulator only starts valid when the tuple list ends exactly on a
-	// stripe boundary — otherwise the open stripe has entries this instance
-	// never observed and it seals unknown.
-	if err := ix.readZones(int(binary.LittleEndian.Uint32(b[sbZoneCountOff:]))); err != nil {
-		return nil, err
-	}
-	ix.zacc.reset(ix.zonesEnabled() && int64(len(ix.entries))%ix.ckptEvery == 0)
 	return ix, nil
 }
 

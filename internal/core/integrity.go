@@ -50,12 +50,10 @@ type integrityState struct {
 	// Sync rewrites the map).
 	mapDropped bool
 	// droppedCkpts counts checkpoint records discarded at open because their
-	// CRC trailer mismatched (DegradeReads only); droppedZones likewise for
-	// zone-map records, droppedCodecDirs for packed-list block directories
-	// whose open-time header walk failed (the list then reads degraded and
-	// rejects writes until a rebuild).
+	// CRC trailer mismatched (DegradeReads only); droppedCodecDirs likewise
+	// for packed-list block directories whose open-time header walk failed
+	// (the list then reads degraded and rejects writes until a rebuild).
 	droppedCkpts     int
-	droppedZones     int
 	droppedCodecDirs int
 }
 

@@ -58,7 +58,7 @@ func (b *distBar) lower(d float64) {
 }
 
 // barExceeded is the strict admission-bar prune rule, shared by the
-// per-tuple check and the stripe zone gate so the two call sites cannot
+// per-tuple check and the whole-batch skip so the two call sites cannot
 // drift: an estimate strictly above the bar belongs to a tuple
 // whose exact distance exceeds the max of some full pool — k strictly
 // smaller pairs exist, so it can never reach the answer, tid ties included.
@@ -76,11 +76,8 @@ func admitsEst(pool *topk.Pool, bar *distBar, tid model.TID, est float64) bool {
 type scanPlan struct {
 	// ckpts holds one resume point per stripe; stripe s covers tuple-list
 	// positions [s·width, (s+1)·width) ∩ [0, n).
-	ckpts []checkpoint
-	width int64
-	// zoned says the stripes coincide with the sealed stripes the zone
-	// records describe, so the zone gate may be consulted at claim time.
-	zoned   bool
+	ckpts   []checkpoint
+	width   int64
 	workers int
 }
 
@@ -88,14 +85,13 @@ type scanPlan struct {
 // checkpoints the tuple list is scanned in len(ix.ckpts) stripes of ckptEvery
 // entries. Without them — checkpoints dropped by DegradeReads or by
 // recordCheckpoint's gap guard, an empty index — it is one stripe [0, n)
-// anchored at the origin, with the zone gate off (zone records describe
-// ckptEvery-wide stripes). Workers are capped by the stripe count, and a
+// anchored at the origin. Workers are capped by the stripe count, and a
 // tuple list shorter than two full stripes gets one: a second private top-k
 // pool there costs more duplicate refine fetches than its half of the scan
 // saves. Caller holds ix.mu.
 func (ix *Index) planShape() scanPlan {
 	n := int64(len(ix.entries))
-	p := scanPlan{ckpts: ix.ckpts, width: ix.ckptEvery, zoned: true}
+	p := scanPlan{ckpts: ix.ckpts, width: ix.ckptEvery}
 	if !ix.checkpointsEnabled() || len(ix.ckpts) == 0 {
 		// The zero checkpoint resumes every list at offset 0.
 		p = scanPlan{ckpts: make([]checkpoint, 1), width: n}
@@ -293,11 +289,10 @@ type stripeWorker struct {
 
 	scratch *workerScratch
 
-	prof        WorkerStats // this worker's share, reported as is
-	zoneChecked int64       // claimed stripes with a usable zone bound
-	refineWall  time.Duration
-	fetchWall   time.Duration
-	err         error
+	prof       WorkerStats // this worker's share, reported as is
+	refineWall time.Duration
+	fetchWall  time.Duration
+	err        error
 }
 
 // search executes Algorithm 1 over plan. Worker 0 runs on the calling
@@ -363,8 +358,6 @@ func (ix *Index) search(ctx context.Context, q *model.Query, m *metric.Metric, p
 		sumRefine += sw.refineWall
 		sumFetch += sw.fetchWall
 		claimed += sw.prof.Stripes
-		stats.StripesZoneChecked += int(sw.zoneChecked)
-		stats.StripesZonePruned += int(sw.prof.ZonePruned)
 		for id := range sw.degSegs {
 			allDeg[id] = struct{}{}
 		}
@@ -441,20 +434,6 @@ func (sw *stripeWorker) run() {
 			return
 		}
 		sw.prof.Stripes++
-		// Zone gate: when the stripe's zone record proves even its best
-		// tuple cannot beat the current shared bar (or the stripe holds no
-		// live tuples), release the worker to the next claim without
-		// opening a cursor. The bar only tightens over time, so a bound
-		// computed now remains disqualifying for the rest of the query.
-		if sw.plan.zoned {
-			if est, empty, ok := sw.ix.zoneBound(s, sw); ok {
-				sw.zoneChecked++
-				if empty || barExceeded(sw.bar, est) {
-					sw.prof.ZonePruned++
-					continue
-				}
-			}
-		}
 		if sw.err = sw.scanStripe(s); sw.err != nil {
 			return
 		}

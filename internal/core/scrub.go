@@ -30,13 +30,6 @@ type ScrubReport struct {
 	CorruptCheckpoints int
 	DroppedCheckpoints int
 
-	// Zones / CorruptZones / DroppedZones are the same sweep over the
-	// committed zone-map records. Zone damage only ever disables
-	// stripe pruning, never changes answers, but it is still damage.
-	Zones        int
-	CorruptZones int
-	DroppedZones int
-
 	// DroppedCodecDirs counts packed vector lists whose block
 	// directory failed its header walk at open: under DegradeReads their
 	// terms degrade to zero bounds (answers stay exact, filtering does
@@ -56,8 +49,7 @@ type ScrubReport struct {
 // Clean reports whether the sweep found no damage.
 func (r *ScrubReport) Clean() bool {
 	return r.CorruptSegments == 0 && r.CorruptCheckpoints == 0 &&
-		r.DroppedCheckpoints == 0 && r.CorruptZones == 0 && r.DroppedZones == 0 &&
-		r.DroppedCodecDirs == 0 &&
+		r.DroppedCheckpoints == 0 && r.DroppedCodecDirs == 0 &&
 		r.SuperblockOK && !r.MapDropped && len(r.Problems) == 0
 }
 
@@ -137,6 +129,7 @@ func (ix *Index) ScrubYield(yield func()) (*ScrubReport, error) {
 	it.mu.Lock()
 	rep.DroppedCheckpoints = it.droppedCkpts
 	rep.MapDropped = it.mapDropped
+	rep.DroppedCodecDirs = it.droppedCodecDirs
 	it.mu.Unlock()
 	if rep.DroppedCheckpoints > 0 {
 		rep.addProblem("%d checkpoint records dropped at open", rep.DroppedCheckpoints)
@@ -151,26 +144,8 @@ func (ix *Index) ScrubYield(yield func()) (*ScrubReport, error) {
 			rep.addProblem("%d of %d checkpoint records failed verification", bad, count)
 		}
 	}
-
-	// Committed zone-map records, count from the superblock.
-	it.mu.Lock()
-	rep.DroppedZones = it.droppedZones
-	it.mu.Unlock()
-	if rep.DroppedZones > 0 {
-		rep.addProblem("%d zone-map records dropped at open", rep.DroppedZones)
-	}
-	it.mu.Lock()
-	rep.DroppedCodecDirs = it.droppedCodecDirs
-	it.mu.Unlock()
 	if rep.DroppedCodecDirs > 0 {
 		rep.addProblem("%d packed vector-list block directories dropped at open", rep.DroppedCodecDirs)
-	}
-	if ix.zonesEnabled() {
-		count := int(binary.LittleEndian.Uint32(b[sbZoneCountOff:]))
-		rep.Zones, rep.CorruptZones = ix.scrubZones(count, yield)
-		if bad := rep.CorruptZones; bad > 0 {
-			rep.addProblem("%d of %d zone-map records failed verification", bad, count)
-		}
 	}
 	return rep, nil
 }

@@ -41,13 +41,6 @@ type SearchStats struct {
 	// aborted early (cancellation or an error).
 	StripesTotal   int
 	StripesSkipped int
-	// StripesZoneChecked counts stripes whose zone record produced a usable
-	// lower bound at claim time; StripesZonePruned of them were skipped
-	// without opening a cursor because that proven minimum was strictly
-	// above the admission bar (or the stripe had no live tuples). Pruning
-	// never changes results. Pruned ≤ Checked ≤ Total.
-	StripesZoneChecked int
-	StripesZonePruned  int
 	// WorkerProfiles breaks the filter work down per worker: stripes
 	// claimed, tuples scanned, candidates fetched, and busy wall time —
 	// Workers entries whose Stripes sum to StripesTotal - StripesSkipped.
@@ -63,11 +56,10 @@ type SearchStats struct {
 
 // WorkerStats is one filter worker's share of a query (SearchStats).
 type WorkerStats struct {
-	Stripes    int64 // stripes claimed from the shared counter
-	ZonePruned int64 // claimed stripes skipped whole by their zone bound
-	Scanned    int64
-	Fetched    int64
-	Busy       time.Duration
+	Stripes int64 // stripes claimed from the shared counter
+	Scanned int64
+	Fetched int64
+	Busy    time.Duration
 }
 
 // Total returns the query's full wall time.

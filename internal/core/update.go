@@ -58,12 +58,12 @@ type runScratch struct {
 // committed before the last: the writes land behind the committed ends of the
 // table and the lists — the table's first, then the tuple list's, then the
 // vector lists' in ascending attribute id, then the tombstone — and only when
-// all succeeded do those ends, the in-memory mirror, the zone maps, the
-// checkpoints of the stripe boundaries the run crosses and the catalog
-// statistics move. On any error return — ErrNeedsRebuild when a packed field
-// (tid, ptr or string count) cannot represent a new element, ErrNotFound for
-// a replaced tid that is not live, a device error — no tuple has been inserted
-// or deleted; the next run overwrites what a failed one wrote.
+// all succeeded do those ends, the in-memory mirror, the checkpoints of the
+// stripe boundaries the run crosses and the catalog statistics move. On any
+// error return — ErrNeedsRebuild when a packed field (tid, ptr or string
+// count) cannot represent a new element, ErrNotFound for a replaced tid that
+// is not live, a device error — no tuple has been inserted or deleted; the
+// next run overwrites what a failed one wrote.
 func (ix *Index) appendRun(batch []map[model.AttrID]model.Value, old model.TID, replacing bool) (model.TID, error) {
 	if len(batch) == 0 {
 		return 0, nil
@@ -173,11 +173,10 @@ func (ix *Index) appendRun(batch []map[model.AttrID]model.Value, old model.TID, 
 	// Commit: nothing below can fail.
 	ix.tbl.CommitRun(run)
 	ix.tupleBits = tupleBits
-	for i, values := range batch {
+	for i := range batch {
 		tid := first + model.TID(i)
 		ix.posByTID[tid] = int64(len(ix.entries))
 		ix.entries = append(ix.entries, tupleEntry{tid: tid, ptr: run.Ptrs[i]})
-		ix.zoneObserve(values)
 	}
 	for a := range ix.attrs {
 		ix.attrs[a].bitLen += int64(sc.lists[a].Len())
@@ -294,7 +293,6 @@ func (ix *Index) fetchLive(tid model.TID) (int64, *model.Tuple, error) {
 func (ix *Index) dropEntry(pos int64, tp *model.Tuple) {
 	ix.tbl.NoteDelete(tp.Values)
 	ix.entries[pos].deleted = true
-	ix.zoneNoteDelete(pos)
 	delete(ix.posByTID, ix.entries[pos].tid)
 	ix.deleted++
 }

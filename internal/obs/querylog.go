@@ -60,14 +60,6 @@ func NewQueryLog(threshold time.Duration, capEntries int) *QueryLog {
 	return &QueryLog{threshold: threshold, cap: capEntries}
 }
 
-// Threshold returns the capture threshold (0 when disabled).
-func (l *QueryLog) Threshold() time.Duration {
-	if l == nil {
-		return 0
-	}
-	return l.threshold
-}
-
 // Observe records the query if its duration meets the threshold, reporting
 // whether it was captured.
 func (l *QueryLog) Observe(query string, dur time.Duration, tr *Span) bool {

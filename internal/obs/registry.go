@@ -290,13 +290,6 @@ func (r *Registry) Histogram(name, help string, labels Labels, buckets []float64
 	return s.h
 }
 
-// Families returns every registered metric family name, sorted.
-func (r *Registry) Families() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]string(nil), r.names...)
-}
-
 // labelKey renders labels canonically: sorted keys, escaped values, with an
 // optional extra pair appended last (used for histogram le labels).
 func labelKey(labels Labels, extraK, extraV string) string {

@@ -62,8 +62,7 @@ type spanAttr struct {
 	key string
 	str string
 	i   int64
-	f   float64
-	typ uint8 // 0 string, 1 int, 2 float
+	typ uint8 // 0 string, 1 int
 }
 
 // StartSpan begins a root span with a fresh trace id.
@@ -135,16 +134,6 @@ func (s *Span) SetInt(key string, v int64) {
 	s.mu.Unlock()
 }
 
-// SetFloat annotates the span with a float value.
-func (s *Span) SetFloat(key string, v float64) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.attrs = append(s.attrs, spanAttr{key: key, f: v, typ: 2})
-	s.mu.Unlock()
-}
-
 // Name returns the span's name ("" on nil).
 func (s *Span) Name() string {
 	if s == nil {
@@ -208,8 +197,6 @@ func (a spanAttr) render() string {
 	switch a.typ {
 	case 1:
 		return strconv.FormatInt(a.i, 10)
-	case 2:
-		return strconv.FormatFloat(a.f, 'g', -1, 64)
 	default:
 		return a.str
 	}
@@ -288,8 +275,6 @@ func (s *Span) appendJSONDepth(b *bytes.Buffer, root bool) {
 			switch a.typ {
 			case 1:
 				b.WriteString(strconv.FormatInt(a.i, 10))
-			case 2:
-				b.WriteString(jsonFloat(a.f))
 			default:
 				b.WriteString(quoteJSON(a.str))
 			}

@@ -137,139 +137,7 @@ func (h *harness) corruptionSweep() error {
 		return h.failf("corruption: scrub still dirty after revert: %v", rep.Problems)
 	}
 	h.res.CorruptionChecks++
-	return h.zoneCorruptionSweep()
-}
-
-// zoneCorruptionSweep proves the corruption contract for the zone-map chain:
-// one seeded bit flipped inside a committed zone extent must never change
-// answers. Under DegradeReads the open drops every zone record
-// — pruning turns off, the grid queries stay bit-identical, and Scrub
-// reports the drop. Under Strict the open itself must refuse the file with
-// a *storage.CorruptionError (zone records verify at open, not lazily).
-// The flip is then reverted and the index reopened clean.
-func (h *harness) zoneCorruptionSweep() error {
-	extents := h.iva.ix.ZoneExtents()
-	if len(extents) == 0 {
-		return nil // no sealed zone records committed (degenerate run)
-	}
-	r := splitmix64(h.opt.Seed ^ 0x7a6e6d61) // a distinct stream from the vector sweep
-	ext := extents[r%uint64(len(extents))]
-	off := ext.Offset + int64(splitmix64(r)%uint64(ext.Len))
-	bit := uint(splitmix64(r+1) % 8)
-
-	queries := make([]*model.Query, 0, len(combos))
-	wants := make([][]model.Result, 0, len(combos))
-	for _, c := range combos {
-		q, err := h.resolveQuery(h.gen.Query())
-		if err != nil {
-			return err
-		}
-		_, _, _, refM := h.metricsFor(c)
-		queries = append(queries, q)
-		wants = append(wants, h.bruteForce(q, refM))
-	}
-
-	if err := h.closeIVA(); err != nil {
-		return err
-	}
-	orig, err := h.iva.ixH.readByte(off)
-	if err != nil {
-		return h.failf("zone corruption: read byte %d: %v", off, err)
-	}
-	if err := h.iva.ixH.writeByte(off, orig^(1<<bit)); err != nil {
-		return h.failf("zone corruption: flip byte %d: %v", off, err)
-	}
-
-	// Phase 1: DegradeReads — the open drops the zone records, pruning is
-	// off, and the now-unpruned queries are still bit-identical.
-	if err := h.openIVA(coreOpts()); err != nil {
-		return err
-	}
-	if h.iva.ix.DroppedZones() == 0 {
-		return h.failf("zone corruption: degraded open dropped no zone records")
-	}
-	if h.iva.ix.ZoneMapsOn() {
-		return h.failf("zone corruption: pruning still on after zone damage")
-	}
-	for i, q := range queries {
-		c := combos[i]
-		ivaM, _, _, _ := h.metricsFor(c)
-		for _, par := range parGrid {
-			h.iva.ix.SetSearchParallelism(par)
-			got, st, err := h.iva.ix.Search(q, ivaM)
-			if err != nil {
-				return h.failf("zone corruption degrade %s par=%d: %v", c.name, par, err)
-			}
-			if st.StripesZonePruned != 0 {
-				return h.failf("zone corruption degrade %s par=%d: pruned %d stripes from dropped zones",
-					c.name, par, st.StripesZonePruned)
-			}
-			if err := h.diff(fmt.Sprintf("zone corruption degrade %s par=%d", c.name, par), wants[i], got); err != nil {
-				return err
-			}
-		}
-	}
-	rep, err := h.iva.ix.Scrub()
-	if err != nil {
-		return h.failf("zone corruption: degrade scrub: %v", err)
-	}
-	if rep.Clean() {
-		return h.failf("zone corruption: scrub missed the flipped zone byte")
-	}
-
-	// Phase 2: Strict — the open must fail outright.
-	if err := h.closeIVA(); err != nil {
-		return err
-	}
-	if err := h.strictOpenMustFail(); err != nil {
-		return err
-	}
-
-	// Revert and verify the store is whole again.
-	if err := h.iva.ixH.writeByte(off, orig); err != nil {
-		return h.failf("zone corruption: revert byte %d: %v", off, err)
-	}
-	if err := h.openIVA(coreOpts()); err != nil {
-		return err
-	}
-	if rep, err = h.iva.ix.Scrub(); err != nil {
-		return h.failf("zone corruption: clean scrub: %v", err)
-	}
-	if !rep.Clean() {
-		return h.failf("zone corruption: scrub still dirty after revert: %v", rep.Problems)
-	}
-	h.res.ZoneCorruptionChecks++
 	return nil
-}
-
-// strictOpenMustFail reopens the (flipped, closed) index files under
-// IntegrityStrict and requires core.Open itself to fail with a
-// *storage.CorruptionError, leaving the files closed again afterwards.
-func (h *harness) strictOpenMustFail() error {
-	cat, err := table.DecodeCatalog(h.iva.cat.Encode())
-	if err != nil {
-		return h.failf("zone corruption: catalog decode: %v", err)
-	}
-	if err := h.iva.tblH.open(); err != nil {
-		return h.failf("zone corruption: table open: %v", err)
-	}
-	if err := h.iva.ixH.open(); err != nil {
-		return h.failf("zone corruption: index open: %v", err)
-	}
-	tbl, err := table.Open(h.iva.tblH.f, cat)
-	if err != nil {
-		return h.failf("zone corruption: table decode: %v", err)
-	}
-	opts := coreOpts()
-	opts.Integrity = core.IntegrityStrict
-	if _, err = core.Open(h.iva.ixH.f, tbl, opts); err == nil {
-		return h.failf("zone corruption: strict open accepted a flipped zone byte")
-	}
-	var ce *storage.CorruptionError
-	if !errors.As(err, &ce) {
-		return h.failf("zone corruption: strict open failed with a non-corruption error: %v", err)
-	}
-	return h.closeIVA()
 }
 
 // corruptionPhase opens the (already flipped, already closed) iVA files

@@ -79,12 +79,6 @@ type Result struct {
 	// attribute — detection then came from Scrub).
 	CorruptionChecks int
 	DegradedReads    int
-	// ZonePrunes sums the stripes skipped on their zone bound across the
-	// zones-on search passes (0 when the workload's bars never beat a
-	// stripe's best case); ZoneCorruptionChecks counts completed zone-chain
-	// bit-flip sweeps (0 or 1 per run).
-	ZonePrunes           int
-	ZoneCorruptionChecks int
 	// CodecComparisons counts result lists from the packed-codec mirror
 	// engine diffed against the reference; PackedLists is the largest number
 	// of vector lists observed stored under the packed codec on the mirror
@@ -1028,35 +1022,10 @@ func (h *harness) searchOp() error {
 		if par == 1 && st.Workers != 1 {
 			return h.failf("iva par=1 reported %d workers", st.Workers)
 		}
-		if st.StripesZonePruned > st.StripesZoneChecked {
-			return h.failf("iva par=%d pruned %d stripes but only checked %d",
-				par, st.StripesZonePruned, st.StripesZoneChecked)
-		}
-		h.res.ZonePrunes += st.StripesZonePruned
 		if err := h.diff(fmt.Sprintf("iva %s par=%d", c.name, par), want, got); err != nil {
 			return err
 		}
 	}
-
-	// Zone-map differential: the same query with stripe pruning disabled
-	// must stay bit-identical at every parallelism — the bound proof, not
-	// trust, is what lets the pruned plan skip whole stripes. This runs
-	// mid-workload, so it straddles deletes, reopens, and rebuilds.
-	h.iva.ix.SetZoneMaps(false)
-	for _, par := range parGrid {
-		h.iva.ix.SetSearchParallelism(par)
-		got, st, err := h.iva.ix.Search(q, ivaM)
-		if err != nil {
-			return h.failf("iva zones-off search par=%d: %v", par, err)
-		}
-		if st.StripesZonePruned != 0 {
-			return h.failf("iva zones-off par=%d still pruned %d stripes", par, st.StripesZonePruned)
-		}
-		if err := h.diff(fmt.Sprintf("iva zones-off %s par=%d", c.name, par), want, got); err != nil {
-			return err
-		}
-	}
-	h.iva.ix.SetZoneMaps(true)
 
 	// Codec differential: the packed mirror must answer byte-identically at
 	// every parallelism, mid-workload — straddling deletes, reopens, and

@@ -154,10 +154,9 @@ func checkEquivalence(t *testing.T, be Backend, seed uint64, nq int) {
 
 // TestServerEquivalence is the battery's core: over a seeded randomized
 // workload, every HTTP answer is byte-identical to the in-process answer, at
-// one worker and full parallelism, with zone maps on and off. (The
-// degraded-read configuration lives in the root package's
-// TestServerEquivalenceDegraded, which needs fault-injection access to the
-// index file.)
+// one worker and full parallelism. (The degraded-read configuration lives in
+// the root package's TestServerEquivalenceDegraded, which needs
+// fault-injection access to the index file.)
 func TestServerEquivalence(t *testing.T) {
 	const (
 		seed  = 7331

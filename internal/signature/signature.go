@@ -93,9 +93,6 @@ func (c *Codec) sigBits(strLen int) int {
 	return 8 * b
 }
 
-// TotalBits returns the full signature width (cL + cH) for a string length.
-func (c *Codec) TotalBits(strLen int) int { return LenBits + c.SigBits(strLen) }
-
 // OptimalT returns the t ∈ [1, l−1] minimizing the expected relative error
 // ê = (1−(1−t/l)^m)^t for m grams hashed into l bits.
 func (c *Codec) OptimalT(m, l int) int {
@@ -243,7 +240,6 @@ type QueryString struct {
 	str    string
 	grams  []string // distinct grams of str
 	counts []int    // occurrences, parallel to grams
-	total  int      // Σ counts
 	plans  [maxLenPlans]atomic.Pointer[lenPlan]
 }
 
@@ -261,7 +257,6 @@ func (c *Codec) NewQueryString(sq string) *QueryString {
 	for g, a := range set {
 		q.grams = append(q.grams, g)
 		q.counts = append(q.counts, a)
-		q.total += a
 	}
 	return q
 }
@@ -313,22 +308,4 @@ func (q *QueryString) Hits(sig Sig) int {
 // Est returns est(sq, c(sd)) (Eq. 3): a lower bound of ed(sq, sd).
 func (q *QueryString) Est(sig Sig) float64 {
 	return gram.EstFromCommon(len(q.str), sig.Len, q.Hits(sig), q.codec.n)
-}
-
-// MinEstLenRange returns the smallest value Est can produce against any
-// signature whose data-string length lies in [minLen, maxLen]. Hits is at
-// most the query's total gram count regardless of the signature bits, and
-// EstFromCommon grows with max(|sq|, |sd|), so the best case assumes every
-// query gram hits a string of the length closest to |sq| the range allows.
-// Stripe zone maps use this as a per-stripe lower bound: it never exceeds
-// Est for any signature actually stored in the stripe.
-func (q *QueryString) MinEstLenRange(minLen, maxLen int) float64 {
-	ld := len(q.str)
-	if ld < minLen {
-		ld = minLen
-	}
-	if ld > maxLen {
-		ld = maxLen
-	}
-	return gram.EstFromCommon(len(q.str), ld, q.total, q.codec.n)
 }

@@ -43,9 +43,6 @@ func TestSigBits(t *testing.T) {
 	if got := c.SigBits(1); got != 8 {
 		t.Fatalf("SigBits(1) = %d, want 8", got)
 	}
-	if got := c.TotalBits(17); got != 32+LenBits {
-		t.Fatalf("TotalBits(17) = %d", got)
-	}
 }
 
 func TestExpectedErrorMonotoneInL(t *testing.T) {

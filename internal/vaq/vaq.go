@@ -123,27 +123,6 @@ func (q *Quantizer) MinDist(query float64, c uint64) float64 {
 	}
 }
 
-// MinDistRange returns the minimum possible |query − value| for any value
-// whose code lies in [cmin, cmax]: zero when the query falls inside the
-// union of the covered slices, otherwise the distance to the nearest edge.
-// This is the zone-map stripe lower bound — MinDist generalized from one
-// cell to a contiguous code range.
-func (q *Quantizer) MinDistRange(query float64, cmin, cmax uint64) float64 {
-	if cmin > cmax {
-		cmin, cmax = cmax, cmin
-	}
-	lo, _ := q.SliceBounds(cmin)
-	_, hi := q.SliceBounds(cmax)
-	switch {
-	case query < lo:
-		return lo - query
-	case query > hi:
-		return query - hi
-	default:
-		return 0
-	}
-}
-
 // MaxDist returns the maximum possible |query − value| for any value whose
 // code is c: the distance to the farthest slice edge. Edge slices are
 // unbounded (clamped out-of-domain values land there), so their upper bound
@@ -157,12 +136,4 @@ func (q *Quantizer) MaxDist(query float64, c uint64) float64 {
 		return d1
 	}
 	return d2
-}
-
-// AbsoluteQuantizer implements the original VA-file scheme over a fixed
-// absolute domain, kept for the ablation experiment comparing absolute vs.
-// relative domains (DESIGN.md §7). It simply delegates to a Quantizer whose
-// domain is the full absolute range.
-func AbsoluteQuantizer(absMin, absMax float64, bits int) (*Quantizer, error) {
-	return New(absMin, absMax, bits)
 }

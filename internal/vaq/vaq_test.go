@@ -155,10 +155,7 @@ func TestRelativeBeatsAbsoluteResolution(t *testing.T) {
 	// [0, 1000] inside a 32-bit absolute domain, the relative quantizer
 	// discriminates and the absolute one does not.
 	rel := mustNew(t, 0, 1000, 8)
-	abs, err := AbsoluteQuantizer(math.MinInt32, math.MaxInt32, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	abs := mustNew(t, math.MinInt32, math.MaxInt32, 8)
 	a, b := 100.0, 900.0
 	if rel.Encode(a) == rel.Encode(b) {
 		t.Fatal("relative quantizer cannot distinguish 100 from 900")

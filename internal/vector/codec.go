@@ -13,8 +13,8 @@ import (
 // Block codecs.
 //
 // A vector list is logically the bit stream the Encoder produces — every
-// reader (Cursor, zone accumulator, checkpoints) addresses it by logical bit
-// offset. Codec 0 stores that stream verbatim.
+// reader (Cursor, checkpoints) addresses it by logical bit offset. Codec 0
+// stores that stream verbatim.
 // Codec 1 ("packed") re-stores it as a sequence of self-describing blocks,
 // one per sealed checkpoint stripe: a word-aligned container with a skip
 // header (element count, decoded length, payload size, first tuple id, a

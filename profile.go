@@ -17,12 +17,9 @@ import (
 // a single entry covering every stripe.
 type WorkerProfile struct {
 	Stripes int64
-	// ZonePruned is how many of the claimed stripes the worker skipped on
-	// their zone-map lower bound without opening a cursor.
-	ZonePruned int64
-	Scanned    int64
-	Fetched    int64
-	Busy       time.Duration
+	Scanned int64
+	Fetched int64
+	Busy    time.Duration
 }
 
 // PhaseProfile decomposes one query's wall time into the paper's phases —
@@ -38,15 +35,13 @@ type PhaseProfile struct {
 	// StripesTotal is the number of stripes the tuple list was cut into, at
 	// every worker count (1 when the index has no usable checkpoints);
 	// StripesSkipped counts stripes never claimed because the search
-	// aborted early. StripesZoneChecked counts claimed stripes
-	// whose zone-map record was consulted, and StripesZonePruned the subset
-	// skipped outright because their best-possible estimated distance could
-	// not beat the top-k bar — zone pruning, distinct from the bar-raced
-	// StripesSkipped.
-	StripesTotal       int
-	StripesSkipped     int
-	StripesZoneChecked int
-	StripesZonePruned  int
+	// aborted early.
+	StripesTotal   int
+	StripesSkipped int
+	// StripesZonePruned is never set (always 0): stripe zone maps are gone,
+	// and the field stays only because the frozen benchmark/layers.go reads
+	// it. The [benchmark] PR that retires core.zone_pruned_share removes it.
+	StripesZonePruned int
 	// Workers holds each filter worker's share.
 	Workers []WorkerProfile
 	// PoolHitRatio is the fraction of the query's page requests served by
@@ -97,9 +92,6 @@ func (qs QueryStats) Render(q *Query, results int, elapsed time.Duration) string
 	if ph.StripesSkipped > 0 {
 		fmt.Fprintf(&b, " (skipped %d)", ph.StripesSkipped)
 	}
-	if ph.StripesZoneChecked > 0 {
-		fmt.Fprintf(&b, " zone_checked=%d zone_pruned=%d", ph.StripesZoneChecked, ph.StripesZonePruned)
-	}
 	b.WriteByte('\n')
 	fmt.Fprintf(&b, "  Refine: %s  fetched=%d\n", fmtMS(ph.RefineTime), qs.TableAccesses)
 	fmt.Fprintf(&b, "  Merge:  %s\n", fmtMS(ph.MergeTime))
@@ -110,11 +102,7 @@ func (qs QueryStats) Render(q *Query, results int, elapsed time.Duration) string
 	}
 	b.WriteByte('\n')
 	for i, w := range ph.Workers {
-		fmt.Fprintf(&b, "  Worker %d: stripes=%d", i, w.Stripes)
-		if w.ZonePruned > 0 {
-			fmt.Fprintf(&b, " zone_pruned=%d", w.ZonePruned)
-		}
-		fmt.Fprintf(&b, " scanned=%d fetched=%d busy=%s\n", w.Scanned, w.Fetched, fmtMS(w.Busy))
+		fmt.Fprintf(&b, "  Worker %d: stripes=%d scanned=%d fetched=%d busy=%s\n", i, w.Stripes, w.Scanned, w.Fetched, fmtMS(w.Busy))
 	}
 	return b.String()
 }

@@ -73,30 +73,48 @@ func TestSearchPhaseProfile(t *testing.T) {
 }
 
 // TestProfileRender pins the `ivatool query -profile` rendering against a
-// golden text, with durations and the trace id normalised. One worker keeps
-// the per-worker line and the I/O counters deterministic.
+// golden text, with durations and the trace id normalised — on a tuple list of
+// one stripe and on one of three. One worker keeps the per-worker line and the
+// I/O counters deterministic.
 func TestProfileRender(t *testing.T) {
-	s, q := fillProfiled(t, 200, Options{SearchParallelism: 1})
-	res, qs, err := s.Search(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := qs.Render(q, len(res), time.Millisecond)
-	if !strings.Contains(out, "trace="+qs.TraceID) {
-		t.Errorf("rendering does not carry the query's trace id %s:\n%s", qs.TraceID, out)
-	}
-	out = regexp.MustCompile(`[0-9.]+ms`).ReplaceAllString(out, "Xms")
-	out = strings.Replace(out, qs.TraceID, "T", 1)
-	const golden = `Search k=7 Price=150 Type="Camera"
+	for _, tc := range []struct {
+		name   string
+		tuples int
+		golden string
+	}{
+		{"one-stripe", 200, `Search k=7 Price=150 Type="Camera"
   time=Xms results=7 workers=1 trace=T
   Filter: Xms  scanned=200 stripes=1
   Refine: Xms  fetched=73
   Merge:  Xms
   I/O: cache_hits=5 phys_reads=0 pool_hit_ratio=100.0% disk_cost=Xms
   Worker 0: stripes=1 scanned=200 fetched=73 busy=Xms
-`
-	if out != golden {
-		t.Errorf("rendering changed:\n got:\n%s\nwant:\n%s", out, golden)
+`},
+		{"three-stripes", 4200, `Search k=7 Price=150 Type="Camera"
+  time=Xms results=7 workers=1 trace=T
+  Filter: Xms  scanned=4200 stripes=3
+  Refine: Xms  fetched=615
+  Merge:  Xms
+  I/O: cache_hits=69 phys_reads=0 pool_hit_ratio=100.0% disk_cost=Xms
+  Worker 0: stripes=3 scanned=4200 fetched=615 busy=Xms
+`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, q := fillProfiled(t, tc.tuples, Options{SearchParallelism: 1})
+			res, qs, err := s.Search(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := qs.Render(q, len(res), time.Millisecond)
+			if !strings.Contains(out, "trace="+qs.TraceID) {
+				t.Errorf("rendering does not carry the query's trace id %s:\n%s", qs.TraceID, out)
+			}
+			out = regexp.MustCompile(`[0-9.]+ms`).ReplaceAllString(out, "Xms")
+			out = strings.Replace(out, qs.TraceID, "T", 1)
+			if out != tc.golden {
+				t.Errorf("rendering changed:\n got:\n%s\nwant:\n%s", out, tc.golden)
+			}
+		})
 	}
 }
 

@@ -52,14 +52,6 @@ type ScrubReport struct {
 	CorruptCheckpoints int
 	DroppedCheckpoints int
 
-	// Zone-map record sweep: committed records verified, records
-	// failing their trailer, and records already dropped when the index was
-	// opened. Zone damage only disables stripe pruning — answers never
-	// change — but it is still damage worth repairing with a rebuild.
-	Zones        int
-	CorruptZones int
-	DroppedZones int
-
 	// SuperblockOK reports the index superblock trailer check; MapDropped
 	// that the committed checksum map itself was unreadable and segment
 	// coverage is degraded until the next Sync.
@@ -82,7 +74,7 @@ type ScrubReport struct {
 // Clean reports whether the scrub found no damage.
 func (r *ScrubReport) Clean() bool {
 	return r.CorruptIndexSegments == 0 && r.CorruptCheckpoints == 0 &&
-		r.DroppedCheckpoints == 0 && r.CorruptZones == 0 && r.DroppedZones == 0 &&
+		r.DroppedCheckpoints == 0 &&
 		r.SuperblockOK && !r.MapDropped &&
 		r.CorruptTable == 0 && r.CatalogOK
 }
@@ -115,9 +107,6 @@ func (s *Store) scrubYield(yield func()) (*ScrubReport, error) {
 		Checkpoints:          ixRep.Checkpoints,
 		CorruptCheckpoints:   ixRep.CorruptCheckpoints,
 		DroppedCheckpoints:   ixRep.DroppedCheckpoints,
-		Zones:                ixRep.Zones,
-		CorruptZones:         ixRep.CorruptZones,
-		DroppedZones:         ixRep.DroppedZones,
 		SuperblockOK:         ixRep.SuperblockOK,
 		MapDropped:           ixRep.MapDropped,
 		CatalogOK:            true,

@@ -11,7 +11,6 @@ import (
 	"runtime/debug"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/sparsewide/iva/internal/core"
@@ -162,12 +161,6 @@ type Store struct {
 	disk    storage.DiskModel
 	om      storeMetrics
 
-	// Lifetime zone-map pruning tallies. They live on the Store, not the
-	// Index, because rebuilds swap the Index out from under them; atomics
-	// because searches run concurrently under the shared engine lock.
-	zoneChecked atomic.Int64 // stripes whose zone record was consulted
-	zonePruned  atomic.Int64 // stripes skipped outright on the zone bound
-
 	// Replication state. trackers holds the write-range tracker of every
 	// device the store opened (keyed by file name); they record nothing until
 	// EnableReplSource arms them. replP is non-nil on a delta-shipping
@@ -209,8 +202,6 @@ type storeMetrics struct {
 	accesses    *obs.Counter
 	corruptSegs *obs.Counter
 	devRetries  *obs.Counter
-	zoneChecked *obs.Counter
-	zonePruned  *obs.Counter
 	queryDur    *obs.Histogram
 	filterDur   *obs.Histogram
 	refineDur   *obs.Histogram
@@ -245,8 +236,6 @@ func (s *Store) initObs() {
 		accesses:    s.reg.Counter("iva_query_table_accesses_total", "Random table-file accesses across all queries.", nil),
 		corruptSegs: s.reg.Counter("iva_corrupt_segments_total", "Corrupt vector-list segments queries degraded past.", nil),
 		devRetries:  s.reg.Counter("iva_device_retries_total", "Device operations retried after transient kernel errors.", nil),
-		zoneChecked: s.reg.Counter("iva_zonemap_stripes_checked_total", "Stripes whose zone-map record was consulted at claim time.", nil),
-		zonePruned:  s.reg.Counter("iva_zonemap_stripes_pruned_total", "Stripes skipped outright because their zone lower bound could not beat the top-k bar.", nil),
 		queryDur:    s.reg.Histogram("iva_query_duration_seconds", "End-to-end search latency.", nil, nil),
 		filterDur: s.reg.Histogram("iva_query_phase_duration_seconds", "Per-phase search latency.",
 			obs.Labels{"phase": "filter"}, nil),
@@ -294,20 +283,6 @@ func (s *Store) initObs() {
 		s.engineMu.RLock()
 		defer s.engineMu.RUnlock()
 		return float64(s.ix.SearchWorkers())
-	})
-	s.reg.GaugeFunc("iva_zonemap_coverage_ratio", "Fraction of sealed stripes with a known zone-map record (0 when zone maps are absent or disabled on disk).", nil, func() float64 {
-		s.engineMu.RLock()
-		defer s.engineMu.RUnlock()
-		known, sealed := s.ix.ZoneMapCoverage()
-		if sealed == 0 {
-			return 0
-		}
-		return float64(known) / float64(sealed)
-	})
-	s.reg.GaugeFunc("iva_zonemap_dropped_records", "Zone-map records dropped at open after failing verification (DegradeReads).", nil, func() float64 {
-		s.engineMu.RLock()
-		defer s.engineMu.RUnlock()
-		return float64(s.ix.DroppedZones())
 	})
 }
 
@@ -831,7 +806,7 @@ func (s *Store) SearchContext(ctx context.Context, q *Query) ([]Result, QuerySta
 	io := st.FilterIO.Add(st.RefineIO)
 	workers := make([]WorkerProfile, len(st.WorkerProfiles))
 	for i, w := range st.WorkerProfiles {
-		workers[i] = WorkerProfile{Stripes: w.Stripes, ZonePruned: w.ZonePruned, Scanned: w.Scanned, Fetched: w.Fetched, Busy: w.Busy}
+		workers[i] = WorkerProfile{Stripes: w.Stripes, Scanned: w.Scanned, Fetched: w.Fetched, Busy: w.Busy}
 	}
 	var hitRatio float64
 	if total := io.CacheHits + io.PhysReads; total > 0 {
@@ -849,27 +824,17 @@ func (s *Store) SearchContext(ctx context.Context, q *Query) ([]Result, QuerySta
 		DegradedSegments: st.DegradedSegments,
 		TraceID:          sp.TraceID(),
 		Phase: &PhaseProfile{
-			FilterTime:         st.FilterWall,
-			RefineTime:         st.RefineWall,
-			MergeTime:          st.MergeWall,
-			StripesTotal:       st.StripesTotal,
-			StripesSkipped:     st.StripesSkipped,
-			StripesZoneChecked: st.StripesZoneChecked,
-			StripesZonePruned:  st.StripesZonePruned,
-			Workers:            workers,
-			PoolHitRatio:       hitRatio,
+			FilterTime:     st.FilterWall,
+			RefineTime:     st.RefineWall,
+			MergeTime:      st.MergeWall,
+			StripesTotal:   st.StripesTotal,
+			StripesSkipped: st.StripesSkipped,
+			Workers:        workers,
+			PoolHitRatio:   hitRatio,
 		},
 	}
 	if st.DegradedSegments > 0 {
 		s.om.corruptSegs.Add(int64(st.DegradedSegments))
-	}
-	if st.StripesZoneChecked > 0 {
-		s.zoneChecked.Add(int64(st.StripesZoneChecked))
-		s.om.zoneChecked.Add(int64(st.StripesZoneChecked))
-	}
-	if st.StripesZonePruned > 0 {
-		s.zonePruned.Add(int64(st.StripesZonePruned))
-		s.om.zonePruned.Add(int64(st.StripesZonePruned))
 	}
 	s.om.queries.Inc()
 	s.om.scanned.Add(st.Scanned)
@@ -1081,18 +1046,6 @@ type StoreStats struct {
 	Rebuilds   int64         // table/index file rebuilds, all causes
 	RebuildsBy RebuildCounts // the same, split by what triggered them
 	IO         IOStats       // buffer pool counters over the store's lifetime
-
-	// Zone-map shape and lifetime pruning effectiveness. ZoneSealed is the
-	// number of full stripes the index holds; ZoneKnown of them carry a
-	// usable zone record (coverage = known/sealed). ZoneChecked/ZonePruned
-	// are lifetime stripe-claim tallies across every query — their ratio is
-	// the store's observed prune rate.
-	ZoneKnown   int
-	ZoneSealed  int
-	ZoneDropped int
-	ZoneChecked int64
-	ZonePruned  int64
-	ZoneMapsOn  bool
 }
 
 // RebuildCounts splits a rebuild count by cause: the cleaning threshold β, the
@@ -1107,25 +1060,18 @@ func (s *Store) Stats() StoreStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	snap := s.pool.Stats().Snapshot()
-	known, sealed := s.ix.ZoneMapCoverage()
 	by := RebuildCounts{
 		Clean: s.rebuilds[rebuildClean], Growth: s.rebuilds[rebuildGrowth],
 		NeedsRebuild: s.rebuilds[rebuildNeeded], Explicit: s.rebuilds[rebuildExplicit],
 	}
 	return StoreStats{
-		Tuples:      s.tbl.Live(),
-		Deleted:     s.ix.Deleted(),
-		Attributes:  s.cat.NumAttrs(),
-		TableBytes:  s.tbl.Bytes(),
-		IndexBytes:  s.ix.SizeBytes(),
-		Rebuilds:    by.Clean + by.Growth + by.NeedsRebuild + by.Explicit,
-		RebuildsBy:  by,
-		ZoneKnown:   known,
-		ZoneSealed:  sealed,
-		ZoneDropped: s.ix.DroppedZones(),
-		ZoneChecked: s.zoneChecked.Load(),
-		ZonePruned:  s.zonePruned.Load(),
-		ZoneMapsOn:  s.ix.ZoneMapsOn(),
+		Tuples:     s.tbl.Live(),
+		Deleted:    s.ix.Deleted(),
+		Attributes: s.cat.NumAttrs(),
+		TableBytes: s.tbl.Bytes(),
+		IndexBytes: s.ix.SizeBytes(),
+		Rebuilds:   by.Clean + by.Growth + by.NeedsRebuild + by.Explicit,
+		RebuildsBy: by,
 		IO: IOStats{
 			PhysReads:  snap.PhysReads,
 			PhysWrites: snap.PhysWrites,
