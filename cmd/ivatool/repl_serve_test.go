@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -97,6 +98,37 @@ func TestReplOverHTTP(t *testing.T) {
 		}
 		waitGen(primary.ReplStatus().Gen)
 		compare(fmt.Sprintf("round %d", round))
+	}
+
+	// A query is a read on both sides of the wire: searches over HTTP naming
+	// attributes neither store has seen register nothing — not on the primary,
+	// not on the read-only follower — and both answer alike, the unknown term
+	// charged to every tuple.
+	fapi := httptest.NewServer(serveMux(follower, nil, server.New(follower, nil, server.Config{}), false))
+	defer fapi.Close()
+	attrs := primary.Stats().Attributes
+	for i := 0; i < 20; i++ {
+		body := fmt.Sprintf(`{"k":4,"terms":[{"attr":"price","num":%d},{"attr":"ghost-%d","text":"x"}]}`, 120+i, i)
+		var answers [2]string
+		for j, url := range []string{srv.URL, fapi.URL} {
+			resp, err := http.Post(url+"/v1/search", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sr server.SearchResponse
+			err = json.NewDecoder(resp.Body).Decode(&sr)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK || len(sr.Results) != 4 {
+				t.Fatalf("search %d on %s: status %d, %d results, %v", i, url, resp.StatusCode, len(sr.Results), err)
+			}
+			answers[j] = fmt.Sprint(sr.Results)
+		}
+		if answers[0] != answers[1] {
+			t.Fatalf("search %d: primary %s, follower %s", i, answers[0], answers[1])
+		}
+	}
+	if p, f := primary.Stats().Attributes, follower.Stats().Attributes; p != attrs || f != attrs {
+		t.Fatalf("queries on unknown attributes registered them: primary %d, follower %d attributes, were %d", p, f, attrs)
 	}
 
 	// The primary's healthz carries the primary verdict line.

@@ -18,10 +18,11 @@ import (
 // budgets) and requires the store that keeps serving to be exactly what it
 // was: catalog statistics (a failed table copy used to leave the survivors'
 // partial counts in the shared catalog), search answers, a clean scrub, no
-// ".new" file on disk, none in the pool or among the write trackers, no
+// ".new" file on disk or in the pool, the store's pair still under its own
+// names (install renames what it swapped in, discards what it did not), no
 // pinned frame. The first budget the rebuild fits in must succeed.
 func TestFailedRebuildLeavesStoreIntact(t *testing.T) {
-	for _, target := range []string{tableFileName + ".new", indexFileName + ".new"} {
+	for _, target := range []string{tableFileName + newSuffix, indexFileName + newSuffix} {
 		t.Run(target, func(t *testing.T) {
 			var budget atomic.Int64
 			var last atomic.Pointer[storage.FaultDevice]
@@ -71,12 +72,12 @@ func TestFailedRebuildLeavesStoreIntact(t *testing.T) {
 				NewQuery(3).WhereNum("price", 12),
 			}
 			type state struct {
-				cat      string
-				answers  [][]Result
-				files    []string
-				pool     int
-				trackers int
-				scrub    string
+				cat     string
+				answers [][]Result
+				files   []string
+				pool    int
+				pair    string
+				scrub   string
 			}
 			observe := func() state {
 				t.Helper()
@@ -98,9 +99,7 @@ func TestFailedRebuildLeavesStoreIntact(t *testing.T) {
 				}
 				sort.Strings(s.files)
 				s.pool = st.pool.Files()
-				st.trkMu.Lock()
-				s.trackers = len(st.trackers)
-				st.trkMu.Unlock()
+				s.pair = st.tblFile.name + " " + st.ixFile.name
 				rep, err := st.Scrub()
 				if err != nil {
 					t.Fatal(err)
@@ -145,7 +144,7 @@ func TestFailedRebuildLeavesStoreIntact(t *testing.T) {
 			// files, one explicit rebuild counted, nothing of ".new" left.
 			after := observe()
 			if !reflect.DeepEqual(after.answers, before.answers) || !reflect.DeepEqual(after.files, before.files) ||
-				after.pool != before.pool || after.trackers != before.trackers {
+				after.pool != before.pool || after.pair != before.pair {
 				t.Fatalf("after the successful rebuild:\nbefore %+v\n after %+v", before, after)
 			}
 			if ss := st.Stats(); ss.Deleted != 0 || ss.Rebuilds != 1 || ss.RebuildsBy.Explicit != 1 {

@@ -45,18 +45,6 @@ func (w *Writer) Reset() {
 	w.nbit = 0
 }
 
-// WriteBit appends a single bit.
-func (w *Writer) WriteBit(b uint) {
-	off := w.nbit & 7
-	if off == 0 {
-		w.buf = append(w.buf, 0)
-	}
-	if b != 0 {
-		w.buf[len(w.buf)-1] |= 1 << (7 - off)
-	}
-	w.nbit++
-}
-
 // WriteBits appends the low `width` bits of v, most significant first.
 // width must be in [0, 64].
 func (w *Writer) WriteBits(v uint64, width int) {
@@ -92,13 +80,6 @@ func (w *Writer) WriteWords(ws []uint64, width int) {
 	}
 	if width > 0 {
 		w.WriteBits(ws[0]>>(64-width), width)
-	}
-}
-
-// Align pads with zero bits up to the next byte boundary.
-func (w *Writer) Align() {
-	if r := w.nbit & 7; r != 0 {
-		w.nbit += 8 - r
 	}
 }
 
@@ -140,16 +121,6 @@ func (r *Reader) Skip(n int) error {
 	}
 	r.pos += n
 	return nil
-}
-
-// ReadBit reads a single bit.
-func (r *Reader) ReadBit() (uint, error) {
-	if r.pos >= r.nbit {
-		return 0, ErrShortBuffer
-	}
-	b := (r.buf[r.pos>>3] >> (7 - uint(r.pos&7))) & 1
-	r.pos++
-	return uint(b), nil
 }
 
 // ReadBits reads `width` bits (≤64) MSB-first and returns them in the low

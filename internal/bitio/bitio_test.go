@@ -6,30 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestWriteReadBit(t *testing.T) {
-	var w Writer
-	pattern := []uint{1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1}
-	for _, b := range pattern {
-		w.WriteBit(b)
-	}
-	if w.Len() != len(pattern) {
-		t.Fatalf("Len = %d, want %d", w.Len(), len(pattern))
-	}
-	r := NewReader(w.Bytes(), w.Len())
-	for i, want := range pattern {
-		got, err := r.ReadBit()
-		if err != nil {
-			t.Fatalf("ReadBit %d: %v", i, err)
-		}
-		if got != want {
-			t.Fatalf("bit %d = %d, want %d", i, got, want)
-		}
-	}
-	if _, err := r.ReadBit(); err != ErrShortBuffer {
-		t.Fatalf("read past end: err = %v, want ErrShortBuffer", err)
-	}
-}
-
 func TestWriteBitsKnownLayout(t *testing.T) {
 	// Writing 0b101 (3 bits) then 0b0110 (4 bits) must produce 1010110x.
 	var w Writer
@@ -187,19 +163,6 @@ func TestQuickRoundTripSingleValue(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestAlign(t *testing.T) {
-	var w Writer
-	w.WriteBits(0b1, 1)
-	w.Align()
-	if w.Len() != 8 {
-		t.Fatalf("Len after align = %d, want 8", w.Len())
-	}
-	w.Align() // aligning an aligned writer is a no-op
-	if w.Len() != 8 {
-		t.Fatalf("Len after second align = %d, want 8", w.Len())
 	}
 }
 

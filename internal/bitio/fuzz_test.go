@@ -69,7 +69,7 @@ func FuzzReadBits(f *testing.F) {
 			t.Fatalf("reader has %d bits left after replay", r.Remaining())
 		}
 		// Over-read by one bit must fail cleanly, not wrap or panic.
-		if _, err := r.ReadBit(); !errors.Is(err, ErrShortBuffer) {
+		if _, err := r.ReadBits(1); !errors.Is(err, ErrShortBuffer) {
 			t.Fatalf("over-read: got %v, want ErrShortBuffer", err)
 		}
 
@@ -79,11 +79,11 @@ func FuzzReadBits(f *testing.F) {
 		for i, o := range ops {
 			var v uint64
 			for j := 0; j < o.width; j++ {
-				b, err := r2.ReadBit()
+				b, err := r2.ReadBits(1)
 				if err != nil {
 					t.Fatalf("op %d bit %d: %v", i, j, err)
 				}
-				v = v<<1 | uint64(b)
+				v = v<<1 | b
 			}
 			if v != o.val {
 				t.Fatalf("op %d: bitwise read = %#x, want %#x", i, o.width, v)

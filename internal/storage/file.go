@@ -41,14 +41,6 @@ func (f *File) Size() int64 {
 	return f.size
 }
 
-// SetSize overrides the logical size (used when a header records the true
-// size of a file whose device is page-padded).
-func (f *File) SetSize(n int64) {
-	f.mu.Lock()
-	f.size = n
-	f.mu.Unlock()
-}
-
 // PinPage pins the page containing byte offset off and returns the frame
 // plus the page's bytes from off to the page end. The caller must Release
 // the frame; until then the bytes are stable against concurrent writes

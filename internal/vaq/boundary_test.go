@@ -15,11 +15,11 @@ func TestEncodeCellEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.Slices() != 7 {
-		t.Fatalf("Slices() = %d, want 7", q.Slices())
+	if q.slices != 7 {
+		t.Fatalf("slices = %d, want 7", q.slices)
 	}
 	w := 8.0 / 7.0
-	for c := uint64(0); c < q.Slices(); c++ {
+	for c := uint64(0); c < q.slices; c++ {
 		edge := float64(c) * w
 		code := q.Encode(edge)
 		// An interior edge belongs to the upper slice (Encode is lower-
@@ -36,8 +36,8 @@ func TestEncodeCellEdges(t *testing.T) {
 	if q.Encode(0) != 0 {
 		t.Fatalf("Encode(min) = %d, want 0", q.Encode(0))
 	}
-	if q.Encode(8) != q.Slices()-1 {
-		t.Fatalf("Encode(max) = %d, want %d", q.Encode(8), q.Slices()-1)
+	if q.Encode(8) != q.slices-1 {
+		t.Fatalf("Encode(max) = %d, want %d", q.Encode(8), q.slices-1)
 	}
 	// Out-of-domain values clamp to the edge slices, whose bounds are open
 	// toward the clamped side — the lower bound must stay 0 for them.
@@ -104,8 +104,8 @@ func TestLowerBoundInvariant(t *testing.T) {
 			if c == q.NDFReserved() {
 				t.Fatalf("trial %d: Encode(%v) produced the reserved ndf code %d", trial, v, c)
 			}
-			if c >= q.Slices() {
-				t.Fatalf("trial %d: Encode(%v) = %d outside %d slices", trial, v, c, q.Slices())
+			if c >= q.slices {
+				t.Fatalf("trial %d: Encode(%v) = %d outside %d slices", trial, v, c, q.slices)
 			}
 			lb := q.MinDist(x, c)
 			if lb < 0 || math.IsNaN(lb) {

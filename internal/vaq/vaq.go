@@ -56,9 +56,6 @@ func (q *Quantizer) Bits() int { return q.bits }
 // Domain returns the relative domain the quantizer was built over.
 func (q *Quantizer) Domain() (min, max float64) { return q.min, q.max }
 
-// Slices returns the number of usable data slices.
-func (q *Quantizer) Slices() uint64 { return q.slices }
-
 func (q *Quantizer) width() float64 {
 	w := (q.max - q.min) / float64(q.slices)
 	if w <= 0 {

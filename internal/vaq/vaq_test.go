@@ -39,8 +39,8 @@ func TestNDFReservedCode(t *testing.T) {
 	if q.NDFReserved() != 15 {
 		t.Fatalf("ndf code = %d, want 15", q.NDFReserved())
 	}
-	if q.Slices() != 15 {
-		t.Fatalf("slices = %d, want 15", q.Slices())
+	if q.slices != 15 {
+		t.Fatalf("slices = %d, want 15", q.slices)
 	}
 	// No in-domain value may encode to the ndf code.
 	for v := -10.0; v <= 110; v += 0.5 {
@@ -55,7 +55,7 @@ func TestEncodeClamping(t *testing.T) {
 	if q.Encode(-50) != 0 {
 		t.Fatal("below-domain value did not clamp to slice 0")
 	}
-	if q.Encode(1e9) != q.Slices()-1 {
+	if q.Encode(1e9) != q.slices-1 {
 		t.Fatal("above-domain value did not clamp to top slice")
 	}
 }
@@ -120,7 +120,7 @@ func TestSliceBoundsOpenEnds(t *testing.T) {
 	if !math.IsInf(lo, -1) {
 		t.Fatalf("slice 0 lo = %v, want -Inf", lo)
 	}
-	_, hi := q.SliceBounds(q.Slices() - 1)
+	_, hi := q.SliceBounds(q.slices - 1)
 	if !math.IsInf(hi, 1) {
 		t.Fatalf("top slice hi = %v, want +Inf", hi)
 	}

@@ -5,9 +5,12 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
+
+	"github.com/sparsewide/iva/internal/storage"
 )
 
 // TestStoreReleasesPoolPins asserts the pin-leak invariant at the API
@@ -230,5 +233,78 @@ func TestFailedReadsReleasePoolPins(t *testing.T) {
 	assertCorrupt("Scan", s.Scan(func(TID, Row) bool { return true }))
 	if _, err := s.Get(TID(rows/2 - 1)); err != nil {
 		t.Fatalf("the record before the corrupt one: %v", err)
+	}
+}
+
+// TestFailedSwapReleasesPoolPins extends the invariant to install's callers: a
+// snapshot whose new pair fails half-way — the table written whole, the index
+// cut off by its device at every budget up to the one the apply fits in —
+// leaves no frame pinned, no file of the abandoned pair in the pool or the
+// directory, and the old generation answering as before.
+func TestFailedSwapReleasesPoolPins(t *testing.T) {
+	base := t.TempDir()
+	primary, err := Create(filepath.Join(base, "primary"), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer primary.Close()
+	q := fillStore(t, primary, 300)
+	if err := primary.EnableReplSource(); err != nil {
+		t.Fatal(err)
+	}
+	var budget atomic.Int64
+	budget.Store(-1)
+	fdir := filepath.Join(base, "follower")
+	src := &heldSource{inner: localSource{primary}}
+	follower, err := openFollower(fdir, src, FollowerOptions{}, Options{
+		deviceHook: func(name string, dev storage.Device) storage.Device {
+			if name == indexFileName+newSuffix {
+				return storage.NewFaultDevice(dev, budget.Load())
+			}
+			return dev
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer follower.Close()
+	src.held.Store(true) // the poll loop stays out of the way
+	want, _, err := follower.Search(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := src.inner.Snapshot(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	failures := 0
+	for b := int64(0); ; b++ {
+		budget.Store(b)
+		err := follower.ApplyReplDelta(snap)
+		if n := follower.pool.PinnedFrames(); n != 0 {
+			t.Fatalf("budget %d: %d frames left pinned (apply: %v)", b, n, err)
+		}
+		if n := follower.pool.Files(); n != 2 {
+			t.Fatalf("budget %d: %d files in the pool, want the store's two (apply: %v)", b, n, err)
+		}
+		for _, name := range []string{tableFileName + newSuffix, indexFileName + newSuffix} {
+			if _, serr := os.Stat(filepath.Join(fdir, name)); !os.IsNotExist(serr) {
+				t.Fatalf("budget %d: %s left behind (apply: %v)", b, name, err)
+			}
+		}
+		got, _, serr := follower.Search(q)
+		if serr != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("budget %d: search after the apply (%v): %v %v, want %v", b, err, got, serr, want)
+		}
+		if err == nil {
+			break
+		}
+		if !errors.Is(err, storage.ErrInjected) {
+			t.Fatalf("budget %d: apply failed with a non-injected error: %v", b, err)
+		}
+		failures++
+	}
+	if failures < 3 {
+		t.Fatalf("only %d budgets failed: the sweep did not reach into the apply", failures)
 	}
 }

@@ -93,8 +93,9 @@ func TestGrowthRebuildSearchRace(t *testing.T) {
 // TestGrowthRebuildCrashSweep kills a growth rebuild at every I/O operation
 // budget (a FaultDevice under the rebuild's ".new" files, each budget once
 // with the tripping write failing whole and once with it torn) and requires the reopened store to land on a consistent
-// generation: Open succeeds, a scrub is clean, and every previously synced
-// row is intact. A crashed process runs no error path, so what the failed
+// generation: Open succeeds and removes the unfinished pair, a scrub is clean,
+// and every previously synced row is intact (the states a crash inside
+// install's renames leaves are TestOpenRecoversInterruptedSwap's). A crashed process runs no error path, so what the failed
 // rebuild's cleanup removes is put back before the reopen: the hook keeps a
 // hard link to each ".new" file, and the reopened store finds them exactly as
 // the crash would have left them.
@@ -132,7 +133,7 @@ func growthRebuildCrash(t *testing.T, seedRows int, budget int64, torn bool) (co
 		GrowthRebuildFactor: 2,
 		CleanThreshold:      1,
 		deviceHook: func(name string, dev storage.Device) storage.Device {
-			if !strings.HasSuffix(name, ".new") {
+			if !strings.HasSuffix(name, newSuffix) {
 				return dev
 			}
 			os.Remove(filepath.Join(dir, name+".crash")) // of an earlier rebuild of this run
@@ -205,7 +206,7 @@ func growthRebuildCrash(t *testing.T, seedRows int, budget int64, torn bool) (co
 	// rebuild that did not finish, reopen without faults.
 	st = nil
 	if tripped {
-		for _, name := range []string{tableFileName + ".new", indexFileName + ".new"} {
+		for _, name := range []string{tableFileName + newSuffix, indexFileName + newSuffix} {
 			if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
 				t.Fatalf("budget %d: failed rebuild left %s behind", budget, name)
 			}
@@ -217,6 +218,12 @@ func growthRebuildCrash(t *testing.T, seedRows int, budget int64, torn bool) (co
 	re, err := Open(dir, Options{GrowthRebuildFactor: 1e9, CleanThreshold: 1})
 	if err != nil {
 		t.Fatalf("budget %d: reopen after mid-rebuild crash: %v", budget, err)
+	}
+	// Open's recovery has taken the unfinished pair away again.
+	for _, name := range []string{tableFileName + newSuffix, indexFileName + newSuffix} {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Fatalf("budget %d: %s still there after the reopen (%v)", budget, name, err)
+		}
 	}
 	rep, err := re.Scrub()
 	if err != nil {

@@ -115,14 +115,18 @@ func (s *Store) EnableReplSource() error {
 		defer p.mu.Unlock()
 		return float64(len(p.log))
 	})
-	for _, name := range []string{tableFileName, indexFileName} {
-		if td := s.tracker(name); td != nil {
-			td.Arm()
-			td.TakeDirty() // anything recorded before enabling is not ours
-		}
-	}
 	s.replP = p
+	s.replResetTrackers() // anything recorded before enabling is not ours
 	return s.replSaveState()
+}
+
+// replResetTrackers arms the write trackers of the store's two files (a
+// rebuild's new files arrive disarmed) and forgets what they hold.
+func (s *Store) replResetTrackers() {
+	for _, f := range []storeFile{s.tblFile, s.ixFile} {
+		f.dev.Arm()
+		f.dev.TakeDirty()
+	}
 }
 
 func loadReplPrimaryState(path string) (replPrimaryState, error) {
@@ -195,14 +199,9 @@ func writeFileAtomic(path string, blob []byte) error {
 // consumed but not shipped). Caller holds s.mu.
 func (s *Store) replInvalidateLocked() {
 	p := s.replP
-	// Reset the trackers: whatever they hold describes files we are no
-	// longer shipping increments of.
-	for _, name := range []string{tableFileName, indexFileName} {
-		if td := s.tracker(name); td != nil {
-			td.Arm()
-			td.TakeDirty()
-		}
-	}
+	// Whatever the trackers hold describes files we are no longer shipping
+	// increments of.
+	s.replResetTrackers()
 	p.mu.Lock()
 	p.log = nil
 	p.logBytes = 0
@@ -222,12 +221,8 @@ func (s *Store) replInvalidateLocked() {
 // invalidate the log (never ship a partial cut).
 func (s *Store) replCutLocked() {
 	p := s.replP
-	tdT, tdI := s.tracker(tableFileName), s.tracker(indexFileName)
-	if tdT == nil || tdI == nil {
-		return
-	}
-	tblR := tdT.TakeDirty()
-	ixR := tdI.TakeDirty()
+	tblR := s.tblFile.dev.TakeDirty()
+	ixR := s.ixFile.dev.TakeDirty()
 	cat := s.cat.Encode()
 	catCRC := storage.Checksum(cat)
 	p.mu.Lock()
@@ -238,11 +233,11 @@ func (s *Store) replCutLocked() {
 		return // nothing committed since the last cut
 	}
 	d := &repl.Delta{Epoch: epoch, Gen: gen + 1}
-	tfd, err := s.replFileDelta(repl.FileTable, s.tblFile, tblR)
+	tfd, err := s.replFileDelta(repl.FileTable, s.tblFile.File, tblR)
 	if err == nil {
 		d.Files = append(d.Files, tfd)
 		var ifd repl.FileDelta
-		ifd, err = s.replFileDelta(repl.FileIndex, s.ixFile, splitSuperblockRanges(ixR))
+		ifd, err = s.replFileDelta(repl.FileIndex, s.ixFile.File, splitSuperblockRanges(ixR))
 		if err == nil {
 			d.Files = append(d.Files, ifd)
 		}
@@ -321,11 +316,11 @@ func (s *Store) ReplSnapshot() ([]byte, error) {
 	epoch, gen := p.epoch, p.gen
 	p.mu.Unlock()
 	d := &repl.Delta{Epoch: epoch, Gen: gen, Full: true}
-	tfd, err := wholeFileDelta(repl.FileTable, s.tblFile)
+	tfd, err := wholeFileDelta(repl.FileTable, s.tblFile.File)
 	if err != nil {
 		return nil, err
 	}
-	ifd, err := wholeFileDelta(repl.FileIndex, s.ixFile)
+	ifd, err := wholeFileDelta(repl.FileIndex, s.ixFile.File)
 	if err != nil {
 		return nil, err
 	}
@@ -400,9 +395,9 @@ func (s *Store) ReplFileRange(file string, off, n int64) ([]byte, error) {
 	var f *storage.File
 	switch file {
 	case tableFileName:
-		f = s.tblFile
+		f = s.tblFile.File
 	case indexFileName:
-		f = s.ixFile
+		f = s.ixFile.File
 	case catalogFileName:
 		blob := s.cat.Encode()
 		if off >= int64(len(blob)) || off+n > int64(len(blob)) {

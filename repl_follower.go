@@ -111,41 +111,45 @@ func OpenFollower(dir, primaryURL string, fopts FollowerOptions, opts Options) (
 	return s, nil
 }
 
-// openFollower is OpenFollower over any replSource (test seam).
+// openFollower is OpenFollower over any replSource (test seam). A directory
+// that holds no store becomes an empty replica with the zero cursor — which no
+// primary's epoch matches — and a replica at the zero cursor takes its first
+// snapshot here, before it serves anything.
 func openFollower(dir string, src replSource, fopts FollowerOptions, opts Options) (*Store, error) {
 	if fopts.Poll <= 0 {
 		fopts.Poll = time.Second
 	}
-	statePath := filepath.Join(dir, replFollowerStateFile)
 	_, catErr := os.Stat(filepath.Join(dir, catalogFileName))
-	_, stErr := os.Stat(statePath)
+	_, stErr := os.Stat(filepath.Join(dir, replFollowerStateFile))
 	switch {
-	case stErr == nil && catErr == nil:
-		if err := RecoverFollowerJournal(dir); err != nil {
-			return nil, err
-		}
-		// An unreadable journal drops the cursor; fall through to a fresh
-		// bootstrap in that case.
-		if _, err := os.Stat(statePath); err != nil {
-			if err := bootstrapFollower(context.Background(), dir, src); err != nil {
-				return nil, err
-			}
-		}
-	case catErr == nil:
+	case catErr == nil && stErr != nil:
 		return nil, fmt.Errorf("iva: %s holds a store that is not a follower (no %s); refusing to overwrite it", dir, replFollowerStateFile)
-	default:
-		if err := bootstrapFollower(context.Background(), dir, src); err != nil {
+	case catErr != nil:
+		// The cursor goes first: a crash before the empty store is whole
+		// leaves a directory this case takes again.
+		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, err
 		}
-	}
-	cur, err := loadFollowerState(dir)
-	if err != nil {
-		return nil, fmt.Errorf("iva: follower state: %w", err)
+		if err := saveFollowerState(dir, 0, 0); err != nil {
+			return nil, err
+		}
+		empty, err := Create(dir, opts)
+		if err != nil {
+			return nil, err
+		}
+		if err := empty.Close(); err != nil {
+			return nil, err
+		}
 	}
 	s, err := Open(dir, opts)
 	if err != nil {
 		return nil, err
 	}
+	if s.replicaCur == nil {
+		s.Close()
+		return nil, fmt.Errorf("iva: follower state: %s is unreadable", replFollowerStateFile)
+	}
+	cur := *s.replicaCur
 	f := &followerState{
 		src:   src,
 		poll:  fopts.Poll,
@@ -156,7 +160,7 @@ func openFollower(dir string, src replSource, fopts FollowerOptions, opts Option
 	f.applied = s.reg.Counter("iva_repl_applied_total", "Replication deltas applied and committed.", nil)
 	f.appliedBytes = s.reg.Counter("iva_repl_applied_bytes_total", "Payload bytes of applied replication deltas.", nil)
 	f.failures = s.reg.Counter("iva_repl_apply_failures_total", "Delta applies abandoned before commit (verification or I/O failure).", nil)
-	f.resyncs = s.reg.Counter("iva_repl_resyncs_total", "Full snapshot resyncs taken after losing incremental continuity.", nil)
+	f.resyncs = s.reg.Counter("iva_repl_resyncs_total", "Full snapshots installed: a new replica's first, then one per resync after losing incremental continuity.", nil)
 	f.pollErrs = s.reg.Counter("iva_repl_poll_errors_total", "Failed poll round trips to the primary.", nil)
 	s.reg.GaugeFunc("iva_repl_generation", "Committed replication generation (primary: cut; follower: applied).", nil, func() float64 {
 		f.mu.Lock()
@@ -173,6 +177,13 @@ func openFollower(dir string, src replSource, fopts FollowerOptions, opts Option
 	})
 	s.fol = f
 	ctx, cancel := context.WithCancel(context.Background())
+	if cur == (followerDurableState{}) {
+		if err := s.followerResync(ctx); err != nil {
+			cancel()
+			s.Close()
+			return nil, fmt.Errorf("iva: bootstrap follower: %w", err)
+		}
+	}
 	f.cancel = cancel
 	go s.runFollower(ctx)
 	return s, nil
@@ -243,7 +254,7 @@ func (s *Store) runFollower(ctx context.Context) {
 					// The apply never reached its commit point; whatever went
 					// wrong (local I/O, non-contiguous delta), a snapshot
 					// re-establishes a verified state.
-					ok = s.followerResync(ctx)
+					ok = s.followerResync(ctx) == nil
 					break
 				}
 			}
@@ -254,7 +265,7 @@ func (s *Store) runFollower(ctx context.Context) {
 				sleepCtx(ctx, f.poll)
 			}
 		case errors.Is(err, repl.ErrResync):
-			if s.followerResync(ctx) {
+			if s.followerResync(ctx) == nil {
 				fails = 0
 			} else {
 				fails++
@@ -280,39 +291,42 @@ func sleepCtx(ctx context.Context, d time.Duration) {
 }
 
 // followerResync fetches and applies a full snapshot.
-func (s *Store) followerResync(ctx context.Context) bool {
+func (s *Store) followerResync(ctx context.Context) error {
 	f := s.fol
 	d, err := f.src.Snapshot(ctx)
 	if err != nil {
 		f.pollErrs.Inc()
 		f.noteErr(err)
-		return false
+		return err
 	}
 	if err := s.ApplyReplDelta(d); err != nil {
 		f.failures.Inc()
 		f.noteErr(err)
-		return false
+		return err
 	}
 	f.resyncs.Inc()
-	return true
+	return nil
 }
 
 // ApplyReplDelta applies one wire-verified delta to the follower with the
 // store's crash-atomic commit discipline:
 //
-//  1. the encoded delta is journaled durably (redo on crash);
-//  2. every table byte and every non-superblock index byte is written and
-//     fsynced;
-//  3. every applied byte is read back from the device — below the page
-//     cache — and verified against the shipped CRCs;
-//  4. only then the index superblock page (the commit point) is written,
-//     fsynced and verified the same way;
-//  5. the catalog and the durable replication cursor follow, the journal is
-//     dropped, and the in-memory engines reopen over the new bytes.
+//  1. the encoded delta is journaled durably (Open redoes it after a crash);
+//  2. its table and index ranges reach the files through applyRanges: every
+//     byte but the index superblock page written, fsynced and read back from
+//     the device against the shipped CRCs, and only then that page — the
+//     commit point — the same way;
+//  3. the engines open over the verified bytes and install swaps them in;
+//  4. the catalog and the durable replication cursor follow, and the journal
+//     is dropped.
 //
-// A failure anywhere before step 4 leaves the previous generation committed.
-// Incremental deltas must continue the applied prefix exactly; Full deltas
-// (snapshots) reset it.
+// An incremental delta must continue the applied prefix exactly; it is
+// written in place, over the live files, under the exclusive engine lock —
+// searches see the previous generation or the new one, never bytes in flight,
+// and keep their pool pages. A Full delta (a snapshot) resets the prefix; it
+// is written into a new pair of files beside the live one, which keeps
+// answering until the swap. A failure anywhere before the commit point leaves
+// the previous generation committed.
 func (s *Store) ApplyReplDelta(d *repl.Delta) error {
 	f := s.fol
 	if f == nil {
@@ -326,89 +340,11 @@ func (s *Store) ApplyReplDelta(d *repl.Delta) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// The engine lock is held for the whole apply: concurrent searches see
-	// either the previous generation or the new one, never bytes in flight.
-	s.engineMu.Lock()
-	defer s.engineMu.Unlock()
-
 	if err := writeFileAtomic(filepath.Join(s.dir, replJournalFile), d.Encode()); err != nil {
 		return fmt.Errorf("iva: apply delta: journal: %w", err)
 	}
-	var catBlob []byte
-	var sbRanges []repl.Range
-	for _, fd := range d.Files {
-		switch fd.ID {
-		case repl.FileTable, repl.FileIndex:
-			file := s.tblFile
-			if fd.ID == repl.FileIndex {
-				file = s.ixFile
-			}
-			if d.Full {
-				if err := file.Truncate(0); err != nil {
-					return fmt.Errorf("iva: apply delta: %w", err)
-				}
-			}
-			for _, r := range fd.Ranges {
-				if fd.ID == repl.FileIndex && r.Off < replSuperblockSize {
-					sbRanges = append(sbRanges, r)
-					continue
-				}
-				if err := file.WriteAt(r.Data, r.Off); err != nil {
-					return fmt.Errorf("iva: apply delta: %w", err)
-				}
-			}
-		case repl.FileCatalog:
-			if len(fd.Ranges) != 1 || fd.Ranges[0].Off != 0 || int64(len(fd.Ranges[0].Data)) != fd.Size {
-				return fmt.Errorf("iva: apply delta: catalog must ship as one whole range")
-			}
-			catBlob = fd.Ranges[0].Data
-		default:
-			return fmt.Errorf("iva: apply delta: unknown file id %d", fd.ID)
-		}
-	}
-	if err := s.tblFile.Sync(); err != nil {
+	if err := s.applyDelta(d); err != nil {
 		return fmt.Errorf("iva: apply delta: %w", err)
-	}
-	if err := s.ixFile.Sync(); err != nil {
-		return fmt.Errorf("iva: apply delta: %w", err)
-	}
-	if err := s.replVerifyApplied(d, false); err != nil {
-		return err
-	}
-	// Commit point: the superblock page goes last, after everything it
-	// references verified on disk.
-	for _, r := range sbRanges {
-		if err := s.ixFile.WriteAt(r.Data, r.Off); err != nil {
-			return fmt.Errorf("iva: apply delta: superblock: %w", err)
-		}
-	}
-	if len(sbRanges) > 0 {
-		if err := s.ixFile.Sync(); err != nil {
-			return fmt.Errorf("iva: apply delta: superblock: %w", err)
-		}
-		if err := s.replVerifyApplied(d, true); err != nil {
-			return err
-		}
-	}
-	if catBlob != nil {
-		if err := writeFileAtomic(filepath.Join(s.dir, catalogFileName), catBlob); err != nil {
-			return fmt.Errorf("iva: apply delta: catalog: %w", err)
-		}
-	}
-	for _, fd := range d.Files {
-		switch fd.ID {
-		case repl.FileTable:
-			s.tblFile.SetSize(fd.Size)
-		case repl.FileIndex:
-			s.ixFile.SetSize(fd.Size)
-		}
-	}
-	if err := saveFollowerState(s.dir, d.Epoch, d.Gen); err != nil {
-		return fmt.Errorf("iva: apply delta: %w", err)
-	}
-	_ = os.Remove(filepath.Join(s.dir, replJournalFile))
-	if err := s.reopenEnginesLocked(catBlob); err != nil {
-		return fmt.Errorf("iva: apply delta: reopen: %w", err)
 	}
 	f.mu.Lock()
 	f.epoch, f.gen = d.Epoch, d.Gen
@@ -419,168 +355,107 @@ func (s *Store) ApplyReplDelta(d *repl.Delta) error {
 	return nil
 }
 
-// replVerifyApplied re-reads every applied range straight from the device —
-// below the page pool, so the bytes the next open will see — and checks them
-// against the shipped CRCs. sbOnly selects the superblock-page ranges
-// (verified separately, after the body).
-func (s *Store) replVerifyApplied(d *repl.Delta, sbOnly bool) error {
-	for _, fd := range d.Files {
-		if fd.ID == repl.FileCatalog {
-			continue
-		}
-		td := s.tracker(repl.FileName(fd.ID))
-		if td == nil {
-			return fmt.Errorf("iva: apply delta: no device for %s", repl.FileName(fd.ID))
-		}
-		for _, r := range fd.Ranges {
-			isSB := fd.ID == repl.FileIndex && r.Off < replSuperblockSize
-			if isSB != sbOnly {
-				continue
-			}
-			buf := make([]byte, len(r.Data))
-			if _, err := td.ReadAt(buf, r.Off); err != nil {
-				return fmt.Errorf("iva: apply delta: read back %s: %w", repl.FileName(fd.ID), err)
-			}
-			if storage.Checksum(buf) != r.CRC {
-				return fmt.Errorf("iva: apply delta: %s range [%d,+%d) failed read-back verification; refusing to commit", repl.FileName(fd.ID), r.Off, len(r.Data))
-			}
-		}
+// applyDelta is steps 2 to 4 of ApplyReplDelta, and what Open redoes a journal
+// through: the delta is routed to one of the two ways bytes change under a
+// store. Caller holds s.mu (Open: owns the store, which has no generation
+// yet, so even an in-place delta finds no engines to lock out).
+func (s *Store) applyDelta(d *repl.Delta) error {
+	catFD := d.File(repl.FileCatalog)
+	if catFD == nil || len(catFD.Ranges) != 1 || catFD.Ranges[0].Off != 0 || int64(len(catFD.Ranges[0].Data)) != catFD.Size {
+		return fmt.Errorf("catalog must ship as one whole range")
 	}
-	return nil
-}
-
-// reopenEnginesLocked rebuilds the in-memory engines over the just-applied
-// bytes. Caller holds s.mu and s.engineMu.
-func (s *Store) reopenEnginesLocked(catBlob []byte) error {
-	if catBlob != nil {
-		cat, err := table.DecodeCatalog(catBlob)
-		if err != nil {
-			return err
-		}
-		s.cat = cat
-	}
-	return s.openEngines(false)
-}
-
-// bootstrapFollower materializes a fresh follower directory from a full
-// snapshot: files first (each range verified after write), durable cursor
-// last, so a crash mid-bootstrap re-bootstraps cleanly.
-func bootstrapFollower(ctx context.Context, dir string, src replSource) error {
-	d, err := src.Snapshot(ctx)
+	cat, err := table.DecodeCatalog(catFD.Ranges[0].Data)
 	if err != nil {
-		return fmt.Errorf("iva: bootstrap follower: %w", err)
-	}
-	if !d.Full {
-		return fmt.Errorf("iva: bootstrap follower: snapshot not marked full")
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	if err := applyDeltaToDir(dir, d); err != nil {
-		return fmt.Errorf("iva: bootstrap follower: %w", err)
-	}
-	return saveFollowerState(dir, d.Epoch, d.Gen)
-}
-
-// RecoverFollowerJournal redoes an interrupted delta apply left in the
-// follower directory's journal, before the store opens. Redo is idempotent:
-// the journal holds the complete verified delta, and replaying it lands on
-// exactly the generation the apply was committing. An unreadable journal
-// (possible only through disk corruption — the journal is written atomically)
-// drops the follower cursor so the next open re-bootstraps from a snapshot.
-func RecoverFollowerJournal(dir string) error {
-	jp := filepath.Join(dir, replJournalFile)
-	blob, err := os.ReadFile(jp)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
+	tblF, ixF := s.tblFile, s.ixFile
+	switch {
+	case d.Full:
+		tblF, ixF, err = s.openPair(newSuffix)
+	case s.tbl == nil:
+		tblF, ixF, err = s.openPair("")
+	default:
+		s.engineMu.Lock()
+		defer s.engineMu.Unlock()
 	}
 	if err != nil {
 		return err
 	}
-	d, derr := repl.DecodeDelta(blob)
-	if derr != nil {
-		_ = os.Remove(jp)
-		_ = os.Remove(filepath.Join(dir, replFollowerStateFile))
-		return nil
+	var g generation
+	if err = applyRanges(tblF, ixF, d); err == nil {
+		g, err = s.openEngines(cat, tblF, ixF, false)
 	}
-	if err := applyDeltaToDir(dir, d); err != nil {
-		return fmt.Errorf("iva: recover follower journal: %w", err)
-	}
-	if err := saveFollowerState(dir, d.Epoch, d.Gen); err != nil {
+	if err != nil {
+		if tblF.File != s.tblFile.File {
+			s.discard(tblF, ixF)
+		}
 		return err
 	}
-	return os.Remove(jp)
+	if err := s.install(g); err != nil {
+		return err
+	}
+	if err := writeFileAtomic(filepath.Join(s.dir, catalogFileName), catFD.Ranges[0].Data); err != nil {
+		return fmt.Errorf("catalog: %w", err)
+	}
+	if err := saveFollowerState(s.dir, d.Epoch, d.Gen); err != nil {
+		return err
+	}
+	return os.Remove(filepath.Join(s.dir, replJournalFile))
 }
 
-// applyDeltaToDir applies a delta to raw store files — the path used before
-// a Store exists (bootstrap) or can exist (journal redo). Non-superblock
-// bytes are written, fsynced and read back verified, then the superblock
-// page, mirroring the live apply's ordering.
-func applyDeltaToDir(dir string, d *repl.Delta) error {
-	for _, fd := range d.Files {
-		name := repl.FileName(fd.ID)
-		if name == "" {
-			return fmt.Errorf("unknown file id %d", fd.ID)
-		}
-		path := filepath.Join(dir, name)
-		if fd.ID == repl.FileCatalog {
-			if len(fd.Ranges) != 1 || fd.Ranges[0].Off != 0 {
-				return fmt.Errorf("catalog must ship as one whole range")
-			}
-			if err := writeFileAtomic(path, fd.Ranges[0].Data); err != nil {
-				return err
-			}
-			continue
-		}
-		f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-		if err != nil {
-			return err
-		}
-		err = func() error {
-			if d.Full {
-				if err := f.Truncate(0); err != nil {
-					return err
-				}
-			}
-			// Body first, superblock page last, with an fsync + read-back
-			// verification barrier between.
-			for pass := 0; pass < 2; pass++ {
-				wroteAny := false
-				for _, r := range fd.Ranges {
-					isSB := fd.ID == repl.FileIndex && r.Off < replSuperblockSize
-					if (pass == 1) != isSB {
-						continue
-					}
-					if _, err := f.WriteAt(r.Data, r.Off); err != nil {
-						return err
-					}
-					wroteAny = true
-				}
-				if !wroteAny {
+// applyRanges writes a delta's table and index ranges to a pair of files in
+// two passes: every byte but the index superblock page, then that page — the
+// commit point. A pass writes its ranges, fsyncs, and reads each range back
+// through the device — below the page cache, so the bytes the next open will
+// see — against the shipped CRC; the superblock is written only once all it
+// references has verified. It is the one routine a delta's bytes reach a file
+// through: the live pair for an incremental delta, a pair beside it for a
+// snapshot, either again when Open redoes a journal.
+func applyRanges(tblF, ixF storeFile, d *repl.Delta) error {
+	for _, superblock := range []bool{false, true} {
+		pass := func(fn func(storeFile, repl.Range) error) error {
+			for _, fd := range d.Files {
+				f := tblF
+				switch fd.ID {
+				case repl.FileTable:
+				case repl.FileIndex:
+					f = ixF
+				case repl.FileCatalog:
 					continue
-				}
-				if err := f.Sync(); err != nil {
-					return err
+				default:
+					return fmt.Errorf("unknown file id %d", fd.ID)
 				}
 				for _, r := range fd.Ranges {
-					isSB := fd.ID == repl.FileIndex && r.Off < replSuperblockSize
-					if (pass == 1) != isSB {
+					if (fd.ID == repl.FileIndex && r.Off < replSuperblockSize) != superblock {
 						continue
 					}
-					buf := make([]byte, len(r.Data))
-					if _, err := f.ReadAt(buf, r.Off); err != nil {
-						return err
-					}
-					if storage.Checksum(buf) != r.CRC {
-						return fmt.Errorf("%s range [%d,+%d) failed read-back verification", name, r.Off, len(r.Data))
+					if err := fn(f, r); err != nil {
+						return fmt.Errorf("%s: %w", f.name, err)
 					}
 				}
 			}
 			return nil
-		}()
-		if cerr := f.Close(); err == nil {
-			err = cerr
 		}
+		err := pass(func(f storeFile, r repl.Range) error { return f.WriteAt(r.Data, r.Off) })
+		if err == nil && !superblock {
+			err = tblF.Sync()
+		}
+		if err == nil {
+			err = ixF.Sync()
+		}
+		if err != nil {
+			return err
+		}
+		err = pass(func(f storeFile, r repl.Range) error {
+			buf := make([]byte, len(r.Data))
+			if _, err := f.dev.ReadAt(buf, r.Off); err != nil {
+				return fmt.Errorf("read back: %w", err)
+			}
+			if storage.Checksum(buf) != r.CRC {
+				return fmt.Errorf("range [%d,+%d) failed read-back verification; refusing to commit", r.Off, len(r.Data))
+			}
+			return nil
+		})
 		if err != nil {
 			return err
 		}

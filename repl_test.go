@@ -7,7 +7,9 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -96,6 +98,19 @@ func waitFollowerGen(t *testing.T, st *Store, want uint64) {
 			t.Fatalf("follower stuck at gen %d (want %d), last error %q", rs.Gen, want, rs.LastError)
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// bootstrapDir makes dir a follower replica at the source's current
+// generation and leaves it closed.
+func bootstrapDir(t *testing.T, dir string, src replSource) {
+	t.Helper()
+	fol, err := openFollower(dir, src, FollowerOptions{Poll: time.Hour}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fol.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -359,10 +374,14 @@ func TestReplPrimaryCrashEpochBump(t *testing.T) {
 }
 
 // TestReplFollowerCrashMidApply simulates a power cut at every interesting
-// boundary of a delta apply — journal written but nothing applied, partially
-// applied, fully applied but journal not yet dropped — and requires the
-// journal redo to land the follower on exactly the delta's generation with
-// answers identical to the primary.
+// boundary of a delta apply, for both ways a delta's bytes reach a follower's
+// files. In place (an incremental delta): journal written but nothing applied,
+// partially applied, fully applied but journal not yet dropped. Wholesale (a
+// snapshot): journaled with no new file yet, the new pair half written, the
+// swap cut between its two renames, installed with the cursor and the journal
+// still the old ones. Plain Open must redo the journal through
+// applyRanges and land on exactly the delta's generation; a follower opened
+// over the result answers identically to the primary and scrubs clean.
 func TestReplFollowerCrashMidApply(t *testing.T) {
 	base := t.TempDir()
 	pdir := filepath.Join(base, "primary")
@@ -400,9 +419,7 @@ func TestReplFollowerCrashMidApply(t *testing.T) {
 		if err := os.RemoveAll(fdir); err != nil {
 			t.Fatal(err)
 		}
-		if err := bootstrapFollower(context.Background(), fdir, src); err != nil {
-			t.Fatal(err)
-		}
+		bootstrapDir(t, fdir, src)
 		gen0 = primary.ReplStatus().Gen
 		for i := 0; i < 30; i++ {
 			w.step(t, primary, 500+attempt*30+i)
@@ -419,6 +436,15 @@ func TestReplFollowerCrashMidApply(t *testing.T) {
 			t.Fatalf("deltas: %v (%d deltas)", err, len(batch.Deltas))
 		}
 		delta = batch.Deltas[0]
+	}
+	snap, err := src.Snapshot(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Serving a snapshot syncs, which cuts a delta of its own: the snapshot
+	// is of a later generation than the delta, with the same rows.
+	if !snap.Full || snap.Gen < gen1 {
+		t.Fatalf("snapshot full=%v gen %d, want a full one at gen %d or later", snap.Full, snap.Gen, gen1)
 	}
 	queries := replQueries(rand.New(rand.NewSource(42)))
 
@@ -443,21 +469,53 @@ func TestReplFollowerCrashMidApply(t *testing.T) {
 			}
 		}
 	}
+	write := func(dir, name string, blob []byte) {
+		t.Helper()
+		if err := os.WriteFile(filepath.Join(dir, name), blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// image is the whole file a snapshot ships under id.
+	image := func(id uint8) []byte {
+		var blob []byte
+		for _, r := range snap.File(id).Ranges {
+			blob = append(blob, r.Data...)
+		}
+		return blob
+	}
+	// applied runs d through the one apply path on a passively opened replica
+	// and then puts back what a crash just before the cursor write would have
+	// left: the cursor of gen0 and the journal.
+	applied := func(dir string, d *repl.Delta) {
+		t.Helper()
+		st, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur := *st.replicaCur
+		write(dir, replJournalFile, d.Encode())
+		if err := st.applyDelta(d); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := saveFollowerState(dir, cur.Epoch, cur.Gen); err != nil {
+			t.Fatal(err)
+		}
+		write(dir, replJournalFile, d.Encode())
+	}
 
 	scenarios := []struct {
 		name    string
 		wreck   func(dir string) // leaves the dir as a crash would
-		wantGen uint64           // generation recovery must land on
+		openGen uint64           // generation plain Open must land on
 	}{
 		{"journal written, nothing applied", func(dir string) {
-			if err := writeFileAtomic(filepath.Join(dir, replJournalFile), delta.Encode()); err != nil {
-				t.Fatal(err)
-			}
+			write(dir, replJournalFile, delta.Encode())
 		}, gen1},
 		{"journal written, half the ranges applied", func(dir string) {
-			if err := writeFileAtomic(filepath.Join(dir, replJournalFile), delta.Encode()); err != nil {
-				t.Fatal(err)
-			}
+			write(dir, replJournalFile, delta.Encode())
 			for _, fd := range delta.Files {
 				if fd.ID == repl.FileCatalog {
 					continue
@@ -477,36 +535,61 @@ func TestReplFollowerCrashMidApply(t *testing.T) {
 				f.Close()
 			}
 		}, gen1},
-		{"fully applied, journal not yet dropped", func(dir string) {
-			if err := applyDeltaToDir(dir, delta); err != nil {
-				t.Fatal(err)
-			}
-			if err := writeFileAtomic(filepath.Join(dir, replJournalFile), delta.Encode()); err != nil {
-				t.Fatal(err)
-			}
-			// repl-state.json still says gen0: the crash hit between verify
-			// and the cursor write.
-		}, gen1},
+		{"fully applied, journal not yet dropped", func(dir string) { applied(dir, delta) }, gen1},
 		{"torn journal (crash during disk corruption)", func(dir string) {
 			blob := delta.Encode()
-			if err := os.WriteFile(filepath.Join(dir, replJournalFile), blob[:len(blob)/2], 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}, gen1}, // unreadable journal → re-bootstrap lands on the primary's current gen
+			write(dir, replJournalFile, blob[:len(blob)/2])
+		}, 0}, // unreadable journal → zero cursor → the follower resyncs to the primary's current gen
+		{"snapshot journaled, nothing written", func(dir string) {
+			write(dir, replJournalFile, snap.Encode())
+		}, snap.Gen},
+		{"snapshot journaled, new pair half written", func(dir string) {
+			write(dir, replJournalFile, snap.Encode())
+			write(dir, tableFileName+newSuffix, image(repl.FileTable))
+			ix := image(repl.FileIndex)
+			write(dir, indexFileName+newSuffix, ix[:len(ix)/2])
+		}, snap.Gen},
+		{"snapshot journaled, swap cut between its renames", func(dir string) {
+			write(dir, replJournalFile, snap.Encode())
+			write(dir, tableFileName, image(repl.FileTable))
+			write(dir, indexFileName+newSuffix, image(repl.FileIndex))
+		}, snap.Gen},
+		{"snapshot installed, journal not yet dropped", func(dir string) { applied(dir, snap) }, snap.Gen},
 	}
 	for i, sc := range scenarios {
 		dir := filepath.Join(base, fmt.Sprintf("crash-%d", i))
 		copyDir(dir)
 		sc.wreck(dir)
+		// Plain Open is enough to recover: no poll loop, no primary.
+		st, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatalf("%s: open: %v", sc.name, err)
+		}
+		if rs := st.ReplStatus(); rs.Role != "follower" || rs.Gen != sc.openGen {
+			t.Fatalf("%s: plain Open landed on %+v, want a follower at gen %d", sc.name, rs, sc.openGen)
+		}
+		if sc.openGen != 0 {
+			assertSameAnswers(t, primary, st, queries, sc.name+" (plain Open)")
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range ents {
+			if e.Name() == replJournalFile || strings.HasSuffix(e.Name(), newSuffix) {
+				t.Fatalf("%s: %s survived recovery", sc.name, e.Name())
+			}
+		}
+
 		fol, err := openFollower(dir, src, FollowerOptions{Poll: 5 * time.Millisecond}, Options{})
 		if err != nil {
 			t.Fatalf("%s: reopen: %v", sc.name, err)
 		}
-		waitFollowerGen(t, fol, sc.wantGen)
+		waitFollowerGen(t, fol, primary.ReplStatus().Gen)
 		assertSameAnswers(t, primary, fol, queries, sc.name)
-		if _, err := os.Stat(filepath.Join(dir, replJournalFile)); !os.IsNotExist(err) {
-			t.Fatalf("%s: journal survived recovery", sc.name)
-		}
 		rep, err := fol.Scrub()
 		if err != nil {
 			t.Fatalf("%s: scrub: %v", sc.name, err)
@@ -514,34 +597,27 @@ func TestReplFollowerCrashMidApply(t *testing.T) {
 		if !rep.Clean() {
 			t.Fatalf("%s: recovered follower not clean: %v", sc.name, rep.Problems)
 		}
+		chk, err := fol.Check()
+		if err != nil || !chk.Ok() {
+			t.Fatalf("%s: check: %v %v", sc.name, err, chk.Problems)
+		}
 		fol.Close()
 	}
 }
 
 // corruptingDevice flips a bit of every write beyond the superblock while
 // armed — a disk that lies on the write path. The follower's read-back
-// verification must catch it before the commit point.
+// verification must catch it before the commit point. The switch is shared by
+// every device of the disk: a snapshot is written to a new file.
 type corruptingDevice struct {
 	storage.Device
-	mu    sync.Mutex
-	armed bool
-	hits  int
+	armed *atomic.Bool
+	hits  *atomic.Int64
 }
 
-func (d *corruptingDevice) arm(on bool) {
-	d.mu.Lock()
-	d.armed = on
-	d.mu.Unlock()
-}
-
-func (d *corruptingDevice) WriteAt(p []byte, off int64) (int, error) {
-	d.mu.Lock()
-	armed := d.armed
-	if armed {
-		d.hits++
-	}
-	d.mu.Unlock()
-	if armed && off >= replSuperblockSize && len(p) > 0 {
+func (d corruptingDevice) WriteAt(p []byte, off int64) (int, error) {
+	if d.armed.Load() && off >= replSuperblockSize && len(p) > 0 {
+		d.hits.Add(1)
 		q := append([]byte(nil), p...)
 		q[len(q)/2] ^= 0x10
 		return d.Device.WriteAt(q, off)
@@ -550,9 +626,12 @@ func (d *corruptingDevice) WriteAt(p []byte, off int64) (int, error) {
 }
 
 // TestReplFollowerNeverCommitsUnverified: with a lying disk under the
-// follower's index file, a delta apply must fail before the commit point —
-// durable cursor unchanged, superblock unchanged — and heal by resync once
-// the disk behaves.
+// follower's index file, nothing reaches a commit point through applyRanges —
+// not an incremental delta written in place, not the snapshot the follower
+// falls back to, written beside, not the journal Open redoes after a restart:
+// the durable cursor and the superblock stay where they were, nothing of the
+// abandoned pair is left in the directory or the pool, and the follower heals
+// once the disk behaves.
 func TestReplFollowerNeverCommitsUnverified(t *testing.T) {
 	base := t.TempDir()
 	pdir, fdir := filepath.Join(base, "primary"), filepath.Join(base, "follower")
@@ -572,11 +651,11 @@ func TestReplFollowerNeverCommitsUnverified(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var cdev *corruptingDevice
+	var armed atomic.Bool
+	var hits atomic.Int64
 	opts := Options{deviceHook: func(name string, dev storage.Device) storage.Device {
-		if name == indexFileName {
-			cdev = &corruptingDevice{Device: dev}
-			return cdev
+		if strings.TrimSuffix(name, newSuffix) == indexFileName {
+			return corruptingDevice{Device: dev, armed: &armed, hits: &hits}
 		}
 		return dev
 	}}
@@ -586,12 +665,17 @@ func TestReplFollowerNeverCommitsUnverified(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer follower.Close()
+	defer func() { follower.Close() }()
 	waitFollowerGen(t, follower, primary.ReplStatus().Gen)
 	genBefore := follower.ReplStatus().Gen
+	sbBefore, err := follower.replSuperblockCRC()
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	// Arm the lying disk, cut a delta, let the follower try to apply it.
-	cdev.arm(true)
+	// Arm the lying disk, cut a delta, let the follower try to apply it: in
+	// place first, and when that fails, as a snapshot.
+	armed.Store(true)
 	for i := 0; i < 40; i++ {
 		w.step(t, primary, 300+i)
 	}
@@ -600,24 +684,61 @@ func TestReplFollowerNeverCommitsUnverified(t *testing.T) {
 	}
 	src.allow(primary.ReplStatus().Gen)
 	deadline := time.Now().Add(15 * time.Second)
-	for follower.fol.failures.Value() == 0 {
+	for follower.fol.failures.Value() < 2 {
 		if time.Now().After(deadline) {
-			t.Fatalf("lying disk never tripped an apply failure (hits %d)", cdev.hits)
+			t.Fatalf("lying disk tripped %d apply failures, want the delta's and the snapshot's (hits %d)",
+				follower.fol.failures.Value(), hits.Load())
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	// The commit point was never reached: the durable cursor still names the
-	// old generation.
-	st, err := loadFollowerState(fdir)
+	// Neither commit point was reached: the durable cursor still names the old
+	// generation, the store still runs on the old pair, and the pair that was
+	// written beside it is gone from the directory and the pool.
+	unchanged := func(stage string) {
+		t.Helper()
+		st, err := loadFollowerState(fdir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Gen != genBefore {
+			t.Fatalf("%s: durable cursor advanced to %d under a lying disk (was %d)", stage, st.Gen, genBefore)
+		}
+		for _, name := range []string{tableFileName + newSuffix, indexFileName + newSuffix} {
+			if _, err := os.Stat(filepath.Join(fdir, name)); !os.IsNotExist(err) {
+				t.Fatalf("%s: %s left behind (%v)", stage, name, err)
+			}
+		}
+	}
+	follower.mu.Lock() // between two applies
+	unchanged("live")
+	if sb, err := follower.replSuperblockCRC(); err != nil || sb != sbBefore {
+		t.Fatalf("superblock changed under a lying disk (%v)", err)
+	}
+	if n, pins := follower.pool.Files(), follower.pool.PinnedFrames(); n != 2 || pins != 0 {
+		t.Fatalf("after failed applies the pool holds %d files and %d pinned frames, want 2 and 0", n, pins)
+	}
+	follower.mu.Unlock()
+
+	// A restart finds the journal of the last attempt; the redo goes through
+	// the same routine and fails the same way, leaving the same state.
+	if err := follower.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(fdir, replJournalFile)); err != nil {
+		t.Fatalf("no journal of the failed apply to redo: %v", err)
+	}
+	if _, err := openFollower(fdir, src, FollowerOptions{Poll: 5 * time.Millisecond}, opts); err == nil || !strings.Contains(err.Error(), "read-back verification") {
+		t.Fatalf("redo over a lying disk: %v, want a read-back verification failure", err)
+	}
+	unchanged("redo")
+
+	// Disk heals; the redo lands the follower on the journal's generation,
+	// it converges and answers identically.
+	armed.Store(false)
+	follower, err = openFollower(fdir, src, FollowerOptions{Poll: 5 * time.Millisecond}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Gen != genBefore {
-		t.Fatalf("durable cursor advanced to %d under a lying disk (was %d)", st.Gen, genBefore)
-	}
-	// Disk heals; the follower must converge (by retry or snapshot resync)
-	// and answer identically.
-	cdev.arm(false)
 	waitFollowerGen(t, follower, primary.ReplStatus().Gen)
 	assertSameAnswers(t, primary, follower, replQueries(rand.New(rand.NewSource(42))), "after disk healed")
 	rep, err := follower.Scrub()
@@ -1038,9 +1159,7 @@ func TestReplicaDirReadOnlyUnderPlainOpen(t *testing.T) {
 	if err := primary.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if err := bootstrapFollower(context.Background(), fdir, localSource{primary}); err != nil {
-		t.Fatal(err)
-	}
+	bootstrapDir(t, fdir, localSource{primary})
 
 	before, err := os.ReadFile(filepath.Join(fdir, indexFileName))
 	if err != nil {

@@ -5,13 +5,14 @@ import (
 	"os"
 	"path/filepath"
 
+	"github.com/sparsewide/iva/internal/core"
 	"github.com/sparsewide/iva/internal/storage"
 	"github.com/sparsewide/iva/internal/table"
 )
 
 // IntegrityMode selects how a checksum mismatch found at read time is
 // handled (Options.Integrity).
-type IntegrityMode int
+type IntegrityMode = core.IntegrityMode
 
 const (
 	// DegradeReads (the default) keeps queries answerable through vector-
@@ -22,10 +23,10 @@ const (
 	// correctness for availability. The damage is surfaced in
 	// QueryStats.DegradedSegments and the iva_corrupt_segments_total
 	// counter.
-	DegradeReads IntegrityMode = iota
+	DegradeReads = core.IntegrityDegrade
 	// Strict fails any operation that touches corrupt bytes with a
 	// *CorruptionError.
-	Strict
+	Strict = core.IntegrityStrict
 )
 
 // CorruptionError is the typed error every checksum mismatch surfaces as;

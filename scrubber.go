@@ -310,11 +310,7 @@ func SaveScrubReport(path string, snap ScrubSnapshot) error {
 	if err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(blob, '\n'), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return writeFileAtomic(path, append(blob, '\n'))
 }
 
 // LoadScrubReport reads a snapshot persisted by SaveScrubReport (or by

@@ -5,11 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -17,6 +19,7 @@ import (
 	"github.com/sparsewide/iva/internal/metric"
 	"github.com/sparsewide/iva/internal/model"
 	"github.com/sparsewide/iva/internal/obs"
+	"github.com/sparsewide/iva/internal/repl"
 	"github.com/sparsewide/iva/internal/storage"
 	"github.com/sparsewide/iva/internal/table"
 )
@@ -136,19 +139,15 @@ type Store struct {
 	dir  string // "" for in-memory stores
 	opts Options
 
-	mu      sync.Mutex
-	pool    *storage.Pool
-	cat     *table.Catalog
-	tbl     *table.Table
-	tblFile *storage.File
-	ix      *core.Index
-	ixFile  *storage.File
-	met     *metric.Metric
+	mu   sync.Mutex
+	pool *storage.Pool
+	// The generation the store runs on; install is the one place it changes.
+	generation
 
-	// engineMu guards the engine pointers (ix, tbl, met) across rebuilds:
-	// readers hold it shared for the duration of a query so a concurrent
-	// rebuild cannot close the files under them; rebuildLocked takes it
-	// exclusively for the swap.
+	// engineMu guards the generation: readers hold it shared for the duration
+	// of a query so that the files cannot be closed, or rewritten in place,
+	// under them; install takes it exclusively for the swap, and an in-place
+	// delta apply for the whole of its writing.
 	engineMu sync.RWMutex
 
 	rebuilds    [numRebuildCauses]int64
@@ -161,13 +160,8 @@ type Store struct {
 	disk    storage.DiskModel
 	om      storeMetrics
 
-	// Replication state. trackers holds the write-range tracker of every
-	// device the store opened (keyed by file name); they record nothing until
-	// EnableReplSource arms them. replP is non-nil on a delta-shipping
-	// primary, fol on a log-applying follower, repairer when a read-repair
-	// peer is configured.
-	trkMu    sync.Mutex
-	trackers map[string]*storage.TrackDevice
+	// Replication state. replP is non-nil on a delta-shipping primary, fol on
+	// a log-applying follower, repairer when a read-repair peer is configured.
 	replP    *replPrimary
 	fol      *followerState
 	repairer *repairer
@@ -315,21 +309,46 @@ const (
 	tableFileName   = "table.swt"
 	indexFileName   = "iva.idx"
 	catalogFileName = "catalog.bin"
+	// newSuffix marks a file of a generation written beside the live one,
+	// between its opening and install's rename.
+	newSuffix = ".new"
 )
 
-// coreOptions resolves the store options against the current catalog
-// (per-attribute α overrides are keyed by name publicly, by id internally).
-func (s *Store) coreOptions() core.Options {
+// storeFile is one of a store's two files: the pooled view the engines read
+// and write through and, beside it, the write tracker under the pool — what a
+// replication primary cuts its deltas from (disarmed, and free, on any other
+// store) and what an applied delta is read back through, below the cache.
+// name is the one the file has in the store directory now.
+type storeFile struct {
+	*storage.File
+	dev  *storage.TrackDevice
+	name string
+}
+
+// generation is everything a query runs against: a catalog, the two files,
+// the engines open over them and the metric bound to both.
+type generation struct {
+	cat     *table.Catalog
+	tbl     *table.Table
+	tblFile storeFile
+	ix      *core.Index
+	ixFile  storeFile
+	met     *metric.Metric
+}
+
+// coreOptions resolves the store options against a catalog (per-attribute α
+// overrides are keyed by name publicly, by id internally).
+func (s *Store) coreOptions(cat *table.Catalog) core.Options {
 	opts := core.Options{
 		Alpha: s.opts.Alpha, N: s.opts.N,
 		SearchParallelism: s.opts.SearchParallelism,
-		Integrity:         core.IntegrityMode(s.opts.Integrity),
+		Integrity:         s.opts.Integrity,
 		Codec:             s.opts.Codec,
 	}
 	if len(s.opts.AlphaPerAttr) > 0 {
 		opts.AlphaOverride = make(map[model.AttrID]float64, len(s.opts.AlphaPerAttr))
 		for name, alpha := range s.opts.AlphaPerAttr {
-			if id, ok := s.cat.Lookup(name); ok {
+			if id, ok := cat.Lookup(name); ok {
 				opts.AlphaOverride[id] = alpha
 			}
 		}
@@ -337,12 +356,17 @@ func (s *Store) coreOptions() core.Options {
 	return opts
 }
 
+// newStore returns a store with its pool and metrics and no generation yet.
+func newStore(dir string, opts Options) *Store {
+	s := &Store{dir: dir, opts: opts, pool: storage.NewPool(0, opts.CacheBytes)}
+	s.initObs()
+	return s
+}
+
 // Create makes a new store in dir, or a volatile in-memory store when dir
 // is empty. An existing directory must not already contain a store.
 func Create(dir string, opts Options) (*Store, error) {
 	opts = opts.withDefaults()
-	s := &Store{dir: dir, opts: opts, pool: storage.NewPool(0, opts.CacheBytes)}
-	s.cat = table.NewCatalog()
 	if dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, fmt.Errorf("iva: create %s: %w", dir, err)
@@ -351,152 +375,228 @@ func Create(dir string, opts Options) (*Store, error) {
 			return nil, fmt.Errorf("iva: store already exists in %s", dir)
 		}
 	}
-	if err := s.attach(true); err != nil {
+	s := newStore(dir, opts)
+	if err := s.attach(table.NewCatalog(), true); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// Open attaches to a store previously created in dir.
+// Open attaches to a store previously created in dir, first finishing
+// whatever a crash interrupted there (recoverDir).
 func Open(dir string, opts Options) (*Store, error) {
 	opts = opts.withDefaults()
 	if dir == "" {
 		return nil, fmt.Errorf("iva: Open requires a directory; use Create for in-memory stores")
 	}
-	blob, err := os.ReadFile(filepath.Join(dir, catalogFileName))
-	if err != nil {
-		return nil, fmt.Errorf("iva: open catalog: %w", err)
-	}
-	cat, err := table.DecodeCatalog(blob)
+	redo, err := recoverDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{dir: dir, opts: opts, pool: storage.NewPool(0, opts.CacheBytes), cat: cat}
+	s := newStore(dir, opts)
+	if redo != nil {
+		if err := s.applyDelta(redo); err != nil {
+			return nil, fmt.Errorf("iva: recover follower journal: %w", err)
+		}
+	} else {
+		blob, err := os.ReadFile(filepath.Join(dir, catalogFileName))
+		if err != nil {
+			return nil, fmt.Errorf("iva: open catalog: %w", err)
+		}
+		cat, err := table.DecodeCatalog(blob)
+		if err != nil {
+			return nil, err
+		}
+		if err := s.attach(cat, false); err != nil {
+			return nil, err
+		}
+	}
 	if cur, err := loadFollowerState(dir); err == nil {
 		s.replicaCur = &cur
-	}
-	if err := s.attach(false); err != nil {
-		return nil, err
 	}
 	return s, nil
 }
 
-// attach opens the store's two files and the engines over them, and wires up
-// the metrics. On an error it closes again what it had opened.
-func (s *Store) attach(create bool) (err error) {
-	defer func() {
-		if err != nil {
-			s.closeFiles()
+// recoverDir brings a store directory out of the states a crash can leave it
+// in (FORMAT.md § Directory states), before anything in it is opened. It is
+// the only code that knows them.
+//
+// install renames a generation written beside the live one over it, the table
+// first, and both new files are durable before that (table.Rebuild, core.Build
+// and applyRanges each end in an fsync). So while table.swt.new exists the swap
+// had not begun — the live pair is whole and the new files, finished or not,
+// go — and iva.idx.new on its own is the second rename still owed.
+//
+// A follower's delta apply starts with a durable journal and ends with its
+// removal: a journal still there is returned for the caller to apply again,
+// which lands on exactly the generation the apply was committing. An
+// unreadable one (disk corruption: it is written atomically) is dropped with
+// the cursor zeroed, so that the follower resyncs from a snapshot.
+func recoverDir(dir string) (*repl.Delta, error) {
+	newTbl, newIx := filepath.Join(dir, tableFileName+newSuffix), filepath.Join(dir, indexFileName+newSuffix)
+	if _, err := os.Stat(newTbl); err == nil {
+		if err := os.Remove(newTbl); err != nil {
+			return nil, err
 		}
-	}()
-	tblDev, err := s.device(tableFileName)
+		if err := os.Remove(newIx); err != nil && !errors.Is(err, os.ErrNotExist) {
+			return nil, err
+		}
+	} else if _, err := os.Stat(newIx); err == nil {
+		if err := os.Rename(newIx, filepath.Join(dir, indexFileName)); err != nil {
+			return nil, err
+		}
+	}
+	journal := filepath.Join(dir, replJournalFile)
+	blob, err := os.ReadFile(journal)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	d, err := repl.DecodeDelta(blob)
+	if err != nil {
+		if err := saveFollowerState(dir, 0, 0); err != nil {
+			return nil, err
+		}
+		return nil, os.Remove(journal)
+	}
+	return d, nil
+}
+
+// attach opens the store's two files under their own names and installs the
+// generation over them: a new, empty one when create is set, the one the files
+// hold otherwise. On an error it closes again what it had opened.
+func (s *Store) attach(cat *table.Catalog, create bool) error {
+	tblF, ixF, err := s.openPair("")
 	if err != nil {
 		return err
 	}
-	s.tblFile = storage.NewFile(s.pool, tblDev)
-	ixDev, err := s.device(indexFileName)
+	g, err := s.openEngines(cat, tblF, ixF, create)
 	if err != nil {
+		s.discard(tblF, ixF)
 		return err
 	}
-	s.ixFile = storage.NewFile(s.pool, ixDev)
-	if err := s.openEngines(create); err != nil {
-		return err
+	return s.install(g)
+}
+
+// openEngines puts a table, an index and a metric over an open pair of files:
+// new ones when create is set, the ones the files hold otherwise.
+func (s *Store) openEngines(cat *table.Catalog, tblF, ixF storeFile, create bool) (g generation, err error) {
+	g = generation{cat: cat, tblFile: tblF, ixFile: ixF}
+	if create {
+		if g.tbl, err = table.New(tblF.File, cat); err == nil {
+			g.ix, err = core.Build(g.tbl, ixF.File, s.coreOptions(cat))
+		}
+	} else {
+		if g.tbl, err = table.Open(tblF.File, cat); err == nil {
+			g.ix, err = core.Open(ixF.File, g.tbl, s.coreOptions(cat))
+		}
 	}
-	s.initObs()
+	if err == nil {
+		g.met, err = s.newMetric(cat, g.tbl)
+	}
+	return g, err
+}
+
+// install makes g the generation the store runs on: the one place the engine
+// pointers change. g arrives whole — files written and fsynced, engines open
+// over them — in one of three ways. Written beside the live generation, under
+// ".new" names (a rebuild, a follower's snapshot): queries ran on the old pair
+// until now; the swap waits out those in flight, the old pair is closed, and
+// the new files are renamed over the old names, table first (recoverDir
+// finishes a swap a crash cut in half). Over the store's own files, written in
+// place by a caller that took the engine lock exclusively before its first
+// write and still holds it (an incremental delta): the swap is all there is to
+// do. Or as the first generation of a store that has none (Create, Open).
+// Caller holds s.mu.
+func (s *Store) install(g generation) error {
+	inPlace := g.tblFile.File == s.tblFile.File
+	if !inPlace {
+		s.engineMu.Lock()
+	}
+	g.tbl.PublishStats()
+	old := s.generation
+	s.generation, s.builtTuples = g, g.tbl.Live()
+	if inPlace {
+		return nil
+	}
+	s.engineMu.Unlock()
+	s.discard(old.tblFile, old.ixFile)
+	for _, f := range []*storeFile{&s.tblFile, &s.ixFile} {
+		final, beside := strings.CutSuffix(f.name, newSuffix)
+		if beside && s.dir != "" {
+			if err := os.Rename(filepath.Join(s.dir, f.name), filepath.Join(s.dir, final)); err != nil {
+				return err
+			}
+		}
+		f.name = final
+	}
 	return nil
 }
 
-// openEngines puts the table, the index and the metric over the store's open
-// files: a new table and index when create is set, the ones the files hold
-// otherwise.
-func (s *Store) openEngines(create bool) error {
-	openTable := table.Open
-	if create {
-		openTable = table.New
+// openPair opens the table and index files under their names plus suffix.
+func (s *Store) openPair(suffix string) (tblF, ixF storeFile, err error) {
+	if tblF, err = s.openFile(tableFileName + suffix); err != nil {
+		return storeFile{}, storeFile{}, err
 	}
-	tbl, err := openTable(s.tblFile, s.cat)
-	if err != nil {
-		return err
+	if ixF, err = s.openFile(indexFileName + suffix); err != nil {
+		s.discard(tblF)
+		return storeFile{}, storeFile{}, err
 	}
-	var ix *core.Index
-	if create {
-		ix, err = core.Build(tbl, s.ixFile, s.coreOptions())
-	} else {
-		ix, err = core.Open(s.ixFile, tbl, s.coreOptions())
-	}
-	if err != nil {
-		return err
-	}
-	s.tbl, s.ix, s.builtTuples = tbl, ix, tbl.Live()
-	return s.buildMetric()
+	return tblF, ixF, nil
 }
 
-// closeFiles closes the table and index files, those of them that are open.
-func (s *Store) closeFiles() error {
+// discard closes those of the files that are open — out of the pool, device
+// closed — and removes what was written beside the live generation and never
+// installed.
+func (s *Store) discard(files ...storeFile) error {
 	var errs []error
-	for _, f := range []*storage.File{s.tblFile, s.ixFile} {
-		if f != nil {
-			errs = append(errs, f.Close())
+	for _, f := range files {
+		if f.File == nil {
+			continue
+		}
+		errs = append(errs, f.Close())
+		if s.dir != "" && strings.HasSuffix(f.name, newSuffix) {
+			os.Remove(filepath.Join(s.dir, f.name))
 		}
 	}
 	return errors.Join(errs...)
 }
 
-func (s *Store) device(name string) (storage.Device, error) {
+func (s *Store) openFile(name string) (storeFile, error) {
 	var dev storage.Device
 	if s.dir == "" {
 		dev = storage.NewMemDevice()
 	} else {
 		var err error
 		if dev, err = storage.OpenFileDevice(filepath.Join(s.dir, name)); err != nil {
-			return nil, err
+			return storeFile{}, err
 		}
 	}
 	if s.opts.deviceHook != nil {
 		dev = s.opts.deviceHook(name, dev)
 	}
 	// Transient kernel errors (EINTR/EAGAIN) retry with backoff instead of
-	// failing the query. The metric handle is nil until initObs; retries
-	// before that (none in practice — devices see no I/O until the store is
-	// wired up) are simply not counted.
+	// failing the query.
 	rd := storage.NewRetryDevice(dev)
-	rd.OnRetry(func() {
-		if c := s.om.devRetries; c != nil {
-			c.Inc()
-		}
-	})
+	rd.OnRetry(s.om.devRetries.Inc)
 	// The outermost tracker records which byte ranges are written between
-	// Syncs — the raw material of replication deltas. Disarmed (free) unless
-	// the store becomes a replication primary.
+	// Syncs — the raw material of replication deltas.
 	td := storage.NewTrackDevice(rd)
-	s.trkMu.Lock()
-	if s.trackers == nil {
-		s.trackers = make(map[string]*storage.TrackDevice)
-	}
-	s.trackers[name] = td
-	s.trkMu.Unlock()
-	return td, nil
+	return storeFile{File: storage.NewFile(s.pool, td), dev: td, name: name}, nil
 }
 
-// tracker returns the write tracker of the named store file.
-func (s *Store) tracker(name string) *storage.TrackDevice {
-	s.trkMu.Lock()
-	defer s.trkMu.Unlock()
-	return s.trackers[name]
-}
-
-func (s *Store) buildMetric() error {
+func (s *Store) newMetric(cat *table.Catalog, tbl *table.Table) (*metric.Metric, error) {
 	comb, err := metric.ByName(s.opts.Metric)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	var w metric.Weighter
 	switch s.opts.Weights {
 	case "EQU":
 		w = metric.Equal{}
 	case "ITF":
-		cat := s.cat
-		tbl := s.tbl
 		w = metric.NewITF(tbl.Live, func(a model.AttrID) int64 {
 			info, err := cat.Info(a)
 			if err != nil {
@@ -505,10 +605,9 @@ func (s *Store) buildMetric() error {
 			return info.DF
 		})
 	default:
-		return fmt.Errorf("iva: unknown weighting scheme %q", s.opts.Weights)
+		return nil, fmt.Errorf("iva: unknown weighting scheme %q", s.opts.Weights)
 	}
-	s.met = &metric.Metric{Combiner: comb, Weighter: w, NDFPenalty: s.opts.NDFPenalty}
-	return nil
+	return &metric.Metric{Combiner: comb, Weighter: w, NDFPenalty: s.opts.NDFPenalty}, nil
 }
 
 // DefineAttr registers an attribute ahead of use (Insert also registers
@@ -726,6 +825,30 @@ type QueryStats struct {
 	Phase *PhaseProfile
 }
 
+// resolveQuery maps a query's attribute names to ids, term by term. A query
+// never writes the catalog: a name it does not know resolves to an id no
+// record can carry — counted down from the top of the id space, one per
+// distinct name — and the index treats an id outside its attribute list as
+// undefined in every tuple. Caller holds s.engineMu.
+func (s *Store) resolveQuery(q *Query) *model.Query {
+	mq := &model.Query{K: q.k, Terms: make([]model.QueryTerm, len(q.terms))}
+	for i, t := range q.terms {
+		id, ok := s.cat.Lookup(t.attr)
+		if !ok {
+			id = math.MaxUint32 - model.AttrID(i)
+			for j := range q.terms[:i] {
+				if q.terms[j].attr == t.attr {
+					id = mq.Terms[j].Attr
+				}
+			}
+		}
+		mq.Terms[i] = model.QueryTerm{
+			Attr: id, Kind: t.kind.internal(), Num: t.num, Str: t.str, Weight: t.weight,
+		}
+	}
+	return mq
+}
+
 // Search answers a top-k structured similarity query. Unknown attribute
 // names are treated as undefined everywhere (every tuple gets the ndf
 // penalty on them).
@@ -760,22 +883,7 @@ func (s *Store) SearchContext(ctx context.Context, q *Query) ([]Result, QuerySta
 	// be read outside it.
 	s.engineMu.RLock()
 	plan := sp.Child("plan")
-	mq := &model.Query{K: q.k}
-	for _, t := range q.terms {
-		id, ok := s.cat.Lookup(t.attr)
-		if !ok {
-			// Register lazily so the term participates (as all-ndf).
-			var err error
-			id, err = s.cat.AddAttr(t.attr, t.kind.internal())
-			if err != nil {
-				s.engineMu.RUnlock()
-				return nil, qs, err
-			}
-		}
-		mq.Terms = append(mq.Terms, model.QueryTerm{
-			Attr: id, Kind: t.kind.internal(), Num: t.num, Str: t.str, Weight: t.weight,
-		})
-	}
+	mq := s.resolveQuery(q)
 	plan.SetInt("terms", int64(len(mq.Terms)))
 	plan.End()
 
@@ -914,84 +1022,29 @@ const (
 
 var rebuildCauseNames = [numRebuildCauses]string{"clean", "growth", "needs_rebuild", "explicit"}
 
-// dropNewFile undoes the opening of a ".new" file a failed rebuild leaves
-// behind: out of the pool, device closed, tracker forgotten, file removed.
-func (s *Store) dropNewFile(name string, f *storage.File) {
-	if f != nil {
-		f.Close()
-	}
-	s.trkMu.Lock()
-	delete(s.trackers, name)
-	s.trkMu.Unlock()
-	if s.dir != "" {
-		os.Remove(filepath.Join(s.dir, name)) // absent when the open itself failed
-	}
-}
-
-// rebuildLocked rewrites both files; headroom is the id space the new index
-// leaves above the table's next tid (0: the index's default).
+// rebuildLocked rewrites both files beside the live ones and installs them;
+// headroom is the id space the new index leaves above the table's next tid (0:
+// the index's default).
 func (s *Store) rebuildLocked(cause rebuildCause, headroom int64) error {
-	var newTblFile, newIxFile *storage.File
-	swapped := false
-	defer func() {
-		if !swapped {
-			s.dropNewFile(tableFileName+".new", newTblFile)
-			s.dropNewFile(indexFileName+".new", newIxFile)
-		}
-	}()
-	newTblDev, err := s.device(tableFileName + ".new")
+	tblF, ixF, err := s.openPair(newSuffix)
 	if err != nil {
 		return err
 	}
-	newTblFile = storage.NewFile(s.pool, newTblDev)
-	newTbl, err := s.tbl.Rebuild(newTblFile, func(tid model.TID) bool { return s.ix.Live(tid) })
-	if err != nil {
-		return err
-	}
-	newIxDev, err := s.device(indexFileName + ".new")
-	if err != nil {
-		return err
-	}
-	newIxFile = storage.NewFile(s.pool, newIxDev)
-	opts := s.coreOptions()
-	opts.TIDHeadroom = headroom
-	newIx, err := core.Build(newTbl, newIxFile, opts)
-	if err != nil {
-		return err
-	}
-	// Swap in the new files; on disk, rename over the old names. The
-	// exclusive engine lock drains in-flight readers before the old files
-	// close under them.
-	s.engineMu.Lock()
-	swapped = true
-	newTbl.PublishStats()
-	oldTbl, oldIx := s.tblFile, s.ixFile
-	s.tbl, s.tblFile = newTbl, newTblFile
-	s.ix, s.ixFile = newIx, newIxFile
-	oldTbl.Close()
-	oldIx.Close()
-	merr := s.buildMetric()
-	s.engineMu.Unlock()
-	if merr != nil {
-		return merr
-	}
-	if s.dir != "" {
-		if err := os.Rename(filepath.Join(s.dir, tableFileName+".new"), filepath.Join(s.dir, tableFileName)); err != nil {
-			return err
-		}
-		if err := os.Rename(filepath.Join(s.dir, indexFileName+".new"), filepath.Join(s.dir, indexFileName)); err != nil {
-			return err
+	g := generation{cat: s.cat, tblFile: tblF, ixFile: ixF}
+	if g.tbl, err = s.tbl.Rebuild(tblF.File, s.ix.Live); err == nil {
+		opts := s.coreOptions(s.cat)
+		opts.TIDHeadroom = headroom
+		if g.ix, err = core.Build(g.tbl, ixF.File, opts); err == nil {
+			g.met, err = s.newMetric(g.cat, g.tbl)
 		}
 	}
-	// The renamed-in files carry the trackers opened under the ".new" names.
-	s.trkMu.Lock()
-	if s.trackers != nil {
-		s.trackers[tableFileName] = s.trackers[tableFileName+".new"]
-		s.trackers[indexFileName] = s.trackers[indexFileName+".new"]
-		delete(s.trackers, tableFileName+".new")
-		delete(s.trackers, indexFileName+".new")
+	if err != nil {
+		s.discard(tblF, ixF)
+		return err
 	}
-	s.trkMu.Unlock()
+	if err := s.install(g); err != nil {
+		return err
+	}
 	// A rebuild replaces the files wholesale: in-place deltas cannot continue
 	// across it, so the retained log is invalidated and followers fall back
 	// to a snapshot.
@@ -1000,41 +1053,12 @@ func (s *Store) rebuildLocked(cause rebuildCause, headroom int64) error {
 	}
 	s.rebuilds[cause]++
 	s.om.rebuilds[cause].Inc()
-	s.builtTuples = s.tbl.Live()
 	return nil
 }
 
 // IOStats are the buffer pool's cumulative physical-I/O counters, with
 // reads broken down by the paper's seq/near/rand access classes.
-type IOStats struct {
-	PhysReads  int64
-	PhysWrites int64
-	CacheHits  int64
-	SeqReads   int64
-	NearReads  int64
-	RandReads  int64
-}
-
-// HitRate returns the fraction of page requests served by the cache.
-func (a IOStats) HitRate() float64 {
-	total := a.CacheHits + a.PhysReads
-	if total == 0 {
-		return 0
-	}
-	return float64(a.CacheHits) / float64(total)
-}
-
-// Add returns the counter-wise sum a+b.
-func (a IOStats) Add(b IOStats) IOStats {
-	return IOStats{
-		PhysReads:  a.PhysReads + b.PhysReads,
-		PhysWrites: a.PhysWrites + b.PhysWrites,
-		CacheHits:  a.CacheHits + b.CacheHits,
-		SeqReads:   a.SeqReads + b.SeqReads,
-		NearReads:  a.NearReads + b.NearReads,
-		RandReads:  a.RandReads + b.RandReads,
-	}
-}
+type IOStats = storage.Snapshot
 
 // StoreStats summarize the store's current shape.
 type StoreStats struct {
@@ -1059,7 +1083,6 @@ type RebuildCounts struct {
 func (s *Store) Stats() StoreStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	snap := s.pool.Stats().Snapshot()
 	by := RebuildCounts{
 		Clean: s.rebuilds[rebuildClean], Growth: s.rebuilds[rebuildGrowth],
 		NeedsRebuild: s.rebuilds[rebuildNeeded], Explicit: s.rebuilds[rebuildExplicit],
@@ -1072,14 +1095,7 @@ func (s *Store) Stats() StoreStats {
 		IndexBytes: s.ix.SizeBytes(),
 		Rebuilds:   by.Clean + by.Growth + by.NeedsRebuild + by.Explicit,
 		RebuildsBy: by,
-		IO: IOStats{
-			PhysReads:  snap.PhysReads,
-			PhysWrites: snap.PhysWrites,
-			CacheHits:  snap.CacheHits,
-			SeqReads:   snap.SeqReads,
-			NearReads:  snap.NearReads,
-			RandReads:  snap.RandReads,
-		},
+		IO:         s.pool.Stats().Snapshot(),
 	}
 }
 
@@ -1119,20 +1135,10 @@ func (s *Store) Explain(q *Query) (*QueryExplain, error) {
 	}
 	s.engineMu.RLock()
 	defer s.engineMu.RUnlock()
-	mq := &model.Query{K: q.k}
-	names := make(map[model.AttrID]string)
-	for _, t := range q.terms {
-		id, ok := s.cat.Lookup(t.attr)
-		if !ok {
-			var err error
-			if id, err = s.cat.AddAttr(t.attr, t.kind.internal()); err != nil {
-				return nil, err
-			}
-		}
-		names[id] = t.attr
-		mq.Terms = append(mq.Terms, model.QueryTerm{
-			Attr: id, Kind: t.kind.internal(), Num: t.num, Str: t.str, Weight: t.weight,
-		})
+	mq := s.resolveQuery(q)
+	names := make(map[model.AttrID]string, len(q.terms))
+	for i, t := range q.terms {
+		names[mq.Terms[i].Attr] = t.attr
 	}
 	ex, err := s.ix.ExplainSearch(mq, s.met)
 	if err != nil {
@@ -1190,17 +1196,8 @@ func (s *Store) Scan(fn func(TID, Row) bool) error {
 	return err
 }
 
-// CheckReport summarizes a Check run.
-type CheckReport struct {
-	Entries     int64
-	Live        int64
-	Attributes  int
-	VectorElems int64
-	Problems    []string
-}
-
-// Ok reports whether the check found no problems.
-func (r CheckReport) Ok() bool { return len(r.Problems) == 0 }
+// CheckReport summarizes a Check run; Ok reports whether it found no problems.
+type CheckReport = core.CheckReport
 
 // Check cross-validates the whole index against the table file: tuple-list
 // order and pointers, every approximation vector against its stored value,
@@ -1208,17 +1205,7 @@ func (r CheckReport) Ok() bool { return len(r.Problems) == 0 }
 func (s *Store) Check() (CheckReport, error) {
 	s.engineMu.RLock()
 	defer s.engineMu.RUnlock()
-	rep, err := s.ix.Check()
-	if err != nil {
-		return CheckReport{}, err
-	}
-	return CheckReport{
-		Entries:     rep.Entries,
-		Live:        rep.Live,
-		Attributes:  rep.Attributes,
-		VectorElems: rep.VectorElems,
-		Problems:    rep.Problems,
-	}, nil
+	return s.ix.Check()
 }
 
 // AttrInfo describes one indexed attribute's layout.
@@ -1306,5 +1293,5 @@ func (s *Store) Close() error {
 		return err
 	}
 	s.closed = true
-	return s.closeFiles()
+	return s.discard(s.tblFile, s.ixFile)
 }

@@ -1,10 +1,14 @@
 package iva
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
+
+	"github.com/sparsewide/iva/internal/metric"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -223,6 +227,76 @@ func TestUnknownQueryAttribute(t *testing.T) {
 	}
 	if len(res) != 1 {
 		t.Fatalf("%d results", len(res))
+	}
+}
+
+// TestUnknownAttrQueriesWriteNothing: a query is a read. Searches and an
+// Explain naming attributes the store has never seen leave the attribute
+// count, the encoded catalog and the size of the next rebuild's index where
+// they were — each used to register its names, at one 4 KiB chain per catalog
+// entry in the next build — and answer as brute force does, the unknown term
+// charged the ndf penalty on every tuple.
+func TestUnknownAttrQueriesWriteNothing(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	st, err := Create(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	fillStore(t, st, 100)
+	if err := st.Rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	before, cat := st.Stats(), st.cat.Encode()
+
+	for i := 0; i < 500; i++ {
+		q := NewQuery(3).WhereNum("Price", float64(100+i%80)).WhereText(fmt.Sprintf("ghost-%d", i), "x")
+		if i%2 == 1 {
+			q = q.WhereNum(fmt.Sprintf("phantom-%d", i), 7)
+		}
+		if i%50 != 0 {
+			if _, _, err := st.Search(q); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		assertBruteForce(t, st, q, fmt.Sprintf("query %d", i))
+	}
+	res, _, err := st.Search(NewQuery(1).WhereNum("Price", 140).WhereText("never-seen", "y"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := metric.DefaultNDFPenalty; len(res) != 1 || res[0].Dist != want {
+		t.Fatalf("an exact match but for an unknown term: %v, want distance %v", res, want)
+	}
+	ex, err := st.Explain(NewQuery(3).WhereNum("Price", 140).WhereText("never-seen", "y"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if te := ex.Terms[1]; te.Attr != "never-seen" || te.Defined != 0 || te.NDF != before.Tuples {
+		t.Fatalf("explain of an unknown term: %+v, want it undefined in all %d tuples", te, before.Tuples)
+	}
+	// The same unknown name twice is still the same attribute twice.
+	if _, _, err := st.Search(NewQuery(1).WhereText("ghost", "a").WhereText("ghost", "b")); err == nil {
+		t.Fatal("duplicate term on an unknown attribute accepted")
+	}
+
+	if err := st.Rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	after := st.Stats()
+	if after.Attributes != before.Attributes || after.IndexBytes != before.IndexBytes || !bytes.Equal(st.cat.Encode(), cat) {
+		t.Fatalf("queries on unknown attributes changed the store: %d attributes, %d index bytes; were %d, %d",
+			after.Attributes, after.IndexBytes, before.Attributes, before.IndexBytes)
+	}
+	if blob, err := os.ReadFile(filepath.Join(dir, catalogFileName)); err != nil || !bytes.Equal(blob, cat) {
+		t.Fatalf("catalog file changed (%v)", err)
 	}
 }
 
