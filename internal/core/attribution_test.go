@@ -1,0 +1,183 @@
+package core
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"github.com/sparsewide/iva/internal/dataset"
+	"github.com/sparsewide/iva/internal/metric"
+	"github.com/sparsewide/iva/internal/model"
+	"github.com/sparsewide/iva/internal/storage"
+	"github.com/sparsewide/iva/internal/table"
+	"github.com/sparsewide/iva/internal/topk"
+)
+
+// datasetIndex builds the paper-statistics table of internal/dataset and its
+// index, with the query stream of §V-A over it.
+func datasetIndex(t testing.TB, tuples, queries int, opts Options) (*Index, []*model.Query) {
+	t.Helper()
+	gen := dataset.New(dataset.Config{Tuples: tuples, Seed: 42})
+	pool := storage.NewPool(0, 64<<20)
+	tbl, err := table.New(storage.NewFile(pool, storage.NewMemDevice()), table.NewCatalog())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids, err := gen.Populate(tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := Build(tbl, storage.NewFile(pool, storage.NewMemDevice()), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs, _ := gen.Queries(dataset.QueryConfig{Count: queries, Warm: -1, Seed: 42}, ids)
+	return ix, qs
+}
+
+// TestFetchAttribution is an instrument, and a test only of its own
+// bookkeeping: it replays Algorithm 1's one-worker admission sequence over
+// the dataset's query stream and, for every tuple that was fetched and then
+// rejected — a wasted table access — asks which term kind's slack caused it:
+// the fetch is owned by a kind when replacing the lower bounds of that kind's
+// terms alone by their exact differences would have kept the tuple out. The
+// table it logs (-v) is what EXPERIMENTS.md "A tuple costs what it must" and
+// ROADMAP item 1 quote. It fails only when its replay disagrees with the
+// search itself on the number of fetches or on the answer.
+func TestFetchAttribution(t *testing.T) {
+	tuples, queries := 10000, 100
+	if testing.Short() {
+		tuples, queries = 2000, 20
+	}
+	ix, qs := datasetIndex(t, tuples, queries, Options{SearchParallelism: 1})
+	m := metric.Default()
+
+	type kindStats struct {
+		terms               int64 // defined terms of wasted fetches
+		est, exact          float64
+		owned               int64 // wasted fetches this kind alone would have pruned
+		exactBound, boundLT int64
+	}
+	var (
+		byKind                              = map[model.Kind]*kindStats{model.KindText: {}, model.KindNumeric: {}}
+		fetched, useful, wasted, tie, joint int64
+		either                              int64 // either kind alone suffices
+	)
+	for qi, q := range qs {
+		want, stats, err := ix.Search(q, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix.mu.RLock()
+		terms, err := ix.prepareTerms(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		weights := m.Weights(q.Terms)
+		pool := topk.New(q.K)
+		bound := make([]float64, len(terms))
+		ndf := make([]bool, len(terms))
+		exact := make([]float64, len(terms))
+		mixed := make([]float64, len(terms))
+		dist := func(diffs []float64) float64 {
+			for i := range diffs {
+				mixed[i] = diffs[i] * weights[i]
+			}
+			return m.Combine(mixed)
+		}
+		var qFetched int64
+		err = ix.originScan(terms, func(tid model.TID, pos, ptr int64) error {
+			for i := range terms {
+				if bound[i], ndf[i], err = terms[i].estimateInfo(m, tid, pos); err != nil {
+					return err
+				}
+			}
+			est := dist(bound)
+			if !pool.AdmitsPair(tid, est) {
+				return nil
+			}
+			qFetched++
+			tp, err := ix.tbl.Fetch(ptr)
+			if err != nil {
+				return err
+			}
+			for i, term := range q.Terms {
+				exact[i] = m.TermDiff(term, tp)
+			}
+			d := dist(exact)
+			if pool.Full() && d == pool.MaxDist() && est == d {
+				tie++ // bound equal to the bar, lost (or won) on the tid
+			}
+			if pool.Insert(tid, d) {
+				useful++
+				return nil
+			}
+			wasted++
+			for i := range terms {
+				if ndf[i] {
+					continue // the ndf penalty is exact
+				}
+				ks := byKind[terms[i].term.Kind]
+				ks.terms++
+				ks.est += bound[i]
+				ks.exact += exact[i]
+				if bound[i] == exact[i] {
+					ks.exactBound++
+				} else {
+					ks.boundLT++
+				}
+			}
+			owners := map[model.Kind]bool{}
+			for kind := range byKind {
+				one := append([]float64(nil), bound...)
+				for i := range terms {
+					if terms[i].term.Kind == kind {
+						one[i] = exact[i]
+					}
+				}
+				if !pool.AdmitsPair(tid, dist(one)) {
+					owners[kind] = true
+				}
+			}
+			switch {
+			case len(owners) == 2:
+				either++
+			case len(owners) == 0:
+				joint++
+			default:
+				for k := range owners {
+					byKind[k].owned++
+				}
+			}
+			return nil
+		})
+		ix.mu.RUnlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if qFetched != stats.TableAccesses {
+			t.Fatalf("query %d: the replay fetched %d tuples, the search %d", qi, qFetched, stats.TableAccesses)
+		}
+		if got := pool.Results(); !sameResults(got, want) {
+			t.Fatalf("query %d: the replay's answer differs from the search's", qi)
+		}
+		fetched += qFetched
+	}
+
+	var b strings.Builder
+	fmt.Fprintf(&b, "%d tuples, %d queries: %d fetches (%.1f per query), %d kept, %d wasted (%.1f%%), bound-equals-bar ties %d\n",
+		tuples, len(qs), fetched, float64(fetched)/float64(len(qs)), useful, wasted, 100*float64(wasted)/float64(fetched), tie)
+	fmt.Fprintf(&b, "%-8s %12s %8s %10s %10s %12s %12s\n", "kind", "owns wasted", "share", "mean est", "mean exact", "est = exact", "est < exact")
+	for _, k := range []model.Kind{model.KindText, model.KindNumeric} {
+		ks := byKind[k]
+		n := float64(max(ks.terms, 1))
+		fmt.Fprintf(&b, "%-8s %12d %7.2f%% %10.4f %10.4f %12d %12d\n", k, ks.owned,
+			100*float64(ks.owned)/float64(max(wasted, 1)), ks.est/n, ks.exact/n, ks.exactBound, ks.boundLT)
+	}
+	fmt.Fprintf(&b, "%-8s %12d %7.2f%%   (either kind alone suffices)\n", "either", either, 100*float64(either)/float64(max(wasted, 1)))
+	fmt.Fprintf(&b, "%-8s %12d %7.2f%%   (only both kinds' exact differences prune it)\n", "joint", joint, 100*float64(joint)/float64(max(wasted, 1)))
+	t.Log("\n" + b.String())
+	if sum := byKind[model.KindText].owned + byKind[model.KindNumeric].owned + either + joint; sum != wasted {
+		t.Fatalf("attributed %d of %d wasted fetches", sum, wasted)
+	}
+}

@@ -1,0 +1,142 @@
+package core
+
+import (
+	"context"
+	"flag"
+	"fmt"
+	"os"
+	"strings"
+	"testing"
+
+	"github.com/sparsewide/iva/internal/metric"
+	"github.com/sparsewide/iva/internal/model"
+	"github.com/sparsewide/iva/internal/obs"
+	"github.com/sparsewide/iva/internal/storage"
+	"github.com/sparsewide/iva/internal/table"
+	"github.com/sparsewide/iva/internal/workload"
+)
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/scan_counters.golden from this build")
+
+const scanCountersGolden = "testdata/scan_counters.golden"
+
+// TestPlanScanCountersGolden pins the work a query does, not only its answer:
+// over a fixed table (the oracle generator's rows, a tenth of them deleted,
+// three stripes) and the oracle's query mix under four metrics, a one-worker
+// search must report the Scanned, TableAccesses, per-worker Fetched and
+// per-term defined/ndf/pruned counts recorded in the golden file. The file
+// was written by the tuple-at-a-time admission loop (the commit before the
+// column loops); a change to the filter-and-refine loop that claims "same
+// fetch sequence" keeps it byte for byte. Re-record with -update-golden only
+// when a change is meant to alter the admission sequence, and say so.
+func TestPlanScanCountersGolden(t *testing.T) {
+	const rows, queries = 5000, 48
+	gen := workload.New(24)
+	pool := storage.NewPool(0, 16<<20)
+	cat := table.NewCatalog()
+	tbl, err := table.New(storage.NewFile(pool, storage.NewMemDevice()), cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	attrID := func(name string, kind model.Kind) model.AttrID {
+		if id, ok := cat.Lookup(name); ok {
+			return id
+		}
+		id, err := cat.AddAttr(name, kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	for i := 0; i < rows; i++ {
+		vals := make(map[model.AttrID]model.Value)
+		for _, c := range gen.Row() {
+			vals[attrID(c.Name, c.Val.Kind)] = c.Val
+		}
+		if _, _, err := tbl.Append(vals); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ix, err := Build(tbl, storage.NewFile(pool, storage.NewMemDevice()), Options{SearchParallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for tid := model.TID(3); int(tid) < rows; tid += 10 { // tombstones in every batch
+		if err := ix.Delete(tid); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	df := func(a model.AttrID) int64 {
+		info, err := cat.Info(a)
+		if err != nil {
+			return 0
+		}
+		return info.DF
+	}
+	metrics := []*metric.Metric{
+		metric.New(metric.L2{}, metric.Equal{}),
+		metric.New(metric.L1{}, metric.Equal{}),
+		metric.New(metric.LInf{}, metric.Equal{}),
+		metric.New(metric.L2{}, metric.NewITF(tbl.Live, df)),
+	}
+
+	var got strings.Builder
+	for qi := 0; qi < queries; qi++ {
+		spec := gen.Query()
+		q := &model.Query{K: spec.K}
+		seen := map[string]bool{}
+		for _, ts := range spec.Terms {
+			if seen[ts.Name] {
+				continue
+			}
+			seen[ts.Name] = true
+			q.Terms = append(q.Terms, model.QueryTerm{
+				Attr: attrID(ts.Name, ts.Kind), Kind: ts.Kind, Num: ts.Num, Str: ts.Str, Weight: ts.Weight,
+			})
+		}
+		for _, m := range metrics {
+			root := obs.StartSpan("query")
+			_, st, err := ix.SearchContext(context.Background(), q, m, root)
+			if err != nil {
+				t.Fatalf("query %d under %s: %v", qi, m.Name(), err)
+			}
+			fmt.Fprintf(&got, "q%02d %-7s k=%-2d scanned=%d accesses=%d fetched=", qi, m.Name(), q.K, st.Scanned, st.TableAccesses)
+			for w, wp := range st.WorkerProfiles {
+				if w > 0 {
+					got.WriteByte(',')
+				}
+				fmt.Fprintf(&got, "%d", wp.Fetched)
+			}
+			for _, c := range root.Find("filter").Children() {
+				if !strings.HasPrefix(c.Name(), "term:") {
+					continue
+				}
+				fmt.Fprintf(&got, " %s=%d/%d/%d", strings.TrimPrefix(c.Name(), "term:"),
+					attrInt(t, c, "defined"), attrInt(t, c, "ndf"), attrInt(t, c, "pruned"))
+			}
+			got.WriteByte('\n')
+		}
+	}
+
+	if *updateGolden {
+		if err := os.WriteFile(scanCountersGolden, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(scanCountersGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() == string(want) {
+		return
+	}
+	gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if gl[i] != wl[i] {
+			t.Fatalf("line %d:\n got  %s\n want %s", i+1, gl[i], wl[i])
+		}
+	}
+	t.Fatalf("%d lines, golden has %d", len(gl), len(wl))
+}

@@ -57,18 +57,13 @@ func (b *distBar) lower(d float64) {
 	}
 }
 
-// barExceeded is the strict admission-bar prune rule, shared by the
-// per-tuple check and the whole-batch skip so the two call sites cannot
-// drift: an estimate strictly above the bar belongs to a tuple
-// whose exact distance exceeds the max of some full pool — k strictly
-// smaller pairs exist, so it can never reach the answer, tid ties included.
-func barExceeded(bar *distBar, est float64) bool { return est > bar.load() }
-
 // admitsEst is the full per-tuple admission rule of Algorithm 1: the
 // candidate must beat the worker's local pool (lexicographically, via
-// AdmitsPair) and must not be strictly above the shared bar.
+// AdmitsPair) and must not be strictly above the shared bar: such a tuple's
+// exact distance exceeds the max of some full pool — k strictly smaller pairs
+// exist, so it can never reach the answer, tid ties included.
 func admitsEst(pool *topk.Pool, bar *distBar, tid model.TID, est float64) bool {
-	return pool.AdmitsPair(tid, est) && !barExceeded(bar, est)
+	return pool.AdmitsPair(tid, est) && !(est > bar.load())
 }
 
 // scanPlan is the shape of one search's filter scan. It is derived from what
@@ -131,7 +126,7 @@ type workerScratch struct {
 	cols [][]float64 // cols[i][j]: term i's lower bound for entry j
 	est  []float64   // combined lower bounds
 
-	diffs []float64 // one tuple's (or stripe's) per-term differences
+	diffs []float64 // the fetched tuple's exact per-term differences
 	rec   table.Record
 }
 
@@ -169,7 +164,7 @@ func (ix *Index) reopen(r *storage.ChainBitReader, c storage.ChainID, bits int64
 // decodeBatch reads tuple-list positions [pos, end) — at most batchSize of
 // them — into the tid/pos/ptr columns, dropping deleted entries, and returns
 // the number of live ones. It is the only decoder of tuple-list entries a
-// search or an instrumented pass has.
+// search or an instrumented pass has. An entry of at most 64 bits is one read.
 func (sc *workerScratch) decodeBatch(ix *Index, pos, end int64) (int, error) {
 	tr := sc.tupleRd
 	if err := tr.SeekBit(pos * int64(ix.elemBits())); err != nil {
@@ -177,11 +172,16 @@ func (sc *workerScratch) decodeBatch(ix *Index, pos, end int64) (int, error) {
 	}
 	n := 0
 	for ; pos < end; pos++ {
-		tid, err := tr.ReadBits(ix.ltid)
-		if err != nil {
-			return 0, err
+		var tid, ptr uint64
+		var err error
+		if ix.elemBits() > 64 {
+			if tid, err = tr.ReadBits(ix.ltid); err == nil {
+				ptr, err = tr.ReadBits(ptrBits)
+			}
+		} else {
+			tid, err = tr.ReadBits(ix.elemBits())
+			tid, ptr = tid>>ptrBits, tid&(1<<ptrBits-1)
 		}
-		ptr, err := tr.ReadBits(ptrBits)
 		if err != nil {
 			return 0, err
 		}
@@ -274,6 +274,7 @@ func (sc *workerScratch) release() {
 type stripeWorker struct {
 	ix      *Index
 	ctx     context.Context
+	done    <-chan struct{} // ctx.Done(), loaded once per worker; see cancelled
 	m       *metric.Metric
 	weights []float64 // the terms' resolved λ, shared read-only
 	plan    *scanPlan
@@ -289,9 +290,9 @@ type stripeWorker struct {
 
 	scratch *workerScratch
 
-	prof       WorkerStats // this worker's share, reported as is
-	refineWall time.Duration
-	fetchWall  time.Duration
+	prof       WorkerStats   // this worker's share, reported as is
+	refineWall time.Duration // per batch: the admission walk from its first admitted entry on
+	fetchWall  time.Duration // FetchRecord time: one call in fetchSample is timed and scaled
 	err        error
 }
 
@@ -323,7 +324,7 @@ func (ix *Index) search(ctx context.Context, q *model.Query, m *metric.Metric, p
 		terms := make([]termState, len(shared))
 		copy(terms, shared) // st and qs shared, counters/cursor per worker
 		workers[w] = &stripeWorker{
-			ix: ix, ctx: ctx, m: m, weights: weights, plan: &plan,
+			ix: ix, ctx: ctx, done: ctx.Done(), m: m, weights: weights, plan: &plan,
 			terms: terms,
 			pool:  topk.New(q.K), bar: &bar, next: &next, abort: &abort,
 			degSegs: make(map[uint32]struct{}),
@@ -394,7 +395,7 @@ func (ix *Index) search(ctx context.Context, q *model.Query, m *metric.Metric, p
 	stats.RefineIO = tblIO.Snapshot().Sub(startTbl)
 	if parent != nil {
 		fetchWall := stats.RefineWall
-		if sumRefine > 0 {
+		if sumFetch < sumRefine { // a scaled sample may overshoot; the span stays inside its parent
 			fetchWall = time.Duration(float64(stats.RefineWall) * float64(sumFetch) / float64(sumRefine))
 		}
 		ix.traceSearch(parent, shared, stats, fetchWall)
@@ -430,7 +431,7 @@ func (sw *stripeWorker) run() {
 			return
 		}
 		// Every stripe claim is a cancellation point.
-		if sw.err = sw.ctx.Err(); sw.err != nil {
+		if sw.err = sw.cancelled(); sw.err != nil {
 			return
 		}
 		sw.prof.Stripes++
@@ -440,13 +441,28 @@ func (sw *stripeWorker) run() {
 	}
 }
 
+// cancelled polls the query's context. Err() of a cancellable context takes
+// its mutex and turns non-nil only by closing Done, so the channel is polled;
+// a context without one (context.Background) has only Err, and it is free.
+func (sw *stripeWorker) cancelled() error {
+	if sw.done == nil {
+		return sw.ctx.Err()
+	}
+	select {
+	case <-sw.done:
+		return sw.ctx.Err()
+	default:
+		return nil
+	}
+}
+
 // scanStripe runs the Algorithm 1 loop over stripe s, resuming every cursor
-// from the stripe's checkpoint. The loop is batch-at-a-time: decode a batch of
-// tuple-list entries into columns, let every term fill its lower-bound column,
-// combine them, then walk the batch in tuple-list order admitting and
-// refining exactly as a tuple-at-a-time loop would — bounds do not depend on
-// the pool, so the admission sequence, and with one worker every counter, is
-// the same.
+// from the stripe's checkpoint. The loop is batch-at-a-time, every stage a
+// loop over a column: decode a batch of tuple-list entries, let every term
+// fill its lower-bound column, combine the columns into the estimates, then
+// walk those in tuple-list order admitting and refining exactly as a
+// tuple-at-a-time loop would — bounds do not depend on the pool, so the
+// admission sequence, and with one worker every counter, is the same.
 func (sw *stripeWorker) scanStripe(s int64) error {
 	ix, sc := sw.ix, sw.scratch
 	startPos := s * sw.plan.width
@@ -467,7 +483,7 @@ func (sw *stripeWorker) scanStripe(s int64) error {
 	for pos := startPos; pos < endPos; pos += batchSize {
 		// A stripe may be the whole tuple list, so deadlines are also polled
 		// inside it.
-		if err := sw.ctx.Err(); err != nil {
+		if err := sw.cancelled(); err != nil {
 			return err
 		}
 		n, err := sc.decodeBatch(ix, pos, min(pos+batchSize, endPos))
@@ -480,40 +496,35 @@ func (sw *stripeWorker) scanStripe(s int64) error {
 				return err
 			}
 		}
-		// Combine the columns; a batch whose best estimate is already above the
-		// shared bar (which only tightens) needs no admission walk.
-		best := math.Inf(1)
-		for j := 0; j < n; j++ {
-			for i := range sc.diffs {
-				sc.diffs[i] = sc.cols[i][j]
-			}
-			sc.est[j] = sw.distance(sc.diffs)
-			best = min(best, sc.est[j])
-		}
-		skip := barExceeded(sw.bar, best)
-		for j := 0; j < n; j++ {
-			// Local pool first (Algorithm 1's admission rule on this worker's
-			// subset), then the shared bar — strictly, so a distance tie can
-			// still be resolved by tid at the merge.
-			if skip || !admitsEst(sw.pool, sw.bar, sc.tids[j], sc.est[j]) {
-				sw.creditPrune(j)
+		sw.m.CombineColumns(sc.cols[:len(sw.terms)], sw.weights, sc.est[:n])
+
+		// The admission walk. Most entries lose to a plain comparison: thr is
+		// the looser of admitsEst's two limits (local pool max, shared bar) as
+		// of the last refine, and both only fall, so an estimate above a stale
+		// thr is one admitsEst would refuse now. Prunes are credited by runs.
+		thr := min(sw.pool.MaxDist(), sw.bar.load())
+		var walkStart time.Time
+		run := 0 // the entries [run, j) were pruned and are not yet credited
+		for j, est := range sc.est[:n] {
+			if est > thr || !admitsEst(sw.pool, sw.bar, sc.tids[j], est) {
 				continue
 			}
+			if walkStart.IsZero() {
+				walkStart = time.Now()
+			}
+			sw.creditPrunes(run, j)
+			run = j + 1
 			if err := sw.refine(j); err != nil {
 				return err
 			}
+			thr = min(sw.pool.MaxDist(), sw.bar.load())
+		}
+		sw.creditPrunes(run, n)
+		if !walkStart.IsZero() {
+			sw.refineWall += time.Since(walkStart)
 		}
 	}
 	return nil
-}
-
-// distance weighs per-term differences in place by the query's resolved λ and
-// combines them: metric.Distance without the per-call weight lookups.
-func (sw *stripeWorker) distance(diffs []float64) float64 {
-	for i := range diffs {
-		diffs[i] *= sw.weights[i]
-	}
-	return sw.m.Combine(diffs)
 }
 
 // fillColumn computes term i's lower bounds for the n entries of the batch:
@@ -549,18 +560,20 @@ func fill(col []float64, v float64) {
 	}
 }
 
-// creditPrune credits the prune of batch entry j to the term with the largest
-// lower bound: the combiners are monotone, so that term alone pushed the
-// estimate hardest toward the pool bar.
-func (sw *stripeWorker) creditPrune(j int) {
+// creditPrunes credits the prune of each batch entry in [from, to) to the
+// first term with the largest lower bound: the combiners are monotone, so
+// that term alone pushed the estimate hardest toward the pool bar.
+func (sw *stripeWorker) creditPrunes(from, to int) {
 	cols := sw.scratch.cols[:len(sw.terms)]
-	argmax := 0
-	for i := 1; i < len(cols); i++ {
-		if cols[i][j] > cols[argmax][j] {
-			argmax = i
+	for j := from; j < to; j++ {
+		argmax := 0
+		for i := 1; i < len(cols); i++ {
+			if cols[i][j] > cols[argmax][j] {
+				argmax = i
+			}
 		}
+		sw.terms[argmax].pruned++
 	}
-	sw.terms[argmax].pruned++
 }
 
 // refine is Algorithm 1's random access to the table file for batch entry j.
@@ -569,24 +582,33 @@ func (sw *stripeWorker) creditPrune(j int) {
 // the query's attributes only: the exact differences come from the payload
 // bytes, and no tuple is materialised.
 func (sw *stripeWorker) refine(j int) error {
-	if err := sw.ctx.Err(); err != nil {
+	if err := sw.cancelled(); err != nil {
 		return err
 	}
 	sc := sw.scratch
-	rStart := time.Now()
-	if err := sw.ix.tbl.FetchRecord(sc.ptrs[j], &sc.rec); err != nil {
+	const fetchSample = 8 // a clock read is a visible share of a fetch from a resident page
+	var start time.Time
+	if sw.prof.Fetched%fetchSample == 0 {
+		start = time.Now()
+	}
+	err := sw.ix.tbl.FetchRecord(sc.ptrs[j], &sc.rec)
+	if !start.IsZero() {
+		sw.fetchWall += fetchSample * time.Since(start)
+	}
+	if err != nil {
 		return err
 	}
-	sw.fetchWall += time.Since(rStart)
-	sw.prof.Fetched++
+	sw.prof.Fetched++ // successful fetches only
 	if err := projectDiffs(table.Walk(sc.rec.Body), sw.terms, sw.m.NDFPenalty, sc.diffs); err != nil {
 		return err
 	}
-	sw.pool.Insert(sc.tids[j], sw.distance(sc.diffs))
+	for i := range sc.diffs { // metric.Distance without the per-call weight lookups
+		sc.diffs[i] *= sw.weights[i]
+	}
+	sw.pool.Insert(sc.tids[j], sw.m.Combine(sc.diffs))
 	if sw.pool.Full() {
 		sw.bar.lower(sw.pool.MaxDist())
 	}
-	sw.refineWall += time.Since(rStart)
 	return nil
 }
 

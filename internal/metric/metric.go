@@ -51,7 +51,7 @@ type L2 struct{}
 func (L2) Combine(w []float64) float64 {
 	sum := 0.0
 	for _, d := range w {
-		sum += d * d
+		sum += float64(d * d) // the conversion forbids fusing into an FMA: one rounding everywhere
 	}
 	return math.Sqrt(sum)
 }
@@ -161,6 +161,52 @@ func (m *Metric) Combine(weighted []float64) float64 {
 		return c.Combine(weighted)
 	}
 	return m.Combiner.Combine(append([]float64(nil), weighted...))
+}
+
+// CombineColumns is Combine over a batch held column-wise: cols[i][j] is term
+// i's raw difference for entry j, weights[i] its λ, est[j] receives entry j's
+// distance. A built-in combiner runs one loop per column applying to est[j]
+// the operations Combine applies to its accumulator, in term order, so est[j]
+// has the bits of Combine({weights[i]·cols[i][j]}); others go row by row.
+func (m *Metric) CombineColumns(cols [][]float64, weights, est []float64) {
+	clear(est)
+	switch m.Combiner.(type) {
+	case L1:
+		for i, col := range cols {
+			w := weights[i]
+			for j := range est {
+				est[j] += float64(w * col[j])
+			}
+		}
+	case L2:
+		for i, col := range cols {
+			w := weights[i]
+			for j := range est {
+				d := w * col[j]
+				est[j] += float64(d * d)
+			}
+		}
+		for j, sum := range est {
+			est[j] = math.Sqrt(sum)
+		}
+	case LInf:
+		for i, col := range cols {
+			w := weights[i]
+			for j := range est {
+				if d := w * col[j]; d > est[j] {
+					est[j] = d
+				}
+			}
+		}
+	default:
+		row := make([]float64, len(cols))
+		for j := range est {
+			for i, col := range cols {
+				row[i] = weights[i] * col[j]
+			}
+			est[j] = m.Combine(row)
+		}
+	}
 }
 
 // stackTerms is the query width up to which Distance and its callers need no

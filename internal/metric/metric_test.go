@@ -122,3 +122,76 @@ func TestLowerBoundPreservation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// sumSquares is a combiner CombineColumns does not know: it must be called
+// row by row.
+type sumSquares struct{}
+
+func (sumSquares) Combine(w []float64) float64 {
+	sum := 0.0
+	for _, d := range w {
+		sum += d * d
+	}
+	return sum
+}
+func (sumSquares) Name() string { return "sumsq" }
+
+// TestCombineColumnsBitIdentical holds CombineColumns to the bits of Combine
+// on each row — the code the filter called per tuple before it combined per
+// column — for the three built-in combiners and a custom one, under equal,
+// ITF and explicit weights, over columns that mix zeros, the ndf penalty,
+// values of very different magnitudes and +Inf, at every query width the
+// batch loop sees and past the stack buffer of Distance.
+func TestCombineColumnsBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	// Attributes from 17 up are defined everywhere: λ = 0, and 0·Inf is NaN.
+	itf := NewITF(func() int64 { return 10000 }, func(a model.AttrID) int64 { return min(10000, 1+37*int64(a)*int64(a)) })
+	values := []func() float64{
+		func() float64 { return 0 },
+		func() float64 { return DefaultNDFPenalty },
+		func() float64 { return math.Inf(1) },
+		func() float64 { return float64(rng.Intn(30)) },
+		func() float64 { return rng.ExpFloat64() * 1e-7 },
+		func() float64 { return rng.Float64() * 1e9 },
+		func() float64 { return math.Abs(rng.NormFloat64()) * 3.3 },
+	}
+	for _, comb := range []Combiner{L1{}, L2{}, LInf{}, sumSquares{}} {
+		for _, weighter := range []Weighter{Equal{}, itf} {
+			m := New(comb, weighter)
+			for nterms := 1; nterms <= stackTerms+3; nterms++ {
+				terms := make([]model.QueryTerm, nterms)
+				for i := range terms {
+					terms[i].Attr = model.AttrID(rng.Intn(40))
+					if rng.Intn(4) == 0 {
+						terms[i].Weight = 0.5 + 2*rng.Float64()
+					}
+				}
+				weights := m.Weights(terms)
+				for _, n := range []int{0, 1, 7, 512} {
+					cols := make([][]float64, nterms)
+					for i := range cols {
+						cols[i] = make([]float64, n)
+						for j := range cols[i] {
+							cols[i][j] = values[rng.Intn(len(values))]()
+						}
+					}
+					est := make([]float64, n)
+					for j := range est {
+						est[j] = rng.Float64() // stale content must not leak in
+					}
+					m.CombineColumns(cols, weights, est)
+					row := make([]float64, nterms)
+					for j := range est {
+						for i := range row {
+							row[i] = cols[i][j] * weights[i]
+						}
+						if want := m.Combine(row); math.Float64bits(est[j]) != math.Float64bits(want) {
+							t.Fatalf("%s, %d terms, entry %d of %d: CombineColumns %v (%#x), Combine %v (%#x)",
+								m.Name(), nterms, j, n, est[j], math.Float64bits(est[j]), want, math.Float64bits(want))
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sync/atomic"
 
 	"github.com/sparsewide/iva/internal/gram"
@@ -246,7 +247,12 @@ type QueryString struct {
 // lenPlan holds the query's gram masks under one data length's (l, t).
 type lenPlan struct {
 	nw    int      // words per mask, ⌈l/64⌉
-	masks []uint64 // gram i's mask is masks[i·nw : (i+1)·nw]
+	masks []uint64 // gram i's mask is masks[i·nw : (i+1)·nw]; nil when classes is set
+
+	// classes replaces masks when every mask is one bit of one word (t = 1):
+	// classes[c] holds the bits more than c query grams, with multiplicity,
+	// hash to, so the hit count is one popcount per class.
+	classes []uint64
 }
 
 // NewQueryString prepares sq for estimation under the codec.
@@ -273,9 +279,13 @@ func (q *QueryString) plan(strLen int) *lenPlan {
 	}
 	l, t := q.codec.params(strLen)
 	p := &lenPlan{nw: (l + 63) / 64}
-	p.masks = make([]uint64, len(q.grams)*p.nw)
-	for i, g := range q.grams {
-		orMask(p.masks[i*p.nw:(i+1)*p.nw], fnv64(g), l, t)
+	if p.nw == 1 && t == 1 {
+		p.classes = q.weightClasses(l)
+	} else {
+		p.masks = make([]uint64, len(q.grams)*p.nw)
+		for i, g := range q.grams {
+			orMask(p.masks[i*p.nw:(i+1)*p.nw], fnv64(g), l, t)
+		}
 	}
 	if cached {
 		q.plans[strLen].Store(p)
@@ -283,17 +293,38 @@ func (q *QueryString) plan(strLen int) *lenPlan {
 	return p
 }
 
+// weightClasses builds lenPlan.classes for an l ≤ 64 bit signature hashed
+// with t = 1: each gram's mask is one bit, and its count is that bit's weight.
+func (q *QueryString) weightClasses(l int) []uint64 {
+	var weight [64]int // by bit number of the word
+	for i, g := range q.grams {
+		var m [1]uint64
+		orMask(m[:], fnv64(g), l, 1)
+		weight[bits.TrailingZeros64(m[0])] += q.counts[i]
+	}
+	classes := make([]uint64, slices.Max(weight[:]))
+	for b, w := range weight {
+		for c := 0; c < w; c++ {
+			classes[c] |= 1 << uint(b)
+		}
+	}
+	return classes
+}
+
 // Hits returns |hg(sq, c(sd))|: the total count of query grams that hit the
 // signature (Def. 3.3).
 func (q *QueryString) Hits(sig Sig) int {
-	p := q.plan(sig.Len)
-	hits := 0
-	if p.nw == 1 { // strings up to ~40 bytes at the default α: one word, one AND
-		h := sig.H[0]
+	p, hits, h := q.plan(sig.Len), 0, sig.H[0]
+	if p.classes != nil {
+		for _, c := range p.classes {
+			hits += bits.OnesCount64(h & c)
+		}
+		return hits
+	}
+	if p.nw == 1 { // one word, one AND per gram, no branch: a hit is x == 0
 		for i, m := range p.masks {
-			if h&m == m {
-				hits += q.counts[i]
-			}
+			x := h&m ^ m
+			hits += q.counts[i] & (int((x|-x)>>63) - 1)
 		}
 		return hits
 	}

@@ -255,19 +255,6 @@ func TestHitsMatchesPerGramMasks(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	c := mustCodec(t, 2, 0.2)
 	q := c.NewQueryString("digital camera shop")
-	want := func(sig Sig) int {
-		l := c.SigBits(sig.Len)
-		tt := c.OptimalT(sig.Len+c.N()-1, l)
-		hits := 0
-		for g, a := range gram.NewSet(q.Str(), c.N()) {
-			m := make([]uint64, (l+63)/64)
-			orMask(m, fnv64(g), l, tt)
-			if maskSubset(m, sig.H) {
-				hits += a
-			}
-		}
-		return hits
-	}
 	var sigs []Sig
 	for _, n := range []int{1, 2, 15, 38, 39, 40, 41, 100, 255, 256, 300} {
 		b := make([]byte, n)
@@ -281,7 +268,7 @@ func TestHitsMatchesPerGramMasks(t *testing.T) {
 		go func() {
 			defer func() { done <- struct{}{} }()
 			for _, sig := range sigs {
-				if got, w := q.Hits(sig), want(sig); got != w {
+				if got, w := q.Hits(sig), hitsReference(q, sig); got != w {
 					t.Errorf("Hits(len %d) = %d, per-gram evaluation says %d", sig.Len, got, w)
 				}
 			}
@@ -292,15 +279,116 @@ func TestHitsMatchesPerGramMasks(t *testing.T) {
 	}
 }
 
+// hitsReference is Hits as it was before the popcount and branch-free forms:
+// Def. 3.3 gram by gram over freshly hashed masks, one maskSubset each, with
+// (l, t) computed afresh instead of read from the codec's table.
+func hitsReference(q *QueryString, sig Sig) int {
+	c := q.codec
+	l := c.SigBits(sig.Len)
+	t := c.OptimalT(sig.Len+c.N()-1, l)
+	hits := 0
+	for g, a := range gram.NewSet(q.Str(), c.N()) {
+		m := make([]uint64, (l+63)/64)
+		orMask(m, fnv64(g), l, t)
+		if maskSubset(m, sig.H) {
+			hits += a
+		}
+	}
+	return hits
+}
+
+// TestHitsMatchesReference holds the three forms of Hits — weight-class
+// popcounts (one word, t = 1), the branch-free one-word loop (t > 1) and the
+// multi-word loop — equal to hitsReference over random data and query strings
+// on a small alphabet (repeated grams, so counts above 1, and colliding grams,
+// so two query grams on one signature bit), at lengths on both sides of the
+// 64-bit seam of every α.
+func TestHitsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	word := func(n int) string {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = "abcab "[rng.Intn(6)]
+		}
+		return string(b)
+	}
+	forms := map[string]int{}
+	for _, alpha := range []float64{0.1, 0.2, 0.4, 0.6, 1.0} {
+		for n := 1; n <= 3; n++ {
+			c := mustCodec(t, n, alpha)
+			// The data lengths whose signatures are 56, 64 and 72 bits wide,
+			// plus short, long and beyond-the-table ones.
+			lens := []int{0, 1, 2, 5, 13, 21, 100, 255, 300}
+			for strLen := 0; strLen < 700; strLen++ {
+				if l := c.SigBits(strLen); l >= 56 && l <= 72 {
+					lens = append(lens, strLen)
+				}
+			}
+			for trial := 0; trial < 6; trial++ {
+				q := c.NewQueryString(word(rng.Intn(24)))
+				shared := 0
+				for _, a := range q.counts {
+					shared = max(shared, a)
+				}
+				for _, strLen := range lens {
+					for _, sig := range []Sig{c.Encode(word(strLen)), c.Encode((q.Str() + word(strLen))[:strLen])} {
+						if got, want := q.Hits(sig), hitsReference(q, sig); got != want {
+							t.Fatalf("α=%v n=%d query %q, data length %d: Hits = %d, reference %d",
+								alpha, n, q.Str(), strLen, got, want)
+						}
+					}
+					switch p := q.plan(strLen); {
+					case p.classes != nil && len(p.classes) > 1:
+						forms["classes, a bit of weight > 1"]++
+					case p.classes != nil:
+						forms["classes"]++
+					case p.nw == 1:
+						forms["one word, t > 1"]++
+					default:
+						forms["multi-word"]++
+					}
+				}
+				if shared > 1 {
+					forms["repeated gram"]++
+				}
+			}
+		}
+	}
+	for _, form := range []string{"classes", "classes, a bit of weight > 1", "one word, t > 1", "multi-word", "repeated gram"} {
+		if forms[form] == 0 {
+			t.Errorf("no case ran %q: %v", form, forms)
+		}
+	}
+}
+
+// BenchmarkHits prices one hit count under each form of the per-length plan:
+// weight classes (the benchmark's strings at α = 0.2), the branch-free
+// one-word loop, and the multi-word reference loop.
 func BenchmarkHits(b *testing.B) {
-	c := mustCodec(b, 2, 0.2)
-	sig := c.Encode("digital camera")
-	q := c.NewQueryString("digtal camrea")
-	q.Hits(sig) // fill the length's plan
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchSink += q.Hits(sig)
+	for _, bc := range []struct {
+		name  string
+		alpha float64
+		data  string
+	}{
+		{"t=1", 0.2, "digital camera"},
+		{"t>1", 0.5, "digital camera"},
+		{"multiword", 0.2, "a digital camera with a wide-angle telephoto lens"},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			c := mustCodec(b, 2, bc.alpha)
+			sig := c.Encode(bc.data)
+			q := c.NewQueryString("digtal camrea")
+			q.Hits(sig) // fill the length's plan
+			switch p := q.plan(sig.Len); {
+			case bc.name == "t=1" && p.classes == nil, bc.name == "t>1" && (p.classes != nil || p.nw != 1), bc.name == "multiword" && p.nw < 2:
+				b.Fatalf("plan is not the %s form: %+v", bc.name, p)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchSink += q.Hits(sig)
+			}
+		})
 	}
 }
 
