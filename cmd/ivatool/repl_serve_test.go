@@ -8,17 +8,20 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"github.com/sparsewide/iva"
+	"github.com/sparsewide/iva/internal/repl"
 	"github.com/sparsewide/iva/internal/server"
 )
 
 // TestReplOverHTTP is the end-to-end follower path over the real wire: a
 // primary served by the HTTP mux, a follower attached with OpenFollower
-// against its URL, catch-up across multiple delta cuts, byte-identical
-// answers, and the replication verdict on both /healthz bodies.
+// against its URL, bootstrap, catch-up across multiple delta cuts and across a
+// rebuild through the one /v1/repl/deltas route — every answer a 200 batch —
+// byte-identical answers, and the replication verdict on both /healthz bodies.
 func TestReplOverHTTP(t *testing.T) {
 	base := t.TempDir()
 	pdir, fdir := filepath.Join(base, "primary"), filepath.Join(base, "follower")
@@ -42,7 +45,19 @@ func TestReplOverHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	api := server.New(primary, nil, server.Config{})
-	srv := httptest.NewServer(serveMux(primary, nil, api, false))
+	// Every status the replication plane answers with is recorded.
+	var replMu sync.Mutex
+	replCodes := map[int]int{}
+	mux := serveMux(primary, nil, api, false)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
+		mux.ServeHTTP(rec, r)
+		if strings.HasPrefix(r.URL.Path, "/v1/repl/") {
+			replMu.Lock()
+			replCodes[rec.code]++
+			replMu.Unlock()
+		}
+	}))
 	defer srv.Close()
 
 	follower, err := iva.OpenFollower(fdir, srv.URL, iva.FollowerOptions{Poll: 5 * time.Millisecond}, iva.Options{})
@@ -98,6 +113,20 @@ func TestReplOverHTTP(t *testing.T) {
 		}
 		waitGen(primary.ReplStatus().Gen)
 		compare(fmt.Sprintf("round %d", round))
+	}
+
+	// A rebuild replaces the primary's files; the follower's next poll is
+	// answered with them whole, on the same route.
+	if err := primary.Rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	if err := primary.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	waitGen(primary.ReplStatus().Gen)
+	compare("after a primary rebuild")
+	if rs := follower.ReplStatus(); rs.LastError != "" {
+		t.Fatalf("crossing a rebuild recorded an error: %q", rs.LastError)
 	}
 
 	// A query is a read on both sides of the wire: searches over HTTP naming
@@ -156,14 +185,28 @@ func TestReplOverHTTP(t *testing.T) {
 		t.Fatalf("follower healthz missing replication line:\n%s", body)
 	}
 
-	// Wire error mapping: a stale epoch asks for a resync with 410.
+	// A cursor the primary cannot continue is answered like any other: 200,
+	// with one Full delta in the batch. There is no second route to ask on.
 	resp, err := http.Get(srv.URL + "/v1/repl/deltas?epoch=9999&from=0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	blob, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusGone {
-		t.Fatalf("stale epoch returned %d, want 410", resp.StatusCode)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("stale epoch returned %d (%v), want 200", resp.StatusCode, err)
+	}
+	if b, err := repl.DecodeBatch(blob); err != nil || len(b.Deltas) != 1 || !b.Deltas[0].Full {
+		t.Fatalf("stale epoch answered with %+v (%v), want a batch of one Full delta", b, err)
+	}
+	gone := "/v1/repl/" + "snapshot" // the route a Full delta used to have to itself
+	resp, err = http.Get(srv.URL + gone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("%s returned %d, want 404", gone, resp.StatusCode)
 	}
 	// Bad requests are rejected, not served as empty payloads.
 	resp, err = http.Get(srv.URL + "/v1/repl/segment?file=iva.idx&off=-1&len=16")
@@ -174,6 +217,22 @@ func TestReplOverHTTP(t *testing.T) {
 	if resp.StatusCode == http.StatusOK {
 		t.Fatal("negative segment offset was served")
 	}
+	replMu.Lock()
+	defer replMu.Unlock()
+	if replCodes[http.StatusOK] == 0 || replCodes[410] != 0 {
+		t.Fatalf("replication plane statuses %v: want 200s and no 410", replCodes)
+	}
+}
+
+// statusRecorder notes the status a handler answers with.
+type statusRecorder struct {
+	http.ResponseWriter
+	code int
+}
+
+func (r *statusRecorder) WriteHeader(code int) {
+	r.code = code
+	r.ResponseWriter.WriteHeader(code)
 }
 
 func httpGet(t *testing.T, url string) string {

@@ -34,9 +34,8 @@ func serveMux(st *iva.Store, sc *iva.Scrubber, api *server.Server, enablePprof b
 	mux := http.NewServeMux()
 	if api != nil {
 		api.Register(mux)
-		// Replication plane: snapshot/delta serving (primaries) and the raw
-		// file-range fetch any on-disk store can answer for a peer's
-		// read-repair.
+		// Replication plane: delta serving (primaries) and the raw file-range
+		// fetch any on-disk store can answer for a peer's read-repair.
 		api.RegisterRepl(mux, st)
 	}
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
@@ -218,7 +217,7 @@ func serve(st *iva.Store, sv serveOpts) error {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGTERM, os.Interrupt)
 	defer signal.Stop(sig)
-	endpoints := "/v1/search, /v1/get, /v1/stats, /v1/repl/{snapshot,deltas,segment}, /metrics, /healthz, /debug/querylog, /debug/trace"
+	endpoints := "/v1/search, /v1/get, /v1/stats, /v1/repl/{deltas,segment}, /metrics, /healthz, /debug/querylog, /debug/trace"
 	if sv.pprof {
 		endpoints += ", /debug/pprof"
 	}

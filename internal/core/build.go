@@ -57,7 +57,6 @@ func Build(tbl *table.Table, f *storage.File, opts Options) (*Index, error) {
 		ltid:     ltid,
 		entries:  make([]tupleEntry, 0, tbl.Total()),
 		posByTID: make(map[model.TID]int64, tbl.Total()),
-		imode:    opts.Integrity,
 	}
 	// Arm checksum tracking before any chain is written; the full-map flag
 	// makes Build's final Sync compute every covered segment's word.

@@ -63,7 +63,6 @@ func referenceBuild(tbl *table.Table, f *storage.File, opts Options) (*Index, er
 		tbl:      tbl,
 		ltid:     ltid,
 		posByTID: make(map[model.TID]int64),
-		imode:    opts.Integrity,
 	}
 	// Arm checksum tracking before any chain is written; the full-map flag
 	// makes Build's final Sync compute every covered segment's word.

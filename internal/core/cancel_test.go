@@ -96,13 +96,12 @@ func TestSearchContextCancellation(t *testing.T) {
 	}
 }
 
-// TestCorruptionReleasesPins asserts that queries failing (Strict) or
-// degrading (default) on checksum mismatches release every pinned frame, at
-// every parallelism.
+// TestCorruptionReleasesPins asserts that queries degrading on checksum
+// mismatches release every pinned frame, at every parallelism.
 func TestCorruptionReleasesPins(t *testing.T) {
 	cf := buildCorruptionFixture(t)
 	// Locate a committed vector-list byte from a clean open: corruption
-	// there is degradable, so both modes run their full query grid.
+	// there is degradable, so the full query grid runs.
 	cf.restore(t)
 	probePool := storage.NewPool(0, 1<<20)
 	probeTblF := storage.NewFile(probePool, cf.tblDev)
@@ -123,42 +122,34 @@ func TestCorruptionReleasesPins(t *testing.T) {
 	probeTblF.Close()
 	probeIdxF.Close()
 
-	for _, mode := range []IntegrityMode{IntegrityDegrade, IntegrityStrict} {
-		cf.restore(t)
-		cf.flip(t, off, 3)
-		pool := storage.NewPool(0, 1<<20)
-		tblF := storage.NewFile(pool, cf.tblDev)
-		idxF := storage.NewFile(pool, cf.idxDev)
-		tbl, err := table.Open(tblF, cf.cat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ix, err := Open(idxF, tbl, Options{Integrity: mode})
-		if err == nil {
-			for _, par := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-				ix.SetSearchParallelism(par)
-				for qi, q := range cf.queries {
-					res, _, err := ix.Search(q, nil)
-					if mode == IntegrityStrict && err != nil {
-						var ce *storage.CorruptionError
-						if !errors.As(err, &ce) {
-							t.Fatalf("strict par=%d: non-corruption error %v", par, err)
-						}
-					}
-					if err == nil && !sameResults(res, cf.baseline[qi]) {
-						t.Fatalf("mode=%v par=%d query %d: silently different results", mode, par, qi)
-					}
-					if n := pool.PinnedFrames(); n != 0 {
-						t.Fatalf("mode=%v par=%d query %d leaked %d pins", mode, par, qi, n)
-					}
+	cf.restore(t)
+	cf.flip(t, off, 3)
+	pool := storage.NewPool(0, 1<<20)
+	tblF := storage.NewFile(pool, cf.tblDev)
+	idxF := storage.NewFile(pool, cf.idxDev)
+	tbl, err := table.Open(tblF, cf.cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := Open(idxF, tbl, Options{})
+	if err == nil {
+		for _, par := range []int{1, 2, runtime.GOMAXPROCS(0)} {
+			ix.SetSearchParallelism(par)
+			for qi, q := range cf.queries {
+				res, _, err := ix.Search(q, nil)
+				if err == nil && !sameResults(res, cf.baseline[qi]) {
+					t.Fatalf("par=%d query %d: silently different results", par, qi)
+				}
+				if n := pool.PinnedFrames(); n != 0 {
+					t.Fatalf("par=%d query %d leaked %d pins", par, qi, n)
 				}
 			}
 		}
-		tblF.Close()
-		idxF.Close()
-		if n := pool.PinnedFrames(); n != 0 {
-			t.Fatalf("mode=%v: close left %d pins", mode, n)
-		}
+	}
+	tblF.Close()
+	idxF.Close()
+	if n := pool.PinnedFrames(); n != 0 {
+		t.Fatalf("close left %d pins", n)
 	}
 	cf.restore(t)
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"github.com/sparsewide/iva/internal/storage"
 )
@@ -180,7 +179,8 @@ func (ix *Index) readCheckpoints(count int) error {
 			return err
 		}
 		if !ok {
-			return ix.corruptCheckpoint(i, count)
+			ix.corruptCheckpoint(i, count)
+			return nil
 		}
 		off += n
 		ix.ckpts = append(ix.ckpts, checkpoint{attrOff: offs})
@@ -209,23 +209,17 @@ func (ix *Index) scrubCheckpoints(count int, yield func()) (checked, bad int) {
 }
 
 // corruptCheckpoint handles a checkpoint record whose CRC trailer failed at
-// open. Strict fails the open. DegradeReads drops the damaged record and
-// everything after it — but a truncated checkpoint list cannot drive the
-// striped plan (stripe s resumes from record s, and missing tail records
-// would silently skip the tuples they cover), so checkpointing is disabled
-// in-memory: searches scan a single origin-anchored stripe on one worker and
-// the next rebuild re-records a full set. droppedCkpts counts the discarded records.
-func (ix *Index) corruptCheckpoint(i, count int) error {
-	if ix.imode == IntegrityStrict {
-		return &storage.CorruptionError{File: "iva.idx",
-			Offset: ix.segs.SegmentOffset(ix.ckptChain), Segment: uint32(ix.ckptChain),
-			Detail: fmt.Sprintf("checkpoint record %d checksum mismatch", i)}
-	}
+// open: the damaged record and everything after it are dropped — but a
+// truncated checkpoint list cannot drive the striped plan (stripe s resumes
+// from record s, and missing tail records would silently skip the tuples they
+// cover), so checkpointing is disabled in-memory: searches scan a single
+// origin-anchored stripe on one worker and the next rebuild re-records a full
+// set. droppedCkpts counts the discarded records.
+func (ix *Index) corruptCheckpoint(i, count int) {
 	it := &ix.integ
 	it.mu.Lock()
 	it.droppedCkpts = count - i
 	it.mu.Unlock()
 	ix.ckptChain = storage.NoSegment
 	ix.ckpts = nil
-	return nil
 }

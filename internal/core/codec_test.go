@@ -267,9 +267,8 @@ func TestCodecTailAndReopen(t *testing.T) {
 }
 
 // TestCodecDirBrokenDegrade stomps a committed packed block and proves the
-// open-time contract: DegradeReads drops the block directory (scrub reports
-// it), queries stay byte-identical via zero bounds, and writes demand a
-// rebuild; Strict refuses the open with a typed corruption error.
+// open-time contract: the block directory is dropped (scrub reports it),
+// queries stay byte-identical via zero bounds, and writes demand a rebuild.
 func TestCodecDirBrokenDegrade(t *testing.T) {
 	p := buildCodecPair(t, 200)
 	defer p.close()
@@ -307,24 +306,20 @@ func TestCodecDirBrokenDegrade(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reopen := func(stage string, mode IntegrityMode) (*Index, error) {
-		pool := storage.NewPool(0, 1<<20)
-		tblF := storage.NewFile(pool, p.devs[1].tblDev)
-		idxF := storage.NewFile(pool, p.devs[1].idxDev)
-		p.closers = append(p.closers, func() { tblF.Close(); idxF.Close() })
-		tb, err := table.Open(tblF, p.cats[1])
-		if err != nil {
-			t.Fatalf("%s: table open: %v", stage, err)
-		}
-		return Open(idxF, tb, Options{Integrity: mode})
-	}
-
-	ix, err := reopen("degrade", IntegrityDegrade)
+	pool := storage.NewPool(0, 1<<20)
+	tblF := storage.NewFile(pool, p.devs[1].tblDev)
+	idxF := storage.NewFile(pool, p.devs[1].idxDev)
+	p.closers = append(p.closers, func() { tblF.Close(); idxF.Close() })
+	tb, err := table.Open(tblF, p.cats[1])
 	if err != nil {
-		t.Fatalf("degrade open rejected block damage: %v", err)
+		t.Fatalf("table open: %v", err)
+	}
+	ix, err := Open(idxF, tb, Options{})
+	if err != nil {
+		t.Fatalf("open rejected block damage: %v", err)
 	}
 	if ix.DroppedCodecDirs() == 0 {
-		t.Fatal("degrade open dropped no block directory")
+		t.Fatal("open dropped no block directory")
 	}
 	degraded := 0
 	for qi, q := range p.queries() {
@@ -360,15 +355,6 @@ func TestCodecDirBrokenDegrade(t *testing.T) {
 	if rep.Clean() || rep.DroppedCodecDirs == 0 {
 		t.Fatalf("scrub missed the dropped block directory: %+v", rep)
 	}
-
-	if _, err := reopen("strict", IntegrityStrict); err == nil {
-		t.Fatal("strict open accepted a stomped packed block")
-	} else {
-		var ce *storage.CorruptionError
-		if !errors.As(err, &ce) {
-			t.Fatalf("strict open failed untyped: %v", err)
-		}
-	}
 }
 
 // TestCodecTortureSweep reruns the bit-flip torture sweep over an index whose
@@ -385,16 +371,13 @@ func TestCodecTortureSweep(t *testing.T) {
 		stride = 1777
 	}
 	degradedTotal := 0
-	for _, mode := range []IntegrityMode{IntegrityDegrade, IntegrityStrict} {
-		for off := int64(0); off < int64(len(cf.snapshot)); off += stride {
-			bit := uint(off % 8)
-			cf.restore(t)
-			cf.flip(t, off, bit)
-			detected := cf.runOnce(t, mode, off, &degradedTotal)
-			if cf.committed[off] && !detected {
-				t.Fatalf("mode=%v flip at %d (bit %d): corruption of a checksummed byte was not detected",
-					mode, off, bit)
-			}
+	for off := int64(0); off < int64(len(cf.snapshot)); off += stride {
+		bit := uint(off % 8)
+		cf.restore(t)
+		cf.flip(t, off, bit)
+		detected := cf.runOnce(t, off, &degradedTotal)
+		if cf.committed[off] && !detected {
+			t.Fatalf("flip at %d (bit %d): corruption of a checksummed byte was not detected", off, bit)
 		}
 	}
 	cf.restore(t)

@@ -194,8 +194,7 @@ func sameResults(a, b []model.Result) bool {
 }
 
 // TestCorruptionTortureSweep flips one bit at a stride of byte offsets across
-// the committed index image, reopens the store in both integrity modes, and
-// asserts the contract the format makes: a query either fails with an error
+// the committed index image, reopens the store, and asserts the contract the format makes: a query either fails with an error
 // or returns the exact clean top-k — never a silently different answer — and
 // every flip landing in checksummed bytes is detected by at least one of
 // open, query (DegradedSegments > 0), or Scrub.
@@ -206,16 +205,13 @@ func TestCorruptionTortureSweep(t *testing.T) {
 		stride = 1777
 	}
 	degradedTotal := 0
-	for _, mode := range []IntegrityMode{IntegrityDegrade, IntegrityStrict} {
-		for off := int64(0); off < int64(len(cf.snapshot)); off += stride {
-			bit := uint(off % 8)
-			cf.restore(t)
-			cf.flip(t, off, bit)
-			detected := cf.runOnce(t, mode, off, &degradedTotal)
-			if cf.committed[off] && !detected {
-				t.Fatalf("mode=%v flip at %d (bit %d): corruption of a checksummed byte was not detected",
-					mode, off, bit)
-			}
+	for off := int64(0); off < int64(len(cf.snapshot)); off += stride {
+		bit := uint(off % 8)
+		cf.restore(t)
+		cf.flip(t, off, bit)
+		detected := cf.runOnce(t, off, &degradedTotal)
+		if cf.committed[off] && !detected {
+			t.Fatalf("flip at %d (bit %d): corruption of a checksummed byte was not detected", off, bit)
 		}
 	}
 	cf.restore(t)
@@ -226,7 +222,7 @@ func TestCorruptionTortureSweep(t *testing.T) {
 
 // runOnce opens the flipped image and runs every query, enforcing the
 // never-silently-wrong invariant. It reports whether the flip was detected.
-func (cf *corruptionFixture) runOnce(t *testing.T, mode IntegrityMode, off int64, degradedTotal *int) bool {
+func (cf *corruptionFixture) runOnce(t *testing.T, off int64, degradedTotal *int) bool {
 	t.Helper()
 	pool := storage.NewPool(0, 1<<20)
 	tblF := storage.NewFile(pool, cf.tblDev)
@@ -237,7 +233,7 @@ func (cf *corruptionFixture) runOnce(t *testing.T, mode IntegrityMode, off int64
 	if err != nil {
 		t.Fatalf("flip at %d: table open: %v", off, err)
 	}
-	ix, err := Open(idxF, tbl, Options{Integrity: mode})
+	ix, err := Open(idxF, tbl, Options{})
 	if err != nil {
 		return true // detected at open
 	}
@@ -249,7 +245,7 @@ func (cf *corruptionFixture) runOnce(t *testing.T, mode IntegrityMode, off int64
 			continue
 		}
 		if !sameResults(res, cf.baseline[qi]) {
-			t.Fatalf("mode=%v flip at %d: query %d returned silently different results", mode, off, qi)
+			t.Fatalf("flip at %d: query %d returned silently different results", off, qi)
 		}
 		if stats.DegradedSegments > 0 {
 			*degradedTotal += stats.DegradedSegments
@@ -283,7 +279,7 @@ func TestPlanSingleStripeDegrades(t *testing.T) {
 	defer cf.restore(t)
 
 	pool := storage.NewPool(0, 1<<20)
-	ix, closeFiles := cf.open(t, pool, Options{Integrity: IntegrityDegrade})
+	ix, closeFiles := cf.open(t, pool, Options{})
 	defer closeFiles()
 	dropCheckpoints(ix)
 	degraded := 0
@@ -345,8 +341,8 @@ func flipByte(t *testing.T, dev *storage.MemDevice, off int64) {
 // the refine step is certain to read (the first live tuple: the pool is
 // empty when it is reached). The projected refine interprets no byte before
 // the record's checksum holds, so the query fails with a typed corruption
-// error in both integrity modes — degrading is for vector lists, refinement
-// cannot run without the record — and releases every pin.
+// error — degrading is for vector lists, refinement cannot run without the
+// record — and releases every pin.
 func TestProjectedRefineDetectsTableCorruption(t *testing.T) {
 	fx := newFixture(t, 700, Options{}, 515)
 	q := fx.randQuery(t, 3, 5)
@@ -356,21 +352,19 @@ func TestProjectedRefineDetectsTableCorruption(t *testing.T) {
 	first := fx.ix.entries[0].ptr
 	for _, off := range []int64{first + 5, first + 12} { // the tuple id, an attribute's payload
 		flipByte(t, fx.tblDev, off)
-		for _, mode := range []IntegrityMode{IntegrityStrict, IntegrityDegrade} {
-			ix, pool, closeFiles := reopenFixture(t, fx, Options{Integrity: mode})
-			for _, par := range []int{1, 2} {
-				ix.SetSearchParallelism(par)
-				_, _, err := ix.Search(q, nil)
-				var ce *storage.CorruptionError
-				if !errors.As(err, &ce) || ce.File != "table.swt" || ce.Offset != first {
-					t.Fatalf("mode=%v par=%d flip at %d: got %v, want a corruption error on the record at %d", mode, par, off, err, first)
-				}
-				if n := pool.PinnedFrames(); n != 0 {
-					t.Fatalf("mode=%v par=%d: failed refine leaked %d pins", mode, par, n)
-				}
+		ix, pool, closeFiles := reopenFixture(t, fx, Options{})
+		for _, par := range []int{1, 2} {
+			ix.SetSearchParallelism(par)
+			_, _, err := ix.Search(q, nil)
+			var ce *storage.CorruptionError
+			if !errors.As(err, &ce) || ce.File != "table.swt" || ce.Offset != first {
+				t.Fatalf("par=%d flip at %d: got %v, want a corruption error on the record at %d", par, off, err, first)
 			}
-			closeFiles()
+			if n := pool.PinnedFrames(); n != 0 {
+				t.Fatalf("par=%d: failed refine leaked %d pins", par, n)
+			}
 		}
+		closeFiles()
 		flipByte(t, fx.tblDev, off) // undo
 	}
 }
@@ -378,9 +372,9 @@ func TestProjectedRefineDetectsTableCorruption(t *testing.T) {
 // TestMidBatchDegrade damages a vector-list segment that a stripe reaches in
 // the middle of a batch (the list's second segment: its first verifies clean,
 // so the batch kernel is past the batch's first entries when the checksum
-// fails). Under DegradeReads the term contributes a zero bound from the first
-// unresolved entry to the end of the stripe, and the answers equal brute
-// force; under Strict the query fails. Either way no page stays pinned.
+// fails). The term contributes a zero bound from the first unresolved entry to
+// the end of the stripe, the answers equal brute force, and no page stays
+// pinned.
 func TestMidBatchDegrade(t *testing.T) {
 	fx := newFixture(t, 6000, Options{}, 907)
 	if err := fx.ix.Sync(); err != nil {
@@ -405,17 +399,7 @@ func TestMidBatchDegrade(t *testing.T) {
 	q := (&model.Query{K: 10}).TextTerm(model.AttrID(attr), fx.randWord()).NumTerm(fx.numAttrs[0], 250)
 	m := metric.Default()
 
-	strict, pool, closeStrict := reopenFixture(t, fx, Options{Integrity: IntegrityStrict})
-	var ce *storage.CorruptionError
-	if _, _, err := strict.Search(q, m); !errors.As(err, &ce) {
-		t.Fatalf("strict: got %v, want a corruption error", err)
-	}
-	if n := pool.PinnedFrames(); n != 0 {
-		t.Fatalf("strict: failed query leaked %d pins", n)
-	}
-	closeStrict()
-
-	ix, pool, closeFiles := reopenFixture(t, fx, Options{Integrity: IntegrityDegrade})
+	ix, pool, closeFiles := reopenFixture(t, fx, Options{})
 	defer closeFiles()
 	want := bruteForceIndex(t, ix, q, m)
 	for _, par := range []int{1, 2} {
@@ -443,7 +427,7 @@ func TestMidBatchDegrade(t *testing.T) {
 // another's by rewriting a segment's next pointer — the one index structure
 // no checksum covers. Every spliced-in segment still matches its own
 // checksum word, so nothing downstream could tell; the open must refuse the
-// file with a typed corruption error in both integrity modes.
+// file with a typed corruption error.
 func TestCrossLinkedChainsRefused(t *testing.T) {
 	cf := buildCorruptionFixtureWith(t, Options{CheckpointEvery: 16, SegmentSize: 128}, false, 160)
 	ix, closeFiles := cf.open(t, storage.NewPool(0, 1<<20), Options{})
@@ -465,19 +449,17 @@ func TestCrossLinkedChainsRefused(t *testing.T) {
 	if _, err := cf.idxDev.WriteAt(next[:], at); err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []IntegrityMode{IntegrityDegrade, IntegrityStrict} {
-		pool := storage.NewPool(0, 1<<20)
-		tblF, idxF := storage.NewFile(pool, cf.tblDev), storage.NewFile(pool, cf.idxDev)
-		tbl, err := table.Open(tblF, cf.cat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = Open(idxF, tbl, Options{Integrity: mode})
-		var ce *storage.CorruptionError
-		if !errors.As(err, &ce) || ce.Segment != uint32(b[1]) {
-			t.Fatalf("mode=%v: open of cross-linked chains: %v, want a corruption error on segment %d", mode, err, b[1])
-		}
-		tblF.Close()
-		idxF.Close()
+	pool := storage.NewPool(0, 1<<20)
+	tblF, idxF := storage.NewFile(pool, cf.tblDev), storage.NewFile(pool, cf.idxDev)
+	defer tblF.Close()
+	defer idxF.Close()
+	tbl, err := table.Open(tblF, cf.cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Open(idxF, tbl, Options{})
+	var ce *storage.CorruptionError
+	if !errors.As(err, &ce) || ce.Segment != uint32(b[1]) {
+		t.Fatalf("open of cross-linked chains: %v, want a corruption error on segment %d", err, b[1])
 	}
 }

@@ -14,7 +14,7 @@ import (
 // TestFormatGate pins the format policy (FORMAT.md § Format policy) at the
 // index layer. Open reads exactly one version: every other version word is
 // refused with an error naming it, whether or not the superblock trailer was
-// recomputed to match, in both integrity modes, without a single device write
+// recomputed to match, without a single device write
 // — so rewriting the version word can never switch checksums off. With the
 // gate holding, the checksums are the whole story: no single-bit flip of the
 // index file or of a table record yields a top-k that differs from the clean
@@ -22,47 +22,44 @@ import (
 func TestFormatGate(t *testing.T) {
 	const segSize = 128
 	cf := buildCorruptionFixtureWith(t, Options{CheckpointEvery: 16, SegmentSize: segSize}, false, 48)
-	modes := []IntegrityMode{IntegrityDegrade, IntegrityStrict}
 
 	for _, version := range []uint32{0, 1, 2, 3, 4, 5, 6, 8, 0xFFFFFFFF} {
 		for _, fixCRC := range []bool{false, true} {
-			for _, mode := range modes {
-				name := fmt.Sprintf("version=%d/crc-recomputed=%v/mode=%d", version, fixCRC, mode)
-				cf.restore(t)
-				sb := append([]byte(nil), cf.snapshot[:superblockSize]...)
-				binary.LittleEndian.PutUint32(sb[4:], version)
-				if fixCRC {
-					binary.LittleEndian.PutUint32(sb[sbCRCOff:], storage.Checksum(sb[:sbCRCOff]))
-				}
-				if _, err := cf.idxDev.WriteAt(sb, 0); err != nil {
-					t.Fatal(err)
-				}
-				image := append(sb, cf.snapshot[superblockSize:]...)
+			name := fmt.Sprintf("version=%d/crc-recomputed=%v", version, fixCRC)
+			cf.restore(t)
+			sb := append([]byte(nil), cf.snapshot[:superblockSize]...)
+			binary.LittleEndian.PutUint32(sb[4:], version)
+			if fixCRC {
+				binary.LittleEndian.PutUint32(sb[sbCRCOff:], storage.Checksum(sb[:sbCRCOff]))
+			}
+			if _, err := cf.idxDev.WriteAt(sb, 0); err != nil {
+				t.Fatal(err)
+			}
+			image := append(sb, cf.snapshot[superblockSize:]...)
 
-				trk := storage.NewTrackDevice(cf.idxDev)
-				trk.Arm()
-				pool := storage.NewPool(0, 64<<10)
-				tblF, idxF := storage.NewFile(pool, cf.tblDev), storage.NewFile(pool, trk)
-				tbl, err := table.Open(tblF, cf.cat)
-				if err != nil {
-					t.Fatal(err)
-				}
-				_, err = Open(idxF, tbl, Options{Integrity: mode})
-				if err == nil {
-					t.Fatalf("%s: Open accepted the file", name)
-				}
-				if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("version %d ", version)) ||
-					!strings.Contains(msg, fmt.Sprintf("version %d", indexVersion)) {
-					t.Fatalf("%s: error does not name the version found and the one supported: %v", name, err)
-				}
-				tblF.Close()
-				idxF.Close()
-				if w := trk.TakeDirty(); len(w) != 0 {
-					t.Fatalf("%s: refused open wrote %v", name, w)
-				}
-				if !bytes.Equal(imageOf(t, cf.idxDev), image) {
-					t.Fatalf("%s: refused open changed the file", name)
-				}
+			trk := storage.NewTrackDevice(cf.idxDev)
+			trk.Arm()
+			pool := storage.NewPool(0, 64<<10)
+			tblF, idxF := storage.NewFile(pool, cf.tblDev), storage.NewFile(pool, trk)
+			tbl, err := table.Open(tblF, cf.cat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = Open(idxF, tbl, Options{})
+			if err == nil {
+				t.Fatalf("%s: Open accepted the file", name)
+			}
+			if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("version %d ", version)) ||
+				!strings.Contains(msg, fmt.Sprintf("version %d", indexVersion)) {
+				t.Fatalf("%s: error does not name the version found and the one supported: %v", name, err)
+			}
+			tblF.Close()
+			idxF.Close()
+			if w := trk.TakeDirty(); len(w) != 0 {
+				t.Fatalf("%s: refused open wrote %v", name, w)
+			}
+			if !bytes.Equal(imageOf(t, cf.idxDev), image) {
+				t.Fatalf("%s: refused open changed the file", name)
 			}
 		}
 	}
@@ -95,17 +92,15 @@ func TestFormatGate(t *testing.T) {
 	t.Run("index-flips", func(t *testing.T) {
 		defer cf.restore(t)
 		degraded := 0
-		for _, mode := range modes {
-			for off := int64(0); off < int64(len(cf.snapshot)); off++ {
-				if off == sbCRCOff+4 {
-					off = superblockSize // the rest of the superblock page is never read
-				}
-				for _, bit := range bitsAt(off, unguarded[off]) {
-					cf.restore(t)
-					cf.flip(t, off, bit)
-					if detected := cf.runOnce(t, mode, off, &degraded); cf.committed[off] && !detected {
-						t.Fatalf("mode=%v flip at %d (bit %d): corruption of a checksummed byte was not detected", mode, off, bit)
-					}
+		for off := int64(0); off < int64(len(cf.snapshot)); off++ {
+			if off == sbCRCOff+4 {
+				off = superblockSize // the rest of the superblock page is never read
+			}
+			for _, bit := range bitsAt(off, unguarded[off]) {
+				cf.restore(t)
+				cf.flip(t, off, bit)
+				if detected := cf.runOnce(t, off, &degraded); cf.committed[off] && !detected {
+					t.Fatalf("flip at %d (bit %d): corruption of a checksummed byte was not detected", off, bit)
 				}
 			}
 		}
@@ -127,18 +122,16 @@ func TestFormatGate(t *testing.T) {
 		}
 		closeFiles()
 		refused := 0
-		for _, mode := range modes {
-			for off := int64(64); off < end; off++ { // records start behind the 64-byte header
-				for _, bit := range bitsAt(off, lengthWord[off]) {
-					if _, err := cf.tblDev.WriteAt([]byte{clean[off] ^ 1<<bit}, off); err != nil {
-						t.Fatal(err)
-					}
-					if cf.runOnce(t, mode, off, new(int)) {
-						refused++
-					}
-					if _, err := cf.tblDev.WriteAt(clean[off:off+1], off); err != nil {
-						t.Fatal(err)
-					}
+		for off := int64(64); off < end; off++ { // records start behind the 64-byte header
+			for _, bit := range bitsAt(off, lengthWord[off]) {
+				if _, err := cf.tblDev.WriteAt([]byte{clean[off] ^ 1<<bit}, off); err != nil {
+					t.Fatal(err)
+				}
+				if cf.runOnce(t, off, new(int)) {
+					refused++
+				}
+				if _, err := cf.tblDev.WriteAt(clean[off:off+1], off); err != nil {
+					t.Fatal(err)
 				}
 			}
 		}

@@ -31,15 +31,21 @@ import (
 	"github.com/sparsewide/iva/internal/vector"
 )
 
+const (
+	// numericBytes is r, the stored width of a numeric value in bytes (a
+	// float64); numeric vectors take ⌈α·r⌉ bytes. The superblock records it.
+	numericBytes = 8
+	// absDomainBound is the half-width of the fixed numeric domain the
+	// AbsoluteDomains ablation quantizes over.
+	absDomainBound = math.MaxInt32
+)
+
 // Options configure an iVA-file build.
 type Options struct {
 	// Alpha is the relative vector length α (Table I default: 20%).
 	Alpha float64
 	// N is the gram length n (Table I default: 2).
 	N int
-	// NumericBytes is r, the stored width of a numeric value in bytes;
-	// numeric vectors take ⌈α·r⌉ bytes. Default 8 (float64).
-	NumericBytes int
 	// SegmentSize is the extent size of the index file in bytes.
 	SegmentSize int
 	// TIDHeadroom reserves id space above the build-time maximum tid so
@@ -53,9 +59,8 @@ type Options struct {
 	ForceType vector.ListType
 	// AbsoluteDomains makes numeric quantizers use a fixed absolute domain
 	// instead of the relative domain (ablation of §III-C). The domain used
-	// is [-AbsDomainBound, +AbsDomainBound].
+	// is [-absDomainBound, +absDomainBound].
 	AbsoluteDomains bool
-	AbsDomainBound  float64
 	// AlphaOverride sets a per-attribute relative vector length, as the
 	// paper's attribute-list element allows (§III-D stores α per
 	// attribute). Attributes absent from the map use the global Alpha.
@@ -66,10 +71,6 @@ type Options struct {
 	// CheckpointEvery is the stripe width: a resumable checkpoint is
 	// recorded every CheckpointEvery tuple-list entries. Default 2048.
 	CheckpointEvery int64
-	// Integrity selects how checksum mismatches are handled at read time:
-	// IntegrityDegrade (default) widens corrupt vector segments to zero
-	// lower bounds, IntegrityStrict fails fast.
-	Integrity IntegrityMode
 	// Codec selects the block codec for vector lists built by Build/Rebuild:
 	// 0 stores the raw bit-packed streams; 1 packs sealed stripes into
 	// word-aligned blocks with skip headers and delta-coded tuple-id gaps.
@@ -86,17 +87,11 @@ func (o Options) withDefaults() Options {
 	if o.N == 0 {
 		o.N = 2
 	}
-	if o.NumericBytes == 0 {
-		o.NumericBytes = 8
-	}
 	if o.SegmentSize == 0 {
 		// One page per segment: a mostly-empty attribute wastes at most a
 		// page of slack, while the Build-time 64 KiB flush batches keep
 		// each list's segments in long contiguous runs for scanning.
 		o.SegmentSize = 4 << 10
-	}
-	if o.AbsDomainBound == 0 {
-		o.AbsDomainBound = math.MaxInt32
 	}
 	if o.CheckpointEvery <= 0 {
 		o.CheckpointEvery = defaultCheckpointEvery
@@ -111,9 +106,6 @@ func (o Options) Validate() error {
 	}
 	if o.N < 1 || o.N > 8 {
 		return fmt.Errorf("core: n = %d, want in [1,8]", o.N)
-	}
-	if o.NumericBytes < 1 || o.NumericBytes > 8 {
-		return fmt.Errorf("core: numeric bytes = %d, want in [1,8]", o.NumericBytes)
 	}
 	if _, ok := vector.CodecByID(uint8(o.Codec)); !ok || o.Codec < 0 || o.Codec > 255 {
 		return fmt.Errorf("core: codec = %d, want a registered codec id", o.Codec)
@@ -188,7 +180,7 @@ type attrState struct {
 	// attribute element; codedLogical and dir are rebuilt at open time by
 	// walking the self-describing block headers (vector.WalkBlocks), so
 	// they survive dropped checkpoint chains. dirBroken marks a packed
-	// list whose directory failed that walk under DegradeReads: reads
+	// list whose directory failed that walk: reads
 	// degrade per the usual corrupt-segment policy and writes demand a
 	// rebuild (the tail position is unknowable).
 	codecID      uint8
@@ -241,10 +233,8 @@ type Index struct {
 	ckptEvery int64
 	ckpts     []checkpoint
 
-	// Integrity: the read-time mismatch policy, the ping-ponged
-	// checksum-map chains, and the in-memory checksum state (see
-	// integrity.go).
-	imode     IntegrityMode
+	// Integrity: the ping-ponged checksum-map chains and the in-memory
+	// checksum state (see integrity.go).
 	crcChainA storage.ChainID
 	crcChainB storage.ChainID
 	crcSlot   int
@@ -371,7 +361,7 @@ func chooseLayout(opts Options, codec *signature.Codec, info table.AttrInfo, lti
 			LTid: ltid, LNum: lnum, Codec: codec,
 		}, nil, nil
 	case model.KindNumeric:
-		vecBits := 8 * int(math.Ceil(alpha*float64(opts.NumericBytes)))
+		vecBits := 8 * int(math.Ceil(alpha*numericBytes))
 		if vecBits < 2 {
 			vecBits = 2
 		}
@@ -383,7 +373,7 @@ func chooseLayout(opts Options, codec *signature.Codec, info table.AttrInfo, lti
 			min, max = 0, 0
 		}
 		if opts.AbsoluteDomains {
-			min, max = -opts.AbsDomainBound, opts.AbsDomainBound
+			min, max = -absDomainBound, absDomainBound
 		}
 		quant, err := vaq.New(min, max, vecBits)
 		if err != nil {
@@ -424,7 +414,7 @@ func (ix *Index) writeSuperblock(slot, crcSlot int) error {
 	binary.LittleEndian.PutUint64(b[44:], uint64(ix.deleted))
 	binary.LittleEndian.PutUint32(b[52:], uint32(ix.attrChain))
 	binary.LittleEndian.PutUint32(b[56:], uint32(len(ix.attrs)))
-	binary.LittleEndian.PutUint32(b[60:], uint32(ix.opts.NumericBytes))
+	binary.LittleEndian.PutUint32(b[60:], numericBytes)
 	binary.LittleEndian.PutUint32(b[64:], uint32(ix.opts.SegmentSize))
 	binary.LittleEndian.PutUint32(b[68:], uint32(ix.ckptChain))
 	binary.LittleEndian.PutUint32(b[72:], uint32(ix.ckptEvery))
@@ -596,12 +586,14 @@ func Open(f *storage.File, tbl *table.Table, opts Options) (*Index, error) {
 	}
 	opts.Alpha = math.Float64frombits(binary.LittleEndian.Uint64(b[8:]))
 	opts.N = int(binary.LittleEndian.Uint32(b[16:]))
-	opts.NumericBytes = int(binary.LittleEndian.Uint32(b[60:]))
 	opts.SegmentSize = int(binary.LittleEndian.Uint32(b[64:]))
 	// The superblock fields drive allocations below, so a corrupt or hostile
 	// file must fail validation here rather than panic or exhaust memory.
 	if err := opts.Validate(); err != nil {
 		return nil, fmt.Errorf("core: superblock: %w", err)
+	}
+	if r := binary.LittleEndian.Uint32(b[60:]); r != numericBytes {
+		return nil, fmt.Errorf("core: superblock: numeric bytes = %d, want %d", r, numericBytes)
 	}
 	codec, err := signature.NewCodec(opts.N, opts.Alpha)
 	if err != nil {
@@ -623,7 +615,6 @@ func Open(f *storage.File, tbl *table.Table, opts Options) (*Index, error) {
 		deleted:    int64(binary.LittleEndian.Uint64(b[44:])),
 		attrChain:  storage.ChainID(binary.LittleEndian.Uint32(b[52:])),
 		posByTID:   make(map[model.TID]int64),
-		imode:      opts.Integrity,
 		ckptChain:  storage.ChainID(binary.LittleEndian.Uint32(b[68:])),
 		ckptEvery:  opts.CheckpointEvery,
 		attrChainB: storage.ChainID(binary.LittleEndian.Uint32(b[76:])),
@@ -690,11 +681,11 @@ func Open(f *storage.File, tbl *table.Table, opts Options) (*Index, error) {
 
 // loadCodecDirs rebuilds every packed attribute's block directory by walking
 // the self-describing block headers (the directory is deliberately not
-// persisted: checkpoint chains may be dropped wholesale under DegradeReads,
-// so block metadata cannot depend on them). The walk reads through a
-// verifying chain reader, so segment checksums cover the block headers.
-// Damage fails the open under Strict; under DegradeReads the attribute is
-// marked dirBroken — reads degrade to zero bounds, writes demand a rebuild.
+// persisted: checkpoint chains may be dropped wholesale after damage, so
+// block metadata cannot depend on them). The walk reads through a verifying
+// chain reader, so segment checksums cover the block headers. On damage the
+// attribute is marked dirBroken — reads degrade to zero bounds, writes
+// demand a rebuild.
 func (ix *Index) loadCodecDirs() error {
 	for i := range ix.attrs {
 		st := &ix.attrs[i]
@@ -709,7 +700,7 @@ func (ix *Index) loadCodecDirs() error {
 		}
 		if err != nil {
 			var ce *storage.CorruptionError
-			if !errors.As(err, &ce) || ix.imode == IntegrityStrict {
+			if !errors.As(err, &ce) {
 				return err
 			}
 			st.dir, st.codedLogical = nil, 0

@@ -8,22 +8,6 @@ import (
 	"github.com/sparsewide/iva/internal/storage"
 )
 
-// IntegrityMode selects how a checksum mismatch is handled at read time.
-type IntegrityMode int
-
-const (
-	// IntegrityDegrade (the default) keeps queries answerable: a corrupt
-	// vector-list segment is treated as contributing a zero lower bound for
-	// its tuples, which sends them all to the refine phase — slower, but the
-	// paper's no-false-negative guarantee survives because refinement
-	// computes exact distances from the (separately checksummed) table.
-	// Corrupt tuple-list segments and table records still fail the query:
-	// without trustworthy ptrs or record bytes there is nothing to refine.
-	IntegrityDegrade IntegrityMode = iota
-	// IntegrityStrict fails any operation that touches corrupt bytes.
-	IntegrityStrict
-)
-
 // segCRC is the committed checksum-map entry of one index segment.
 type segCRC struct {
 	crc  uint32 // CRC32C over the committed span
@@ -46,11 +30,11 @@ type integrityState struct {
 	// Build and when the committed map itself failed verification.
 	full bool
 	// mapDropped records that the committed checksum map was unreadable and
-	// DegradeReads continued without it (reads run unverified until the next
-	// Sync rewrites the map).
+	// the open continued without it (reads run unverified until the next Sync
+	// rewrites the map).
 	mapDropped bool
 	// droppedCkpts counts checkpoint records discarded at open because their
-	// CRC trailer mismatched (DegradeReads only); droppedCodecDirs likewise
+	// CRC trailer mismatched; droppedCodecDirs likewise
 	// for packed-list block directories whose open-time header walk failed
 	// (the list then reads degraded and rejects writes until a rebuild).
 	droppedCkpts     int
@@ -240,15 +224,12 @@ func (ix *Index) commitIntegrity() {
 }
 
 // loadCRCMap reads the committed checksum map from chain c. A map that is
-// itself damaged is detected by its trailing CRC; under DegradeReads the
-// index continues with verification disabled until the next Sync (recorded
-// in mapDropped), under Strict the open fails.
+// itself damaged — a bad header, counts or segments the file does not have, a
+// truncated body, a trailing CRC that does not match — is dropped: the index
+// continues with verification disabled until the next Sync (recorded in
+// mapDropped).
 func (ix *Index) loadCRCMap(c storage.ChainID) error {
-	fail := func(detail string) error {
-		if ix.imode == IntegrityStrict {
-			return &storage.CorruptionError{File: "iva.idx",
-				Offset: ix.segs.SegmentOffset(c), Segment: uint32(c), Detail: detail}
-		}
+	drop := func() error {
 		it := &ix.integ
 		it.mu.Lock()
 		it.words = make(map[storage.SegID]segCRC)
@@ -276,11 +257,11 @@ func (ix *Index) loadCRCMap(c storage.ChainID) error {
 	}
 	var hdr [8]byte
 	if !read(hdr[:]) || binary.LittleEndian.Uint32(hdr[0:4]) != crcMapMagic {
-		return fail("checksum map header")
+		return drop()
 	}
 	nchains := binary.LittleEndian.Uint32(hdr[4:8])
 	if nchains > uint32(ix.segs.Segments())+1 {
-		return fail("checksum map chain count")
+		return drop()
 	}
 	type pendingWord struct {
 		id storage.SegID
@@ -291,20 +272,20 @@ func (ix *Index) loadCRCMap(c storage.ChainID) error {
 	for i := uint32(0); i < nchains; i++ {
 		var ch [16]byte
 		if !read(ch[:]) {
-			return fail("checksum map truncated")
+			return drop()
 		}
 		head := storage.ChainID(binary.LittleEndian.Uint32(ch[0:4]))
 		bits := int64(binary.LittleEndian.Uint64(ch[4:12]))
 		nsegs := binary.LittleEndian.Uint32(ch[12:16])
 		ids, err := ix.segs.ChainSegments(head)
 		if err != nil || uint32(len(ids)) < nsegs {
-			return fail("checksum map names unknown segments")
+			return drop()
 		}
 		for k := uint32(0); k < nsegs; k++ {
 			var w [4]byte
 			wordOff := pos
 			if !read(w[:]) {
-				return fail("checksum map truncated")
+				return drop()
 			}
 			n, mask := segSpan(int(k), bits, pay)
 			pending = append(pending, pendingWord{ids[k], segCRC{
@@ -315,13 +296,13 @@ func (ix *Index) loadCRCMap(c storage.ChainID) error {
 	want := running
 	var trailer [4]byte
 	if pos+4 > capBytes {
-		return fail("checksum map truncated")
+		return drop()
 	}
 	if err := ix.segs.ReadAt(c, trailer[:], pos); err != nil {
 		return err
 	}
 	if binary.LittleEndian.Uint32(trailer[:]) != want {
-		return fail("checksum map trailer mismatch")
+		return drop()
 	}
 	it := &ix.integ
 	it.mu.Lock()
@@ -498,11 +479,8 @@ func (ix *Index) crcChain(slot int) storage.ChainID {
 	return ix.crcChainB
 }
 
-// IntegrityMode returns the mode the index was opened with.
-func (ix *Index) IntegrityMode() IntegrityMode { return ix.imode }
-
 // DroppedCheckpoints returns the number of checkpoint records discarded at
-// open because their CRC trailer failed (DegradeReads only).
+// open because their CRC trailer failed.
 func (ix *Index) DroppedCheckpoints() int {
 	it := &ix.integ
 	it.mu.Lock()
@@ -511,8 +489,7 @@ func (ix *Index) DroppedCheckpoints() int {
 }
 
 // DroppedCodecDirs returns the number of packed vector lists whose block
-// directory failed its open-time header walk and now reads degraded
-// (DegradeReads only; Strict fails the open instead).
+// directory failed its open-time header walk and now reads degraded.
 func (ix *Index) DroppedCodecDirs() int {
 	it := &ix.integ
 	it.mu.Lock()

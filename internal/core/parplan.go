@@ -78,7 +78,7 @@ type scanPlan struct {
 
 // planShape decides how a search dispatched now would run. With usable
 // checkpoints the tuple list is scanned in len(ix.ckpts) stripes of ckptEvery
-// entries. Without them — checkpoints dropped by DegradeReads or by
+// entries. Without them — checkpoints dropped at open after damage or by
 // recordCheckpoint's gap guard, an empty index — it is one stripe [0, n)
 // anchored at the origin. Workers are capped by the stripe count, and a
 // tuple list shorter than two full stripes gets one: a second private top-k
@@ -285,7 +285,7 @@ type stripeWorker struct {
 	abort   *atomic.Bool
 
 	// degSegs collects the distinct corrupt vector-list segments this worker
-	// degraded past (DegradeReads); merged into SearchStats at the end.
+	// degraded past; merged into SearchStats at the end.
 	degSegs map[uint32]struct{}
 
 	scratch *workerScratch
@@ -531,9 +531,8 @@ func (sw *stripeWorker) scanStripe(s int64) error {
 // the ndf penalty wherever the term's vector list has no element, the
 // element's estimate elsewhere (termState.Text/Num, called from the cursor's
 // merge-join). A *storage.CorruptionError from the list degrades the term
-// when the index allows it (noting the segment in degSegs): from the first
-// unresolved entry to the end of the stripe its bound is zero. Every other
-// error — and every error under IntegrityStrict — fails the query.
+// (noting the segment in degSegs): from the first unresolved entry to the end
+// of the stripe its bound is zero. Every other error fails the query.
 func (sw *stripeWorker) fillColumn(i, n int) error {
 	ts, sc := &sw.terms[i], sw.scratch
 	ts.col, ts.hits = sc.cols[i][:n], 0

@@ -24,7 +24,7 @@ func stripedFixture(t testing.TB, tuples int, every int64, seed int64) *fixture 
 }
 
 // dropCheckpoints puts the index in the shape of one whose checkpoint chain
-// DegradeReads discarded at open: no checkpoint chain, so a search scans one
+// was discarded at open: no checkpoint chain, so a search scans one
 // origin-anchored stripe.
 func dropCheckpoints(ix *Index) {
 	ix.mu.Lock()
@@ -464,7 +464,7 @@ type singleStripeCase struct {
 }
 
 // singleStripeCases builds the geometries the striped loop has to absorb
-// without usable stripes: checkpoints dropped by DegradeReads after a flipped
+// without usable stripes: checkpoints dropped at open after a flipped
 // checkpoint byte, no checkpoint chain at all, fewer entries
 // than one stripe, and no entries.
 func singleStripeCases(t *testing.T) []singleStripeCase {
@@ -478,7 +478,7 @@ func singleStripeCases(t *testing.T) []singleStripeCase {
 	probeFiles()
 	cf.flip(t, off, 2)
 	pool := storage.NewPool(0, 1<<20)
-	ix, closeFiles := cf.open(t, pool, Options{Integrity: IntegrityDegrade})
+	ix, closeFiles := cf.open(t, pool, Options{})
 	t.Cleanup(closeFiles)
 	if ix.DroppedCheckpoints() == 0 || ix.checkpointsEnabled() {
 		t.Fatalf("flipped checkpoint byte at %d was not dropped", off)

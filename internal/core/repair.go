@@ -7,7 +7,7 @@ import (
 )
 
 // Read-repair primitives. A corrupt vector-list segment detected at query
-// time (DegradeReads) or by a scrub can be healed in place from a replication
+// time or by a scrub can be healed in place from a replication
 // peer: the peer serves the raw committed payload bytes, and RepairSegment
 // accepts them only if they match THIS index's committed checksum word — the
 // local checksum map is the ground truth, the wire adds no trust of its own.

@@ -25,14 +25,13 @@ type ScrubReport struct {
 
 	// Checkpoints is the number of committed checkpoint records swept;
 	// CorruptCheckpoints failed their record trailer. DroppedCheckpoints
-	// were already discarded when the index was opened (DegradeReads).
+	// were already discarded when the index was opened.
 	Checkpoints        int
 	CorruptCheckpoints int
 	DroppedCheckpoints int
 
 	// DroppedCodecDirs counts packed vector lists whose block
-	// directory failed its header walk at open: under DegradeReads their
-	// terms degrade to zero bounds (answers stay exact, filtering does
+	// directory failed its header walk at open: their terms degrade to zero bounds (answers stay exact, filtering does
 	// not), and writes demand a rebuild.
 	DroppedCodecDirs int
 
@@ -152,7 +151,7 @@ func (ix *Index) ScrubYield(yield func()) (*ScrubReport, error) {
 
 // VectorExtent is one committed, checksummed byte span of a vector list in
 // the index file. Fault-injection harnesses corrupt inside these spans when
-// they expect detection plus exact results under IntegrityDegrade — vector
+// they expect detection plus exact results — vector
 // lists are the only structures queries can degrade around.
 type VectorExtent struct{ Offset, Len int64 }
 

@@ -46,8 +46,8 @@ type SearchStats struct {
 	// Workers entries whose Stripes sum to StripesTotal - StripesSkipped.
 	WorkerProfiles []WorkerStats
 	// DegradedSegments is the number of distinct corrupt vector-list
-	// segments the query read past under DegradeReads (each forced its
-	// term's lower bound to zero, sending the affected tuples to refine).
+	// segments the query read past (each forced its term's lower bound to
+	// zero, sending the affected tuples to refine).
 	DegradedSegments int
 	// DegradedSegIDs lists those segments' IDs in ascending order — the
 	// read-repair hook uses them to fetch clean copies from a peer.
@@ -99,9 +99,8 @@ type termState struct {
 	ndf     int64 // tuples undefined on it (charged the ndf penalty)
 	pruned  int64 // pruned tuples where this term's bound was the largest
 
-	// degraded marks a term whose vector list hit a checksum mismatch under
-	// DegradeReads: for the rest of the stripe it contributes a zero lower
-	// bound — always ≤ the true difference, so no false negatives — and
+	// degraded marks a term whose vector list hit a checksum mismatch: for
+	// the rest of the stripe it contributes a zero lower bound — always ≤ the true difference, so no false negatives — and
 	// every tuple it would have pruned goes to refine instead. It is cleared
 	// per stripe (each stripe repositions cursors at a checkpoint,
 	// resynchronizing past the damage).
@@ -134,12 +133,10 @@ func (ts *termState) textBound(sigs []signature.Sig) float64 {
 	return best
 }
 
-// degradeTerm applies the DegradeReads policy to an error from a term's
-// vector list, reporting whether it was absorbed.
+// degradeTerm absorbs a corruption error from a term's vector list — the
+// term reads on with zero lower bounds, which refine makes exact — reporting
+// whether err was one.
 func (ix *Index) degradeTerm(ts *termState, err error, deg map[uint32]struct{}) bool {
-	if ix.imode != IntegrityDegrade {
-		return false
-	}
 	var ce *storage.CorruptionError
 	if !errors.As(err, &ce) {
 		return false

@@ -23,9 +23,8 @@ func soakBudget(t *testing.T, env string) time.Duration {
 
 // corruptionSoak keeps flipping random bits (sometimes several at once)
 // anywhere in the fixture's committed index image for a bounded wall-clock
-// budget, reopening in a random integrity mode at a random parallelism, and
-// holds the usual contract — fail or answer exactly, and always detect
-// damage to checksummed bytes.
+// budget, reopening, and holds the usual contract — fail or answer exactly,
+// and always detect damage to checksummed bytes.
 func corruptionSoak(t *testing.T, cf *corruptionFixture, budget time.Duration, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	deadline := time.Now().Add(budget)
@@ -33,7 +32,6 @@ func corruptionSoak(t *testing.T, cf *corruptionFixture, budget time.Duration, s
 	for time.Now().Before(deadline) {
 		iters++
 		cf.restore(t)
-		mode := IntegrityMode(rng.Intn(2))
 		flips := 1 + rng.Intn(3)
 		anyCommitted := false
 		var firstOff int64
@@ -47,10 +45,9 @@ func corruptionSoak(t *testing.T, cf *corruptionFixture, budget time.Duration, s
 			}
 			cf.flip(t, off, uint(rng.Intn(8)))
 		}
-		detected := cf.runOnce(t, mode, firstOff, &degradedTotal)
+		detected := cf.runOnce(t, firstOff, &degradedTotal)
 		if anyCommitted && !detected {
-			t.Fatalf("soak iter %d (mode=%v, %d flips): corruption of a checksummed byte was not detected",
-				iters, mode, flips)
+			t.Fatalf("soak iter %d (%d flips): corruption of a checksummed byte was not detected", iters, flips)
 		}
 	}
 	cf.restore(t)

@@ -66,11 +66,18 @@ func (l *QueryLog) Observe(query string, dur time.Duration, tr *Span) bool {
 	return l.ObserveEntry(LogEntry{Query: query, Duration: dur, Trace: tr})
 }
 
+// Slow reports whether a query of duration d meets the threshold — what a
+// caller asks before it builds an entry, so that a query the log would drop
+// does not pay for its description.
+func (l *QueryLog) Slow(d time.Duration) bool {
+	return l != nil && d >= l.threshold
+}
+
 // ObserveEntry records a fully described entry if its Duration meets the
 // threshold, reporting whether it was captured. A zero Time is stamped now;
 // an empty TraceID is taken from the trace; an over-long Query is truncated.
 func (l *QueryLog) ObserveEntry(e LogEntry) bool {
-	if l == nil || e.Duration < l.threshold {
+	if !l.Slow(e.Duration) {
 		return false
 	}
 	if e.Time.IsZero() {

@@ -1,13 +1,11 @@
 package oracle
 
 import (
-	"errors"
 	"fmt"
 	"os"
 
 	"github.com/sparsewide/iva/internal/core"
 	"github.com/sparsewide/iva/internal/model"
-	"github.com/sparsewide/iva/internal/storage"
 	"github.com/sparsewide/iva/internal/table"
 )
 
@@ -56,15 +54,10 @@ func splitmix64(x uint64) uint64 {
 
 // corruptionSweep closes a run by proving the end-to-end corruption
 // contract on real data: one seeded bit is flipped inside a committed
-// vector-list extent of the iVA index, and then
-//
-//   - under IntegrityDegrade every grid query must return bit-identical
-//     top-k to the brute-force reference (degradation routes the damaged
-//     segment's tuples to refine, which recomputes exact distances from
-//     the table file), and Scrub must report the damage;
-//   - under IntegrityStrict every grid query either fails with a
-//     *storage.CorruptionError or — if it never touches the damaged
-//     segment — returns the identical top-k; Scrub must still report it.
+// vector-list extent of the iVA index, and then every grid query must return
+// bit-identical top-k to the brute-force reference (degradation routes the
+// damaged segment's tuples to refine, which recomputes exact distances from
+// the table file), and Scrub must report the damage.
 //
 // The flip is then reverted and the index reopened clean.
 func (h *harness) corruptionSweep() error {
@@ -80,8 +73,8 @@ func (h *harness) corruptionSweep() error {
 	off := ext.Offset + int64(splitmix64(r)%uint64(ext.Len))
 	bit := uint(splitmix64(r+1) % 8)
 
-	// Pre-generate the grid queries so both phases see the same workload
-	// state and reference answers.
+	// Pre-generate the grid queries and their reference answers while the
+	// index is still whole.
 	queries := make([]*model.Query, 0, len(combos))
 	wants := make([][]model.Result, 0, len(combos))
 	for _, c := range combos {
@@ -105,18 +98,31 @@ func (h *harness) corruptionSweep() error {
 		return h.failf("corruption: flip byte %d: %v", off, err)
 	}
 
-	// Phase 1: DegradeReads — exact answers through the damage.
-	opts := coreOpts()
-	if err := h.corruptionPhase("degrade", opts, queries, wants, false); err != nil {
+	// Exact answers through the damage.
+	if err := h.openIVA(); err != nil {
 		return err
 	}
-	// Phase 2: Strict — fail fast, or untouched-and-exact.
-	if err := h.closeIVA(); err != nil {
-		return err
+	for i, q := range queries {
+		c := combos[i]
+		ivaM, _, _, _ := h.metricsFor(c)
+		for _, par := range parGrid {
+			h.iva.ix.SetSearchParallelism(par)
+			got, st, err := h.iva.ix.Search(q, ivaM)
+			if err != nil {
+				return h.failf("corruption %s par=%d: degraded read failed: %v", c.name, par, err)
+			}
+			if err := h.diff(fmt.Sprintf("corruption %s par=%d", c.name, par), wants[i], got); err != nil {
+				return err
+			}
+			h.res.DegradedReads += st.DegradedSegments
+		}
 	}
-	opts.Integrity = core.IntegrityStrict
-	if err := h.corruptionPhase("strict", opts, queries, wants, true); err != nil {
-		return err
+	rep, err := h.iva.ix.Scrub()
+	if err != nil {
+		return h.failf("corruption scrub: %v", err)
+	}
+	if rep.Clean() {
+		return h.failf("corruption: scrub missed an injected flip")
 	}
 
 	// Revert and verify the store is whole again.
@@ -126,10 +132,10 @@ func (h *harness) corruptionSweep() error {
 	if err := h.iva.ixH.writeByte(off, orig); err != nil {
 		return h.failf("corruption: revert byte %d: %v", off, err)
 	}
-	if err := h.openIVA(coreOpts()); err != nil {
+	if err := h.openIVA(); err != nil {
 		return err
 	}
-	rep, err := h.iva.ix.Scrub()
+	rep, err = h.iva.ix.Scrub()
 	if err != nil {
 		return h.failf("corruption: clean scrub: %v", err)
 	}
@@ -140,49 +146,8 @@ func (h *harness) corruptionSweep() error {
 	return nil
 }
 
-// corruptionPhase opens the (already flipped, already closed) iVA files
-// under opts and runs the query grid plus a scrub. strict selects the
-// Strict-mode acceptance rule.
-func (h *harness) corruptionPhase(label string, opts core.Options, queries []*model.Query, wants [][]model.Result, strict bool) error {
-	if err := h.openIVA(opts); err != nil {
-		return err
-	}
-	for i, q := range queries {
-		c := combos[i]
-		ivaM, _, _, _ := h.metricsFor(c)
-		for _, par := range parGrid {
-			h.iva.ix.SetSearchParallelism(par)
-			got, st, err := h.iva.ix.Search(q, ivaM)
-			if err != nil {
-				if !strict {
-					return h.failf("corruption %s %s par=%d: degraded read failed: %v", label, c.name, par, err)
-				}
-				var ce *storage.CorruptionError
-				if !errors.As(err, &ce) {
-					return h.failf("corruption %s %s par=%d: non-corruption error: %v", label, c.name, par, err)
-				}
-				continue
-			}
-			if err := h.diff(fmt.Sprintf("corruption %s %s par=%d", label, c.name, par), wants[i], got); err != nil {
-				return err
-			}
-			if !strict {
-				h.res.DegradedReads += st.DegradedSegments
-			}
-		}
-	}
-	rep, err := h.iva.ix.Scrub()
-	if err != nil {
-		return h.failf("corruption %s scrub: %v", label, err)
-	}
-	if rep.Clean() {
-		return h.failf("corruption %s: scrub missed an injected flip", label)
-	}
-	return nil
-}
-
-// closeIVA releases the iVA engine's files so fault injection (or a mode
-// change) can touch the raw devices without cached pages in the way.
+// closeIVA releases the iVA engine's files so fault injection can touch the
+// raw devices without cached pages in the way.
 func (h *harness) closeIVA() error {
 	if err := h.iva.tblH.f.Close(); err != nil {
 		return h.failf("corruption: close table: %v", err)
@@ -193,9 +158,9 @@ func (h *harness) closeIVA() error {
 	return nil
 }
 
-// openIVA reopens the iVA engine from its (closed) files under opts,
-// mirroring reopenOp's sequence.
-func (h *harness) openIVA(opts core.Options) error {
+// openIVA reopens the iVA engine from its (closed) files, mirroring
+// reopenOp's sequence.
+func (h *harness) openIVA() error {
 	cat, err := table.DecodeCatalog(h.iva.cat.Encode())
 	if err != nil {
 		return h.failf("corruption: catalog decode: %v", err)
@@ -210,7 +175,7 @@ func (h *harness) openIVA(opts core.Options) error {
 	if err != nil {
 		return h.failf("corruption: table decode: %v", err)
 	}
-	ix, err := core.Open(h.iva.ixH.f, tbl, opts)
+	ix, err := core.Open(h.iva.ixH.f, tbl, coreOpts())
 	if err != nil {
 		return h.failf("corruption: index decode: %v", err)
 	}

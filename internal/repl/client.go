@@ -2,7 +2,6 @@ package repl
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -10,12 +9,6 @@ import (
 	"strconv"
 	"time"
 )
-
-// ErrResync is returned by Deltas when the primary cannot serve an
-// incremental continuation — the requested generation fell off the retained
-// log, or the primary restarted under a new epoch. The follower must fall
-// back to a full snapshot.
-var ErrResync = errors.New("repl: primary cannot continue incrementally; full resync required")
 
 // Client fetches replication state from a primary's /v1/repl endpoints.
 type Client struct {
@@ -55,32 +48,14 @@ func (c *Client) get(ctx context.Context, path string, maxBytes int64) ([]byte, 
 	return blob, resp.StatusCode, nil
 }
 
-// maxReplBody caps fetched replication bodies (a snapshot ships whole store
+// maxReplBody caps fetched replication bodies (a Full delta ships whole store
 // files, so the cap is generous).
 const maxReplBody = 4 << 30
 
-// Snapshot fetches a full-state snapshot: a Full delta at the primary's
-// current generation, wire-verified before return.
-func (c *Client) Snapshot(ctx context.Context) (*Delta, error) {
-	blob, code, err := c.get(ctx, "/v1/repl/snapshot", maxReplBody)
-	if err != nil {
-		return nil, fmt.Errorf("repl: snapshot: %w", err)
-	}
-	if code != http.StatusOK {
-		return nil, fmt.Errorf("repl: snapshot: HTTP %d: %s", code, firstLine(blob))
-	}
-	d, err := DecodeDelta(blob)
-	if err != nil {
-		return nil, err
-	}
-	if !d.Full {
-		return nil, fmt.Errorf("%w: snapshot delta not marked full", ErrCorruptDelta)
-	}
-	return d, nil
-}
-
-// Deltas fetches the deltas following generation `from` under `epoch`,
-// wire-verified before return. ErrResync means the follower must snapshot.
+// Deltas asks the primary what follows generation `from` under `epoch` and
+// returns its answer, wire-verified: an empty batch when caught up, the deltas
+// that continue the cursor, or one Full delta when the primary cannot continue
+// it (another epoch, a cursor off its log, the zero cursor of a new replica).
 func (c *Client) Deltas(ctx context.Context, epoch, from uint64) (*Batch, error) {
 	path := "/v1/repl/deltas?epoch=" + strconv.FormatUint(epoch, 10) +
 		"&from=" + strconv.FormatUint(from, 10)
@@ -88,14 +63,10 @@ func (c *Client) Deltas(ctx context.Context, epoch, from uint64) (*Batch, error)
 	if err != nil {
 		return nil, fmt.Errorf("repl: deltas: %w", err)
 	}
-	switch code {
-	case http.StatusOK:
-		return DecodeBatch(blob)
-	case http.StatusGone:
-		return nil, ErrResync
-	default:
+	if code != http.StatusOK {
 		return nil, fmt.Errorf("repl: deltas: HTTP %d: %s", code, firstLine(blob))
 	}
+	return DecodeBatch(blob)
 }
 
 // FetchFileRange fetches raw bytes [off, off+n) of a primary store file —

@@ -6,9 +6,14 @@
 // is invisible until the superblock page commits it, so shipping the written
 // ranges (bytes snapshotted after the Sync) and applying them with the
 // superblock page last reproduces a committed state byte-for-byte. A Delta
-// carries those ranges for one generation; a Full delta carries whole files
-// (bootstrap snapshots and post-rebuild states, where in-place ranges are
-// meaningless because the files were replaced).
+// carries those ranges for one generation; a Full delta carries whole files.
+//
+// A follower asks a primary one question — what follows (epoch, gen)? — and
+// the answer is always a Batch: empty when the follower is caught up, the
+// deltas that continue its cursor, or one Full delta when nothing can (a new
+// replica's zero cursor, another epoch, a cursor the primary's log no longer
+// reaches or that a rebuild — which replaces the files, so that in-place
+// ranges are meaningless — reset).
 //
 // Every range carries a CRC32C over its bytes and the whole blob a trailing
 // CRC32C, so a follower verifies every byte it is about to apply — and every
@@ -239,7 +244,11 @@ func (b *Batch) Encode() []byte {
 // decoding them — the primary's delta log stores encoded blobs, and their
 // internal CRC framing travels as-is.
 func EncodeBatchRaw(epoch, primaryGen uint64, blobs [][]byte) []byte {
-	var out []byte
+	size := 4 + 4 + 8 + 8 + 4
+	for _, blob := range blobs {
+		size += 4 + len(blob)
+	}
+	out := make([]byte, 0, size) // a Full delta is whole files: copy it once
 	out = binary.LittleEndian.AppendUint32(out, batchMagic)
 	out = binary.LittleEndian.AppendUint32(out, wireVersion)
 	out = binary.LittleEndian.AppendUint64(out, epoch)

@@ -7,34 +7,29 @@ import (
 	"time"
 
 	"github.com/sparsewide/iva"
-	"github.com/sparsewide/iva/internal/repl"
 )
 
 // ReplSource is the store surface the replication endpoints serve from;
 // *iva.Store satisfies it. Every response body is already CRC-framed by the
-// store (deltas and snapshots) or re-verified by the fetching side against
-// its own committed checksums (file ranges), so these handlers move opaque
-// bytes and map errors to status codes — nothing more.
+// store (delta batches) or re-verified by the fetching side against its own
+// committed checksums (file ranges), so these handlers move opaque bytes and
+// map errors to status codes — nothing more.
 type ReplSource interface {
-	ReplSnapshot() ([]byte, error)
 	ReplDeltas(epoch, from uint64) ([]byte, error)
 	ReplFileRange(file string, off, n int64) ([]byte, error)
 }
 
 // RegisterRepl mounts the replication endpoints on mux:
 //
-//	GET /v1/repl/snapshot                     — full-state snapshot (encoded Full delta)
-//	GET /v1/repl/deltas?epoch=E&from=G       — encoded batch of deltas following gen G
+//	GET /v1/repl/deltas?epoch=E&from=G       — encoded batch: what follows (E, G)
 //	GET /v1/repl/segment?file=F&off=O&len=N  — raw file bytes (read-repair fetch)
 //
 // Replication traffic bypasses tenant admission (it is peer traffic, not
 // query traffic) and keeps flowing through a drain, like /v1/stats, so a
-// primary being rolled does not stall its followers. A follower losing
-// incremental continuity gets 410 Gone, the signal to take a snapshot.
+// primary being rolled does not stall its followers. Every cursor gets a 200
+// batch from /v1/repl/deltas — empty when caught up, the deltas that continue
+// it, or one Full delta (whole files) when nothing can.
 func (s *Server) RegisterRepl(mux *http.ServeMux, src ReplSource) {
-	mux.HandleFunc("/v1/repl/snapshot", func(w http.ResponseWriter, r *http.Request) {
-		s.serveRepl(w, r, func() ([]byte, error) { return src.ReplSnapshot() })
-	})
 	mux.HandleFunc("/v1/repl/deltas", func(w http.ResponseWriter, r *http.Request) {
 		epoch, err1 := strconv.ParseUint(r.URL.Query().Get("epoch"), 10, 64)
 		from, err2 := strconv.ParseUint(r.URL.Query().Get("from"), 10, 64)
@@ -68,12 +63,9 @@ func (s *Server) serveRepl(w http.ResponseWriter, r *http.Request, fetch func() 
 	}
 	blob, err := fetch()
 	if err != nil {
-		switch {
-		case errors.Is(err, repl.ErrResync):
-			s.writeError(w, ep, http.StatusGone, "resync", err.Error())
-		case errors.Is(err, iva.ErrNotReplicating):
+		if errors.Is(err, iva.ErrNotReplicating) {
 			s.writeError(w, ep, http.StatusServiceUnavailable, "not_replicating", err.Error())
-		default:
+		} else {
 			s.writeError(w, ep, http.StatusInternalServerError, "", err.Error())
 		}
 		return

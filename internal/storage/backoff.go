@@ -1,35 +1,21 @@
 package storage
 
 import (
-	"context"
 	"math/rand"
 	"time"
 )
 
-// Backoff is a reusable capped-exponential-backoff policy with full jitter:
-// attempt k sleeps a uniform duration in [0, min(Base<<k, Max)]. It backs
-// both RetryDevice's transient-error retries and the replication follower's
-// delta poll loop, so every retry path in the system shares one tested
-// policy. The zero value is unusable; use NewBackoff for sane defaults.
+// Backoff is a capped exponential backoff with full jitter: the delay before
+// retry k is uniform in [0, min(Base<<k, Max)]. The replication follower's
+// poll loop paces its retries with it.
 type Backoff struct {
 	// Base is the jitter ceiling of the first retry; Max caps the ceiling's
 	// exponential growth.
 	Base time.Duration
 	Max  time.Duration
-	// Attempts bounds the total tries (initial + retries) a Retry loop
-	// performs; <= 0 means unbounded.
-	Attempts int
-
-	// Rand draws the jitter, uniform in [0, n]; nil uses math/rand. Sleep
-	// performs the wait; nil uses a timer honoring ctx. Both are test seams
-	// so backoff schedules can be asserted without wall-clock sleeps.
-	Rand  func(n int64) int64
-	Sleep func(ctx context.Context, d time.Duration) error
-}
-
-// NewBackoff returns a policy with the given shape and default seams.
-func NewBackoff(base, max time.Duration, attempts int) Backoff {
-	return Backoff{Base: base, Max: max, Attempts: attempts}
+	// Rand draws the jitter, uniform in [0, n); nil uses math/rand. A test
+	// seam, so the schedule can be asserted without sleeping.
+	Rand func(n int64) int64
 }
 
 // Delay returns the jittered sleep before retry `attempt` (0-based: the
@@ -54,54 +40,4 @@ func (b Backoff) Delay(attempt int) time.Duration {
 		draw = rand.Int63n
 	}
 	return time.Duration(draw(int64(ceil) + 1))
-}
-
-// Wait sleeps the jittered delay for retry `attempt`, returning early with
-// ctx.Err() on cancellation. A nil ctx never cancels.
-func (b Backoff) Wait(ctx context.Context, attempt int) error {
-	d := b.Delay(attempt)
-	if b.Sleep != nil {
-		return b.Sleep(ctx, d)
-	}
-	if d <= 0 {
-		if ctx != nil {
-			return ctx.Err()
-		}
-		return nil
-	}
-	if ctx == nil {
-		time.Sleep(d)
-		return nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}
-
-// Retry runs op until it succeeds, fails permanently (retryable returns
-// false), the attempt budget runs out, or ctx cancels. The last error is
-// returned; cancellation mid-wait returns ctx.Err().
-func (b Backoff) Retry(ctx context.Context, retryable func(error) bool, op func() error) error {
-	var err error
-	for attempt := 0; ; attempt++ {
-		if ctx != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				return cerr
-			}
-		}
-		if err = op(); err == nil || (retryable != nil && !retryable(err)) {
-			return err
-		}
-		if b.Attempts > 0 && attempt >= b.Attempts-1 {
-			return err
-		}
-		if werr := b.Wait(ctx, attempt); werr != nil {
-			return werr
-		}
-	}
 }

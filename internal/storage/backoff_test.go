@@ -1,9 +1,6 @@
 package storage
 
 import (
-	"context"
-	"errors"
-	"syscall"
 	"testing"
 	"time"
 )
@@ -11,7 +8,7 @@ import (
 // TestBackoffDelaySchedule pins the jitter ceilings: with a deterministic
 // Rand returning the ceiling itself, Delay must follow base<<k capped at Max.
 func TestBackoffDelaySchedule(t *testing.T) {
-	b := NewBackoff(time.Millisecond, 8*time.Millisecond, 0)
+	b := Backoff{Base: time.Millisecond, Max: 8 * time.Millisecond}
 	b.Rand = func(n int64) int64 { return n - 1 } // the ceiling
 	want := []time.Duration{
 		1 * time.Millisecond,
@@ -29,149 +26,5 @@ func TestBackoffDelaySchedule(t *testing.T) {
 	b.Rand = func(n int64) int64 { return 0 }
 	if got := b.Delay(3); got != 0 {
 		t.Fatalf("full jitter must reach 0, got %v", got)
-	}
-}
-
-// TestBackoffRetryClockInjected drives Retry with an injected clock: the
-// sleeps requested must follow the jittered schedule and no wall time may
-// pass.
-func TestBackoffRetryClockInjected(t *testing.T) {
-	var slept []time.Duration
-	b := NewBackoff(time.Millisecond, 4*time.Millisecond, 4)
-	b.Rand = func(n int64) int64 { return n - 1 }
-	b.Sleep = func(_ context.Context, d time.Duration) error {
-		slept = append(slept, d)
-		return nil
-	}
-	calls := 0
-	err := b.Retry(context.Background(), nil, func() error {
-		calls++
-		return errors.New("always fails")
-	})
-	if err == nil || err.Error() != "always fails" {
-		t.Fatalf("err = %v", err)
-	}
-	if calls != 4 {
-		t.Fatalf("calls = %d, want 4 (the attempt budget)", calls)
-	}
-	want := []time.Duration{1 * time.Millisecond, 2 * time.Millisecond, 4 * time.Millisecond}
-	if len(slept) != len(want) {
-		t.Fatalf("sleeps = %v, want %v", slept, want)
-	}
-	for i := range want {
-		if slept[i] != want[i] {
-			t.Fatalf("sleep %d = %v, want %v", i, slept[i], want[i])
-		}
-	}
-}
-
-// TestBackoffRetryHonorsContext asserts cancellation both between attempts
-// and mid-sleep.
-func TestBackoffRetryHonorsContext(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	b := NewBackoff(time.Millisecond, time.Millisecond, 0) // unbounded attempts
-	b.Sleep = func(ctx context.Context, _ time.Duration) error {
-		cancel() // cancel during the first backoff wait
-		return ctx.Err()
-	}
-	calls := 0
-	err := b.Retry(ctx, nil, func() error { calls++; return errors.New("x") })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if calls != 1 {
-		t.Fatalf("calls = %d, want 1 (no retry after cancellation)", calls)
-	}
-
-	// Already-cancelled context: no attempt at all.
-	calls = 0
-	err = b.Retry(ctx, nil, func() error { calls++; return nil })
-	if !errors.Is(err, context.Canceled) || calls != 0 {
-		t.Fatalf("err = %v calls = %d, want immediate cancellation", err, calls)
-	}
-}
-
-// TestBackoffRetryPermanentError stops on the first non-retryable failure.
-func TestBackoffRetryPermanentError(t *testing.T) {
-	b := NewBackoff(time.Millisecond, time.Millisecond, 10)
-	b.Sleep = func(context.Context, time.Duration) error { return nil }
-	perm := errors.New("permanent")
-	calls := 0
-	err := b.Retry(nil, func(err error) bool { return !errors.Is(err, perm) }, func() error {
-		calls++
-		if calls < 3 {
-			return syscall.EINTR
-		}
-		return perm
-	})
-	if !errors.Is(err, perm) || calls != 3 {
-		t.Fatalf("err = %v calls = %d, want permanent error after 3 calls", err, calls)
-	}
-}
-
-// flakyDevice fails ReadAt with EINTR a fixed number of times, then works.
-type flakyDevice struct {
-	Device
-	fails int
-}
-
-func (d *flakyDevice) ReadAt(p []byte, off int64) (int, error) {
-	if d.fails > 0 {
-		d.fails--
-		return 0, syscall.EINTR
-	}
-	return d.Device.ReadAt(p, off)
-}
-
-// TestRetryDeviceBackoffAndCancel exercises RetryDevice over the injected
-// clock: transient errors retry on the shared schedule, and a cancelled
-// bound context aborts the backoff wait, surfacing the transient error.
-func TestRetryDeviceBackoffAndCancel(t *testing.T) {
-	mem := NewMemDevice()
-	if _, err := mem.WriteAt([]byte("hello"), 0); err != nil {
-		t.Fatal(err)
-	}
-
-	var slept []time.Duration
-	rd := NewRetryDevice(&flakyDevice{Device: mem, fails: 2})
-	b := NewBackoff(time.Millisecond, 4*time.Millisecond, 3)
-	b.Rand = func(n int64) int64 { return n - 1 }
-	b.Sleep = func(_ context.Context, d time.Duration) error {
-		slept = append(slept, d)
-		return nil
-	}
-	rd.SetBackoff(b)
-	buf := make([]byte, 5)
-	if _, err := rd.ReadAt(buf, 0); err != nil {
-		t.Fatalf("read after transient failures: %v", err)
-	}
-	if string(buf) != "hello" {
-		t.Fatalf("read %q", buf)
-	}
-	if rd.Retries() != 2 || len(slept) != 2 {
-		t.Fatalf("retries = %d sleeps = %v, want 2 retries with sleeps", rd.Retries(), slept)
-	}
-	if slept[0] != time.Millisecond || slept[1] != 2*time.Millisecond {
-		t.Fatalf("sleeps = %v, want the exponential schedule", slept)
-	}
-
-	// Cancelled bound context: the transient error surfaces without retries.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	rd2 := NewRetryDevice(&flakyDevice{Device: mem, fails: 100})
-	b2 := NewBackoff(time.Millisecond, 4*time.Millisecond, 3)
-	b2.Sleep = func(ctx context.Context, _ time.Duration) error {
-		if ctx != nil {
-			return ctx.Err()
-		}
-		return nil
-	}
-	rd2.SetBackoff(b2)
-	rd2.Bind(ctx)
-	if _, err := rd2.ReadAt(buf, 0); !errors.Is(err, syscall.EINTR) {
-		t.Fatalf("err = %v, want the EINTR surfaced (no hang, no retry)", err)
-	}
-	if rd2.Retries() != 0 {
-		t.Fatalf("retries = %d, want 0 after cancellation", rd2.Retries())
 	}
 }

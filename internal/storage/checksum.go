@@ -38,11 +38,10 @@ const NoCorruptSegment = uint32(0xFFFFFFFF)
 
 // CorruptionError reports a checksum mismatch: the bytes at File/Offset do
 // not match the CRC32C trailer the committed metadata records for
-// them. Under Options.Integrity = Strict it fails the operation; under
-// DegradeReads a corrupt vector-list segment merely widens that segment's
-// lower bounds to zero (see DESIGN.md §3.8), while corrupt table records and
-// tuple-list segments still fail the query because refinement cannot run
-// without them.
+// them. A corrupt vector-list segment merely widens that segment's lower
+// bounds to zero (see DESIGN.md §3.8), while corrupt table records and
+// tuple-list segments fail the query because refinement cannot run without
+// them.
 type CorruptionError struct {
 	// File is the store-relative file name ("iva.idx", "table.swt",
 	// "catalog.bin").

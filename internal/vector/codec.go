@@ -415,7 +415,7 @@ func decodeDelta(lay Layout, h blockHeader, payload []uint64, out *bitio.Writer)
 // BlockMeta locates one sealed block within a packed vector list's physical
 // stream; the in-memory block directory is a sorted slice of these, rebuilt
 // at open time by WalkBlocks from the self-describing headers (it survives
-// dropped checkpoint chains, which DegradeReads may discard wholesale).
+// dropped checkpoint chains, which an open may discard wholesale after damage).
 type BlockMeta struct {
 	PhysWord     int64 // 64-bit-word offset of the block header
 	LogicalStart int64 // logical bit offset of the first decoded bit

@@ -122,6 +122,37 @@ func TestSlowQueryLog(t *testing.T) {
 
 func text(st *Store) string { return st.MetricsText() }
 
+// TestFastQueryPaysNothingForSlowLog: the slow-query log's entry — the
+// rendered query, an Fprintf per term, and the phase breakdown — is built for
+// a query that meets the threshold and for no other. A query under an armed
+// threshold allocates what it does on a store without a log; one over it
+// allocates at least the boxed arguments of its description more.
+func TestFastQueryPaysNothingForSlowLog(t *testing.T) {
+	q := NewQuery(5).WhereText("brand", "cannon").WhereNum("price", 230)
+	for _, unknown := range []string{"a", "b", "c", "d", "e", "f"} { // charged to every tuple
+		q.WhereNum(unknown, 1)
+	}
+	allocs := func(threshold time.Duration) float64 {
+		st := obsTestStore(t, Options{SlowQueryThreshold: threshold, SearchParallelism: 1})
+		run := func() {
+			if _, _, err := st.Search(q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 80; i++ { // scratch pools warm, the log's ring of 64 full
+			run()
+		}
+		return testing.AllocsPerRun(50, run)
+	}
+	none, fast, slow := allocs(0), allocs(time.Hour), allocs(time.Nanosecond)
+	if fast > none+1 {
+		t.Fatalf("a query under the threshold allocates %.0f times, %.0f without a log", fast, none)
+	}
+	if terms := float64(q.Len()); slow < fast+2*terms {
+		t.Fatalf("a slow query allocates %.0f times and a fast one %.0f: the fast one paid for a description of %0.f terms too", slow, fast, terms)
+	}
+}
+
 // TestSlowQueryDisabled checks the default store logs nothing.
 func TestSlowQueryDisabled(t *testing.T) {
 	st := obsTestStore(t, Options{})

@@ -237,7 +237,7 @@ func TestFailedReadsReleasePoolPins(t *testing.T) {
 }
 
 // TestFailedSwapReleasesPoolPins extends the invariant to install's callers: a
-// snapshot whose new pair fails half-way — the table written whole, the index
+// Full delta whose new pair fails half-way — the table written whole, the index
 // cut off by its device at every budget up to the one the apply fits in —
 // leaves no frame pinned, no file of the abandoned pair in the pool or the
 // directory, and the old generation answering as before.
@@ -273,10 +273,7 @@ func TestFailedSwapReleasesPoolPins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := src.inner.Snapshot(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := fullDelta(t, primary)
 	failures := 0
 	for b := int64(0); ; b++ {
 		budget.Store(b)

@@ -8,12 +8,12 @@ import (
 )
 
 // Read-repair. A corrupt vector-list segment detected at query time
-// (DegradeReads lists it in QueryStats) or by a scrub is queued here; a
+// (the degraded read lists it in QueryStats) or by a scrub is queued here; a
 // background worker fetches the committed payload bytes from a replication
 // peer, verifies them against the LOCAL committed checksum word — the wire
 // adds no trust — and rewrites the segment in place. The next read serves it
 // clean. If no peer has a matching copy the segment simply stays degraded:
-// read-repair can only improve on the DegradeReads floor, never fall below it.
+// read-repair can only improve on the degraded-read floor, never fall below it.
 
 // ReplPeer fetches raw bytes of a peer store's files; *repl.Client implements
 // it over the /v1/repl/segment endpoint.

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -19,9 +20,11 @@ import (
 // log-shipped deltas: every successful Sync cuts one delta holding the byte
 // ranges written since the previous Sync (recorded by the TrackDevice layer
 // under every store file), CRC32C-covered per range and per blob. A bounded
-// in-memory log retains recent deltas for followers to poll; anything older
-// — and any event that breaks in-place continuity, like a rebuild — pushes
-// followers to a full snapshot instead.
+// in-memory log retains recent deltas for followers to poll. A follower asks
+// one question — what follows (epoch, gen)? — and ReplDeltas always answers
+// with a batch: nothing, the retained deltas, or, for a cursor the log cannot
+// continue (a rebuild replaced the files, the log moved on, a new replica),
+// one Full delta carrying the files whole.
 
 const (
 	replPrimaryStateFile  = "repl-primary.json"
@@ -38,8 +41,8 @@ const (
 	// replMaxBatchBytes bounds one /v1/repl/deltas response (at least one
 	// delta is always served, whatever its size).
 	replMaxBatchBytes = 32 << 20
-	// replSnapChunk is the range granularity full snapshots are chunked at.
-	replSnapChunk = 8 << 20
+	// replFullChunk is the range granularity a Full delta's files are cut at.
+	replFullChunk = 8 << 20
 )
 
 // ErrNotReplicating is returned by replication endpoints of a store that is
@@ -56,10 +59,10 @@ type replPrimary struct {
 	lastCatCRC uint32
 	hasCat     bool
 
-	cuts      *obs.Counter
-	cutBytes  *obs.Counter
-	snapshots *obs.Counter
-	resets    *obs.Counter
+	cuts     *obs.Counter
+	cutBytes *obs.Counter
+	fulls    *obs.Counter
+	resets   *obs.Counter
 }
 
 type replLogEntry struct {
@@ -71,7 +74,7 @@ type replLogEntry struct {
 // of the index superblock page at the last cut: on restart the counter
 // resumes only if the committed superblock still matches — otherwise the
 // store advanced (or regressed) while replication was down, and a fresh
-// epoch forces followers to resync rather than silently diverge.
+// epoch gets followers a Full delta rather than letting them diverge silently.
 type replPrimaryState struct {
 	Epoch uint64 `json:"epoch"`
 	Gen   uint64 `json:"gen"`
@@ -79,8 +82,8 @@ type replPrimaryState struct {
 }
 
 // EnableReplSource turns the store into a replication primary: every Sync
-// from now on cuts a delta, and ReplSnapshot/ReplDeltas/ReplFileRange serve
-// followers. Requires an on-disk store. Idempotent.
+// from now on cuts a delta, and ReplDeltas/ReplFileRange serve followers.
+// Requires an on-disk store. Idempotent.
 func (s *Store) EnableReplSource() error {
 	if s.dir == "" {
 		return fmt.Errorf("iva: replication source requires an on-disk store")
@@ -103,8 +106,8 @@ func (s *Store) EnableReplSource() error {
 	}
 	p.cuts = s.reg.Counter("iva_repl_deltas_cut_total", "Replication deltas cut at sync boundaries.", nil)
 	p.cutBytes = s.reg.Counter("iva_repl_delta_bytes_total", "Payload bytes carried by cut replication deltas.", nil)
-	p.snapshots = s.reg.Counter("iva_repl_snapshots_served_total", "Full-state snapshots served to followers.", nil)
-	p.resets = s.reg.Counter("iva_repl_log_resets_total", "Delta-log invalidations (rebuilds, cut failures) that force followers to resync.", nil)
+	p.fulls = s.reg.Counter("iva_repl_snapshots_served_total", "Full deltas (whole files) served to followers whose cursor the log could not continue.", nil)
+	p.resets = s.reg.Counter("iva_repl_log_resets_total", "Delta-log invalidations (rebuilds, cut failures): the next poll of every follower is answered with a Full delta.", nil)
 	s.reg.GaugeFunc("iva_repl_generation", "Committed replication generation (primary: cut; follower: applied).", nil, func() float64 {
 		p.mu.Lock()
 		defer p.mu.Unlock()
@@ -194,7 +197,7 @@ func writeFileAtomic(path string, blob []byte) error {
 
 // replInvalidateLocked drops the retained delta log and advances the
 // generation so every follower — including ones that believed themselves
-// caught up — falls back to a snapshot. Called after rebuilds (the files
+// caught up — is answered with a Full delta. Called after rebuilds (the files
 // were replaced wholesale) and failed cuts (the tracked ranges were
 // consumed but not shipped). Caller holds s.mu.
 func (s *Store) replInvalidateLocked() {
@@ -299,16 +302,13 @@ func splitSuperblockRanges(ranges []storage.Range) []storage.Range {
 	return out
 }
 
-// ReplSnapshot serves a full-state snapshot: the store is synced (cutting
-// any pending delta first) and every file is shipped whole as a Full delta
-// at the current generation.
-func (s *Store) ReplSnapshot() ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// replFullLocked cuts a Full delta: the store is synced (which cuts any
+// pending incremental delta first) and every file is shipped whole at the
+// generation that leaves. It runs under s.mu because only there is "the bytes
+// of both files and the catalog at generation g" one state: a write or a
+// rebuild between the sync and the reads would ship a mix. Caller holds s.mu.
+func (s *Store) replFullLocked() (*repl.Delta, error) {
 	p := s.replP
-	if p == nil {
-		return nil, ErrNotReplicating
-	}
 	if err := s.syncLocked(); err != nil {
 		return nil, err
 	}
@@ -329,16 +329,16 @@ func (s *Store) ReplSnapshot() ([]byte, error) {
 		ID: repl.FileCatalog, Size: int64(len(cat)),
 		Ranges: []repl.Range{{Off: 0, CRC: storage.Checksum(cat), Data: cat}},
 	})
-	p.snapshots.Inc()
-	return d.Encode(), nil
+	p.fulls.Inc()
+	return d, nil
 }
 
 func wholeFileDelta(id uint8, f *storage.File) (repl.FileDelta, error) {
 	fd := repl.FileDelta{ID: id, Size: f.Size()}
-	for off := int64(0); off < fd.Size; off += replSnapChunk {
+	for off := int64(0); off < fd.Size; off += replFullChunk {
 		n := fd.Size - off
-		if n > replSnapChunk {
-			n = replSnapChunk
+		if n > replFullChunk {
+			n = replFullChunk
 		}
 		buf := make([]byte, n)
 		if err := f.ReadAt(buf, off); err != nil {
@@ -349,24 +349,23 @@ func wholeFileDelta(id uint8, f *storage.File) (repl.FileDelta, error) {
 	return fd, nil
 }
 
-// ReplDeltas serves the deltas following generation `from` under `epoch` as
-// an encoded batch. repl.ErrResync (epoch mismatch, or `from` fell off the
-// retained log) tells the follower to take a snapshot instead.
+// ReplDeltas answers a follower's one question — what follows generation
+// `from` under `epoch`? — with an encoded batch, whatever the cursor:
+//
+//   - caught up (epoch matches, from is the primary's generation): no deltas;
+//   - continuable (the log still holds from+1): the retained deltas, up to
+//     replMaxBatchBytes;
+//   - anything else — another epoch, from beyond the primary's generation,
+//     from fallen off the log or the log reset by a rebuild or a failed cut,
+//     the zero cursor of a new replica — one Full delta cut now.
 func (s *Store) ReplDeltas(epoch, from uint64) ([]byte, error) {
 	p := s.replP
 	if p == nil {
 		return nil, ErrNotReplicating
 	}
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	if epoch != p.epoch || from > p.gen {
-		return nil, repl.ErrResync
-	}
-	var blobs [][]byte
-	if from < p.gen {
-		if len(p.log) == 0 || p.log[0].gen > from+1 {
-			return nil, repl.ErrResync
-		}
+	if epoch == p.epoch && (from == p.gen || from < p.gen && len(p.log) > 0 && p.log[0].gen <= from+1) {
+		var blobs [][]byte
 		var total int64
 		for _, e := range p.log {
 			if e.gen <= from {
@@ -378,8 +377,23 @@ func (s *Store) ReplDeltas(epoch, from uint64) ([]byte, error) {
 			blobs = append(blobs, e.blob)
 			total += int64(len(e.blob))
 		}
+		batch := repl.EncodeBatchRaw(p.epoch, p.gen, blobs)
+		p.mu.Unlock()
+		return batch, nil
 	}
-	return repl.EncodeBatchRaw(p.epoch, p.gen, blobs), nil
+	// p.mu is released before s.mu is taken: the order replCutLocked uses.
+	p.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	d, err := s.replFullLocked()
+	if err != nil {
+		return nil, err
+	}
+	blob := d.Encode()
+	if uint64(len(blob)) > math.MaxUint32 {
+		return nil, fmt.Errorf("iva: store of %d bytes does not fit one Full delta (a batch frames each delta under a 32-bit length)", len(blob))
+	}
+	return repl.EncodeBatchRaw(d.Epoch, d.Gen, [][]byte{blob}), nil
 }
 
 // ReplFileRange serves raw bytes [off, off+n) of a store file — the
@@ -387,7 +401,7 @@ func (s *Store) ReplDeltas(epoch, from uint64) ([]byte, error) {
 // a primary and vice versa); the requesting side verifies the bytes against
 // its own committed checksums, so this endpoint adds no trust.
 func (s *Store) ReplFileRange(file string, off, n int64) ([]byte, error) {
-	if off < 0 || n <= 0 || n > replSnapChunk {
+	if off < 0 || n <= 0 || n > replFullChunk {
 		return nil, fmt.Errorf("iva: repl file range: bad span [%d,+%d)", off, n)
 	}
 	s.engineMu.RLock()

@@ -27,9 +27,10 @@ import (
 // follower never serves bytes it could not verify.
 
 // replSource is the follower's view of a primary: *repl.Client over HTTP in
-// production, an in-process adapter in tests.
+// production, an in-process adapter in tests. Its one method asks what follows
+// (epoch, from); the answer is always a batch — empty when caught up, the
+// deltas that continue the cursor, or one Full delta when nothing can.
 type replSource interface {
-	Snapshot(ctx context.Context) (*repl.Delta, error)
 	Deltas(ctx context.Context, epoch, from uint64) (*repl.Batch, error)
 }
 
@@ -38,8 +39,8 @@ type FollowerOptions struct {
 	// Poll is the idle poll interval once caught up (default 1s). Transport
 	// errors back off exponentially with jitter on top of this.
 	Poll time.Duration
-	// RequestTimeout bounds each HTTP round trip (default 60s; snapshots of
-	// large stores need headroom).
+	// RequestTimeout bounds each HTTP round trip (default 60s; a Full delta of
+	// a large store needs headroom).
 	RequestTimeout time.Duration
 }
 
@@ -113,8 +114,8 @@ func OpenFollower(dir, primaryURL string, fopts FollowerOptions, opts Options) (
 
 // openFollower is OpenFollower over any replSource (test seam). A directory
 // that holds no store becomes an empty replica with the zero cursor — which no
-// primary's epoch matches — and a replica at the zero cursor takes its first
-// snapshot here, before it serves anything.
+// primary's epoch matches, so the answer to it is a Full delta — and a replica
+// at the zero cursor makes its first poll here, before it serves anything.
 func openFollower(dir string, src replSource, fopts FollowerOptions, opts Options) (*Store, error) {
 	if fopts.Poll <= 0 {
 		fopts.Poll = time.Second
@@ -160,7 +161,7 @@ func openFollower(dir string, src replSource, fopts FollowerOptions, opts Option
 	f.applied = s.reg.Counter("iva_repl_applied_total", "Replication deltas applied and committed.", nil)
 	f.appliedBytes = s.reg.Counter("iva_repl_applied_bytes_total", "Payload bytes of applied replication deltas.", nil)
 	f.failures = s.reg.Counter("iva_repl_apply_failures_total", "Delta applies abandoned before commit (verification or I/O failure).", nil)
-	f.resyncs = s.reg.Counter("iva_repl_resyncs_total", "Full snapshots installed: a new replica's first, then one per resync after losing incremental continuity.", nil)
+	f.resyncs = s.reg.Counter("iva_repl_resyncs_total", "Full deltas installed: a new replica's first, then one per poll the primary could not continue incrementally.", nil)
 	f.pollErrs = s.reg.Counter("iva_repl_poll_errors_total", "Failed poll round trips to the primary.", nil)
 	s.reg.GaugeFunc("iva_repl_generation", "Committed replication generation (primary: cut; follower: applied).", nil, func() float64 {
 		f.mu.Lock()
@@ -178,7 +179,11 @@ func openFollower(dir string, src replSource, fopts FollowerOptions, opts Option
 	s.fol = f
 	ctx, cancel := context.WithCancel(context.Background())
 	if cur == (followerDurableState{}) {
-		if err := s.followerResync(ctx); err != nil {
+		applied, err := s.pollOnce(ctx)
+		if err == nil && applied == 0 {
+			err = errors.New("the primary answered the zero cursor with no delta")
+		}
+		if err != nil {
 			cancel()
 			s.Close()
 			return nil, fmt.Errorf("iva: bootstrap follower: %w", err)
@@ -227,57 +232,70 @@ func (f *followerState) status() ReplStatus {
 	return st
 }
 
-// runFollower is the poll loop: apply whatever the primary has, resync on
-// lost continuity, back off with jitter on transport errors, idle-poll when
-// caught up.
+// runFollower is the poll loop: ask, apply the answer, back off with jitter
+// while asking or applying fails, idle-poll when caught up.
 func (s *Store) runFollower(ctx context.Context) {
 	f := s.fol
 	defer close(f.done)
-	bo := storage.NewBackoff(200*time.Millisecond, 10*time.Second, 0)
+	bo := storage.Backoff{Base: 200 * time.Millisecond, Max: 10 * time.Second}
 	fails := 0
 	for ctx.Err() == nil {
-		f.mu.Lock()
-		epoch, gen := f.epoch, f.gen
-		f.mu.Unlock()
-		batch, err := f.src.Deltas(ctx, epoch, gen)
+		applied, err := s.pollOnce(ctx)
 		switch {
-		case ctx.Err() != nil:
-			return
-		case err == nil:
-			fails = 0
-			f.noteOK(batch.PrimaryGen)
-			ok := true
-			for _, d := range batch.Deltas {
-				if aerr := s.ApplyReplDelta(d); aerr != nil {
-					f.failures.Inc()
-					f.noteErr(aerr)
-					// The apply never reached its commit point; whatever went
-					// wrong (local I/O, non-contiguous delta), a snapshot
-					// re-establishes a verified state.
-					ok = s.followerResync(ctx) == nil
-					break
-				}
+		case err != nil:
+			// The first retry is immediate: after a failed apply it fetches the
+			// Full delta that makes the replica one generation again.
+			if fails > 0 {
+				sleepCtx(ctx, bo.Delay(min(fails-1, 8)))
 			}
-			if !ok {
-				fails++
-				_ = bo.Wait(ctx, min(fails, 8))
-			} else if len(batch.Deltas) == 0 {
-				sleepCtx(ctx, f.poll)
-			}
-		case errors.Is(err, repl.ErrResync):
-			if s.followerResync(ctx) == nil {
-				fails = 0
-			} else {
-				fails++
-				_ = bo.Wait(ctx, min(fails, 8))
-			}
-		default:
-			f.pollErrs.Inc()
-			f.noteErr(err)
-			_ = bo.Wait(ctx, min(fails, 8))
 			fails++
+		case applied == 0:
+			fails = 0
+			sleepCtx(ctx, f.poll)
+		default:
+			fails = 0
 		}
 	}
+}
+
+// pollOnce is the one way a follower is brought current: it asks the source
+// what follows the cursor and applies the deltas of the answer in order,
+// returning how many it committed. The cursor it asks with is the in-memory
+// one, and an apply that fails zeroes it — no primary's epoch is 0, so the
+// next answer is a Full delta, which re-establishes a verified state whatever
+// went wrong (local I/O, a delta that does not continue the prefix). The
+// durable cursor moves only in applyDelta; until the Full delta lands,
+// ReplStatus reports generation 0 with the error beside it.
+func (s *Store) pollOnce(ctx context.Context) (applied int, err error) {
+	f := s.fol
+	f.mu.Lock()
+	epoch, gen := f.epoch, f.gen
+	f.mu.Unlock()
+	batch, err := f.src.Deltas(ctx, epoch, gen)
+	if ctx.Err() != nil {
+		return 0, ctx.Err()
+	}
+	if err != nil {
+		f.pollErrs.Inc()
+		f.noteErr(err)
+		return 0, err
+	}
+	f.noteOK(batch.PrimaryGen)
+	for _, d := range batch.Deltas {
+		if err := s.ApplyReplDelta(d); err != nil {
+			f.failures.Inc()
+			f.noteErr(err)
+			f.mu.Lock()
+			f.epoch, f.gen = 0, 0
+			f.mu.Unlock()
+			return applied, err
+		}
+		if d.Full {
+			f.resyncs.Inc()
+		}
+		applied++
+	}
+	return applied, nil
 }
 
 // sleepCtx sleeps d, returning early on cancellation.
@@ -288,24 +306,6 @@ func sleepCtx(ctx context.Context, d time.Duration) {
 	case <-ctx.Done():
 	case <-t.C:
 	}
-}
-
-// followerResync fetches and applies a full snapshot.
-func (s *Store) followerResync(ctx context.Context) error {
-	f := s.fol
-	d, err := f.src.Snapshot(ctx)
-	if err != nil {
-		f.pollErrs.Inc()
-		f.noteErr(err)
-		return err
-	}
-	if err := s.ApplyReplDelta(d); err != nil {
-		f.failures.Inc()
-		f.noteErr(err)
-		return err
-	}
-	f.resyncs.Inc()
-	return nil
 }
 
 // ApplyReplDelta applies one wire-verified delta to the follower with the
@@ -323,9 +323,9 @@ func (s *Store) followerResync(ctx context.Context) error {
 // An incremental delta must continue the applied prefix exactly; it is
 // written in place, over the live files, under the exclusive engine lock —
 // searches see the previous generation or the new one, never bytes in flight,
-// and keep their pool pages. A Full delta (a snapshot) resets the prefix; it
-// is written into a new pair of files beside the live one, which keeps
-// answering until the swap. A failure anywhere before the commit point leaves
+// and keep their pool pages. A Full delta resets the prefix; it is written
+// into a new pair of files beside the live one, which keeps answering until
+// the swap. A failure anywhere before the commit point leaves
 // the previous generation committed.
 func (s *Store) ApplyReplDelta(d *repl.Delta) error {
 	f := s.fol
@@ -410,7 +410,7 @@ func (s *Store) applyDelta(d *repl.Delta) error {
 // see — against the shipped CRC; the superblock is written only once all it
 // references has verified. It is the one routine a delta's bytes reach a file
 // through: the live pair for an incremental delta, a pair beside it for a
-// snapshot, either again when Open redoes a journal.
+// Full one, either again when Open redoes a journal.
 func applyRanges(tblF, ixF storeFile, d *repl.Delta) error {
 	for _, superblock := range []bool{false, true} {
 		pass := func(fn func(storeFile, repl.Range) error) error {

@@ -22,20 +22,26 @@ import (
 // form exactly as it would over the network.
 type localSource struct{ p *Store }
 
-func (l localSource) Snapshot(ctx context.Context) (*repl.Delta, error) {
-	blob, err := l.p.ReplSnapshot()
-	if err != nil {
-		return nil, err
-	}
-	return repl.DecodeDelta(blob)
-}
-
 func (l localSource) Deltas(ctx context.Context, epoch, from uint64) (*repl.Batch, error) {
 	blob, err := l.p.ReplDeltas(epoch, from)
 	if err != nil {
 		return nil, err
 	}
 	return repl.DecodeBatch(blob)
+}
+
+// fullDelta asks the primary the question of a new replica — what follows the
+// zero cursor? — and returns the one Full delta of the answer.
+func fullDelta(t *testing.T, p *Store) *repl.Delta {
+	t.Helper()
+	b, err := localSource{p}.Deltas(context.Background(), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b.Deltas) != 1 || !b.Deltas[0].Full {
+		t.Fatalf("the zero cursor was answered with %d deltas, want one Full delta", len(b.Deltas))
+	}
+	return b.Deltas[0]
 }
 
 // localPeer is the in-process read-repair peer.
@@ -46,7 +52,8 @@ func (l localPeer) FetchFileRange(ctx context.Context, file string, off, n int64
 }
 
 // gatedSource caps the generation served to the follower so tests can hold
-// it at an exact synced generation and compare answers there.
+// it at an exact synced generation and compare answers there. A Full delta
+// passes the gate: it is the primary's synced state whenever it is cut.
 type gatedSource struct {
 	inner localSource
 	mu    sync.Mutex
@@ -59,10 +66,6 @@ func (g *gatedSource) allow(gen uint64) {
 	g.mu.Unlock()
 }
 
-func (g *gatedSource) Snapshot(ctx context.Context) (*repl.Delta, error) {
-	return g.inner.Snapshot(ctx)
-}
-
 func (g *gatedSource) Deltas(ctx context.Context, epoch, from uint64) (*repl.Batch, error) {
 	b, err := g.inner.Deltas(ctx, epoch, from)
 	if err != nil {
@@ -73,7 +76,7 @@ func (g *gatedSource) Deltas(ctx context.Context, epoch, from uint64) (*repl.Bat
 	g.mu.Unlock()
 	kept := b.Deltas[:0]
 	for _, d := range b.Deltas {
-		if d.Gen <= max {
+		if d.Gen <= max || d.Full {
 			kept = append(kept, d)
 		}
 	}
@@ -201,8 +204,8 @@ func assertSameAnswers(t *testing.T, primary, follower *Store, queries []*Query,
 // TestReplFollowerDifferential is the seeded primary/follower differential:
 // a follower held at each synced generation answers every query of the
 // battery byte-identically to the primary, across deletes, updates, follower
-// reopens, a primary rebuild (which forces a snapshot resync), and search
-// parallelism 1 / 2 / GOMAXPROCS.
+// reopens, a primary rebuild (which the next poll crosses with a Full delta),
+// and search parallelism 1 / 2 / GOMAXPROCS.
 func TestReplFollowerDifferential(t *testing.T) {
 	base := t.TempDir()
 	pdir, fdir := filepath.Join(base, "primary"), filepath.Join(base, "follower")
@@ -241,6 +244,13 @@ func TestReplFollowerDifferential(t *testing.T) {
 	if err := follower.Rebuild(); err != ErrFollower {
 		t.Fatalf("follower Rebuild returned %v, want ErrFollower", err)
 	}
+	attrs := follower.Stats().Attributes
+	if err := follower.DefineAttr("rogue", Numeric); err != ErrFollower {
+		t.Fatalf("follower DefineAttr returned %v, want ErrFollower", err)
+	}
+	if got := follower.Stats().Attributes; got != attrs {
+		t.Fatalf("a refused DefineAttr took the follower's catalog from %d to %d attributes", attrs, got)
+	}
 
 	// Generation-by-generation: mutate, sync, release exactly one delta,
 	// compare at that synced generation.
@@ -258,7 +268,7 @@ func TestReplFollowerDifferential(t *testing.T) {
 	}
 
 	// Follower reopen (crash-free restart): must resume from its durable
-	// cursor, not resync.
+	// cursor, not take a Full delta.
 	if err := follower.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -270,11 +280,11 @@ func TestReplFollowerDifferential(t *testing.T) {
 	waitFollowerGen(t, follower, primary.ReplStatus().Gen)
 	assertSameAnswers(t, primary, follower, queries, "after follower reopen")
 	if got := follower.fol.resyncs.Value(); got != resyncsBefore {
-		t.Fatalf("clean reopen took %d snapshot resyncs, want none", got-resyncsBefore)
+		t.Fatalf("clean reopen installed %d Full deltas, want none", got-resyncsBefore)
 	}
 
 	// A primary rebuild invalidates the delta log; the follower must land on
-	// the rebuilt state via snapshot resync and still answer identically.
+	// the rebuilt state through a Full delta and still answer identically.
 	for i := 0; i < 40; i++ {
 		w.step(t, primary, 2000+i)
 	}
@@ -288,14 +298,14 @@ func TestReplFollowerDifferential(t *testing.T) {
 	waitFollowerGen(t, follower, primary.ReplStatus().Gen)
 	assertSameAnswers(t, primary, follower, queries, "after primary rebuild")
 	if follower.fol.resyncs.Value() == resyncsBefore {
-		t.Fatal("primary rebuild did not force a follower resync")
+		t.Fatal("the follower crossed a primary rebuild without a Full delta")
 	}
 }
 
 // TestReplPrimaryCrashEpochBump: a primary that advances past its recorded
 // replication state while replication is down (crash after sync without a
-// cut) must come back under a fresh epoch, pushing followers to resync
-// rather than silently diverge.
+// cut) must come back under a fresh epoch, which gets followers a Full delta
+// rather than letting them diverge silently.
 func TestReplPrimaryCrashEpochBump(t *testing.T) {
 	base := t.TempDir()
 	pdir, fdir := filepath.Join(base, "primary"), filepath.Join(base, "follower")
@@ -350,7 +360,7 @@ func TestReplPrimaryCrashEpochBump(t *testing.T) {
 	if rs.Epoch <= epoch1 {
 		t.Fatalf("stale primary resumed epoch %d (was %d); divergence guard failed", rs.Epoch, epoch1)
 	}
-	// The old follower reattaches: epoch mismatch → resync → identical.
+	// The old follower reattaches: epoch mismatch → Full delta → identical.
 	if err := p2.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +387,7 @@ func TestReplPrimaryCrashEpochBump(t *testing.T) {
 // boundary of a delta apply, for both ways a delta's bytes reach a follower's
 // files. In place (an incremental delta): journal written but nothing applied,
 // partially applied, fully applied but journal not yet dropped. Wholesale (a
-// snapshot): journaled with no new file yet, the new pair half written, the
+// Full delta): journaled with no new file yet, the new pair half written, the
 // swap cut between its two renames, installed with the cursor and the journal
 // still the old ones. Plain Open must redo the journal through
 // applyRanges and land on exactly the delta's generation; a follower opened
@@ -437,14 +447,11 @@ func TestReplFollowerCrashMidApply(t *testing.T) {
 		}
 		delta = batch.Deltas[0]
 	}
-	snap, err := src.Snapshot(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Serving a snapshot syncs, which cuts a delta of its own: the snapshot
-	// is of a later generation than the delta, with the same rows.
-	if !snap.Full || snap.Gen < gen1 {
-		t.Fatalf("snapshot full=%v gen %d, want a full one at gen %d or later", snap.Full, snap.Gen, gen1)
+	// Cutting a Full delta syncs, which may cut an incremental one first: it
+	// is of the delta's generation or a later one, with the same rows.
+	snap := fullDelta(t, primary)
+	if snap.Gen < gen1 {
+		t.Fatalf("Full delta at gen %d, want gen %d or later", snap.Gen, gen1)
 	}
 	queries := replQueries(rand.New(rand.NewSource(42)))
 
@@ -475,7 +482,7 @@ func TestReplFollowerCrashMidApply(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// image is the whole file a snapshot ships under id.
+	// image is the whole file a Full delta ships under id.
 	image := func(id uint8) []byte {
 		var blob []byte
 		for _, r := range snap.File(id).Ranges {
@@ -539,22 +546,22 @@ func TestReplFollowerCrashMidApply(t *testing.T) {
 		{"torn journal (crash during disk corruption)", func(dir string) {
 			blob := delta.Encode()
 			write(dir, replJournalFile, blob[:len(blob)/2])
-		}, 0}, // unreadable journal → zero cursor → the follower resyncs to the primary's current gen
-		{"snapshot journaled, nothing written", func(dir string) {
+		}, 0}, // unreadable journal → zero cursor → the next poll is answered with a Full delta
+		{"Full delta journaled, nothing written", func(dir string) {
 			write(dir, replJournalFile, snap.Encode())
 		}, snap.Gen},
-		{"snapshot journaled, new pair half written", func(dir string) {
+		{"Full delta journaled, new pair half written", func(dir string) {
 			write(dir, replJournalFile, snap.Encode())
 			write(dir, tableFileName+newSuffix, image(repl.FileTable))
 			ix := image(repl.FileIndex)
 			write(dir, indexFileName+newSuffix, ix[:len(ix)/2])
 		}, snap.Gen},
-		{"snapshot journaled, swap cut between its renames", func(dir string) {
+		{"Full delta journaled, swap cut between its renames", func(dir string) {
 			write(dir, replJournalFile, snap.Encode())
 			write(dir, tableFileName, image(repl.FileTable))
 			write(dir, indexFileName+newSuffix, image(repl.FileIndex))
 		}, snap.Gen},
-		{"snapshot installed, journal not yet dropped", func(dir string) { applied(dir, snap) }, snap.Gen},
+		{"Full delta installed, journal not yet dropped", func(dir string) { applied(dir, snap) }, snap.Gen},
 	}
 	for i, sc := range scenarios {
 		dir := filepath.Join(base, fmt.Sprintf("crash-%d", i))
@@ -608,7 +615,7 @@ func TestReplFollowerCrashMidApply(t *testing.T) {
 // corruptingDevice flips a bit of every write beyond the superblock while
 // armed — a disk that lies on the write path. The follower's read-back
 // verification must catch it before the commit point. The switch is shared by
-// every device of the disk: a snapshot is written to a new file.
+// every device of the disk: a Full delta is written to a new file.
 type corruptingDevice struct {
 	storage.Device
 	armed *atomic.Bool
@@ -627,8 +634,8 @@ func (d corruptingDevice) WriteAt(p []byte, off int64) (int, error) {
 
 // TestReplFollowerNeverCommitsUnverified: with a lying disk under the
 // follower's index file, nothing reaches a commit point through applyRanges —
-// not an incremental delta written in place, not the snapshot the follower
-// falls back to, written beside, not the journal Open redoes after a restart:
+// not an incremental delta written in place, not the Full delta the next poll
+// is answered with, written beside, not the journal Open redoes after a restart:
 // the durable cursor and the superblock stay where they were, nothing of the
 // abandoned pair is left in the directory or the pool, and the follower heals
 // once the disk behaves.
@@ -674,7 +681,7 @@ func TestReplFollowerNeverCommitsUnverified(t *testing.T) {
 	}
 
 	// Arm the lying disk, cut a delta, let the follower try to apply it: in
-	// place first, and when that fails, as a snapshot.
+	// place first, and when that fails, the Full delta its next poll gets.
 	armed.Store(true)
 	for i := 0; i < 40; i++ {
 		w.step(t, primary, 300+i)
@@ -686,7 +693,7 @@ func TestReplFollowerNeverCommitsUnverified(t *testing.T) {
 	deadline := time.Now().Add(15 * time.Second)
 	for follower.fol.failures.Value() < 2 {
 		if time.Now().After(deadline) {
-			t.Fatalf("lying disk tripped %d apply failures, want the delta's and the snapshot's (hits %d)",
+			t.Fatalf("lying disk tripped %d apply failures, want the delta's and the Full delta's (hits %d)",
 				follower.fol.failures.Value(), hits.Load())
 		}
 		time.Sleep(2 * time.Millisecond)
@@ -817,21 +824,6 @@ func (f *flippingSource) arm(on bool) {
 	f.mu.Unlock()
 }
 
-func (f *flippingSource) Snapshot(ctx context.Context) (*repl.Delta, error) {
-	blob, err := f.p.ReplSnapshot()
-	if err != nil {
-		return nil, err
-	}
-	f.mu.Lock()
-	flip := f.flipy
-	f.mu.Unlock()
-	if flip && len(blob) > 64 {
-		blob = append([]byte(nil), blob...)
-		blob[len(blob)/3] ^= 0x04
-	}
-	return repl.DecodeDelta(blob)
-}
-
 func (f *flippingSource) Deltas(ctx context.Context, epoch, from uint64) (*repl.Batch, error) {
 	blob, err := f.p.ReplDeltas(epoch, from)
 	if err != nil {
@@ -908,7 +900,7 @@ func TestReadRepairEndToEnd(t *testing.T) {
 	follower.SetRepairPeer(localPeer{primary})
 
 	// The damage is visible to a scrub, which queues the repair; queries keep
-	// exact answers throughout (DegradeReads refines around the bad segment).
+	// exact answers throughout (the degraded read refines around the bad segment).
 	rep, err := follower.Scrub()
 	if err != nil {
 		t.Fatal(err)
@@ -1022,21 +1014,6 @@ func (c *chaosSource) now() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.mode
-}
-
-func (c *chaosSource) Snapshot(ctx context.Context) (*repl.Delta, error) {
-	if c.now() == 1 {
-		return nil, fmt.Errorf("chaos: partitioned")
-	}
-	blob, err := c.inner.p.ReplSnapshot()
-	if err != nil {
-		return nil, err
-	}
-	if c.now() == 2 && len(blob) > 64 {
-		blob = append([]byte(nil), blob...)
-		blob[len(blob)/2] ^= 0x20
-	}
-	return repl.DecodeDelta(blob)
 }
 
 func (c *chaosSource) Deltas(ctx context.Context, epoch, from uint64) (*repl.Batch, error) {
@@ -1183,6 +1160,9 @@ func TestReplicaDirReadOnlyUnderPlainOpen(t *testing.T) {
 	}
 	if err := st.Rebuild(); err != ErrFollower {
 		t.Fatalf("Rebuild returned %v, want ErrFollower", err)
+	}
+	if err := st.DefineAttr("rogue", Numeric); err != ErrFollower {
+		t.Fatalf("DefineAttr returned %v, want ErrFollower", err)
 	}
 	// Reads still work, and Close (which Syncs) must leave the bytes alone.
 	if _, _, err := st.Search(NewQuery(5).WhereNum("num", 100)); err != nil {

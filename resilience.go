@@ -5,28 +5,8 @@ import (
 	"os"
 	"path/filepath"
 
-	"github.com/sparsewide/iva/internal/core"
 	"github.com/sparsewide/iva/internal/storage"
 	"github.com/sparsewide/iva/internal/table"
-)
-
-// IntegrityMode selects how a checksum mismatch found at read time is
-// handled (Options.Integrity).
-type IntegrityMode = core.IntegrityMode
-
-const (
-	// DegradeReads (the default) keeps queries answerable through vector-
-	// list corruption: a corrupt segment contributes zero lower bounds, so
-	// every affected tuple goes to refine, where the exact distance is
-	// computed from the (verified) table record. Results are therefore
-	// still exact — degradation trades filter I/O for correctness, never
-	// correctness for availability. The damage is surfaced in
-	// QueryStats.DegradedSegments and the iva_corrupt_segments_total
-	// counter.
-	DegradeReads = core.IntegrityDegrade
-	// Strict fails any operation that touches corrupt bytes with a
-	// *CorruptionError.
-	Strict = core.IntegrityStrict
 )
 
 // CorruptionError is the typed error every checksum mismatch surfaces as;
@@ -48,7 +28,7 @@ type ScrubReport struct {
 	CorruptIndexSegIDs   []uint32
 
 	// Checkpoint record sweep, plus records already dropped when the index
-	// was opened under DegradeReads.
+	// was opened.
 	Checkpoints        int
 	CorruptCheckpoints int
 	DroppedCheckpoints int

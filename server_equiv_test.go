@@ -23,9 +23,8 @@ import (
 )
 
 // TestServerEquivalenceDegraded proves the HTTP path preserves the
-// degraded-read guarantee: with a corrupt vector-list segment on disk and
-// DegradeReads in force, every HTTP answer stays byte-identical to the
-// in-process answer, and at least one query reports its degraded segments
+// degraded-read guarantee: with a corrupt vector-list segment on disk, every
+// HTTP answer stays byte-identical to the in-process answer, and at least one query reports its degraded segments
 // through the wire stats.
 func TestServerEquivalenceDegraded(t *testing.T) {
 	const (
@@ -64,7 +63,7 @@ func TestServerEquivalenceDegraded(t *testing.T) {
 	}
 
 	// Flip one committed bit in the middle of each of the first few extents
-	// so several attributes degrade, then reopen under DegradeReads.
+	// so several attributes degrade, then reopen.
 	idxPath := filepath.Join(dir, "iva.idx")
 	blob, err := os.ReadFile(idxPath)
 	if err != nil {
@@ -76,7 +75,7 @@ func TestServerEquivalenceDegraded(t *testing.T) {
 	if err := os.WriteFile(idxPath, blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s, err = iva.Open(dir, iva.Options{Integrity: iva.DegradeReads})
+	s, err = iva.Open(dir, iva.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

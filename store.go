@@ -76,17 +76,6 @@ type Options struct {
 	// starts no goroutine. Results are identical either way — the plan is
 	// byte-for-byte deterministic at any worker count.
 	SearchParallelism int
-	// Integrity selects how a checksum mismatch found at read time is
-	// handled. DegradeReads (the default) keeps queries answerable: a
-	// corrupt vector-list segment contributes zero lower bounds, so the
-	// affected tuples all go to refine and results stay exact (refine
-	// recomputes true distances from the table file); the damage is counted
-	// in QueryStats.DegradedSegments and iva_corrupt_segments_total. Strict
-	// fails any operation touching corrupt bytes with a *CorruptionError.
-	// Corruption of the tuple list, attribute metadata or table records
-	// fails the operation in both modes — there is nothing sound to degrade
-	// to.
-	Integrity IntegrityMode
 	// QueryTimeout bounds every search's wall time. A query past the
 	// deadline stops at the next stripe boundary or refine fetch and
 	// returns context.DeadlineExceeded. Zero disables the bound;
@@ -100,7 +89,7 @@ type Options struct {
 	// next build or rebuild; positional (Type III/IV) lists always stay raw.
 	Codec int
 	// deviceHook, when set, wraps every raw device the store opens (keyed by
-	// file name) before the retry and tracking layers. It is the fault-
+	// file name) before the tracking layer. It is the fault-
 	// injection seam store-level crash and corruption tests use; unexported
 	// because only package-internal tests may reach it.
 	deviceHook func(name string, dev storage.Device) storage.Device
@@ -195,7 +184,6 @@ type storeMetrics struct {
 	scanned     *obs.Counter
 	accesses    *obs.Counter
 	corruptSegs *obs.Counter
-	devRetries  *obs.Counter
 	queryDur    *obs.Histogram
 	filterDur   *obs.Histogram
 	refineDur   *obs.Histogram
@@ -229,7 +217,6 @@ func (s *Store) initObs() {
 		scanned:     s.reg.Counter("iva_query_scanned_tuples_total", "Tuple-list entries filtered across all queries.", nil),
 		accesses:    s.reg.Counter("iva_query_table_accesses_total", "Random table-file accesses across all queries.", nil),
 		corruptSegs: s.reg.Counter("iva_corrupt_segments_total", "Corrupt vector-list segments queries degraded past.", nil),
-		devRetries:  s.reg.Counter("iva_device_retries_total", "Device operations retried after transient kernel errors.", nil),
 		queryDur:    s.reg.Histogram("iva_query_duration_seconds", "End-to-end search latency.", nil, nil),
 		filterDur: s.reg.Histogram("iva_query_phase_duration_seconds", "Per-phase search latency.",
 			obs.Labels{"phase": "filter"}, nil),
@@ -342,7 +329,6 @@ func (s *Store) coreOptions(cat *table.Catalog) core.Options {
 	opts := core.Options{
 		Alpha: s.opts.Alpha, N: s.opts.N,
 		SearchParallelism: s.opts.SearchParallelism,
-		Integrity:         s.opts.Integrity,
 		Codec:             s.opts.Codec,
 	}
 	if len(s.opts.AlphaPerAttr) > 0 {
@@ -431,7 +417,8 @@ func Open(dir string, opts Options) (*Store, error) {
 // removal: a journal still there is returned for the caller to apply again,
 // which lands on exactly the generation the apply was committing. An
 // unreadable one (disk corruption: it is written atomically) is dropped with
-// the cursor zeroed, so that the follower resyncs from a snapshot.
+// the cursor zeroed, so that the follower's next poll is answered with a Full
+// delta.
 func recoverDir(dir string) (*repl.Delta, error) {
 	newTbl, newIx := filepath.Join(dir, tableFileName+newSuffix), filepath.Join(dir, indexFileName+newSuffix)
 	if _, err := os.Stat(newTbl); err == nil {
@@ -502,7 +489,7 @@ func (s *Store) openEngines(cat *table.Catalog, tblF, ixF storeFile, create bool
 // install makes g the generation the store runs on: the one place the engine
 // pointers change. g arrives whole — files written and fsynced, engines open
 // over them — in one of three ways. Written beside the live generation, under
-// ".new" names (a rebuild, a follower's snapshot): queries ran on the old pair
+// ".new" names (a rebuild, a follower's Full delta): queries ran on the old pair
 // until now; the swap waits out those in flight, the old pair is closed, and
 // the new files are renamed over the old names, table first (recoverDir
 // finishes a swap a crash cut in half). Over the store's own files, written in
@@ -577,13 +564,9 @@ func (s *Store) openFile(name string) (storeFile, error) {
 	if s.opts.deviceHook != nil {
 		dev = s.opts.deviceHook(name, dev)
 	}
-	// Transient kernel errors (EINTR/EAGAIN) retry with backoff instead of
-	// failing the query.
-	rd := storage.NewRetryDevice(dev)
-	rd.OnRetry(s.om.devRetries.Inc)
 	// The outermost tracker records which byte ranges are written between
 	// Syncs — the raw material of replication deltas.
-	td := storage.NewTrackDevice(rd)
+	td := storage.NewTrackDevice(dev)
 	return storeFile{File: storage.NewFile(s.pool, td), dev: td, name: name}, nil
 }
 
@@ -613,6 +596,9 @@ func (s *Store) newMetric(cat *table.Catalog, tbl *table.Table) (*metric.Metric,
 // DefineAttr registers an attribute ahead of use (Insert also registers
 // attributes implicitly from value kinds).
 func (s *Store) DefineAttr(name string, kind Kind) error {
+	if s.followerReadOnly() {
+		return ErrFollower
+	}
 	_, err := s.cat.AddAttr(name, kind.internal())
 	return err
 }
@@ -810,9 +796,14 @@ type QueryStats struct {
 	// Workers is the number of filter workers the search ran with.
 	Workers int
 	// DegradedSegments counts the distinct corrupt vector-list segments the
-	// query read past under DegradeReads. Zero on a healthy store; any
-	// other value means the results are still exact but the index needs a
-	// scrub and rebuild.
+	// query read past: a segment that fails its checksum contributes zero
+	// lower bounds, so every affected tuple goes to refine, where the exact
+	// distance is computed from the (verified) table record. Zero on a healthy
+	// store; any other value means the results are still exact — degradation
+	// trades filter I/O for correctness, never the reverse — but the index
+	// needs a scrub and rebuild (also iva_corrupt_segments_total). Corruption
+	// of the tuple list, attribute metadata or table records fails the
+	// operation with a *CorruptionError: there is nothing sound to degrade to.
 	DegradedSegments int
 	// TraceID is the 16-hex-digit id of the query's trace — the join key
 	// into the sampled trace ring (WriteTraces, /debug/trace), the
@@ -953,12 +944,13 @@ func (s *Store) SearchContext(ctx context.Context, q *Query) ([]Result, QuerySta
 	s.om.mergeDur.Observe(st.MergeWall.Seconds())
 	s.om.filterReads.Observe(float64(st.FilterIO.PhysReads))
 	s.om.refineReads.Observe(float64(st.RefineIO.PhysReads))
-	if s.slowLog.ObserveEntry(obs.LogEntry{
-		Query:    q.describe(),
-		Duration: sp.Duration(),
-		Trace:    sp,
-		Phases:   phaseBreakdown(qs),
-	}) {
+	if d := sp.Duration(); s.slowLog.Slow(d) {
+		s.slowLog.ObserveEntry(obs.LogEntry{
+			Query:    q.describe(),
+			Duration: d,
+			Trace:    sp,
+			Phases:   phaseBreakdown(qs),
+		})
 		s.om.slowQueries.Inc()
 		s.ring.Force(sp)
 	} else {
@@ -1046,8 +1038,8 @@ func (s *Store) rebuildLocked(cause rebuildCause, headroom int64) error {
 		return err
 	}
 	// A rebuild replaces the files wholesale: in-place deltas cannot continue
-	// across it, so the retained log is invalidated and followers fall back
-	// to a snapshot.
+	// across it, so the retained log is invalidated and the next poll of every
+	// follower is answered with a Full delta.
 	if s.replP != nil {
 		s.replInvalidateLocked()
 	}

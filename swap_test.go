@@ -213,17 +213,10 @@ func TestOpenRecoversInterruptedSwap(t *testing.T) {
 }
 
 // heldSource is a primary the follower cannot reach while held: polls come
-// back empty and snapshots fail, so the follower stays where it is.
+// back empty, so the follower stays where it is.
 type heldSource struct {
 	inner localSource
 	held  atomic.Bool
-}
-
-func (h *heldSource) Snapshot(ctx context.Context) (*repl.Delta, error) {
-	if h.held.Load() {
-		return nil, fmt.Errorf("held")
-	}
-	return h.inner.Snapshot(ctx)
 }
 
 func (h *heldSource) Deltas(ctx context.Context, epoch, from uint64) (*repl.Batch, error) {
@@ -233,10 +226,10 @@ func (h *heldSource) Deltas(ctx context.Context, epoch, from uint64) (*repl.Batc
 	return h.inner.Deltas(ctx, epoch, from)
 }
 
-// TestSearchDuringResync runs a search loop on a follower while a primary
-// rebuild forces it through a snapshot resync. The snapshot is written beside
+// TestSearchDuringResync runs a search loop on a follower while it crosses a
+// primary rebuild. The Full delta its poll is answered with is written beside
 // the live generation and swapped in, so every search is answered, without an
-// error, by one whole generation: the one before the resync or the one after.
+// error, by one whole generation: the one before the swap or the one after.
 func TestSearchDuringResync(t *testing.T) {
 	base := t.TempDir()
 	primary, err := Create(filepath.Join(base, "primary"), Options{})
@@ -337,7 +330,7 @@ func TestSearchDuringResync(t *testing.T) {
 	default:
 	}
 	if follower.fol.resyncs.Value() == resyncs {
-		t.Fatal("the follower caught up without a resync: the swap was not exercised")
+		t.Fatal("the follower caught up without a Full delta: the swap was not exercised")
 	}
 	if seen[0].Load() == 0 || seen[1].Load() == 0 {
 		t.Fatalf("searches answered by the old/new generation: %d/%d, want some of each", seen[0].Load(), seen[1].Load())

@@ -207,7 +207,6 @@ func TestFailedOpenClosesFiles(t *testing.T) {
 	var opens, closes atomic.Int64
 	var failIndex atomic.Bool
 	opts := Options{
-		Integrity: Strict,
 		deviceHook: func(name string, dev storage.Device) storage.Device {
 			opens.Add(1)
 			if name == indexFileName && failIndex.Load() {
