@@ -39,7 +39,7 @@ func TestFormatGate(t *testing.T) {
 		want []string // substrings of the error
 	}
 	var cases []tamper
-	for _, version := range []uint32{0, 1, 2, 3, 4, 5, 6, 8, 0xFFFFFFFF} {
+	for _, version := range []uint32{0, 1, 2, 3, 4, 5, 6, 7, 9, 0xFFFFFFFF} {
 		for _, fixCRC := range []bool{false, true} {
 			cases = append(cases, tamper{
 				name: fmt.Sprintf("index-version=%d/crc-recomputed=%v", version, fixCRC),
@@ -51,7 +51,7 @@ func TestFormatGate(t *testing.T) {
 					}
 					return b
 				},
-				want: []string{fmt.Sprintf("version %d ", version), "version 7"},
+				want: []string{fmt.Sprintf("version %d ", version), "version 8"},
 			})
 		}
 	}
@@ -121,7 +121,7 @@ func TestFormatGate(t *testing.T) {
 	// the same gate before its poll loop starts, and leaves the replica as it
 	// found it.
 	image := append([]byte(nil), clean[indexFileName]...)
-	binary.LittleEndian.PutUint32(image[4:], 6)
+	binary.LittleEndian.PutUint32(image[4:], 7)
 	if err := os.WriteFile(filepath.Join(dir, indexFileName), image, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -132,9 +132,9 @@ func TestFormatGate(t *testing.T) {
 	fol, err := openFollower(dir, localSource{}, FollowerOptions{}, Options{})
 	if err == nil {
 		fol.Close()
-		t.Fatal("follower opened a version-6 replica")
+		t.Fatal("follower opened a version-7 replica")
 	}
-	if msg := err.Error(); !strings.Contains(msg, "version 6 ") || !strings.Contains(msg, "version 7") {
+	if msg := err.Error(); !strings.Contains(msg, "version 7 ") || !strings.Contains(msg, "version 8") {
 		t.Fatalf("follower refusal does not name both versions: %v", err)
 	}
 	for file, b := range readDir(t, dir) {

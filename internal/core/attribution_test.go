@@ -43,7 +43,10 @@ func datasetIndex(t testing.TB, tuples, queries int, opts Options) (*Index, []*m
 // terms alone by their exact differences would have kept the tuple out. The
 // table it logs (-v) is what EXPERIMENTS.md "A tuple costs what it must" and
 // ROADMAP item 1 quote. It fails only when its replay disagrees with the
-// search itself on the number of fetches or on the answer.
+// search itself on the number of fetches or on the answer. (Figures at 10,000
+// tuples: 907.9 fetches per query, mean text bound 4.00 under the parent's
+// "t clear bits per gram" signatures; 882.4 and 5.10 under format word 8's
+// plain OR, mean exact edit distance 15.41 on both.)
 func TestFetchAttribution(t *testing.T) {
 	tuples, queries := 10000, 100
 	if testing.Short() {

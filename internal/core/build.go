@@ -30,10 +30,7 @@ func Build(tbl *table.Table, f *storage.File, opts Options) (*Index, error) {
 	if err := f.Truncate(0); err != nil {
 		return nil, err
 	}
-	segs, err := storage.NewSegStore(f, superblockSize, opts.SegmentSize)
-	if err != nil {
-		return nil, err
-	}
+	segs := storage.NewSegStore(f, superblockSize)
 
 	// Packed tid width: current id space plus headroom for future inserts.
 	headroom := opts.TIDHeadroom

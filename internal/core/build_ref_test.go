@@ -37,10 +37,7 @@ func referenceBuild(tbl *table.Table, f *storage.File, opts Options) (*Index, er
 	if err := f.Truncate(0); err != nil {
 		return nil, err
 	}
-	segs, err := storage.NewSegStore(f, superblockSize, opts.SegmentSize)
-	if err != nil {
-		return nil, err
-	}
+	segs := storage.NewSegStore(f, superblockSize)
 
 	// Packed tid width: current id space plus headroom for future inserts.
 	headroom := opts.TIDHeadroom
@@ -372,7 +369,7 @@ func TestBuildStreamMatchesReference(t *testing.T) {
 		{"packed-type-I", Options{Codec: int(vector.CodecPacked), ForceType: vector.TypeI, CheckpointEvery: 32}, 300, false},
 		{"alpha-override", Options{AlphaOverride: map[model.AttrID]float64{0: 0.6, 2: 0.05}, N: 3, CheckpointEvery: 64}, 300, false},
 		{"one-stripe", Options{}, 300, false},
-		{"flushes", Options{CheckpointEvery: 512, SegmentSize: 16 << 10}, 2600, true},
+		{"flushes", Options{CheckpointEvery: 512}, 2600, true},
 		{"packed-flushes", Options{Codec: int(vector.CodecPacked), CheckpointEvery: 512}, 2600, true},
 	}
 	typesSeen := map[vector.ListType]bool{}

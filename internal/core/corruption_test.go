@@ -25,6 +25,10 @@ type corruptionFixture struct {
 	// detected: the superblock prefix and every fully-committed byte of a
 	// checksum-covered segment.
 	committed map[int64]bool
+	// mapBytes marks the bytes of the committed checksum map itself — header,
+	// records, trailer; not its segments' headers or unused tails. Damage
+	// there drops the map, and verification with it, until the next Sync.
+	mapBytes map[int64]bool
 	// packedAttrs counts vector lists stored under a block codec, so sweeps
 	// that exist to torture packed blocks can assert they are not vacuous.
 	packedAttrs int
@@ -48,6 +52,7 @@ func buildCorruptionFixtureWith(t *testing.T, opts Options, sparse bool, rows in
 		idxDev:    storage.NewMemDevice(),
 		cat:       table.NewCatalog(),
 		committed: make(map[int64]bool),
+		mapBytes:  make(map[int64]bool),
 	}
 	pool := storage.NewPool(0, 1<<20)
 	tblF := storage.NewFile(pool, cf.tblDev)
@@ -120,8 +125,10 @@ func buildCorruptionFixtureWith(t *testing.T, opts Options, sparse bool, rows in
 		cf.committed[off] = true
 	}
 	it := &ix.integ
+	var mapLen int64
 	it.mu.Lock()
 	for id, e := range it.words {
+		mapLen = max(mapLen, e.off+8)         // the map ends with its last word and the trailer
 		base := ix.segs.SegmentOffset(id) + 8 // past the segment header
 		n := int64(e.n)
 		if e.mask != 0 && n > 0 {
@@ -132,6 +139,14 @@ func buildCorruptionFixtureWith(t *testing.T, opts Options, sparse bool, rows in
 		}
 	}
 	it.mu.Unlock()
+	mapSegs, err := ix.segs.ChainSegments(ix.crcChain(ix.crcSlot))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for off := int64(0); off < mapLen; off++ {
+		k, in, _ := storage.SegAt(off)
+		cf.mapBytes[ix.segs.SegmentOffset(mapSegs[k])+storage.SegHeaderLen+in] = true
+	}
 
 	tblF.Close()
 	idxF.Close()
@@ -260,6 +275,34 @@ func (cf *corruptionFixture) runOnce(t *testing.T, off int64, degradedTotal *int
 		return true
 	}
 	return !rep.Clean()
+}
+
+// runMapDamaged holds an image whose committed checksum map is damaged —
+// alone or together with anything else — to what the format promises then
+// (FORMAT.md § Checksums): the open fails, or the store runs with verification
+// off and says so. Queries must run (answer or fail, not panic) but have no
+// checksum behind them and are not compared; Scrub must not come back clean.
+func (cf *corruptionFixture) runMapDamaged(t *testing.T, off int64) {
+	t.Helper()
+	pool := storage.NewPool(0, 1<<20)
+	tblF := storage.NewFile(pool, cf.tblDev)
+	idxF := storage.NewFile(pool, cf.idxDev)
+	defer tblF.Close()
+	defer idxF.Close()
+	tbl, err := table.Open(tblF, cf.cat)
+	if err != nil {
+		t.Fatalf("flip at %d: table open: %v", off, err)
+	}
+	ix, err := Open(idxF, tbl, Options{})
+	if err != nil {
+		return
+	}
+	for _, q := range cf.queries {
+		ix.Search(q, nil)
+	}
+	if rep, err := ix.Scrub(); err == nil && rep.Clean() {
+		t.Fatalf("flip at %d: a damaged checksum map went unreported", off)
+	}
 }
 
 // TestPlanSingleStripeDegrades corrupts a vector-list segment of an index
@@ -425,11 +468,12 @@ func TestMidBatchDegrade(t *testing.T) {
 
 // TestCrossLinkedChainsRefused splices one vector list's chain into
 // another's by rewriting a segment's next pointer — the one index structure
-// no checksum covers. Every spliced-in segment still matches its own
-// checksum word, so nothing downstream could tell; the open must refuse the
-// file with a typed corruption error.
+// no checksum covers — onto a segment of the size the position demands, which
+// is the one splice the chain walk itself cannot refuse. Every spliced-in
+// segment still matches its own checksum word, so nothing downstream could
+// tell; the open must refuse the file with a typed corruption error.
 func TestCrossLinkedChainsRefused(t *testing.T) {
-	cf := buildCorruptionFixtureWith(t, Options{CheckpointEvery: 16, SegmentSize: 128}, false, 160)
+	cf := buildCorruptionFixtureWith(t, Options{CheckpointEvery: 16}, false, 320)
 	ix, closeFiles := cf.open(t, storage.NewPool(0, 1<<20), Options{})
 	a, err := ix.segs.ChainSegments(ix.attrs[0].chain)
 	if err != nil {
@@ -439,13 +483,13 @@ func TestCrossLinkedChainsRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a) < 3 || len(b) < 2 {
+	if len(a) < 3 || len(b) < 3 {
 		t.Fatalf("fixture chains too short to splice: %v %v", a, b)
 	}
 	at := ix.segs.SegmentOffset(a[1]) // its next pointer leads to a[2]
 	closeFiles()
 	var next [4]byte
-	binary.LittleEndian.PutUint32(next[:], uint32(b[1]))
+	binary.LittleEndian.PutUint32(next[:], uint32(b[2]))
 	if _, err := cf.idxDev.WriteAt(next[:], at); err != nil {
 		t.Fatal(err)
 	}
@@ -459,7 +503,106 @@ func TestCrossLinkedChainsRefused(t *testing.T) {
 	}
 	_, err = Open(idxF, tbl, Options{})
 	var ce *storage.CorruptionError
-	if !errors.As(err, &ce) || ce.Segment != uint32(b[1]) {
-		t.Fatalf("open of cross-linked chains: %v, want a corruption error on segment %d", err, b[1])
+	if !errors.As(err, &ce) || ce.Segment != uint32(b[2]) {
+		t.Fatalf("open of cross-linked chains: %v, want a corruption error on segment %d", err, b[2])
+	}
+}
+
+// TestDamagedHeaderKeepsChecksumMap damages the text list's chain in its
+// segment headers — a class byte, which fails the walk; a next pointer cut
+// over to the checkpoint chain's second segment, which no checksum word
+// covers, so the chain walks one segment short of what the map records —
+// together with one committed byte of the numeric list. The map's own trailer
+// verifies, so the map stays: the numeric query degrades and answers exactly
+// (the second flip is seen), and the text query fails or degrades, never a
+// different top-k.
+func TestDamagedHeaderKeepsChecksumMap(t *testing.T) {
+	cf := buildCorruptionFixture(t)
+	probe, closeProbe := cf.open(t, storage.NewPool(0, 1<<20), Options{})
+	num, err := probe.segs.ChainSegments(probe.attrs[0].chain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	txt, err := probe.segs.ChainSegments(probe.attrs[1].chain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt, err := probe.segs.ChainSegments(probe.ckptChain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(txt) < 3 || len(ckpt) < 2 {
+		t.Fatalf("fixture chains too short: text %v, checkpoints %v", txt, ckpt)
+	}
+	offsetOf := probe.segs.SegmentOffset
+	numByte := offsetOf(num[0]) + storage.SegHeaderLen
+	if !cf.committed[numByte] {
+		t.Fatal("the numeric list's first byte is not committed")
+	}
+	closeProbe()
+	for _, tc := range []struct {
+		name   string
+		damage func()
+	}{
+		{"walk fails", func() { cf.flip(t, offsetOf(txt[1])+4, 1) }},
+		{"walk comes up short", func() {
+			var next [4]byte
+			binary.LittleEndian.PutUint32(next[:], uint32(ckpt[1]))
+			if _, err := cf.idxDev.WriteAt(next[:], offsetOf(txt[0])); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer cf.restore(t)
+			tc.damage()
+			cf.flip(t, numByte, 6)
+			ix, closeFiles := cf.open(t, storage.NewPool(0, 1<<20), Options{})
+			defer closeFiles()
+			if ix.integ.mapDropped {
+				t.Fatal("a damaged segment header dropped the checksum map")
+			}
+			res, stats, err := ix.Search(cf.queries[0], nil)
+			if err != nil || !sameResults(res, cf.baseline[0]) || stats.DegradedSegments == 0 {
+				t.Fatalf("numeric query: err %v, %d degraded segments, exact %v — want the flip seen and the answer exact",
+					err, stats.DegradedSegments, sameResults(res, cf.baseline[0]))
+			}
+			res, stats, err = ix.Search(cf.queries[1], nil)
+			if err == nil && (stats.DegradedSegments == 0 || !sameResults(res, cf.baseline[1])) {
+				t.Fatalf("text query over a damaged chain answered %v with %d degraded segments", res, stats.DegradedSegments)
+			}
+		})
+	}
+}
+
+// TestDamagedChecksumMapIsReported is the pair the format does not detect,
+// pinned down: a flip in the committed checksum map drops the map, so a flip
+// in a checksummed byte beside it goes unverified until the next Sync. What
+// the format does promise then is that the store says so.
+func TestDamagedChecksumMapIsReported(t *testing.T) {
+	cf := buildCorruptionFixture(t)
+	defer cf.restore(t)
+	var mapByte, listByte int64 = -1, -1
+	for off := int64(len(cf.snapshot)) - 1; off >= superblockSize; off-- {
+		if cf.mapBytes[off] {
+			mapByte = off
+		}
+		if cf.committed[off] {
+			listByte = off
+		}
+	}
+	if mapByte < 0 || listByte < 0 {
+		t.Fatal("fixture has no committed map or list byte")
+	}
+	cf.flip(t, mapByte, 0)
+	cf.flip(t, listByte, 0)
+	ix, closeFiles := cf.open(t, storage.NewPool(0, 1<<20), Options{})
+	defer closeFiles()
+	rep, err := ix.Scrub()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.MapDropped || rep.Clean() {
+		t.Fatalf("scrub over a damaged checksum map: dropped %v, clean %v", rep.MapDropped, rep.Clean())
 	}
 }

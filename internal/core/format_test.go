@@ -20,10 +20,9 @@ import (
 // index file or of a table record yields a top-k that differs from the clean
 // store's with nothing reported.
 func TestFormatGate(t *testing.T) {
-	const segSize = 128
-	cf := buildCorruptionFixtureWith(t, Options{CheckpointEvery: 16, SegmentSize: segSize}, false, 48)
+	cf := buildCorruptionFixtureWith(t, Options{CheckpointEvery: 16}, false, 48)
 
-	for _, version := range []uint32{0, 1, 2, 3, 4, 5, 6, 8, 0xFFFFFFFF} {
+	for _, version := range []uint32{0, 1, 2, 3, 4, 5, 6, 7, 9, 0xFFFFFFFF} {
 		for _, fixCRC := range []bool{false, true} {
 			name := fmt.Sprintf("version=%d/crc-recomputed=%v", version, fixCRC)
 			cf.restore(t)
@@ -67,13 +66,18 @@ func TestFormatGate(t *testing.T) {
 	// The sweeps. CRC32C catches every single-bit error in what it covers,
 	// so one flip per byte probes that the byte is covered at all; bytes that
 	// are interpreted before any checksum can vouch for them — superblock
-	// fields, segment headers, record length words — get all eight.
+	// fields, segment headers (next pointer, size byte, magic), record length
+	// words — get all eight.
 	unguarded := make(map[int64]bool) // index-file offsets of superblock fields and segment headers
 	for off := int64(0); off < sbCRCOff+4; off++ {
 		unguarded[off] = true
 	}
-	for seg := int64(superblockSize); seg < int64(len(cf.snapshot)); seg += segSize {
-		for off := seg; off < seg+8; off++ {
+	headers := segmentHeaders(cf.snapshot)
+	if len(headers) < 8 {
+		t.Fatalf("page walk found %d segment headers", len(headers))
+	}
+	for _, seg := range headers {
+		for off := seg; off < seg+storage.SegHeaderLen; off++ {
 			unguarded[off] = true
 		}
 	}
@@ -108,6 +112,7 @@ func TestFormatGate(t *testing.T) {
 			t.Fatal("sweep never exercised the degraded-read path")
 		}
 	})
+	t.Run("splices", func(t *testing.T) { spliceCases(t) })
 	t.Run("table-flips", func(t *testing.T) {
 		clean := imageOf(t, cf.tblDev)
 		defer cf.tblDev.WriteAt(clean, 0)
@@ -139,4 +144,71 @@ func TestFormatGate(t *testing.T) {
 			t.Fatal("no record flip was ever detected")
 		}
 	})
+}
+
+// segmentHeaders lists the file offsets of the segment headers of an index
+// image by walking its pages: a page's first header carries the size of every
+// segment in the page (FORMAT.md § Segments), so the walk needs no chain.
+func segmentHeaders(image []byte) []int64 {
+	isHeader := func(off int64, class byte) bool {
+		h := image[off:]
+		return h[4] == class && h[5] == 'M' && h[6] == 'G' && h[7] == 'S'
+	}
+	var out []int64
+	for page := int64(superblockSize); page+superblockSize <= int64(len(image)); page += superblockSize {
+		class := image[page+4]
+		if class > 5 {
+			continue
+		}
+		for seg := page; seg < page+superblockSize && isHeader(seg, class); seg += 128 << class {
+			out = append(out, seg)
+		}
+	}
+	return out
+}
+
+// spliceCases redirects one next pointer of a store with page-size segments
+// three ways a flip sweep cannot reach (each needs several bits): into the
+// payload of a page-size segment, onto a segment of another size's slab page,
+// and onto a same-size segment of another list. Each must be refused or
+// reported; runOnce fails the test on a silently different top-k.
+func spliceCases(t *testing.T) {
+	cf := buildCorruptionFixtureWith(t, Options{CheckpointEvery: 256}, false, 6000)
+	ix, closeFiles := cf.open(t, storage.NewPool(0, 1<<20), Options{})
+	chain := func(c storage.ChainID) []storage.SegID {
+		ids, err := ix.segs.ChainSegments(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ids
+	}
+	num, txt, tup := chain(ix.attrs[0].chain), chain(ix.attrs[1].chain), chain(ix.tupleChain)
+	if len(num) < 7 || len(txt) < 7 || len(tup) < 7 {
+		t.Fatalf("fixture chains too short: %d %d %d segments", len(num), len(txt), len(tup))
+	}
+	offsetOf := ix.segs.SegmentOffset
+	cases := []struct {
+		name string
+		at   int64 // header whose next pointer is redirected
+		to   storage.SegID
+	}{
+		{"into a page-size payload", offsetOf(num[5]), txt[6] + 3},
+		{"into a page-size payload, where a smaller segment would be aligned", offsetOf(num[1]), txt[6] + 4},
+		{"onto another size's slab", offsetOf(num[2]), txt[2]},
+		{"onto a same-size segment of another list", offsetOf(num[5]), txt[6]},
+		{"onto a same-size sub-page segment of another list", offsetOf(num[2]), txt[3]},
+	}
+	closeFiles()
+	for _, tc := range cases {
+		cf.restore(t)
+		var next [4]byte
+		binary.LittleEndian.PutUint32(next[:], uint32(tc.to))
+		if _, err := cf.idxDev.WriteAt(next[:], tc.at); err != nil {
+			t.Fatal(err)
+		}
+		if !cf.runOnce(t, tc.at, new(int)) {
+			t.Errorf("%s: neither refused nor reported", tc.name)
+		}
+	}
+	cf.restore(t)
 }

@@ -46,8 +46,6 @@ type Options struct {
 	Alpha float64
 	// N is the gram length n (Table I default: 2).
 	N int
-	// SegmentSize is the extent size of the index file in bytes.
-	SegmentSize int
 	// TIDHeadroom reserves id space above the build-time maximum tid so
 	// that inserts keep fitting the packed tid width between rebuilds.
 	// Zero selects max(1024, |T|/4).
@@ -71,12 +69,13 @@ type Options struct {
 	// CheckpointEvery is the stripe width: a resumable checkpoint is
 	// recorded every CheckpointEvery tuple-list entries. Default 2048.
 	CheckpointEvery int64
-	// Codec selects the block codec for vector lists built by Build/Rebuild:
-	// 0 stores the raw bit-packed streams; 1 packs sealed stripes into
-	// word-aligned blocks with skip headers and delta-coded tuple-id gaps.
-	// Results are byte-identical either way — the codec changes only the
-	// physical layout. Type III/IV lists and post-build tail appends always
-	// store raw bits regardless.
+	// Codec selects how Build/Rebuild store Type I/II vector lists: 0 keeps
+	// the raw bit-packed stream; 1 re-stores each sealed stripe as a
+	// word-aligned block with a skip header and delta-coded tuple-id gaps.
+	// Results are byte-identical either way — only the bytes inside a list
+	// change, not how lists are cut into segments (that is a constant of the
+	// format, storage.SegAt). Type III/IV lists and post-build tail appends
+	// always store raw bits.
 	Codec int
 }
 
@@ -86,12 +85,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.N == 0 {
 		o.N = 2
-	}
-	if o.SegmentSize == 0 {
-		// One page per segment: a mostly-empty attribute wastes at most a
-		// page of slack, while the Build-time 64 KiB flush batches keep
-		// each list's segments in long contiguous runs for scanning.
-		o.SegmentSize = 4 << 10
 	}
 	if o.CheckpointEvery <= 0 {
 		o.CheckpointEvery = defaultCheckpointEvery
@@ -127,7 +120,7 @@ const (
 	// indexVersion is the one on-disk format this package reads and writes.
 	// A format change bumps it; Open refuses every other value (FORMAT.md §
 	// Format policy) — there is no upgrade code.
-	indexVersion = 7
+	indexVersion = 8
 	ptrBits      = 40 // table offsets up to 1 TiB
 )
 
@@ -415,7 +408,7 @@ func (ix *Index) writeSuperblock(slot, crcSlot int) error {
 	binary.LittleEndian.PutUint32(b[52:], uint32(ix.attrChain))
 	binary.LittleEndian.PutUint32(b[56:], uint32(len(ix.attrs)))
 	binary.LittleEndian.PutUint32(b[60:], numericBytes)
-	binary.LittleEndian.PutUint32(b[64:], uint32(ix.opts.SegmentSize))
+	binary.LittleEndian.PutUint32(b[64:], storage.SegGeometry)
 	binary.LittleEndian.PutUint32(b[68:], uint32(ix.ckptChain))
 	binary.LittleEndian.PutUint32(b[72:], uint32(ix.ckptEvery))
 	binary.LittleEndian.PutUint32(b[76:], uint32(ix.attrChainB))
@@ -586,7 +579,6 @@ func Open(f *storage.File, tbl *table.Table, opts Options) (*Index, error) {
 	}
 	opts.Alpha = math.Float64frombits(binary.LittleEndian.Uint64(b[8:]))
 	opts.N = int(binary.LittleEndian.Uint32(b[16:]))
-	opts.SegmentSize = int(binary.LittleEndian.Uint32(b[64:]))
 	// The superblock fields drive allocations below, so a corrupt or hostile
 	// file must fail validation here rather than panic or exhaust memory.
 	if err := opts.Validate(); err != nil {
@@ -595,18 +587,17 @@ func Open(f *storage.File, tbl *table.Table, opts Options) (*Index, error) {
 	if r := binary.LittleEndian.Uint32(b[60:]); r != numericBytes {
 		return nil, fmt.Errorf("core: superblock: numeric bytes = %d, want %d", r, numericBytes)
 	}
-	codec, err := signature.NewCodec(opts.N, opts.Alpha)
-	if err != nil {
-		return nil, err
+	if g := binary.LittleEndian.Uint32(b[64:]); g != storage.SegGeometry {
+		return nil, fmt.Errorf("core: superblock: segment geometry %#x, want %#x", g, storage.SegGeometry)
 	}
-	segs, err := storage.NewSegStore(f, superblockSize, opts.SegmentSize)
+	codec, err := signature.NewCodec(opts.N, opts.Alpha)
 	if err != nil {
 		return nil, err
 	}
 	ix := &Index{
 		opts:       opts,
 		f:          f,
-		segs:       segs,
+		segs:       storage.NewSegStore(f, superblockSize),
 		codec:      codec,
 		tbl:        tbl,
 		ltid:       int(b[20]),

@@ -92,22 +92,17 @@ func (ix *Index) coveredChains(attrList storage.ChainID) []chainCover {
 	return covers
 }
 
-// segSpan returns the committed span of the k-th segment of a chain holding
-// `bits` committed bits.
-func segSpan(k int, bits int64, pay int) (n int, mask uint8) {
-	cb := (bits + 7) / 8
-	start := int64(k) * int64(pay)
-	span := cb - start
+// segSpan returns the committed span of a segment whose payload is the pay
+// bytes from logical offset start of a chain holding `bits` committed bits.
+func segSpan(start, pay, bits int64) (n int, mask uint8) {
+	span := (bits+7)/8 - start
 	if span <= 0 {
 		return 0, 0
 	}
-	if span > int64(pay) {
-		return pay, 0
+	if span > pay {
+		return int(pay), 0
 	}
-	if rem := uint8(bits & 7); rem != 0 {
-		return int(span), rem
-	}
-	return int(span), 0
+	return int(span), uint8(bits & 7)
 }
 
 // maskTail zeroes the uncommitted low bits of the final committed byte
@@ -126,10 +121,12 @@ func (ix *Index) recomputeChainCRCs(cov chainCover, onlyStale bool, buf []byte) 
 	if err != nil {
 		return err
 	}
-	pay := ix.segs.PayloadSize()
 	it := &ix.integ
-	for k, id := range ids {
-		n, mask := segSpan(k, cov.bits, pay)
+	var start int64
+	for _, id := range ids {
+		_, _, pay := storage.SegAt(start)
+		n, mask := segSpan(start, pay, cov.bits)
+		start += pay
 		it.mu.Lock()
 		old, ok := it.words[id]
 		_, isDirty := it.dirty[id]
@@ -168,7 +165,7 @@ func (ix *Index) writeCRCMap(target storage.ChainID) error {
 	// The attribute list being committed is the slot Sync just wrote, which
 	// is the one the superblock is about to point at: 1-attrSlot before the
 	// in-memory flip. coveredChains above received it explicitly.
-	buf := make([]byte, ix.segs.PayloadSize())
+	buf := make([]byte, storage.SegMaxPayload)
 	for _, cov := range covers {
 		if err := ix.recomputeChainCRCs(cov, !full, buf); err != nil {
 			return err
@@ -224,8 +221,8 @@ func (ix *Index) commitIntegrity() {
 }
 
 // loadCRCMap reads the committed checksum map from chain c. A map that is
-// itself damaged — a bad header, counts or segments the file does not have, a
-// truncated body, a trailing CRC that does not match — is dropped: the index
+// itself damaged — a bad header, counts its chain cannot hold, a truncated
+// body, a trailing CRC that does not match — is dropped: the index
 // continues with verification disabled until the next Sync (recorded in
 // mapDropped).
 func (ix *Index) loadCRCMap(c storage.ChainID) error {
@@ -238,9 +235,14 @@ func (ix *Index) loadCRCMap(c storage.ChainID) error {
 		it.mu.Unlock()
 		return nil
 	}
-	capBytes, err := ix.segs.Len(c)
+	mapSegs, err := ix.segs.ChainSegments(c)
 	if err != nil {
 		return err
+	}
+	var capBytes int64
+	for range mapSegs {
+		_, _, pay := storage.SegAt(capBytes)
+		capBytes += pay
 	}
 	var pos int64
 	running := uint32(0)
@@ -260,7 +262,7 @@ func (ix *Index) loadCRCMap(c storage.ChainID) error {
 		return drop()
 	}
 	nchains := binary.LittleEndian.Uint32(hdr[4:8])
-	if nchains > uint32(ix.segs.Segments())+1 {
+	if int64(nchains) > capBytes/16 { // more chain records than the map's chain can hold
 		return drop()
 	}
 	type pendingWord struct {
@@ -268,7 +270,6 @@ func (ix *Index) loadCRCMap(c storage.ChainID) error {
 		segCRC
 	}
 	var pending []pendingWord
-	pay := ix.segs.PayloadSize()
 	for i := uint32(0); i < nchains; i++ {
 		var ch [16]byte
 		if !read(ch[:]) {
@@ -277,20 +278,28 @@ func (ix *Index) loadCRCMap(c storage.ChainID) error {
 		head := storage.ChainID(binary.LittleEndian.Uint32(ch[0:4]))
 		bits := int64(binary.LittleEndian.Uint64(ch[4:12]))
 		nsegs := binary.LittleEndian.Uint32(ch[12:16])
-		ids, err := ix.segs.ChainSegments(head)
-		if err != nil || uint32(len(ids)) < nsegs {
-			return drop()
-		}
+		// Whether the map is damaged is for its trailer to say. A chain that
+		// does not walk, or walks short of nsegs, has a damaged header: it
+		// keeps the words of the segments found (a spliced-in one fails its
+		// word or is named twice below; reads past a short chain fail) and the
+		// map goes on vouching for every other chain — dropping it here would
+		// switch all verification off on the commonest single fault.
+		ids, _ := ix.segs.ChainSegments(head)
+		var start int64
 		for k := uint32(0); k < nsegs; k++ {
 			var w [4]byte
 			wordOff := pos
 			if !read(w[:]) {
 				return drop()
 			}
-			n, mask := segSpan(int(k), bits, pay)
-			pending = append(pending, pendingWord{ids[k], segCRC{
-				crc: binary.LittleEndian.Uint32(w[:]), n: n, mask: mask, off: wordOff,
-			}})
+			_, _, pay := storage.SegAt(start)
+			n, mask := segSpan(start, pay, bits)
+			start += pay
+			if int(k) < len(ids) {
+				pending = append(pending, pendingWord{ids[k], segCRC{
+					crc: binary.LittleEndian.Uint32(w[:]), n: n, mask: mask, off: wordOff,
+				}})
+			}
 		}
 	}
 	want := running
@@ -378,11 +387,10 @@ func (ix *Index) attachVerify(r *storage.ChainBitReader, c storage.ChainID) {
 	if err != nil {
 		return // the read itself will surface the chain error
 	}
-	pay := int64(ix.segs.PayloadSize())
 	r.SetVerify(func(off, n int64) error {
-		first := off / pay
-		last := (off + n - 1) / pay
-		for k := first; k <= last && k < int64(len(ids)); k++ {
+		first, _, _ := storage.SegAt(off)
+		last, _, _ := storage.SegAt(off + n - 1)
+		for k := first; k <= last && k < len(ids); k++ {
 			if err := ix.verifySegment(ids[k]); err != nil {
 				return err
 			}
@@ -407,13 +415,18 @@ func (ix *Index) tombstone(pos int64) error {
 	if err != nil {
 		return err
 	}
-	pay := int64(ix.segs.PayloadSize())
 	var marked [2]struct { // a ptr lies in at most two segments
 		id storage.SegID
 		e  segCRC
 	}
 	n := 0
-	for k := bitOff / 8 / pay; k <= (bitOff+ptrBits-1)/8/pay && k < int64(len(ids)); k++ {
+	for next := bitOff / 8; next <= (bitOff+ptrBits-1)/8; {
+		k, in, pay := storage.SegAt(next)
+		start := next - in // logical offset of segment k's first payload byte
+		next = start + pay
+		if k >= len(ids) {
+			break
+		}
 		it.mu.Lock()
 		e, ok := it.words[ids[k]]
 		it.mu.Unlock()
@@ -425,7 +438,7 @@ func (ix *Index) tombstone(pos int64) error {
 			return err
 		}
 		for bit := bitOff; bit < bitOff+ptrBits; bit++ {
-			if b := bit/8 - k*pay; b >= 0 && b < int64(e.n) {
+			if b := bit/8 - start; b >= 0 && b < int64(e.n) {
 				buf[b] |= 0x80 >> (bit & 7)
 			}
 		}

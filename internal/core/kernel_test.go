@@ -48,10 +48,7 @@ func TestDecodeBatchWidths(t *testing.T) {
 	for ltid := 1; ltid <= 32; ltid++ {
 		for dead := -1; dead <= entries; dead++ { // -1: none; entries: all
 			f := storage.NewFile(storage.NewPool(0, 1<<20), storage.NewMemDevice())
-			segs, err := storage.NewSegStore(f, superblockSize, 4<<10)
-			if err != nil {
-				t.Fatal(err)
-			}
+			segs := storage.NewSegStore(f, superblockSize)
 			chain, err := segs.Create()
 			if err != nil {
 				t.Fatal(err)

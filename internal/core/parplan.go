@@ -112,9 +112,8 @@ func (ix *Index) planShape() scanPlan {
 const batchSize = 512
 
 // workerScratch holds the per-worker state reused across queries via a
-// sync.Pool, so that a query allocates none of it: readers and their
-// seam-stitch buffers, the columns of the batch at hand, the record buffer
-// of the refine step.
+// sync.Pool, so that a query allocates none of it: readers, the columns of
+// the batch at hand, the record buffer of the refine step.
 type workerScratch struct {
 	tupleRd *storage.ChainBitReader
 	termRds []*storage.ChainBitReader
@@ -256,7 +255,7 @@ func (ix *Index) originScan(terms []termState, visit func(tid model.TID, pos, pt
 
 // release closes the readers and the record — their windows are pinned
 // buffer-pool frames, and an idle pin would block eviction between queries —
-// then returns the scratch (readers, stitch buffers) to the pool for reuse.
+// then returns the scratch to the pool for reuse.
 func (sc *workerScratch) release() {
 	sc.rec.Release()
 	if sc.tupleRd != nil {
@@ -304,7 +303,7 @@ func (ix *Index) search(ctx context.Context, q *model.Query, m *metric.Metric, p
 	var stats SearchStats
 	stats.Workers = plan.workers
 	stats.StripesTotal = len(plan.ckpts)
-	idxIO := ix.segs.File().IOStats()
+	idxIO := ix.f.IOStats()
 	tblIO := ix.tbl.IOStats()
 	startIdx, startTbl := idxIO.Snapshot(), tblIO.Snapshot()
 	wallStart := time.Now()

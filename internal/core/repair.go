@@ -31,8 +31,7 @@ func (ix *Index) SegmentSpan(seg uint32) (off, n int64, ok bool) {
 	if !covered || dirty || e.n == 0 {
 		return 0, 0, false
 	}
-	hdr := int64(ix.segs.SegmentSize() - ix.segs.PayloadSize())
-	return ix.segs.SegmentOffset(storage.SegID(seg)) + hdr, int64(e.n), true
+	return ix.segs.SegmentOffset(storage.SegID(seg)) + storage.SegHeaderLen, int64(e.n), true
 }
 
 // RepairSegment overwrites segment seg's committed payload with a clean copy
@@ -67,8 +66,7 @@ func (ix *Index) RepairSegment(seg uint32, payload []byte) error {
 	}
 	// Write the masked copy: uncommitted low bits of a partial final byte are
 	// zeroed rather than trusting the peer's, matching what verification reads.
-	hdr := int64(ix.segs.SegmentSize() - ix.segs.PayloadSize())
-	if err := ix.f.WriteAt(masked, ix.segs.SegmentOffset(id)+hdr); err != nil {
+	if err := ix.f.WriteAt(masked, ix.segs.SegmentOffset(id)+storage.SegHeaderLen); err != nil {
 		return fmt.Errorf("core: repair segment %d: %w", seg, err)
 	}
 	if err := ix.f.Sync(); err != nil {

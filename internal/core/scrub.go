@@ -185,7 +185,7 @@ func (ix *Index) VectorExtents() []VectorExtent {
 				n-- // final byte is partially committed
 			}
 			if n > 0 {
-				out = append(out, VectorExtent{Offset: ix.segs.SegmentOffset(id) + 8, Len: n})
+				out = append(out, VectorExtent{Offset: ix.segs.SegmentOffset(id) + storage.SegHeaderLen, Len: n})
 			}
 		}
 	}

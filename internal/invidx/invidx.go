@@ -49,15 +49,7 @@ var ErrNotFound = errors.New("invidx: tuple not found")
 
 // Options configure an SII build.
 type Options struct {
-	SegmentSize int
 	TIDHeadroom int64
-}
-
-func (o Options) withDefaults() Options {
-	if o.SegmentSize == 0 {
-		o.SegmentSize = 4 << 10
-	}
-	return o
 }
 
 type attrList struct {
@@ -77,7 +69,6 @@ type Index struct {
 	f    *storage.File
 	segs *storage.SegStore
 	tbl  *table.Table
-	opts Options
 
 	mu       sync.RWMutex
 	ltid     int
@@ -124,14 +115,10 @@ func (ix *Index) maxTID() model.TID { return model.TID(uint64(1)<<uint(ix.ltid) 
 
 // Build constructs an SII over every record of tbl into f.
 func Build(tbl *table.Table, f *storage.File, opts Options) (*Index, error) {
-	opts = opts.withDefaults()
 	if err := f.Truncate(0); err != nil {
 		return nil, err
 	}
-	segs, err := storage.NewSegStore(f, superblockSize, opts.SegmentSize)
-	if err != nil {
-		return nil, err
-	}
+	segs := storage.NewSegStore(f, superblockSize)
 	headroom := opts.TIDHeadroom
 	if headroom <= 0 {
 		headroom = tbl.Total() / 4
@@ -144,10 +131,11 @@ func Build(tbl *table.Table, f *storage.File, opts Options) (*Index, error) {
 		ltid = 32
 	}
 	ix := &Index{
-		f: f, segs: segs, tbl: tbl, opts: opts,
+		f: f, segs: segs, tbl: tbl,
 		ltid:     ltid,
 		posByTID: make(map[model.TID]int64),
 	}
+	var err error
 	if ix.dirChain, err = segs.Create(); err != nil {
 		return nil, err
 	}
@@ -266,7 +254,7 @@ func (ix *Index) Sync() error {
 	binary.LittleEndian.PutUint64(b[32:], uint64(ix.deleted))
 	binary.LittleEndian.PutUint32(b[40:], uint32(ix.attrMeta))
 	binary.LittleEndian.PutUint32(b[44:], uint32(len(ix.attrs)))
-	binary.LittleEndian.PutUint32(b[48:], uint32(ix.opts.SegmentSize))
+	binary.LittleEndian.PutUint32(b[48:], storage.SegGeometry)
 	if err := ix.f.WriteAt(b[:], 0); err != nil {
 		return err
 	}
@@ -275,7 +263,6 @@ func (ix *Index) Sync() error {
 
 // Open attaches to an SII previously built over tbl.
 func Open(f *storage.File, tbl *table.Table, opts Options) (*Index, error) {
-	opts = opts.withDefaults()
 	var b [superblockSize]byte
 	if err := f.ReadAt(b[:], 0); err != nil {
 		return nil, err
@@ -286,13 +273,12 @@ func Open(f *storage.File, tbl *table.Table, opts Options) (*Index, error) {
 	if v := binary.LittleEndian.Uint32(b[4:]); v != version {
 		return nil, fmt.Errorf("invidx: version %d unsupported", v)
 	}
-	opts.SegmentSize = int(binary.LittleEndian.Uint32(b[48:]))
-	segs, err := storage.NewSegStore(f, superblockSize, opts.SegmentSize)
-	if err != nil {
-		return nil, err
+	if g := binary.LittleEndian.Uint32(b[48:]); g != storage.SegGeometry {
+		return nil, fmt.Errorf("invidx: segment geometry %#x, want %#x", g, storage.SegGeometry)
 	}
+	segs := storage.NewSegStore(f, superblockSize)
 	ix := &Index{
-		f: f, segs: segs, tbl: tbl, opts: opts,
+		f: f, segs: segs, tbl: tbl,
 		ltid:     int(b[8]),
 		dirChain: storage.ChainID(binary.LittleEndian.Uint32(b[12:])),
 		dirBits:  int64(binary.LittleEndian.Uint64(b[16:])),

@@ -167,34 +167,24 @@ func encode[T text](c *Codec, dst []uint64, s T) Sig {
 	return Sig{Len: len(s), H: h}
 }
 
-// orMask ORs h[l,t] of the gram hashed to seed into dst: the probe sequence
-// splitmix64(seed+i) mod l is walked until t bits that were still clear are
-// set, so a gram of a data string always leaves the first t distinct probes
-// of its query mask set.
+// orMask ORs h[l,t] of the gram hashed to seed into dst: the first t distinct
+// positions of the probe sequence splitmix64(seed+i) mod l, whatever dst
+// already holds — the paper's plain OR, which is what ExpectedError models. A
+// data string's signature and a query gram's mask are built by the same walk,
+// so a gram of the data string always leaves its query mask set. t < l, so t
+// distinct positions exist.
 func orMask(dst []uint64, seed uint64, l, t int) {
-	set := 0
-	for i := uint64(0); set < t; i++ {
-		pos := int(splitmix64(seed+i) % uint64(l))
-		w, b := pos/64, 63-pos%64
-		bit := uint64(1) << uint(b)
-		if dst[w]&bit == 0 {
-			dst[w] |= bit
+	for i, set := uint64(0), 0; set < t; i++ {
+		pos := splitmix64(seed+i) % uint64(l)
+		dup := false
+		for j := uint64(0); j < i && !dup; j++ {
+			dup = splitmix64(seed+j)%uint64(l) == pos
+		}
+		if !dup {
+			dst[pos/64] |= 1 << (63 - pos%64)
 			set++
-		} else if wordsFull(dst, l) {
-			// All l bits already set (possible for tiny l): nothing to add.
-			break
 		}
 	}
-}
-
-// wordsFull reports whether all l bits of dst are set (guard against an
-// infinite loop when t approaches l on a saturated signature).
-func wordsFull(dst []uint64, l int) bool {
-	full := 0
-	for _, w := range dst {
-		full += bits.OnesCount64(w)
-	}
-	return full >= l
 }
 
 const (

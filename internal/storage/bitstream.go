@@ -6,20 +6,18 @@ import (
 )
 
 // ChainBitReader reads a bit-packed stream stored in a segment chain. Its
-// window is normally a pinned buffer-pool frame: the reader decodes straight
-// from the cached page with zero copies, and the pin guarantees the bytes
-// stay stable (writers copy-on-write around pinned frames). Near segment or
-// page seams, where the contiguous run is too short to be worth pinning, it
-// falls back to copying a small stitch buffer.
+// window is a pinned buffer-pool frame: the reader decodes straight from the
+// cached page with zero copies, and the pin guarantees the bytes stay stable
+// (writers copy-on-write around pinned frames). A window ends where its
+// segment does; a value that straddles the seam is assembled byte by byte.
 type ChainBitReader struct {
 	s      *SegStore
 	c      ChainID
 	bitLen int64 // total readable bits
 
-	buf      []byte // current window: pinned page view or own[:n]
+	buf      []byte // current window: a view of the pinned page
 	bufStart int64  // logical byte offset of buf[0]; -1 when empty
-	pin      *Frame // non-nil while buf aliases a pinned frame
-	own      []byte // lazily allocated seam-stitching buffer
+	pin      *Frame // non-nil while buf is set
 	pos      int64  // current bit position
 
 	// verify, when set, is called before a fresh window over logical bytes
@@ -29,13 +27,6 @@ type ChainBitReader struct {
 	verify func(off, n int64) error
 }
 
-// minPinRun is the shortest contiguous run worth pinning as a window; any
-// shorter remainder before a segment/page seam is stitched through `own`.
-const minPinRun = 64
-
-// stitchWindow is the size of the copying fallback window at seams.
-const stitchWindow = 256
-
 // NewChainBitReader returns a reader over the first bitLen bits of chain c.
 // Callers must Close the reader (or Reset it away) to release its pinned
 // window; an abandoned reader holds one page pinned until then.
@@ -44,9 +35,8 @@ func NewChainBitReader(s *SegStore, c ChainID, bitLen int64) *ChainBitReader {
 }
 
 // Reset rebinds the reader to a (possibly different) chain at bit position 0,
-// releasing the current window pin but keeping the stitch buffer. Parallel
-// scan workers use it to reopen cursors at stripe checkpoints without
-// reallocating.
+// releasing the current window pin. Parallel scan workers use it to reopen
+// cursors at stripe checkpoints without reallocating.
 func (r *ChainBitReader) Reset(s *SegStore, c ChainID, bitLen int64) {
 	r.drop()
 	r.s, r.c, r.bitLen = s, c, bitLen
@@ -69,49 +59,22 @@ func (r *ChainBitReader) drop() {
 	r.buf, r.bufStart = nil, -1
 }
 
-// refill positions the window at byteOff: pin the page under it when the
-// contiguous run is long enough, otherwise stitch across the seam by
-// copying.
+// refill positions the window at byteOff: the run of the segment under it,
+// pinned. PinView is the one SegStore call of a window, and itself refuses an
+// offset past the chain's capacity.
 func (r *ChainBitReader) refill(byteOff int64) error {
-	capBytes, err := r.s.Len(r.c)
-	if err != nil {
-		return err
-	}
-	if byteOff >= capBytes {
-		return fmt.Errorf("storage: bit read past chain capacity")
-	}
 	r.drop()
 	fr, view, err := r.s.PinView(r.c, byteOff)
 	if err != nil {
 		return err
 	}
-	if len(view) >= minPinRun || int64(len(view)) >= capBytes-byteOff {
-		if r.verify != nil {
-			if err := r.verify(byteOff, int64(len(view))); err != nil {
-				fr.Release()
-				return err
-			}
-		}
-		r.pin, r.buf, r.bufStart = fr, view, byteOff
-		return nil
-	}
-	fr.Release()
-	if r.own == nil {
-		r.own = make([]byte, stitchWindow)
-	}
-	want := int64(len(r.own))
-	if want > capBytes-byteOff {
-		want = capBytes - byteOff
-	}
 	if r.verify != nil {
-		if err := r.verify(byteOff, want); err != nil {
+		if err := r.verify(byteOff, int64(len(view))); err != nil {
+			fr.Release()
 			return err
 		}
 	}
-	if err := r.s.ReadAt(r.c, r.own[:want], byteOff); err != nil {
-		return err
-	}
-	r.buf, r.bufStart = r.own[:want], byteOff
+	r.pin, r.buf, r.bufStart = fr, view, byteOff
 	return nil
 }
 

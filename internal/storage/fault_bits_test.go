@@ -8,7 +8,7 @@ import (
 
 func TestWriteBitsAtOverwritesInPlace(t *testing.T) {
 	pool := NewPool(256, 1<<20)
-	s, _ := NewSegStore(NewFile(pool, NewMemDevice()), 0, 64)
+	s := NewSegStore(NewFile(pool, NewMemDevice()), 0)
 	c, _ := s.Create()
 	// Lay down 100 13-bit fields.
 	var bw bitWriter
@@ -48,7 +48,7 @@ func TestWriteBitsAtOverwritesInPlace(t *testing.T) {
 
 func TestWriteBitsAtRandomized(t *testing.T) {
 	pool := NewPool(256, 1<<20)
-	s, _ := NewSegStore(NewFile(pool, NewMemDevice()), 0, 64)
+	s := NewSegStore(NewFile(pool, NewMemDevice()), 0)
 	c, _ := s.Create()
 	rng := rand.New(rand.NewSource(55))
 	const fields, width = 200, 11
@@ -83,7 +83,7 @@ func TestWriteBitsAtRandomized(t *testing.T) {
 
 func TestWriteBitsAtValidation(t *testing.T) {
 	pool := NewPool(256, 1<<20)
-	s, _ := NewSegStore(NewFile(pool, NewMemDevice()), 0, 64)
+	s := NewSegStore(NewFile(pool, NewMemDevice()), 0)
 	c, _ := s.Create()
 	if err := WriteBitsAt(s, c, 0, 0, 65); err == nil {
 		t.Fatal("width 65 accepted")
@@ -123,7 +123,7 @@ func TestFaultDevice(t *testing.T) {
 
 func TestAppendBitsEmpty(t *testing.T) {
 	pool := NewPool(256, 1<<20)
-	s, _ := NewSegStore(NewFile(pool, NewMemDevice()), 0, 64)
+	s := NewSegStore(NewFile(pool, NewMemDevice()), 0)
 	c, _ := s.Create()
 	n, err := AppendBits(s, c, 123, nil, 0)
 	if err != nil || n != 123 {

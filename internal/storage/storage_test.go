@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -238,10 +239,7 @@ func TestFileAppend(t *testing.T) {
 func TestSegStoreChains(t *testing.T) {
 	pool := NewPool(256, 1<<20)
 	f := NewFile(pool, NewMemDevice())
-	s, err := NewSegStore(f, 0, 64) // payload 56
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := NewSegStore(f, 0)
 	c1, err := s.Create()
 	if err != nil {
 		t.Fatal(err)
@@ -288,14 +286,14 @@ func TestSegStoreReload(t *testing.T) {
 	pool := NewPool(256, 1<<20)
 	dev := NewMemDevice()
 	f := NewFile(pool, dev)
-	s, _ := NewSegStore(f, 0, 64)
+	s := NewSegStore(f, 0)
 	c, _ := s.Create()
 	data := []byte("the quick brown fox jumps over the lazy dog, repeatedly and at length")
 	if err := s.WriteAt(c, data, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Re-open: a fresh SegStore over the same file must walk the chain.
-	s2, _ := NewSegStore(f, 0, 64)
+	s2 := NewSegStore(f, 0)
 	got := make([]byte, len(data))
 	if err := s2.ReadAt(c, got, 0); err != nil {
 		t.Fatal(err)
@@ -303,39 +301,42 @@ func TestSegStoreReload(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatalf("got %q", got)
 	}
-	if s2.Segments() != s.Segments() {
-		t.Fatalf("segment counts differ: %d vs %d", s2.Segments(), s.Segments())
+	if s2.alloc.pages != s.alloc.pages {
+		t.Fatalf("segment spaces differ: %d vs %d pages", s2.alloc.pages, s.alloc.pages)
 	}
 }
 
 // TestSegStoreChainLoop: a damaged next pointer that closes a loop must fail
-// the chain walk, not spin it.
+// the chain walk, not spin it. Only page-size segments can loop — every other
+// position demands a size of its own — so the chain is grown to three of them.
 func TestSegStoreChainLoop(t *testing.T) {
 	pool := NewPool(256, 1<<20)
 	f := NewFile(pool, NewMemDevice())
-	s, _ := NewSegStore(f, 0, 64)
+	s := NewSegStore(f, 0)
 	c, _ := s.Create()
-	if err := s.WriteAt(c, make([]byte, 150), 0); err != nil { // three segments
+	if err := s.WriteAt(c, make([]byte, segStart(segClasses+3)), 0); err != nil {
 		t.Fatal(err)
 	}
 	ids, err := s.ChainSegments(c)
-	if err != nil || len(ids) != 3 {
+	if err != nil || len(ids) != segClasses+3 {
 		t.Fatalf("fixture chain: %v, %v", ids, err)
 	}
-	if err := s.writeNext(ids[2], ids[1]); err != nil {
+	var hdr [SegHeaderLen]byte
+	putSegHeader(hdr[:], ids[segClasses], segClasses)
+	if err := f.WriteAt(hdr[:], s.SegmentOffset(ids[segClasses+2])); err != nil {
 		t.Fatal(err)
 	}
-	s2, _ := NewSegStore(f, 0, 64)
-	if _, err := s2.ChainSegments(c); err == nil {
-		t.Fatal("walk of a looping chain returned")
+	s2 := NewSegStore(f, 0)
+	if _, err := s2.ChainSegments(c); err == nil || !strings.Contains(err.Error(), "loops") {
+		t.Fatalf("walk of a looping chain: %v", err)
 	}
 }
 
 func TestSegStoreReadPastCapacity(t *testing.T) {
 	pool := NewPool(256, 1<<20)
-	s, _ := NewSegStore(NewFile(pool, NewMemDevice()), 0, 64)
+	s := NewSegStore(NewFile(pool, NewMemDevice()), 0)
 	c, _ := s.Create()
-	p := make([]byte, 100)
+	p := make([]byte, segStart(1)+1)
 	if err := s.ReadAt(c, p, 0); err == nil {
 		t.Fatal("read past capacity succeeded")
 	}
@@ -343,7 +344,7 @@ func TestSegStoreReadPastCapacity(t *testing.T) {
 
 func TestChainBitRoundTrip(t *testing.T) {
 	pool := NewPool(256, 1<<20)
-	s, _ := NewSegStore(NewFile(pool, NewMemDevice()), 0, 64)
+	s := NewSegStore(NewFile(pool, NewMemDevice()), 0)
 	c, _ := s.Create()
 
 	rng := rand.New(rand.NewSource(42))
@@ -392,7 +393,7 @@ func TestChainBitRoundTrip(t *testing.T) {
 
 func TestChainBitReaderSeek(t *testing.T) {
 	pool := NewPool(256, 1<<20)
-	s, _ := NewSegStore(NewFile(pool, NewMemDevice()), 0, 64)
+	s := NewSegStore(NewFile(pool, NewMemDevice()), 0)
 	c, _ := s.Create()
 	var bw bitWriter
 	for i := 0; i < 100; i++ {

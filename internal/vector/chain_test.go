@@ -22,10 +22,7 @@ func encodeStrs(lay Layout, strs []string) []signature.Sig {
 // the initial build, exactly as the index uses them.
 func TestCursorOverSegmentChains(t *testing.T) {
 	pool := storage.NewPool(256, 1<<20)
-	segs, err := storage.NewSegStore(storage.NewFile(pool, storage.NewMemDevice()), 0, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	segs := storage.NewSegStore(storage.NewFile(pool, storage.NewMemDevice()), 0)
 	rng := rand.New(rand.NewSource(71))
 
 	for _, typ := range []ListType{TypeI, TypeII, TypeIII} {
@@ -85,7 +82,7 @@ func TestCursorOverSegmentChains(t *testing.T) {
 // across extent boundaries.
 func TestNumericCursorOverChains(t *testing.T) {
 	pool := storage.NewPool(256, 1<<20)
-	segs, _ := storage.NewSegStore(storage.NewFile(pool, storage.NewMemDevice()), 0, 64)
+	segs := storage.NewSegStore(storage.NewFile(pool, storage.NewMemDevice()), 0)
 	rng := rand.New(rand.NewSource(73))
 	lay := numLayout(TypeIV)
 	enc, _ := NewEncoder(lay)

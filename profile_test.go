@@ -85,18 +85,18 @@ func TestProfileRender(t *testing.T) {
 		{"one-stripe", 200, `Search k=7 Price=150 Type="Camera"
   time=Xms results=7 workers=1 trace=T
   Filter: Xms  scanned=200 stripes=1
-  Refine: Xms  fetched=73
+  Refine: Xms  fetched=72
   Merge:  Xms
-  I/O: cache_hits=5 phys_reads=0 pool_hit_ratio=100.0% disk_cost=Xms
-  Worker 0: stripes=1 scanned=200 fetched=73 busy=Xms
+  I/O: cache_hits=12 phys_reads=0 pool_hit_ratio=100.0% disk_cost=Xms
+  Worker 0: stripes=1 scanned=200 fetched=72 busy=Xms
 `},
 		{"three-stripes", 4200, `Search k=7 Price=150 Type="Camera"
   time=Xms results=7 workers=1 trace=T
   Filter: Xms  scanned=4200 stripes=3
-  Refine: Xms  fetched=615
+  Refine: Xms  fetched=605
   Merge:  Xms
-  I/O: cache_hits=69 phys_reads=0 pool_hit_ratio=100.0% disk_cost=Xms
-  Worker 0: stripes=3 scanned=4200 fetched=615 busy=Xms
+  I/O: cache_hits=81 phys_reads=0 pool_hit_ratio=100.0% disk_cost=Xms
+  Worker 0: stripes=3 scanned=4200 fetched=605 busy=Xms
 `},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
