@@ -66,7 +66,6 @@ func main() {
 		reqTimeout = flag.Duration("request-timeout", 2*time.Second, "default per-request deadline for serve")
 		drainT     = flag.Duration("drain-timeout", 30*time.Second, "graceful drain budget on SIGTERM for serve")
 		follow     = flag.String("follow", "", "serve as a read-only follower replicating from this primary URL")
-		peer       = flag.String("peer", "", "replication peer URL corrupt index segments are read-repaired from (serve; implied by -follow)")
 		poll       = flag.Duration("poll", time.Second, "follower delta poll interval when caught up (with -follow)")
 	)
 	flag.Parse()
@@ -80,7 +79,7 @@ func main() {
 		addr: *addr, pprof: *pprofFlag, scrubEvery: *scrubEvery,
 		qps: *qps, burst: *burst, maxConcurrent: *maxConc, maxQueue: *maxQueue,
 		reqTimeout: *reqTimeout, drainTimeout: *drainT,
-		follow: *follow, peer: *peer, poll: *poll,
+		follow: *follow, poll: *poll,
 	}
 	if err := validateFlags(*k, *slow, sv); err != nil {
 		fmt.Fprintf(os.Stderr, "ivatool: %v\n", err)
@@ -110,7 +109,6 @@ type serveOpts struct {
 	reqTimeout    time.Duration
 	drainTimeout  time.Duration
 	follow        string
-	peer          string
 	poll          time.Duration
 }
 
@@ -172,7 +170,6 @@ func run(cmd string, args []string, dir string, k int, sv serveOpts, opts iva.Op
 		fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 		fs.StringVar(&sv.addr, "addr", sv.addr, "listen address")
 		fs.StringVar(&sv.follow, "follow", sv.follow, "replicate as a read-only follower from this primary URL")
-		fs.StringVar(&sv.peer, "peer", sv.peer, "read-repair peer URL (implied by -follow)")
 		fs.DurationVar(&sv.poll, "poll", sv.poll, "follower delta poll interval when caught up")
 		if err := fs.Parse(args); err != nil {
 			return err

@@ -179,7 +179,7 @@ func TestMetricsLint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sc := st.StartScrubber(iva.ScrubberOptions{Interval: time.Hour, Throttle: -1})
+	sc := st.StartScrubber(iva.ScrubberOptions{Interval: time.Hour})
 	defer sc.Stop()
 	sc.SweepNow()
 
@@ -235,7 +235,7 @@ func TestServeTelemetryEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := st.StartScrubber(iva.ScrubberOptions{Interval: time.Hour, Throttle: -1})
+	sc := st.StartScrubber(iva.ScrubberOptions{Interval: time.Hour})
 	defer sc.Stop()
 	sc.SweepNow()
 

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -199,28 +200,45 @@ func TestReplOverHTTP(t *testing.T) {
 	if b, err := repl.DecodeBatch(blob); err != nil || len(b.Deltas) != 1 || !b.Deltas[0].Full {
 		t.Fatalf("stale epoch answered with %+v (%v), want a batch of one Full delta", b, err)
 	}
-	gone := "/v1/repl/" + "snapshot" // the route a Full delta used to have to itself
-	resp, err = http.Get(srv.URL + gone)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("%s returned %d, want 404", gone, resp.StatusCode)
+	// Gone: the route a Full delta used to have to itself, and the raw
+	// file-range fetch of read-repair.
+	for _, gone := range []string{"/v1/repl/" + "snapshot", "/v1/repl/" + "segment?file=iva.idx&off=0&len=16"} {
+		resp, err = http.Get(srv.URL + gone)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("%s returned %d, want 404", gone, resp.StatusCode)
+		}
 	}
 	// Bad requests are rejected, not served as empty payloads.
-	resp, err = http.Get(srv.URL + "/v1/repl/segment?file=iva.idx&off=-1&len=16")
+	resp, err = http.Get(srv.URL + "/v1/repl/deltas?epoch=-1&from=0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode == http.StatusOK {
-		t.Fatal("negative segment offset was served")
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("a negative epoch returned %d, want 400", resp.StatusCode)
 	}
 	replMu.Lock()
 	defer replMu.Unlock()
 	if replCodes[http.StatusOK] == 0 || replCodes[410] != 0 {
 		t.Fatalf("replication plane statuses %v: want 200s and no 410", replCodes)
+	}
+}
+
+// TestServeRefusesPeer: serve has no read-repair peer any more — a follower's
+// damage is cured by its next poll, a primary's by Rebuild — so -peer is a
+// flag error, not an option quietly ignored, and nothing is opened.
+func TestServeRefusesPeer(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	err := run("serve", []string{"-peer", "http://127.0.0.1:1"}, dir, 10, serveOpts{drainTimeout: time.Second, poll: time.Second}, iva.Options{})
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -peer") {
+		t.Fatalf("serve -peer returned %v, want the flag error", err)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("serve -peer touched the store directory (%v)", err)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"github.com/sparsewide/iva"
-	"github.com/sparsewide/iva/internal/repl"
 	"github.com/sparsewide/iva/internal/server"
 )
 
@@ -34,8 +33,7 @@ func serveMux(st *iva.Store, sc *iva.Scrubber, api *server.Server, enablePprof b
 	mux := http.NewServeMux()
 	if api != nil {
 		api.Register(mux)
-		// Replication plane: delta serving (primaries) and the raw file-range
-		// fetch any on-disk store can answer for a peer's read-repair.
+		// Replication plane: delta serving (primaries).
 		api.RegisterRepl(mux, st)
 	}
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
@@ -193,11 +191,6 @@ func serve(st *iva.Store, sv serveOpts) error {
 			return err
 		}
 	}
-	if sv.peer != "" {
-		// Corrupt index segments heal from this peer (a follower already
-		// repairs from its primary without the flag).
-		st.SetRepairPeer(repl.NewClient(sv.peer, 0))
-	}
 	var sc *iva.Scrubber
 	if sv.scrubEvery > 0 {
 		sc = st.StartScrubber(iva.ScrubberOptions{Interval: sv.scrubEvery})
@@ -217,7 +210,7 @@ func serve(st *iva.Store, sv serveOpts) error {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGTERM, os.Interrupt)
 	defer signal.Stop(sig)
-	endpoints := "/v1/search, /v1/get, /v1/stats, /v1/repl/{deltas,segment}, /metrics, /healthz, /debug/querylog, /debug/trace"
+	endpoints := "/v1/search, /v1/get, /v1/stats, /v1/repl/deltas, /metrics, /healthz, /debug/querylog, /debug/trace"
 	if sv.pprof {
 		endpoints += ", /debug/pprof"
 	}

@@ -368,7 +368,6 @@ func (ix *Index) search(ctx context.Context, q *model.Query, m *metric.Metric, p
 		}
 	}
 	stats.DegradedSegments = len(allDeg)
-	stats.DegradedSegIDs = sortedSegIDs(allDeg)
 	// A stripe is claimed at most once, so the difference is what an aborted
 	// search never covered.
 	stats.StripesSkipped = stats.StripesTotal - int(claimed)

@@ -18,11 +18,6 @@ type ScrubReport struct {
 	CorruptSegments int
 	DirtySegments   int
 
-	// CorruptSegIDs lists the segment IDs behind CorruptSegments in
-	// ascending sweep order — read-repair uses them to fetch clean copies
-	// from a replication peer.
-	CorruptSegIDs []uint32
-
 	// Checkpoints is the number of committed checkpoint records swept;
 	// CorruptCheckpoints failed their record trailer. DroppedCheckpoints
 	// were already discarded when the index was opened.
@@ -112,7 +107,6 @@ func (ix *Index) ScrubYield(yield func()) (*ScrubReport, error) {
 					return nil, err
 				}
 				rep.CorruptSegments++
-				rep.CorruptSegIDs = append(rep.CorruptSegIDs, uint32(id))
 				rep.addProblem("%v", ce)
 				continue
 			}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"time"
 
 	"github.com/sparsewide/iva/internal/metric"
@@ -49,9 +48,6 @@ type SearchStats struct {
 	// segments the query read past (each forced its term's lower bound to
 	// zero, sending the affected tuples to refine).
 	DegradedSegments int
-	// DegradedSegIDs lists those segments' IDs in ascending order — the
-	// read-repair hook uses them to fetch clean copies from a peer.
-	DegradedSegIDs []uint32
 }
 
 // WorkerStats is one filter worker's share of a query (SearchStats).
@@ -64,20 +60,6 @@ type WorkerStats struct {
 
 // Total returns the query's full wall time.
 func (s SearchStats) Total() time.Duration { return s.FilterWall + s.RefineWall + s.MergeWall }
-
-// sortedSegIDs flattens a degraded-segment set into a sorted slice (nil when
-// empty, keeping the common clean path allocation-free).
-func sortedSegIDs(m map[uint32]struct{}) []uint32 {
-	if len(m) == 0 {
-		return nil
-	}
-	ids := make([]uint32, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	return ids
-}
 
 // termState is one query term prepared for scanning. prepareTerms builds the
 // query-wide part once (st, qs, exact: read-only, shared by the workers);

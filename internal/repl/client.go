@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"strconv"
 	"time"
 )
@@ -28,8 +27,8 @@ func NewClient(base string, timeout time.Duration) *Client {
 }
 
 // get fetches one URL, bounding the request with the client deadline and
-// capping the response size.
-func (c *Client) get(ctx context.Context, path string, maxBytes int64) ([]byte, int, error) {
+// capping the response size at maxReplBody.
+func (c *Client) get(ctx context.Context, path string) ([]byte, int, error) {
 	ctx, cancel := context.WithTimeout(ctx, c.timeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
@@ -41,7 +40,7 @@ func (c *Client) get(ctx context.Context, path string, maxBytes int64) ([]byte, 
 		return nil, 0, err
 	}
 	defer resp.Body.Close()
-	blob, err := io.ReadAll(io.LimitReader(resp.Body, maxBytes))
+	blob, err := io.ReadAll(io.LimitReader(resp.Body, maxReplBody))
 	if err != nil {
 		return nil, resp.StatusCode, err
 	}
@@ -59,7 +58,7 @@ const maxReplBody = 4 << 30
 func (c *Client) Deltas(ctx context.Context, epoch, from uint64) (*Batch, error) {
 	path := "/v1/repl/deltas?epoch=" + strconv.FormatUint(epoch, 10) +
 		"&from=" + strconv.FormatUint(from, 10)
-	blob, code, err := c.get(ctx, path, maxReplBody)
+	blob, code, err := c.get(ctx, path)
 	if err != nil {
 		return nil, fmt.Errorf("repl: deltas: %w", err)
 	}
@@ -67,25 +66,6 @@ func (c *Client) Deltas(ctx context.Context, epoch, from uint64) (*Batch, error)
 		return nil, fmt.Errorf("repl: deltas: HTTP %d: %s", code, firstLine(blob))
 	}
 	return DecodeBatch(blob)
-}
-
-// FetchFileRange fetches raw bytes [off, off+n) of a primary store file —
-// the read-repair path. The caller verifies the bytes against its own
-// committed checksum word; the wire adds no trust of its own.
-func (c *Client) FetchFileRange(ctx context.Context, file string, off, n int64) ([]byte, error) {
-	path := "/v1/repl/segment?file=" + url.QueryEscape(file) +
-		"&off=" + strconv.FormatInt(off, 10) + "&len=" + strconv.FormatInt(n, 10)
-	blob, code, err := c.get(ctx, path, n+1)
-	if err != nil {
-		return nil, fmt.Errorf("repl: segment: %w", err)
-	}
-	if code != http.StatusOK {
-		return nil, fmt.Errorf("repl: segment: HTTP %d: %s", code, firstLine(blob))
-	}
-	if int64(len(blob)) != n {
-		return nil, fmt.Errorf("repl: segment: got %d bytes, want %d", len(blob), n)
-	}
-	return blob, nil
 }
 
 func firstLine(b []byte) string {

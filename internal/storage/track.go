@@ -44,6 +44,13 @@ func (d *TrackDevice) TakeDirty() []Range {
 	return out
 }
 
+// Dirty reports whether any range was written since the last TakeDirty.
+func (d *TrackDevice) Dirty() bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return len(d.ranges) > 0
+}
+
 // record merges [off, off+n) into the sorted range set.
 func (d *TrackDevice) record(off, n int64) {
 	if n <= 0 {

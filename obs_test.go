@@ -128,6 +128,9 @@ func text(st *Store) string { return st.MetricsText() }
 // threshold allocates what it does on a store without a log; one over it
 // allocates at least the boxed arguments of its description more.
 func TestFastQueryPaysNothingForSlowLog(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under -race differ from run to run")
+	}
 	q := NewQuery(5).WhereText("brand", "cannon").WhereNum("price", 230)
 	for _, unknown := range []string{"a", "b", "c", "d", "e", "f"} { // charged to every tuple
 		q.WhereNum(unknown, 1)

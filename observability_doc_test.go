@@ -29,7 +29,7 @@ func TestMetricsDocumented(t *testing.T) {
 	if _, _, err := s.Search(NewQuery(1).WhereNum("Price", 1)); err != nil {
 		t.Fatal(err)
 	}
-	sc := s.StartScrubber(ScrubberOptions{Interval: time.Hour, Throttle: -1})
+	sc := s.StartScrubber(ScrubberOptions{Interval: time.Hour})
 	defer sc.Stop()
 	sc.SweepNow()
 

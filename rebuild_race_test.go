@@ -90,6 +90,73 @@ func TestGrowthRebuildSearchRace(t *testing.T) {
 	}
 }
 
+// TestCatalogRebuildRace races the writers that register attributes —
+// DefineAttr, and Insert of rows naming new ones — and Search against a
+// Rebuild loop, each of whose installs swaps the generation the catalog
+// pointer belongs to. Every reader takes that pointer under the engine lock;
+// under -race, one that does not trips the detector.
+func TestCatalogRebuildRace(t *testing.T) {
+	st, err := Create("", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for i := 0; i < 64; i++ {
+		if _, err := st.Insert(Row{"num": Num(float64(i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop := make(chan struct{})
+	errCh := make(chan error, 2) // one slot per loop
+	var wg sync.WaitGroup
+	loop := func(fn func(i int) error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := fn(i); err != nil {
+					errCh <- err
+					return
+				}
+			}
+		}()
+	}
+	var rebuilds atomic.Int64
+	loop(func(int) error { rebuilds.Add(1); return st.Rebuild() })
+	loop(func(i int) error {
+		_, _, err := st.Search(NewQuery(3).WhereNum("num", float64(i%64)).WhereNum(fmt.Sprintf("ins-%d", i%200), 1))
+		return err
+	})
+	for i := 0; i < 200 && !t.Failed(); i++ {
+		if err := st.DefineAttr(fmt.Sprintf("def-%d", i), Numeric); err != nil {
+			t.Error(err)
+		}
+		if _, err := st.Insert(Row{"num": Num(float64(i)), fmt.Sprintf("ins-%d", i): Num(1)}); err != nil {
+			t.Error(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	close(errCh)
+	for err := range errCh {
+		t.Error(err)
+	}
+	if t.Failed() {
+		return
+	}
+	if rebuilds.Load() == 0 {
+		t.Fatal("no rebuild ran; the race was not exercised")
+	}
+	if got, want := st.Stats().Attributes, 1+2*200; got != want {
+		t.Fatalf("%d attributes registered, want %d", got, want)
+	}
+}
+
 // TestGrowthRebuildCrashSweep kills a growth rebuild at every I/O operation
 // budget (a FaultDevice under the rebuild's ".new" files, each budget once
 // with the tripping write failing whole and once with it torn) and requires the reopened store to land on a consistent

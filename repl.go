@@ -82,7 +82,7 @@ type replPrimaryState struct {
 }
 
 // EnableReplSource turns the store into a replication primary: every Sync
-// from now on cuts a delta, and ReplDeltas/ReplFileRange serve followers.
+// from now on cuts a delta, and ReplDeltas serves followers.
 // Requires an on-disk store. Idempotent.
 func (s *Store) EnableReplSource() error {
 	if s.dir == "" {
@@ -306,11 +306,21 @@ func splitSuperblockRanges(ranges []storage.Range) []storage.Range {
 // pending incremental delta first) and every file is shipped whole at the
 // generation that leaves. It runs under s.mu because only there is "the bytes
 // of both files and the catalog at generation g" one state: a write or a
-// rebuild between the sync and the reads would ship a mix. Caller holds s.mu.
+// rebuild between the sync and the reads would ship a mix. A store with
+// nothing written since the last cut is already that state, and is not synced:
+// every Sync commits — the superblock ping-pongs — so each Full delta served
+// would otherwise cut a generation, and a follower that asks again (a damaged
+// primary's, say) would find the primary moved on. Caller holds s.mu.
 func (s *Store) replFullLocked() (*repl.Delta, error) {
 	p := s.replP
-	if err := s.syncLocked(); err != nil {
-		return nil, err
+	catCRC := storage.Checksum(s.cat.Encode())
+	p.mu.Lock()
+	pending := !p.hasCat || catCRC != p.lastCatCRC
+	p.mu.Unlock()
+	if pending || s.tblFile.dev.Dirty() || s.ixFile.dev.Dirty() {
+		if err := s.syncLocked(); err != nil {
+			return nil, err
+		}
 	}
 	p.mu.Lock()
 	epoch, gen := p.epoch, p.gen
@@ -394,38 +404,6 @@ func (s *Store) ReplDeltas(epoch, from uint64) ([]byte, error) {
 		return nil, fmt.Errorf("iva: store of %d bytes does not fit one Full delta (a batch frames each delta under a 32-bit length)", len(blob))
 	}
 	return repl.EncodeBatchRaw(d.Epoch, d.Gen, [][]byte{blob}), nil
-}
-
-// ReplFileRange serves raw bytes [off, off+n) of a store file — the
-// read-repair fetch path. It works on any on-disk store (a follower can heal
-// a primary and vice versa); the requesting side verifies the bytes against
-// its own committed checksums, so this endpoint adds no trust.
-func (s *Store) ReplFileRange(file string, off, n int64) ([]byte, error) {
-	if off < 0 || n <= 0 || n > replFullChunk {
-		return nil, fmt.Errorf("iva: repl file range: bad span [%d,+%d)", off, n)
-	}
-	s.engineMu.RLock()
-	defer s.engineMu.RUnlock()
-	var f *storage.File
-	switch file {
-	case tableFileName:
-		f = s.tblFile.File
-	case indexFileName:
-		f = s.ixFile.File
-	case catalogFileName:
-		blob := s.cat.Encode()
-		if off >= int64(len(blob)) || off+n > int64(len(blob)) {
-			return nil, fmt.Errorf("iva: repl file range: beyond catalog end")
-		}
-		return blob[off : off+n], nil
-	default:
-		return nil, fmt.Errorf("iva: repl file range: unknown file %q", file)
-	}
-	buf := make([]byte, n)
-	if err := f.ReadAt(buf, off); err != nil {
-		return nil, err
-	}
-	return buf, nil
 }
 
 // ReplStatus describes the store's replication role and progress.

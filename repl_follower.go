@@ -58,6 +58,12 @@ type followerState struct {
 	primaryGen uint64
 	lastErr    string
 	lastOK     time.Time
+	// refetch makes the next poll ask with the zero cursor, which every
+	// primary answers with a Full delta; the Full delta's install clears it.
+	// A failed apply sets it, and so does damage (noteDamage), at most once
+	// per applied generation: damageAt is the one it was last set for.
+	refetch  bool
+	damageAt followerDurableState
 
 	applied      *obs.Counter
 	appliedBytes *obs.Counter
@@ -94,7 +100,7 @@ func loadFollowerState(dir string) (followerDurableState, error) {
 // follower replica of the primary serving at primaryURL, and starts the
 // background poll loop. The store is read-only — writes return ErrFollower —
 // and never syncs locally: its durable state advances only by applying
-// verified deltas. The primary doubles as the read-repair peer.
+// verified deltas.
 func OpenFollower(dir, primaryURL string, fopts FollowerOptions, opts Options) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("iva: a follower requires a directory")
@@ -103,13 +109,7 @@ func OpenFollower(dir, primaryURL string, fopts FollowerOptions, opts Options) (
 	if timeout <= 0 {
 		timeout = 60 * time.Second
 	}
-	c := repl.NewClient(primaryURL, timeout)
-	s, err := openFollower(dir, c, fopts, opts)
-	if err != nil {
-		return nil, err
-	}
-	s.SetRepairPeer(c)
-	return s, nil
+	return openFollower(dir, repl.NewClient(primaryURL, timeout), fopts, opts)
 }
 
 // openFollower is OpenFollower over any replSource (test seam). A directory
@@ -161,7 +161,7 @@ func openFollower(dir string, src replSource, fopts FollowerOptions, opts Option
 	f.applied = s.reg.Counter("iva_repl_applied_total", "Replication deltas applied and committed.", nil)
 	f.appliedBytes = s.reg.Counter("iva_repl_applied_bytes_total", "Payload bytes of applied replication deltas.", nil)
 	f.failures = s.reg.Counter("iva_repl_apply_failures_total", "Delta applies abandoned before commit (verification or I/O failure).", nil)
-	f.resyncs = s.reg.Counter("iva_repl_resyncs_total", "Full deltas installed: a new replica's first, then one per poll the primary could not continue incrementally.", nil)
+	f.resyncs = s.reg.Counter("iva_repl_resyncs_total", "Full deltas installed: a new replica's first, then one per poll the primary could not continue incrementally or the follower asked for whole (a failed apply, damage).", nil)
 	f.pollErrs = s.reg.Counter("iva_repl_poll_errors_total", "Failed poll round trips to the primary.", nil)
 	s.reg.GaugeFunc("iva_repl_generation", "Committed replication generation (primary: cut; follower: applied).", nil, func() float64 {
 		f.mu.Lock()
@@ -219,6 +219,19 @@ func (f *followerState) noteErr(err error) {
 	f.mu.Unlock()
 }
 
+// noteDamage is the follower's cure for damage to its own files — a query that
+// degraded past a corrupt segment, a scrub that was not clean: the next poll
+// fetches a Full delta, which install lands beside the live generation. It asks
+// once per applied generation, because a primary whose own bytes are damaged
+// ships them in the Full delta too, and asking again would only refetch them.
+func (f *followerState) noteDamage() {
+	f.mu.Lock()
+	if at := (followerDurableState{Epoch: f.epoch, Gen: f.gen}); at != f.damageAt {
+		f.damageAt, f.refetch = at, true
+	}
+	f.mu.Unlock()
+}
+
 func (f *followerState) status() ReplStatus {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -260,16 +273,19 @@ func (s *Store) runFollower(ctx context.Context) {
 
 // pollOnce is the one way a follower is brought current: it asks the source
 // what follows the cursor and applies the deltas of the answer in order,
-// returning how many it committed. The cursor it asks with is the in-memory
-// one, and an apply that fails zeroes it — no primary's epoch is 0, so the
-// next answer is a Full delta, which re-establishes a verified state whatever
-// went wrong (local I/O, a delta that does not continue the prefix). The
-// durable cursor moves only in applyDelta; until the Full delta lands,
-// ReplStatus reports generation 0 with the error beside it.
+// returning how many it committed. It asks with the applied cursor, or with
+// the zero cursor while refetch is set — no primary's epoch is 0, so the answer
+// is a Full delta, which re-establishes a verified state whatever went wrong
+// (local I/O, a delta that does not continue the prefix, damaged bytes). An
+// apply that fails sets refetch; the cursor itself moves only with a committed
+// apply, so ReplStatus always reports the generation the files hold.
 func (s *Store) pollOnce(ctx context.Context) (applied int, err error) {
 	f := s.fol
 	f.mu.Lock()
 	epoch, gen := f.epoch, f.gen
+	if f.refetch {
+		epoch, gen = 0, 0
+	}
 	f.mu.Unlock()
 	batch, err := f.src.Deltas(ctx, epoch, gen)
 	if ctx.Err() != nil {
@@ -284,9 +300,8 @@ func (s *Store) pollOnce(ctx context.Context) (applied int, err error) {
 	for _, d := range batch.Deltas {
 		if err := s.ApplyReplDelta(d); err != nil {
 			f.failures.Inc()
-			f.noteErr(err)
 			f.mu.Lock()
-			f.epoch, f.gen = 0, 0
+			f.lastErr, f.refetch = err.Error(), true
 			f.mu.Unlock()
 			return applied, err
 		}
@@ -349,6 +364,9 @@ func (s *Store) ApplyReplDelta(d *repl.Delta) error {
 	f.mu.Lock()
 	f.epoch, f.gen = d.Epoch, d.Gen
 	f.lastOK = time.Now()
+	if d.Full {
+		f.refetch = false
+	}
 	f.mu.Unlock()
 	f.applied.Inc()
 	f.appliedBytes.Add(d.Bytes())

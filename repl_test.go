@@ -44,13 +44,6 @@ func fullDelta(t *testing.T, p *Store) *repl.Delta {
 	return b.Deltas[0]
 }
 
-// localPeer is the in-process read-repair peer.
-type localPeer struct{ p *Store }
-
-func (l localPeer) FetchFileRange(ctx context.Context, file string, off, n int64) ([]byte, error) {
-	return l.p.ReplFileRange(file, off, n)
-}
-
 // gatedSource caps the generation served to the follower so tests can hold
 // it at an exact synced generation and compare answers there. A Full delta
 // passes the gate: it is the primary's synced state whenever it is cut.
@@ -837,161 +830,6 @@ func (f *flippingSource) Deltas(ctx context.Context, epoch, from uint64) (*repl.
 		blob[len(blob)/3] ^= 0x04
 	}
 	return repl.DecodeBatch(blob)
-}
-
-// TestReadRepairEndToEnd is the acceptance path: a bit flip inside a
-// committed vector-list segment of a follower is detected at query time
-// (answers stay exact via refine), healed in place from the primary, and a
-// subsequent scrub comes back clean with the repaired segment serving
-// undegraded.
-func TestReadRepairEndToEnd(t *testing.T) {
-	base := t.TempDir()
-	pdir, fdir := filepath.Join(base, "primary"), filepath.Join(base, "follower")
-	primary, err := Create(pdir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer primary.Close()
-	w := &replWorkload{rng: rand.New(rand.NewSource(51))}
-	for i := 0; i < 400; i++ {
-		w.step(t, primary, i)
-	}
-	if err := primary.EnableReplSource(); err != nil {
-		t.Fatal(err)
-	}
-	if err := primary.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	src := &gatedSource{inner: localSource{primary}}
-	src.allow(primary.ReplStatus().Gen)
-	follower, err := openFollower(fdir, src, FollowerOptions{Poll: 5 * time.Millisecond}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitFollowerGen(t, follower, primary.ReplStatus().Gen)
-	queries := replQueries(rand.New(rand.NewSource(42)))
-	assertSameAnswers(t, primary, follower, queries, "pre-corruption")
-
-	// Find a committed vector extent, close the follower, flip a bit in it
-	// on disk, reopen.
-	exts := follower.ix.VectorExtents()
-	if len(exts) == 0 {
-		t.Fatal("no committed vector extents to corrupt")
-	}
-	ext := exts[len(exts)/2]
-	if err := follower.Close(); err != nil {
-		t.Fatal(err)
-	}
-	ixPath := filepath.Join(fdir, indexFileName)
-	blob, err := os.ReadFile(ixPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob[ext.Offset+ext.Len/2] ^= 0x20
-	if err := os.WriteFile(ixPath, blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	follower, err = openFollower(fdir, src, FollowerOptions{Poll: 5 * time.Millisecond}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer follower.Close()
-	follower.SetRepairPeer(localPeer{primary})
-
-	// The damage is visible to a scrub, which queues the repair; queries keep
-	// exact answers throughout (the degraded read refines around the bad segment).
-	rep, err := follower.Scrub()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.CorruptIndexSegments == 0 {
-		t.Fatal("bit flip not detected by scrub")
-	}
-	assertSameAnswers(t, primary, follower, queries, "degraded")
-
-	follower.waitRepairs()
-	if got := follower.repairer.repaired.Value(); got == 0 {
-		t.Fatalf("read-repair healed nothing (attempts %d, failed %d)",
-			follower.repairer.attempts.Value(), follower.repairer.failed.Value())
-	}
-	rep, err = follower.Scrub()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Clean() {
-		t.Fatalf("post-repair scrub not clean: %v", rep.Problems)
-	}
-	// Degradation is gone from the query path too.
-	for _, q := range queries {
-		_, stats, err := follower.Search(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats.DegradedSegments != 0 {
-			t.Fatalf("query still degraded after repair: %d segments", stats.DegradedSegments)
-		}
-	}
-	assertSameAnswers(t, primary, follower, queries, "post-repair")
-}
-
-// TestReadRepairRefusesMismatchedPeer: bytes from a peer at a different
-// committed generation fail the local checksum and are never written.
-func TestReadRepairRefusesMismatchedPeer(t *testing.T) {
-	base := t.TempDir()
-	pdir := filepath.Join(base, "primary")
-	primary, err := Create(pdir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer primary.Close()
-	w := &replWorkload{rng: rand.New(rand.NewSource(61))}
-	for i := 0; i < 200; i++ {
-		w.step(t, primary, i)
-	}
-	if err := primary.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	exts := primary.ix.VectorExtents()
-	if len(exts) == 0 {
-		t.Fatal("no extents")
-	}
-	// A "peer" serving garbage: same length, wrong bytes.
-	segs := collectCommittedSegs(primary)
-	if len(segs) == 0 {
-		t.Fatal("no committed segments")
-	}
-	seg := segs[len(segs)/2]
-	off, n, ok := primary.ix.SegmentSpan(seg)
-	if !ok {
-		t.Fatalf("segment %d has no committed span", seg)
-	}
-	junk := make([]byte, n)
-	for i := range junk {
-		junk[i] = byte(i * 7)
-	}
-	if err := primary.ix.RepairSegment(seg, junk); err == nil {
-		t.Fatal("RepairSegment accepted bytes failing the committed checksum")
-	}
-	// The committed bytes are untouched: the span still verifies.
-	good, err := primary.ReplFileRange(indexFileName, off, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := primary.ix.RepairSegment(seg, good); err != nil {
-		t.Fatalf("matching bytes refused: %v", err)
-	}
-}
-
-// collectCommittedSegs lists segments with a committed checksum span.
-func collectCommittedSegs(st *Store) []uint32 {
-	var out []uint32
-	for seg := uint32(0); seg < 4096; seg++ {
-		if _, _, ok := st.ix.SegmentSpan(seg); ok {
-			out = append(out, seg)
-		}
-	}
-	return out
 }
 
 // chaosSource wraps the in-process source with the two nightly fault modes:

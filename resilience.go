@@ -19,13 +19,10 @@ type CorruptionError = storage.CorruptionError
 type ScrubReport struct {
 	// Index segment sweep: segments covered by the committed checksum map,
 	// how many failed their CRC32C word, and how many were skipped because
-	// they hold unsynced writes. CorruptIndexSegIDs lists the failing
-	// segments' ids — the read-repair path fetches clean copies of exactly
-	// these from a replication peer.
+	// they hold unsynced writes. Problems names each failing segment.
 	IndexSegments        int
 	CorruptIndexSegments int
 	DirtyIndexSegments   int
-	CorruptIndexSegIDs   []uint32
 
 	// Checkpoint record sweep, plus records already dropped when the index
 	// was opened.
@@ -66,7 +63,7 @@ func (r *ScrubReport) Clean() bool {
 // re-reads every covered byte (the first-touch cache is ignored) and never
 // degrades — damage is reported, not worked around. Read-only and safe on a
 // live store; pair it with Rebuild to repair a damaged index from a clean
-// table.
+// table. On a follower, damage instead makes the next poll fetch a Full delta.
 func (s *Store) Scrub() (*ScrubReport, error) { return s.scrubYield(nil) }
 
 // scrubYield is Scrub with a pacing hook: a non-nil yield is invoked once per
@@ -84,7 +81,6 @@ func (s *Store) scrubYield(yield func()) (*ScrubReport, error) {
 		IndexSegments:        ixRep.Segments,
 		CorruptIndexSegments: ixRep.CorruptSegments,
 		DirtyIndexSegments:   ixRep.DirtySegments,
-		CorruptIndexSegIDs:   ixRep.CorruptSegIDs,
 		Checkpoints:          ixRep.Checkpoints,
 		CorruptCheckpoints:   ixRep.CorruptCheckpoints,
 		DroppedCheckpoints:   ixRep.DroppedCheckpoints,
@@ -113,10 +109,9 @@ func (s *Store) scrubYield(yield func()) (*ScrubReport, error) {
 			rep.Problems = append(rep.Problems, fmt.Sprintf("%s: %v", catalogFileName, err))
 		}
 	}
-	// Corrupt index segments the sweep found are candidates for peer
-	// read-repair — queue them like a degraded query would.
-	if len(rep.CorruptIndexSegIDs) > 0 {
-		s.enqueueRepair(rep.CorruptIndexSegIDs)
+	// A follower's damage is cured by its next poll, like a degraded query's.
+	if !rep.Clean() && s.fol != nil {
+		s.fol.noteDamage()
 	}
 	return rep, nil
 }

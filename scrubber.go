@@ -18,34 +18,17 @@ type ScrubberOptions struct {
 	// Interval is the pause between the end of one sweep and the start of the
 	// next. Default 10 minutes.
 	Interval time.Duration
-	// Throttle is the sleep injected into a sweep every ThrottleEvery
-	// verified units (index segments, checkpoint records, table records),
-	// bounding the sweep's I/O rate. The sweep holds the store's engine
-	// read lock throughout — queries proceed (the lock is shared) but
-	// rebuilds wait — so the throttle trades sweep I/O pressure against
-	// rebuild latency. Default 200µs every 1024 units; a negative Throttle
-	// disables throttling.
-	Throttle      time.Duration
-	ThrottleEvery int
-	// ReportPath is where each completed sweep persists the scrub snapshot
-	// as JSON (read back by LoadScrubReport and `ivatool stats`). Default
-	// <store dir>/scrub-report.json for on-disk stores; empty disables
-	// persistence for in-memory stores.
-	ReportPath string
 }
 
-func (o ScrubberOptions) withDefaults() ScrubberOptions {
-	if o.Interval == 0 {
-		o.Interval = 10 * time.Minute
-	}
-	if o.Throttle == 0 {
-		o.Throttle = 200 * time.Microsecond
-	}
-	if o.ThrottleEvery <= 0 {
-		o.ThrottleEvery = 1024
-	}
-	return o
-}
+// A sweep sleeps scrubThrottle every scrubThrottleEvery verified units (index
+// segments, checkpoint records, table records), bounding its I/O rate. The
+// sweep holds the store's engine read lock throughout — queries proceed (the
+// lock is shared) but rebuilds wait — so the throttle trades sweep I/O
+// pressure against rebuild latency.
+const (
+	scrubThrottle      = 200 * time.Microsecond
+	scrubThrottleEvery = 1024
+)
 
 // HealthState is the scrubber's overall verdict, served by ServeHealthz
 // (/healthz).
@@ -87,8 +70,12 @@ type SweepRecord struct {
 // scrub yield hook, and folding its findings into metrics (iva_scrub_*,
 // iva_health_state) and /healthz.
 type Scrubber struct {
-	store *Store
-	opts  ScrubberOptions
+	store    *Store
+	interval time.Duration
+	// reportPath is where each completed sweep persists the scrub snapshot as
+	// JSON (read back by LoadScrubReport and `ivatool stats`):
+	// <store dir>/scrub-report.json, "" (none) for an in-memory store.
+	reportPath string
 
 	mu          sync.Mutex
 	lastSweep   time.Time // zero = never swept
@@ -117,15 +104,17 @@ const scrubHistoryCap = 64
 // Stop; a store may have at most one meaningfully running (metrics handles
 // are shared, but sweeps of two scrubbers would contend).
 func (s *Store) StartScrubber(opts ScrubberOptions) *Scrubber {
-	opts = opts.withDefaults()
-	if opts.ReportPath == "" && s.dir != "" {
-		opts.ReportPath = filepath.Join(s.dir, scrubReportFileName)
-	}
 	sc := &Scrubber{
-		store: s,
-		opts:  opts,
-		stop:  make(chan struct{}),
-		done:  make(chan struct{}),
+		store:    s,
+		interval: opts.Interval,
+		stop:     make(chan struct{}),
+		done:     make(chan struct{}),
+	}
+	if sc.interval == 0 {
+		sc.interval = 10 * time.Minute
+	}
+	if s.dir != "" {
+		sc.reportPath = filepath.Join(s.dir, scrubReportFileName)
 	}
 	reg := s.reg
 	sc.sweepsCtr = reg.Counter("iva_scrub_sweeps_total", "Completed background sweeps.", nil)
@@ -133,12 +122,6 @@ func (s *Store) StartScrubber(opts ScrubberOptions) *Scrubber {
 	sc.corruptCtr = reg.Counter("iva_scrub_corrupt_found_total", "Corrupt structures (segments, checkpoints, table records) found by background sweeps.", nil)
 	sc.unitsCtr = reg.Counter("iva_scrub_units_total", "Units (index segments, checkpoint records, table records) verified by background sweeps.", nil)
 	sc.throttleCtr = reg.Counter("iva_scrub_throttle_sleeps_total", "Throttle pauses injected into background sweeps.", nil)
-	reg.GaugeFunc("iva_scrub_throttle_seconds", "Configured throttle sleep per pause (0 when disabled).", nil, func() float64 {
-		if sc.opts.Throttle < 0 {
-			return 0
-		}
-		return sc.opts.Throttle.Seconds()
-	})
 	reg.GaugeFunc("iva_scrub_last_sweep_age_seconds", "Age of the last completed sweep (-1 until the first one).", nil, func() float64 {
 		sc.mu.Lock()
 		defer sc.mu.Unlock()
@@ -157,7 +140,7 @@ func (s *Store) StartScrubber(opts ScrubberOptions) *Scrubber {
 
 func (sc *Scrubber) run() {
 	defer close(sc.done)
-	t := time.NewTimer(sc.opts.Interval)
+	t := time.NewTimer(sc.interval)
 	defer t.Stop()
 	for {
 		select {
@@ -166,7 +149,7 @@ func (sc *Scrubber) run() {
 		case <-t.C:
 		}
 		sc.SweepNow()
-		t.Reset(sc.opts.Interval)
+		t.Reset(sc.interval)
 	}
 }
 
@@ -191,9 +174,9 @@ func (sc *Scrubber) SweepNow() {
 		n++
 		sc.units.Add(1)
 		sc.unitsCtr.Inc()
-		if sc.opts.Throttle > 0 && n%int64(sc.opts.ThrottleEvery) == 0 {
+		if n%scrubThrottleEvery == 0 {
 			sc.throttleCtr.Inc()
-			time.Sleep(sc.opts.Throttle)
+			time.Sleep(scrubThrottle)
 		}
 	}
 	rep, err := sc.store.scrubYield(yield)
@@ -218,8 +201,8 @@ func (sc *Scrubber) SweepNow() {
 
 	// A report that cannot be written leaves `ivatool stats -strict` reading
 	// the previous sweep's verdict, so it counts as this sweep's error.
-	if sc.opts.ReportPath != "" {
-		if err := SaveScrubReport(sc.opts.ReportPath, sc.Snapshot()); err != nil {
+	if sc.reportPath != "" {
+		if err := SaveScrubReport(sc.reportPath, sc.Snapshot()); err != nil {
 			sc.mu.Lock()
 			if sc.lastErr != "" {
 				sc.lastErr += "; "

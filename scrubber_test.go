@@ -29,9 +29,9 @@ func healthz(t *testing.T, sc *Scrubber) (code int, status, reason string) {
 	return rec.Code, body.Status, body.Reason
 }
 
-// noThrottle keeps sweeps instantaneous and the background loop out of the
-// way so SweepNow drives every assertion deterministically.
-var noThrottle = ScrubberOptions{Interval: time.Hour, Throttle: -1}
+// manualSweeps keeps the background loop out of the way so SweepNow drives
+// every assertion deterministically.
+var manualSweeps = ScrubberOptions{Interval: time.Hour}
 
 // scrubTestStore creates an on-disk store of n camera rows, synced.
 func scrubTestStore(t *testing.T, dir string, n int) *Store {
@@ -70,7 +70,7 @@ func TestScrubberSeededCorruption(t *testing.T) {
 	}
 
 	// Healthy phase: after a sweep the verdict is ok.
-	sc := s.StartScrubber(noThrottle)
+	sc := s.StartScrubber(manualSweeps)
 	sc.SweepNow()
 	if code, status, _ := healthz(t, sc); code != 200 || status != "ok" {
 		t.Fatalf("healthy store: healthz %d %q, want 200 ok", code, status)
@@ -104,7 +104,7 @@ func TestScrubberSeededCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	sc = s.StartScrubber(noThrottle)
+	sc = s.StartScrubber(manualSweeps)
 	defer sc.Stop()
 
 	// Queries still answer exactly but observe the degraded segment.
@@ -222,7 +222,7 @@ func checkResults(t *testing.T, phase string, got, want []Result) {
 }
 
 // TestScrubberSingleStore covers throttle accounting — every table record is
-// a unit, the throttle counter moves when a throttle is configured — the
+// a unit, and a sweep of more than 2,048 units pauses once per 1,024 — the
 // sweep history, and an idempotent Stop.
 func TestScrubberSingleStore(t *testing.T) {
 	s, err := Create(t.TempDir(), Options{})
@@ -230,30 +230,27 @@ func TestScrubberSingleStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	for i := 0; i < 300; i++ {
-		if _, err := s.Insert(map[string]Value{"Price": Num(float64(i))}); err != nil {
-			t.Fatal(err)
-		}
+	const rows = 2100
+	batch := make([]Row, rows)
+	for i := range batch {
+		batch[i] = Row{"Price": Num(float64(i))}
+	}
+	if _, err := s.InsertBatch(batch); err != nil {
+		t.Fatal(err)
 	}
 	if err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	sc := s.StartScrubber(ScrubberOptions{
-		Interval: time.Hour, Throttle: time.Microsecond, ThrottleEvery: 16,
-	})
+	sc := s.StartScrubber(manualSweeps)
 	sc.SweepNow()
-	if sc.Units() < 300 {
-		t.Fatalf("sweep verified %d units, want >= 300 (one per table record)", sc.Units())
+	if sc.Units() <= 2*scrubThrottleEvery || sc.Units() < rows {
+		t.Fatalf("sweep verified %d units, want > %d and >= %d (one per table record)", sc.Units(), 2*scrubThrottleEvery, rows)
 	}
 	if h, reason := sc.Health(); h != HealthOK {
 		t.Fatalf("clean store health %v (%s), want ok", h, reason)
 	}
-	text := s.MetricsText()
-	if got, want := metricValue(t, text, "iva_scrub_throttle_sleeps_total"), float64(sc.Units()/16); got != want {
-		t.Errorf("%g throttle sleeps for %d units at one per 16, want %g", got, sc.Units(), want)
-	}
-	if got := metricValue(t, text, "iva_scrub_throttle_seconds"); got != 1e-6 {
-		t.Errorf("iva_scrub_throttle_seconds = %g, want 1e-06", got)
+	if got, want := metricValue(t, s.MetricsText(), "iva_scrub_throttle_sleeps_total"), float64(sc.Units()/scrubThrottleEvery); got != want {
+		t.Errorf("%g throttle sleeps for %d units at one per %d, want %g", got, sc.Units(), scrubThrottleEvery, want)
 	}
 	hist := sc.History()
 	if len(hist) != 1 || hist[0].Report == nil || !hist[0].Report.Clean() || hist[0].Err != "" {
@@ -269,7 +266,7 @@ func TestScrubberSingleStore(t *testing.T) {
 func TestScrubberBackgroundLoop(t *testing.T) {
 	s := scrubTestStore(t, t.TempDir(), 120)
 	defer s.Close()
-	sc := s.StartScrubber(ScrubberOptions{Interval: time.Millisecond, Throttle: -1})
+	sc := s.StartScrubber(ScrubberOptions{Interval: time.Millisecond})
 	const manual = 5
 	for i := 0; i < manual; i++ {
 		sc.SweepNow()
@@ -295,20 +292,19 @@ func TestScrubberBackgroundLoop(t *testing.T) {
 	}
 }
 
-// TestScrubberReportUnwritable points ReportPath below a regular file: the
-// sweep itself succeeds, but a report that cannot be persisted must not pass
-// silently — `ivatool stats -strict` would keep reading the previous verdict.
+// TestScrubberReportUnwritable blocks <dir>/scrub-report.json with a
+// directory: the sweep itself succeeds, but a report that cannot be persisted
+// must not pass silently — `ivatool stats -strict` would keep reading the
+// previous verdict.
 func TestScrubberReportUnwritable(t *testing.T) {
 	dir := t.TempDir()
 	s := scrubTestStore(t, dir, 60)
 	defer s.Close()
-	blocker := filepath.Join(dir, "not-a-directory")
-	if err := os.WriteFile(blocker, []byte("x"), 0o644); err != nil {
+	blocker := filepath.Join(dir, scrubReportFileName)
+	if err := os.MkdirAll(filepath.Join(blocker, "occupied"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	opts := noThrottle
-	opts.ReportPath = filepath.Join(blocker, scrubReportFileName)
-	sc := s.StartScrubber(opts)
+	sc := s.StartScrubber(manualSweeps)
 	defer sc.Stop()
 	sc.SweepNow()
 

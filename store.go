@@ -150,10 +150,9 @@ type Store struct {
 	om      storeMetrics
 
 	// Replication state. replP is non-nil on a delta-shipping primary, fol on
-	// a log-applying follower, repairer when a read-repair peer is configured.
-	replP    *replPrimary
-	fol      *followerState
-	repairer *repairer
+	// a log-applying follower.
+	replP *replPrimary
+	fol   *followerState
 	// replicaCur is non-nil when the directory carries a follower cursor
 	// (repl-state.json), whether or not a poll loop is attached: the durable
 	// bytes are a synced prefix of some primary, and any local mutation —
@@ -599,8 +598,17 @@ func (s *Store) DefineAttr(name string, kind Kind) error {
 	if s.followerReadOnly() {
 		return ErrFollower
 	}
-	_, err := s.cat.AddAttr(name, kind.internal())
+	_, err := s.catalog().AddAttr(name, kind.internal())
 	return err
+}
+
+// catalog returns the running generation's catalog. The pointer is read under
+// the engine lock, which install holds while it swaps the generation; the
+// catalog itself has its own lock for AddAttr.
+func (s *Store) catalog() *table.Catalog {
+	s.engineMu.RLock()
+	defer s.engineMu.RUnlock()
+	return s.cat
 }
 
 // resolveRow maps names to ids, registering new attributes — a row's unseen
@@ -610,21 +618,22 @@ func (s *Store) resolveRow(row Row) (map[model.AttrID]model.Value, error) {
 	if len(row) == 0 {
 		return nil, fmt.Errorf("iva: empty row")
 	}
+	cat := s.catalog()
 	var unseen []string
 	for name := range row {
-		if _, ok := s.cat.Lookup(name); !ok {
+		if _, ok := cat.Lookup(name); !ok {
 			unseen = append(unseen, name)
 		}
 	}
 	sort.Strings(unseen)
 	for _, name := range unseen {
-		if _, err := s.cat.AddAttr(name, row[name].v.Kind); err != nil {
+		if _, err := cat.AddAttr(name, row[name].v.Kind); err != nil {
 			return nil, err
 		}
 	}
 	out := make(map[model.AttrID]model.Value, len(row))
 	for name, v := range row {
-		id, err := s.cat.AddAttr(name, v.v.Kind)
+		id, err := cat.AddAttr(name, v.v.Kind)
 		if err != nil {
 			return nil, err
 		}
@@ -879,10 +888,10 @@ func (s *Store) SearchContext(ctx context.Context, q *Query) ([]Result, QuerySta
 	plan.End()
 
 	res, st, err := s.ix.SearchContext(ctx, mq, s.met, sp)
-	s.engineMu.RUnlock()
-	if len(st.DegradedSegIDs) > 0 {
-		s.enqueueRepair(st.DegradedSegIDs)
+	if st.DegradedSegments > 0 && s.fol != nil {
+		s.fol.noteDamage()
 	}
+	s.engineMu.RUnlock()
 	if err != nil {
 		sp.End()
 		s.om.queryErrs.Inc()
@@ -1271,11 +1280,9 @@ func (s *Store) syncLocked() error {
 }
 
 // Close checkpoints and releases the store. Closing twice is a no-op. On a
-// follower the poll loop is stopped first; on any store the read-repair
-// worker drains before the files close under it.
+// follower the poll loop is stopped first.
 func (s *Store) Close() error {
 	s.stopFollower()
-	s.stopRepairer()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
