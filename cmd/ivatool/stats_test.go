@@ -154,7 +154,7 @@ func TestStatsGolden(t *testing.T) {
 	const golden = `tuples      59
 deleted     1
 attributes  3
-table bytes 3199
+table bytes 2179
 index bytes 12311
 rebuilds    0 (clean 0 growth 0 needs_rebuild 0 explicit 0)
 cache hits  465 (99.1% hit rate)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -152,5 +153,85 @@ func TestConcurrentSearchAndMutate(t *testing.T) {
 	}
 	if len(res) != 1 || res[0].TID != tid || res[0].Dist != 0 {
 		t.Fatalf("post-churn probe: %v", res)
+	}
+}
+
+// TestDefineAttrInsertSearchRace runs DefineAttr, Insert of rows naming
+// attributes registered moments before, and Search on those attributes at
+// once. A search walks every record it fetches against the catalog kinds it
+// took under the index read lock, so a record whose attributes that snapshot
+// missed would fail the walk. No call may fail, and once the writers stop,
+// every query answers like brute force. Run with -race.
+func TestDefineAttrInsertSearchRace(t *testing.T) {
+	st, err := Create("", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for i := 0; i < 64; i++ {
+		if _, err := st.Insert(Row{"n": Num(float64(i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const rows = 300
+	var (
+		wg       sync.WaitGroup
+		latest   atomic.Int64 // the last row inserted
+		searches atomic.Int64
+		stop     = make(chan struct{})
+		errCh    = make(chan error, 3) // one slot per goroutine
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rows; i++ {
+			if err := st.DefineAttr(fmt.Sprintf("def-%d", i), Text); err != nil {
+				errCh <- err
+				return
+			}
+		}
+	}()
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				i := latest.Load()
+				q := NewQuery(8).WhereText(fmt.Sprintf("ins-%d", i), "v").WhereText(fmt.Sprintf("def-%d", i), "w").WhereNum("n", float64(i%64))
+				if _, _, err := st.Search(q); err != nil {
+					errCh <- err
+					return
+				}
+				searches.Add(1)
+			}
+		}()
+	}
+	for i := 0; i < rows && !t.Failed(); i++ {
+		row := Row{"n": Num(float64(i % 64)), fmt.Sprintf("ins-%d", i): Strings("v"), fmt.Sprintf("def-%d", i): Strings("w")}
+		if _, err := st.Insert(row); err != nil {
+			t.Error(err)
+		}
+		latest.Store(int64(i))
+	}
+	close(stop)
+	wg.Wait()
+	close(errCh)
+	for err := range errCh {
+		t.Error(err)
+	}
+	if t.Failed() {
+		return
+	}
+	if searches.Load() == 0 {
+		t.Fatal("no search completed; the race was not exercised")
+	}
+	for i := 0; i < rows; i += 23 {
+		q := NewQuery(8).WhereText(fmt.Sprintf("ins-%d", i), "v").WhereText(fmt.Sprintf("def-%d", i), "w").WhereNum("n", float64(i%64))
+		assertBruteForce(t, st, q, fmt.Sprintf("row %d", i))
 	}
 }

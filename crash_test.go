@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"github.com/sparsewide/iva/internal/storage"
 )
 
 // TestCrashConsistency simulates a crash: the store is abandoned without
@@ -97,8 +99,9 @@ func TestCrashConsistency(t *testing.T) {
 // taken before the Sync still reads the old catalog afterwards), and a crash
 // leaves one of three directory states, each of which must open and answer:
 // a torn temp file beside the old catalog, a complete temp file not yet
-// renamed, or the new catalog. The table and index were synced just before,
-// so the old catalog's statistics may lag them; its attributes do not here.
+// renamed, or the new catalog. The states are built beside the synced table
+// and index, which the old catalog's statistics lag; its attributes do not
+// here (TestSyncNewAttributeCrash is the case where they would).
 func TestSyncCatalogCrash(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "store")
 	catPath := filepath.Join(dir, catalogFileName)
@@ -181,6 +184,104 @@ func TestSyncCatalogCrash(t *testing.T) {
 			} else {
 				st3.Close()
 			}
+		})
+	}
+}
+
+// syncSpy is a device that calls onSync after every fsync it passes on.
+type syncSpy struct {
+	storage.Device
+	onSync func()
+}
+
+func (d syncSpy) Sync() error {
+	err := d.Device.Sync()
+	d.onSync()
+	return err
+}
+
+// TestSyncNewAttributeCrash crashes a Sync whose rows define a new attribute,
+// Brand, right after each fsync of the table or the index file — before the
+// files commit, between them, after both — and reopens the directory as it
+// stood then; the last state is the whole Sync. Sync writes the catalog first,
+// so every state holds the new catalog, beside old files or new ones. Each
+// must answer like brute force, pass Rebuild and Scrub, and give a later
+// DefineAttr a fresh id. A catalog written after the files left Brand out of
+// the state where the files had committed: no Rebuild could walk the Brand
+// records again, and the next new attribute took Brand's id, so the records
+// answered for it.
+func TestSyncNewAttributeCrash(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	var (
+		armed  bool
+		states []map[string][]byte
+	)
+	st, err := Create(dir, Options{deviceHook: func(_ string, dev storage.Device) storage.Device {
+		return syncSpy{dev, func() {
+			if armed {
+				states = append(states, readDir(t, dir))
+			}
+		}}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := fillStore(t, st, 40)
+	for i := 0; i < 10; i++ {
+		if _, err := st.Insert(Row{"Type": Strings("Digital Camera"), "Price": Num(float64(120 + i)), "Brand": Strings("Canon")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	armed = true
+	if err := st.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	armed = false
+	if len(states) < 2 {
+		t.Fatalf("fixture: the Sync made %d fsyncs of the table and index files", len(states))
+	}
+	// Abandon st without Close: each state is what a crash leaves.
+
+	for i, state := range states {
+		t.Run(fmt.Sprint("after-fsync-", i+1), func(t *testing.T) {
+			for name := range readDir(t, dir) {
+				if err := os.Remove(filepath.Join(dir, name)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for name, b := range state {
+				if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			defer st.Close()
+			brand := NewQuery(5).WhereText("Brand", "Canon").WhereNum("Price", 125)
+			assertBruteForce(t, st, q, "reopened")
+			assertBruteForce(t, st, brand, "reopened, Brand")
+			if err := st.Rebuild(); err != nil {
+				t.Fatalf("rebuild: %v", err)
+			}
+			if rep, err := st.Scrub(); err != nil || !rep.Clean() {
+				t.Fatalf("scrub: %v %+v", err, rep)
+			}
+			assertBruteForce(t, st, brand, "rebuilt, Brand")
+			if err := st.DefineAttr("Color", Text); err != nil {
+				t.Fatal(err)
+			}
+			err = st.Scan(func(tid TID, row Row) bool {
+				if _, ok := row["Color"]; ok {
+					t.Errorf("tuple %d defines Color, registered after every tuple was written: %v", tid, row)
+				}
+				return true
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertBruteForce(t, st, NewQuery(5).WhereText("Color", "red"), "Color")
 		})
 	}
 }

@@ -17,7 +17,9 @@ import (
 // catalog magic name any format but the current one does not open — with the
 // superblock trailer recomputed to match or left stale — the error names what
 // was found, no device sees a write, and the directory is byte-identical
-// afterwards; a follower start on such a replica is refused the same way.
+// afterwards; a follower start on such a replica is refused the same way. A
+// table header counter flipped under the current word fails its checksum the
+// same way.
 // (internal/core's TestFormatGate holds the bit-flip sweeps that show the
 // checksums behind the gate suffice.)
 func TestFormatGate(t *testing.T) {
@@ -64,9 +66,13 @@ func TestFormatGate(t *testing.T) {
 	}
 	cases = append(cases,
 		tamper{"table-flag-clear", tableFileName,
-			tableWords(0, func(uint64) uint64 { return 64 }), []string{"flags 0x0", "flags 0x1"}},
+			tableWords(0, func(uint64) uint64 { return 64 }), []string{"flags 0x0", "flags 0x3"}},
+		tamper{"table-previous-word", tableFileName,
+			tableWords(1, func(uint64) uint64 { return 64 }), []string{"flags 0x1", "flags 0x3"}},
 		tamper{"table-watermark-at-data-end", tableFileName,
-			tableWords(1, func(dataEnd uint64) uint64 { return dataEnd }), []string{"watermark", "watermark 64"}},
+			tableWords(3, func(dataEnd uint64) uint64 { return dataEnd }), []string{"watermark", "watermark 64"}},
+		tamper{"table-header-flip", tableFileName,
+			func(b []byte) []byte { b[8] ^= 1; return b }, []string{"table.swt", "header checksum mismatch"}},
 		tamper{"catalog-CTLG", catalogFileName,
 			func(b []byte) []byte { return append([]byte("GLTC"), b[4:len(b)-4]...) }, []string{"0x43544c47", "CTL4"}},
 	)

@@ -126,8 +126,10 @@ func Build(tbl *table.Table, f *storage.File, opts Options) (*Index, error) {
 	)
 	lastTID := model.TID(0)
 	first := true
-	err = tbl.ScanRecords(func(ptr int64, body []byte) error {
-		rec := table.Walk(body)
+	// Nobody appends to tbl while it is built, so every attribute a record
+	// defines was registered before infos was taken: no field the walk yields
+	// lacks a builder, and each comes with its catalog kind.
+	err = tbl.ScanRecords(func(ptr int64, rec table.Walker) error {
 		if err := rec.Err(); err != nil {
 			return err
 		}
@@ -172,12 +174,6 @@ func Build(tbl *table.Table, f *storage.File, opts Options) (*Index, error) {
 		defined = defined[:0]
 		for rec.Next(&fld) {
 			a := fld.Attr
-			if int(a) >= len(builders) {
-				return fmt.Errorf("core: tuple %d defines unregistered attribute %d", tid, a)
-			}
-			if n := len(defined); n > 0 && a <= defined[n-1] {
-				return fmt.Errorf("core: tuple %d stores attribute %d after %d, not in ascending order", tid, a, defined[n-1])
-			}
 			defined = append(defined, a)
 			if err := builders[a].add(tid, &fld); err != nil {
 				return err
@@ -268,9 +264,6 @@ func newListBuilder(ix *Index, attr model.AttrID, sc *sigScratch) (*listBuilder,
 // add appends the element(s) for one defined value, read from its record.
 func (b *listBuilder) add(tid model.TID, f *table.Field) error {
 	st := &b.ix.attrs[b.attr]
-	if f.Kind != st.layout.Kind {
-		return fmt.Errorf("core: tuple %d stores a %v value on %v attribute %d", tid, f.Kind, st.layout.Kind, b.attr)
-	}
 	var err error
 	switch f.Kind {
 	case model.KindText:

@@ -18,7 +18,8 @@ import (
 // — so rewriting the version word can never switch checksums off. With the
 // gate holding, the checksums are the whole story: no single-bit flip of the
 // index file or of a table record yields a top-k that differs from the clean
-// store's with nothing reported.
+// store's with nothing reported. The table header's format word is refused
+// the same way.
 func TestFormatGate(t *testing.T) {
 	cf := buildCorruptionFixtureWith(t, Options{CheckpointEvery: 16}, false, 48)
 
@@ -62,6 +63,27 @@ func TestFormatGate(t *testing.T) {
 			}
 		}
 	}
+
+	// The table's header word gates the same way: the previous word 0x1 (a
+	// kind byte in every field) is refused by name.
+	t.Run("table-word", func(t *testing.T) {
+		clean := imageOf(t, cf.tblDev)
+		defer cf.tblDev.WriteAt(clean, 0)
+		image := append([]byte(nil), clean...)
+		binary.LittleEndian.PutUint32(image[32:], 0x1)
+		if _, err := cf.tblDev.WriteAt(image, 0); err != nil {
+			t.Fatal(err)
+		}
+		trk := storage.NewTrackDevice(cf.tblDev)
+		trk.Arm()
+		_, err := table.Open(storage.NewFile(storage.NewPool(0, 64<<10), trk), cf.cat)
+		if err == nil || !strings.Contains(err.Error(), "flags 0x1") || !strings.Contains(err.Error(), "flags 0x3") {
+			t.Fatalf("table.Open of a flags-0x1 header: %v, want a refusal naming both words", err)
+		}
+		if w := trk.TakeDirty(); len(w) != 0 || !bytes.Equal(imageOf(t, cf.tblDev), image) {
+			t.Fatalf("refused open wrote %v", w)
+		}
+	})
 
 	// The sweeps. CRC32C catches every single-bit error in what it covers,
 	// so one flip per byte probes that the byte is covered at all; bytes that
@@ -120,10 +142,11 @@ func TestFormatGate(t *testing.T) {
 		lengthWord := make(map[int64]bool)
 		var end int64 // of the last record's trailer
 		for i, e := range ix.entries {
-			for off := e.ptr; off < e.ptr+4 && !(sample && i%4 != 0); off++ {
+			n, k := binary.Uvarint(clean[e.ptr:])
+			for off := e.ptr; off < e.ptr+int64(k) && !(sample && i%4 != 0); off++ {
 				lengthWord[off] = true
 			}
-			end = max(end, e.ptr+4+int64(binary.LittleEndian.Uint32(clean[e.ptr:]))+4)
+			end = max(end, e.ptr+int64(k)+int64(n)+4)
 		}
 		closeFiles()
 		refused := 0

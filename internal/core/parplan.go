@@ -277,7 +277,9 @@ type stripeWorker struct {
 	m       *metric.Metric
 	weights []float64 // the terms' resolved λ, shared read-only
 	plan    *scanPlan
-	terms   []termState // private copies: counters and cursors are per-worker
+	terms   []termState  // private copies: counters and cursors are per-worker
+	kinds   []model.Kind // the catalog's kinds, for walking fetched records
+	last    model.AttrID // the largest queried attribute id
 	pool    *topk.Pool
 	bar     *distBar
 	next    *atomic.Int64 // shared stripe claim counter
@@ -313,6 +315,14 @@ func (ix *Index) search(ctx context.Context, q *model.Query, m *metric.Metric, p
 		return nil, stats, err
 	}
 	weights := m.Weights(q.Terms)
+	// Every record the tuple list reaches was appended under the write lock,
+	// after its attributes were registered; the caller's read lock orders
+	// those appends before this snapshot.
+	kinds := ix.tbl.Catalog().Kinds()
+	var last model.AttrID
+	for _, t := range q.Terms {
+		last = max(last, t.Attr)
+	}
 
 	var bar distBar
 	bar.init()
@@ -324,8 +334,8 @@ func (ix *Index) search(ctx context.Context, q *model.Query, m *metric.Metric, p
 		copy(terms, shared) // st and qs shared, counters/cursor per worker
 		workers[w] = &stripeWorker{
 			ix: ix, ctx: ctx, done: ctx.Done(), m: m, weights: weights, plan: &plan,
-			terms: terms,
-			pool:  topk.New(q.K), bar: &bar, next: &next, abort: &abort,
+			terms: terms, kinds: kinds, last: last,
+			pool: topk.New(q.K), bar: &bar, next: &next, abort: &abort,
 			degSegs: make(map[uint32]struct{}),
 			scratch: scratchPool.Get().(*workerScratch),
 		}
@@ -596,7 +606,7 @@ func (sw *stripeWorker) refine(j int) error {
 		return err
 	}
 	sw.prof.Fetched++ // successful fetches only
-	if err := projectDiffs(table.Walk(sc.rec.Body), sw.terms, sw.m.NDFPenalty, sc.diffs); err != nil {
+	if err := projectDiffs(table.Walk(sc.rec.Body, sw.kinds), sw.terms, sw.last, sw.m.NDFPenalty, sc.diffs); err != nil {
 		return err
 	}
 	for i := range sc.diffs { // metric.Distance without the per-call weight lookups
@@ -611,11 +621,13 @@ func (sw *stripeWorker) refine(j int) error {
 
 // projectDiffs walks a record for the exact differences d[A](T,Q) of the
 // query's terms (parallel to diffs): what metric.TermDiff computes on the
-// decoded tuple, from the record's bytes.
-func projectDiffs(w table.Walker, terms []termState, ndf float64, diffs []float64) error {
+// decoded tuple, from the record's bytes. Ids ascend, so the walk stops behind
+// last, the largest queried id; the record's checksum has vouched for the
+// bytes it skips, and damage to their structure is Scrub's to find.
+func projectDiffs(w table.Walker, terms []termState, last model.AttrID, ndf float64, diffs []float64) error {
 	fill(diffs, ndf)
 	var f table.Field
-	for w.Next(&f) {
+	for w.Next(&f) && f.Attr <= last {
 		for i := range terms {
 			x := terms[i].exact
 			switch {

@@ -1,9 +1,9 @@
 // Package table implements the sparse-wide-table storage substrate the
 // iVA-file indexes: a catalog of attributes and a row-wise heap file in the
 // interpreted-schema style of Beckmann et al. (the paper's assumed layout).
-// Each record is self-describing — it stores only its defined
-// (attribute id, value) pairs — so a tuple with 16 of 1,147 attributes costs
-// 16 cells, not 1,147.
+// A record stores only its defined (attribute id, value) pairs — ids
+// gap-coded, kinds left to the catalog — so a tuple with 16 of 1,147
+// attributes costs 16 cells, not 1,147.
 package table
 
 import (
@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"github.com/sparsewide/iva/internal/model"
 	"github.com/sparsewide/iva/internal/storage"
@@ -39,12 +40,35 @@ type Catalog struct {
 	mu     sync.RWMutex
 	attrs  []AttrInfo
 	byName map[string]model.AttrID
+
+	// kinds holds the attributes' kinds by id — what a record walk reads
+	// instead of a kind byte per field. Every registration publishes a longer
+	// slice; an id's kind never changes and a published prefix is never
+	// written, so a snapshot is read without the lock.
+	kinds atomic.Pointer[[]model.Kind]
 }
 
 // NewCatalog returns an empty catalog.
 func NewCatalog() *Catalog {
-	return &Catalog{byName: make(map[string]model.AttrID)}
+	c := &Catalog{byName: make(map[string]model.AttrID)}
+	c.kinds.Store(new([]model.Kind))
+	return c
 }
+
+// add registers a new attribute. Caller holds mu, or owns c.
+func (c *Catalog) add(a AttrInfo) model.AttrID {
+	id := model.AttrID(len(c.attrs))
+	c.attrs = append(c.attrs, a)
+	c.byName[a.Name] = id
+	kinds := append(*c.kinds.Load(), a.Kind)
+	c.kinds.Store(&kinds)
+	return id
+}
+
+// Kinds returns the kind of every registered attribute, indexed by AttrID. The
+// slice is a snapshot: it covers every attribute registered before the call,
+// and the caller must not modify it.
+func (c *Catalog) Kinds() []model.Kind { return *c.kinds.Load() }
 
 // AddAttr registers an attribute, returning its id. Registering an existing
 // name with the same kind returns the existing id; a kind conflict errors.
@@ -60,10 +84,7 @@ func (c *Catalog) AddAttr(name string, kind model.Kind) (model.AttrID, error) {
 		}
 		return id, nil
 	}
-	id := model.AttrID(len(c.attrs))
-	c.attrs = append(c.attrs, AttrInfo{Name: name, Kind: kind})
-	c.byName[name] = id
-	return id, nil
+	return c.add(AttrInfo{Name: name, Kind: kind}), nil
 }
 
 // Lookup returns the id of a named attribute.
@@ -232,8 +253,7 @@ func DecodeCatalog(buf []byte) (*Catalog, error) {
 		p += 8
 		a.Max = math.Float64frombits(binary.LittleEndian.Uint64(buf[p:]))
 		p += 8
-		c.byName[a.Name] = model.AttrID(len(c.attrs))
-		c.attrs = append(c.attrs, a)
+		c.add(a)
 	}
 	return c, nil
 }

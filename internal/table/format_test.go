@@ -3,6 +3,7 @@ package table
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -11,11 +12,13 @@ import (
 )
 
 // TestFormatGate pins the format policy (FORMAT.md § Format policy) at the
-// table layer. The header's flag and watermark words are its format word and
-// no checksum covers them, so Open refuses every value but the one New
-// writes — in particular every value that would have declared some records
-// trailer-free — naming what it found, without a device write. DecodeCatalog
-// likewise reads "CTL4" blobs only.
+// table layer. The header's flag and watermark words are its format word, read
+// before the header checksum, so Open refuses every value but the one New
+// writes — the previous word 0x1 (kind bytes in every field), and every value
+// that would have declared some records trailer-free — naming what it found,
+// without a device write. Past the gate, a flipped bit anywhere else in the
+// checksummed header is a *storage.CorruptionError, also without a write.
+// DecodeCatalog likewise reads "CTL4" blobs only.
 func TestFormatGate(t *testing.T) {
 	pool := storage.NewPool(0, 1<<20)
 	dev := storage.NewMemDevice()
@@ -35,13 +38,15 @@ func TestFormatGate(t *testing.T) {
 		flags uint32
 		mark  uint64
 	}{
-		{0, headerSize},          // flag bit clear
-		{0, 0},                   // what a header that predates the words holds
-		{0, dataEnd},             // "every record is trailer-free"
-		{flagRecordCRC, dataEnd}, // flag set, watermark raised over every record
-		{flagRecordCRC, headerSize + 1},
-		{flagRecordCRC, 0},
-		{flagRecordCRC | 2, headerSize}, // a flag bit this build does not know
+		{0, headerSize},        // flag bits clear
+		{0, 0},                 // what a header that predates the words holds
+		{0, dataEnd},           // "every record is trailer-free"
+		{0x1, headerSize},      // the previous format: u32 ids and a kind byte per field
+		{0x1, dataEnd},         // the same, watermark raised over every record
+		{tableFormat, dataEnd}, // current flags, watermark raised over every record
+		{tableFormat, headerSize + 1},
+		{tableFormat, 0},
+		{tableFormat | 4, headerSize}, // a flag bit this build does not know
 	} {
 		name := fmt.Sprintf("flags=%#x/watermark=%d", tc.flags, tc.mark)
 		image := append([]byte(nil), clean...)
@@ -67,6 +72,38 @@ func TestFormatGate(t *testing.T) {
 		if !bytes.Equal(deviceBytes(t, dev), image) {
 			t.Fatalf("%s: refused open changed the file", name)
 		}
+	}
+
+	for off := 0; off < headerSize; off++ {
+		if off >= 32 && off < headerCRCOff || off >= headerCRCOff+4 {
+			continue // the format words (above), the unread pad
+		}
+		image := append([]byte(nil), clean...)
+		image[off] ^= 1 << (off % 8)
+		if _, err := dev.WriteAt(image, 0); err != nil {
+			t.Fatal(err)
+		}
+		trk := storage.NewTrackDevice(dev)
+		trk.Arm()
+		_, err := Open(storage.NewFile(storage.NewPool(0, 1<<20), trk), cat)
+		var ce *storage.CorruptionError
+		switch {
+		case off < 4:
+			if err == nil || !strings.Contains(err.Error(), "bad magic") {
+				t.Fatalf("header byte %d flipped: err %v, want bad magic", off, err)
+			}
+		case !errors.As(err, &ce):
+			t.Fatalf("header byte %d flipped: err %v, want *storage.CorruptionError", off, err)
+		}
+		if w := trk.TakeDirty(); len(w) != 0 {
+			t.Fatalf("header byte %d flipped: refused open wrote %v", off, w)
+		}
+	}
+	if _, err := dev.WriteAt(clean, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(storage.NewFile(storage.NewPool(0, 1<<20), dev), cat); err != nil {
+		t.Fatalf("clean header refused: %v", err)
 	}
 
 	// A "CTLG" catalog: the same entries, the older magic, no trailer — and,

@@ -13,56 +13,73 @@ import (
 )
 
 // copyRead is the record reader Table.read replaced, kept as the reference:
-// two copying reads through the pool — the length word, then body and trailer
-// — into buf, and the same checks.
+// two copying reads through the pool — the bytes that can hold the length
+// word, then the rest of the record — into buf, and the same checks.
 func copyRead(t *Table, ptr int64, buf *[]byte) (body []byte, next int64, err error) {
-	if cap(*buf) < 4 {
+	if cap(*buf) < maxLenWord {
 		*buf = make([]byte, 0, 512)
 	}
 	b := *buf
-	if err := t.f.ReadAt(b[:4], ptr); err != nil {
+	word := b[:min(maxLenWord, int(t.f.Size()-ptr))]
+	if err := t.f.ReadAt(word, ptr); err != nil {
 		return nil, 0, err
 	}
-	n := binary.LittleEndian.Uint32(b[:4])
-	if n == 0 || n > maxRecordLen {
+	n, k := binary.Uvarint(word)
+	if k <= 0 || n == 0 || n > maxRecordLen {
 		return nil, 0, &storage.CorruptionError{File: "table.swt", Offset: ptr,
 			Segment: storage.NoCorruptSegment, Detail: fmt.Sprintf("bad record length %d", n)}
 	}
-	end := 4 + int(n)
+	end := k + int(n)
 	size := end + recordTrailerLen
 	if cap(b) < size {
-		grown := make([]byte, 4, 2*size)
-		copy(grown, b[:4])
+		grown := make([]byte, len(word), 2*size)
+		copy(grown, word)
 		b, *buf = grown, grown
 	}
 	rec := b[:size]
-	if err := t.f.ReadAt(rec[4:], ptr+4); err != nil {
+	if err := t.f.ReadAt(rec[len(word):], ptr+int64(len(word))); err != nil {
 		return nil, 0, err
 	}
 	if recordCRC(rec[:end], ptr) != binary.LittleEndian.Uint32(rec[end:]) {
 		return nil, 0, &storage.CorruptionError{File: "table.swt", Offset: ptr,
 			Segment: storage.NoCorruptSegment, Detail: "record checksum mismatch"}
 	}
-	return rec[4:end], ptr + int64(size), nil
+	return rec[k:end], ptr + int64(size), nil
 }
 
-const (
-	layoutPage = 128 // small enough for a record to outgrow it
-	// A record of one text attribute holding one string of L bytes: length word
-	// 4, tid 4, attribute count 2, attribute id 4, kind 1, string count 1,
-	// string length 1, L, trailer 4.
-	layoutOverhead = 21
-)
+const layoutPage = 128 // small enough for a record to outgrow it
+
+// layoutSize is the size of a record of one text attribute holding one string
+// of l bytes, and of its length word: the word, then a body of tid 1, attribute
+// count 1, field header 1, string length 1 and the l bytes, then the trailer 4.
+func layoutSize(l int) (size, word int) {
+	word = len(binary.AppendUvarint(nil, uint64(4+l)))
+	return word + 4 + l + recordTrailerLen, word
+}
+
+// layoutLen inverts layoutSize: the string length of a record of size bytes,
+// if there is one.
+func layoutLen(size int) (int, bool) {
+	for _, word := range []int{1, 2} {
+		if l := size - word - 4 - recordTrailerLen; l >= 1 && l <= model.MaxStringLen {
+			if s, _ := layoutSize(l); s == size {
+				return l, true
+			}
+		}
+	}
+	return 0, false
+}
 
 type layoutCase struct {
-	name string
-	ptr  int64
-	size int
+	name       string
+	ptr        int64
+	size, word int
 }
 
 // layoutTable builds a table on layoutPage-byte pages whose records hit every
-// position a record can take against a page end. Fillers put each case at its
-// offset; they are records like any other and are read and compared too.
+// position a record can take against a page end — the length word, one byte
+// or two, included. Fillers put each case at its offset; they are records
+// like any other and are read and compared too.
 func layoutTable(t testing.TB) (*Table, *storage.Pool, []layoutCase) {
 	pool := storage.NewPoolShards(layoutPage, 64*layoutPage, 1)
 	cat := NewCatalog()
@@ -81,30 +98,42 @@ func layoutTable(t testing.TB) (*Table, *storage.Pool, []layoutCase) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cases = append(cases, layoutCase{name, ptr, layoutOverhead + l})
+		size, word := layoutSize(l)
+		cases = append(cases, layoutCase{name, ptr, size, word})
+	}
+	// sized appends a case of the given total size.
+	sized := func(name string, size int) {
+		l, ok := layoutLen(size)
+		if !ok {
+			t.Fatalf("%s: no record is %d bytes long", name, size)
+		}
+		add(name, l)
 	}
 	// at appends a filler that ends at in-page offset in, so that the next
 	// record starts there.
 	at := func(in int) {
 		gap := (in - int(tb.dataEnd%layoutPage) + 2*layoutPage) % layoutPage
-		for gap < layoutOverhead+1 {
+		for _, ok := layoutLen(gap); !ok; _, ok = layoutLen(gap) {
 			gap += layoutPage
 		}
-		add("filler", gap-layoutOverhead)
+		sized("filler", gap)
 	}
+	short, _ := layoutSize(10)
 	at(40)
-	add("ends exactly at a page end", layoutPage-40-layoutOverhead)
+	sized("ends exactly at a page end", layoutPage-40)
 	add("starts at a page start", 30)
 	add("shares its page with the one before", 20)
+	at(layoutPage - 1)
+	add("one-byte length word is the page's last byte", 10)
+	at(layoutPage - 1)
+	add("two-byte length word straddles", 200)
 	at(layoutPage - 2)
-	add("length word straddles", 10)
-	at(layoutPage - 4)
-	add("length word ends at the page end", 10)
+	add("two-byte length word ends at the page end", 200)
 	at(60)
 	add("body straddles", 100)
-	at(layoutPage - layoutOverhead - 10 + 2)
+	at(layoutPage - short + 2)
 	add("trailer straddles", 10)
-	at(layoutPage - layoutOverhead - 10)
+	at(layoutPage - short)
 	add("trailer ends at the page end", 10)
 	at(5)
 	add("longer than a page", 250)
@@ -115,19 +144,21 @@ func layoutTable(t testing.TB) (*Table, *storage.Pool, []layoutCase) {
 	}
 	for _, c := range cases {
 		in, end := int(c.ptr%layoutPage), int(c.ptr%layoutPage)+c.size
+		ok := true
 		switch {
 		case strings.HasPrefix(c.name, "ends exactly"), strings.HasPrefix(c.name, "trailer ends"):
-			if end != layoutPage {
-				t.Fatalf("%s: ends at in-page offset %d", c.name, end)
-			}
-		case strings.HasPrefix(c.name, "length word straddles"):
-			if in+4 <= layoutPage || in >= layoutPage {
-				t.Fatalf("%s: starts at in-page offset %d", c.name, in)
-			}
+			ok = end == layoutPage
+		case strings.HasPrefix(c.name, "one-byte"):
+			ok = c.word == 1 && in == layoutPage-1
+		case strings.HasSuffix(c.name, "word straddles"), strings.HasPrefix(c.name, "longer than two"):
+			ok = c.word == 2 && in == layoutPage-1
+		case strings.HasSuffix(c.name, "word ends at the page end"):
+			ok = c.word == 2 && in == layoutPage-2
 		case strings.HasPrefix(c.name, "trailer straddles"):
-			if end-4 >= layoutPage || end <= layoutPage {
-				t.Fatalf("%s: ends at in-page offset %d", c.name, end)
-			}
+			ok = end-recordTrailerLen < layoutPage && end > layoutPage
+		}
+		if !ok {
+			t.Fatalf("%s: %d bytes (length word %d) at in-page offset %d", c.name, c.size, c.word, in)
 		}
 	}
 	return tb, pool, cases
@@ -139,6 +170,7 @@ func layoutTable(t testing.TB) (*Table, *storage.Pool, []layoutCase) {
 // reader; Fetch decodes the same tuple; no pin outlives its Record.
 func TestPinnedReadMatchesCopyRead(t *testing.T) {
 	tb, pool, cases := layoutTable(t)
+	cat := tb.Catalog()
 	var buf []byte
 	want := make(map[int64][]byte)
 	next := int64(headerSize)
@@ -184,15 +216,15 @@ func TestPinnedReadMatchesCopyRead(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Fetch %s: %v", c.name, err)
 		}
-		ref, err := decodeRecord(want[c.ptr])
+		ref, err := decodeRecord(Walk(want[c.ptr], cat.Kinds()))
 		if err != nil || tp.TID != ref.TID || !tp.Values[0].Equal(ref.Values[0]) {
 			t.Fatalf("Fetch %s: %+v, the reference bytes decode to %+v (%v)", c.name, tp, ref, err)
 		}
 	}
 	i := 0
-	err := tb.ScanRecords(func(ptr int64, body []byte) error {
-		if i >= len(cases) || ptr != cases[i].ptr || !bytes.Equal(body, want[ptr]) {
-			return fmt.Errorf("record %d of the scan: at %d, body %x", i, ptr, body)
+	err := tb.ScanRecords(func(ptr int64, w Walker) error {
+		if i >= len(cases) || ptr != cases[i].ptr || !bytes.Equal(w.buf, want[ptr]) {
+			return fmt.Errorf("record %d of the scan: at %d, body %x", i, ptr, w.buf)
 		}
 		i++
 		return nil
@@ -223,7 +255,7 @@ func TestPinnedReadTouchesPageOnce(t *testing.T) {
 		if i == 0 || cases[i-1].ptr/layoutPage != first {
 			want++ // the pin
 		}
-		if c.ptr%layoutPage+4 > layoutPage {
+		if c.ptr%layoutPage+int64(c.word) > layoutPage {
 			want++ // a straddling length word is read for itself, then with the record
 		}
 		if got := touches() - before; got != want {
@@ -260,7 +292,7 @@ func TestPinnedReadDetectsCorruption(t *testing.T) {
 			if fresh.Body != nil {
 				t.Fatalf("%s, byte %d flipped: the failed read left a body to walk", c.name, off-c.ptr)
 			}
-			if err := tb.FetchRecord(cases[ci-1].ptr, &warm); err != nil && off >= c.ptr+4 {
+			if err := tb.FetchRecord(cases[ci-1].ptr, &warm); err != nil && off >= c.ptr+int64(c.word) {
 				t.Fatalf("%s, byte %d flipped: the record before it: %v", c.name, off-c.ptr, err)
 			}
 			before := warm.Body
@@ -270,7 +302,7 @@ func TestPinnedReadDetectsCorruption(t *testing.T) {
 			if len(warm.Body) > 0 && len(before) > 0 && &warm.Body[0] != &before[0] {
 				t.Fatalf("%s, byte %d flipped: the failed read replaced the body", c.name, off-c.ptr)
 			}
-			if err := tb.ScanRecords(func(int64, []byte) error { return nil }); !errors.As(err, &ce) {
+			if err := tb.ScanRecords(func(int64, Walker) error { return nil }); !errors.As(err, &ce) {
 				t.Fatalf("%s, byte %d flipped: scan err %v, want *CorruptionError", c.name, off-c.ptr, err)
 			}
 			fresh.Release()

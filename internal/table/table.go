@@ -16,7 +16,7 @@ import (
 var ErrNotFound = errors.New("table: tuple not found")
 
 // Table is the sparse wide table: a catalog plus a row-wise heap file of
-// self-describing records. The paper's indexes point into it with byte
+// records read against it. The paper's indexes point into it with byte
 // offsets (the ptr of a tuple-list element), and its random-access fetch
 // count is the "table file accesses" metric of Fig. 8.
 type Table struct {
@@ -38,12 +38,16 @@ type Table struct {
 const (
 	tableMagic   = 0x53575442 // "SWTB"
 	headerSize   = 64
+	headerCRCOff = 44 // the header's CRC32C covers [0, headerCRCOff)
 	maxRecordLen = 1 << 24
+	maxLenWord   = 4 // uvarint bytes of a length up to maxRecordLen
 
-	// flagRecordCRC with a watermark of headerSize is the header's format
-	// word: every record in the file ends in a CRC32C trailer. Open refuses
-	// any other value (FORMAT.md § Format policy).
-	flagRecordCRC = 1 << 0
+	// tableFormat with a watermark of headerSize is the header's format word:
+	// bit 0, every record ends in a CRC32C trailer; bit 1, records gap-code
+	// their attribute ids and take kinds from the catalog, and the header
+	// carries its own CRC. Open refuses any other value (FORMAT.md § Format
+	// policy).
+	tableFormat = 0x3
 
 	recordTrailerLen = 4
 
@@ -74,11 +78,15 @@ func Open(f *storage.File, cat *Catalog) (*Table, error) {
 	if binary.LittleEndian.Uint32(hdr[0:4]) != tableMagic {
 		return nil, fmt.Errorf("table: bad magic")
 	}
-	// The format word gates everything: no checksum covers the header, so a
-	// file claiming trailer-free records must be refused, not believed.
+	// The format word gates everything, the header checksum included: a file
+	// of another format is refused by name, not reported as damaged.
 	flags, mark := binary.LittleEndian.Uint32(hdr[32:36]), binary.LittleEndian.Uint64(hdr[36:44])
-	if flags != flagRecordCRC || mark != headerSize {
-		return nil, fmt.Errorf("table: header format (flags %#x, record-checksum watermark %d) unsupported: this build reads only flags %#x with watermark %d", flags, mark, flagRecordCRC, headerSize)
+	if flags != tableFormat || mark != headerSize {
+		return nil, fmt.Errorf("table: header format (flags %#x, record-checksum watermark %d) unsupported: this build reads only flags %#x with watermark %d", flags, mark, tableFormat, headerSize)
+	}
+	if storage.Checksum(hdr[:headerCRCOff]) != binary.LittleEndian.Uint32(hdr[headerCRCOff:]) {
+		return nil, &storage.CorruptionError{File: "table.swt", Offset: 0,
+			Segment: storage.NoCorruptSegment, Detail: "header checksum mismatch"}
 	}
 	t := &Table{
 		f:       f,
@@ -98,8 +106,9 @@ func (t *Table) writeHeader() error {
 	binary.LittleEndian.PutUint64(hdr[8:16], uint64(t.live))
 	binary.LittleEndian.PutUint64(hdr[16:24], uint64(t.total))
 	binary.LittleEndian.PutUint64(hdr[24:32], uint64(t.dataEnd))
-	binary.LittleEndian.PutUint32(hdr[32:36], flagRecordCRC)
+	binary.LittleEndian.PutUint32(hdr[32:36], tableFormat)
 	binary.LittleEndian.PutUint64(hdr[36:44], headerSize)
+	binary.LittleEndian.PutUint32(hdr[headerCRCOff:], storage.Checksum(hdr[:headerCRCOff]))
 	return t.f.WriteAt(hdr[:], 0)
 }
 
@@ -182,27 +191,39 @@ func recordCRC(rec []byte, ptr int64) uint32 {
 	return storage.ChecksumUpdateUint64(storage.Checksum(rec), uint64(ptr))
 }
 
-// encodeRecord serializes a tuple onto buf. Layout (little-endian):
+// lenReserve is the room encodeRecord leaves for a record's length word: the
+// uvarint of any body from 128 B to 16 KiB, which is nearly every record. A
+// length of another size moves the body once.
+const lenReserve = 2
+
+// encodeRecord appends a tuple's length word and body to buf (FORMAT.md §
+// table.swt):
 //
-//	u32 bodyLen | u32 tid | u16 nattrs |
-//	repeat: u32 attrID, u8 kind, payload
-//	  numeric payload: f64 bits
-//	  text payload:    u8 nstrs, repeat (u8 len, bytes)
+//	uvarint bodyLen | uvarint tid | uvarint nattrs |
+//	repeat, ids ascending: uvarint (gap<<1 | multi), payload
+//	  gap = id − previous id − 1, with −1 before the first id
+//	  numeric payload:         f64 bits (little-endian; multi = 0)
+//	  text payload, multi = 0: u8 len, bytes
+//	  text payload, multi = 1: u8 nstrs, nstrs × (u8 len, bytes)
+//
+// A field carries no kind: it is its attribute's in the catalog.
 func encodeRecord(buf []byte, tid model.TID, values map[model.AttrID]model.Value) ([]byte, error) {
-	if len(values) > math.MaxUint16 {
-		return nil, fmt.Errorf("table: tuple with %d attributes", len(values))
-	}
 	start := len(buf)
-	buf = append(buf, 0, 0, 0, 0)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(tid))
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(values)))
+	buf = append(buf, make([]byte, lenReserve)...)
+	buf = binary.AppendUvarint(buf, uint64(tid))
+	buf = binary.AppendUvarint(buf, uint64(len(values)))
+	next := model.AttrID(0) // the smallest id the next field can carry
 	for _, a := range sortedAttrs(values) {
 		v := values[a]
 		if err := v.Validate(); err != nil {
 			return nil, err
 		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(a))
-		buf = append(buf, byte(v.Kind))
+		multi := uint64(0)
+		if len(v.Strs) > 1 {
+			multi = 1
+		}
+		buf = binary.AppendUvarint(buf, uint64(a-next)<<1|multi)
+		next = a + 1
 		switch v.Kind {
 		case model.KindNumeric:
 			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.Num))
@@ -210,14 +231,29 @@ func encodeRecord(buf []byte, tid model.TID, values map[model.AttrID]model.Value
 			if len(v.Strs) > 255 {
 				return nil, fmt.Errorf("table: text value with %d strings exceeds 255", len(v.Strs))
 			}
-			buf = append(buf, byte(len(v.Strs)))
+			if multi == 1 {
+				buf = append(buf, byte(len(v.Strs)))
+			}
 			for _, s := range v.Strs {
 				buf = append(buf, byte(len(s)))
 				buf = append(buf, s...)
 			}
 		}
 	}
-	binary.LittleEndian.PutUint32(buf[start:], uint32(len(buf)-start-4))
+	n := len(buf) - start - lenReserve
+	if n > maxRecordLen {
+		return nil, fmt.Errorf("table: record of %d bytes exceeds %d", n, maxRecordLen)
+	}
+	var word [maxLenWord]byte
+	w := binary.PutUvarint(word[:], uint64(n))
+	if w != lenReserve {
+		if w > lenReserve {
+			buf = append(buf, word[:w-lenReserve]...)
+		}
+		copy(buf[start+w:], buf[start+lenReserve:start+lenReserve+n])
+		buf = buf[:start+w+n]
+	}
+	copy(buf[start:], word[:w])
 	return buf, nil
 }
 
@@ -230,10 +266,10 @@ func sortedAttrs(values map[model.AttrID]model.Value) []model.AttrID {
 // text value left as its payload bytes.
 type Field struct {
 	Attr model.AttrID
-	Kind model.Kind
-	Num  float64 // KindNumeric
-	NStr int     // KindText: number of strings
-	Strs []byte  // KindText: NStr × (u8 len, bytes), bounds already checked
+	Kind model.Kind // the attribute's, from the catalog
+	Num  float64    // KindNumeric
+	NStr int        // KindText: number of strings
+	Strs []byte     // KindText: NStr × (u8 len, bytes), bounds already checked
 }
 
 // CutString splits the first string off a Field's Strs.
@@ -245,25 +281,35 @@ func CutString(strs []byte) (s, rest []byte) {
 // Walker steps through the grammar of a record body (see encodeRecord)
 // without materialising values. It is the only parser of the record format:
 // decodeRecord walks every field into a tuple, a search's refine step walks
-// the same fields and keeps the queried ones.
+// the same fields and keeps the queried ones. Ids come out strictly ascending
+// — a gap is never negative — and each with its catalog kind.
 type Walker struct {
-	TID  model.TID
-	buf  []byte
-	p    int
-	i, n int // attributes walked, attributes in the record
-	err  error
+	TID   model.TID
+	buf   []byte
+	kinds []model.Kind
+	p     int
+	i, n  int    // attributes walked, attributes in the record
+	next  uint64 // the smallest id the next field can carry
+	err   error
 }
 
-// Walk starts a walk over a record body.
-func Walk(buf []byte) Walker {
-	if len(buf) < 6 {
-		return Walker{err: fmt.Errorf("table: truncated record")}
+// Walk starts a walk over a record body. kinds is a Catalog.Kinds snapshot
+// taken after the record was appended, so it covers every attribute the record
+// defines; an id at or past its end is a walk error.
+func Walk(body []byte, kinds []model.Kind) Walker {
+	w := Walker{buf: body, kinds: kinds}
+	tid, k := binary.Uvarint(body)
+	if k <= 0 || tid > math.MaxUint32 {
+		w.err = fmt.Errorf("table: bad tuple id")
+		return w
 	}
-	return Walker{
-		TID: model.TID(binary.LittleEndian.Uint32(buf[0:4])),
-		buf: buf, p: 6,
-		n: int(binary.LittleEndian.Uint16(buf[4:6])),
+	n, kn := binary.Uvarint(body[k:])
+	if kn <= 0 || n > uint64(len(body)) {
+		w.err = fmt.Errorf("table: bad attribute count")
+		return w
 	}
+	w.TID, w.p, w.n = model.TID(tid), k+kn, int(n)
+	return w
 }
 
 // Err reports what stopped the walk short of the record's last attribute.
@@ -281,25 +327,42 @@ func (w *Walker) Next(f *Field) bool {
 		return false
 	}
 	buf, p := w.buf, w.p
-	if p+5 > len(buf) {
-		return w.fail("table: truncated attribute %d", w.i)
+	var x uint64 // gap<<1 | multi
+	if p < len(buf) && buf[p] < 0x80 {
+		x = uint64(buf[p])
+		p++
+	} else {
+		var k int
+		if x, k = binary.Uvarint(buf[p:]); k <= 0 {
+			return w.fail("table: truncated attribute %d", w.i)
+		}
+		p += k
 	}
-	f.Attr = model.AttrID(binary.LittleEndian.Uint32(buf[p:]))
-	f.Kind = model.Kind(buf[p+4])
-	p += 5
+	id := w.next + x>>1
+	if id >= uint64(len(w.kinds)) {
+		return w.fail("table: unregistered attribute %d (the catalog holds %d)", id, len(w.kinds))
+	}
+	f.Attr, f.Kind = model.AttrID(id), w.kinds[id]
+	w.next = id + 1
 	switch f.Kind {
 	case model.KindNumeric:
+		if x&1 != 0 {
+			return w.fail("table: numeric attribute %d marked multi-string", id)
+		}
 		if p+8 > len(buf) {
 			return w.fail("table: truncated numeric value")
 		}
 		f.Num = math.Float64frombits(binary.LittleEndian.Uint64(buf[p:]))
 		p += 8
 	case model.KindText:
-		if p >= len(buf) {
-			return w.fail("table: truncated text value")
+		f.NStr = 1
+		if x&1 != 0 {
+			if p >= len(buf) {
+				return w.fail("table: truncated text value")
+			}
+			f.NStr = int(buf[p])
+			p++
 		}
-		f.NStr = int(buf[p])
-		p++
 		start := p
 		for j := 0; j < f.NStr; j++ {
 			if p >= len(buf) {
@@ -311,16 +374,15 @@ func (w *Walker) Next(f *Field) bool {
 		}
 		f.Strs = buf[start:p]
 	default:
-		return w.fail("table: unknown value kind %d", f.Kind)
+		return w.fail("table: attribute %d has unknown kind %d", id, f.Kind)
 	}
 	w.p = p
 	w.i++
 	return true
 }
 
-// decodeRecord walks every field of a record body into a tuple.
-func decodeRecord(buf []byte) (*model.Tuple, error) {
-	w := Walk(buf)
+// decodeRecord walks every field of a record into a tuple.
+func decodeRecord(w Walker) (*model.Tuple, error) {
 	tp := model.NewTuple(w.TID)
 	var f Field
 	for w.Next(&f) {
@@ -485,16 +547,19 @@ func (t *Table) read(ptr int64, r *Record) error {
 		r.fr, r.page = fr, ptr-ptr%ps
 	}
 	head := r.fr.Data()[ptr-r.page:]
-	word, err := r.window(t.f, head, ptr, 4)
-	if err != nil {
-		return err
+	n, k := binary.Uvarint(head)
+	if k == 0 && len(head) < maxLenWord { // the length word runs past the page end
+		word, err := r.window(t.f, head, ptr, maxLenWord)
+		if err != nil {
+			return err
+		}
+		n, k = binary.Uvarint(word)
 	}
-	n := binary.LittleEndian.Uint32(word)
-	if n == 0 || n > maxRecordLen {
+	if k <= 0 || n == 0 || n > maxRecordLen {
 		return &storage.CorruptionError{File: "table.swt", Offset: ptr,
 			Segment: storage.NoCorruptSegment, Detail: fmt.Sprintf("bad record length %d", n)}
 	}
-	end := 4 + int(n) // of the CRC-covered bytes
+	end := k + int(n) // of the CRC-covered bytes
 	rec, err := r.window(t.f, head, ptr, end+recordTrailerLen)
 	if err != nil {
 		return err
@@ -503,7 +568,7 @@ func (t *Table) read(ptr int64, r *Record) error {
 		return &storage.CorruptionError{File: "table.swt", Offset: ptr,
 			Segment: storage.NoCorruptSegment, Detail: "record checksum mismatch"}
 	}
-	r.Body, r.next = rec[4:end], ptr+int64(len(rec))
+	r.Body, r.next = rec[k:end], ptr+int64(len(rec))
 	return nil
 }
 
@@ -523,24 +588,27 @@ func (t *Table) Fetch(ptr int64) (*model.Tuple, error) {
 	if err := t.FetchRecord(ptr, &r); err != nil {
 		return nil, err
 	}
-	return decodeRecord(r.Body)
+	return decodeRecord(Walk(r.Body, t.cat.Kinds()))
 }
 
 // ScanRecords iterates the verified body of every record in file order
 // (including records of deleted tuples; the caller filters with its tombstone
-// set). body is valid until fn returns. Scanning is sequential and does not
-// count as random table accesses.
-func (t *Table) ScanRecords(fn func(ptr int64, body []byte) error) error {
+// set), handing fn a walk over it. The walk is valid until fn returns.
+// Scanning is sequential and does not count as random table accesses.
+func (t *Table) ScanRecords(fn func(ptr int64, w Walker) error) error {
 	t.mu.Lock()
 	end := t.dataEnd
 	t.mu.Unlock()
+	// Every record before end was appended after the attributes it defines
+	// were registered, so one snapshot taken now covers the whole pass.
+	kinds := t.cat.Kinds()
 	var r Record
 	defer r.Release()
 	for ptr := int64(headerSize); ptr < end; ptr = r.next {
 		if err := t.read(ptr, &r); err != nil {
 			return err
 		}
-		if err := fn(ptr, r.Body); err != nil {
+		if err := fn(ptr, Walk(r.Body, kinds)); err != nil {
 			return err
 		}
 	}
@@ -549,8 +617,8 @@ func (t *Table) ScanRecords(fn func(ptr int64, body []byte) error) error {
 
 // Scan is ScanRecords with every record decoded into a tuple.
 func (t *Table) Scan(fn func(ptr int64, tp *model.Tuple) error) error {
-	return t.ScanRecords(func(ptr int64, body []byte) error {
-		tp, err := decodeRecord(body)
+	return t.ScanRecords(func(ptr int64, w Walker) error {
+		tp, err := decodeRecord(w)
 		if err != nil {
 			return err
 		}
@@ -579,8 +647,8 @@ func (t *Table) Scrub() ScrubReport { return t.ScrubYield(nil) }
 // the sweep (see the iva package's scrub scheduler).
 func (t *Table) ScrubYield(yield func()) ScrubReport {
 	var rep ScrubReport
-	err := t.ScanRecords(func(_ int64, body []byte) error {
-		if _, err := decodeRecord(body); err != nil {
+	err := t.ScanRecords(func(_ int64, w Walker) error {
+		if _, err := decodeRecord(w); err != nil {
 			return err
 		}
 		rep.Records++
@@ -604,7 +672,8 @@ func (t *Table) ScrubYield(yield func()) ScrubReport {
 // as §III-C and §IV-B prescribe) are counted from the same bytes into the new
 // table, not into the catalog the two tables share: the old table keeps
 // serving under the catalog as it is until the caller commits the rebuild
-// with PublishStats, and a failed rebuild leaves no trace in it.
+// with PublishStats, and a failed rebuild leaves no trace in it. The caller
+// keeps appends out while it runs (the store's write lock does).
 func (t *Table) Rebuild(dst *storage.File, keep func(model.TID) bool) (*Table, error) {
 	nt, err := New(dst, t.cat)
 	if err != nil {
@@ -621,27 +690,26 @@ func (t *Table) Rebuild(dst *storage.File, keep func(model.TID) bool) (*Table, e
 		return err
 	}
 	var f Field
-	err = t.ScanRecords(func(ptr int64, body []byte) error {
-		w := Walk(body)
+	err = t.ScanRecords(func(ptr int64, w Walker) error {
 		if w.err != nil || !keep(w.TID) {
 			return w.err
 		}
+		// No append ran since stats was taken, so every id the walk admits has
+		// an entry.
 		for w.Next(&f) {
-			if int(f.Attr) >= len(stats) || stats[f.Attr].Kind != f.Kind {
-				return fmt.Errorf("table: record %d at %d: attribute %d is not a %v attribute of the catalog", w.TID, ptr, f.Attr, f.Kind)
-			}
 			stats[f.Attr].note(int64(f.NStr), f.Num, +1)
 		}
 		if w.err != nil {
-			return w.err
+			return fmt.Errorf("table: record %d at %d: %w", w.TID, ptr, w.err)
 		}
-		if len(chunk)+4+len(body)+recordTrailerLen > rebuildChunk && len(chunk) > 0 {
+		body := w.buf
+		if len(chunk)+maxLenWord+len(body)+recordTrailerLen > rebuildChunk && len(chunk) > 0 {
 			if err := flush(); err != nil {
 				return err
 			}
 		}
 		start := len(chunk)
-		chunk = binary.LittleEndian.AppendUint32(chunk, uint32(len(body)))
+		chunk = binary.AppendUvarint(chunk, uint64(len(body)))
 		chunk = append(chunk, body...)
 		chunk = binary.LittleEndian.AppendUint32(chunk, recordCRC(chunk[start:], nt.dataEnd))
 		nt.dataEnd = chunkOff + int64(len(chunk))

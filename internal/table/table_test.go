@@ -447,13 +447,14 @@ func BenchmarkRecordWalk(b *testing.B) {
 	tb, ptrs := benchRecords(b)
 	var r Record
 	var f Field
+	kinds := tb.Catalog().Kinds()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := tb.FetchRecord(ptrs[i%len(ptrs)], &r); err != nil {
 			b.Fatal(err)
 		}
-		for w := Walk(r.Body); w.Next(&f); {
+		for w := Walk(r.Body, kinds); w.Next(&f); {
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"github.com/sparsewide/iva/internal/storage"
+	"github.com/sparsewide/iva/internal/table"
 )
 
 // TestStoreReleasesPoolPins asserts the pin-leak invariant at the API
@@ -180,7 +181,7 @@ func TestFailedReadsReleasePoolPins(t *testing.T) {
 	fillStore(t, s, rows)
 	var ptrs []int64
 	stop := errors.New("enough")
-	err = s.tbl.ScanRecords(func(ptr int64, _ []byte) error {
+	err = s.tbl.ScanRecords(func(ptr int64, _ table.Walker) error {
 		if ptrs = append(ptrs, ptr); len(ptrs) == rows/2+1 {
 			return stop
 		}

@@ -95,7 +95,7 @@ func TestProfileRender(t *testing.T) {
   Filter: Xms  scanned=4200 stripes=3
   Refine: Xms  fetched=605
   Merge:  Xms
-  I/O: cache_hits=81 phys_reads=0 pool_hit_ratio=100.0% disk_cost=Xms
+  I/O: cache_hits=65 phys_reads=0 pool_hit_ratio=100.0% disk_cost=Xms
   Worker 0: stripes=3 scanned=4200 fetched=605 busy=Xms
 `},
 	} {

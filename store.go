@@ -1259,16 +1259,21 @@ func (s *Store) syncLocked() error {
 		// flush anyway — followers accept no local writes.
 		return nil
 	}
+	// The catalog goes first: every attribute a committed record defines must
+	// be in the committed catalog, or the record cannot be walked and its id
+	// is handed out again. A catalog ahead of the files is harmless: it names
+	// attributes no committed record uses, and its statistics run one Sync
+	// ahead.
+	if s.dir != "" {
+		if err := writeFileAtomic(filepath.Join(s.dir, catalogFileName), s.cat.Encode()); err != nil {
+			return fmt.Errorf("iva: write catalog: %w", err)
+		}
+	}
 	if err := s.tbl.Sync(); err != nil {
 		return err
 	}
 	if err := s.ix.Sync(); err != nil {
 		return err
-	}
-	if s.dir != "" {
-		if err := writeFileAtomic(filepath.Join(s.dir, catalogFileName), s.cat.Encode()); err != nil {
-			return fmt.Errorf("iva: write catalog: %w", err)
-		}
 	}
 	// A replication primary cuts one synced-prefix delta per committed
 	// generation: the byte ranges written since the previous Sync, snapshotted
