@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	ivabench [-exp name|all] [-tuples N] [-seed S] [-parallelism P] [-markdown] [-list] [-metrics FILE]
+//	ivabench [-exp name|all] [-tuples N] [-seed S] [-parallelism P] [-markdown] [-list]
 //
 // Examples:
 //
@@ -32,7 +32,6 @@ func main() {
 		markdown = flag.Bool("markdown", false, "emit GitHub-flavored markdown tables")
 		list     = flag.Bool("list", false, "list experiments and exit")
 		par      = flag.Int("parallelism", 1, "iVA-file search workers: 1 = one worker (the paper's setup), 0 = all cores")
-		metrics  = flag.String("metrics", "", "after the run, dump the harness registry in Prometheus text format to FILE ('-' for stdout)")
 	)
 	flag.Parse()
 
@@ -63,16 +62,6 @@ func main() {
 		} else {
 			fmt.Print(r.Render())
 			fmt.Printf("\n(%s in %.1fs)\n\n", name, time.Since(start).Seconds())
-		}
-	}
-
-	if *metrics != "" {
-		text := bench.MetricsText()
-		if *metrics == "-" {
-			fmt.Print(text)
-		} else if err := os.WriteFile(*metrics, []byte(text), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "ivabench: writing metrics: %v\n", err)
-			os.Exit(1)
 		}
 	}
 }

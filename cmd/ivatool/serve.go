@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -186,8 +187,9 @@ func gracefulServe(hs *http.Server, ln net.Listener, api *server.Server, drainTi
 func serve(st *iva.Store, sv serveOpts) error {
 	if sv.follow == "" {
 		// Any served store is a potential primary: cut synced-prefix deltas
-		// so followers can attach at will.
-		if err := st.EnableReplSource(); err != nil {
+		// so followers can attach at will. A replica's directory served
+		// without -follow stays read-only and ships nothing.
+		if err := st.EnableReplSource(); err != nil && !errors.Is(err, iva.ErrFollower) {
 			return err
 		}
 	}

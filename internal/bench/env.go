@@ -18,17 +18,10 @@ import (
 	"github.com/sparsewide/iva/internal/invidx"
 	"github.com/sparsewide/iva/internal/metric"
 	"github.com/sparsewide/iva/internal/model"
-	"github.com/sparsewide/iva/internal/obs"
 	"github.com/sparsewide/iva/internal/scan"
 	"github.com/sparsewide/iva/internal/storage"
 	"github.com/sparsewide/iva/internal/table"
 )
-
-// Reg is the harness's process-wide metrics registry: every environment's
-// pool I/O counters (labeled by configuration) and the per-engine query
-// histograms land here, so a bench run can be scraped or dumped the same
-// way a live store is (ivabench -metrics).
-var Reg = obs.NewRegistry()
 
 // Config fixes one experimental environment. The zero value selects the
 // paper's Table I defaults at a laptop-scale tuple count.
@@ -83,16 +76,15 @@ func (c Config) withDefaults() Config {
 // Env is one built environment: dataset, table, and the three engines over
 // a shared buffer pool.
 type Env struct {
-	Cfg    Config
-	Pool   *storage.Pool
-	Gen    *dataset.Generator
-	IDs    []model.AttrID
-	Tbl    *table.Table
-	IVA    *core.Index
-	SII    *invidx.Index
-	DST    *scan.Scanner
-	Disk   storage.DiskModel
-	labels obs.Labels
+	Cfg  Config
+	Pool *storage.Pool
+	Gen  *dataset.Generator
+	IDs  []model.AttrID
+	Tbl  *table.Table
+	IVA  *core.Index
+	SII  *invidx.Index
+	DST  *scan.Scanner
+	Disk storage.DiskModel
 }
 
 // NewEnv generates the dataset and builds the table and all three engines.
@@ -103,8 +95,6 @@ func NewEnv(cfg Config) (*Env, error) {
 		Pool: storage.NewPool(cfg.PageSize, cfg.CacheBytes),
 		Disk: storage.DefaultDiskModel(),
 	}
-	e.labels = obs.Labels{"env": fmt.Sprintf("t%d-s%d-a%g-n%d-p%d", cfg.Tuples, cfg.Seed, cfg.Alpha, cfg.N, cfg.Parallelism)}
-	e.Pool.RegisterPoolMetrics(Reg, e.labels, e.Disk)
 	e.Gen = dataset.New(dataset.Config{
 		Tuples:    cfg.Tuples,
 		TextAttrs: cfg.TextAttrs,

@@ -5,7 +5,6 @@ import (
 
 	"github.com/sparsewide/iva/internal/metric"
 	"github.com/sparsewide/iva/internal/model"
-	"github.com/sparsewide/iva/internal/obs"
 )
 
 // CPUFactor scales measured CPU time into the modeled milliseconds: the
@@ -83,25 +82,6 @@ func aggregate(samples []sample) EngineStats {
 	return s
 }
 
-// observe publishes one measured query into the harness registry so bench
-// runs expose the same counter surface as a live store: per-engine query
-// counts, wall-latency histograms, and the scanned/accessed totals that
-// previously lived only in ad-hoc per-run aggregates.
-func (e *Env) observe(engine string, sm sample) {
-	labels := obs.With(e.labels, "engine", engine)
-	Reg.Counter("bench_queries_total", "Queries measured per engine.", labels).Inc()
-	Reg.Counter("bench_scanned_tuples_total", "Tuples filtered across measured queries.", labels).Add(sm.scanned)
-	Reg.Counter("bench_table_accesses_total", "Random table accesses across measured queries.", labels).Add(sm.accesses)
-	Reg.Histogram("bench_query_duration_seconds", "Measured wall latency per engine.", labels, nil).
-		Observe((sm.filterWall + sm.refineWall) / 1000)
-	Reg.Histogram("bench_query_modeled_ms", "Modeled (2009-HDD) latency per engine.",
-		labels, []float64{1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000}).
-		Observe(sm.filterMS + sm.refineMS)
-}
-
-// MetricsText renders the harness registry in Prometheus text format.
-func MetricsText() string { return Reg.Text() }
-
 func stddev(xs []float64) float64 {
 	if len(xs) < 2 {
 		return 0
@@ -139,7 +119,6 @@ func (e *Env) RunIVA(queries []*model.Query, warm int, m *metric.Metric) (Engine
 			filterWall:  float64(st.FilterWall.Microseconds()) / 1000,
 			refineWall:  float64(st.RefineWall.Microseconds()) / 1000,
 		}
-		e.observe("iva", sm)
 		samples = append(samples, sm)
 	}
 	return aggregate(samples), nil
@@ -165,7 +144,6 @@ func (e *Env) RunSII(queries []*model.Query, warm int, m *metric.Metric) (Engine
 			filterWall: float64(st.FilterWall.Microseconds()) / 1000,
 			refineWall: float64(st.RefineWall.Microseconds()) / 1000,
 		}
-		e.observe("sii", sm)
 		samples = append(samples, sm)
 	}
 	return aggregate(samples), nil
@@ -191,7 +169,6 @@ func (e *Env) RunDST(queries []*model.Query, warm int, m *metric.Metric) (Engine
 			filterMS:   e.Disk.CostMS(io) + CPUFactor*wall,
 			filterWall: wall,
 		}
-		e.observe("dst", sm)
 		samples = append(samples, sm)
 	}
 	return aggregate(samples), nil

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"github.com/sparsewide/iva/internal/model"
@@ -363,13 +364,65 @@ func (qc QueryConfig) withDefaults() QueryConfig {
 	return qc
 }
 
-func sortedRanks(vals map[int]model.Value) []int {
+// SortedRanks returns the ranks a tuple defines in ascending order: the
+// deterministic order in which to register them in a catalog.
+func SortedRanks(vals map[int]model.Value) []int {
 	ranks := make([]int, 0, len(vals))
 	for r := range vals {
 		ranks = append(ranks, r)
 	}
 	sort.Ints(ranks)
 	return ranks
+}
+
+// drawnTerm is one query term sampled from the data: the attribute rank and
+// the value to search for (Num for a numeric attribute, Str for a text one).
+type drawnTerm struct {
+	rank int
+	num  float64
+	str  string
+}
+
+// drawTerms samples n query terms from tuples 0 … tuples-1, the way §V-A
+// samples them: the attributes a random tuple defines, in random order, each
+// searched for with its stored value — one of a text value's strings,
+// mistyped with probability typoProb. It returns nil when the tuple and its
+// 49 successors define fewer than n attributes.
+func (g *Generator) drawTerms(rng *rand.Rand, tuples, n int, typoProb float64) []drawnTerm {
+	ti := rng.Intn(tuples)
+	vals := g.Values(ti)
+	ranks := SortedRanks(vals)
+	// Queries may need more attributes than one tuple defines; borrow from
+	// further tuples when short, like a user combining fields.
+	for extra := 1; len(ranks) < n && extra < 50; extra++ {
+		more := g.Values((ti + extra) % tuples)
+		for _, r := range SortedRanks(more) {
+			if _, dup := vals[r]; !dup {
+				vals[r] = more[r]
+				ranks = append(ranks, r)
+			}
+			if len(ranks) >= n {
+				break
+			}
+		}
+	}
+	if len(ranks) < n {
+		return nil
+	}
+	rng.Shuffle(len(ranks), func(i, j int) { ranks[i], ranks[j] = ranks[j], ranks[i] })
+	out := make([]drawnTerm, n)
+	for i, r := range ranks[:n] {
+		v := vals[r]
+		out[i] = drawnTerm{rank: r, num: v.Num}
+		if v.Kind == model.KindText {
+			s := v.Strs[rng.Intn(len(v.Strs))]
+			if rng.Float64() < typoProb {
+				s = typo(rng, s)
+			}
+			out[i].str = s
+		}
+	}
+	return out
 }
 
 // Queries builds a query set against the generated data. ids maps attribute
@@ -379,44 +432,109 @@ func (g *Generator) Queries(qc QueryConfig, ids []model.AttrID) ([]*model.Query,
 	rng := rand.New(rand.NewSource(qc.Seed*2_654_435_761 + 17))
 	queries := make([]*model.Query, 0, qc.Count)
 	for len(queries) < qc.Count {
-		ti := rng.Intn(g.cfg.Tuples)
-		vals := g.Values(ti)
-		if len(vals) == 0 {
+		terms := g.drawTerms(rng, g.cfg.Tuples, qc.Values, qc.QueryTypoProb)
+		if terms == nil {
 			continue
 		}
-		ranks := sortedRanks(vals)
-		// Queries may need more attributes than one tuple defines; borrow
-		// from further tuples when short, like a user combining fields.
-		for extra := 1; len(ranks) < qc.Values && extra < 50; extra++ {
-			more := g.Values((ti + extra) % g.cfg.Tuples)
-			for _, r := range sortedRanks(more) {
-				if _, dup := vals[r]; !dup {
-					vals[r] = more[r]
-					ranks = append(ranks, r)
-				}
-				if len(ranks) >= qc.Values {
-					break
-				}
-			}
-		}
-		if len(ranks) < qc.Values {
-			continue
-		}
-		rng.Shuffle(len(ranks), func(i, j int) { ranks[i], ranks[j] = ranks[j], ranks[i] })
 		q := &model.Query{K: qc.K}
-		for _, r := range ranks[:qc.Values] {
-			v := vals[r]
-			if v.Kind == model.KindNumeric {
-				q.NumTerm(ids[r], v.Num)
+		for _, t := range terms {
+			if g.kinds[t.rank] == model.KindNumeric {
+				q.NumTerm(ids[t.rank], t.num)
 			} else {
-				s := v.Strs[rng.Intn(len(v.Strs))]
-				if rng.Float64() < qc.QueryTypoProb {
-					s = typo(rng, s)
-				}
-				q.TextTerm(ids[r], s)
+				q.TextTerm(ids[t.rank], t.str)
 			}
 		}
 		queries = append(queries, q)
 	}
 	return queries, qc.Warm
+}
+
+// Correctness batteries --------------------------------------------------
+
+// MixConfig is the universe the correctness batteries draw their rows from —
+// the differential oracle, the scan-counter golden test and the HTTP
+// equivalence tests: the paper's generator narrowed to 24 attributes, so
+// that a run of a few thousand tuples defines each of them many times and
+// ends holding every list organization I–IV. Six numeric attributes sit at
+// every fourth rank, which gives each of numValue's three value shapes two
+// attributes; multi-string values and typos are more frequent than in the
+// paper's statistics, to load Type II lists and the edit-distance refine.
+func MixConfig(seed int64) Config {
+	return Config{TextAttrs: 18, NumAttrs: 6, MeanAttrs: 6, MultiStrProb: 0.3, TypoProb: 0.1, Seed: seed}
+}
+
+// Term is one query term by attribute name.
+type Term struct {
+	Name   string
+	Kind   model.Kind
+	Num    float64 // Kind == KindNumeric
+	Str    string  // Kind == KindText
+	Weight float64 // explicit λ; 0 = the metric's weighting scheme
+}
+
+// NamedQuery is a top-k query by attribute names; its terms name distinct
+// attributes.
+type NamedQuery struct {
+	K     int
+	Terms []Term
+}
+
+// The mix's fixed rates, per term unless noted.
+const (
+	mixMaxK        = 12   // k uniform in [1, mixMaxK]
+	mixMaxTerms    = 3    // terms per query uniform in [1, mixMaxTerms]
+	mixTypoProb    = 0.5  // a sampled string is mistyped
+	mixGhostProb   = 0.06 // the term moves to an attribute no tuple defines
+	mixOutsideProb = 0.25 // a numeric value leaves the data's domain
+	mixWeightProb  = 0.15 // the term carries an explicit weight in [0.5, 2.5)
+)
+
+// Ghost attribute names: no generated tuple defines them, and each has one
+// kind, so registering them never conflicts.
+const (
+	ghostText = "ghost_text"
+	ghostNum  = "ghost_num"
+)
+
+// MixQuery draws one query of the adversarial mix the correctness batteries
+// run against tuples 0 … tuples-1: terms sampled as Queries samples them,
+// then moved onto ghost attributes (all-ndf columns), pushed outside the
+// numeric domain (the quantizers' clamped edge slices) or given explicit
+// weights at the fixed rates above. Every random decision is drawn from rng,
+// so a query stream replays from rng's seed.
+func (g *Generator) MixQuery(rng *rand.Rand, tuples int) NamedQuery {
+	q := NamedQuery{K: 1 + rng.Intn(mixMaxK)}
+	var terms []drawnTerm
+	// A handful of tuples may define fewer distinct attributes than asked for.
+	for n := 1 + rng.Intn(mixMaxTerms); terms == nil; n-- {
+		terms = g.drawTerms(rng, tuples, max(n, 1), mixTypoProb)
+	}
+	for _, d := range terms {
+		t := Term{Name: g.AttrName(d.rank), Kind: g.kinds[d.rank], Num: d.num, Str: d.str}
+		if rng.Float64() < mixGhostProb {
+			t.Name = ghostText
+			if t.Kind == model.KindNumeric {
+				t.Name = ghostNum
+			}
+		}
+		if t.Kind == model.KindNumeric && rng.Float64() < mixOutsideProb {
+			t.Num = outside(rng, t.Num)
+		}
+		if rng.Float64() < mixWeightProb {
+			t.Weight = 0.5 + 2*rng.Float64()
+		}
+		if !slices.ContainsFunc(q.Terms, func(o Term) bool { return o.Name == t.Name }) {
+			q.Terms = append(q.Terms, t)
+		}
+	}
+	return q
+}
+
+// outside moves a sampled numeric value out of the data's domain: below it
+// (every generated value is ≥ 0) or a multiple above the value itself.
+func outside(rng *rand.Rand, v float64) float64 {
+	if rng.Intn(2) == 0 {
+		return -1 - math.Floor(rng.Float64()*(v+1))
+	}
+	return math.Floor((v + 1) * (3 + 7*rng.Float64()))
 }

@@ -78,7 +78,7 @@ func (h *harness) corruptionSweep() error {
 	queries := make([]*model.Query, 0, len(combos))
 	wants := make([][]model.Result, 0, len(combos))
 	for _, c := range combos {
-		q, err := h.resolveQuery(h.gen.Query())
+		q, err := h.nextQuery()
 		if err != nil {
 			return err
 		}

@@ -1,5 +1,6 @@
 // Package oracle is the differential correctness harness: it replays one
-// seeded workload (internal/workload) simultaneously against the three
+// seeded workload (rows and queries from internal/dataset's correctness
+// mix) simultaneously against the three
 // engines of the paper's evaluation — the iVA-file (internal/core), the
 // sparse inverted index SII (internal/invidx) and the direct scan DST
 // (internal/scan) — plus a brute-force in-memory reference, and fails on the
@@ -24,17 +25,18 @@ package oracle
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"path/filepath"
 	"sort"
 
 	"github.com/sparsewide/iva/internal/core"
+	"github.com/sparsewide/iva/internal/dataset"
 	"github.com/sparsewide/iva/internal/invidx"
 	"github.com/sparsewide/iva/internal/metric"
 	"github.com/sparsewide/iva/internal/model"
 	"github.com/sparsewide/iva/internal/scan"
 	"github.com/sparsewide/iva/internal/storage"
 	"github.com/sparsewide/iva/internal/table"
-	"github.com/sparsewide/iva/internal/workload"
 )
 
 // Options configure one oracle run.
@@ -182,7 +184,11 @@ type dstEngine struct {
 
 type harness struct {
 	opt Options
-	gen *workload.Gen
+	// rng draws the schedule, victims and queries; rows are tuples
+	// 0, 1, 2, ... of data, which derives each from the seed and its index.
+	rng  *rand.Rand
+	data *dataset.Generator
+	rows int
 
 	pool *storage.Pool
 	iva  ivaEngine
@@ -199,7 +205,7 @@ type harness struct {
 
 	metricIdx int
 	opIndex   int
-	curOp     workload.OpKind
+	curOp     opKind
 	res       Result
 }
 
@@ -211,8 +217,10 @@ func (h *harness) failf(format string, args ...interface{}) error {
 }
 
 // coreOpts deliberately picks small limits: CheckpointEvery 64 engages the
-// striped parallel plan after ~128 entries, and TIDHeadroom 256 forces
-// several ErrNeedsRebuild overflows per run so rebuild paths are exercised.
+// striped parallel plan after ~128 entries, and TIDHeadroom 256 keeps the
+// packed tid width tight. It does not make ErrNeedsRebuild overflows happen:
+// the width rounds up to a power of two and the schedule's forced rebuilds
+// re-derive it every ~40 inserts, so counted runs overflow 0 times.
 func coreOpts() core.Options {
 	return core.Options{CheckpointEvery: 64, TIDHeadroom: 256}
 }
@@ -238,7 +246,7 @@ func Run(opt Options) (Result, error) {
 	}
 	defer h.close()
 	for h.opIndex = 0; h.opIndex < opt.Ops; h.opIndex++ {
-		op := h.gen.NextOp(len(h.liveTIDs))
+		op := nextOp(h.rng, len(h.liveTIDs))
 		if err := h.step(op); err != nil {
 			return h.res, err
 		}
@@ -264,7 +272,8 @@ func newHarness(opt Options) (*harness, error) {
 	}
 	h := &harness{
 		opt:   opt,
-		gen:   workload.New(opt.Seed),
+		rng:   rand.New(rand.NewSource(int64(opt.Seed))),
+		data:  dataset.New(dataset.MixConfig(int64(opt.Seed))),
 		pool:  storage.NewPool(0, cache),
 		ref:   make(map[model.TID]*model.Tuple),
 		refDF: make(map[model.AttrID]int64),
@@ -368,29 +377,28 @@ func (h *harness) attrID(name string, kind model.Kind) (model.AttrID, error) {
 	return a, nil
 }
 
-func (h *harness) resolveRow(row workload.Row) (map[model.AttrID]model.Value, error) {
+// nextRow generates the next tuple and registers the attributes it defines,
+// in rank order, on every catalog.
+func (h *harness) nextRow() (map[model.AttrID]model.Value, error) {
+	row := h.data.Values(h.rows)
+	h.rows++
 	vals := make(map[model.AttrID]model.Value, len(row))
-	for _, cell := range row {
-		id, err := h.attrID(cell.Name, cell.Val.Kind)
+	for _, r := range dataset.SortedRanks(row) {
+		id, err := h.attrID(h.data.AttrName(r), row[r].Kind)
 		if err != nil {
 			return nil, err
 		}
-		vals[id] = cell.Val
+		vals[id] = row[r]
 	}
 	return vals, nil
 }
 
-// resolveQuery maps a QuerySpec to a model.Query, dropping duplicate
-// attributes (the generator's ghost terms can collide; Query.Validate
-// rejects duplicates).
-func (h *harness) resolveQuery(spec workload.QuerySpec) (*model.Query, error) {
+// nextQuery draws the next query of the adversarial mix over the rows
+// generated so far, registering its attributes (ghosts included).
+func (h *harness) nextQuery() (*model.Query, error) {
+	spec := h.data.MixQuery(h.rng, h.rows)
 	q := &model.Query{K: spec.K}
-	seen := make(map[string]bool, len(spec.Terms))
 	for _, t := range spec.Terms {
-		if seen[t.Name] {
-			continue
-		}
-		seen[t.Name] = true
 		id, err := h.attrID(t.Name, t.Kind)
 		if err != nil {
 			return nil, err
@@ -512,23 +520,23 @@ func (h *harness) diff(label string, want, got []model.Result) error {
 	return nil
 }
 
-func (h *harness) step(op workload.OpKind) error {
+func (h *harness) step(op opKind) error {
 	h.curOp = op
 	switch op {
-	case workload.OpInsert:
+	case opInsert:
 		return h.insertOp()
-	case workload.OpUpdate:
+	case opUpdate:
 		return h.updateOp()
-	case workload.OpDelete:
+	case opDelete:
 		return h.deleteOp()
-	case workload.OpSearch:
+	case opSearch:
 		return h.searchOp()
-	case workload.OpSync:
+	case opSync:
 		h.res.Syncs++
 		return h.syncAll()
-	case workload.OpReopen:
+	case opReopen:
 		return h.reopenOp()
-	case workload.OpRebuild:
+	case opRebuild:
 		h.res.Rebuilds += 3
 		if err := h.rebuildIVA(); err != nil {
 			return err
@@ -544,7 +552,7 @@ func (h *harness) step(op workload.OpKind) error {
 			return h.rebuildIVA2()
 		}
 		return nil
-	case workload.OpRoundTrip:
+	case opRoundTrip:
 		return h.roundTripOp()
 	default:
 		return h.failf("unknown op %v", op)
@@ -672,7 +680,7 @@ func (h *harness) deleteTuple(tid model.TID) error {
 }
 
 func (h *harness) insertOp() error {
-	vals, err := h.resolveRow(h.gen.Row())
+	vals, err := h.nextRow()
 	if err != nil {
 		return err
 	}
@@ -684,7 +692,7 @@ func (h *harness) insertOp() error {
 }
 
 func (h *harness) deleteOp() error {
-	tid := h.dropRef(h.gen.PickLive(len(h.liveTIDs)))
+	tid := h.dropRef(h.rng.Intn(len(h.liveTIDs)))
 	if err := h.deleteTuple(tid); err != nil {
 		return err
 	}
@@ -695,8 +703,8 @@ func (h *harness) deleteOp() error {
 // updateOp exercises the engines' update: the victim leaves the reference,
 // then every engine replaces it.
 func (h *harness) updateOp() error {
-	old := h.dropRef(h.gen.PickLive(len(h.liveTIDs)))
-	vals, err := h.resolveRow(h.gen.Row())
+	old := h.dropRef(h.rng.Intn(len(h.liveTIDs)))
+	vals, err := h.nextRow()
 	if err != nil {
 		return err
 	}
@@ -843,7 +851,7 @@ func (h *harness) syncAll() error {
 // again — the answers must be identical, and the reopened iVA-file must pass
 // its full integrity check.
 func (h *harness) reopenOp() error {
-	q, err := h.resolveQuery(h.gen.Query())
+	q, err := h.nextQuery()
 	if err != nil {
 		return err
 	}
@@ -1005,7 +1013,7 @@ func (h *harness) reopenOp() error {
 // grid point, compared across engine × parallelism, plus the k-prefix
 // metamorphic assertion and (periodically) the estimate-tightness audit.
 func (h *harness) searchOp() error {
-	q, err := h.resolveQuery(h.gen.Query())
+	q, err := h.nextQuery()
 	if err != nil {
 		return err
 	}
@@ -1099,7 +1107,7 @@ func (h *harness) explainCheck(q *model.Query, m *metric.Metric, want []model.Re
 // roundTripOp asserts that an insert immediately followed by deleting the
 // same tuple is a no-op for search results on every engine.
 func (h *harness) roundTripOp() error {
-	q, err := h.resolveQuery(h.gen.Query())
+	q, err := h.nextQuery()
 	if err != nil {
 		return err
 	}
@@ -1122,7 +1130,7 @@ func (h *harness) roundTripOp() error {
 	if err != nil {
 		return err
 	}
-	vals, err := h.resolveRow(h.gen.Row())
+	vals, err := h.nextRow()
 	if err != nil {
 		return err
 	}
@@ -1168,9 +1176,9 @@ func (h *harness) roundTripOp() error {
 // diffed once more against the reference on the final store state, and the
 // iVA-file passes a last full integrity check.
 func (h *harness) finalSweep() error {
-	h.curOp = workload.OpSearch
+	h.curOp = opSearch
 	for _, c := range combos {
-		q, err := h.resolveQuery(h.gen.Query())
+		q, err := h.nextQuery()
 		if err != nil {
 			return err
 		}

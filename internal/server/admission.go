@@ -81,7 +81,7 @@ func (s *Server) newTenant(name string) *tenant {
 // tenantFor returns the tenant for the given name, creating it on first use.
 func (s *Server) tenantFor(name string) *tenant {
 	if name == "" {
-		name = s.cfg.DefaultTenant
+		name = defaultTenant
 	}
 	s.tmu.Lock()
 	defer s.tmu.Unlock()

@@ -6,40 +6,35 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"testing"
 
 	"github.com/sparsewide/iva"
+	"github.com/sparsewide/iva/internal/dataset"
 	"github.com/sparsewide/iva/internal/model"
-	"github.com/sparsewide/iva/internal/workload"
 )
 
-// ivaRow converts a generated workload row to the public insert form.
-func ivaRow(wr workload.Row) iva.Row {
-	row := make(iva.Row, len(wr))
-	for _, c := range wr {
-		if c.Val.Kind == model.KindNumeric {
-			row[c.Name] = iva.Num(c.Val.Num)
+// ivaRow converts generated tuple i to the public insert form.
+func ivaRow(g *dataset.Generator, i int) iva.Row {
+	vals := g.Values(i)
+	row := make(iva.Row, len(vals))
+	for r, v := range vals {
+		if v.Kind == model.KindNumeric {
+			row[g.AttrName(r)] = iva.Num(v.Num)
 		} else {
-			row[c.Name] = iva.Strings(c.Val.Strs...)
+			row[g.AttrName(r)] = iva.Strings(v.Strs...)
 		}
 	}
 	return row
 }
 
-// requestFromSpec renders a generated query as the wire request, dropping
-// duplicate attributes (the generator's ghost terms can collide, and both
-// the engine and the decoder reject duplicates).
-func requestFromSpec(spec workload.QuerySpec) *SearchRequest {
+// requestFromSpec renders a generated query as the wire request.
+func requestFromSpec(spec dataset.NamedQuery) *SearchRequest {
 	req := &SearchRequest{K: spec.K}
-	seen := make(map[string]bool, len(spec.Terms))
 	for _, t := range spec.Terms {
-		if seen[t.Name] {
-			continue
-		}
-		seen[t.Name] = true
 		st := SearchTerm{Attr: t.Name, Weight: t.Weight}
 		if t.Kind == model.KindNumeric {
 			n := t.Num
@@ -53,14 +48,14 @@ func requestFromSpec(spec workload.QuerySpec) *SearchRequest {
 	return req
 }
 
-// seedStore fills be with nrows generated rows and syncs. The backend must
-// be freshly created.
-func seedStore(t *testing.T, seed uint64, nrows int, insert func(iva.Row) (iva.TID, error), sync func() error) []iva.TID {
+// seedStore fills be with the first nrows tuples of the correctness mix's
+// universe under seed and syncs. The backend must be freshly created.
+func seedStore(t *testing.T, seed int64, nrows int, insert func(iva.Row) (iva.TID, error), sync func() error) []iva.TID {
 	t.Helper()
-	g := workload.New(seed)
+	g := dataset.New(dataset.MixConfig(seed))
 	tids := make([]iva.TID, 0, nrows)
 	for i := 0; i < nrows; i++ {
-		tid, err := insert(ivaRow(g.Row()))
+		tid, err := insert(ivaRow(g, i))
 		if err != nil {
 			t.Fatalf("insert %d: %v", i, err)
 		}
@@ -98,11 +93,12 @@ func postSearch(t *testing.T, client *http.Client, url string, req *SearchReques
 	return resp, out
 }
 
-// checkEquivalence drives nq generated queries through the HTTP path and the
+// checkEquivalence drives nq queries of the correctness mix, drawn from the
+// nrows tuples seedStore inserted under seed, through the HTTP path and the
 // in-process path and demands byte-identical answers: the decoded results
 // must match element-wise (tid and bit-equal distance), and both rendered
 // through the server's encoder must serialize to the same bytes.
-func checkEquivalence(t *testing.T, be Backend, seed uint64, nq int) {
+func checkEquivalence(t *testing.T, be Backend, seed int64, nrows, nq int) {
 	t.Helper()
 	srv := New(be, nil, Config{})
 	mux := http.NewServeMux()
@@ -110,9 +106,10 @@ func checkEquivalence(t *testing.T, be Backend, seed uint64, nq int) {
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
 
-	g := workload.New(seed)
+	g := dataset.New(dataset.MixConfig(seed))
+	rng := rand.New(rand.NewSource(seed + 1))
 	for i := 0; i < nq; i++ {
-		req := requestFromSpec(g.Query())
+		req := requestFromSpec(g.MixQuery(rng, nrows))
 		resp, raw := postSearch(t, ts.Client(), ts.URL, req, "")
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("query %d: HTTP %d: %s", i, resp.StatusCode, raw)
@@ -178,7 +175,7 @@ func TestServerEquivalence(t *testing.T) {
 			}
 			defer s.Close()
 			seedStore(t, seed, nrows, s.Insert, s.Sync)
-			checkEquivalence(t, s, seed+1, nq)
+			checkEquivalence(t, s, seed, nrows, nq)
 		})
 	}
 }

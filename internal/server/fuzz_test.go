@@ -44,7 +44,7 @@ func FuzzSearchRequest(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req, err := DecodeSearchRequest(bytes.NewReader(data), 1<<16, 0, 0)
+		req, err := DecodeSearchRequest(bytes.NewReader(data))
 		if err != nil {
 			if req != nil {
 				t.Fatalf("error %v returned alongside a request", err)
@@ -52,9 +52,9 @@ func FuzzSearchRequest(f *testing.F) {
 			return
 		}
 		// Decoded ⇒ validated: the request must survive re-validation under
-		// the same (default) bounds and convert to a query whose shape
+		// the same bounds and convert to a query whose shape
 		// matches — this is what the handler hands to SearchContext.
-		if err := req.validate(0, 0); err != nil {
+		if err := req.validate(); err != nil {
 			t.Fatalf("decoded request fails re-validation: %v\n  input: %q", err, data)
 		}
 		q := req.Query()

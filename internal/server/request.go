@@ -16,12 +16,12 @@ import (
 // index work happens. FuzzSearchRequest holds this file to "malformed input
 // never panics, never queries".
 const (
-	// DefaultMaxBodyBytes bounds a /v1/search request body.
-	DefaultMaxBodyBytes = 1 << 20
-	// DefaultMaxK caps the requested top-k.
-	DefaultMaxK = 1000
-	// DefaultMaxTerms caps the number of query terms.
-	DefaultMaxTerms = 64
+	// maxBodyBytes bounds a /v1/search request body.
+	maxBodyBytes = 1 << 20
+	// maxK caps the requested top-k.
+	maxK = 1000
+	// maxTerms caps the number of query terms.
+	maxTerms = 64
 	// maxAttrLen matches the catalog's attribute-name limit.
 	maxAttrLen = 255
 	// maxTextLen matches model.Text's per-string limit.
@@ -51,14 +51,10 @@ type SearchRequest struct {
 }
 
 // DecodeSearchRequest reads and validates one search request from r,
-// enforcing the body-size bound (maxBytes <= 0 selects DefaultMaxBodyBytes).
-// Unknown fields and trailing data are rejected, so a request that decodes
-// is exactly the documented shape.
-func DecodeSearchRequest(r io.Reader, maxBytes int64, maxK, maxTerms int) (*SearchRequest, error) {
-	if maxBytes <= 0 {
-		maxBytes = DefaultMaxBodyBytes
-	}
-	dec := json.NewDecoder(io.LimitReader(r, maxBytes+1))
+// enforcing the body-size bound. Unknown fields and trailing data are
+// rejected, so a request that decodes is exactly the documented shape.
+func DecodeSearchRequest(r io.Reader) (*SearchRequest, error) {
+	dec := json.NewDecoder(io.LimitReader(r, maxBodyBytes+1))
 	dec.DisallowUnknownFields()
 	var req SearchRequest
 	if err := dec.Decode(&req); err != nil {
@@ -69,19 +65,13 @@ func DecodeSearchRequest(r io.Reader, maxBytes int64, maxK, maxTerms int) (*Sear
 	if err := dec.Decode(&struct{}{}); err != io.EOF {
 		return nil, errors.New("trailing data after request object")
 	}
-	if err := req.validate(maxK, maxTerms); err != nil {
+	if err := req.validate(); err != nil {
 		return nil, err
 	}
 	return &req, nil
 }
 
-func (req *SearchRequest) validate(maxK, maxTerms int) error {
-	if maxK <= 0 {
-		maxK = DefaultMaxK
-	}
-	if maxTerms <= 0 {
-		maxTerms = DefaultMaxTerms
-	}
+func (req *SearchRequest) validate() error {
 	if req.K <= 0 {
 		return fmt.Errorf("k must be positive, got %d", req.K)
 	}

@@ -1,6 +1,6 @@
 // Package server is the network query service over an iVA-file store: an
 // HTTP JSON search API (POST /v1/search, /v1/get, /v1/stats) running over a
-// Store through the SearchContext/QueryTimeout lifecycle, with
+// Store through the SearchContext deadline lifecycle, with
 // per-tenant admission control in front — token-bucket quotas, concurrency
 // limits, a bounded deadline-aware admission queue that sheds with 429 +
 // Retry-After, and graceful drain for shutdown.
@@ -41,13 +41,15 @@ type Backend interface {
 // without it belong to the default tenant.
 const TenantHeader = "X-Iva-Tenant"
 
-// Config tunes the server's admission control and request bounds. The zero
-// value serves with no quotas, a 2×GOMAXPROCS concurrency cap per tenant and
-// sane deadlines.
+// defaultTenant names the tenant of requests without a tenant header.
+const defaultTenant = "default"
+
+// maxTimeout clamps client-requested deadlines.
+const maxTimeout = 30 * time.Second
+
+// Config tunes the server's admission control. The zero value serves with no
+// quotas, a 2×GOMAXPROCS concurrency cap per tenant and sane deadlines.
 type Config struct {
-	// DefaultTenant names the tenant of requests without a tenant header.
-	// Default "default".
-	DefaultTenant string
 	// QPS is each tenant's sustained request quota (token-bucket refill
 	// rate); Burst is the bucket capacity. QPS 0 disables quotas; Burst 0
 	// defaults to max(1, ceil(QPS)).
@@ -62,24 +64,14 @@ type Config struct {
 	// 4×MaxConcurrent.
 	MaxQueue int
 	// DefaultTimeout is the per-request deadline when the client sets no
-	// timeout_ms (default 2s); MaxTimeout clamps client-requested deadlines
-	// (default 30s). The deadline composes with Options.QueryTimeout — the
-	// earlier wins.
+	// timeout_ms (default 2s); a client's own deadline is clamped to
+	// maxTimeout.
 	DefaultTimeout time.Duration
-	MaxTimeout     time.Duration
-	// MaxBodyBytes, MaxK and MaxTerms bound request decoding (defaults
-	// DefaultMaxBodyBytes/DefaultMaxK/DefaultMaxTerms).
-	MaxBodyBytes int64
-	MaxK         int
-	MaxTerms     int
 	// Now overrides the clock, for tests and benches. Default time.Now.
 	Now func() time.Time
 }
 
 func (c Config) withDefaults() Config {
-	if c.DefaultTenant == "" {
-		c.DefaultTenant = "default"
-	}
 	if c.Burst <= 0 && c.QPS > 0 {
 		c.Burst = int(c.QPS + 0.999)
 		if c.Burst < 1 {
@@ -94,18 +86,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 2 * time.Second
-	}
-	if c.MaxTimeout <= 0 {
-		c.MaxTimeout = 30 * time.Second
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = DefaultMaxBodyBytes
-	}
-	if c.MaxK <= 0 {
-		c.MaxK = DefaultMaxK
-	}
-	if c.MaxTerms <= 0 {
-		c.MaxTerms = DefaultMaxTerms
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -167,7 +147,7 @@ func New(be Backend, reg *obs.Registry, cfg Config) *Server {
 		return float64(s.active.Load())
 	})
 	// Materialize the default tenant so its families expose from the start.
-	s.tenantFor(s.cfg.DefaultTenant)
+	s.tenantFor(defaultTenant)
 	return s
 }
 
@@ -260,8 +240,8 @@ func (s *Server) timeout(ms int64) time.Duration {
 		return s.cfg.DefaultTimeout
 	}
 	d := time.Duration(ms) * time.Millisecond
-	if d > s.cfg.MaxTimeout {
-		return s.cfg.MaxTimeout
+	if d > maxTimeout {
+		return maxTimeout
 	}
 	return d
 }
@@ -280,14 +260,13 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 
 	tn := s.tenantFor(r.Header.Get(TenantHeader))
 	tn.requests.Inc()
-	req, err := DecodeSearchRequest(r.Body, s.cfg.MaxBodyBytes, s.cfg.MaxK, s.cfg.MaxTerms)
+	req, err := DecodeSearchRequest(r.Body)
 	if err != nil {
 		s.writeError(w, ep, http.StatusBadRequest, "", err.Error())
 		return
 	}
 	// The request context cancels on client disconnect; the resolved
-	// timeout caps the whole wait-plus-execute path, and composes with the
-	// store's own Options.QueryTimeout (the earlier deadline wins).
+	// timeout caps the whole wait-plus-execute path.
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(req.TimeoutMS))
 	defer cancel()
 

@@ -172,14 +172,14 @@ func (m DiskModel) CostMS(s Snapshot) float64 {
 // writes, cache hits, the derived hit ratio, resident pages, and the modeled
 // disk cost of all I/O so far under m. Counters are read live at exposition
 // time.
-func (p *Pool) RegisterPoolMetrics(r *obs.Registry, labels obs.Labels, m DiskModel) {
+func (p *Pool) RegisterPoolMetrics(r *obs.Registry, m DiskModel) {
 	st := p.Stats()
 	r.CounterFunc("iva_io_phys_reads_total", "Physical page reads from the device.",
-		labels, func() float64 { return float64(st.Snapshot().PhysReads) })
+		nil, func() float64 { return float64(st.Snapshot().PhysReads) })
 	r.CounterFunc("iva_io_phys_writes_total", "Physical page writes to the device.",
-		labels, func() float64 { return float64(st.Snapshot().PhysWrites) })
+		nil, func() float64 { return float64(st.Snapshot().PhysWrites) })
 	r.CounterFunc("iva_io_cache_hits_total", "Page requests served by the buffer pool.",
-		labels, func() float64 { return float64(st.Snapshot().CacheHits) })
+		nil, func() float64 { return float64(st.Snapshot().CacheHits) })
 	for class, get := range map[string]func(Snapshot) int64{
 		"seq":  func(s Snapshot) int64 { return s.SeqReads },
 		"near": func(s Snapshot) int64 { return s.NearReads },
@@ -187,25 +187,25 @@ func (p *Pool) RegisterPoolMetrics(r *obs.Registry, labels obs.Labels, m DiskMod
 	} {
 		get := get
 		r.CounterFunc("iva_io_reads_total", "Physical reads by access class (seq, near, rand).",
-			obs.With(labels, "class", class), func() float64 { return float64(get(st.Snapshot())) })
+			obs.Labels{"class": class}, func() float64 { return float64(get(st.Snapshot())) })
 	}
 	r.GaugeFunc("iva_io_cache_hit_ratio", "Fraction of page requests served by the buffer pool.",
-		labels, func() float64 { return st.Snapshot().HitRate() })
+		nil, func() float64 { return st.Snapshot().HitRate() })
 	r.GaugeFunc("iva_io_modeled_cost_ms", "Modeled disk milliseconds of all I/O so far (2009-HDD cost model).",
-		labels, func() float64 { return m.CostMS(st.Snapshot()) })
+		nil, func() float64 { return m.CostMS(st.Snapshot()) })
 	r.GaugeFunc("iva_pool_cached_pages", "Pages resident in the buffer pool.",
-		labels, func() float64 { return float64(p.CachedPages()) })
+		nil, func() float64 { return float64(p.CachedPages()) })
 	r.CounterFunc("iva_pool_shard_lock_wait_total", "Contended shard-lock acquisitions (striping effectiveness).",
-		labels, func() float64 { return float64(p.LockWaits()) })
+		nil, func() float64 { return float64(p.LockWaits()) })
 	r.GaugeFunc("iva_pool_shards", "Lock stripes in the buffer pool.",
-		labels, func() float64 { return float64(p.ShardCount()) })
+		nil, func() float64 { return float64(p.ShardCount()) })
 	r.GaugeFunc("iva_pool_pinned_frames", "Outstanding page pins; nonzero at quiesce is a pin leak.",
-		labels, func() float64 { return float64(p.PinnedFrames()) })
+		nil, func() float64 { return float64(p.PinnedFrames()) })
 	r.GaugeFunc("iva_pool_overflow_pages", "Pages held beyond the byte budget because pins block eviction.",
-		labels, func() float64 { return float64(p.OverflowPages()) })
+		nil, func() float64 { return float64(p.OverflowPages()) })
 	for i := 0; i < p.ShardCount(); i++ {
 		i := i
 		r.GaugeFunc("iva_pool_shard_resident_pages", "Pages resident per pool shard.",
-			obs.With(labels, "pool_shard", fmt.Sprint(i)), func() float64 { return float64(p.ShardResident(i)) })
+			obs.Labels{"pool_shard": fmt.Sprint(i)}, func() float64 { return float64(p.ShardResident(i)) })
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/sparsewide/iva/internal/core"
 	"github.com/sparsewide/iva/internal/obs"
 )
 
@@ -15,12 +16,7 @@ import (
 // stripes it claimed from the shared counter, the tuples it scanned, the
 // candidates it fetched, and its busy wall time. A one-worker search reports
 // a single entry covering every stripe.
-type WorkerProfile struct {
-	Stripes int64
-	Scanned int64
-	Fetched int64
-	Busy    time.Duration
-}
+type WorkerProfile = core.WorkerStats
 
 // PhaseProfile decomposes one query's wall time into the paper's phases —
 // filter (the synchronized tuple/vector-list scan), refine (random table

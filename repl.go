@@ -83,13 +83,14 @@ type replPrimaryState struct {
 
 // EnableReplSource turns the store into a replication primary: every Sync
 // from now on cuts a delta, and ReplDeltas serves followers.
-// Requires an on-disk store. Idempotent.
+// Requires an on-disk store. Idempotent. A follower's directory — polled or
+// plainly opened — returns ErrFollower: its bytes belong to its primary.
 func (s *Store) EnableReplSource() error {
 	if s.dir == "" {
 		return fmt.Errorf("iva: replication source requires an on-disk store")
 	}
-	if s.fol != nil {
-		return fmt.Errorf("iva: a follower cannot be a delta source")
+	if s.followerReadOnly() {
+		return ErrFollower
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

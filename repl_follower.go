@@ -39,10 +39,11 @@ type FollowerOptions struct {
 	// Poll is the idle poll interval once caught up (default 1s). Transport
 	// errors back off exponentially with jitter on top of this.
 	Poll time.Duration
-	// RequestTimeout bounds each HTTP round trip (default 60s; a Full delta of
-	// a large store needs headroom).
-	RequestTimeout time.Duration
 }
+
+// followerRequestTimeout bounds each HTTP round trip of the poll loop: a Full
+// delta of a large store needs headroom.
+const followerRequestTimeout = 60 * time.Second
 
 // followerState is the poll-loop state of a follower store.
 type followerState struct {
@@ -105,11 +106,7 @@ func OpenFollower(dir, primaryURL string, fopts FollowerOptions, opts Options) (
 	if dir == "" {
 		return nil, fmt.Errorf("iva: a follower requires a directory")
 	}
-	timeout := fopts.RequestTimeout
-	if timeout <= 0 {
-		timeout = 60 * time.Second
-	}
-	return openFollower(dir, repl.NewClient(primaryURL, timeout), fopts, opts)
+	return openFollower(dir, repl.NewClient(primaryURL, followerRequestTimeout), fopts, opts)
 }
 
 // openFollower is OpenFollower over any replSource (test seam). A directory

@@ -1002,6 +1002,21 @@ func TestReplicaDirReadOnlyUnderPlainOpen(t *testing.T) {
 	if err := st.DefineAttr("rogue", Numeric); err != ErrFollower {
 		t.Fatalf("DefineAttr returned %v, want ErrFollower", err)
 	}
+	// Nor may it become a replication source (`ivatool serve` without
+	// -follow tries): that would write a primary state file the offline
+	// role report reads first, and flip its status to primary.
+	if err := st.EnableReplSource(); err == nil {
+		t.Fatal("EnableReplSource on a passively opened replica succeeded")
+	}
+	if _, err := os.Stat(filepath.Join(fdir, replPrimaryStateFile)); !os.IsNotExist(err) {
+		t.Fatalf("%s written into a replica directory (stat: %v)", replPrimaryStateFile, err)
+	}
+	if rs := st.ReplStatus(); rs.Role != "follower" {
+		t.Fatalf("replica reports role %q after EnableReplSource", rs.Role)
+	}
+	if rs, ok := ReadReplState(fdir); !ok || rs.Role != "follower" {
+		t.Fatalf("offline role of the replica directory: %+v, %v", rs, ok)
+	}
 	// Reads still work, and Close (which Syncs) must leave the bytes alone.
 	if _, _, err := st.Search(NewQuery(5).WhereNum("num", 100)); err != nil {
 		t.Fatal(err)

@@ -26,16 +26,20 @@ func fillStore(t *testing.T, s *Store, n int) *Query {
 	return NewQuery(5).WhereNum("Price", 140).WhereText("Type", "Camera")
 }
 
-// TestQueryTimeout covers Options.QueryTimeout: a store-wide deadline turns
-// into context.DeadlineExceeded on a search that cannot finish in time.
+// TestQueryTimeout covers the one way to bound a search, SearchContext under a
+// deadline: an expired one turns into context.DeadlineExceeded and leaves no
+// page pinned.
 func TestQueryTimeout(t *testing.T) {
-	s, err := Create("", Options{QueryTimeout: time.Nanosecond})
+	s, err := Create("", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 	q := fillStore(t, s, 200)
-	if _, _, err := s.Search(q); !errors.Is(err, context.DeadlineExceeded) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
+	defer cancel()
+	<-ctx.Done()
+	if _, _, err := s.SearchContext(ctx, q); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("got %v, want context.DeadlineExceeded", err)
 	}
 	if n := s.pool.PinnedFrames(); n != 0 {

@@ -10,6 +10,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -17,9 +18,9 @@ import (
 	"testing"
 
 	"github.com/sparsewide/iva"
+	"github.com/sparsewide/iva/internal/dataset"
 	"github.com/sparsewide/iva/internal/model"
 	"github.com/sparsewide/iva/internal/server"
-	"github.com/sparsewide/iva/internal/workload"
 )
 
 // TestServerEquivalenceDegraded proves the HTTP path preserves the
@@ -37,14 +38,14 @@ func TestServerEquivalenceDegraded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := workload.New(seed)
+	g := dataset.New(dataset.MixConfig(seed))
 	for i := 0; i < nrows; i++ {
 		row := make(iva.Row)
-		for _, c := range g.Row() {
-			if c.Val.Kind == model.KindNumeric {
-				row[c.Name] = iva.Num(c.Val.Num)
+		for r, v := range g.Values(i) {
+			if v.Kind == model.KindNumeric {
+				row[g.AttrName(r)] = iva.Num(v.Num)
 			} else {
-				row[c.Name] = iva.Strings(c.Val.Strs...)
+				row[g.AttrName(r)] = iva.Strings(v.Strs...)
 			}
 		}
 		if _, err := s.Insert(row); err != nil {
@@ -88,16 +89,11 @@ func TestServerEquivalenceDegraded(t *testing.T) {
 	defer ts.Close()
 
 	degraded := 0
-	qg := workload.New(seed + 1)
+	rng := rand.New(rand.NewSource(seed + 1))
 	for i := 0; i < nq; i++ {
-		spec := qg.Query()
+		spec := g.MixQuery(rng, nrows)
 		req := &server.SearchRequest{K: spec.K}
-		seen := map[string]bool{}
 		for _, term := range spec.Terms {
-			if seen[term.Name] {
-				continue
-			}
-			seen[term.Name] = true
 			st := server.SearchTerm{Attr: term.Name, Weight: term.Weight}
 			if term.Kind == model.KindNumeric {
 				n := term.Num

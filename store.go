@@ -76,11 +76,6 @@ type Options struct {
 	// starts no goroutine. Results are identical either way — the plan is
 	// byte-for-byte deterministic at any worker count.
 	SearchParallelism int
-	// QueryTimeout bounds every search's wall time. A query past the
-	// deadline stops at the next stripe boundary or refine fetch and
-	// returns context.DeadlineExceeded. Zero disables the bound;
-	// SearchContext composes with it (the earlier deadline wins).
-	QueryTimeout time.Duration
 	// Codec selects the block codec vector lists are stored under: 0 keeps
 	// the raw bit-packed layout, 1 seals Type I/II lists into word-aligned
 	// packed blocks with per-block skip headers and delta-coded tuple-id
@@ -204,7 +199,7 @@ func (s *Store) initObs() {
 	s.disk = storage.DefaultDiskModel()
 	registerBuildInfo(s.reg)
 
-	s.pool.RegisterPoolMetrics(s.reg, nil, s.disk)
+	s.pool.RegisterPoolMetrics(s.reg, s.disk)
 
 	s.om = storeMetrics{
 		queries:     s.reg.Counter("iva_queries_total", "Search queries served.", nil),
@@ -863,17 +858,12 @@ func (s *Store) Search(q *Query) ([]Result, QueryStats, error) {
 // SearchContext is Search under a context: cancellation and deadlines are
 // honored at stripe boundaries during the filter phase and before every
 // refine fetch, returning ctx.Err() with the partial stats accumulated so
-// far. An already-expired context fails before any device read. It composes
-// with Options.QueryTimeout — the earlier deadline wins.
+// far. An already-expired context fails before any device read; a deadline
+// on ctx is the one way to bound a search's wall time.
 func (s *Store) SearchContext(ctx context.Context, q *Query) ([]Result, QueryStats, error) {
 	var qs QueryStats
 	if q.err != nil {
 		return nil, qs, q.err
-	}
-	if s.opts.QueryTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.opts.QueryTimeout)
-		defer cancel()
 	}
 	sp := obs.StartSpan("query")
 	sp.SetInt("k", int64(q.k))
@@ -912,10 +902,6 @@ func (s *Store) SearchContext(ctx context.Context, q *Query) ([]Result, QuerySta
 	sp.End()
 
 	io := st.FilterIO.Add(st.RefineIO)
-	workers := make([]WorkerProfile, len(st.WorkerProfiles))
-	for i, w := range st.WorkerProfiles {
-		workers[i] = WorkerProfile{Stripes: w.Stripes, Scanned: w.Scanned, Fetched: w.Fetched, Busy: w.Busy}
-	}
 	var hitRatio float64
 	if total := io.CacheHits + io.PhysReads; total > 0 {
 		hitRatio = float64(io.CacheHits) / float64(total)
@@ -937,7 +923,7 @@ func (s *Store) SearchContext(ctx context.Context, q *Query) ([]Result, QuerySta
 			MergeTime:      st.MergeWall,
 			StripesTotal:   st.StripesTotal,
 			StripesSkipped: st.StripesSkipped,
-			Workers:        workers,
+			Workers:        st.WorkerProfiles,
 			PoolHitRatio:   hitRatio,
 		},
 	}
