@@ -16,7 +16,7 @@
 //	ivatool -dir DIR -addr :9090 serve                   # query API (/v1/search, /v1/get, /v1/stats) plus
 //	                                                     # /metrics, /healthz, /debug/querylog, /debug/trace
 //	                                                     # (-pprof adds /debug/pprof; -scrub-interval paces the
-//	                                                     #  background scrubber, 0 disables it; -qps/-burst/
+//	                                                     #  background scrubber behind /healthz; -qps/-burst/
 //	                                                     #  -max-concurrent/-max-queue set per-tenant admission
 //	                                                     #  limits; SIGTERM drains gracefully within -drain-timeout)
 //
@@ -58,7 +58,7 @@ func main() {
 		addr       = flag.String("addr", "127.0.0.1:9090", "listen address for serve")
 		slow       = flag.Duration("slow", 250*time.Millisecond, "slow-query log threshold for serve")
 		pprofFlag  = flag.Bool("pprof", false, "expose /debug/pprof on serve (off by default; see README security note)")
-		scrubEvery = flag.Duration("scrub-interval", 10*time.Minute, "pause between background scrub sweeps for serve (0 disables)")
+		scrubEvery = flag.Duration("scrub-interval", 10*time.Minute, "pause between background scrub sweeps for serve; the scrubber backs /healthz")
 		qps        = flag.Float64("qps", 0, "per-tenant sustained query quota for serve (0 = unlimited)")
 		burst      = flag.Int("burst", 0, "per-tenant quota burst for serve (0 = auto from -qps)")
 		maxConc    = flag.Int("max-concurrent", 0, "per-tenant concurrent search cap for serve (0 = 2x GOMAXPROCS)")
@@ -114,16 +114,17 @@ type serveOpts struct {
 
 // validateFlags rejects flag values that would previously pass silently into
 // the store or server: a k <= 0 query only errors deep inside the engine, a
-// negative -slow captures every query in the slow log, and a negative
-// -scrub-interval or admission limit has no sane meaning.
+// negative -slow captures every query in the slow log, a negative admission
+// limit has no sane meaning, and serve always runs the scrubber its /healthz
+// reports, so -scrub-interval must be positive.
 func validateFlags(k int, slow time.Duration, sv serveOpts) error {
 	switch {
 	case k <= 0:
 		return fmt.Errorf("-k must be positive, got %d", k)
 	case slow < 0:
 		return fmt.Errorf("-slow must be non-negative, got %v", slow)
-	case sv.scrubEvery < 0:
-		return fmt.Errorf("-scrub-interval must be non-negative, got %v", sv.scrubEvery)
+	case sv.scrubEvery <= 0:
+		return fmt.Errorf("-scrub-interval must be positive, got %v", sv.scrubEvery)
 	case sv.qps < 0:
 		return fmt.Errorf("-qps must be non-negative, got %v", sv.qps)
 	case sv.burst < 0:
@@ -216,17 +217,9 @@ func run(cmd string, args []string, dir string, k int, sv serveOpts, opts iva.Op
 		if err := fs.Parse(args); err != nil {
 			return err
 		}
-		q := iva.NewQuery(k)
-		for _, a := range fs.Args() {
-			attr, val, err := splitPair(a)
-			if err != nil {
-				return err
-			}
-			if f, ferr := strconv.ParseFloat(val, 64); ferr == nil {
-				q.WhereNum(attr, f)
-			} else {
-				q.WhereText(attr, val)
-			}
+		q, err := parseQuery(k, fs.Args())
+		if err != nil {
+			return err
 		}
 		start := time.Now()
 		res, stats, err := st.Search(q)
@@ -248,17 +241,9 @@ func run(cmd string, args []string, dir string, k int, sv serveOpts, opts iva.Op
 				stats.Scanned, stats.TableAccesses, stats.FilterTime, stats.RefineTime)
 		}
 	case "explain":
-		q := iva.NewQuery(k)
-		for _, a := range args {
-			attr, val, err := splitPair(a)
-			if err != nil {
-				return err
-			}
-			if f, ferr := strconv.ParseFloat(val, 64); ferr == nil {
-				q.WhereNum(attr, f)
-			} else {
-				q.WhereText(attr, val)
-			}
+		q, err := parseQuery(k, args)
+		if err != nil {
+			return err
 		}
 		ex, err := st.Explain(q)
 		if err != nil {
@@ -480,6 +465,24 @@ func splitPair(s string) (attr, val string, err error) {
 		return "", "", fmt.Errorf("bad pair %q, want attr=value", s)
 	}
 	return s[:i], s[i+1:], nil
+}
+
+// parseQuery builds a top-k query from attr=value pairs: a value that parses
+// as a number is a numeric term, anything else a text term.
+func parseQuery(k int, args []string) (*iva.Query, error) {
+	q := iva.NewQuery(k)
+	for _, a := range args {
+		attr, val, err := splitPair(a)
+		if err != nil {
+			return nil, err
+		}
+		if f, ferr := strconv.ParseFloat(val, 64); ferr == nil {
+			q.WhereNum(attr, f)
+		} else {
+			q.WhereText(attr, val)
+		}
+	}
+	return q, nil
 }
 
 // parseRow folds attr=value pairs; repeated text attributes accumulate

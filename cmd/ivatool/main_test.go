@@ -100,12 +100,18 @@ func TestRunLifecycle(t *testing.T) {
 }
 
 // TestValidateFlags: values that used to pass silently into the store (a
-// k <= 0 query, negative durations) are now usage errors, and every serve
-// admission limit is checked.
+// k <= 0 query, negative durations) are usage errors, every serve admission
+// limit is checked, and so is the scrub interval /healthz depends on. Each
+// case breaks one flag of an accepted set.
 func TestValidateFlags(t *testing.T) {
 	good := serveOpts{scrubEvery: 10 * time.Minute, reqTimeout: 2 * time.Second, drainTimeout: 30 * time.Second}
 	if err := validateFlags(10, 250*time.Millisecond, good); err != nil {
 		t.Fatalf("default flags rejected: %v", err)
+	}
+	with := func(f func(*serveOpts)) serveOpts {
+		sv := good
+		f(&sv)
+		return sv
 	}
 	cases := []struct {
 		name string
@@ -116,13 +122,14 @@ func TestValidateFlags(t *testing.T) {
 		{"k zero", 0, 0, good},
 		{"k negative", -3, 0, good},
 		{"negative slow", 10, -time.Second, good},
-		{"negative scrub-interval", 10, 0, serveOpts{scrubEvery: -time.Minute, drainTimeout: time.Second}},
-		{"negative qps", 10, 0, serveOpts{qps: -1, drainTimeout: time.Second}},
-		{"negative burst", 10, 0, serveOpts{burst: -1, drainTimeout: time.Second}},
-		{"negative max-concurrent", 10, 0, serveOpts{maxConcurrent: -1, drainTimeout: time.Second}},
-		{"negative max-queue", 10, 0, serveOpts{maxQueue: -2, drainTimeout: time.Second}},
-		{"negative request-timeout", 10, 0, serveOpts{reqTimeout: -time.Second, drainTimeout: time.Second}},
-		{"zero drain-timeout", 10, 0, serveOpts{}},
+		{"zero scrub-interval", 10, 0, with(func(sv *serveOpts) { sv.scrubEvery = 0 })},
+		{"negative scrub-interval", 10, 0, with(func(sv *serveOpts) { sv.scrubEvery = -time.Minute })},
+		{"negative qps", 10, 0, with(func(sv *serveOpts) { sv.qps = -1 })},
+		{"negative burst", 10, 0, with(func(sv *serveOpts) { sv.burst = -1 })},
+		{"negative max-concurrent", 10, 0, with(func(sv *serveOpts) { sv.maxConcurrent = -1 })},
+		{"negative max-queue", 10, 0, with(func(sv *serveOpts) { sv.maxQueue = -2 })},
+		{"negative request-timeout", 10, 0, with(func(sv *serveOpts) { sv.reqTimeout = -time.Second })},
+		{"zero drain-timeout", 10, 0, with(func(sv *serveOpts) { sv.drainTimeout = 0 })},
 	}
 	for _, c := range cases {
 		if err := validateFlags(c.k, c.slow, c.sv); err == nil {

@@ -49,7 +49,9 @@ func TestReplOverHTTP(t *testing.T) {
 	// Every status the replication plane answers with is recorded.
 	var replMu sync.Mutex
 	replCodes := map[int]int{}
-	mux := serveMux(primary, nil, api, false)
+	psc := primary.StartScrubber(iva.ScrubberOptions{Interval: time.Hour})
+	defer psc.Stop()
+	mux := serveMux(primary, psc, api, false)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
 		mux.ServeHTTP(rec, r)
@@ -66,6 +68,8 @@ func TestReplOverHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer follower.Close()
+	fsc := follower.StartScrubber(iva.ScrubberOptions{Interval: time.Hour})
+	defer fsc.Stop()
 	waitGen := func(want uint64) {
 		t.Helper()
 		deadline := time.Now().Add(15 * time.Second)
@@ -134,7 +138,7 @@ func TestReplOverHTTP(t *testing.T) {
 	// attributes neither store has seen register nothing — not on the primary,
 	// not on the read-only follower — and both answer alike, the unknown term
 	// charged to every tuple.
-	fapi := httptest.NewServer(serveMux(follower, nil, server.New(follower, nil, server.Config{}), false))
+	fapi := httptest.NewServer(serveMux(follower, fsc, server.New(follower, nil, server.Config{}), false))
 	defer fapi.Close()
 	attrs := primary.Stats().Attributes
 	for i := 0; i < 20; i++ {
@@ -179,7 +183,7 @@ func TestReplOverHTTP(t *testing.T) {
 	}
 
 	// A mux over the follower store reports the follower verdict with lag.
-	fsrv := httptest.NewServer(serveMux(follower, nil, nil, false))
+	fsrv := httptest.NewServer(serveMux(follower, fsc, nil, false))
 	defer fsrv.Close()
 	body = httpGet(t, fsrv.URL+"/healthz")
 	if !strings.Contains(body, "replication: role=follower") || !strings.Contains(body, "primary_gen=") {

@@ -23,9 +23,8 @@ import (
 //	/v1/stats        store + server shape as JSON
 //	/metrics         Prometheus text exposition (text/plain; version=0.0.4);
 //	                 store families followed by iva_server_* families
-//	/healthz         the scrubber's verdict (ok/degraded/damaged) when
-//	                 a scrubber runs; otherwise runs Store.Check, 200 "ok" or
-//	                 503 with the problems
+//	/healthz         the scrubber's verdict (ok/degraded/damaged) as JSON,
+//	                 then the replication line; sc must not be nil
 //	/debug/querylog  the slow-query log: JSON (default) or ?format=text
 //	/debug/trace     the sampled trace ring + histogram exemplars as JSON;
 //	                 ?id=<trace_id> fetches one retained trace
@@ -62,26 +61,7 @@ func serveMux(st *iva.Store, sc *iva.Scrubber, api *server.Server, enablePprof b
 			writeReplLine(w, rs)
 			return
 		}
-		if sc != nil {
-			sc.ServeHealthz(w, r)
-			writeReplLine(w, rs)
-			return
-		}
-		rep, err := st.Check()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		if !rep.Ok() {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			w.WriteHeader(http.StatusServiceUnavailable)
-			for _, p := range rep.Problems {
-				fmt.Fprintf(w, "PROBLEM: %s\n", p)
-			}
-			writeReplLine(w, rs)
-			return
-		}
-		fmt.Fprintln(w, "ok")
+		sc.ServeHealthz(w, r)
 		writeReplLine(w, rs)
 	})
 	mux.HandleFunc("/debug/querylog", func(w http.ResponseWriter, r *http.Request) {
@@ -182,8 +162,8 @@ func gracefulServe(hs *http.Server, ln net.Listener, api *server.Server, drainTi
 }
 
 // serve runs the query service plus observability endpoints until SIGTERM or
-// SIGINT, then drains gracefully. A positive scrub interval starts the
-// background scrubber for the server's lifetime.
+// SIGINT, then drains gracefully. The background scrubber runs for the
+// server's lifetime: its verdict is /healthz.
 func serve(st *iva.Store, sv serveOpts) error {
 	if sv.follow == "" {
 		// Any served store is a potential primary: cut synced-prefix deltas
@@ -193,11 +173,8 @@ func serve(st *iva.Store, sv serveOpts) error {
 			return err
 		}
 	}
-	var sc *iva.Scrubber
-	if sv.scrubEvery > 0 {
-		sc = st.StartScrubber(iva.ScrubberOptions{Interval: sv.scrubEvery})
-		defer sc.Stop()
-	}
+	sc := st.StartScrubber(iva.ScrubberOptions{Interval: sv.scrubEvery})
+	defer sc.Stop()
 	api := server.New(st, nil, server.Config{
 		QPS:            sv.qps,
 		Burst:          sv.burst,

@@ -17,7 +17,7 @@ import (
 
 // TestServeEndpoints drives a store under load through the HTTP surface:
 // /metrics must be valid Prometheus text with the latency histogram, cache
-// counters and phase timings; /healthz must pass Check; a slow query must
+// counters and phase timings; /healthz must report the scrubber's ok; a slow query must
 // surface in /debug/querylog with its per-term trace.
 func TestServeEndpoints(t *testing.T) {
 	st, err := iva.Create(t.TempDir(), iva.Options{SlowQueryThreshold: time.Nanosecond})
@@ -40,7 +40,9 @@ func TestServeEndpoints(t *testing.T) {
 		}
 	}
 
-	srv := httptest.NewServer(serveMux(st, nil, nil, false))
+	sc := st.StartScrubber(iva.ScrubberOptions{Interval: time.Hour})
+	defer sc.Stop()
+	srv := httptest.NewServer(serveMux(st, sc, nil, false))
 	defer srv.Close()
 
 	get := func(path string) (string, *http.Response) {
@@ -80,7 +82,7 @@ func TestServeEndpoints(t *testing.T) {
 	}
 
 	health, resp := get("/healthz")
-	if resp.StatusCode != http.StatusOK || strings.TrimSpace(health) != "ok" {
+	if resp.StatusCode != http.StatusOK || !strings.Contains(health, `"status":"ok"`) {
 		t.Fatalf("/healthz = %d %q", resp.StatusCode, health)
 	}
 
@@ -124,7 +126,9 @@ func TestServeAPIMux(t *testing.T) {
 		}
 	}
 	api := server.New(st, nil, server.Config{})
-	srv := httptest.NewServer(serveMux(st, nil, api, false))
+	sc := st.StartScrubber(iva.ScrubberOptions{Interval: time.Hour})
+	defer sc.Stop()
+	srv := httptest.NewServer(serveMux(st, sc, api, false))
 	defer srv.Close()
 
 	resp, err := http.Post(srv.URL+"/v1/search", "application/json",
@@ -179,7 +183,9 @@ func TestGracefulServeDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := &http.Server{Handler: serveMux(st, nil, api, false)}
+	sc := st.StartScrubber(iva.ScrubberOptions{Interval: time.Hour})
+	defer sc.Stop()
+	hs := &http.Server{Handler: serveMux(st, sc, api, false)}
 	sig := make(chan os.Signal, 1)
 	done := make(chan error, 1)
 	go func() { done <- gracefulServe(hs, ln, api, 5*time.Second, sig) }()

@@ -205,16 +205,16 @@ func ExpAblatePlan(e *Env) (Result, error) {
 		var scanned, seq, par float64
 		n := 0
 		for i, q := range qs {
-			ps, err := e.IVA.SequentialPlanStats(q, m)
+			ex, err := e.IVA.ExplainSearch(q, m)
 			if err != nil {
 				return err
 			}
 			if i < warm {
 				continue
 			}
-			scanned += float64(ps.Scanned)
-			seq += float64(ps.SequentialCandidates)
-			par += float64(ps.ParallelFetches)
+			scanned += float64(ex.Scanned)
+			seq += float64(ex.SequentialCandidates)
+			par += float64(ex.Fetched)
 			n++
 		}
 		r.Rows = append(r.Rows, []string{

@@ -36,14 +36,16 @@ func datasetIndex(t testing.TB, tuples, queries int, opts Options) (*Index, []*m
 }
 
 // TestFetchAttribution is an instrument, and a test only of its own
-// bookkeeping: it replays Algorithm 1's one-worker admission sequence over
-// the dataset's query stream and, for every tuple that was fetched and then
-// rejected — a wasted table access — asks which term kind's slack caused it:
-// the fetch is owned by a kind when replacing the lower bounds of that kind's
-// terms alone by their exact differences would have kept the tuple out. The
-// table it logs (-v) is what EXPERIMENTS.md "A tuple costs what it must" and
-// ROADMAP item 1 quote. It fails only when its replay disagrees with the
-// search itself on the number of fetches or on the answer. (Figures at 10,000
+// bookkeeping: it reads the table accesses of an explained search —
+// Algorithm 1's one-worker admission sequence over the dataset's query
+// stream, each fetch with its per-term bounds and exact differences — and,
+// for every tuple that was fetched and then rejected (a wasted table access),
+// asks which term kind's slack caused it: the fetch is owned by a kind when
+// replacing the lower bounds of that kind's terms alone by their exact
+// differences would have kept the tuple out. The table it logs (-v) is what
+// EXPERIMENTS.md "A tuple costs what it must" and ROADMAP item 1 quote. It
+// fails only when the records disagree with the search itself on the number
+// of fetches, on what the pool kept, or on the answer. (Figures at 10,000
 // tuples: 907.9 fetches per query, mean text bound 4.00 under the parent's
 // "t clear bits per gram" signatures; 882.4 and 5.10 under format word 8's
 // plain OR, mean exact edit distance 15.41 on both.)
@@ -71,60 +73,44 @@ func TestFetchAttribution(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ix.mu.RLock()
-		terms, err := ix.prepareTerms(q)
+		ex, err := ix.ExplainSearch(q, m)
 		if err != nil {
 			t.Fatal(err)
 		}
 		weights := m.Weights(q.Terms)
-		pool := topk.New(q.K)
-		bound := make([]float64, len(terms))
-		ndf := make([]bool, len(terms))
-		exact := make([]float64, len(terms))
-		mixed := make([]float64, len(terms))
+		mixed := make([]float64, len(q.Terms))
 		dist := func(diffs []float64) float64 {
 			for i := range diffs {
 				mixed[i] = diffs[i] * weights[i]
 			}
 			return m.Combine(mixed)
 		}
-		var qFetched int64
-		err = ix.originScan(terms, func(tid model.TID, pos, ptr int64) error {
-			for i := range terms {
-				if bound[i], ndf[i], err = terms[i].estimateInfo(m, tid, pos); err != nil {
-					return err
-				}
-			}
-			est := dist(bound)
-			if !pool.AdmitsPair(tid, est) {
-				return nil
-			}
-			qFetched++
-			tp, err := ix.tbl.Fetch(ptr)
-			if err != nil {
-				return err
-			}
-			for i, term := range q.Terms {
-				exact[i] = m.TermDiff(term, tp)
-			}
-			d := dist(exact)
-			if pool.Full() && d == pool.MaxDist() && est == d {
+		// The pool the search kept, rebuilt from the records: with one worker
+		// it was offered exactly these tuples, in this order.
+		pool := topk.New(q.K)
+		for _, f := range ex.fetches {
+			d := dist(f.exact)
+			if pool.Full() && d == pool.MaxDist() && f.est == d {
 				tie++ // bound equal to the bar, lost (or won) on the tid
 			}
-			if pool.Insert(tid, d) {
+			kept := pool.Insert(f.tid, d)
+			if kept != f.kept {
+				t.Fatalf("query %d: tuple %d kept=%v by the records' pool, %v by the search's", qi, f.tid, kept, f.kept)
+			}
+			if kept {
 				useful++
-				return nil
+				continue
 			}
 			wasted++
-			for i := range terms {
-				if ndf[i] {
+			for i, term := range q.Terms {
+				if !f.defined[i] {
 					continue // the ndf penalty is exact
 				}
-				ks := byKind[terms[i].term.Kind]
+				ks := byKind[term.Kind]
 				ks.terms++
-				ks.est += bound[i]
-				ks.exact += exact[i]
-				if bound[i] == exact[i] {
+				ks.est += f.bounds[i]
+				ks.exact += f.exact[i]
+				if f.bounds[i] == f.exact[i] {
 					ks.exactBound++
 				} else {
 					ks.boundLT++
@@ -132,13 +118,13 @@ func TestFetchAttribution(t *testing.T) {
 			}
 			owners := map[model.Kind]bool{}
 			for kind := range byKind {
-				one := append([]float64(nil), bound...)
-				for i := range terms {
-					if terms[i].term.Kind == kind {
-						one[i] = exact[i]
+				one := append([]float64(nil), f.bounds...)
+				for i, term := range q.Terms {
+					if term.Kind == kind {
+						one[i] = f.exact[i]
 					}
 				}
-				if !pool.AdmitsPair(tid, dist(one)) {
+				if !pool.AdmitsPair(f.tid, dist(one)) {
 					owners[kind] = true
 				}
 			}
@@ -152,21 +138,15 @@ func TestFetchAttribution(t *testing.T) {
 					byKind[k].owned++
 				}
 			}
-			return nil
-		})
-		ix.mu.RUnlock()
-		if err != nil {
-			t.Fatal(err)
 		}
-		if qFetched != stats.TableAccesses {
-			t.Fatalf("query %d: the replay fetched %d tuples, the search %d", qi, qFetched, stats.TableAccesses)
+		if n := int64(len(ex.fetches)); n != stats.TableAccesses || n != ex.Fetched {
+			t.Fatalf("query %d: %d fetch records, the search fetched %d (explain %d)", qi, n, stats.TableAccesses, ex.Fetched)
 		}
-		if got := pool.Results(); !sameResults(got, want) {
-			t.Fatalf("query %d: the replay's answer differs from the search's", qi)
+		if got := pool.Results(); !sameResults(got, want) || !sameResults(ex.Results, want) {
+			t.Fatalf("query %d: the records' answer differs from the search's", qi)
 		}
-		fetched += qFetched
+		fetched += int64(len(ex.fetches))
 	}
-
 	var b strings.Builder
 	fmt.Fprintf(&b, "%d tuples, %d queries: %d fetches (%.1f per query), %d kept, %d wasted (%.1f%%), bound-equals-bar ties %d\n",
 		tuples, len(qs), fetched, float64(fetched)/float64(len(qs)), useful, wasted, 100*float64(wasted)/float64(fetched), tie)

@@ -464,6 +464,16 @@ func TestMidBatchDegrade(t *testing.T) {
 			t.Fatalf("par=%d: degraded query leaked %d pins", par, n)
 		}
 	}
+	// An explained search reports its bounds, so it takes no degradation: the
+	// same damage fails it with the typed error, and every pin is released.
+	_, err := ix.ExplainSearch(q, m)
+	var ce *storage.CorruptionError
+	if !errors.As(err, &ce) {
+		t.Fatalf("explain over the damaged list: %v, want a corruption error", err)
+	}
+	if n := pool.PinnedFrames(); n != 0 {
+		t.Fatalf("failed explain leaked %d pins", n)
+	}
 }
 
 // TestCrossLinkedChainsRefused splices one vector list's chain into

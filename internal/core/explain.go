@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"math"
+	"sort"
 
 	"github.com/sparsewide/iva/internal/metric"
 	"github.com/sparsewide/iva/internal/model"
+	"github.com/sparsewide/iva/internal/signature"
 	"github.com/sparsewide/iva/internal/vector"
 )
 
@@ -32,10 +34,11 @@ type TermExplain struct {
 	tightN    int64
 }
 
-// Explain reports what a query would do: the result, plus per-term bound
-// statistics and the filter outcome. It runs the same Algorithm 1 pass as
-// Search with instrumentation, so it is slower; use it for tuning α and n
-// on real workloads, not on the hot path.
+// Explain reports what a query did: the result, per-term bound statistics,
+// the filter outcome, and what the VA-file's two-phase plan would have
+// fetched on the same bounds. It is the search's own Algorithm 1 pass with a
+// collector watching its columns and fetches; use it for tuning α and n on
+// real workloads, not on the hot path.
 type Explain struct {
 	Results []model.Result
 	Scanned int64
@@ -44,12 +47,35 @@ type Explain struct {
 	// tuple's estimate had to beat to be fetched.
 	PoolMaxFinal float64
 	Terms        []TermExplain
+
+	// The VA-file's sequential plan (§IV-A) would filter the whole index
+	// first, keep every tuple whose lower-bound distance is at most
+	// SequentialBar — the k-th smallest upper-bound distance — and then fetch
+	// those SequentialCandidates. Text has no finite upper bound (an unlimited
+	// number of strings share any signature), so a text term makes the bar
+	// +Inf and every scanned tuple a candidate: the paper's argument for the
+	// parallel plan.
+	SequentialCandidates int64
+	SequentialBar        float64
+
+	fetches []fetchRecord // the refine step's table accesses, in order
 }
 
-// ExplainSearch runs q with instrumentation (see Explain). The result pass
-// runs with one worker whatever SearchParallelism says: Explain's counters
-// describe the canonical Algorithm 1 admission sequence, which more workers
-// only have to match in results.
+// fetchRecord is one table access of an explained search.
+type fetchRecord struct {
+	tid     model.TID
+	bounds  []float64 // per term: the filter's lower bound
+	defined []bool    // per term: false where the bound is the ndf penalty
+	exact   []float64 // per term: d[A](T,Q), before the weights
+	est     float64   // the combined lower bound the tuple was admitted on
+	kept    bool      // whether the pool kept the tuple
+}
+
+// ExplainSearch runs q with instrumentation (see Explain). It runs with one
+// worker whatever SearchParallelism says: Explain's counters describe the
+// canonical Algorithm 1 admission sequence, which more workers only have to
+// match in results. A corrupt vector-list segment fails the call instead of
+// degrading its term, whose bounds are what Explain reports.
 func (ix *Index) ExplainSearch(q *model.Query, m *metric.Metric) (*Explain, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -62,45 +88,82 @@ func (ix *Index) ExplainSearch(q *model.Query, m *metric.Metric) (*Explain, erro
 
 	plan := ix.planShape()
 	plan.workers = 1
-	res, stats, err := ix.search(context.Background(), q, m, nil, plan) // warm pass for the result itself
+	var ex explainer
+	res, stats, err := ix.search(context.Background(), q, m, nil, plan, &ex)
 	if err != nil {
 		return nil, err
 	}
-	ex := &Explain{Results: res, Scanned: stats.Scanned, Fetched: stats.TableAccesses}
-	if len(res) > 0 {
-		ex.PoolMaxFinal = res[len(res)-1].Dist
-	}
+	return ex.finish(res, stats), nil
+}
 
-	terms, err := ix.prepareTerms(q)
-	if err != nil {
-		return nil, err
-	}
-	ex.Terms = make([]TermExplain, len(terms))
+// explainer is the collector an explained search carries on its one worker.
+// fillColumn hands each term's cursor the term's explainSink; batch folds the
+// filled columns into the per-term statistics and the sequential plan's
+// combined bounds; fetch records each refine. A normal search carries none.
+type explainer struct {
+	m              *metric.Metric
+	q              *model.Query
+	out            Explain
+	sinks          []explainSink
+	row            []float64 // one entry's per-term bounds
+	lowers, uppers []float64 // every scanned entry's combined bounds
+}
+
+// explainSink is a term's vector.Sink in an explained search: the term's own
+// Text/Num, plus whether each entry is defined and its upper bound.
+type explainSink struct {
+	ts      *termState
+	defined []bool
+	upper   []float64 // MaxDist for a number, +Inf for text, else the ndf penalty
+}
+
+func (s *explainSink) Text(j int, sigs []signature.Sig) {
+	s.ts.Text(j, sigs)
+	s.defined[j], s.upper[j] = true, math.Inf(1)
+}
+
+func (s *explainSink) Num(j int, code uint64) {
+	s.ts.Num(j, code)
+	s.defined[j], s.upper[j] = true, s.ts.st.quant.MaxDist(s.ts.term.Num, code)
+}
+
+// bind attaches the collector to the worker's terms.
+func (ex *explainer) bind(q *model.Query, m *metric.Metric, terms []termState) {
+	ex.q, ex.m = q, m
+	ex.row = make([]float64, len(terms))
+	ex.sinks = make([]explainSink, len(terms))
+	ex.out.Terms = make([]TermExplain, len(terms))
 	for i := range terms {
-		te := TermExplain{Attr: terms[i].term.Attr, Kind: terms[i].term.Kind, MinEst: math.Inf(1)}
-		if st := terms[i].st; st != nil {
-			te.ListType = st.layout.Type
-			te.Alpha = st.alpha
+		ts := &terms[i]
+		ex.sinks[i] = explainSink{ts: ts, defined: make([]bool, batchSize), upper: make([]float64, batchSize)}
+		te := TermExplain{Attr: ts.term.Attr, Kind: ts.term.Kind, MinEst: math.Inf(1)}
+		if ts.st != nil {
+			te.ListType = ts.st.layout.Type
+			te.Alpha = ts.st.alpha
 		}
-		ex.Terms[i] = te
+		ex.out.Terms[i] = te
 	}
+}
 
-	diffs := make([]float64, len(terms))
-	ndfHere := make([]bool, len(terms))
-	err = ix.originScan(terms, func(tid model.TID, pos, ptr int64) error {
-		for i := range terms {
-			d, ndf, err := terms[i].estimateInfo(m, tid, pos)
-			if err != nil {
-				return err
-			}
-			diffs[i] = d
-			ndfHere[i] = ndf
-			te := &ex.Terms[i]
-			if ndf {
-				te.NDF++
+// column readies term i's sink for a batch of n entries, each ndf until the
+// cursor says otherwise.
+func (ex *explainer) column(i, n int) vector.Sink {
+	s := &ex.sinks[i]
+	clear(s.defined[:n])
+	fill(s.upper[:n], ex.m.NDFPenalty)
+	return s
+}
+
+// batch folds a filled batch: per term, the lower bounds of its defined
+// entries; per entry, the combined lower and upper bound.
+func (ex *explainer) batch(cols [][]float64, n int) {
+	for j := 0; j < n; j++ {
+		for i := range ex.sinks {
+			ex.row[i] = ex.sinks[i].upper[j]
+			if !ex.sinks[i].defined[j] {
 				continue
 			}
-			te.Defined++
+			te, d := &ex.out.Terms[i], cols[i][j]
 			te.MeanEst += d
 			if d < te.MinEst {
 				te.MinEst = d
@@ -109,31 +172,59 @@ func (ix *Index) ExplainSearch(q *model.Query, m *metric.Metric) (*Explain, erro
 				te.MaxEst = d
 			}
 		}
-		// Tightness sample: compare bounds to exact diffs on tuples the
-		// real search would fetch (estimate below the final pool bar).
-		if m.Distance(q.Terms, diffs) < ex.PoolMaxFinal {
-			tp, err := ix.tbl.Fetch(ptr)
-			if err != nil {
-				return err
-			}
-			for i, term := range q.Terms {
-				if ndfHere[i] {
-					continue
-				}
-				exact := m.TermDiff(term, tp)
-				if exact > 0 {
-					ex.Terms[i].Tightness += diffs[i] / exact
-					ex.Terms[i].tightN++
-				}
+		ex.uppers = append(ex.uppers, ex.m.Distance(ex.q.Terms, ex.row))
+		for i := range ex.row {
+			ex.row[i] = cols[i][j]
+		}
+		ex.lowers = append(ex.lowers, ex.m.Distance(ex.q.Terms, ex.row))
+	}
+}
+
+// fetch records the refine of batch entry j, whose exact differences are in
+// diffs; the caller notes whether the pool kept it. Without a collector it
+// does nothing and returns nil.
+func (ex *explainer) fetch(tid model.TID, j int, cols [][]float64, diffs []float64) *fetchRecord {
+	if ex == nil {
+		return nil
+	}
+	f := fetchRecord{
+		tid:     tid,
+		bounds:  make([]float64, len(diffs)),
+		defined: make([]bool, len(diffs)),
+		exact:   append([]float64(nil), diffs...),
+	}
+	for i := range diffs {
+		f.bounds[i], f.defined[i] = cols[i][j], ex.sinks[i].defined[j]
+	}
+	f.est = ex.m.Distance(ex.q.Terms, f.bounds)
+	ex.out.fetches = append(ex.out.fetches, f)
+	return &ex.out.fetches[len(ex.out.fetches)-1]
+}
+
+// finish completes the Explain from the search's answer and counters.
+func (ex *explainer) finish(res []model.Result, stats SearchStats) *Explain {
+	out := &ex.out
+	out.Results, out.Scanned, out.Fetched = res, stats.Scanned, stats.TableAccesses
+	if len(res) > 0 {
+		out.PoolMaxFinal = res[len(res)-1].Dist
+	}
+	// Tightness samples the tuples whose estimate is below the final bar.
+	// With one worker each of them was fetched: the bar when it was scanned
+	// was at least the final one.
+	for _, f := range out.fetches {
+		if !(f.est < out.PoolMaxFinal) {
+			continue
+		}
+		for i := range f.bounds {
+			if f.defined[i] && f.exact[i] > 0 {
+				out.Terms[i].Tightness += f.bounds[i] / f.exact[i]
+				out.Terms[i].tightN++
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	for i := range ex.Terms {
-		te := &ex.Terms[i]
+	for i := range out.Terms {
+		te := &out.Terms[i]
+		te.Defined, te.NDF = ex.sinks[i].ts.defined, ex.sinks[i].ts.ndf
 		if te.Defined > 0 {
 			te.MeanEst /= float64(te.Defined)
 		} else {
@@ -143,5 +234,15 @@ func (ix *Index) ExplainSearch(q *model.Query, m *metric.Metric) (*Explain, erro
 			te.Tightness /= float64(te.tightN)
 		}
 	}
-	return ex, nil
+	// The sequential plan's bar is the k-th smallest upper bound.
+	if k := min(ex.q.K, len(ex.uppers)); k > 0 {
+		sort.Float64s(ex.uppers)
+		out.SequentialBar = ex.uppers[k-1]
+		for _, l := range ex.lowers {
+			if l <= out.SequentialBar {
+				out.SequentialCandidates++
+			}
+		}
+	}
+	return out
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/sparsewide/iva/internal/metric"
@@ -71,4 +73,99 @@ func TestExplainUnknownAttribute(t *testing.T) {
 	if ex.Terms[0].NDF != ex.Scanned || ex.Terms[0].Defined != 0 {
 		t.Fatalf("phantom attribute explain: %+v", ex.Terms[0])
 	}
+}
+
+// TestSequentialPlanExplodesOnText reproduces the §IV-A argument for the
+// parallel plan: with a text term in the query, signature vectors admit no
+// upper bound, the sequential plan's pruning bar is +Inf, and every live
+// tuple becomes a candidate — while Algorithm 1 fetches far fewer.
+func TestSequentialPlanExplodesOnText(t *testing.T) {
+	fx := newFixture(t, 300, Options{}, 601)
+	m := metric.Default()
+	q := fx.randQuery(t, 3, 10)
+	hasText := false
+	for _, term := range q.Terms {
+		if term.Kind == model.KindText {
+			hasText = true
+		}
+	}
+	for !hasText {
+		q = fx.randQuery(t, 3, 10)
+		for _, term := range q.Terms {
+			if term.Kind == model.KindText {
+				hasText = true
+			}
+		}
+	}
+	ex, err := fx.ix.ExplainSearch(q, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !math.IsInf(ex.SequentialBar, 1) {
+		t.Fatalf("pruning bar = %v, want +Inf for a text query", ex.SequentialBar)
+	}
+	if ex.SequentialCandidates != ex.Scanned {
+		t.Fatalf("sequential candidates %d != scanned %d: text filtering should fail",
+			ex.SequentialCandidates, ex.Scanned)
+	}
+	if ex.Fetched >= ex.SequentialCandidates {
+		t.Fatalf("parallel plan fetched %d, not fewer than sequential %d",
+			ex.Fetched, ex.SequentialCandidates)
+	}
+}
+
+// TestSequentialPlanWorksOnNumeric shows the flip side: for numeric-only
+// queries, slice codes do have upper bounds and the classic plan prunes.
+func TestSequentialPlanWorksOnNumeric(t *testing.T) {
+	fx := newFixture(t, 300, Options{}, 602)
+	m := metric.Default()
+	// Query the dense numeric attribute (numAttrs[0] is defined everywhere).
+	q := (&model.Query{K: 10}).NumTerm(fx.numAttrs[0], 250)
+	ex, err := fx.ix.ExplainSearch(q, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.IsInf(ex.SequentialBar, 1) {
+		t.Fatalf("numeric-only query has infinite pruning bar")
+	}
+	if ex.SequentialCandidates >= ex.Scanned {
+		t.Fatalf("no pruning: %d of %d", ex.SequentialCandidates, ex.Scanned)
+	}
+	// The candidate set must still contain every true top-k member: the
+	// parallel plan's results all have lower bounds <= their exact
+	// distances <= the k-th upper bound. Sanity: candidates >= k.
+	if ex.SequentialCandidates < int64(q.K) {
+		t.Fatalf("sequential candidates %d < k", ex.SequentialCandidates)
+	}
+}
+
+const explainGolden = "testdata/explain.golden"
+
+// TestExplainGolden pins every field of Explain, floats by their bits, over
+// internal/dataset's §V-A stream: 2,000 tuples in eight stripes, 20 queries.
+// The file was written by the engine whose ExplainSearch took its per-term
+// numbers from a second pass beside the search, one cursor per term from the
+// head of its list, and whose sequential-plan numbers came from a third; the
+// one pass that replaced both matches it byte for byte. Re-record it with
+// -update-golden only for a change meant to alter the bounds, and say so.
+func TestExplainGolden(t *testing.T) {
+	ix, qs := datasetIndex(t, 2000, 20, Options{CheckpointEvery: 256})
+	m := metric.Default()
+	var got strings.Builder
+	for qi, q := range qs {
+		ex, err := ix.ExplainSearch(q, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&got, "q%02d k=%d scanned=%d fetched=%d bar=%b seq=%d seqbar=%b\n",
+			qi, q.K, ex.Scanned, ex.Fetched, ex.PoolMaxFinal, ex.SequentialCandidates, ex.SequentialBar)
+		for _, r := range ex.Results {
+			fmt.Fprintf(&got, "  result %d %b\n", r.TID, r.Dist)
+		}
+		for _, te := range ex.Terms {
+			fmt.Fprintf(&got, "  attr%d %v defined=%d ndf=%d min=%b max=%b mean=%b tight=%b\n",
+				te.Attr, te.Kind, te.Defined, te.NDF, te.MinEst, te.MaxEst, te.MeanEst, te.Tightness)
+		}
+	}
+	matchGolden(t, explainGolden, got.String())
 }

@@ -17,7 +17,7 @@ import (
 	"github.com/sparsewide/iva/internal/table"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/scan_counters.golden from this build")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the testdata golden files of the tests run from this build")
 
 const scanCountersGolden = "testdata/scan_counters.golden"
 
@@ -127,20 +127,27 @@ func TestPlanScanCountersGolden(t *testing.T) {
 		}
 	}
 
+	matchGolden(t, scanCountersGolden, got.String())
+}
+
+// matchGolden holds got to the golden file at path, or rewrites the file
+// under -update-golden.
+func matchGolden(t *testing.T, path, got string) {
+	t.Helper()
 	if *updateGolden {
-		if err := os.WriteFile(scanCountersGolden, []byte(got.String()), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	want, err := os.ReadFile(scanCountersGolden)
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.String() == string(want) {
+	if got == string(want) {
 		return
 	}
-	gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
 	for i := 0; i < len(gl) && i < len(wl); i++ {
 		if gl[i] != wl[i] {
 			t.Fatalf("line %d:\n got  %s\n want %s", i+1, gl[i], wl[i])

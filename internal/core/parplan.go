@@ -163,7 +163,7 @@ func (ix *Index) reopen(r *storage.ChainBitReader, c storage.ChainID, bits int64
 // decodeBatch reads tuple-list positions [pos, end) — at most batchSize of
 // them — into the tid/pos/ptr columns, dropping deleted entries, and returns
 // the number of live ones. It is the only decoder of tuple-list entries a
-// search or an instrumented pass has. An entry of at most 64 bits is one read.
+// search has. An entry of at most 64 bits is one read.
 func (sc *workerScratch) decodeBatch(ix *Index, pos, end int64) (int, error) {
 	tr := sc.tupleRd
 	if err := tr.SeekBit(pos * int64(ix.elemBits())); err != nil {
@@ -225,34 +225,6 @@ func (sc *workerScratch) openTerm(ix *Index, i int, ts *termState, ck checkpoint
 	return nil
 }
 
-// originScan is the instrumented passes' (ExplainSearch, SequentialPlanStats)
-// view of the index: one pass over the whole tuple list with every term's
-// cursor opened at the head of its list, calling visit for each live tuple.
-// Unlike a search it fails on any read error instead of degrading. Caller
-// holds ix.mu.RLock.
-func (ix *Index) originScan(terms []termState, visit func(tid model.TID, pos, ptr int64) error) error {
-	sc := scratchPool.Get().(*workerScratch)
-	defer sc.release()
-	for i := range terms {
-		if err := sc.openTerm(ix, i, &terms[i], checkpoint{}, 0); err != nil {
-			return err
-		}
-	}
-	sc.tupleRd = ix.reopen(sc.tupleRd, ix.tupleChain, ix.tupleBits)
-	for pos, end := int64(0), int64(len(ix.entries)); pos < end; pos += batchSize {
-		n, err := sc.decodeBatch(ix, pos, min(pos+batchSize, end))
-		if err != nil {
-			return err
-		}
-		for j := 0; j < n; j++ {
-			if err := visit(sc.tids[j], sc.pos[j], sc.ptrs[j]); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // release closes the readers and the record — their windows are pinned
 // buffer-pool frames, and an idle pin would block eviction between queries —
 // then returns the scratch to the pool for reuse.
@@ -290,6 +262,7 @@ type stripeWorker struct {
 	degSegs map[uint32]struct{}
 
 	scratch *workerScratch
+	ex      *explainer // ExplainSearch's collector; nil on every other search
 
 	prof       WorkerStats   // this worker's share, reported as is
 	refineWall time.Duration // per batch: the admission walk from its first admitted entry on
@@ -300,8 +273,10 @@ type stripeWorker struct {
 // search executes Algorithm 1 over plan. Worker 0 runs on the calling
 // goroutine, so a one-worker search starts none, claims the stripes in order
 // and carries one pool across them — the canonical admission sequence
-// ExplainSearch reports. Caller holds ix.mu.RLock.
-func (ix *Index) search(ctx context.Context, q *model.Query, m *metric.Metric, parent *obs.Span, plan scanPlan) ([]model.Result, SearchStats, error) {
+// ExplainSearch reports. ExplainSearch passes its collector as ex, with a
+// one-worker plan, and worker 0 carries it; every other caller passes nil.
+// Caller holds ix.mu.RLock.
+func (ix *Index) search(ctx context.Context, q *model.Query, m *metric.Metric, parent *obs.Span, plan scanPlan, ex *explainer) ([]model.Result, SearchStats, error) {
 	var stats SearchStats
 	stats.Workers = plan.workers
 	stats.StripesTotal = len(plan.ckpts)
@@ -340,6 +315,10 @@ func (ix *Index) search(ctx context.Context, q *model.Query, m *metric.Metric, p
 			scratch: scratchPool.Get().(*workerScratch),
 		}
 		workers[w].scratch.forTerms(len(terms))
+	}
+	if ex != nil {
+		ex.bind(q, m, workers[0].terms)
+		workers[0].ex = ex
 	}
 	var wg sync.WaitGroup
 	for _, sw := range workers[1:] {
@@ -483,7 +462,7 @@ func (sw *stripeWorker) scanStripe(s int64) error {
 		// in an earlier stripe resynchronizes here: degradation is scoped to
 		// the stripe that read the corrupt segment.
 		ts.degraded = false
-		if err := sc.openTerm(ix, i, ts, ck, startPos); err != nil && !ix.degradeTerm(ts, err, sw.degSegs) {
+		if err := sc.openTerm(ix, i, ts, ck, startPos); err != nil && !sw.degrade(ts, err) {
 			return err
 		}
 	}
@@ -503,6 +482,9 @@ func (sw *stripeWorker) scanStripe(s int64) error {
 			if err := sw.fillColumn(i, n); err != nil {
 				return err
 			}
+		}
+		if sw.ex != nil {
+			sw.ex.batch(sc.cols, n)
 		}
 		sw.m.CombineColumns(sc.cols[:len(sw.terms)], sw.weights, sc.est[:n])
 
@@ -538,20 +520,25 @@ func (sw *stripeWorker) scanStripe(s int64) error {
 // fillColumn computes term i's lower bounds for the n entries of the batch:
 // the ndf penalty wherever the term's vector list has no element, the
 // element's estimate elsewhere (termState.Text/Num, called from the cursor's
-// merge-join). A *storage.CorruptionError from the list degrades the term
-// (noting the segment in degSegs): from the first unresolved entry to the end
-// of the stripe its bound is zero. Every other error fails the query.
+// merge-join; an explained search's sink wraps them). A
+// *storage.CorruptionError from the list degrades the term (see degrade): from
+// the first unresolved entry to the end of the stripe its bound is zero. Every
+// other error fails the query.
 func (sw *stripeWorker) fillColumn(i, n int) error {
 	ts, sc := &sw.terms[i], sw.scratch
 	ts.col, ts.hits = sc.cols[i][:n], 0
 	fill(ts.col, sw.m.NDFPenalty)
+	var sink vector.Sink = ts
+	if sw.ex != nil {
+		sink = sw.ex.column(i, n)
+	}
 	k := n // entries from k on are unresolved
 	if ts.degraded {
 		k = 0
 	} else if ts.st != nil { // else unknown to the index: every tuple is ndf
 		var err error
-		k, err = ts.cursor.FillBatch(sc.tids[:n], sc.pos[:n], ts)
-		if err != nil && !sw.ix.degradeTerm(ts, err, sw.degSegs) {
+		k, err = ts.cursor.FillBatch(sc.tids[:n], sc.pos[:n], sink)
+		if err != nil && !sw.degrade(ts, err) {
 			return err
 		}
 	}
@@ -609,10 +596,13 @@ func (sw *stripeWorker) refine(j int) error {
 	if err := projectDiffs(table.Walk(sc.rec.Body, sw.kinds), sw.terms, sw.last, sw.m.NDFPenalty, sc.diffs); err != nil {
 		return err
 	}
+	f := sw.ex.fetch(sc.tids[j], j, sc.cols, sc.diffs)
 	for i := range sc.diffs { // metric.Distance without the per-call weight lookups
 		sc.diffs[i] *= sw.weights[i]
 	}
-	sw.pool.Insert(sc.tids[j], sw.m.Combine(sc.diffs))
+	if kept := sw.pool.Insert(sc.tids[j], sw.m.Combine(sc.diffs)); f != nil {
+		f.kept = kept
+	}
 	if sw.pool.Full() {
 		sw.bar.lower(sw.pool.MaxDist())
 	}

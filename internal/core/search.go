@@ -115,16 +115,17 @@ func (ts *termState) textBound(sigs []signature.Sig) float64 {
 	return best
 }
 
-// degradeTerm absorbs a corruption error from a term's vector list — the
-// term reads on with zero lower bounds, which refine makes exact — reporting
-// whether err was one.
-func (ix *Index) degradeTerm(ts *termState, err error, deg map[uint32]struct{}) bool {
+// degrade absorbs a corruption error from a term's vector list — the term
+// reads on with zero lower bounds, which refine makes exact — reporting
+// whether err was one. An explained search takes none: the bounds are what
+// it reports, so the error fails the call.
+func (sw *stripeWorker) degrade(ts *termState, err error) bool {
 	var ce *storage.CorruptionError
-	if !errors.As(err, &ce) {
+	if sw.ex != nil || !errors.As(err, &ce) {
 		return false
 	}
 	ts.degraded = true
-	deg[ce.Segment] = struct{}{}
+	sw.degSegs[ce.Segment] = struct{}{}
 	return true
 }
 
@@ -166,7 +167,7 @@ func (ix *Index) SearchContext(ctx context.Context, q *model.Query, m *metric.Me
 	}
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return ix.search(ctx, q, m, parent, ix.planShape())
+	return ix.search(ctx, q, m, parent, ix.planShape(), nil)
 }
 
 // SearchWorkers reports how many workers a search dispatched right now would
@@ -256,25 +257,4 @@ func (ix *Index) traceSearch(parent *obs.Span, terms []termState, stats SearchSt
 	msp := parent.Child("merge")
 	msp.SetInt("pools", int64(stats.Workers))
 	msp.EndAt(stats.MergeWall)
-}
-
-// estimateInfo is the one-position form of fillColumn for the instrumented
-// passes: the lower-bound difference for one term on the tuple at (tid, pos)
-// plus whether the tuple was ndf on the attribute.
-func (ts *termState) estimateInfo(m *metric.Metric, tid model.TID, pos int64) (float64, bool, error) {
-	if ts.st == nil {
-		// Attribute unknown to the index: every tuple is ndf on it.
-		return m.NDFPenalty, true, nil
-	}
-	e, err := ts.cursor.MoveTo(tid, pos)
-	if err != nil {
-		return 0, false, err
-	}
-	if e.NDF {
-		return m.NDFPenalty, true, nil
-	}
-	if ts.term.Kind == model.KindText {
-		return ts.textBound(e.Sigs), false, nil
-	}
-	return ts.st.quant.MinDist(ts.term.Num, e.Code), false, nil
 }

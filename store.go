@@ -1114,8 +1114,8 @@ type QueryExplain struct {
 
 // Explain runs a query with per-term instrumentation: how each attribute's
 // approximation vectors bounded the differences, and how tight those bounds
-// were. It is the tuning companion to the α/n options; it runs the scan
-// twice, so keep it off hot paths.
+// were. It is the tuning companion to the α/n options. It is one search on
+// one worker that keeps every fetch's bounds, so keep it off hot paths.
 func (s *Store) Explain(q *Query) (*QueryExplain, error) {
 	if q.err != nil {
 		return nil, q.err
