@@ -83,17 +83,12 @@ func serveMux(st *iva.Store, sc *iva.Scrubber, api *server.Server, enablePprof b
 	mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		if id := r.URL.Query().Get("id"); id != "" {
-			tr := st.FindTrace(id)
-			if tr == nil {
-				http.Error(w, "trace not retained", http.StatusNotFound)
-				return
-			}
-			blob, err := tr.MarshalJSON()
-			if err != nil {
+			switch found, err := st.WriteTrace(w, id); {
+			case err != nil:
 				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
+			case !found:
+				http.Error(w, "trace not retained", http.StatusNotFound)
 			}
-			w.Write(append(blob, '\n'))
 			return
 		}
 		if err := st.WriteTraces(w); err != nil {

@@ -54,7 +54,7 @@ func TestSearchContextCancellation(t *testing.T) {
 	expired, cancel := context.WithCancel(context.Background())
 	cancel()
 	before := pool.Stats().Snapshot()
-	if _, _, err := ix.SearchContext(expired, q, nil, nil); !errors.Is(err, context.Canceled) {
+	if _, _, err := ix.SearchContext(expired, q, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("expired ctx: got %v, want context.Canceled", err)
 	}
 	after := pool.Stats().Snapshot()
@@ -72,7 +72,7 @@ func TestSearchContextCancellation(t *testing.T) {
 		ix.SetSearchParallelism(par)
 		for _, threshold := range []int64{1, 2, 4} {
 			ctx := &trippingCtx{Context: context.Background(), threshold: threshold}
-			_, _, err := ix.SearchContext(ctx, q, nil, nil)
+			_, _, err := ix.SearchContext(ctx, q, nil)
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("par=%d threshold=%d: got %v, want context.Canceled", par, threshold, err)
 			}
@@ -84,7 +84,7 @@ func TestSearchContextCancellation(t *testing.T) {
 
 	// Sanity: with no cancellation the same index still answers.
 	ix.SetSearchParallelism(0)
-	res, _, err := ix.SearchContext(context.Background(), q, nil, nil)
+	res, _, err := ix.SearchContext(context.Background(), q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestPlanSingleStripeCancels(t *testing.T) {
 	for _, par := range []int{1, 8} {
 		fx.ix.SetSearchParallelism(par)
 		ctx := &trippingCtx{Context: context.Background(), threshold: clean.TableAccesses + 3}
-		_, stats, err := fx.ix.SearchContext(ctx, q, nil, nil)
+		_, stats, err := fx.ix.SearchContext(ctx, q, nil)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("par=%d: got %v, want context.Canceled", par, err)
 		}

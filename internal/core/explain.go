@@ -89,7 +89,7 @@ func (ix *Index) ExplainSearch(q *model.Query, m *metric.Metric) (*Explain, erro
 	plan := ix.planShape()
 	plan.workers = 1
 	var ex explainer
-	res, stats, err := ix.search(context.Background(), q, m, nil, plan, &ex)
+	res, stats, err := ix.search(context.Background(), q, m, plan, &ex)
 	if err != nil {
 		return nil, err
 	}
@@ -224,7 +224,7 @@ func (ex *explainer) finish(res []model.Result, stats SearchStats) *Explain {
 	}
 	for i := range out.Terms {
 		te := &out.Terms[i]
-		te.Defined, te.NDF = ex.sinks[i].ts.defined, ex.sinks[i].ts.ndf
+		te.Defined, te.NDF = ex.sinks[i].ts.Defined, ex.sinks[i].ts.NDF
 		if te.Defined > 0 {
 			te.MeanEst /= float64(te.Defined)
 		} else {

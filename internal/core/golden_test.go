@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -12,7 +11,6 @@ import (
 	"github.com/sparsewide/iva/internal/dataset"
 	"github.com/sparsewide/iva/internal/metric"
 	"github.com/sparsewide/iva/internal/model"
-	"github.com/sparsewide/iva/internal/obs"
 	"github.com/sparsewide/iva/internal/storage"
 	"github.com/sparsewide/iva/internal/table"
 )
@@ -104,8 +102,7 @@ func TestPlanScanCountersGolden(t *testing.T) {
 			})
 		}
 		for _, m := range metrics {
-			root := obs.StartSpan("query")
-			_, st, err := ix.SearchContext(context.Background(), q, m, root)
+			_, st, err := ix.Search(q, m)
 			if err != nil {
 				t.Fatalf("query %d under %s: %v", qi, m.Name(), err)
 			}
@@ -116,12 +113,12 @@ func TestPlanScanCountersGolden(t *testing.T) {
 				}
 				fmt.Fprintf(&got, "%d", wp.Fetched)
 			}
-			for _, c := range root.Find("filter").Children() {
-				if !strings.HasPrefix(c.Name(), "term:") {
-					continue
+			for i, ts := range st.Terms {
+				info, err := cat.Info(q.Terms[i].Attr)
+				if err != nil {
+					t.Fatal(err)
 				}
-				fmt.Fprintf(&got, " %s=%d/%d/%d", strings.TrimPrefix(c.Name(), "term:"),
-					attrInt(t, c, "defined"), attrInt(t, c, "ndf"), attrInt(t, c, "pruned"))
+				fmt.Fprintf(&got, " %s=%d/%d/%d", info.Name, ts.Defined, ts.NDF, ts.Pruned)
 			}
 			got.WriteByte('\n')
 		}

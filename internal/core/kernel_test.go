@@ -165,7 +165,7 @@ func TestCancelPollsDoneChannel(t *testing.T) {
 		fx.ix.SetSearchParallelism(par)
 		inner, cancel := context.WithCancel(context.Background())
 		ctx := &errCountingCtx{Context: inner}
-		_, st, err := fx.ix.SearchContext(ctx, q, nil, nil)
+		_, st, err := fx.ix.SearchContext(ctx, q, nil)
 		if err != nil || st.TableAccesses == 0 {
 			t.Fatalf("par %d: %v, %d fetches", par, err, st.TableAccesses)
 		}
@@ -173,7 +173,7 @@ func TestCancelPollsDoneChannel(t *testing.T) {
 			t.Errorf("par %d: an uncancelled search over %d fetches called Err %d times, want 1 (before dispatch)", par, st.TableAccesses, n)
 		}
 		m := metric.New(metric.L2{}, cancellingWeighter{cancel})
-		_, st, err = fx.ix.SearchContext(ctx, q, m, nil)
+		_, st, err = fx.ix.SearchContext(ctx, q, m)
 		if !errors.Is(err, context.Canceled) || st.Scanned != 0 {
 			t.Errorf("par %d: cancelled after dispatch: %v with %d tuples scanned, want context.Canceled with none", par, err, st.Scanned)
 		}

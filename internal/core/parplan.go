@@ -10,7 +10,6 @@ import (
 
 	"github.com/sparsewide/iva/internal/metric"
 	"github.com/sparsewide/iva/internal/model"
-	"github.com/sparsewide/iva/internal/obs"
 	"github.com/sparsewide/iva/internal/storage"
 	"github.com/sparsewide/iva/internal/table"
 	"github.com/sparsewide/iva/internal/topk"
@@ -276,7 +275,7 @@ type stripeWorker struct {
 // ExplainSearch reports. ExplainSearch passes its collector as ex, with a
 // one-worker plan, and worker 0 carries it; every other caller passes nil.
 // Caller holds ix.mu.RLock.
-func (ix *Index) search(ctx context.Context, q *model.Query, m *metric.Metric, parent *obs.Span, plan scanPlan, ex *explainer) ([]model.Result, SearchStats, error) {
+func (ix *Index) search(ctx context.Context, q *model.Query, m *metric.Metric, plan scanPlan, ex *explainer) ([]model.Result, SearchStats, error) {
 	var stats SearchStats
 	stats.Workers = plan.workers
 	stats.StripesTotal = len(plan.ckpts)
@@ -335,6 +334,7 @@ func (ix *Index) search(ctx context.Context, q *model.Query, m *metric.Metric, p
 	var sumBusy, sumRefine, sumFetch time.Duration
 	var claimed int64
 	stats.WorkerProfiles = make([]WorkerStats, len(workers))
+	stats.Terms = make([]TermStats, len(shared))
 	for w, sw := range workers {
 		sw.scratch.release()
 		if sw.err != nil && err == nil {
@@ -350,10 +350,11 @@ func (ix *Index) search(ctx context.Context, q *model.Query, m *metric.Metric, p
 		for id := range sw.degSegs {
 			allDeg[id] = struct{}{}
 		}
-		for i := range shared { // counters summed over workers, for the trace
-			shared[i].defined += sw.terms[i].defined
-			shared[i].ndf += sw.terms[i].ndf
-			shared[i].pruned += sw.terms[i].pruned
+		for i := range stats.Terms {
+			t, wt := &stats.Terms[i], sw.terms[i].TermStats
+			t.Defined += wt.Defined
+			t.NDF += wt.NDF
+			t.Pruned += wt.Pruned
 		}
 	}
 	stats.DegradedSegments = len(allDeg)
@@ -380,12 +381,9 @@ func (ix *Index) search(ctx context.Context, q *model.Query, m *metric.Metric, p
 	// refine phase only the table file.
 	stats.FilterIO = idxIO.Snapshot().Sub(startIdx)
 	stats.RefineIO = tblIO.Snapshot().Sub(startTbl)
-	if parent != nil {
-		fetchWall := stats.RefineWall
-		if sumFetch < sumRefine { // a scaled sample may overshoot; the span stays inside its parent
-			fetchWall = time.Duration(float64(stats.RefineWall) * float64(sumFetch) / float64(sumRefine))
-		}
-		ix.traceSearch(parent, shared, stats, fetchWall)
+	stats.FetchWall = stats.RefineWall
+	if sumFetch < sumRefine { // a scaled sample may overshoot; the fetch stays inside refine
+		stats.FetchWall = time.Duration(float64(stats.RefineWall) * float64(sumFetch) / float64(sumRefine))
 	}
 	return results, stats, nil
 }
@@ -543,8 +541,8 @@ func (sw *stripeWorker) fillColumn(i, n int) error {
 		}
 	}
 	clear(ts.col[k:])
-	ts.defined += int64(ts.hits + n - k)
-	ts.ndf += int64(k - ts.hits)
+	ts.Defined += int64(ts.hits + n - k)
+	ts.NDF += int64(k - ts.hits)
 	return nil
 }
 
@@ -566,7 +564,7 @@ func (sw *stripeWorker) creditPrunes(from, to int) {
 				argmax = i
 			}
 		}
-		sw.terms[argmax].pruned++
+		sw.terms[argmax].Pruned++
 	}
 }
 

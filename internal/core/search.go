@@ -9,7 +9,6 @@ import (
 
 	"github.com/sparsewide/iva/internal/metric"
 	"github.com/sparsewide/iva/internal/model"
-	"github.com/sparsewide/iva/internal/obs"
 	"github.com/sparsewide/iva/internal/signature"
 	"github.com/sparsewide/iva/internal/storage"
 	"github.com/sparsewide/iva/internal/vector"
@@ -29,6 +28,10 @@ type SearchStats struct {
 	FilterWall time.Duration
 	RefineWall time.Duration
 	MergeWall  time.Duration
+	// FetchWall is the part of RefineWall spent in random table-file reads:
+	// one fetch in fetchSample is timed and scaled, and the sum apportioned
+	// like RefineWall, so it never exceeds it.
+	FetchWall time.Duration
 	// FilterIO and RefineIO split the physical page I/O.
 	FilterIO storage.Snapshot
 	RefineIO storage.Snapshot
@@ -48,6 +51,19 @@ type SearchStats struct {
 	// segments the query read past (each forced its term's lower bound to
 	// zero, sending the affected tuples to refine).
 	DegradedSegments int
+	// Terms holds each query term's share of the filter, in query order,
+	// summed over the workers.
+	Terms []TermStats
+}
+
+// TermStats is one query term's share of a search (SearchStats.Terms): every
+// scanned tuple is either Defined on the term's attribute or charged the ndf
+// penalty (NDF), and Pruned counts the pruned tuples whose largest lower
+// bound was this term's.
+type TermStats struct {
+	Defined int64
+	NDF     int64
+	Pruned  int64
 }
 
 // WorkerStats is one filter worker's share of a query (SearchStats).
@@ -76,10 +92,8 @@ type termState struct {
 	col  []float64
 	hits int
 
-	// Per-term trace annotations accumulated during the scan.
-	defined int64 // tuples with an indexed value on the attribute
-	ndf     int64 // tuples undefined on it (charged the ndf penalty)
-	pruned  int64 // pruned tuples where this term's bound was the largest
+	// This worker's share of the term's counts (SearchStats.Terms).
+	TermStats
 
 	// degraded marks a term whose vector list hit a checksum mismatch: for
 	// the rest of the stripe it contributes a zero lower bound — always ≤ the true difference, so no false negatives — and
@@ -135,26 +149,15 @@ func (sw *stripeWorker) degrade(ts *termState, err error) bool {
 // Prop. 3.3 and §III-C) gates a random access to the table file where the
 // exact distance is computed against the temporary result pool.
 func (ix *Index) Search(q *model.Query, m *metric.Metric) ([]model.Result, SearchStats, error) {
-	return ix.SearchContext(context.Background(), q, m, nil)
+	return ix.SearchContext(context.Background(), q, m)
 }
 
-// SearchContext is Search under a context, with optional per-query tracing.
-// Cancellation and deadlines are honored at every stripe claim, at every
-// batch of tuple-list positions within a stripe (batchSize, at most 1,024)
-// and before each refine fetch, returning ctx.Err() with the stats
-// accumulated so far. An already-expired context fails before any device
-// read.
-//
-// When parent is non-nil, the query's phases are recorded as child spans —
-//
-//	filter            scanned/pruned counts and filter-phase I/O
-//	  term:<name>     per-term defined/ndf/pruned annotations (duration 0)
-//	refine            exact-distance work on fetched candidates
-//	  fetch           time spent in random table-file reads
-//	merge             the deterministic (dist, tid) merge of the worker pools
-//
-// A nil parent makes tracing free (no spans are allocated).
-func (ix *Index) SearchContext(ctx context.Context, q *model.Query, m *metric.Metric, parent *obs.Span) ([]model.Result, SearchStats, error) {
+// SearchContext is Search under a context. Cancellation and deadlines are
+// honored at every stripe claim, at every batch of tuple-list positions
+// within a stripe (batchSize, at most 1,024) and before each refine fetch,
+// returning ctx.Err() with the stats accumulated so far. An already-expired
+// context fails before any device read.
+func (ix *Index) SearchContext(ctx context.Context, q *model.Query, m *metric.Metric) ([]model.Result, SearchStats, error) {
 	if err := q.Validate(); err != nil {
 		return nil, SearchStats{}, err
 	}
@@ -167,7 +170,7 @@ func (ix *Index) SearchContext(ctx context.Context, q *model.Query, m *metric.Me
 	}
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return ix.search(ctx, q, m, parent, ix.planShape(), nil)
+	return ix.search(ctx, q, m, ix.planShape(), nil)
 }
 
 // SearchWorkers reports how many workers a search dispatched right now would
@@ -211,50 +214,4 @@ func (ix *Index) prepareTerms(q *model.Query) ([]termState, error) {
 		terms[i] = ts
 	}
 	return terms, nil
-}
-
-// traceSearch attaches the filter/refine/fetch span hierarchy for one
-// finished query to parent. The phases interleave in the scan loop, so the
-// spans carry the accumulated phase durations rather than start-to-end
-// times; per-term spans are pure annotation carriers (duration 0). terms
-// carry the counters merged across all workers.
-func (ix *Index) traceSearch(parent *obs.Span, terms []termState, stats SearchStats, fetchWall time.Duration) {
-	fsp := parent.Child("filter")
-	fsp.SetInt("scanned", stats.Scanned)
-	fsp.SetInt("pruned", stats.Scanned-stats.TableAccesses)
-	fsp.SetInt("phys_reads", stats.FilterIO.PhysReads)
-	fsp.SetInt("cache_hits", stats.FilterIO.CacheHits)
-	fsp.SetInt("workers", int64(stats.Workers))
-	fsp.SetInt("stripes", int64(stats.StripesTotal))
-	cat := ix.tbl.Catalog()
-	for i := range terms {
-		name := fmt.Sprintf("attr%d", terms[i].term.Attr)
-		if info, err := cat.Info(terms[i].term.Attr); err == nil {
-			name = info.Name
-		}
-		tsp := fsp.Child("term:" + name)
-		tsp.SetStr("kind", terms[i].term.Kind.String())
-		// The term's own scan outcome, not the parent span's total: every
-		// scanned tuple is either defined on the attribute or charged ndf.
-		tsp.SetInt("scanned", terms[i].defined+terms[i].ndf)
-		tsp.SetInt("defined", terms[i].defined)
-		tsp.SetInt("ndf", terms[i].ndf)
-		tsp.SetInt("pruned", terms[i].pruned)
-		tsp.EndAt(0)
-	}
-	fsp.EndAt(stats.FilterWall)
-
-	rsp := parent.Child("refine")
-	rsp.SetInt("fetched", stats.TableAccesses)
-	rsp.SetInt("table_accesses", stats.TableAccesses)
-	rsp.SetInt("phys_reads", stats.RefineIO.PhysReads)
-	rsp.SetInt("cache_hits", stats.RefineIO.CacheHits)
-	fetch := rsp.Child("fetch")
-	fetch.SetInt("reads", stats.RefineIO.PhysReads)
-	fetch.EndAt(fetchWall)
-	rsp.EndAt(stats.RefineWall)
-
-	msp := parent.Child("merge")
-	msp.SetInt("pools", int64(stats.Workers))
-	msp.EndAt(stats.MergeWall)
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
@@ -29,7 +30,7 @@ func TestHistogramConcurrentProperties(t *testing.T) {
 				v := rng.Float64() * 5
 				sums[w] += v
 				if i%16 == 0 {
-					h.ObserveTrace(v, FormatID(uint64(w*perWorker+i)))
+					h.ObserveTrace(v, fmt.Sprintf("%016x", w*perWorker+i))
 				} else {
 					h.Observe(v)
 				}

@@ -1,15 +1,11 @@
 package iva
 
 import (
-	"bytes"
 	"fmt"
-	"io"
-	"strconv"
 	"strings"
 	"time"
 
 	"github.com/sparsewide/iva/internal/core"
-	"github.com/sparsewide/iva/internal/obs"
 )
 
 // WorkerProfile is one filter worker's share of a profiled query: how many
@@ -51,23 +47,6 @@ func fmtMS(d time.Duration) string {
 
 func durMS(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 
-// phaseBreakdown denormalizes a query's stats into the slow-query log's
-// per-entry phase summary.
-func phaseBreakdown(qs QueryStats) *obs.PhaseBreakdown {
-	pb := &obs.PhaseBreakdown{
-		FilterMS: durMS(qs.FilterTime),
-		RefineMS: durMS(qs.RefineTime),
-		Scanned:  qs.Scanned,
-		Fetched:  qs.TableAccesses,
-		Workers:  qs.Workers,
-		Degraded: qs.DegradedSegments,
-	}
-	if qs.Phase != nil {
-		pb.MergeMS = durMS(qs.Phase.MergeTime)
-	}
-	return pb
-}
-
 // Render formats the stats of a finished search in an EXPLAIN ANALYZE style:
 // one header line, one line per phase, the I/O summary, and one line per
 // filter worker. q is the query that ran, results the number of answers it
@@ -102,54 +81,3 @@ func (qs QueryStats) Render(q *Query, results int, elapsed time.Duration) string
 	}
 	return b.String()
 }
-
-// WriteTraces serializes the store's sampled trace ring and the latency
-// histogram's bucket exemplars as one JSON object:
-// {"total", "traces": [{"time","trace"}...], "exemplars": [...]}. Traces are
-// newest first; each exemplar links a latency bucket to the trace id of the
-// most recent query that landed in it (joinable against "traces" and the
-// slow-query log).
-func (s *Store) WriteTraces(w io.Writer) error {
-	var b bytes.Buffer
-	b.WriteString(`{"total":`)
-	b.WriteString(strconv.FormatInt(s.ring.Total(), 10))
-	b.WriteString(`,"traces":`)
-	var tb bytes.Buffer
-	if err := s.ring.WriteJSON(&tb); err != nil {
-		return err
-	}
-	b.Write(bytes.TrimSpace(tb.Bytes()))
-	b.WriteString(`,"exemplars":[`)
-	h := s.om.queryDur
-	bounds := h.Bounds()
-	first := true
-	for i, e := range h.Exemplars() {
-		if e == nil {
-			continue
-		}
-		if !first {
-			b.WriteByte(',')
-		}
-		first = false
-		le := "+Inf"
-		if i < len(bounds) {
-			le = strconv.FormatFloat(bounds[i], 'g', -1, 64)
-		}
-		b.WriteString(`{"le":`)
-		b.WriteString(strconv.Quote(le))
-		b.WriteString(`,"value":`)
-		b.WriteString(strconv.FormatFloat(e.Value, 'g', -1, 64))
-		b.WriteString(`,"trace_id":`)
-		b.WriteString(strconv.Quote(e.TraceID))
-		b.WriteString(`,"time":`)
-		b.WriteString(strconv.Quote(e.Time.Format(time.RFC3339Nano)))
-		b.WriteByte('}')
-	}
-	b.WriteString("]}\n")
-	_, err := w.Write(b.Bytes())
-	return err
-}
-
-// FindTrace returns the retained trace with the given 16-hex-digit id, or
-// nil; the lookup behind /debug/trace?id=.
-func (s *Store) FindTrace(traceID string) *obs.Span { return s.ring.Find(traceID) }

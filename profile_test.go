@@ -170,7 +170,7 @@ func TestPhaseHistogramsSumToLatency(t *testing.T) {
 
 // TestWriteTracesJSON exercises the /debug/trace payload: valid JSON, the
 // sampled ring retains the queries just run, exemplars join latency buckets
-// to retained trace ids, and FindTrace resolves an id round-tripped through
+// to retained trace ids, and WriteTrace resolves an id round-tripped through
 // QueryStats.
 func TestWriteTracesJSON(t *testing.T) {
 	s, q := fillProfiled(t, 200, Options{SlowQueryThreshold: time.Nanosecond}) // every query is slow, and so retained
@@ -207,9 +207,10 @@ func TestWriteTracesJSON(t *testing.T) {
 			t.Fatalf("exemplar trace id %q, want 16 hex digits", e.TraceID)
 		}
 	}
-	if tr := s.FindTrace(qs.TraceID); tr == nil {
-		t.Fatalf("trace %s not retained at sample-every=1", qs.TraceID)
-	} else if tr.TraceID() != qs.TraceID {
-		t.Fatalf("FindTrace returned trace %s, want %s", tr.TraceID(), qs.TraceID)
+	var tr strings.Builder
+	if found, err := s.WriteTrace(&tr, qs.TraceID); err != nil || !found {
+		t.Fatalf("trace %s not retained at sample-every=1 (%v)", qs.TraceID, err)
+	} else if !strings.Contains(tr.String(), `"trace_id":"`+qs.TraceID+`"`) {
+		t.Fatalf("WriteTrace wrote %s, want trace %s", tr.String(), qs.TraceID)
 	}
 }

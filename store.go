@@ -138,11 +138,10 @@ type Store struct {
 	builtTuples int64 // live count at the last (re)build
 	closed      bool
 
-	reg     *obs.Registry
-	slowLog *obs.QueryLog
-	ring    *obs.TraceRing
-	disk    storage.DiskModel
-	om      storeMetrics
+	reg    *obs.Registry
+	traces traceLog
+	disk   storage.DiskModel
+	om     storeMetrics
 
 	// Replication state. replP is non-nil on a delta-shipping primary, fol on
 	// a log-applying follower.
@@ -190,12 +189,11 @@ type storeMetrics struct {
 // two from the all-cached query (0) to a badly I/O-bound scan.
 var physReadBuckets = []float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384}
 
-// initObs wires the store into its metrics registry, slow-query log and
-// trace ring.
+// initObs wires the store into its metrics registry and arms the
+// slow-query log.
 func (s *Store) initObs() {
 	s.reg = obs.NewRegistry()
-	s.slowLog = obs.NewQueryLog(s.opts.SlowQueryThreshold, 64)
-	s.ring = obs.NewTraceRing(64, 16) // the latest 64 of one trace in 16, plus every slow query
+	s.traces.threshold = s.opts.SlowQueryThreshold
 	s.disk = storage.DefaultDiskModel()
 	registerBuildInfo(s.reg)
 
@@ -848,9 +846,10 @@ func (s *Store) resolveQuery(q *Query) *model.Query {
 // names are treated as undefined everywhere (every tuple gets the ndf
 // penalty on them).
 //
-// Every search is traced (a handful of spans per query) and feeds the
-// store's metrics registry; a query at or above Options.SlowQueryThreshold
-// is captured in the slow-query log with its full per-term trace.
+// Every search feeds the store's metrics registry and gets a trace id; a
+// sampled one, and every query at or above Options.SlowQueryThreshold, is
+// kept so that its trace can be rendered later (WriteTraces,
+// WriteSlowQueries).
 func (s *Store) Search(q *Query) ([]Result, QueryStats, error) {
 	return s.SearchContext(context.Background(), q)
 }
@@ -865,25 +864,22 @@ func (s *Store) SearchContext(ctx context.Context, q *Query) ([]Result, QuerySta
 	if q.err != nil {
 		return nil, qs, q.err
 	}
-	sp := obs.StartSpan("query")
-	sp.SetInt("k", int64(q.k))
+	start := time.Now()
 
 	// The engine lock covers term resolution too: a follower's delta apply
 	// swaps the catalog pointer together with the engine, so s.cat must not
 	// be read outside it.
 	s.engineMu.RLock()
-	plan := sp.Child("plan")
+	planStart := time.Now()
 	mq := s.resolveQuery(q)
-	plan.SetInt("terms", int64(len(mq.Terms)))
-	plan.End()
+	plan := time.Since(planStart)
 
-	res, st, err := s.ix.SearchContext(ctx, mq, s.met, sp)
+	res, st, err := s.ix.SearchContext(ctx, mq, s.met)
 	if st.DegradedSegments > 0 && s.fol != nil {
 		s.fol.noteDamage()
 	}
 	s.engineMu.RUnlock()
 	if err != nil {
-		sp.End()
 		s.om.queryErrs.Inc()
 		// Partial stats still describe the work done before the failure —
 		// a cancelled query reports how far it got.
@@ -893,13 +889,7 @@ func (s *Store) SearchContext(ctx context.Context, q *Query) ([]Result, QuerySta
 		qs.DegradedSegments = st.DegradedSegments
 		return nil, qs, err
 	}
-	// The root span (and so the slow-query log) records the merged final
-	// result count and the executed plan's worker count — not the requested k
-	// or a per-worker pool size, which mislead when k exceeds the live count
-	// or the striped plan ran.
-	sp.SetInt("results", int64(len(res)))
-	sp.SetInt("workers", int64(st.Workers))
-	sp.End()
+	dur := time.Since(start)
 
 	io := st.FilterIO.Add(st.RefineIO)
 	var hitRatio float64
@@ -916,7 +906,7 @@ func (s *Store) SearchContext(ctx context.Context, q *Query) ([]Result, QuerySta
 		DiskCostMS:       s.disk.CostMS(io),
 		Workers:          st.Workers,
 		DegradedSegments: st.DegradedSegments,
-		TraceID:          sp.TraceID(),
+		TraceID:          newTraceID(),
 		Phase: &PhaseProfile{
 			FilterTime:     st.FilterWall,
 			RefineTime:     st.RefineWall,
@@ -933,24 +923,13 @@ func (s *Store) SearchContext(ctx context.Context, q *Query) ([]Result, QuerySta
 	s.om.queries.Inc()
 	s.om.scanned.Add(st.Scanned)
 	s.om.accesses.Add(st.TableAccesses)
-	s.om.queryDur.ObserveTrace(sp.Duration().Seconds(), qs.TraceID)
+	s.om.queryDur.ObserveTrace(dur.Seconds(), qs.TraceID)
 	s.om.filterDur.Observe(st.FilterWall.Seconds())
 	s.om.refineDur.Observe(st.RefineWall.Seconds())
 	s.om.mergeDur.Observe(st.MergeWall.Seconds())
 	s.om.filterReads.Observe(float64(st.FilterIO.PhysReads))
 	s.om.refineReads.Observe(float64(st.RefineIO.PhysReads))
-	if d := sp.Duration(); s.slowLog.Slow(d) {
-		s.slowLog.ObserveEntry(obs.LogEntry{
-			Query:    q.describe(),
-			Duration: d,
-			Trace:    sp,
-			Phases:   phaseBreakdown(qs),
-		})
-		s.om.slowQueries.Inc()
-		s.ring.Force(sp)
-	} else {
-		s.ring.Offer(sp)
-	}
+	s.keepQuery(q, mq, st, qs.TraceID, len(res), plan, dur)
 
 	out := make([]Result, len(res))
 	for i, r := range res {
@@ -968,20 +947,6 @@ func (s *Store) WriteMetrics(w io.Writer) error { return s.reg.WritePrometheus(w
 
 // MetricsText returns WriteMetrics output as a string.
 func (s *Store) MetricsText() string { return s.reg.Text() }
-
-// WriteSlowQueries serializes the slow-query log, newest first, as a JSON
-// array of {time, query, duration_ms, trace} objects where trace is the full
-// span tree of the offending query (filter with per-term children, refine,
-// fetch). The log is empty unless Options.SlowQueryThreshold is set.
-func (s *Store) WriteSlowQueries(w io.Writer) error { return s.slowLog.WriteJSON(w) }
-
-// WriteSlowQueriesText renders the slow-query log one line per entry, newest
-// first, with each entry's trace id and phase breakdown — the human-paged
-// form of WriteSlowQueries.
-func (s *Store) WriteSlowQueriesText(w io.Writer) error { return s.slowLog.WriteText(w) }
-
-// SlowQueryCount reports how many queries ever met the slow-query threshold.
-func (s *Store) SlowQueryCount() int64 { return s.slowLog.Total() }
 
 // Rebuild rewrites the table and index files, dropping tombstones and
 // re-deriving numeric domains and list layouts. It is called automatically
