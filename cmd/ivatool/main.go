@@ -212,34 +212,7 @@ func run(cmd string, args []string, dir string, k int, sv serveOpts, opts iva.Op
 		}
 		fmt.Printf("inserted tuple %d\n", tid)
 	case "query":
-		fs := flag.NewFlagSet("query", flag.ContinueOnError)
-		profile := fs.Bool("profile", false, "print the executed plan's per-phase profile (EXPLAIN ANALYZE)")
-		if err := fs.Parse(args); err != nil {
-			return err
-		}
-		q, err := parseQuery(k, fs.Args())
-		if err != nil {
-			return err
-		}
-		start := time.Now()
-		res, stats, err := st.Search(q)
-		if err != nil {
-			return err
-		}
-		elapsed := time.Since(start)
-		for _, r := range res {
-			row, err := st.Get(r.TID)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("tid=%d dist=%.3f %s\n", r.TID, r.Dist, formatRow(row))
-		}
-		if *profile {
-			fmt.Print(stats.Render(q, len(res), elapsed))
-		} else {
-			fmt.Printf("(scanned %d, table accesses %d, filter %v, refine %v)\n",
-				stats.Scanned, stats.TableAccesses, stats.FilterTime, stats.RefineTime)
-		}
+		return query(st, k, args)
 	case "explain":
 		q, err := parseQuery(k, args)
 		if err != nil {
@@ -298,6 +271,40 @@ func run(cmd string, args []string, dir string, k int, sv serveOpts, opts iva.Op
 		}
 	default:
 		return fmt.Errorf("unknown command %q", cmd)
+	}
+	return nil
+}
+
+// query runs one top-k search and prints each answer's row, then either the
+// one-line summary or, with -profile, the executed plan's per-phase profile.
+func query(st *iva.Store, k int, args []string) error {
+	fs := flag.NewFlagSet("query", flag.ContinueOnError)
+	profile := fs.Bool("profile", false, "print the executed plan's per-phase profile (EXPLAIN ANALYZE)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	q, err := parseQuery(k, fs.Args())
+	if err != nil {
+		return err
+	}
+	start := time.Now()
+	res, stats, err := st.Search(q)
+	if err != nil {
+		return err
+	}
+	elapsed := time.Since(start)
+	for _, r := range res {
+		row, err := st.Get(r.TID)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("tid=%d dist=%.3f %s\n", r.TID, r.Dist, formatRow(row))
+	}
+	if *profile {
+		fmt.Print(stats.Render(q, len(res), elapsed))
+	} else {
+		fmt.Printf("(scanned %d, table accesses %d, filter %v, refine %v)\n",
+			stats.Scanned, stats.TableAccesses, stats.Phase.FilterTime, stats.Phase.RefineTime)
 	}
 	return nil
 }

@@ -26,8 +26,8 @@ import (
 //	/healthz         the scrubber's verdict (ok/degraded/damaged) as JSON,
 //	                 then the replication line; sc must not be nil
 //	/debug/querylog  the slow-query log: JSON (default) or ?format=text
-//	/debug/trace     the sampled trace ring + histogram exemplars as JSON;
-//	                 ?id=<trace_id> fetches one retained trace
+//	/debug/trace     the sampled trace ring and each latency bucket's exemplar
+//	                 (read from the ring) as JSON; ?id=<trace_id> fetches one trace
 //	/debug/pprof     the runtime profiler, only when enablePprof is set
 func serveMux(st *iva.Store, sc *iva.Scrubber, api *server.Server, enablePprof bool) *http.ServeMux {
 	mux := http.NewServeMux()

@@ -72,8 +72,7 @@ func TestServeEndpoints(t *testing.T) {
 		`iva_query_phase_duration_seconds_bucket{phase="filter"`,
 		`iva_query_phase_duration_seconds_bucket{phase="refine"`,
 		"iva_io_cache_hits_total",
-		"iva_io_phys_reads_total",
-		"iva_queries_total 5",
+		`iva_io_reads_total{class="rand"}`,
 		"iva_slow_queries_total 5",
 	} {
 		if !strings.Contains(metrics, want) {
@@ -157,7 +156,7 @@ func TestServeAPIMux(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"iva_queries_total", "iva_server_requests_total", "iva_server_admitted_total"} {
+	for _, want := range []string{"iva_query_duration_seconds_count", "iva_server_requests_total", "iva_server_admitted_total"} {
 		if !strings.Contains(string(page), want) {
 			t.Errorf("/metrics missing %q with API mounted", want)
 		}

@@ -193,6 +193,48 @@ scrub       never (no scrub report)
 	}
 }
 
+// TestQueryGolden pins what `ivatool query` prints on goldenStore, plain and
+// with -profile: the answers, then the one-line summary or the per-phase
+// profile, with durations and the trace id masked. An answer's row is cut
+// after its distance: a row prints its attributes in map order. The profile's
+// pool_hit_ratio is computed from the cache_hits and phys_reads it prints.
+func TestQueryGolden(t *testing.T) {
+	st := goldenStore(t)
+	const answers = `tid=44 dist=8.000
+tid=28 dist=8.062
+tid=8 dist=8.246
+tid=12 dist=8.246
+tid=24 dist=8.544
+`
+	for _, tc := range []struct {
+		args   []string
+		golden string
+	}{
+		{[]string{"Type=Camera", "Company=Canon", "Price=110"}, answers + `(scanned 59, table accesses 26, filter D, refine D)
+`},
+		{[]string{"-profile", "Type=Camera", "Company=Canon", "Price=110"}, answers + `Search k=5 Type="Camera" Company="Canon" Price=110
+  time=D results=5 workers=1 trace=T
+  Filter: D  scanned=59 stripes=1
+  Refine: D  fetched=26
+  Merge:  D
+  I/O: cache_hits=9 phys_reads=0 pool_hit_ratio=100.0% disk_cost=D
+  Worker 0: stripes=1 scanned=59 fetched=26 busy=D
+`},
+	} {
+		got := captureStdout(t, func() {
+			if err := query(st, 5, tc.args); err != nil {
+				t.Error(err)
+			}
+		})
+		got = regexp.MustCompile(`(?m)^(tid=\d+ dist=\S+) .*$`).ReplaceAllString(got, "$1")
+		got = regexp.MustCompile(`[0-9.]+(ns|µs|ms|s)\b`).ReplaceAllString(got, "D")
+		got = regexp.MustCompile(`trace=[0-9a-f]{16}`).ReplaceAllString(got, "trace=T")
+		if got != tc.golden {
+			t.Errorf("query %v output changed:\n got:\n%s\nwant:\n%s", tc.args, got, tc.golden)
+		}
+	}
+}
+
 // TestScrubSummaryGolden pins the one-line machine-readable summary `ivatool
 // scrub` prints, clean and with damage.
 func TestScrubSummaryGolden(t *testing.T) {

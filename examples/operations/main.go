@@ -84,13 +84,13 @@ func main() {
 		rep.Entries, rep.VectorElems, rep.Ok())
 
 	// Metrics scrape: the same text a Prometheus server would pull from
-	// `ivatool serve` /metrics; here we pick out the query counters and the
-	// cache hit ratio.
+	// `ivatool serve` /metrics; here we pick out the query count and the
+	// page requests split between the buffer pool and the device.
 	fmt.Println("\nmetrics scrape (selected series):")
 	for _, line := range strings.Split(st.MetricsText(), "\n") {
-		if strings.HasPrefix(line, "iva_queries_total") ||
-			strings.HasPrefix(line, "iva_io_cache_hit_ratio") ||
-			strings.HasPrefix(line, "iva_query_duration_seconds_count") {
+		if strings.HasPrefix(line, "iva_query_duration_seconds_count") ||
+			strings.HasPrefix(line, "iva_io_cache_hits_total") ||
+			strings.HasPrefix(line, "iva_io_reads_total") {
 			fmt.Printf("  %s\n", line)
 		}
 	}

@@ -69,8 +69,8 @@ func measure(st *iva.Store, queries []*iva.Query) (accesses float64, filter, ref
 			return 0, 0, 0, serr
 		}
 		accesses += float64(stats.TableAccesses)
-		filter += stats.FilterTime
-		refine += stats.RefineTime
+		filter += stats.Phase.FilterTime
+		refine += stats.Phase.RefineTime
 	}
 	n := time.Duration(len(queries))
 	return accesses / float64(len(queries)), filter / n, refine / n, nil

@@ -506,8 +506,8 @@ func TestPlanSingleStripe(t *testing.T) {
 	for _, c := range singleStripeCases(t) {
 		for _, par := range []int{1, 8} {
 			c.ix.SetSearchParallelism(par)
-			if got := c.ix.SearchWorkers(); got != 1 {
-				t.Fatalf("%s par %d: SearchWorkers = %d, want 1", c.name, par, got)
+			if got := c.ix.planShape().workers; got != 1 {
+				t.Fatalf("%s par %d: workers = %d, want 1", c.name, par, got)
 			}
 			for qi, q := range c.queries {
 				got, stats, err := c.ix.Search(q, nil)
@@ -532,7 +532,7 @@ func TestPlanSingleStripe(t *testing.T) {
 // TestPlanStatsInvariants holds the plan counters to each other on every
 // geometry and worker count: the stripe total is the real stripe count, the
 // worker profiles account for every stripe, and the executed worker count is
-// the one the iva_search_workers gauge reports.
+// the one planShape reports.
 func TestPlanStatsInvariants(t *testing.T) {
 	striped := stripedFixture(t, 2000, 128, 309)
 	straddleDeletes(t, striped)
@@ -560,38 +560,38 @@ func TestPlanStatsInvariants(t *testing.T) {
 				case claimed+int64(st.StripesSkipped) != int64(st.StripesTotal):
 					t.Errorf("%s par %d query %d: %d claimed + %d skipped != %d stripes",
 						c.name, par, qi, claimed, st.StripesSkipped, st.StripesTotal)
-				case len(st.WorkerProfiles) != st.Workers || st.Workers != c.ix.SearchWorkers():
-					t.Errorf("%s par %d query %d: %d profiles, %d workers, gauge %d",
-						c.name, par, qi, len(st.WorkerProfiles), st.Workers, c.ix.SearchWorkers())
+				case len(st.WorkerProfiles) != st.Workers || st.Workers != c.ix.planShape().workers:
+					t.Errorf("%s par %d query %d: %d profiles, %d workers, planShape %d",
+						c.name, par, qi, len(st.WorkerProfiles), st.Workers, c.ix.planShape().workers)
 				}
 			}
 		}
 	}
 }
 
-// TestPlanShapeWorkers pins the iva_search_workers gauge source: the
+// TestPlanShapeWorkers pins the worker count a search runs with: the
 // configured parallelism, clamped to the stripe count, and one worker while
 // the tuple list holds fewer than two full stripes.
 func TestPlanShapeWorkers(t *testing.T) {
 	fx := newFixture(t, 1000, Options{CheckpointEvery: 64, SearchParallelism: 4}, 305)
-	if got := fx.ix.SearchWorkers(); got != 4 {
-		t.Fatalf("SearchWorkers = %d, want 4", got)
+	if got := fx.ix.planShape().workers; got != 4 {
+		t.Fatalf("workers = %d, want 4", got)
 	}
 	fx.ix.SetSearchParallelism(1)
-	if got := fx.ix.SearchWorkers(); got != 1 {
-		t.Fatalf("SearchWorkers with parallelism 1 = %d, want 1", got)
+	if got := fx.ix.planShape().workers; got != 1 {
+		t.Fatalf("workers with parallelism 1 = %d, want 1", got)
 	}
 	fx.ix.SetSearchParallelism(0)
-	if got, want := fx.ix.SearchWorkers(), min(runtime.GOMAXPROCS(0), len(fx.ix.ckpts)); got != want {
-		t.Fatalf("SearchWorkers with parallelism 0 = %d, want %d", got, want)
+	if got, want := fx.ix.planShape().workers, min(runtime.GOMAXPROCS(0), len(fx.ix.ckpts)); got != want {
+		t.Fatalf("workers with parallelism 0 = %d, want %d", got, want)
 	}
 	fx.ix.SetSearchParallelism(1 << 20) // clamped to the stripe count
-	if got, n := fx.ix.SearchWorkers(), len(fx.ix.ckpts); got != n {
-		t.Fatalf("SearchWorkers = %d, want stripe count %d", got, n)
+	if got, n := fx.ix.planShape().workers, len(fx.ix.ckpts); got != n {
+		t.Fatalf("workers = %d, want stripe count %d", got, n)
 	}
 	short := newFixture(t, 127, Options{CheckpointEvery: 64, SearchParallelism: 4}, 310)
-	if got := short.ix.SearchWorkers(); got != 1 {
-		t.Fatalf("SearchWorkers under two full stripes = %d, want 1", got)
+	if got := short.ix.planShape().workers; got != 1 {
+		t.Fatalf("workers under two full stripes = %d, want 1", got)
 	}
 }
 

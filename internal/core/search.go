@@ -173,14 +173,6 @@ func (ix *Index) SearchContext(ctx context.Context, q *model.Query, m *metric.Me
 	return ix.search(ctx, q, m, ix.planShape(), nil)
 }
 
-// SearchWorkers reports how many workers a search dispatched right now would
-// run with (see planShape). It backs the iva_search_workers gauge.
-func (ix *Index) SearchWorkers() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.planShape().workers
-}
-
 // prepareTerms resolves the query terms against the attribute list and
 // builds the shared per-term query state: the query string with its gram
 // masks, the exact-difference evaluator with its edit-distance pattern.

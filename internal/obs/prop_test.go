@@ -1,8 +1,9 @@
 package obs
 
 import (
-	"fmt"
 	"math/rand"
+	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -29,11 +30,7 @@ func TestHistogramConcurrentProperties(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				v := rng.Float64() * 5
 				sums[w] += v
-				if i%16 == 0 {
-					h.ObserveTrace(v, fmt.Sprintf("%016x", w*perWorker+i))
-				} else {
-					h.Observe(v)
-				}
+				h.Observe(v)
 			}
 		}(w)
 	}
@@ -59,10 +56,53 @@ func TestHistogramConcurrentProperties(t *testing.T) {
 	if got := h.Sum(); got < want*0.999999 || got > want*1.000001 {
 		t.Fatalf("sum %g, want %g", got, want)
 	}
-	// Each exemplar that exists must carry a well-formed trace id.
-	for i, e := range h.Exemplars() {
-		if e != nil && len(e.TraceID) != 16 {
-			t.Fatalf("bucket %d exemplar trace id %q", i, e.TraceID)
+}
+
+// TestHistogramScrapesConsistent reads the exposition while observations land
+// (run under -race in CI) and checks every scrape on its own: the le series is
+// monotone, +Inf is at least every finite bucket, and _count equals +Inf.
+// Every value falls below the largest finite bound, so at rest +Inf equals
+// that bucket and a scrape that saw an observation in its bucket but not yet
+// in the count would show +Inf below it.
+func TestHistogramScrapesConsistent(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("scrape_seconds", "scrape test", nil, []float64{0.25, 0.5, 1, 2, 4})
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w) + 1))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					h.Observe(rng.Float64() * 4)
+				}
+			}
+		}(w)
+	}
+	defer func() { close(stop); wg.Wait() }()
+
+	sample := regexp.MustCompile(`(?m)^scrape_seconds_(bucket\{le="([^"]+)"\}|count) (\d+)$`)
+	for i := 0; i < 5000; i++ {
+		var prev, inf, count int64 = -1, -1, -1
+		for _, m := range sample.FindAllStringSubmatch(r.Text(), -1) {
+			n, _ := strconv.ParseInt(m[3], 10, 64)
+			switch {
+			case m[1] == "count":
+				count = n
+			case n < prev:
+				t.Fatalf("scrape %d: bucket le=%s holds %d, below the previous bucket's %d", i, m[2], n, prev)
+			case m[2] == "+Inf":
+				inf = n
+			}
+			prev = max(prev, n)
+		}
+		if inf < 0 || count != inf {
+			t.Fatalf("scrape %d: _count %d, +Inf bucket %d", i, count, inf)
 		}
 	}
 }

@@ -1,7 +1,7 @@
-// Package obs is the repository's unified observability layer: a
-// dependency-free metrics registry (atomic counters, gauges and fixed-bucket
-// latency histograms with Prometheus text-format exposition), a per-query
-// trace-span API, and a slow-query log.
+// Package obs is the repository's metrics registry: dependency-free atomic
+// counters, gauges and fixed-bucket latency histograms with Prometheus
+// text-format exposition. Traces and the slow-query log are rendered by the
+// root package from the stats of the queries it keeps.
 //
 // The paper's whole evaluation (Figs. 8–16) decomposes query cost into
 // sequential index scanning vs. random table accesses; this package makes
@@ -18,7 +18,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Labels attach dimensions to a metric series (e.g. phase="filter"). A nil
@@ -73,22 +72,15 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Histogram is a fixed-bucket cumulative histogram. Observations are
 // lock-free; buckets are upper bounds in ascending order with an implicit
-// +Inf bucket. Each bucket optionally retains one exemplar — the most recent
-// (value, trace id) pair that landed in it — so a bad p99 bucket links to a
-// concrete trace in the ring (/debug/trace?id=...).
+// +Inf bucket. The count of observations is not kept apart from the buckets:
+// it is the +Inf bucket's cumulative count, so a scrape during observations
+// never reports +Inf below a finite bucket or a _count other than +Inf. The
+// sum is kept apart and may lag or lead the buckets by in-flight
+// observations.
 type Histogram struct {
-	bounds    []float64
-	counts    []atomic.Int64 // len(bounds)+1, non-cumulative
-	exemplars []atomic.Pointer[Exemplar]
-	sum       Gauge
-	count     atomic.Int64
-}
-
-// Exemplar links one observed value to the trace that produced it.
-type Exemplar struct {
-	Value   float64
-	TraceID string
-	Time    time.Time
+	bounds []float64
+	counts []atomic.Int64 // len(bounds)+1, non-cumulative
+	sum    Gauge
 }
 
 // DefaultLatencyBuckets spans 100µs to 10s, the range of interest between an
@@ -100,49 +92,28 @@ var DefaultLatencyBuckets = []float64{
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
-	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
-	h.counts[i].Add(1)
+	h.counts[sort.SearchFloat64s(h.bounds, v)].Add(1) // first bound >= v
 	h.sum.Add(v)
-	h.count.Add(1)
-}
-
-// ObserveTrace records one value and stamps its bucket's exemplar with the
-// producing query's trace id (a no-op on an empty id).
-func (h *Histogram) ObserveTrace(v float64, traceID string) {
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i].Add(1)
-	h.sum.Add(v)
-	h.count.Add(1)
-	if traceID != "" {
-		h.exemplars[i].Store(&Exemplar{Value: v, TraceID: traceID, Time: time.Now()})
-	}
-}
-
-// Exemplars returns each bucket's retained exemplar (nil where none landed
-// yet), indexed like the bounds with the +Inf bucket last.
-func (h *Histogram) Exemplars() []*Exemplar {
-	out := make([]*Exemplar, len(h.exemplars))
-	for i := range h.exemplars {
-		out[i] = h.exemplars[i].Load()
-	}
-	return out
 }
 
 // Bounds returns the bucket upper bounds (excluding +Inf).
 func (h *Histogram) Bounds() []float64 { return append([]float64(nil), h.bounds...) }
 
 // Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
+func (h *Histogram) Count() int64 {
+	_, cum := h.Buckets()
+	return cum[len(cum)-1]
+}
 
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return h.sum.Value() }
 
-// Buckets returns the upper bounds and the cumulative counts per bucket
-// (excluding +Inf, whose cumulative count is Count()).
+// Buckets returns the upper bounds and the cumulative count of every bucket,
+// read in one pass: len(bounds)+1 counts, the last one the +Inf bucket's.
 func (h *Histogram) Buckets() ([]float64, []int64) {
-	cum := make([]int64, len(h.bounds))
+	cum := make([]int64, len(h.counts))
 	var run int64
-	for i := range h.bounds {
+	for i := range h.counts {
 		run += h.counts[i].Load()
 		cum[i] = run
 	}
@@ -281,11 +252,7 @@ func (r *Registry) Histogram(name, help string, labels Labels, buckets []float64
 	if !ok {
 		bounds := append([]float64(nil), buckets...)
 		sort.Float64s(bounds)
-		s.h = &Histogram{
-			bounds:    bounds,
-			counts:    make([]atomic.Int64, len(bounds)+1),
-			exemplars: make([]atomic.Pointer[Exemplar], len(bounds)+1),
-		}
+		s.h = &Histogram{bounds: bounds, counts: make([]atomic.Int64, len(bounds)+1)}
 	}
 	return s.h
 }
@@ -389,19 +356,17 @@ func writeSeries(w io.Writer, f *family, s *series) error {
 		return err
 	case kindHistogram:
 		bounds, cum := s.h.Buckets()
-		for i, b := range bounds {
-			if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n",
-				f.name, labelKey(s.labels, "le", formatFloat(b)), cum[i]); err != nil {
+		for i, c := range cum {
+			le := "+Inf"
+			if i < len(bounds) {
+				le = formatFloat(bounds[i])
+			}
+			if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", f.name, labelKey(s.labels, "le", le), c); err != nil {
 				return err
 			}
 		}
-		count := s.h.Count()
-		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n",
-			f.name, labelKey(s.labels, "le", "+Inf"), count); err != nil {
-			return err
-		}
 		_, err := fmt.Fprintf(w, "%s_sum%s %s\n%s_count%s %d\n",
-			f.name, s.key, formatFloat(s.h.Sum()), f.name, s.key, count)
+			f.name, s.key, formatFloat(s.h.Sum()), f.name, s.key, cum[len(cum)-1])
 		return err
 	}
 	return nil

@@ -50,8 +50,6 @@ type tenant struct {
 	slots  chan struct{}
 	queued atomic.Int64
 
-	inflight *obs.Gauge
-	queueGa  *obs.Gauge
 	admitted *obs.Counter
 	shed     map[string]*obs.Counter
 	requests *obs.Counter
@@ -64,12 +62,14 @@ func (s *Server) newTenant(name string) *tenant {
 		tokens:   float64(s.cfg.Burst),
 		last:     s.now(),
 		slots:    make(chan struct{}, s.cfg.MaxConcurrent),
-		inflight: s.reg.Gauge("iva_server_inflight", "Searches currently executing, per tenant.", labels),
-		queueGa:  s.reg.Gauge("iva_server_queue_depth", "Searches waiting in the admission queue, per tenant.", labels),
 		admitted: s.reg.Counter("iva_server_admitted_total", "Searches admitted past quota, queue and deadline checks, per tenant.", labels),
 		requests: s.reg.Counter("iva_server_tenant_requests_total", "Data-plane requests received, per tenant.", labels),
 		shed:     make(map[string]*obs.Counter, 5),
 	}
+	s.reg.GaugeFunc("iva_server_inflight", "Searches currently executing, per tenant.", labels,
+		func() float64 { return float64(len(tn.slots)) })
+	s.reg.GaugeFunc("iva_server_queue_depth", "Searches waiting in the admission queue, per tenant (one high while an arrival over the cap is shed).", labels,
+		func() float64 { return float64(tn.queued.Load()) })
 	for _, reason := range []string{ShedQuota, ShedQueueFull, ShedExpired, ShedDeadline, ShedDraining} {
 		tn.shed[reason] = s.reg.Counter("iva_server_shed_total",
 			"Requests shed by admission control before any index work, by tenant and reason.",
@@ -139,23 +139,18 @@ func (s *Server) admit(ctx context.Context, tn *tenant) (release func(), shed *s
 			tn.queued.Add(-1)
 			return nil, tn.shedAs(ShedQueueFull, time.Second)
 		}
-		tn.queueGa.Add(1)
 		select {
 		case tn.slots <- struct{}{}:
 			tn.queued.Add(-1)
-			tn.queueGa.Add(-1)
 		case <-ctx.Done():
 			tn.queued.Add(-1)
-			tn.queueGa.Add(-1)
 			return nil, tn.shedAs(ShedDeadline, time.Second)
 		}
 	}
 	tn.admitted.Inc()
-	tn.inflight.Add(1)
 	var once sync.Once
 	return func() {
 		once.Do(func() {
-			tn.inflight.Add(-1)
 			<-tn.slots
 		})
 	}, nil

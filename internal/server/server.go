@@ -132,11 +132,6 @@ func New(be Backend, reg *obs.Registry, cfg Config) *Server {
 			"End-to-end request latency at the HTTP surface, by endpoint.",
 			obs.Labels{"endpoint": ep}, nil)
 	}
-	reg.GaugeFunc("iva_server_tenants", "Tenants seen since startup.", nil, func() float64 {
-		s.tmu.Lock()
-		defer s.tmu.Unlock()
-		return float64(len(s.tenants))
-	})
 	reg.GaugeFunc("iva_server_draining", "1 while the server drains for shutdown (new data-plane requests shed with 503).", nil, func() float64 {
 		if s.draining.Load() {
 			return 1

@@ -168,14 +168,12 @@ func (m DiskModel) CostMS(s Snapshot) float64 {
 }
 
 // RegisterPoolMetrics exposes a pool's I/O counters in a metrics registry:
-// physical reads broken down by the paper's seq/near/rand access classes,
-// writes, cache hits, the derived hit ratio, resident pages, and the modeled
-// disk cost of all I/O so far under m. Counters are read live at exposition
-// time.
+// physical reads by the paper's seq/near/rand access classes (their sum is
+// every physical read), writes, cache hits, resident pages per shard, and the
+// modeled disk cost of all I/O so far under m. Counters are read live at
+// exposition time.
 func (p *Pool) RegisterPoolMetrics(r *obs.Registry, m DiskModel) {
 	st := p.Stats()
-	r.CounterFunc("iva_io_phys_reads_total", "Physical page reads from the device.",
-		nil, func() float64 { return float64(st.Snapshot().PhysReads) })
 	r.CounterFunc("iva_io_phys_writes_total", "Physical page writes to the device.",
 		nil, func() float64 { return float64(st.Snapshot().PhysWrites) })
 	r.CounterFunc("iva_io_cache_hits_total", "Page requests served by the buffer pool.",
@@ -186,19 +184,13 @@ func (p *Pool) RegisterPoolMetrics(r *obs.Registry, m DiskModel) {
 		"rand": func(s Snapshot) int64 { return s.RandReads },
 	} {
 		get := get
-		r.CounterFunc("iva_io_reads_total", "Physical reads by access class (seq, near, rand).",
+		r.CounterFunc("iva_io_reads_total", "Physical page reads from the device, by access class (seq, near, rand).",
 			obs.Labels{"class": class}, func() float64 { return float64(get(st.Snapshot())) })
 	}
-	r.GaugeFunc("iva_io_cache_hit_ratio", "Fraction of page requests served by the buffer pool.",
-		nil, func() float64 { return st.Snapshot().HitRate() })
 	r.GaugeFunc("iva_io_modeled_cost_ms", "Modeled disk milliseconds of all I/O so far (2009-HDD cost model).",
 		nil, func() float64 { return m.CostMS(st.Snapshot()) })
-	r.GaugeFunc("iva_pool_cached_pages", "Pages resident in the buffer pool.",
-		nil, func() float64 { return float64(p.CachedPages()) })
 	r.CounterFunc("iva_pool_shard_lock_wait_total", "Contended shard-lock acquisitions (striping effectiveness).",
 		nil, func() float64 { return float64(p.LockWaits()) })
-	r.GaugeFunc("iva_pool_shards", "Lock stripes in the buffer pool.",
-		nil, func() float64 { return float64(p.ShardCount()) })
 	r.GaugeFunc("iva_pool_pinned_frames", "Outstanding page pins; nonzero at quiesce is a pin leak.",
 		nil, func() float64 { return float64(p.PinnedFrames()) })
 	r.GaugeFunc("iva_pool_overflow_pages", "Pages held beyond the byte budget because pins block eviction.",

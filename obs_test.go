@@ -63,11 +63,11 @@ func TestStoreMetricsText(t *testing.T) {
 		"iva_query_duration_seconds_bucket{le=",
 		`iva_query_phase_duration_seconds_bucket{phase="filter"`,
 		`iva_query_phase_duration_seconds_bucket{phase="refine"`,
-		"iva_queries_total 10",
+		"iva_query_duration_seconds_count 10",
 		"iva_inserts_total 500",
 		"iva_deletes_total 1",
 		"iva_io_cache_hits_total",
-		"iva_io_phys_reads_total",
+		`iva_io_reads_total{class="near"}`,
 		`iva_io_reads_total{class="seq"}`,
 		`iva_io_reads_total{class="rand"}`,
 		"iva_io_modeled_cost_ms",

@@ -17,9 +17,8 @@ type WorkerProfile = core.WorkerStats
 // PhaseProfile decomposes one query's wall time into the paper's phases —
 // filter (the synchronized tuple/vector-list scan), refine (random table
 // fetches for surviving candidates), and the deterministic (dist, tid) top-k
-// merge — plus the striped plan's work distribution and the buffer pool's
-// contribution. FilterTime+RefineTime+MergeTime equals the measured query
-// wall clock.
+// merge — plus the striped plan's work distribution.
+// FilterTime+RefineTime+MergeTime equals the measured query wall clock.
 type PhaseProfile struct {
 	FilterTime time.Duration
 	RefineTime time.Duration
@@ -36,9 +35,6 @@ type PhaseProfile struct {
 	StripesZonePruned int
 	// Workers holds each filter worker's share.
 	Workers []WorkerProfile
-	// PoolHitRatio is the fraction of the query's page requests served by
-	// the buffer pool.
-	PoolHitRatio float64
 }
 
 func fmtMS(d time.Duration) string {
@@ -61,7 +57,7 @@ func (qs QueryStats) Render(q *Query, results int, elapsed time.Duration) string
 	b.WriteByte('\n')
 	ph := qs.Phase
 	if ph == nil { // a failed search's partial stats carry no profile
-		ph = &PhaseProfile{FilterTime: qs.FilterTime, RefineTime: qs.RefineTime}
+		ph = &PhaseProfile{}
 	}
 	fmt.Fprintf(&b, "  Filter: %s  scanned=%d stripes=%d", fmtMS(ph.FilterTime), qs.Scanned, ph.StripesTotal)
 	if ph.StripesSkipped > 0 {
@@ -70,8 +66,9 @@ func (qs QueryStats) Render(q *Query, results int, elapsed time.Duration) string
 	b.WriteByte('\n')
 	fmt.Fprintf(&b, "  Refine: %s  fetched=%d\n", fmtMS(ph.RefineTime), qs.TableAccesses)
 	fmt.Fprintf(&b, "  Merge:  %s\n", fmtMS(ph.MergeTime))
+	hitRatio := IOStats{CacheHits: qs.CacheHits, PhysReads: qs.PhysReads}.HitRate()
 	fmt.Fprintf(&b, "  I/O: cache_hits=%d phys_reads=%d pool_hit_ratio=%.1f%% disk_cost=%.3fms",
-		qs.CacheHits, qs.PhysReads, ph.PoolHitRatio*100, qs.DiskCostMS)
+		qs.CacheHits, qs.PhysReads, hitRatio*100, qs.DiskCostMS)
 	if qs.DegradedSegments > 0 {
 		fmt.Fprintf(&b, " degraded_segments=%d", qs.DegradedSegments)
 	}

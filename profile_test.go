@@ -2,6 +2,8 @@ package iva
 
 import (
 	"encoding/json"
+	"io"
+	"math"
 	"regexp"
 	"strconv"
 	"strings"
@@ -169,9 +171,10 @@ func TestPhaseHistogramsSumToLatency(t *testing.T) {
 }
 
 // TestWriteTracesJSON exercises the /debug/trace payload: valid JSON, the
-// sampled ring retains the queries just run, exemplars join latency buckets
-// to retained trace ids, and WriteTrace resolves an id round-tripped through
-// QueryStats.
+// ring retains the query just run, exemplars carry well-formed trace ids, and
+// WriteTrace resolves an id round-tripped through QueryStats. Its 1 ns
+// threshold retains every query, so it cannot tell whether an exemplar names
+// a retained trace; TestExemplarsResolve runs where the ring samples.
 func TestWriteTracesJSON(t *testing.T) {
 	s, q := fillProfiled(t, 200, Options{SlowQueryThreshold: time.Nanosecond}) // every query is slow, and so retained
 	_, qs, err := s.Search(q)
@@ -212,5 +215,61 @@ func TestWriteTracesJSON(t *testing.T) {
 		t.Fatalf("trace %s not retained at sample-every=1 (%v)", qs.TraceID, err)
 	} else if !strings.Contains(tr.String(), `"trace_id":"`+qs.TraceID+`"`) {
 		t.Fatalf("WriteTrace wrote %s, want trace %s", tr.String(), qs.TraceID)
+	}
+}
+
+// TestExemplarsResolve runs fast queries with no slow threshold, so the ring
+// keeps one in traceEvery, and checks that every latency exemplar names a
+// trace the same /debug/trace body lists and WriteTrace finds.
+func TestExemplarsResolve(t *testing.T) {
+	s, q := fillProfiled(t, 200, Options{})
+	for i := 0; i < 40; i++ {
+		if _, _, err := s.Search(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var b strings.Builder
+	if err := s.WriteTraces(&b); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Total  int64 `json:"total"`
+		Traces []struct {
+			Trace struct {
+				TraceID    string  `json:"trace_id"`
+				DurationMS float64 `json:"duration_ms"`
+			} `json:"trace"`
+		} `json:"traces"`
+		Exemplars []struct {
+			LE      string  `json:"le"`
+			Value   float64 `json:"value"`
+			TraceID string  `json:"trace_id"`
+		} `json:"exemplars"`
+	}
+	if err := json.Unmarshal([]byte(b.String()), &doc); err != nil {
+		t.Fatalf("trace payload not JSON: %v\n%s", err, b.String())
+	}
+	if want := (40 + traceEvery - 1) / traceEvery; doc.Total != int64(want) {
+		t.Fatalf("ring kept %d of 40 fast queries, want %d", doc.Total, want)
+	}
+	if len(doc.Exemplars) == 0 {
+		t.Fatal("latency histogram produced no exemplars")
+	}
+	retained := map[string]float64{}
+	for _, tr := range doc.Traces {
+		retained[tr.Trace.TraceID] = tr.Trace.DurationMS
+	}
+	for _, e := range doc.Exemplars {
+		ms, ok := retained[e.TraceID]
+		if !ok {
+			t.Errorf("exemplar le=%s names trace %q, which the ring does not list", e.LE, e.TraceID)
+			continue
+		}
+		if math.Abs(ms-e.Value*1e3) > 1e-6 {
+			t.Errorf("exemplar le=%s value %gs, its trace ran %gms", e.LE, e.Value, ms)
+		}
+		if found, err := s.WriteTrace(io.Discard, e.TraceID); err != nil || !found {
+			t.Errorf("WriteTrace(%s) found=%v err=%v", e.TraceID, found, err)
+		}
 	}
 }

@@ -65,7 +65,7 @@ func TestGrowthRebuildSearchRace(t *testing.T) {
 
 	// The insert stream drives the store through several growth rebuilds
 	// while the readers hammer it.
-	rebuildsBefore := st.rebuilds
+	rebuildsBefore := st.Stats().Rebuilds
 	for i := 0; i < 1200; i++ {
 		if _, err := st.Insert(Row{
 			"num": Num(float64(rng.Intn(300))),
@@ -82,7 +82,7 @@ func TestGrowthRebuildSearchRace(t *testing.T) {
 		t.Fatalf("concurrent search failed during growth rebuilds: %v", err)
 	default:
 	}
-	if st.rebuilds == rebuildsBefore {
+	if st.Stats().Rebuilds == rebuildsBefore {
 		t.Fatal("insert stream triggered no growth rebuild; the race was not exercised")
 	}
 	if searches.Load() == 0 {

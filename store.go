@@ -134,7 +134,6 @@ type Store struct {
 	// delta apply for the whole of its writing.
 	engineMu sync.RWMutex
 
-	rebuilds    [numRebuildCauses]int64
 	builtTuples int64 // live count at the last (re)build
 	closed      bool
 
@@ -167,7 +166,6 @@ func (s *Store) followerReadOnly() bool {
 // storeMetrics caches the store's registry handles so the hot path never
 // takes the registry lock.
 type storeMetrics struct {
-	queries     *obs.Counter
 	queryErrs   *obs.Counter
 	slowQueries *obs.Counter
 	inserts     *obs.Counter
@@ -200,7 +198,6 @@ func (s *Store) initObs() {
 	s.pool.RegisterPoolMetrics(s.reg, s.disk)
 
 	s.om = storeMetrics{
-		queries:     s.reg.Counter("iva_queries_total", "Search queries served.", nil),
 		queryErrs:   s.reg.Counter("iva_query_errors_total", "Search queries that returned an error.", nil),
 		slowQueries: s.reg.Counter("iva_slow_queries_total", "Queries at or above the slow-query threshold.", nil),
 		inserts:     s.reg.Counter("iva_inserts_total", "Tuples inserted.", nil),
@@ -251,11 +248,6 @@ func (s *Store) initObs() {
 		s.engineMu.RLock()
 		defer s.engineMu.RUnlock()
 		return float64(s.ix.SizeBytes())
-	})
-	s.reg.GaugeFunc("iva_search_workers", "Workers a search dispatched now would run with.", nil, func() float64 {
-		s.engineMu.RLock()
-		defer s.engineMu.RUnlock()
-		return float64(s.ix.SearchWorkers())
 	})
 }
 
@@ -784,10 +776,6 @@ type QueryStats struct {
 	Scanned int64
 	// TableAccesses is the number of random table-file reads.
 	TableAccesses int64
-	// FilterTime and RefineTime split the wall time between scanning the
-	// index and checking candidates in the table file.
-	FilterTime time.Duration
-	RefineTime time.Duration
 	// CacheHits and PhysReads split the query's page requests between the
 	// buffer pool and the device, and DiskCostMS prices the physical I/O
 	// under the 2009-HDD disk model — the machine-independent cost the
@@ -808,13 +796,13 @@ type QueryStats struct {
 	// operation with a *CorruptionError: there is nothing sound to degrade to.
 	DegradedSegments int
 	// TraceID is the 16-hex-digit id of the query's trace — the join key
-	// into the sampled trace ring (WriteTraces, /debug/trace), the
-	// slow-query log, and the latency histogram's exemplars.
+	// into the sampled trace ring (WriteTraces, /debug/trace, whose latency
+	// exemplars are read from that ring) and the slow-query log.
 	TraceID string
 	// Phase is the per-phase profile of the executed plan: filter/refine/
-	// merge wall time, the striped plan's work distribution per worker, and
-	// the buffer pool hit ratio. Always populated by Search (profiling is
-	// free); Render prints it EXPLAIN ANALYZE-style.
+	// merge wall time and the striped plan's work distribution per worker.
+	// Always populated by a successful Search (profiling is free); Render
+	// prints it EXPLAIN ANALYZE-style.
 	Phase *PhaseProfile
 }
 
@@ -892,15 +880,9 @@ func (s *Store) SearchContext(ctx context.Context, q *Query) ([]Result, QuerySta
 	dur := time.Since(start)
 
 	io := st.FilterIO.Add(st.RefineIO)
-	var hitRatio float64
-	if total := io.CacheHits + io.PhysReads; total > 0 {
-		hitRatio = float64(io.CacheHits) / float64(total)
-	}
 	qs = QueryStats{
 		Scanned:          st.Scanned,
 		TableAccesses:    st.TableAccesses,
-		FilterTime:       st.FilterWall,
-		RefineTime:       st.RefineWall,
 		CacheHits:        io.CacheHits,
 		PhysReads:        io.PhysReads,
 		DiskCostMS:       s.disk.CostMS(io),
@@ -914,16 +896,14 @@ func (s *Store) SearchContext(ctx context.Context, q *Query) ([]Result, QuerySta
 			StripesTotal:   st.StripesTotal,
 			StripesSkipped: st.StripesSkipped,
 			Workers:        st.WorkerProfiles,
-			PoolHitRatio:   hitRatio,
 		},
 	}
 	if st.DegradedSegments > 0 {
 		s.om.corruptSegs.Add(int64(st.DegradedSegments))
 	}
-	s.om.queries.Inc()
 	s.om.scanned.Add(st.Scanned)
 	s.om.accesses.Add(st.TableAccesses)
-	s.om.queryDur.ObserveTrace(dur.Seconds(), qs.TraceID)
+	s.om.queryDur.Observe(dur.Seconds())
 	s.om.filterDur.Observe(st.FilterWall.Seconds())
 	s.om.refineDur.Observe(st.RefineWall.Seconds())
 	s.om.mergeDur.Observe(st.MergeWall.Seconds())
@@ -1003,7 +983,6 @@ func (s *Store) rebuildLocked(cause rebuildCause, headroom int64) error {
 	if s.replP != nil {
 		s.replInvalidateLocked()
 	}
-	s.rebuilds[cause]++
 	s.om.rebuilds[cause].Inc()
 	return nil
 }
@@ -1035,9 +1014,10 @@ type RebuildCounts struct {
 func (s *Store) Stats() StoreStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	n := &s.om.rebuilds
 	by := RebuildCounts{
-		Clean: s.rebuilds[rebuildClean], Growth: s.rebuilds[rebuildGrowth],
-		NeedsRebuild: s.rebuilds[rebuildNeeded], Explicit: s.rebuilds[rebuildExplicit],
+		Clean: n[rebuildClean].Value(), Growth: n[rebuildGrowth].Value(),
+		NeedsRebuild: n[rebuildNeeded].Value(), Explicit: n[rebuildExplicit].Value(),
 	}
 	return StoreStats{
 		Tuples:     s.tbl.Live(),

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -35,8 +36,8 @@ const (
 // Trace ids are 64-bit values unique within the process: a splitmix64 walk
 // seeded from the clock at startup, so ids differ across restarts but cost
 // one atomic add to mint. Rendered as 16 hex digits everywhere (QueryStats,
-// metrics exemplars, the slow-query log, /debug/trace), they are the join key
-// between a latency histogram bucket and the concrete query that landed in it.
+// the slow-query log, /debug/trace and its latency exemplars), they join a
+// query's stats to its retained trace.
 var idState atomic.Uint64
 
 func init() { idState.Store(uint64(time.Now().UnixNano())) }
@@ -277,9 +278,9 @@ func appendTime(b []byte, t time.Time) []byte {
 // WriteTraces serializes the store's trace ring and the latency histogram's
 // bucket exemplars as one JSON object:
 // {"total", "traces": [{"time","trace"}...], "exemplars": [...]}. Traces are
-// newest first; each exemplar links a latency bucket to the trace id of the
-// most recent query that landed in it (joinable against "traces" and the
-// slow-query log).
+// newest first; each exemplar links a latency bucket to the newest retained
+// query whose duration fell in it, so its trace id is always one of "traces"
+// (and, for a slow query, of the slow-query log).
 func (s *Store) WriteTraces(w io.Writer) error {
 	recs, total := s.traces.snapshot(&s.traces.ring)
 	b := append([]byte(`{"total":`), strconv.FormatInt(total, 10)...)
@@ -295,11 +296,16 @@ func (s *Store) WriteTraces(w io.Writer) error {
 		b = append(b, '}')
 	}
 	b = append(b, `],"exemplars":[`...)
-	h := s.om.queryDur
-	bounds := h.Bounds()
+	bounds := s.om.queryDur.Bounds()
+	exemplars := make([]*queryRecord, len(bounds)+1) // per bucket, +Inf last
+	for _, r := range recs {
+		if i := sort.SearchFloat64s(bounds, r.dur.Seconds()); exemplars[i] == nil {
+			exemplars[i] = r
+		}
+	}
 	first := true
-	for i, e := range h.Exemplars() {
-		if e == nil {
+	for i, r := range exemplars {
+		if r == nil {
 			continue
 		}
 		if !first {
@@ -313,11 +319,11 @@ func (s *Store) WriteTraces(w io.Writer) error {
 		b = append(b, `{"le":`...)
 		b = appendJSONString(b, le)
 		b = append(b, `,"value":`...)
-		b = strconv.AppendFloat(b, e.Value, 'g', -1, 64)
+		b = strconv.AppendFloat(b, r.dur.Seconds(), 'g', -1, 64)
 		b = append(b, `,"trace_id":`...)
-		b = appendJSONString(b, e.TraceID)
+		b = appendJSONString(b, r.traceID)
 		b = append(b, `,"time":`...)
-		b = appendTime(b, e.Time)
+		b = appendTime(b, r.time)
 		b = append(b, '}')
 	}
 	b = append(b, "]}\n"...)
