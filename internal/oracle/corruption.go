@@ -1,12 +1,9 @@
 package oracle
 
 import (
-	"fmt"
 	"os"
 
-	"github.com/sparsewide/iva/internal/core"
 	"github.com/sparsewide/iva/internal/model"
-	"github.com/sparsewide/iva/internal/table"
 )
 
 // readByte/writeByte touch the raw device under a handle, for fault
@@ -64,7 +61,7 @@ func (h *harness) corruptionSweep() error {
 	if err := h.syncAll(); err != nil {
 		return err
 	}
-	extents := h.iva.ix.VectorExtents()
+	extents := h.iva().VectorExtents()
 	if len(extents) == 0 {
 		return nil // nothing committed to corrupt (degenerate run)
 	}
@@ -82,42 +79,32 @@ func (h *harness) corruptionSweep() error {
 		if err != nil {
 			return err
 		}
-		_, _, _, refM := h.metricsFor(c)
 		queries = append(queries, q)
-		wants = append(wants, h.bruteForce(q, refM))
+		wants = append(wants, h.bruteForce(q, h.refMetric(c)))
 	}
 
-	if err := h.closeIVA(); err != nil {
+	e := h.engines[0]
+	if err := h.closeFiles(e); err != nil {
 		return err
 	}
-	orig, err := h.iva.ixH.readByte(off)
+	orig, err := e.ixH.readByte(off)
 	if err != nil {
 		return h.failf("corruption: read byte %d: %v", off, err)
 	}
-	if err := h.iva.ixH.writeByte(off, orig^(1<<bit)); err != nil {
+	if err := e.ixH.writeByte(off, orig^(1<<bit)); err != nil {
 		return h.failf("corruption: flip byte %d: %v", off, err)
 	}
 
 	// Exact answers through the damage.
-	if err := h.openIVA(); err != nil {
+	if err := h.openFiles(e); err != nil {
 		return err
 	}
 	for i, q := range queries {
-		c := combos[i]
-		ivaM, _, _, _ := h.metricsFor(c)
-		for _, par := range parGrid {
-			h.iva.ix.SetSearchParallelism(par)
-			got, st, err := h.iva.ix.Search(q, ivaM)
-			if err != nil {
-				return h.failf("corruption %s par=%d: degraded read failed: %v", c.name, par, err)
-			}
-			if err := h.diff(fmt.Sprintf("corruption %s par=%d", c.name, par), wants[i], got); err != nil {
-				return err
-			}
-			h.res.DegradedReads += st.DegradedSegments
+		if err := h.compare(h.engines[:1], "corruption", q, combos[i], wants[i]); err != nil {
+			return err
 		}
 	}
-	rep, err := h.iva.ix.Scrub()
+	rep, err := h.iva().Scrub()
 	if err != nil {
 		return h.failf("corruption scrub: %v", err)
 	}
@@ -126,16 +113,16 @@ func (h *harness) corruptionSweep() error {
 	}
 
 	// Revert and verify the store is whole again.
-	if err := h.closeIVA(); err != nil {
+	if err := h.closeFiles(e); err != nil {
 		return err
 	}
-	if err := h.iva.ixH.writeByte(off, orig); err != nil {
+	if err := e.ixH.writeByte(off, orig); err != nil {
 		return h.failf("corruption: revert byte %d: %v", off, err)
 	}
-	if err := h.openIVA(); err != nil {
+	if err := h.openFiles(e); err != nil {
 		return err
 	}
-	rep, err = h.iva.ix.Scrub()
+	rep, err = h.iva().Scrub()
 	if err != nil {
 		return h.failf("corruption: clean scrub: %v", err)
 	}
@@ -143,42 +130,5 @@ func (h *harness) corruptionSweep() error {
 		return h.failf("corruption: scrub still dirty after revert: %v", rep.Problems)
 	}
 	h.res.CorruptionChecks++
-	return nil
-}
-
-// closeIVA releases the iVA engine's files so fault injection can touch the
-// raw devices without cached pages in the way.
-func (h *harness) closeIVA() error {
-	if err := h.iva.tblH.f.Close(); err != nil {
-		return h.failf("corruption: close table: %v", err)
-	}
-	if err := h.iva.ixH.f.Close(); err != nil {
-		return h.failf("corruption: close index: %v", err)
-	}
-	return nil
-}
-
-// openIVA reopens the iVA engine from its (closed) files, mirroring
-// reopenOp's sequence.
-func (h *harness) openIVA() error {
-	cat, err := table.DecodeCatalog(h.iva.cat.Encode())
-	if err != nil {
-		return h.failf("corruption: catalog decode: %v", err)
-	}
-	if err := h.iva.tblH.open(); err != nil {
-		return h.failf("corruption: table open: %v", err)
-	}
-	if err := h.iva.ixH.open(); err != nil {
-		return h.failf("corruption: index open: %v", err)
-	}
-	tbl, err := table.Open(h.iva.tblH.f, cat)
-	if err != nil {
-		return h.failf("corruption: table decode: %v", err)
-	}
-	ix, err := core.Open(h.iva.ixH.f, tbl, coreOpts())
-	if err != nil {
-		return h.failf("corruption: index decode: %v", err)
-	}
-	h.iva.cat, h.iva.tbl, h.iva.ix = cat, tbl, ix
 	return nil
 }

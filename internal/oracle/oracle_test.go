@@ -2,7 +2,13 @@ package oracle
 
 import (
 	"flag"
+	"strings"
 	"testing"
+
+	"github.com/sparsewide/iva/internal/metric"
+	"github.com/sparsewide/iva/internal/model"
+	"github.com/sparsewide/iva/internal/storage"
+	"github.com/sparsewide/iva/internal/table"
 )
 
 // Reproduction flags: a failure prints the exact invocation that replays it.
@@ -52,6 +58,7 @@ func TestDifferentialSmallPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("oracle (small pool): %+v", res)
+	requireCoverage(t, res)
 }
 
 // TestDifferentialCodec is the codec differential: a second
@@ -91,4 +98,62 @@ func TestDifferentialOnDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("oracle (disk): %+v", res)
+	requireCoverage(t, res)
+}
+
+// requireCoverage fails a run that never reopened or skipped the seeded
+// corruption sweep.
+func requireCoverage(t *testing.T, res Result) {
+	t.Helper()
+	if res.Reopens == 0 || res.CorruptionChecks != 1 {
+		t.Fatalf("run did not reopen or corrupt: %+v", res)
+	}
+}
+
+// dropLast is a broken index: every answer loses its last result.
+type dropLast struct{ index }
+
+func (d dropLast) search(q *model.Query, m *metric.Metric, par int) ([]model.Result, int, int, error) {
+	res, workers, degraded, err := d.index.search(q, m, par)
+	if len(res) > 0 {
+		res = res[:len(res)-1]
+	}
+	return res, workers, degraded, err
+}
+
+// TestOracleCatchesEveryEngine breaks one engine at a time, through every
+// rebuild and reopen, and requires the run to fail naming that engine — the
+// guard against an op that silently skips an engine.
+func TestOracleCatchesEveryEngine(t *testing.T) {
+	for _, name := range []string{"iva", "iva2", "sii", "dst"} {
+		t.Run(name, func(t *testing.T) {
+			h, err := newHarness(Options{Seed: *flagSeed, Ops: 400, CodecMirror: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer h.close()
+			var e *engine
+			for _, c := range h.engines {
+				if c.name == name {
+					e = c
+				}
+			}
+			if e == nil {
+				t.Fatalf("no engine %q", name)
+			}
+			e.ix = dropLast{e.ix}
+			attach := e.attach
+			e.attach = func(tbl *table.Table, f *storage.File, create bool, keep func(model.TID) bool) (index, error) {
+				ix, err := attach(tbl, f, create, keep)
+				return dropLast{ix}, err
+			}
+			_, err = h.run()
+			if err == nil {
+				t.Fatalf("the oracle missed a broken %s", name)
+			}
+			if !strings.Contains(err.Error(), "): "+name+" ") {
+				t.Fatalf("failure does not name %s: %v", name, err)
+			}
+		})
+	}
 }
