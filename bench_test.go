@@ -55,16 +55,16 @@ func defaultMetric(b *testing.B, e *bench.Env) *metric.Metric {
 	return m
 }
 
-// searchIVA runs b.N iVA queries round-robin over qs, reporting accesses
-// and the filter/refine wall split.
-func searchIVA(b *testing.B, e *bench.Env, qs []*model.Query, m *metric.Metric) {
+// searchIVA runs b.N queries on the iVA-file ix round-robin over qs,
+// reporting accesses and the filter/refine wall split.
+func searchIVA(b *testing.B, ix *core.Index, qs []*model.Query, m *metric.Metric) {
 	b.Helper()
 	var accesses int64
 	var filter, refine time.Duration
 	var totals []float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, st, err := e.IVA.Search(qs[i%len(qs)], m)
+		_, st, err := ix.Search(qs[i%len(qs)], m)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -125,7 +125,7 @@ func BenchmarkFig8TableAccesses(b *testing.B) {
 	m := defaultMetric(b, e)
 	for _, nv := range []int{1, 3, 5, 7, 9} {
 		qs, _ := e.Queries(nv, 10, 16, nv)
-		b.Run(fmt.Sprintf("values=%d/engine=iva", nv), func(b *testing.B) { searchIVA(b, e, qs, m) })
+		b.Run(fmt.Sprintf("values=%d/engine=iva", nv), func(b *testing.B) { searchIVA(b, e.IVA, qs, m) })
 		b.Run(fmt.Sprintf("values=%d/engine=sii", nv), func(b *testing.B) { searchSII(b, e, qs, m) })
 	}
 }
@@ -136,7 +136,7 @@ func BenchmarkFig9FilterRefine(b *testing.B) {
 	e := benchEnv(b)
 	m := defaultMetric(b, e)
 	qs, _ := e.Queries(3, 10, 16, 9)
-	b.Run("engine=iva", func(b *testing.B) { searchIVA(b, e, qs, m) })
+	b.Run("engine=iva", func(b *testing.B) { searchIVA(b, e.IVA, qs, m) })
 	b.Run("engine=sii", func(b *testing.B) { searchSII(b, e, qs, m) })
 }
 
@@ -146,7 +146,7 @@ func BenchmarkFig10Overall(b *testing.B) {
 	m := defaultMetric(b, e)
 	for _, nv := range []int{1, 3, 5, 7, 9} {
 		qs, _ := e.Queries(nv, 10, 16, nv)
-		b.Run(fmt.Sprintf("values=%d/engine=iva", nv), func(b *testing.B) { searchIVA(b, e, qs, m) })
+		b.Run(fmt.Sprintf("values=%d/engine=iva", nv), func(b *testing.B) { searchIVA(b, e.IVA, qs, m) })
 		b.Run(fmt.Sprintf("values=%d/engine=sii", nv), func(b *testing.B) { searchSII(b, e, qs, m) })
 	}
 }
@@ -156,7 +156,7 @@ func BenchmarkFig11Stability(b *testing.B) {
 	e := benchEnv(b)
 	m := defaultMetric(b, e)
 	qs, _ := e.Queries(3, 10, 40, 11)
-	b.Run("engine=iva", func(b *testing.B) { searchIVA(b, e, qs, m) })
+	b.Run("engine=iva", func(b *testing.B) { searchIVA(b, e.IVA, qs, m) })
 	b.Run("engine=sii", func(b *testing.B) { searchSII(b, e, qs, m) })
 }
 
@@ -166,7 +166,7 @@ func BenchmarkFig12K(b *testing.B) {
 	m := defaultMetric(b, e)
 	for _, k := range []int{5, 10, 15, 20, 25} {
 		qs, _ := e.Queries(3, k, 16, 100+k)
-		b.Run(fmt.Sprintf("k=%d/engine=iva", k), func(b *testing.B) { searchIVA(b, e, qs, m) })
+		b.Run(fmt.Sprintf("k=%d/engine=iva", k), func(b *testing.B) { searchIVA(b, e.IVA, qs, m) })
 		b.Run(fmt.Sprintf("k=%d/engine=sii", k), func(b *testing.B) { searchSII(b, e, qs, m) })
 	}
 }
@@ -183,25 +183,23 @@ func BenchmarkFig13Metrics(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(fmt.Sprintf("setting=%s+%s/engine=iva", s.w, s.c), func(b *testing.B) { searchIVA(b, e, qs, m) })
+		b.Run(fmt.Sprintf("setting=%s+%s/engine=iva", s.w, s.c), func(b *testing.B) { searchIVA(b, e.IVA, qs, m) })
 		b.Run(fmt.Sprintf("setting=%s+%s/engine=sii", s.w, s.c), func(b *testing.B) { searchSII(b, e, qs, m) })
 	}
 }
 
 // BenchmarkFig14Alpha — Figs. 14/15: iVA query time and filter/refine split
-// vs. relative vector length α (rebuilds the index per α).
+// vs. relative vector length α (builds a variant index per α).
 func BenchmarkFig14Alpha(b *testing.B) {
 	e := benchEnv(b)
 	m := defaultMetric(b, e)
 	qs, _ := e.Queries(3, 10, 16, 14)
 	for _, alpha := range []float64{0.10, 0.15, 0.20, 0.25, 0.30} {
-		if err := e.RebuildIVA(core.Options{Alpha: alpha, N: e.Cfg.N}); err != nil {
+		ix, err := e.BuildIVA(core.Options{Alpha: alpha})
+		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(fmt.Sprintf("alpha=%.0f%%", alpha*100), func(b *testing.B) { searchIVA(b, e, qs, m) })
-	}
-	if err := e.RebuildIVA(core.Options{Alpha: e.Cfg.Alpha, N: e.Cfg.N}); err != nil {
-		b.Fatal(err)
+		b.Run(fmt.Sprintf("alpha=%.0f%%", alpha*100), func(b *testing.B) { searchIVA(b, ix, qs, m) })
 	}
 }
 
@@ -211,13 +209,11 @@ func BenchmarkFig16GramLength(b *testing.B) {
 	m := defaultMetric(b, e)
 	qs, _ := e.Queries(3, 10, 16, 16)
 	for _, n := range []int{2, 3, 4, 5} {
-		if err := e.RebuildIVA(core.Options{Alpha: e.Cfg.Alpha, N: n}); err != nil {
+		ix, err := e.BuildIVA(core.Options{N: n})
+		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { searchIVA(b, e, qs, m) })
-	}
-	if err := e.RebuildIVA(core.Options{Alpha: e.Cfg.Alpha, N: e.Cfg.N}); err != nil {
-		b.Fatal(err)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { searchIVA(b, ix, qs, m) })
 	}
 }
 
@@ -290,7 +286,7 @@ func BenchmarkTableIDefaults(b *testing.B) {
 	e := benchEnv(b)
 	m := defaultMetric(b, e)
 	qs, _ := e.Queries(3, 10, 16, 1)
-	b.Run("engine=iva", func(b *testing.B) { searchIVA(b, e, qs, m) })
+	b.Run("engine=iva", func(b *testing.B) { searchIVA(b, e.IVA, qs, m) })
 	b.Run("engine=sii", func(b *testing.B) { searchSII(b, e, qs, m) })
 	b.Run("engine=dst", func(b *testing.B) {
 		b.ResetTimer()

@@ -36,9 +36,7 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		for _, name := range bench.Experiments {
-			fmt.Println(name)
-		}
+		fmt.Println(strings.Join(bench.Experiments(), "\n"))
 		return
 	}
 	cfg := bench.Config{Tuples: *tuples, Seed: *seed, Parallelism: *par}
@@ -48,7 +46,7 @@ func main() {
 
 	names := strings.Split(*exp, ",")
 	if *exp == "all" {
-		names = bench.Experiments
+		names = bench.Experiments()
 	}
 	for _, name := range names {
 		start := time.Now()

@@ -25,15 +25,13 @@ func ExpSizes(e *Env) (Result, error) {
 		[]string{"SII", f1(float64(e.SII.SizeBytes()) / 1e6)},
 	)
 	for _, a := range alphaSweep {
-		if err := e.RebuildIVA(core.Options{Alpha: a, N: e.Cfg.N}); err != nil {
+		ix, err := e.BuildIVA(core.Options{Alpha: a})
+		if err != nil {
 			return r, err
 		}
 		r.Rows = append(r.Rows, []string{
-			fmt.Sprintf("iVA (alpha=%s)", pct(a)), f1(float64(e.IVA.SizeBytes()) / 1e6),
+			fmt.Sprintf("iVA (alpha=%s)", pct(a)), f1(float64(ix.SizeBytes()) / 1e6),
 		})
-	}
-	if err := e.RebuildIVA(core.Options{Alpha: e.Cfg.Alpha, N: e.Cfg.N}); err != nil {
-		return r, err
 	}
 	r.Notes = append(r.Notes,
 		"Paper: iVA sizes range around the SII size; small alphas undercut it.")
@@ -53,11 +51,7 @@ func ExpAblateListTypes(e *Env) (Result, error) {
 		return r, err
 	}
 	qs, warm := e.Queries(3, 10, queryCount, 21)
-
-	if err := e.RebuildIVA(core.Options{Alpha: e.Cfg.Alpha, N: e.Cfg.N}); err != nil {
-		return r, err
-	}
-	auto, err := e.RunIVA(qs, warm, m)
+	auto, err := measure(ivaOn(e.IVA), qs, warm, m)
 	if err != nil {
 		return r, err
 	}
@@ -69,17 +63,15 @@ func ExpAblateListTypes(e *Env) (Result, error) {
 		}
 	}
 
-	if err := e.RebuildIVA(core.Options{Alpha: e.Cfg.Alpha, N: e.Cfg.N, ForceType: vector.TypeI}); err != nil {
-		return r, err
-	}
-	forced, err := e.RunIVA(qs, warm, m)
+	typeI, err := e.BuildIVA(core.Options{ForceType: vector.TypeI})
 	if err != nil {
 		return r, err
 	}
-	forcedMB := float64(e.IVA.SizeBytes()) / 1e6
-	if err := e.RebuildIVA(core.Options{Alpha: e.Cfg.Alpha, N: e.Cfg.N}); err != nil {
+	forced, err := measure(ivaOn(typeI), qs, warm, m)
+	if err != nil {
 		return r, err
 	}
+	forcedMB := float64(typeI.SizeBytes()) / 1e6
 
 	r.Rows = append(r.Rows,
 		[]string{"automatic (I/II/III/IV)", f1(autoMB), f1(auto.TotalModelMS)},
@@ -106,22 +98,16 @@ func ExpAblateDomains(e *Env) (Result, error) {
 	}
 	// Numeric-only queries isolate the quantizer's filtering power.
 	qs, warm := numericQueries(e, 2, 10, queryCount, 22)
-
-	if err := e.RebuildIVA(core.Options{Alpha: e.Cfg.Alpha, N: e.Cfg.N}); err != nil {
-		return r, err
-	}
-	rel, err := e.RunIVA(qs, warm, m)
+	rel, err := measure(ivaOn(e.IVA), qs, warm, m)
 	if err != nil {
 		return r, err
 	}
-	if err := e.RebuildIVA(core.Options{Alpha: e.Cfg.Alpha, N: e.Cfg.N, AbsoluteDomains: true}); err != nil {
-		return r, err
-	}
-	abs, err := e.RunIVA(qs, warm, m)
+	absIx, err := e.BuildIVA(core.Options{AbsoluteDomains: true})
 	if err != nil {
 		return r, err
 	}
-	if err := e.RebuildIVA(core.Options{Alpha: e.Cfg.Alpha, N: e.Cfg.N}); err != nil {
+	abs, err := measure(ivaOn(absIx), qs, warm, m)
+	if err != nil {
 		return r, err
 	}
 	r.Rows = append(r.Rows,
@@ -198,9 +184,6 @@ func ExpAblatePlan(e *Env) (Result, error) {
 	if err != nil {
 		return r, err
 	}
-	if err := e.RebuildIVA(core.Options{Alpha: e.Cfg.Alpha, N: e.Cfg.N}); err != nil {
-		return r, err
-	}
 	run := func(label string, qs []*model.Query, warm int) error {
 		var scanned, seq, par float64
 		n := 0
@@ -259,21 +242,21 @@ func ExpAblateSignature(e *Env) (Result, error) {
 		pairs = append(pairs, pair{sq, sd})
 	}
 	for _, a := range alphaSweep {
-		codec, err := signature.NewCodec(e.Cfg.N, a)
+		codec, err := signature.NewCodec(gramN, a)
 		if err != nil {
 			return r, err
 		}
 		var measured, predicted float64
 		var count int
 		for _, p := range pairs {
-			estPrime := gram.EstPrime(p.sq, p.sd, e.Cfg.N)
+			estPrime := gram.EstPrime(p.sq, p.sd, gramN)
 			if estPrime <= 0 {
 				continue
 			}
 			sig := codec.Encode(p.sd)
 			est := codec.NewQueryString(p.sq).Est(sig)
 			measured += (estPrime - est) / estPrime
-			mGrams := len(p.sd) + e.Cfg.N - 1
+			mGrams := len(p.sd) + gramN - 1
 			l := codec.SigBits(len(p.sd))
 			t := codec.OptimalT(mGrams, l)
 			predicted += signature.ExpectedError(mGrams, l, t)

@@ -1,15 +1,42 @@
 package bench
 
 import (
+	"math"
 	"strconv"
 	"strings"
 	"testing"
+
+	"github.com/sparsewide/iva/internal/model"
+	"github.com/sparsewide/iva/internal/table"
 )
 
 // small test configuration: enough data for the shapes to emerge, small
 // enough for CI.
 func testCfg() Config {
 	return Config{Tuples: 4000, TextAttrs: 120, NumAttrs: 12, Seed: 7}
+}
+
+// results caches each experiment's Result at testCfg, so each is measured
+// once per package run.
+var results = map[string]Result{}
+
+// result runs the named experiment at testCfg (fig17 at 2,000 tuples: it
+// builds three private environments), or returns its cached Result.
+func result(t *testing.T, name string) Result {
+	t.Helper()
+	if r, ok := results[name]; ok {
+		return r
+	}
+	cfg := testCfg()
+	if name == "fig17" {
+		cfg.Tuples = 2000
+	}
+	r, err := Run(name, cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	results[name] = r
+	return r
 }
 
 func parse(t *testing.T, s string) float64 {
@@ -22,13 +49,30 @@ func parse(t *testing.T, s string) float64 {
 	return v
 }
 
-func TestFig8Shape(t *testing.T) {
-	r, err := Run("fig8", testCfg())
+// TestEveryExperimentRuns runs the whole registry on a fresh shared
+// environment and checks that none of it replaced that environment's
+// iVA-file: variants are private. It comes first, so every experiment runs
+// inside the check; the shape tests below read its results.
+func TestEveryExperimentRuns(t *testing.T) {
+	e, err := SharedEnv(testCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
+	ix := e.IVA
+	for _, name := range Experiments() {
+		if r := result(t, name); len(r.Rows) == 0 {
+			t.Errorf("%s: no rows", name)
+		}
+	}
+	if e.IVA != ix {
+		t.Error("an experiment replaced the shared environment's iVA-file")
+	}
+}
+
+func TestFig8Shape(t *testing.T) {
+	r := result(t, "fig8")
 	t.Log("\n" + r.Render())
-	if len(r.Rows) != len(valueSweep) {
+	if len(r.Rows) != len(sweepValues) {
 		t.Fatalf("%d rows", len(r.Rows))
 	}
 	for _, row := range r.Rows {
@@ -44,10 +88,7 @@ func TestFig8Shape(t *testing.T) {
 }
 
 func TestDefaultsExperiment(t *testing.T) {
-	r, err := Run("defaults", testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := result(t, "defaults")
 	t.Log("\n" + r.Render())
 	vals := map[string]string{}
 	for _, row := range r.Rows {
@@ -73,10 +114,7 @@ func TestDefaultsExperiment(t *testing.T) {
 }
 
 func TestFig9Shape(t *testing.T) {
-	r, err := Run("fig9", testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := result(t, "fig9")
 	t.Log("\n" + r.Render())
 	for _, row := range r.Rows {
 		ivaFilter, siiFilter := parse(t, row[1]), parse(t, row[2])
@@ -93,10 +131,7 @@ func TestFig9Shape(t *testing.T) {
 }
 
 func TestSizesShape(t *testing.T) {
-	r, err := Run("sizes", testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := result(t, "sizes")
 	t.Log("\n" + r.Render())
 	table := parse(t, r.Rows[0][1])
 	sii := parse(t, r.Rows[1][1])
@@ -120,10 +155,7 @@ func TestSizesShape(t *testing.T) {
 }
 
 func TestFig10Shape(t *testing.T) {
-	r, err := Run("fig10", testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := result(t, "fig10")
 	t.Log("\n" + r.Render())
 	for _, row := range r.Rows {
 		iva, sii := parse(t, row[1]), parse(t, row[2])
@@ -134,10 +166,7 @@ func TestFig10Shape(t *testing.T) {
 }
 
 func TestFig12Shape(t *testing.T) {
-	r, err := Run("fig12", testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := result(t, "fig12")
 	t.Log("\n" + r.Render())
 	for _, row := range r.Rows {
 		if parse(t, row[1]) >= parse(t, row[2]) {
@@ -147,10 +176,7 @@ func TestFig12Shape(t *testing.T) {
 }
 
 func TestFig13Shape(t *testing.T) {
-	r, err := Run("fig13", testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := result(t, "fig13")
 	t.Log("\n" + r.Render())
 	if len(r.Rows) != 6 {
 		t.Fatalf("%d settings", len(r.Rows))
@@ -163,10 +189,7 @@ func TestFig13Shape(t *testing.T) {
 }
 
 func TestFig15Shape(t *testing.T) {
-	r, err := Run("fig15", testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := result(t, "fig15")
 	t.Log("\n" + r.Render())
 	// The paper's trade-off in machine-independent terms: longer vectors
 	// mean more index pages scanned (filter work grows) and fewer table
@@ -182,12 +205,7 @@ func TestFig15Shape(t *testing.T) {
 }
 
 func TestFig17Shape(t *testing.T) {
-	cfg := testCfg()
-	cfg.Tuples = 2000
-	r, err := Run("fig17", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := result(t, "fig17")
 	t.Log("\n" + r.Render())
 	// Update time decreases as beta grows, for every engine.
 	betaRows := r.Rows[:5]
@@ -199,10 +217,7 @@ func TestFig17Shape(t *testing.T) {
 }
 
 func TestAblateDomainsShape(t *testing.T) {
-	r, err := Run("ablate-domains", testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := result(t, "ablate-domains")
 	t.Log("\n" + r.Render())
 	rel, abs := parse(t, r.Rows[0][1]), parse(t, r.Rows[1][1])
 	if rel >= abs {
@@ -211,10 +226,7 @@ func TestAblateDomainsShape(t *testing.T) {
 }
 
 func TestAblatePlanShape(t *testing.T) {
-	r, err := Run("ablate-plan", testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := result(t, "ablate-plan")
 	t.Log("\n" + r.Render())
 	// Mixed queries: the sequential plan keeps most of the table as
 	// candidates; the parallel plan fetches far fewer.
@@ -234,10 +246,7 @@ func TestAblatePlanShape(t *testing.T) {
 }
 
 func TestAblateSignatureShape(t *testing.T) {
-	r, err := Run("ablate-signature", testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := result(t, "ablate-signature")
 	t.Log("\n" + r.Render())
 	if len(r.Rows) < 3 {
 		t.Fatalf("%d rows", len(r.Rows))
@@ -245,6 +254,66 @@ func TestAblateSignatureShape(t *testing.T) {
 	// Measured error falls with alpha.
 	if parse(t, r.Rows[0][2]) < parse(t, r.Rows[len(r.Rows)-1][2]) {
 		t.Errorf("measured error grew with alpha")
+	}
+}
+
+// TestFig10IsFig9Sum: Figs. 9 and 10 read one measured sweep, so each
+// engine's overall time is its filter plus refine time up to print
+// rounding.
+func TestFig10IsFig9Sum(t *testing.T) {
+	f9, f10 := result(t, "fig9"), result(t, "fig10")
+	for i, row := range f9.Rows {
+		for eng, col := range map[string]int{"iVA": 1, "SII": 2} {
+			sum := parse(t, row[col]) + parse(t, row[col+2])
+			if total := parse(t, f10.Rows[i][col]); math.Abs(total-sum) > 0.1+1e-9 {
+				t.Errorf("values=%s %s: fig10 %v, fig9 %s + %s", row[0], eng, total, row[col], row[col+2])
+			}
+		}
+	}
+}
+
+// TestUpdateRebuildKeepsLiveSet: each engine's cleaning rebuild keeps the
+// tuples it inserted and none it deleted.
+func TestUpdateRebuildKeepsLiveSet(t *testing.T) {
+	cfg := testCfg()
+	cfg.Tuples = 2000
+	for i, on := range updaters {
+		e, err := NewEnv(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		u := on(e)
+		inserted, deleted := map[model.TID]bool{}, map[model.TID]bool{}
+		insert, del, build := u.insert, u.delete, u.build
+		u.insert = func(v map[model.AttrID]model.Value) (model.TID, error) {
+			tid, err := insert(v)
+			inserted[tid] = true
+			return tid, err
+		}
+		u.delete = func(tid model.TID) error { deleted[tid] = true; return del(tid) }
+		var rebuilt *table.Table
+		u.build = func(tbl *table.Table) error { rebuilt = tbl; return build(tbl) }
+		if _, err := measureUpdates(e, u, 50); err != nil {
+			t.Fatal(err)
+		}
+		kept := map[model.TID]bool{}
+		if err := rebuilt.Scan(func(_ int64, tp *model.Tuple) error { kept[tp.TID] = true; return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if len(kept) != cfg.Tuples || len(inserted) != 50 || len(deleted) != 50 {
+			t.Errorf("updater %d: kept %d tuples after %d inserts and %d deletes, want %d",
+				i, len(kept), len(inserted), len(deleted), cfg.Tuples)
+		}
+		for tid := range inserted {
+			if !kept[tid] {
+				t.Errorf("updater %d: inserted tid %d dropped", i, tid)
+			}
+		}
+		for tid := range deleted {
+			if kept[tid] {
+				t.Errorf("updater %d: deleted tid %d kept", i, tid)
+			}
+		}
 	}
 }
 

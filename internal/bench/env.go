@@ -3,10 +3,10 @@
 // workload, driving the iVA-file, the SII inverted-index baseline, and the
 // DST direct scan side by side.
 //
-// Two time measurements are reported for every experiment: raw wall time on
-// the current machine, and modeled milliseconds from the storage layer's
-// physical-I/O counts priced with a 2009-HDD cost model (DESIGN.md §3.5).
-// Counts (table-file accesses, Fig. 8) are machine-independent.
+// Times are modeled milliseconds: the storage layer's physical-I/O counts
+// priced with a 2009-HDD cost model plus CPUFactor × measured wall time
+// (modelMS; DESIGN.md §3.5). Counts (table-file accesses, Fig. 8, filter
+// pages, index sizes) are machine-independent.
 package bench
 
 import (
@@ -23,17 +23,22 @@ import (
 	"github.com/sparsewide/iva/internal/table"
 )
 
+// The paper's fixed settings (Table I, §V-A): every environment runs under
+// them, and the α and n sweeps build private variants (BuildIVA) around them.
+const (
+	pageSize   = 4096
+	cacheBytes = 10 << 20 // the shared file cache (paper setup: 10 MB)
+	alpha      = 0.20     // relative vector length α
+	gramN      = 2        // gram length n
+)
+
 // Config fixes one experimental environment. The zero value selects the
 // paper's Table I defaults at a laptop-scale tuple count.
 type Config struct {
-	Tuples     int     // dataset scale; default 60,000 (paper: 779,019)
-	TextAttrs  int     // default 1081
-	NumAttrs   int     // default 66
-	CacheBytes int64   // shared file cache; default 10 MiB (paper setup)
-	PageSize   int     // default 4096
-	Alpha      float64 // default 0.20
-	N          int     // default 2
-	Seed       int64   // default 42
+	Tuples    int   // dataset scale; default 60,000 (paper: 779,019)
+	TextAttrs int   // default 1081
+	NumAttrs  int   // default 66
+	Seed      int64 // default 42
 	// Parallelism is the iVA-file's SearchParallelism: 0 uses all cores,
 	// 1 = one worker (the paper's single-threaded setup).
 	Parallelism int
@@ -48,18 +53,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.NumAttrs == 0 {
 		c.NumAttrs = 66
-	}
-	if c.CacheBytes == 0 {
-		c.CacheBytes = 10 << 20
-	}
-	if c.PageSize == 0 {
-		c.PageSize = 4096
-	}
-	if c.Alpha == 0 {
-		c.Alpha = 0.20
-	}
-	if c.N == 0 {
-		c.N = 2
 	}
 	if c.Seed == 0 {
 		c.Seed = 42
@@ -84,17 +77,17 @@ type Env struct {
 	IVA  *core.Index
 	SII  *invidx.Index
 	DST  *scan.Scanner
-	Disk storage.DiskModel
+
+	// The Figs. 8–11 value sweep, measured once (valueSweep).
+	sweepOnce sync.Once
+	sweep     []sweepPoint
+	sweepErr  error
 }
 
 // NewEnv generates the dataset and builds the table and all three engines.
 func NewEnv(cfg Config) (*Env, error) {
 	cfg = cfg.withDefaults()
-	e := &Env{
-		Cfg:  cfg,
-		Pool: storage.NewPool(cfg.PageSize, cfg.CacheBytes),
-		Disk: storage.DefaultDiskModel(),
-	}
+	e := &Env{Cfg: cfg, Pool: storage.NewPool(pageSize, cacheBytes)}
 	e.Gen = dataset.New(dataset.Config{
 		Tuples:    cfg.Tuples,
 		TextAttrs: cfg.TextAttrs,
@@ -102,7 +95,7 @@ func NewEnv(cfg Config) (*Env, error) {
 		Seed:      cfg.Seed,
 	})
 	cat := table.NewCatalog()
-	tbl, err := table.New(storage.NewFile(e.Pool, storage.NewMemDevice()), cat)
+	tbl, err := table.New(e.memFile(), cat)
 	if err != nil {
 		return nil, err
 	}
@@ -110,12 +103,10 @@ func NewEnv(cfg Config) (*Env, error) {
 	if e.IDs, err = e.Gen.Populate(tbl); err != nil {
 		return nil, err
 	}
-	if e.IVA, err = core.Build(tbl, storage.NewFile(e.Pool, storage.NewMemDevice()),
-		core.Options{Alpha: cfg.Alpha, N: cfg.N, SearchParallelism: cfg.Parallelism}); err != nil {
+	if e.IVA, err = e.BuildIVA(core.Options{}); err != nil {
 		return nil, err
 	}
-	if e.SII, err = invidx.Build(tbl, storage.NewFile(e.Pool, storage.NewMemDevice()),
-		invidx.Options{}); err != nil {
+	if e.SII, err = invidx.Build(tbl, e.memFile(), invidx.Options{}); err != nil {
 		return nil, err
 	}
 	if e.DST, err = scan.New(tbl); err != nil {
@@ -124,18 +115,26 @@ func NewEnv(cfg Config) (*Env, error) {
 	return e, nil
 }
 
-// RebuildIVA replaces the iVA-file with one built under different options
-// (α and n sweeps reuse the same table and dataset).
-func (e *Env) RebuildIVA(opts core.Options) error {
+// BuildIVA builds an iVA-file over the environment's table under opts,
+// with Table I's α and n where opts leaves them zero. The result is the
+// caller's own: e.IVA stays the default index, so the α and n sweeps and
+// the ablations read a variant without disturbing other readers.
+func (e *Env) BuildIVA(opts core.Options) (*core.Index, error) {
+	if opts.Alpha == 0 {
+		opts.Alpha = alpha
+	}
+	if opts.N == 0 {
+		opts.N = gramN
+	}
 	if opts.SearchParallelism == 0 {
 		opts.SearchParallelism = e.Cfg.Parallelism
 	}
-	ix, err := core.Build(e.Tbl, storage.NewFile(e.Pool, storage.NewMemDevice()), opts)
-	if err != nil {
-		return err
-	}
-	e.IVA = ix
-	return nil
+	return core.Build(e.Tbl, e.memFile(), opts)
+}
+
+// memFile is a fresh in-memory file behind the shared pool.
+func (e *Env) memFile() *storage.File {
+	return storage.NewFile(e.Pool, storage.NewMemDevice())
 }
 
 // Metric builds the evaluation metric by name pair, e.g. ("EQU", "L2").
@@ -179,8 +178,8 @@ var (
 )
 
 // SharedEnv returns a cached environment for cfg, building it on first use.
-// Callers must not mutate the returned environment's data (update
-// experiments build private environments instead).
+// Callers must not mutate the returned environment (the update experiment
+// builds private environments, the variants private indexes).
 func SharedEnv(cfg Config) (*Env, error) {
 	cfg = cfg.withDefaults()
 	envMu.Lock()

@@ -63,56 +63,58 @@ func (r Result) Markdown() string {
 	return b.String()
 }
 
-// Experiments lists every runnable experiment in presentation order.
-var Experiments = []string{
-	"defaults", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
-	"fig14", "fig15", "fig16", "fig17", "sizes",
-	"ablate-listtypes", "ablate-domains", "ablate-plan", "ablate-signature",
+// experiments is every runnable experiment in presentation order. Query
+// experiments share a cached environment; the update experiment (fig17)
+// builds private ones.
+var experiments = []struct {
+	name string
+	run  func(Config) (Result, error)
+}{
+	{"defaults", shared(ExpDefaults)},
+	{"fig8", shared(ExpFig8)},
+	{"fig9", shared(ExpFig9)},
+	{"fig10", shared(ExpFig10)},
+	{"fig11", shared(ExpFig11)},
+	{"fig12", shared(ExpFig12)},
+	{"fig13", shared(ExpFig13)},
+	{"fig14", shared(ExpFig14)},
+	{"fig15", shared(ExpFig15)},
+	{"fig16", shared(ExpFig16)},
+	{"fig17", ExpFig17},
+	{"sizes", shared(ExpSizes)},
+	{"ablate-listtypes", shared(ExpAblateListTypes)},
+	{"ablate-domains", shared(ExpAblateDomains)},
+	{"ablate-plan", shared(ExpAblatePlan)},
+	{"ablate-signature", shared(ExpAblateSignature)},
 }
 
-// Run executes one named experiment under cfg. Query experiments share a
-// cached environment; the update experiment (fig17) builds private ones.
+// shared runs exp on the cached environment for the run's Config.
+func shared(exp func(*Env) (Result, error)) func(Config) (Result, error) {
+	return func(cfg Config) (Result, error) {
+		e, err := SharedEnv(cfg)
+		if err != nil {
+			return Result{}, err
+		}
+		return exp(e)
+	}
+}
+
+// Experiments lists the experiment names in presentation order.
+func Experiments() []string {
+	names := make([]string, len(experiments))
+	for i, x := range experiments {
+		names[i] = x.name
+	}
+	return names
+}
+
+// Run executes one named experiment under cfg.
 func Run(name string, cfg Config) (Result, error) {
-	if name == "fig17" {
-		return ExpFig17(cfg)
+	for _, x := range experiments {
+		if x.name == name {
+			return x.run(cfg)
+		}
 	}
-	e, err := SharedEnv(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	switch name {
-	case "defaults":
-		return ExpDefaults(e)
-	case "fig8":
-		return ExpFig8(e)
-	case "fig9":
-		return ExpFig9(e)
-	case "fig10":
-		return ExpFig10(e)
-	case "fig11":
-		return ExpFig11(e)
-	case "fig12":
-		return ExpFig12(e)
-	case "fig13":
-		return ExpFig13(e)
-	case "fig14":
-		return ExpFig14(e)
-	case "fig15":
-		return ExpFig15(e)
-	case "fig16":
-		return ExpFig16(e)
-	case "sizes":
-		return ExpSizes(e)
-	case "ablate-listtypes":
-		return ExpAblateListTypes(e)
-	case "ablate-domains":
-		return ExpAblateDomains(e)
-	case "ablate-plan":
-		return ExpAblatePlan(e)
-	case "ablate-signature":
-		return ExpAblateSignature(e)
-	default:
-		return Result{}, fmt.Errorf("bench: unknown experiment %q (known: %s)",
-			name, strings.Join(Experiments, ", "))
-	}
+	return Result{}, fmt.Errorf("bench: unknown experiment %q (known: %s)",
+		name, strings.Join(Experiments(), ", "))
 }

@@ -2,25 +2,35 @@ package bench
 
 import (
 	"math"
+	"time"
 
+	"github.com/sparsewide/iva/internal/core"
 	"github.com/sparsewide/iva/internal/metric"
 	"github.com/sparsewide/iva/internal/model"
+	"github.com/sparsewide/iva/internal/storage"
 )
 
 // CPUFactor scales measured CPU time into the modeled milliseconds: the
 // paper's testbed is a 1.8 GHz Core2 from 2009, roughly an order of
 // magnitude slower per thread than current hardware on this workload.
-// Only the modeled columns use it; wall columns stay raw.
 const CPUFactor = 10.0
 
-// EngineStats aggregates a measured query set for one engine. Modeled times
-// are disk-model I/O milliseconds plus CPUFactor× measured CPU
-// milliseconds; wall times are raw measurements on the current machine.
+// disk prices physical I/O as a 2009 hard disk would (DESIGN.md §3.5).
+var disk = storage.DefaultDiskModel()
+
+// modelMS is the one pricing of a measured step: the disk model's cost of
+// its I/O plus CPUFactor × its wall time. Query phases and Fig. 17's
+// update primitives all go through it.
+func modelMS(io storage.Snapshot, wall time.Duration) float64 {
+	return disk.CostMS(io) + CPUFactor*float64(wall.Microseconds())/1000
+}
+
+// EngineStats aggregates a measured query set for one engine. Times are
+// modeled milliseconds (modelMS).
 type EngineStats struct {
 	Queries int
 
 	MeanTableAccesses float64
-	MeanCandidates    float64 // SII only
 	MeanScanned       float64
 	MeanFilterPages   float64 // page requests during filtering (phys + hits)
 
@@ -28,57 +38,40 @@ type EngineStats struct {
 	RefineModelMS float64
 	TotalModelMS  float64
 	StdDevModelMS float64
-
-	FilterWallMS float64
-	RefineWallMS float64
-	TotalWallMS  float64
-	StdDevWallMS float64
 }
 
+// sample is one measured query: raw counts, the I/O of its filter and
+// refine steps, and their wall times. An engine without a refine step
+// (DST) leaves that half zero.
 type sample struct {
-	accesses    int64
-	candidates  int64
-	scanned     int64
-	filterPages int64
-	filterMS    float64
-	refineMS    float64
-	filterWall  float64
-	refineWall  float64
+	accesses, scanned      int64
+	filterIO, refineIO     storage.Snapshot
+	filterWall, refineWall time.Duration
 }
 
 func aggregate(samples []sample) EngineStats {
-	var s EngineStats
-	s.Queries = len(samples)
+	s := EngineStats{Queries: len(samples)}
 	if s.Queries == 0 {
 		return s
 	}
-	totalsModel := make([]float64, len(samples))
-	totalsWall := make([]float64, len(samples))
+	totals := make([]float64, len(samples))
 	for i, sm := range samples {
+		filter, refine := modelMS(sm.filterIO, sm.filterWall), modelMS(sm.refineIO, sm.refineWall)
 		s.MeanTableAccesses += float64(sm.accesses)
-		s.MeanCandidates += float64(sm.candidates)
 		s.MeanScanned += float64(sm.scanned)
-		s.MeanFilterPages += float64(sm.filterPages)
-		s.FilterModelMS += sm.filterMS
-		s.RefineModelMS += sm.refineMS
-		s.FilterWallMS += sm.filterWall
-		s.RefineWallMS += sm.refineWall
-		totalsModel[i] = sm.filterMS + sm.refineMS
-		totalsWall[i] = sm.filterWall + sm.refineWall
+		s.MeanFilterPages += float64(sm.filterIO.PhysReads + sm.filterIO.CacheHits)
+		s.FilterModelMS += filter
+		s.RefineModelMS += refine
+		totals[i] = filter + refine
 	}
 	n := float64(s.Queries)
 	s.MeanTableAccesses /= n
-	s.MeanCandidates /= n
 	s.MeanScanned /= n
 	s.MeanFilterPages /= n
 	s.FilterModelMS /= n
 	s.RefineModelMS /= n
-	s.FilterWallMS /= n
-	s.RefineWallMS /= n
 	s.TotalModelMS = s.FilterModelMS + s.RefineModelMS
-	s.TotalWallMS = s.FilterWallMS + s.RefineWallMS
-	s.StdDevModelMS = stddev(totalsModel)
-	s.StdDevWallMS = stddev(totalsWall)
+	s.StdDevModelMS = stddev(totals)
 	return s
 }
 
@@ -98,78 +91,57 @@ func stddev(xs []float64) float64 {
 	return math.Sqrt(v / float64(len(xs)))
 }
 
-// RunIVA measures the iVA-file on a query set; the first `warm` queries
-// prime the file cache and are not measured (§V-A).
-func (e *Env) RunIVA(queries []*model.Query, warm int, m *metric.Metric) (EngineStats, error) {
-	var samples []sample
-	for i, q := range queries {
-		_, st, err := e.IVA.Search(q, m)
-		if err != nil {
-			return EngineStats{}, err
-		}
-		if i < warm {
-			continue
-		}
-		sm := sample{
-			accesses:    st.TableAccesses,
-			scanned:     st.Scanned,
-			filterPages: st.FilterIO.PhysReads + st.FilterIO.CacheHits,
-			filterMS:    e.Disk.CostMS(st.FilterIO) + CPUFactor*float64(st.FilterWall.Microseconds())/1000,
-			refineMS:    e.Disk.CostMS(st.RefineIO) + CPUFactor*float64(st.RefineWall.Microseconds())/1000,
-			filterWall:  float64(st.FilterWall.Microseconds()) / 1000,
-			refineWall:  float64(st.RefineWall.Microseconds()) / 1000,
-		}
-		samples = append(samples, sm)
+// searcher answers one query on one engine and reports its sample.
+type searcher func(q *model.Query, m *metric.Metric) (sample, error)
+
+// ivaOn searches ix: the environment's iVA-file or a variant of it.
+func ivaOn(ix *core.Index) searcher {
+	return func(q *model.Query, m *metric.Metric) (sample, error) {
+		_, st, err := ix.Search(q, m)
+		return sample{st.TableAccesses, st.Scanned, st.FilterIO, st.RefineIO, st.FilterWall, st.RefineWall}, err
 	}
-	return aggregate(samples), nil
 }
 
-// RunSII measures the inverted-index baseline on a query set.
-func (e *Env) RunSII(queries []*model.Query, warm int, m *metric.Metric) (EngineStats, error) {
-	var samples []sample
-	for i, q := range queries {
+// sii searches the inverted-index baseline.
+func (e *Env) sii() searcher {
+	return func(q *model.Query, m *metric.Metric) (sample, error) {
 		_, st, err := e.SII.Search(q, m)
-		if err != nil {
-			return EngineStats{}, err
-		}
-		if i < warm {
-			continue
-		}
-		sm := sample{
-			accesses:   st.TableAccesses,
-			candidates: st.Candidates,
-			scanned:    st.Scanned,
-			filterMS:   e.Disk.CostMS(st.FilterIO) + CPUFactor*float64(st.FilterWall.Microseconds())/1000,
-			refineMS:   e.Disk.CostMS(st.RefineIO) + CPUFactor*float64(st.RefineWall.Microseconds())/1000,
-			filterWall: float64(st.FilterWall.Microseconds()) / 1000,
-			refineWall: float64(st.RefineWall.Microseconds()) / 1000,
-		}
-		samples = append(samples, sm)
+		return sample{st.TableAccesses, st.Scanned, st.FilterIO, st.RefineIO, st.FilterWall, st.RefineWall}, err
 	}
-	return aggregate(samples), nil
 }
 
-// RunDST measures the direct table scan on a query set.
-func (e *Env) RunDST(queries []*model.Query, warm int, m *metric.Metric) (EngineStats, error) {
+// dst searches the direct table scan. It reports no I/O of its own, so
+// the pool's counters are diffed around the call; the scan is all filter.
+func (e *Env) dst() searcher {
 	pstats := e.Pool.Stats()
-	var samples []sample
-	for i, q := range queries {
+	return func(q *model.Query, m *metric.Metric) (sample, error) {
 		before := pstats.Snapshot()
 		_, st, err := e.DST.Search(q, m)
+		return sample{scanned: st.Scanned, filterIO: pstats.Snapshot().Sub(before), filterWall: st.Wall}, err
+	}
+}
+
+// measure runs a query set through one engine; the first warm queries
+// prime the file cache and are not measured (§V-A).
+func measure(search searcher, queries []*model.Query, warm int, m *metric.Metric) (EngineStats, error) {
+	samples := make([]sample, 0, len(queries))
+	for i, q := range queries {
+		sm, err := search(q, m)
 		if err != nil {
 			return EngineStats{}, err
 		}
-		if i < warm {
-			continue
+		if i >= warm {
+			samples = append(samples, sm)
 		}
-		io := pstats.Snapshot().Sub(before)
-		wall := float64(st.Wall.Microseconds()) / 1000
-		sm := sample{
-			scanned:    st.Scanned,
-			filterMS:   e.Disk.CostMS(io) + CPUFactor*wall,
-			filterWall: wall,
-		}
-		samples = append(samples, sm)
 	}
 	return aggregate(samples), nil
+}
+
+// pair measures the iVA-file, then SII, on the same query set.
+func (e *Env) pair(queries []*model.Query, warm int, m *metric.Metric) (iva, sii EngineStats, err error) {
+	if iva, err = measure(ivaOn(e.IVA), queries, warm, m); err != nil {
+		return iva, sii, err
+	}
+	sii, err = measure(e.sii(), queries, warm, m)
+	return iva, sii, err
 }

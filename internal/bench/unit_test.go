@@ -4,12 +4,19 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
+
+	"github.com/sparsewide/iva/internal/storage"
 )
 
 func TestAggregate(t *testing.T) {
+	// Physical reads without an access class cost nothing in the disk
+	// model, so each phase's model ms is CPUFactor × its wall time: 100µs
+	// prices at 1 ms.
+	us := func(n int) time.Duration { return time.Duration(n) * time.Microsecond }
 	samples := []sample{
-		{accesses: 10, scanned: 100, filterPages: 4, filterMS: 1, refineMS: 3, filterWall: 0.1, refineWall: 0.3},
-		{accesses: 20, scanned: 100, filterPages: 6, filterMS: 3, refineMS: 5, filterWall: 0.3, refineWall: 0.5},
+		{accesses: 10, scanned: 100, filterIO: storage.Snapshot{PhysReads: 4}, filterWall: us(100), refineWall: us(300)},
+		{accesses: 20, scanned: 100, filterIO: storage.Snapshot{PhysReads: 6}, filterWall: us(300), refineWall: us(500)},
 	}
 	s := aggregate(samples)
 	if s.Queries != 2 {
@@ -28,6 +35,10 @@ func TestAggregate(t *testing.T) {
 	if got := aggregate(nil); got.Queries != 0 {
 		t.Fatalf("empty aggregate: %+v", got)
 	}
+	// The disk model prices classed reads: two random reads and 1 ms of wall.
+	if got, want := modelMS(storage.Snapshot{RandReads: 2}, time.Millisecond), 2*disk.RandomMS+CPUFactor; got != want {
+		t.Fatalf("modelMS = %v, want %v", got, want)
+	}
 }
 
 func TestStddev(t *testing.T) {
@@ -43,21 +54,13 @@ func TestStddev(t *testing.T) {
 }
 
 func TestUpdateMSFormula(t *testing.T) {
-	u := updateCosts{
-		tdModelMS: 4, tiModelMS: 6, trModelMS: 10000,
-		tdWallMS: 1, tiWallMS: 2, trWallMS: 1000,
-		tuples: 1000,
-	}
-	// model: 4 + 6 + 10000/(0.01*1000) = 10 + 1000 = 1010.
-	if got := u.updateMS(0.01, true); math.Abs(got-1010) > 1e-9 {
+	u := updateCosts{td: 4, ti: 6, tr: 10000, tuples: 1000}
+	// 4 + 6 + 10000/(0.01*1000) = 10 + 1000 = 1010.
+	if got := u.updateMS(0.01); math.Abs(got-1010) > 1e-9 {
 		t.Fatalf("model updateMS = %v", got)
 	}
-	// wall: 1 + 2 + 1000/(0.05*1000) = 3 + 20 = 23.
-	if got := u.updateMS(0.05, false); math.Abs(got-23) > 1e-9 {
-		t.Fatalf("wall updateMS = %v", got)
-	}
 	// Strictly decreasing in beta.
-	if u.updateMS(0.01, true) <= u.updateMS(0.05, true) {
+	if u.updateMS(0.01) <= u.updateMS(0.05) {
 		t.Fatal("updateMS not decreasing in beta")
 	}
 }
@@ -90,12 +93,12 @@ func TestRenderAlignment(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.Tuples != 60000 || c.Alpha != 0.20 || c.N != 2 || c.CacheBytes != 10<<20 {
+	if c.Tuples != 60000 || c.TextAttrs != 1081 || c.NumAttrs != 66 || c.Seed != 42 || c.Parallelism != 1 {
 		t.Fatalf("defaults: %+v", c)
 	}
 	// Explicit values survive.
-	c2 := Config{Tuples: 5, Alpha: 0.5}.withDefaults()
-	if c2.Tuples != 5 || c2.Alpha != 0.5 {
+	c2 := Config{Tuples: 5}.withDefaults()
+	if c2.Tuples != 5 {
 		t.Fatalf("overrides lost: %+v", c2)
 	}
 }

@@ -8,35 +8,48 @@ import (
 	"github.com/sparsewide/iva/internal/core"
 	"github.com/sparsewide/iva/internal/invidx"
 	"github.com/sparsewide/iva/internal/model"
-	"github.com/sparsewide/iva/internal/storage"
+	"github.com/sparsewide/iva/internal/table"
 )
 
-// updateCosts are the measured primitives of §V-C: td (per deletion), ti
-// (per insertion) and tr (rebuilding the table file and the index file to
-// clean deleted data). The paper's amortized costs follow as
+// updateCosts are the measured primitives of §V-C in model ms: td (per
+// deletion), ti (per insertion) and tr (rebuilding the table file and the
+// index file to clean deleted data). The paper's amortized costs follow as
 // td + tr/(β·|T|), ti + tr/(β·|T|) and td + ti + tr/(β·|T|).
 type updateCosts struct {
-	tdModelMS, tdWallMS float64
-	tiModelMS, tiWallMS float64
-	trModelMS, trWallMS float64
-	tuples              int64
+	td, ti, tr float64
+	tuples     int64
 }
 
-func (u updateCosts) updateMS(beta float64, model bool) float64 {
-	amort := u.trModelMS
-	td, ti := u.tdModelMS, u.tiModelMS
-	if !model {
-		amort = u.trWallMS
-		td, ti = u.tdWallMS, u.tiWallMS
-	}
-	return td + ti + amort/(beta*float64(u.tuples))
+func (u updateCosts) updateMS(beta float64) float64 {
+	return u.td + u.ti + u.tr/(beta*float64(u.tuples))
 }
 
-// updateOps abstracts the per-engine mutation primitives.
-type updateOps struct {
-	insert  func(map[model.AttrID]model.Value) error
-	delete  func(model.TID) error
-	rebuild func() error
+// updater is one engine's mutation primitives: insert and delete, and the
+// index build over a cleaned table (DST keeps no index).
+type updater struct {
+	insert func(map[model.AttrID]model.Value) (model.TID, error)
+	delete func(model.TID) error
+	build  func(*table.Table) error
+}
+
+// updaters are Fig. 17's three engines, iVA, SII and DST, each bound to a
+// private environment.
+var updaters = []func(e *Env) updater{
+	func(e *Env) updater {
+		return updater{e.IVA.Insert, e.IVA.Delete, func(tbl *table.Table) error {
+			_, err := core.Build(tbl, e.memFile(), core.Options{Alpha: alpha, N: gramN})
+			return err
+		}}
+	},
+	func(e *Env) updater {
+		return updater{e.SII.Insert, e.SII.Delete, func(tbl *table.Table) error {
+			_, err := invidx.Build(tbl, e.memFile(), invidx.Options{})
+			return err
+		}}
+	},
+	func(e *Env) updater {
+		return updater{e.DST.Insert, e.DST.Delete, func(*table.Table) error { return nil }}
+	},
 }
 
 // TupleValues maps generated tuple i's rank-keyed values to catalog ids.
@@ -49,118 +62,60 @@ func (e *Env) TupleValues(i int) map[model.AttrID]model.Value {
 	return out
 }
 
-// measureUpdates drives nOps deletions and insertions plus one rebuild.
-func measureUpdates(e *Env, ops updateOps, live []model.TID, nOps int) (updateCosts, error) {
-	var u updateCosts
-	u.tuples = e.Tbl.Live()
+// timed runs op n times and prices one call: the pool's I/O and the wall
+// time of all n, through modelMS, over n.
+func (e *Env) timed(n int, op func(i int) error) (float64, error) {
 	pstats := e.Pool.Stats()
-	rng := rand.New(rand.NewSource(e.Cfg.Seed + 99))
-
-	// Deletions of random live tuples.
-	perm := rng.Perm(len(live))
-	if nOps > len(perm) {
-		nOps = len(perm)
-	}
-	before := pstats.Snapshot()
-	start := time.Now()
-	for i := 0; i < nOps; i++ {
-		if err := ops.delete(live[perm[i]]); err != nil {
-			return u, fmt.Errorf("delete: %w", err)
+	before, start := pstats.Snapshot(), time.Now()
+	for i := 0; i < n; i++ {
+		if err := op(i); err != nil {
+			return 0, err
 		}
 	}
-	u.tdWallMS = float64(time.Since(start).Microseconds()) / 1000 / float64(nOps)
-	u.tdModelMS = (e.Disk.CostMS(pstats.Snapshot().Sub(before)))/float64(nOps) + CPUFactor*u.tdWallMS
+	return modelMS(pstats.Snapshot().Sub(before), time.Since(start)) / float64(n), nil
+}
 
-	// Insertions of fresh tuples.
-	before = pstats.Snapshot()
-	start = time.Now()
-	for i := 0; i < nOps; i++ {
-		if err := ops.insert(e.TupleValues(e.Cfg.Tuples + i)); err != nil {
-			return u, fmt.Errorf("insert: %w", err)
+// measureUpdates drives nOps deletions of random live tuples, nOps
+// insertions of fresh ones, and one cleaning rebuild. It tracks the live
+// set itself (the engines do not share deletions), so the rebuilt table
+// keeps exactly the initial tuples less the deleted plus the inserted.
+func measureUpdates(e *Env, u updater, nOps int) (updateCosts, error) {
+	c := updateCosts{tuples: e.Tbl.Live()}
+	initial := e.IVA.LiveTIDs()
+	live := make(map[model.TID]bool, len(initial)+nOps)
+	for _, tid := range initial {
+		live[tid] = true
+	}
+	perm := rand.New(rand.NewSource(e.Cfg.Seed + 99)).Perm(len(initial))
+	nOps = min(nOps, len(perm))
+	var err error
+	if c.td, err = e.timed(nOps, func(i int) error {
+		delete(live, initial[perm[i]])
+		return u.delete(initial[perm[i]])
+	}); err != nil {
+		return c, fmt.Errorf("delete: %w", err)
+	}
+	if c.ti, err = e.timed(nOps, func(i int) error {
+		tid, err := u.insert(e.TupleValues(e.Cfg.Tuples + i))
+		if err != nil {
+			return err
 		}
+		live[tid] = true
+		return nil
+	}); err != nil {
+		return c, fmt.Errorf("insert: %w", err)
 	}
-	u.tiWallMS = float64(time.Since(start).Microseconds()) / 1000 / float64(nOps)
-	u.tiModelMS = (e.Disk.CostMS(pstats.Snapshot().Sub(before)))/float64(nOps) + CPUFactor*u.tiWallMS
-
-	// One full rebuild (the cleaning run amortized over β·|T| updates).
-	before = pstats.Snapshot()
-	start = time.Now()
-	if err := ops.rebuild(); err != nil {
-		return u, fmt.Errorf("rebuild: %w", err)
-	}
-	u.trWallMS = float64(time.Since(start).Microseconds()) / 1000
-	u.trModelMS = e.Disk.CostMS(pstats.Snapshot().Sub(before)) + CPUFactor*u.trWallMS
-	return u, nil
-}
-
-func measureIVA(cfg Config, nOps int) (updateCosts, error) {
-	e, err := NewEnv(cfg)
-	if err != nil {
-		return updateCosts{}, err
-	}
-	ops := updateOps{
-		insert: func(v map[model.AttrID]model.Value) error { _, err := e.IVA.Insert(v); return err },
-		delete: e.IVA.Delete,
-		rebuild: func() error {
-			newTbl, err := e.Tbl.Rebuild(storage.NewFile(e.Pool, storage.NewMemDevice()), e.IVA.Live)
-			if err != nil {
-				return err
-			}
-			_, err = core.Build(newTbl, storage.NewFile(e.Pool, storage.NewMemDevice()),
-				core.Options{Alpha: cfg.Alpha, N: cfg.N})
+	// One full rebuild: the cleaning run amortized over β·|T| updates.
+	if c.tr, err = e.timed(1, func(int) error {
+		tbl, err := e.Tbl.Rebuild(e.memFile(), func(tid model.TID) bool { return live[tid] })
+		if err != nil {
 			return err
-		},
+		}
+		return u.build(tbl)
+	}); err != nil {
+		return c, fmt.Errorf("rebuild: %w", err)
 	}
-	return measureUpdates(e, ops, e.IVA.LiveTIDs(), nOps)
-}
-
-func measureSII(cfg Config, nOps int) (updateCosts, error) {
-	e, err := NewEnv(cfg)
-	if err != nil {
-		return updateCosts{}, err
-	}
-	live := e.IVA.LiveTIDs()
-	ops := updateOps{
-		insert: func(v map[model.AttrID]model.Value) error { _, err := e.SII.Insert(v); return err },
-		delete: e.SII.Delete,
-		rebuild: func() error {
-			keep := make(map[model.TID]bool)
-			for _, tid := range live {
-				keep[tid] = true
-			}
-			newTbl, err := e.Tbl.Rebuild(storage.NewFile(e.Pool, storage.NewMemDevice()),
-				func(t model.TID) bool { return keep[t] })
-			if err != nil {
-				return err
-			}
-			_, err = invidx.Build(newTbl, storage.NewFile(e.Pool, storage.NewMemDevice()), invidx.Options{})
-			return err
-		},
-	}
-	return measureUpdates(e, ops, live, nOps)
-}
-
-func measureDST(cfg Config, nOps int) (updateCosts, error) {
-	e, err := NewEnv(cfg)
-	if err != nil {
-		return updateCosts{}, err
-	}
-	live := e.IVA.LiveTIDs()
-	ops := updateOps{
-		insert: func(v map[model.AttrID]model.Value) error { _, err := e.DST.Insert(v); return err },
-		delete: e.DST.Delete,
-		rebuild: func() error {
-			// DST maintains no index: cleaning rebuilds only the table file.
-			keep := make(map[model.TID]bool)
-			for _, tid := range live {
-				keep[tid] = true
-			}
-			_, err := e.Tbl.Rebuild(storage.NewFile(e.Pool, storage.NewMemDevice()),
-				func(t model.TID) bool { return keep[t] })
-			return err
-		},
-	}
-	return measureUpdates(e, ops, live, nOps)
+	return c, nil
 }
 
 // ExpFig17 reproduces Fig. 17: average update time under cleaning trigger
@@ -173,32 +128,31 @@ func ExpFig17(cfg Config) (Result, error) {
 		Title:  "Fig. 17: average update time vs. cleaning trigger threshold beta (model ms)",
 		Header: []string{"beta", "iVA", "SII", "DST"},
 	}
-	const nOps = 300
-	iva, err := measureIVA(cfg, nOps)
-	if err != nil {
-		return r, err
+	var costs []updateCosts
+	for _, on := range updaters {
+		e, err := NewEnv(cfg)
+		if err != nil {
+			return r, err
+		}
+		c, err := measureUpdates(e, on(e), 300)
+		if err != nil {
+			return r, err
+		}
+		costs = append(costs, c)
 	}
-	sii, err := measureSII(cfg, nOps)
-	if err != nil {
-		return r, err
-	}
-	dst, err := measureDST(cfg, nOps)
-	if err != nil {
-		return r, err
+	row := func(label string, cell func(updateCosts) string) {
+		cells := []string{label}
+		for _, c := range costs {
+			cells = append(cells, cell(c))
+		}
+		r.Rows = append(r.Rows, cells)
 	}
 	for _, beta := range []float64{0.01, 0.02, 0.03, 0.04, 0.05} {
-		r.Rows = append(r.Rows, []string{
-			pct(beta),
-			f2(iva.updateMS(beta, true)),
-			f2(sii.updateMS(beta, true)),
-			f2(dst.updateMS(beta, true)),
-		})
+		row(pct(beta), func(c updateCosts) string { return f2(c.updateMS(beta)) })
 	}
-	r.Rows = append(r.Rows,
-		[]string{"td (per delete)", f2(iva.tdModelMS), f2(sii.tdModelMS), f2(dst.tdModelMS)},
-		[]string{"ti (per insert)", f2(iva.tiModelMS), f2(sii.tiModelMS), f2(dst.tiModelMS)},
-		[]string{"tr (rebuild)", f1(iva.trModelMS), f1(sii.trModelMS), f1(dst.trModelMS)},
-	)
+	row("td (per delete)", func(c updateCosts) string { return f2(c.td) })
+	row("ti (per insert)", func(c updateCosts) string { return f2(c.ti) })
+	row("tr (rebuild)", func(c updateCosts) string { return f1(c.tr) })
 	r.Notes = append(r.Notes,
 		"Paper: update time falls as beta grows; the three methods stay close (iVA sacrifices little update speed) and updates are ~100x faster than queries.")
 	return r, nil
