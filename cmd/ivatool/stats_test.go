@@ -210,15 +210,15 @@ tid=24 dist=8.544
 		args   []string
 		golden string
 	}{
-		{[]string{"Type=Camera", "Company=Canon", "Price=110"}, answers + `(scanned 59, table accesses 26, filter D, refine D)
+		{[]string{"Type=Camera", "Company=Canon", "Price=110"}, answers + `(scanned 59, table accesses 15, filter D, refine D)
 `},
 		{[]string{"-profile", "Type=Camera", "Company=Canon", "Price=110"}, answers + `Search k=5 Type="Camera" Company="Canon" Price=110
   time=D results=5 workers=1 trace=T
   Filter: D  scanned=59 stripes=1
-  Refine: D  fetched=26
+  Refine: D  fetched=15
   Merge:  D
   I/O: cache_hits=9 phys_reads=0 pool_hit_ratio=100.0% disk_cost=D
-  Worker 0: stripes=1 scanned=59 fetched=26 busy=D
+  Worker 0: stripes=1 scanned=59 fetched=15 busy=D
 `},
 	} {
 		got := captureStdout(t, func() {

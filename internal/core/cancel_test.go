@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/sparsewide/iva/internal/metric"
 	"github.com/sparsewide/iva/internal/storage"
 	"github.com/sparsewide/iva/internal/table"
 )
@@ -157,22 +158,22 @@ func TestCorruptionReleasesPins(t *testing.T) {
 // TestPlanSingleStripeCancels covers the deadline poll inside a stripe: with
 // no checkpoints the whole tuple list is one stripe, so the poll at the
 // stripe claim fires once and only the poll at the head of every batch — at
-// most 1,024 positions apart — can stop the filter phase. The context trips
-// three polls after the query's refine fetches, dispatch check and stripe
-// claim are paid for — a scan that polled nowhere else would run to the end
-// and succeed.
+// most 1,024 positions apart — can stop the filter phase. Refines wait for
+// the stripe's end (its 4,500 entries stay under deferCap, so the deferred
+// list is not drained early), so the context trips at the third batch head,
+// after the dispatch check, the stripe claim and two batch heads — a scan that
+// polled nowhere else would filter every tuple before its first refine polled.
 func TestPlanSingleStripeCancels(t *testing.T) {
 	fx := newFixture(t, 4500, Options{}, 311)
 	dropCheckpoints(fx.ix)
 	q := fx.randQuery(t, 2, 5)
-	_, clean, err := fx.ix.Search(q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	live := fx.ix.Entries() - fx.ix.Deleted()
+	if live > deferCap-batchSize {
+		t.Fatalf("%d live entries fill the deferred list before the stripe ends", live)
+	}
 	for _, par := range []int{1, 8} {
 		fx.ix.SetSearchParallelism(par)
-		ctx := &trippingCtx{Context: context.Background(), threshold: clean.TableAccesses + 3}
+		ctx := &trippingCtx{Context: context.Background(), threshold: 4}
 		_, stats, err := fx.ix.SearchContext(ctx, q, nil)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("par=%d: got %v, want context.Canceled", par, err)
@@ -180,12 +181,55 @@ func TestPlanSingleStripeCancels(t *testing.T) {
 		if stats.Scanned >= live {
 			t.Fatalf("par=%d: cancelled scan still filtered all %d live tuples", par, live)
 		}
-		if batchSize > 1024 || stats.Scanned%batchSize != 0 {
-			t.Fatalf("par=%d: scan of %d-position batches stopped after %d tuples, want a batch boundary at most 1,024 apart",
+		if batchSize > 1024 || stats.Scanned != 2*batchSize {
+			t.Fatalf("par=%d: scan of %d-position batches stopped after %d tuples, want two batches, at most 1,024 positions apart",
 				par, batchSize, stats.Scanned)
 		}
 		if n := fx.pool.PinnedFrames(); n != 0 {
 			t.Fatalf("par=%d: cancellation leaked %d pins", par, n)
+		}
+	}
+}
+
+// TestPlanCancelledSearchLeavesNoDeferredEntries cancels a search while its
+// deferred list is full — at a batch head of its one stripe, and in the middle
+// of the stripe's seed — then runs a different query on the same index. A
+// list the cancelled search left behind in the pooled scratch would be
+// refined by the next search on that scratch: its answer must still equal
+// brute force, every scanned tuple must be fetched or credited as pruned
+// exactly once, and no frame may stay pinned.
+func TestPlanCancelledSearchLeavesNoDeferredEntries(t *testing.T) {
+	fx := newFixture(t, 4500, Options{}, 313)
+	dropCheckpoints(fx.ix)
+	cancelled, next := fx.randQuery(t, 2, 5), fx.randQuery(t, 2, 8)
+	want := bruteForce(t, fx, next, metric.Default())
+	batches := (fx.ix.Entries() + batchSize - 1) / batchSize
+	// Polls: the dispatch check, the stripe claim, one per batch head, one
+	// per fetch.
+	for _, threshold := range []int64{4, 2 + batches + 3} {
+		for _, par := range []int{1, 2} {
+			fx.ix.SetSearchParallelism(par)
+			ctx := &trippingCtx{Context: context.Background(), threshold: threshold}
+			if _, _, err := fx.ix.SearchContext(ctx, cancelled, nil); !errors.Is(err, context.Canceled) {
+				t.Fatalf("threshold %d par %d: got %v, want context.Canceled", threshold, par, err)
+			}
+			got, st, err := fx.ix.Search(next, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !identicalResults(got, want) {
+				t.Fatalf("threshold %d par %d: after a cancelled search\n got %v\nwant %v", threshold, par, got, want)
+			}
+			pruned := int64(0)
+			for _, ts := range st.Terms {
+				pruned += ts.Pruned
+			}
+			if pruned+st.TableAccesses != st.Scanned {
+				t.Fatalf("threshold %d par %d: %d pruned + %d fetched of %d scanned", threshold, par, pruned, st.TableAccesses, st.Scanned)
+			}
+			if n := fx.pool.PinnedFrames(); n != 0 {
+				t.Fatalf("threshold %d par %d: %d pinned frames", threshold, par, n)
+			}
 		}
 	}
 }

@@ -381,18 +381,27 @@ func flipByte(t *testing.T, dev *storage.MemDevice, off int64) {
 }
 
 // TestProjectedRefineDetectsTableCorruption flips one byte of a table record
-// the refine step is certain to read (the first live tuple: the pool is
-// empty when it is reached). The projected refine interprets no byte before
-// the record's checksum holds, so the query fails with a typed corruption
-// error — degrading is for vector lists, refinement cannot run without the
-// record — and releases every pin.
+// the refine step is certain to read: the best result's, whose bound is below
+// the final k-th distance, so every exact plan fetches it. The projected
+// refine interprets no byte before the record's checksum holds, so the query
+// fails with a typed corruption error — degrading is for vector lists,
+// refinement cannot run without the record — and releases every pin.
 func TestProjectedRefineDetectsTableCorruption(t *testing.T) {
 	fx := newFixture(t, 700, Options{}, 515)
 	q := fx.randQuery(t, 3, 5)
 	if err := fx.ix.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	first := fx.ix.entries[0].ptr
+	res, _, err := fx.ix.Search(q, nil)
+	if err != nil || len(res) == 0 || res[0].Dist >= res[len(res)-1].Dist {
+		t.Fatalf("the best result is not strictly below the k-th distance: %v, %v", res, err)
+	}
+	var first int64
+	for _, e := range fx.ix.entries {
+		if e.tid == res[0].TID {
+			first = e.ptr
+		}
+	}
 	for _, off := range []int64{first + 5, first + 12} { // the tuple id, an attribute's payload
 		flipByte(t, fx.tblDev, off)
 		ix, pool, closeFiles := reopenFixture(t, fx, Options{})

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/sparsewide/iva/internal/metric"
@@ -71,6 +73,16 @@ type fetchRecord struct {
 	kept    bool      // whether the pool kept the tuple
 }
 
+// FetchOrder lists the tuples the search fetched, in the order it fetched
+// them.
+func (e *Explain) FetchOrder() []model.TID {
+	tids := make([]model.TID, len(e.fetches))
+	for i, f := range e.fetches {
+		tids[i] = f.tid
+	}
+	return tids
+}
+
 // ExplainSearch runs q with instrumentation (see Explain). It runs with one
 // worker whatever SearchParallelism says: Explain's counters describe the
 // canonical Algorithm 1 admission sequence, which more workers only have to
@@ -99,14 +111,21 @@ func (ix *Index) ExplainSearch(q *model.Query, m *metric.Metric) (*Explain, erro
 // explainer is the collector an explained search carries on its one worker.
 // fillColumn hands each term's cursor the term's explainSink; batch folds the
 // filled columns into the per-term statistics and the sequential plan's
-// combined bounds; fetch records each refine. A normal search carries none.
+// combined bounds, and keeps each entry's bounds; fetch records each refine.
+// A normal search carries none.
 type explainer struct {
 	m              *metric.Metric
 	q              *model.Query
 	out            Explain
 	sinks          []explainSink
-	row            []float64 // one entry's per-term bounds
+	row            []float64 // one entry's per-term upper bounds
 	lowers, uppers []float64 // every scanned entry's combined bounds
+
+	// Every scanned entry's per-term bounds and defined flags, len(row) at
+	// at[tid]: a refine runs after its batch's columns are gone.
+	at      map[model.TID]int
+	bounds  []float64
+	defined []bool
 }
 
 // explainSink is a term's vector.Sink in an explained search: the term's own
@@ -131,6 +150,7 @@ func (s *explainSink) Num(j int, code uint64) {
 func (ex *explainer) bind(q *model.Query, m *metric.Metric, terms []termState) {
 	ex.q, ex.m = q, m
 	ex.row = make([]float64, len(terms))
+	ex.at = make(map[model.TID]int)
 	ex.sinks = make([]explainSink, len(terms))
 	ex.out.Terms = make([]TermExplain, len(terms))
 	for i := range terms {
@@ -155,10 +175,15 @@ func (ex *explainer) column(i, n int) vector.Sink {
 }
 
 // batch folds a filled batch: per term, the lower bounds of its defined
-// entries; per entry, the combined lower and upper bound.
-func (ex *explainer) batch(cols [][]float64, n int) {
+// entries; per entry, the combined lower and upper bound, and the per-term
+// bounds and defined flags a fetch record takes.
+func (ex *explainer) batch(tids []model.TID, cols [][]float64, n int) {
 	for j := 0; j < n; j++ {
+		at := len(ex.bounds)
+		ex.at[tids[j]] = at
 		for i := range ex.sinks {
+			ex.bounds = append(ex.bounds, cols[i][j])
+			ex.defined = append(ex.defined, ex.sinks[i].defined[j])
 			ex.row[i] = ex.sinks[i].upper[j]
 			if !ex.sinks[i].defined[j] {
 				continue
@@ -173,28 +198,23 @@ func (ex *explainer) batch(cols [][]float64, n int) {
 			}
 		}
 		ex.uppers = append(ex.uppers, ex.m.Distance(ex.q.Terms, ex.row))
-		for i := range ex.row {
-			ex.row[i] = cols[i][j]
-		}
-		ex.lowers = append(ex.lowers, ex.m.Distance(ex.q.Terms, ex.row))
+		ex.lowers = append(ex.lowers, ex.m.Distance(ex.q.Terms, ex.bounds[at:]))
 	}
 }
 
-// fetch records the refine of batch entry j, whose exact differences are in
+// fetch records the refine of tuple tid, whose exact differences are in
 // diffs; the caller notes whether the pool kept it. Without a collector it
 // does nothing and returns nil.
-func (ex *explainer) fetch(tid model.TID, j int, cols [][]float64, diffs []float64) *fetchRecord {
+func (ex *explainer) fetch(tid model.TID, diffs []float64) *fetchRecord {
 	if ex == nil {
 		return nil
 	}
+	at := ex.at[tid]
 	f := fetchRecord{
 		tid:     tid,
-		bounds:  make([]float64, len(diffs)),
-		defined: make([]bool, len(diffs)),
+		bounds:  ex.bounds[at : at+len(diffs) : at+len(diffs)],
+		defined: ex.defined[at : at+len(diffs) : at+len(diffs)],
 		exact:   append([]float64(nil), diffs...),
-	}
-	for i := range diffs {
-		f.bounds[i], f.defined[i] = cols[i][j], ex.sinks[i].defined[j]
 	}
 	f.est = ex.m.Distance(ex.q.Terms, f.bounds)
 	ex.out.fetches = append(ex.out.fetches, f)
@@ -208,13 +228,13 @@ func (ex *explainer) finish(res []model.Result, stats SearchStats) *Explain {
 	if len(res) > 0 {
 		out.PoolMaxFinal = res[len(res)-1].Dist
 	}
-	// Tightness samples the tuples whose estimate is below the final bar.
-	// With one worker each of them was fetched: the bar when it was scanned
-	// was at least the final one.
-	for _, f := range out.fetches {
-		if !(f.est < out.PoolMaxFinal) {
-			continue
-		}
+	// Tightness samples the tuples whose estimate is below the final bar, in
+	// scan order, whatever order they were fetched in. With one worker each
+	// of them was fetched: no bar it was checked against was below the final
+	// one.
+	floor := slices.DeleteFunc(slices.Clone(out.fetches), func(f fetchRecord) bool { return !(f.est < out.PoolMaxFinal) })
+	slices.SortFunc(floor, func(a, b fetchRecord) int { return cmp.Compare(ex.at[a.tid], ex.at[b.tid]) })
+	for _, f := range floor {
 		for i := range f.bounds {
 			if f.defined[i] && f.exact[i] > 0 {
 				out.Terms[i].Tightness += f.bounds[i] / f.exact[i]

@@ -23,6 +23,19 @@ import (
 // admission bar (the smallest full-pool max distance published by any worker)
 // lets one stripe's tight bound prune the others.
 //
+// Seed, defer, sweep. The filter fetches nothing: an entry whose bound is
+// above the bar is pruned, every other one goes to the worker's deferred
+// list. At each stripe's end the worker seeds: it refines the list's k lowest
+// (est, tid) entries in that order — the tuples most likely to be in the
+// answer, so the bar falls as far as it can before any other fetch — and drops
+// what is now above the bar. The survivors wait, and are swept in tuple-list
+// order when the worker has no stripe left to claim, each put to admitsEst
+// afresh. Algorithm 1's tuple order tightens the bar only when good tuples
+// happen to come early. A pure bound order would fetch the fewest tuples but
+// jump between table pages: consecutive survivors of a sweep often share one,
+// which the pinned record keeps. Every entry below the final k-th distance is
+// still fetched, since no bar it meets is below that distance.
+//
 // Determinism: the result is byte-identical under any worker count and
 // scheduling. The top-k pool orders pairs by the total
 // lexicographic (dist, tid) order — admission, eviction and the tid-aware
@@ -124,14 +137,40 @@ type workerScratch struct {
 	cols [][]float64 // cols[i][j]: term i's lower bound for entry j
 	est  []float64   // combined lower bounds
 
+	// The deferred list: admitted entries not yet refined, [:ndef] of a
+	// deferCap-long slice, in tuple-list order (a worker's stripe claims
+	// rise). seeds is the seed step's selection heap of list indices.
+	deferred []deferred
+	ndef     int
+	seeds    []int32
+
 	diffs []float64 // the fetched tuple's exact per-term differences
 	rec   table.Record
 }
+
+// deferred is an admitted entry whose refine waits for its stripe's seed or
+// the worker's sweep: 24 bytes.
+type deferred struct {
+	est  float64
+	ptr  int64 // -1 once seed has refined it
+	tid  model.TID
+	term int32 // the term a prune of the entry is credited to (creditTerm)
+}
+
+// deferCap bounds the deferred list, and only its memory: 192 KiB per
+// worker. A batch head that finds fewer than batchSize free slots drains the
+// list mid-stripe. With checkpoints a list holds one stripe's deferred
+// entries plus the survivors of earlier seeds, which are many only where the
+// bounds prune little: internal/dataset's §V-A stream peaks at 7,826 entries
+// at 10,000 tuples and drains 9 times in 100 queries at 60,000. An index
+// without checkpoints is one stripe, whose list fills before its first refine.
+const deferCap = 8192
 
 var scratchPool = sync.Pool{New: func() interface{} {
 	return &workerScratch{
 		tids: make([]model.TID, batchSize), pos: make([]int64, batchSize),
 		ptrs: make([]int64, batchSize), est: make([]float64, batchSize),
+		deferred: make([]deferred, deferCap),
 	}
 }}
 
@@ -226,8 +265,10 @@ func (sc *workerScratch) openTerm(ix *Index, i int, ts *termState, ck checkpoint
 
 // release closes the readers and the record — their windows are pinned
 // buffer-pool frames, and an idle pin would block eviction between queries —
-// then returns the scratch to the pool for reuse.
+// empties the deferred list, which a failed or cancelled search leaves
+// behind, then returns the scratch to the pool for reuse.
 func (sc *workerScratch) release() {
+	sc.ndef = 0
 	sc.rec.Release()
 	if sc.tupleRd != nil {
 		sc.tupleRd.Close()
@@ -264,7 +305,7 @@ type stripeWorker struct {
 	ex      *explainer // ExplainSearch's collector; nil on every other search
 
 	prof       WorkerStats   // this worker's share, reported as is
-	refineWall time.Duration // per batch: the admission walk from its first admitted entry on
+	refineWall time.Duration // the seeds and sweeps: every fetch, distance and pool update
 	fetchWall  time.Duration // FetchRecord time: one call in fetchSample is timed and scaled
 	err        error
 }
@@ -412,7 +453,11 @@ func (sw *stripeWorker) run() {
 	sw.scratch.tupleRd = sw.ix.reopen(sw.scratch.tupleRd, sw.ix.tupleChain, sw.ix.tupleBits)
 	for {
 		s := sw.next.Add(1) - 1
-		if s >= int64(len(sw.plan.ckpts)) || sw.abort.Load() {
+		if sw.abort.Load() {
+			return
+		}
+		if s >= int64(len(sw.plan.ckpts)) {
+			sw.err = sw.drain(false)
 			return
 		}
 		// Every stripe claim is a cancellation point.
@@ -445,9 +490,8 @@ func (sw *stripeWorker) cancelled() error {
 // from the stripe's checkpoint. The loop is batch-at-a-time, every stage a
 // loop over a column: decode a batch of tuple-list entries, let every term
 // fill its lower-bound column, combine the columns into the estimates, then
-// walk those in tuple-list order admitting and refining exactly as a
-// tuple-at-a-time loop would — bounds do not depend on the pool, so the
-// admission sequence, and with one worker every counter, is the same.
+// walk those, pruning each entry above the bar and deferring the rest. The
+// stripe ends with a seed of the deferred list.
 func (sw *stripeWorker) scanStripe(s int64) error {
 	ix, sc := sw.ix, sw.scratch
 	startPos := s * sw.plan.width
@@ -471,6 +515,11 @@ func (sw *stripeWorker) scanStripe(s int64) error {
 		if err := sw.cancelled(); err != nil {
 			return err
 		}
+		if sc.ndef > deferCap-batchSize {
+			if err := sw.drain(true); err != nil {
+				return err
+			}
+		}
 		n, err := sc.decodeBatch(ix, pos, min(pos+batchSize, endPos))
 		if err != nil {
 			return err
@@ -482,37 +531,47 @@ func (sw *stripeWorker) scanStripe(s int64) error {
 			}
 		}
 		if sw.ex != nil {
-			sw.ex.batch(sc.cols, n)
+			sw.ex.batch(sc.tids, sc.cols, n)
 		}
 		sw.m.CombineColumns(sc.cols[:len(sw.terms)], sw.weights, sc.est[:n])
 
-		// The admission walk. Most entries lose to a plain comparison: thr is
-		// the looser of admitsEst's two limits (local pool max, shared bar) as
-		// of the last refine, and both only fall, so an estimate above a stale
-		// thr is one admitsEst would refuse now. Prunes are credited by runs.
+		// The admission walk fetches nothing, so its bar holds for the whole
+		// batch: thr is the looser of admitsEst's two limits, and an estimate
+		// above it is one admitsEst would refuse now and at any later time.
 		thr := min(sw.pool.MaxDist(), sw.bar.load())
-		var walkStart time.Time
-		run := 0 // the entries [run, j) were pruned and are not yet credited
+		cols := sc.cols[:len(sw.terms)]
 		for j, est := range sc.est[:n] {
-			if est > thr || !admitsEst(sw.pool, sw.bar, sc.tids[j], est) {
+			term := creditTerm(cols, j)
+			if est > thr {
+				sw.terms[term].Pruned++
 				continue
 			}
-			if walkStart.IsZero() {
-				walkStart = time.Now()
-			}
-			sw.creditPrunes(run, j)
-			run = j + 1
-			if err := sw.refine(j); err != nil {
-				return err
-			}
-			thr = min(sw.pool.MaxDist(), sw.bar.load())
-		}
-		sw.creditPrunes(run, n)
-		if !walkStart.IsZero() {
-			sw.refineWall += time.Since(walkStart)
+			sc.deferred[sc.ndef] = deferred{est: est, ptr: sc.ptrs[j], tid: sc.tids[j], term: term}
+			sc.ndef++
 		}
 	}
-	return nil
+	return sw.drain(true)
+}
+
+// drain refines from the deferred list. With seed set it refines the list's
+// k lowest entries first (seed) and sweeps only a list still too full for
+// another batch; without it, it sweeps. A stripe ends with drain(true), and so
+// does a batch head that finds the list near deferCap; a worker with no stripe
+// left drains with false. Its time is the worker's refine time.
+func (sw *stripeWorker) drain(seed bool) error {
+	if sw.scratch.ndef == 0 {
+		return nil
+	}
+	start := time.Now()
+	var err error
+	if seed {
+		err = sw.seed()
+	}
+	if err == nil && (!seed || sw.scratch.ndef > deferCap-batchSize) {
+		err = sw.sweep()
+	}
+	sw.refineWall += time.Since(start)
+	return err
 }
 
 // fillColumn computes term i's lower bounds for the n entries of the batch:
@@ -552,28 +611,120 @@ func fill(col []float64, v float64) {
 	}
 }
 
-// creditPrunes credits the prune of each batch entry in [from, to) to the
-// first term with the largest lower bound: the combiners are monotone, so
-// that term alone pushed the estimate hardest toward the pool bar.
-func (sw *stripeWorker) creditPrunes(from, to int) {
-	cols := sw.scratch.cols[:len(sw.terms)]
-	for j := from; j < to; j++ {
-		argmax := 0
-		for i := 1; i < len(cols); i++ {
-			if cols[i][j] > cols[argmax][j] {
-				argmax = i
-			}
+// creditTerm is the first term with the largest lower bound at batch entry
+// j. A prune of the entry is credited to it: the combiners are monotone, so
+// that term alone pushed the estimate hardest toward the bar.
+func creditTerm(cols [][]float64, j int) int32 {
+	argmax := 0
+	for i := 1; i < len(cols); i++ {
+		if cols[i][j] > cols[argmax][j] {
+			argmax = i
 		}
-		sw.terms[argmax].Pruned++
+	}
+	return int32(argmax)
+}
+
+// seed refines the k = pool capacity deferred entries lowest in the pool's
+// (est, tid) order, in that order, then drops every entry now above the bar.
+// The first of them fill the pool with the tightest bar the list can give
+// before any other fetch; what survives waits for the sweep.
+func (sw *stripeWorker) seed() error {
+	sc := sw.scratch
+	list := sc.deferred[:sc.ndef]
+	sc.seeds = lowest(sc.seeds[:0], list, sw.pool.K())
+	for _, i := range sc.seeds {
+		if err := sw.refine(&list[i]); err != nil {
+			return err
+		}
+		list[i].ptr = -1
+	}
+	thr := min(sw.pool.MaxDist(), sw.bar.load())
+	n := 0
+	for _, e := range list {
+		switch {
+		case e.ptr < 0:
+		case e.est > thr:
+			sw.terms[e.term].Pruned++
+		default:
+			list[n] = e
+			n++
+		}
+	}
+	sc.ndef = n
+	return nil
+}
+
+// sweep refines the deferred list in tuple-list order and empties it.
+// Consecutive survivors often share a table page, which a pure bound order
+// would give away.
+func (sw *stripeWorker) sweep() error {
+	sc := sw.scratch
+	for i := range sc.deferred[:sc.ndef] {
+		if err := sw.refine(&sc.deferred[i]); err != nil {
+			return err
+		}
+	}
+	sc.ndef = 0
+	return nil
+}
+
+// lowest sets h to the indices of the k smallest entries of list under
+// seedLess, ascending: a max-heap of the best k seen, then heapsorted.
+func lowest(h []int32, list []deferred, k int) []int32 {
+	m := min(k, len(list))
+	for i := range m {
+		h = append(h, int32(i))
+	}
+	for r := m/2 - 1; r >= 0; r-- {
+		siftDown(h, list, r)
+	}
+	for i := m; i < len(list); i++ {
+		if seedLess(&list[i], &list[h[0]]) {
+			h[0] = int32(i)
+			siftDown(h, list, 0)
+		}
+	}
+	for n := m - 1; n > 0; n-- {
+		h[0], h[n] = h[n], h[0]
+		siftDown(h[:n], list, 0)
+	}
+	return h
+}
+
+// siftDown restores the max-heap h from root r down.
+func siftDown(h []int32, list []deferred, r int) {
+	for {
+		c := 2*r + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && seedLess(&list[h[c]], &list[h[c+1]]) {
+			c++
+		}
+		if !seedLess(&list[h[r]], &list[h[c]]) {
+			return
+		}
+		h[r], h[c] = h[c], h[r]
+		r = c
 	}
 }
 
-// refine is Algorithm 1's random access to the table file for batch entry j.
-// The record is verified where it lies in its pinned page (the worker keeps
-// the pin until the next record on another page, or release), then walked for
-// the query's attributes only: the exact differences come from the payload
-// bytes, and no tuple is materialised.
-func (sw *stripeWorker) refine(j int) error {
+// seedLess is the pool's order: (est, tid) lexicographic.
+func seedLess(a, b *deferred) bool {
+	return a.est < b.est || a.est == b.est && a.tid < b.tid
+}
+
+// refine puts deferred entry e to admitsEst afresh, credits its prune if the
+// rule refuses it, and otherwise does Algorithm 1's random access to the table
+// file. The record is verified where it lies in its pinned page (the worker
+// keeps the pin until the next record on another page, or release), then
+// walked for the query's attributes only: the exact differences come from the
+// payload bytes, and no tuple is materialised.
+func (sw *stripeWorker) refine(e *deferred) error {
+	if !admitsEst(sw.pool, sw.bar, e.tid, e.est) {
+		sw.terms[e.term].Pruned++
+		return nil
+	}
 	if err := sw.cancelled(); err != nil {
 		return err
 	}
@@ -583,7 +734,7 @@ func (sw *stripeWorker) refine(j int) error {
 	if sw.prof.Fetched%fetchSample == 0 {
 		start = time.Now()
 	}
-	err := sw.ix.tbl.FetchRecord(sc.ptrs[j], &sc.rec)
+	err := sw.ix.tbl.FetchRecord(e.ptr, &sc.rec)
 	if !start.IsZero() {
 		sw.fetchWall += fetchSample * time.Since(start)
 	}
@@ -594,11 +745,11 @@ func (sw *stripeWorker) refine(j int) error {
 	if err := projectDiffs(table.Walk(sc.rec.Body, sw.kinds), sw.terms, sw.last, sw.m.NDFPenalty, sc.diffs); err != nil {
 		return err
 	}
-	f := sw.ex.fetch(sc.tids[j], j, sc.cols, sc.diffs)
+	f := sw.ex.fetch(e.tid, sc.diffs)
 	for i := range sc.diffs { // metric.Distance without the per-call weight lookups
 		sc.diffs[i] *= sw.weights[i]
 	}
-	if kept := sw.pool.Insert(sc.tids[j], sw.m.Combine(sc.diffs)); f != nil {
+	if kept := sw.pool.Insert(e.tid, sw.m.Combine(sc.diffs)); f != nil {
 		f.kept = kept
 	}
 	if sw.pool.Full() {

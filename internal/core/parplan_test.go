@@ -115,9 +115,10 @@ func TestStripedMatchesBruteForce(t *testing.T) {
 
 // TestStripedOneWorkerMatchesUnstriped pins the checkpoint resume logic: a
 // single worker claims stripes in order and carries one pool across them, so
-// its admission sequence — and with it every counter, including the fetch
-// count — must be exactly that of one uninterrupted scan from the origin
-// (the same index with its checkpoints dropped), and the same on every run.
+// its answer and its scan must be exactly those of one uninterrupted scan from
+// the origin (the same index with its checkpoints dropped), and the same on
+// every run. The fetch counts differ, as the stripe ends seed the deferred
+// list at other points, but both fetch every tuple any exact plan fetches.
 func TestStripedOneWorkerMatchesUnstriped(t *testing.T) {
 	fx := stripedFixture(t, 2000, 128, 302)
 	straddleDeletes(t, fx)
@@ -152,6 +153,7 @@ func TestStripedOneWorkerMatchesUnstriped(t *testing.T) {
 			t.Fatalf("query %d: one worker is not deterministic: %+v vs %+v", i, a.stats, b.stats)
 		}
 		striped = append(striped, a)
+		requireFloorFetched(t, fx.ix, queries[i].q, queries[i].m)
 	}
 	dropCheckpoints(fx.ix)
 	for i := range queries {
@@ -162,9 +164,83 @@ func TestStripedOneWorkerMatchesUnstriped(t *testing.T) {
 		if !identicalResults(got.res, want.res) {
 			t.Fatalf("query %d: results differ", i)
 		}
-		if got.stats.Scanned != want.stats.Scanned || got.stats.TableAccesses != want.stats.TableAccesses {
-			t.Fatalf("query %d: stats differ: scanned %d/%d accesses %d/%d", i,
-				got.stats.Scanned, want.stats.Scanned, got.stats.TableAccesses, want.stats.TableAccesses)
+		if got.stats.Scanned != want.stats.Scanned {
+			t.Fatalf("query %d: scanned %d/%d", i, got.stats.Scanned, want.stats.Scanned)
+		}
+		requireFloorFetched(t, fx.ix, queries[i].q, queries[i].m)
+	}
+}
+
+// TestPlanFetchesEveryTupleUnderTheBar holds the seeded, deferred refine to
+// its two promises over random fixtures, metrics and k. Nothing Algorithm 1
+// would keep is dropped from a worker's deferred list and every survivor is
+// swept, so the answers equal brute force at 1, 2 and 8 workers. And at one
+// worker every tuple whose bound is below the final k-th distance is fetched.
+// The last fixture has no checkpoints and more live entries than deferCap:
+// its one stripe defers every entry until the first refine, so the list
+// reaches its cap and is drained mid-stripe.
+func TestPlanFetchesEveryTupleUnderTheBar(t *testing.T) {
+	for _, c := range []struct {
+		tuples, trials int
+		every          int64 // 0: no checkpoints
+	}{{1500, 3, 128}, {3000, 3, 512}, {deferCap + 2*batchSize, 1, 0}} {
+		fx := newFixture(t, c.tuples, Options{CheckpointEvery: c.every}, int64(c.tuples))
+		if c.every == 0 {
+			dropCheckpoints(fx.ix)
+			if live := fx.ix.Entries() - fx.ix.Deleted(); live <= deferCap {
+				t.Fatalf("%d live entries never fill the deferred list", live)
+			}
+		} else {
+			straddleDeletes(t, fx)
+		}
+		for name, m := range fixtureMetrics(fx) {
+			for trial := 0; trial < c.trials; trial++ {
+				q := fx.randQuery(t, 1+fx.rng.Intn(3), 1+fx.rng.Intn(20))
+				want := bruteForce(t, fx, q, m)
+				for _, par := range []int{1, 2, 8} {
+					fx.ix.SetSearchParallelism(par)
+					got, _, err := fx.ix.Search(q, m)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !identicalResults(got, want) {
+						t.Fatalf("%d tuples, %s trial %d par %d: results differ\n got %v\nwant %v",
+							c.tuples, name, trial, par, got, want)
+					}
+				}
+				requireFloorFetched(t, fx.ix, q, m)
+			}
+		}
+	}
+}
+
+// requireFloorFetched runs ExplainSearch for q and demands that its fetch
+// records hold every live tuple whose lower bound is below the final k-th
+// distance: the fetches any exact plan makes. Every tuple's bound is read
+// from a second explained search at k = every entry, whose pool never fills.
+func requireFloorFetched(t *testing.T, ix *Index, q *model.Query, m *metric.Metric) {
+	t.Helper()
+	ex, err := ix.ExplainSearch(q, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := *q
+	all.K = int(ix.Entries())
+	every, err := ix.ExplainSearch(&all, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(every.fetches)) != every.Scanned {
+		t.Fatalf("k = %d fetched %d of %d scanned tuples", all.K, len(every.fetches), every.Scanned)
+	}
+	fetched := make(map[model.TID]bool, len(ex.fetches))
+	for _, f := range ex.fetches {
+		fetched[f.tid] = true
+	}
+	for _, f := range every.fetches {
+		if f.est < ex.PoolMaxFinal && !fetched[f.tid] {
+			t.Fatalf("tuple %d: bound %v under the final k-th distance %v, never fetched (%d fetches)",
+				f.tid, f.est, ex.PoolMaxFinal, len(ex.fetches))
 		}
 	}
 }
@@ -400,10 +476,13 @@ func TestStripedTombstonedStripe(t *testing.T) {
 		}
 	}
 	// The 30 stripes a stripe-level bound once skipped here are scanned, and
-	// every one of their tuples fails the bar on its own estimate: the fetches
-	// are the 9 of the two stripes around the query value.
-	if st.TableAccesses != 9 {
-		t.Fatalf("one worker fetched %d records, want 9", st.TableAccesses)
+	// every one of their tuples fails the bar on its own estimate. The fetches
+	// are 5, from the two stripes around the query value: stripe 0's seed
+	// takes its four closest tuples, 7 down to 4, in bound order; stripe 2's
+	// takes 16, which displaces 4 and leaves a bar of 6 that no later bound
+	// beats.
+	if st.TableAccesses != 5 {
+		t.Fatalf("one worker fetched %d records, want 5", st.TableAccesses)
 	}
 }
 

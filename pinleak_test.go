@@ -7,9 +7,11 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 
+	"github.com/sparsewide/iva/internal/model"
 	"github.com/sparsewide/iva/internal/storage"
 	"github.com/sparsewide/iva/internal/table"
 )
@@ -168,8 +170,8 @@ func TestSearchContextReleasesPoolPins(t *testing.T) {
 }
 
 // TestFailedReadsReleasePoolPins extends the invariant to the pinned record
-// reader: a search whose refine step meets a corrupt record in the middle of a
-// batch, a Get of that record, a Scan that runs into it, and a record scan
+// reader: a search whose refine step meets a corrupt record in the middle of
+// its fetches, a Get of that record, a Scan that runs into it, and a record scan
 // whose callback gives up all return their error with zero frames left pinned.
 func TestFailedReadsReleasePoolPins(t *testing.T) {
 	dir := t.TempDir()
@@ -191,6 +193,18 @@ func TestFailedReadsReleasePoolPins(t *testing.T) {
 		t.Fatalf("abandoned record scan: err %v, %d pins", err, s.pool.PinnedFrames())
 	}
 	bad := ptrs[rows/2]
+	// k = every tuple: the pool never fills, so every record is fetched, in
+	// the order of their lower bounds; the corrupt one is met after rank good
+	// fetches.
+	q := NewQuery(rows).WhereNum("Price", 150).WhereText("Type", "Camera")
+	ex, err := s.ix.ExplainSearch(s.resolveQuery(q), s.met)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rank := slices.Index(ex.FetchOrder(), model.TID(rows/2))
+	if rank <= 0 || rank >= rows-1 {
+		t.Fatalf("the record is fetched at rank %d of %d, want one in the middle", rank, rows)
+	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -219,14 +233,12 @@ func TestFailedReadsReleasePoolPins(t *testing.T) {
 			t.Fatalf("%s leaked %d pinned frames", stage, n)
 		}
 	}
-	// k = every tuple: the pool never fills, so every record is fetched.
-	q := NewQuery(rows).WhereNum("Price", 150).WhereText("Type", "Camera")
 	for _, par := range []int{1, 2} {
 		s.ix.SetSearchParallelism(par)
 		_, qs, err := s.Search(q)
 		assertCorrupt("Search", err)
-		if par == 1 && qs.TableAccesses != rows/2 {
-			t.Fatalf("the search failed after %d good fetches, want %d: mid-batch", qs.TableAccesses, rows/2)
+		if par == 1 && qs.TableAccesses != int64(rank) {
+			t.Fatalf("the search failed after %d good fetches, want %d", qs.TableAccesses, rank)
 		}
 	}
 	_, err = s.Get(TID(rows / 2))

@@ -87,18 +87,18 @@ func TestProfileRender(t *testing.T) {
 		{"one-stripe", 200, `Search k=7 Price=150 Type="Camera"
   time=Xms results=7 workers=1 trace=T
   Filter: Xms  scanned=200 stripes=1
-  Refine: Xms  fetched=72
+  Refine: Xms  fetched=26
   Merge:  Xms
-  I/O: cache_hits=12 phys_reads=0 pool_hit_ratio=100.0% disk_cost=Xms
-  Worker 0: stripes=1 scanned=200 fetched=72 busy=Xms
+  I/O: cache_hits=18 phys_reads=0 pool_hit_ratio=100.0% disk_cost=Xms
+  Worker 0: stripes=1 scanned=200 fetched=26 busy=Xms
 `},
 		{"three-stripes", 4200, `Search k=7 Price=150 Type="Camera"
   time=Xms results=7 workers=1 trace=T
   Filter: Xms  scanned=4200 stripes=3
-  Refine: Xms  fetched=605
+  Refine: Xms  fetched=559
   Merge:  Xms
-  I/O: cache_hits=65 phys_reads=0 pool_hit_ratio=100.0% disk_cost=Xms
-  Worker 0: stripes=3 scanned=4200 fetched=605 busy=Xms
+  I/O: cache_hits=82 phys_reads=0 pool_hit_ratio=100.0% disk_cost=Xms
+  Worker 0: stripes=3 scanned=4200 fetched=559 busy=Xms
 `},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

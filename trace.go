@@ -183,9 +183,10 @@ type spanAttr struct {
 func intAttr[T int | int64](key string, n T) spanAttr { return spanAttr{key: key, n: int64(n)} }
 
 // trace renders the record as the span tree the phases of Algorithm 1 map
-// onto. Filter and refine interleave in one scan loop, so their spans carry
-// the search's apportioned phase times rather than start-to-end intervals,
-// and the per-term spans are annotation carriers of duration 0.
+// onto. Each worker alternates filter and refine — a stripe's scan, then its
+// seed, and a sweep at the end — and workers overlap, so the spans carry the
+// search's apportioned phase times rather than start-to-end intervals, and
+// the per-term spans are annotation carriers of duration 0.
 func (r *queryRecord) trace() span {
 	st := &r.st
 	filter := span{name: "filter", dur: st.FilterWall, attrs: []spanAttr{
