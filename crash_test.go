@@ -12,27 +12,40 @@ import (
 )
 
 // TestCrashConsistency simulates a crash: the store is abandoned without
-// Close after a Sync, with further unsynced writes on top. Reopening must
-// recover exactly the synced prefix, pass the integrity check, and accept
-// new writes (which safely overwrite the unsynced tail).
+// Close after a Sync, with further unsynced writes on top — a delete, an
+// update and inserts. Reopening must recover exactly the synced prefix, pass
+// the integrity check, and accept new writes (which safely overwrite the
+// unsynced tail).
 func TestCrashConsistency(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "store")
-	st, err := Create(dir, Options{})
+	// β off: a cleaning rebuild after the delete would commit it.
+	opts := Options{CleanThreshold: -1}
+	st, err := Create(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var tids []TID
 	for i := 0; i < 40; i++ {
-		if _, err := st.Insert(Row{
+		tid, err := st.Insert(Row{
 			"name": Strings(fmt.Sprintf("durable %02d", i)),
 			"seq":  Num(float64(i)),
-		}); err != nil {
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
+		tids = append(tids, tid)
 	}
 	if err := st.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	// Unsynced writes after the checkpoint, then "crash" (no Close).
+	if err := st.Delete(tids[5]); err != nil {
+		t.Fatal(err)
+	}
+	updated, err := st.Update(tids[6], Row{"name": Strings("updated 06")})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 15; i++ {
 		if _, err := st.Insert(Row{"name": Strings("lost in the crash")}); err != nil {
 			t.Fatal(err)
@@ -41,13 +54,34 @@ func TestCrashConsistency(t *testing.T) {
 	// Abandon st. The write-through cache means the bytes are on "disk",
 	// but the headers still describe the synced state.
 
-	st2, err := Open(dir, Options{})
+	st2, err := Open(dir, opts)
 	if err != nil {
 		t.Fatalf("reopen after crash: %v", err)
 	}
 	defer st2.Close()
 	if got := st2.Stats().Tuples; got != 40 {
 		t.Fatalf("recovered %d tuples, want the synced 40", got)
+	}
+	scanned := 0
+	if err := st2.Scan(func(TID, Row) bool { scanned++; return true }); err != nil {
+		t.Fatal(err)
+	}
+	if scanned != 40 {
+		t.Fatalf("Scan yields %d tuples, Stats 40", scanned)
+	}
+	// The unsynced delete and update are undone: both rows read as synced,
+	// and the update's new tuple does not exist.
+	for _, i := range []int{5, 6} {
+		row, err := st2.Get(tids[i])
+		if err != nil {
+			t.Fatalf("synced tuple %d lost to an unsynced write: %v", tids[i], err)
+		}
+		if want := Strings(fmt.Sprintf("durable %02d", i)); !reflect.DeepEqual(row["name"], want) {
+			t.Fatalf("tuple %d reads %v, want the synced %v", tids[i], row["name"], want)
+		}
+	}
+	if _, err := st2.Get(updated); err != ErrNotFound {
+		t.Fatalf("unsynced update's tuple %d: %v, want ErrNotFound", updated, err)
 	}
 	rep, err := st2.Check()
 	if err != nil {

@@ -41,19 +41,19 @@ func TestFormatGate(t *testing.T) {
 		want []string // substrings of the error
 	}
 	var cases []tamper
-	for _, version := range []uint32{0, 1, 2, 3, 4, 5, 6, 7, 9, 0xFFFFFFFF} {
+	for _, version := range []uint32{0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 0xFFFFFFFF} {
 		for _, fixCRC := range []bool{false, true} {
 			cases = append(cases, tamper{
 				name: fmt.Sprintf("index-version=%d/crc-recomputed=%v", version, fixCRC),
 				file: indexFileName,
 				edit: func(b []byte) []byte {
 					binary.LittleEndian.PutUint32(b[4:], version)
-					if fixCRC { // the superblock trailer at byte 100 covers [0, 100)
-						binary.LittleEndian.PutUint32(b[100:], storage.Checksum(b[:100]))
+					if fixCRC { // the superblock trailer at byte 104 covers [0, 104)
+						binary.LittleEndian.PutUint32(b[104:], storage.Checksum(b[:104]))
 					}
 					return b
 				},
-				want: []string{fmt.Sprintf("version %d ", version), "version 8"},
+				want: []string{fmt.Sprintf("version %d ", version), "version 9"},
 			})
 		}
 	}
@@ -127,7 +127,7 @@ func TestFormatGate(t *testing.T) {
 	// the same gate before its poll loop starts, and leaves the replica as it
 	// found it.
 	image := append([]byte(nil), clean[indexFileName]...)
-	binary.LittleEndian.PutUint32(image[4:], 7)
+	binary.LittleEndian.PutUint32(image[4:], 8)
 	if err := os.WriteFile(filepath.Join(dir, indexFileName), image, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -138,9 +138,9 @@ func TestFormatGate(t *testing.T) {
 	fol, err := openFollower(dir, localSource{}, FollowerOptions{}, Options{})
 	if err == nil {
 		fol.Close()
-		t.Fatal("follower opened a version-7 replica")
+		t.Fatal("follower opened a version-8 replica")
 	}
-	if msg := err.Error(); !strings.Contains(msg, "version 7 ") || !strings.Contains(msg, "version 8") {
+	if msg := err.Error(); !strings.Contains(msg, "version 8 ") || !strings.Contains(msg, "version 9") {
 		t.Fatalf("follower refusal does not name both versions: %v", err)
 	}
 	for file, b := range readDir(t, dir) {

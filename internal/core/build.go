@@ -46,19 +46,21 @@ func Build(tbl *table.Table, f *storage.File, opts Options) (*Index, error) {
 	}
 
 	ix := &Index{
-		opts:     opts,
-		f:        f,
-		segs:     segs,
-		codec:    codec,
-		tbl:      tbl,
-		ltid:     ltid,
-		entries:  make([]tupleEntry, 0, tbl.Total()),
-		posByTID: make(map[model.TID]int64, tbl.Total()),
+		opts:    opts,
+		f:       f,
+		segs:    segs,
+		codec:   codec,
+		tbl:     tbl,
+		ltid:    ltid,
+		entries: make([]tupleEntry, 0, tbl.Total()),
 	}
 	// Arm checksum tracking before any chain is written; the full-map flag
 	// makes Build's final Sync compute every covered segment's word.
 	ix.initIntegrity(true)
 	if ix.tupleChain, err = segs.Create(); err != nil {
+		return nil, err
+	}
+	if ix.delChain, err = segs.Create(); err != nil {
 		return nil, err
 	}
 	if ix.attrChain, err = segs.Create(); err != nil {
@@ -168,7 +170,6 @@ func Build(tbl *table.Table, f *storage.File, opts Options) (*Index, error) {
 			}
 		}
 		ix.entries = append(ix.entries, tupleEntry{tid: tid, ptr: ptr})
-		ix.posByTID[tid] = pos
 
 		// Defined attributes.
 		defined = defined[:0]

@@ -53,18 +53,20 @@ func referenceBuild(tbl *table.Table, f *storage.File, opts Options) (*Index, er
 	}
 
 	ix := &Index{
-		opts:     opts,
-		f:        f,
-		segs:     segs,
-		codec:    codec,
-		tbl:      tbl,
-		ltid:     ltid,
-		posByTID: make(map[model.TID]int64),
+		opts:  opts,
+		f:     f,
+		segs:  segs,
+		codec: codec,
+		tbl:   tbl,
+		ltid:  ltid,
 	}
 	// Arm checksum tracking before any chain is written; the full-map flag
 	// makes Build's final Sync compute every covered segment's word.
 	ix.initIntegrity(true)
 	if ix.tupleChain, err = segs.Create(); err != nil {
+		return nil, err
+	}
+	if ix.delChain, err = segs.Create(); err != nil {
 		return nil, err
 	}
 	if ix.attrChain, err = segs.Create(); err != nil {
@@ -162,7 +164,6 @@ func referenceBuild(tbl *table.Table, f *storage.File, opts Options) (*Index, er
 			}
 		}
 		ix.entries = append(ix.entries, tupleEntry{tid: tp.TID, ptr: ptr})
-		ix.posByTID[tp.TID] = pos
 
 		// Defined attributes.
 		for _, a := range tp.Attrs() {

@@ -11,7 +11,7 @@ import (
 // CheckReport summarizes an index integrity scan.
 type CheckReport struct {
 	Entries     int64 // tuple-list elements
-	Live        int64 // non-tombstoned elements
+	Live        int64 // elements the deletion list does not name
 	Attributes  int   // attribute-list elements with vector lists
 	VectorElems int64 // decoded vector-list elements across all live tuples
 	Problems    []string
@@ -27,10 +27,10 @@ func (r *CheckReport) addf(format string, args ...interface{}) {
 }
 
 // Check walks the whole iVA-file and cross-validates it against the table:
-// tuple-list order and pointers, per-attribute vector lists against the
-// stored values (signature widths, string counts, quantizer codes, the
-// lower-bound property for every stored numeric value), and the catalog's
-// df statistics. It is the maintenance "fsck" a production deployment runs
+// tuple-list order and pointers, the deletion list, per-attribute vector
+// lists against the stored values (signature widths, string counts,
+// quantizer codes, the lower-bound property for every stored numeric value),
+// and the catalog's df statistics. It is the maintenance "fsck" a production deployment runs
 // after crashes or migrations.
 func (ix *Index) Check() (CheckReport, error) {
 	ix.mu.RLock()
@@ -38,8 +38,8 @@ func (ix *Index) Check() (CheckReport, error) {
 	var rep CheckReport
 	rep.Entries = int64(len(ix.entries))
 
-	// Pass 1: the on-disk tuple list (not the in-memory mirror) — order,
-	// tombstones, pointer validity, agreement with the mirror.
+	// Pass 1: the on-disk tuple and deletion lists (not the in-memory mirror)
+	// — order, pointer validity, agreement with the mirror.
 	var lastTID model.TID
 	first := true
 	df := make(map[model.AttrID]int64)
@@ -65,21 +65,21 @@ func (ix *Index) Check() (CheckReport, error) {
 		}
 		tid := model.TID(tidBits)
 		mirror := ix.entries[pos]
-		if mirror.deleted != (ptr == tombstonePtr) {
-			rep.addf("pos %d: disk tombstone=%v, mirror=%v", pos, ptr == tombstonePtr, mirror.deleted)
-		}
 		if ptr == tombstonePtr {
-			continue
+			rep.addf("pos %d: ptr holds the all-ones tombstone of format 8", pos)
 		}
 		if mirror.tid != tid || mirror.ptr != int64(ptr) {
 			rep.addf("pos %d: disk element (%d,%d) differs from mirror (%d,%d)",
 				pos, tid, ptr, mirror.tid, mirror.ptr)
 		}
-		rep.Live++
 		if !first && tid <= lastTID {
 			rep.addf("tuple list out of order at pos %d: tid %d after %d", pos, tid, lastTID)
 		}
 		first, lastTID = false, tid
+		if mirror.deleted {
+			continue
+		}
+		rep.Live++
 		tp, err := ix.tbl.Fetch(int64(ptr))
 		if err != nil {
 			rep.addf("pos %d tid %d: table fetch failed: %v", pos, tid, err)
@@ -93,6 +93,29 @@ func (ix *Index) Check() (CheckReport, error) {
 			df[a]++
 		}
 		live = append(live, liveTuple{tid, pos, tp})
+	}
+	// The deletion list holds exactly the positions the mirror marks deleted,
+	// each once, and as many as the superblock's count.
+	dr := rds.open(ix, ix.delChain, ix.deleted*int64(ix.ltid))
+	named := make(map[uint64]bool, ix.deleted)
+	for i := int64(0); i < ix.deleted; i++ {
+		pos, err := dr.ReadBits(ix.ltid)
+		if err != nil {
+			rep.addf("deletion list read at entry %d: %v", i, err)
+			break
+		}
+		switch {
+		case pos >= uint64(len(ix.entries)):
+			rep.addf("deletion list entry %d: position %d outside the tuple list of %d", i, pos, len(ix.entries))
+		case named[pos]:
+			rep.addf("deletion list entry %d: position %d named twice", i, pos)
+		case !ix.entries[pos].deleted:
+			rep.addf("deletion list entry %d: position %d is live in the mirror", i, pos)
+		}
+		named[pos] = true
+	}
+	if dead := rep.Entries - rep.Live; int64(len(named)) != dead {
+		rep.addf("deletion list names %d positions for the superblock's count %d; the mirror has %d deleted", len(named), ix.deleted, dead)
 	}
 
 	// Pass 2: every attribute's vector list against the stored values.

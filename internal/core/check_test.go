@@ -63,10 +63,7 @@ func TestCheckDetectsCorruption(t *testing.T) {
 		t.Fatal("no live entry")
 	}
 	wrongPtr := uint64(fx.ix.entries[0].ptr)
-	bitOff := pos*int64(fx.ix.elemBits()) + int64(fx.ix.ltid)
-	if err := storage.WriteBitsAt(fx.ix.segs, fx.ix.tupleChain, bitOff, wrongPtr, ptrBits); err != nil {
-		t.Fatal(err)
-	}
+	overwriteBits(t, fx.ix.segs, fx.ix.tupleChain, pos*int64(fx.ix.elemBits())+int64(fx.ix.ltid), wrongPtr, ptrBits)
 	rep, err := fx.ix.Check()
 	if err != nil {
 		t.Fatal(err)
@@ -82,6 +79,34 @@ func TestCheckDetectsCorruption(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("unexpected problem set: %v", rep.Problems)
+	}
+}
+
+// TestCheckDetectsDeletionListDamage rewrites deletion-list entries on disk:
+// a position named twice and one past the tuple list are both reported.
+func TestCheckDetectsDeletionListDamage(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		pos  func(ix *Index) uint64
+		want string
+	}{
+		{"twice", func(ix *Index) uint64 { return 2 }, "named twice"},
+		{"outside", func(ix *Index) uint64 { return uint64(len(ix.entries)) }, "outside the tuple list"},
+	} {
+		fx := newFixture(t, 60, Options{}, 405)
+		for _, tid := range []model.TID{2, 9} { // positions 2 and 9
+			if err := fx.ix.Delete(tid); err != nil {
+				t.Fatal(err)
+			}
+		}
+		overwriteBits(t, fx.ix.segs, fx.ix.delChain, int64(fx.ix.ltid), tc.pos(fx.ix), fx.ix.ltid)
+		rep, err := fx.ix.Check()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(strings.Join(rep.Problems, "\n"), tc.want) {
+			t.Errorf("%s: problems %v, want one saying %q", tc.name, rep.Problems, tc.want)
+		}
 	}
 }
 
@@ -101,5 +126,26 @@ func TestAttrsReport(t *testing.T) {
 		if r.DF > 0 && r.BitLen == 0 && r.ListType.String() == "I" {
 			t.Fatalf("attr %s has df %d but an empty Type I list", r.Name, r.DF)
 		}
+	}
+}
+
+// overwriteBits stores the low width bits of v at bit offset off of chain c,
+// MSB-first, with one byte write: the damage a torn or stray write leaves.
+func overwriteBits(t *testing.T, segs *storage.SegStore, c storage.ChainID, off int64, v uint64, width int) {
+	t.Helper()
+	buf := make([]byte, (off+int64(width)+7)/8-off/8)
+	if err := segs.ReadAt(c, buf, off/8); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < width; i++ {
+		bit := off + int64(i)
+		mask := byte(0x80) >> (bit & 7)
+		buf[bit/8-off/8] &^= mask
+		if v>>(width-1-i)&1 != 0 {
+			buf[bit/8-off/8] |= mask
+		}
+	}
+	if err := segs.WriteAt(c, buf, off/8); err != nil {
+		t.Fatal(err)
 	}
 }

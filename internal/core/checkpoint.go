@@ -18,7 +18,7 @@ import (
 //
 // Checkpoints are recorded while lists are written (Build, Insert,
 // InsertBatch) and persisted in their own segment chain (see FORMAT.md §
-// checkpoint chain); deletions tombstone in place and leave them intact.
+// checkpoint chain); deletions leave them intact.
 
 // defaultCheckpointEvery is the stripe width in tuple-list entries. At the
 // paper's scales a stripe is a few hundred KiB of vector-list bits — coarse
@@ -85,15 +85,13 @@ func (ix *Index) currentAttrOffsets(extra func(a int) int64) []int64 {
 
 // Checkpoint chain layout (little-endian, byte-aligned):
 //
-//	u32 count
 //	count × record: u32 nattrs | nattrs × u64 attrOff | u32 crc
 //
-// The count word is informational: it is rewritten ahead of the superblock
-// commit, so the authoritative count is the superblock's. The per-record
-// CRC32C trailer covers the record bytes folded with the record's index, so
-// a record that is bit-perfect but sitting at the wrong position still fails
-// verification. Trailers are deterministic, which keeps the chain
-// append-stable (old records re-serialize to identical bytes).
+// count is the superblock's. Sync appends the records recorded since the
+// last Sync behind the committed ones and commits them with the count. The
+// per-record CRC32C trailer covers the record bytes folded with the record's
+// index, so a record that is bit-perfect but sitting at the wrong position
+// still fails verification.
 const ckptTrailerLen = 4
 
 // ckptRecordCRC folds a serialized record (nattrs word + offsets) with its
@@ -104,29 +102,34 @@ func ckptRecordCRC(rec []byte, index int) uint32 {
 	return storage.ChecksumUpdate(storage.Checksum(rec), idx[:])
 }
 
+// writeCheckpoints writes the records recorded since the last Sync behind the
+// committed ones. Caller holds ix.mu.
 func (ix *Index) writeCheckpoints() error {
-	if !ix.checkpointsEnabled() {
+	if !ix.checkpointsEnabled() || ix.ckptSynced == len(ix.ckpts) {
 		return nil
 	}
-	size := 4
-	for _, c := range ix.ckpts {
-		size += 4 + 8*len(c.attrOff) + ckptTrailerLen
-	}
-	buf := make([]byte, size)
-	binary.LittleEndian.PutUint32(buf, uint32(len(ix.ckpts)))
-	p := 4
-	for i, c := range ix.ckpts {
-		start := p
-		binary.LittleEndian.PutUint32(buf[p:], uint32(len(c.attrOff)))
-		p += 4
+	var buf []byte
+	for i, c := range ix.ckpts[ix.ckptSynced:] {
+		start := len(buf)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(c.attrOff)))
 		for _, off := range c.attrOff {
-			binary.LittleEndian.PutUint64(buf[p:], uint64(off))
-			p += 8
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(off))
 		}
-		binary.LittleEndian.PutUint32(buf[p:], ckptRecordCRC(buf[start:p], i))
-		p += ckptTrailerLen
+		buf = binary.LittleEndian.AppendUint32(buf, ckptRecordCRC(buf[start:], ix.ckptSynced+i))
 	}
-	return ix.segs.WriteAt(ix.ckptChain, buf, 0)
+	return ix.segs.WriteAt(ix.ckptChain, buf, ix.ckptEnd)
+}
+
+// commitCheckpoints moves the committed end over the records the superblock
+// just committed.
+func (ix *Index) commitCheckpoints() {
+	if !ix.checkpointsEnabled() {
+		return
+	}
+	for _, c := range ix.ckpts[ix.ckptSynced:] {
+		ix.ckptEnd += 4 + 8*int64(len(c.attrOff)) + ckptTrailerLen
+	}
+	ix.ckptSynced = len(ix.ckpts)
 }
 
 // readCkptRec parses the record at off, returning its offsets, the bytes
@@ -160,10 +163,8 @@ func (ix *Index) readCkptRec(off int64, index int) ([]int64, int64, bool, error)
 
 // readCheckpoints loads the count checkpoint records the superblock
 // committed. The count is clamped to the stripes the committed entry count
-// implies, bounding the pre-allocation below against hostile counts. Records
-// inside the count are the committed ones even after a torn Sync rewrote the
-// chain, because the chain is append-stable — a rewrite re-serializes old
-// stripes to identical bytes at identical offsets.
+// implies, bounding the pre-allocation below against hostile counts. A torn
+// Sync wrote only behind the committed records.
 func (ix *Index) readCheckpoints(count int) error {
 	if !ix.checkpointsEnabled() {
 		return nil
@@ -172,9 +173,8 @@ func (ix *Index) readCheckpoints(count int) error {
 		count = int(maxCkpts)
 	}
 	ix.ckpts = make([]checkpoint, 0, count)
-	off := int64(4)
 	for i := 0; i < count; i++ {
-		offs, n, ok, err := ix.readCkptRec(off, i)
+		offs, n, ok, err := ix.readCkptRec(ix.ckptEnd, i)
 		if err != nil {
 			return err
 		}
@@ -182,9 +182,10 @@ func (ix *Index) readCheckpoints(count int) error {
 			ix.corruptCheckpoint(i, count)
 			return nil
 		}
-		off += n
+		ix.ckptEnd += n
 		ix.ckpts = append(ix.ckpts, checkpoint{attrOff: offs})
 	}
+	ix.ckptSynced = count
 	return nil
 }
 
@@ -193,7 +194,7 @@ func (ix *Index) readCheckpoints(count int) error {
 // length prefix is inside the damage), so the remainder is counted corrupt and
 // the sweep stops.
 func (ix *Index) scrubCheckpoints(count int, yield func()) (checked, bad int) {
-	off := int64(4)
+	var off int64
 	for i := 0; i < count; i++ {
 		if yield != nil {
 			yield()

@@ -115,7 +115,7 @@ func (fx *fixture) randQuery(t testing.TB, nvals, k int) *model.Query {
 	seen := map[model.AttrID]bool{}
 	for len(q.Terms) < nvals {
 		tid := model.TID(fx.rng.Intn(int(fx.tbl.NextTID())))
-		pos, ok := fx.ix.posByTID[tid]
+		pos, ok := fx.ix.find(tid)
 		if !ok {
 			continue
 		}
@@ -284,7 +284,7 @@ func TestDeleteThenSearch(t *testing.T) {
 			t.Fatalf("trial %d after deletes: mismatch", trial)
 		}
 		for _, r := range got {
-			if _, live := fx.ix.posByTID[r.TID]; !live {
+			if _, live := fx.ix.find(r.TID); !live {
 				t.Fatalf("deleted tuple %d in results", r.TID)
 			}
 		}

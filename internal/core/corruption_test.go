@@ -125,10 +125,16 @@ func buildCorruptionFixtureWith(t *testing.T, opts Options, sparse bool, rows in
 		cf.committed[off] = true
 	}
 	it := &ix.integ
-	var mapLen int64
+	mapLen := int64(8 + 4) // header and trailer, around a record per covered chain
+	for _, cov := range ix.coveredChains(ix.slotChain(ix.attrSlot)) {
+		ids, err := ix.segs.ChainSegments(cov.chain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mapLen += 16 + 4*int64(len(ids))
+	}
 	it.mu.Lock()
 	for id, e := range it.words {
-		mapLen = max(mapLen, e.off+8)         // the map ends with its last word and the trailer
 		base := ix.segs.SegmentOffset(id) + 8 // past the segment header
 		n := int64(e.n)
 		if e.mask != 0 && n > 0 {

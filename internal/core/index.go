@@ -2,8 +2,9 @@
 // approximation file. An iVA-file consists of
 //
 //   - one tuple list: <tid, ptr> elements in increasing tid order, where ptr
-//     is the tuple's byte offset in the table file (all-ones marks a
-//     deleted tuple),
+//     is the tuple's byte offset in the table file,
+//   - one deletion list: the tuple-list positions of deleted tuples, in the
+//     order they were deleted,
 //   - one attribute list: per-attribute metadata (list location and tail,
 //     layout widths, quantizer domain) — the paper's
 //     <ptr1, ptr2, df, str, α> elements, and
@@ -12,14 +13,18 @@
 //     the four organizations of §III-D.
 //
 // Queries run the parallel filter-and-refine plan of Algorithm 1; updates
-// follow §IV-B (tail appends, tombstone deletes, periodic rebuild).
+// follow §IV-B (tail appends, periodic rebuild), except that a deletion is
+// one more tail append, to the deletion list, instead of a mark written into
+// the tuple list.
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"github.com/sparsewide/iva/internal/bitio"
@@ -120,17 +125,18 @@ const (
 	// indexVersion is the one on-disk format this package reads and writes.
 	// A format change bumps it; Open refuses every other value (FORMAT.md §
 	// Format policy) — there is no upgrade code.
-	indexVersion = 8
+	indexVersion = 9
 	ptrBits      = 40 // table offsets up to 1 TiB
 )
 
-// Superblock byte offsets of the checksum-map fields. The CRC32C trailer at
-// sbCRCOff covers bytes [0, sbCRCOff).
+// Superblock byte offsets of the checksum-map fields and the deletion-list
+// chain. The CRC32C trailer at sbCRCOff covers bytes [0, sbCRCOff).
 const (
 	sbCRCChainAOff = 88
 	sbCRCChainBOff = 92
 	sbCRCSlotOff   = 96
-	sbCRCOff       = 100
+	sbDelChainOff  = 100
+	sbCRCOff       = 104
 )
 
 // SuperblockStamp hashes a committed superblock page into a state stamp,
@@ -149,7 +155,9 @@ func SuperblockStamp(page []byte) uint32 {
 	return storage.ChecksumUpdate(storage.Checksum(page[:sbCRCOff]), page[sbCRCOff+4:])
 }
 
-// tombstonePtr marks a deleted tuple in the tuple list.
+// tombstonePtr is the all-ones ptr, format 8's in-place deletion mark. No
+// element holds it: a table offset must stay below it, and Check reports an
+// element that does.
 const tombstonePtr = uint64(1)<<ptrBits - 1
 
 // attrState is the in-memory attribute-list element.
@@ -190,7 +198,8 @@ func (a *attrState) physBits() int64 {
 	return a.codedWords*64 + (a.bitLen - a.codedLogical)
 }
 
-// tupleEntry mirrors one on-disk tuple-list element.
+// tupleEntry mirrors one on-disk tuple-list element; deleted is set when the
+// deletion list names its position.
 type tupleEntry struct {
 	tid     model.TID
 	ptr     int64
@@ -213,9 +222,9 @@ type Index struct {
 	tupleChain storage.ChainID
 	tupleBits  int64
 	ltid       int
-	entries    []tupleEntry
-	posByTID   map[model.TID]int64
-	deleted    int64
+	entries    []tupleEntry // in tid order
+	delChain   storage.ChainID
+	deleted    int64 // deletion-list length: ltid bits per position
 	run        runScratch
 
 	// Stripe checkpoints for the striped filter plan. ckptChain is
@@ -225,6 +234,10 @@ type Index struct {
 	ckptChain storage.ChainID
 	ckptEvery int64
 	ckpts     []checkpoint
+	// ckptSynced records are committed, in the chain's first ckptEnd bytes;
+	// Sync appends the rest behind them.
+	ckptSynced int
+	ckptEnd    int64
 
 	// Integrity: the ping-ponged checksum-map chains and the in-memory
 	// checksum state (see integrity.go).
@@ -256,14 +269,14 @@ func (ix *Index) SetSearchParallelism(p int) {
 // SizeBytes returns the index file's size.
 func (ix *Index) SizeBytes() int64 { return ix.f.Size() }
 
-// Entries returns the tuple-list length (live + tombstoned).
+// Entries returns the tuple-list length (live + deleted).
 func (ix *Index) Entries() int64 {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	return int64(len(ix.entries))
 }
 
-// Deleted returns the number of tombstoned tuples awaiting cleaning.
+// Deleted returns the number of deleted tuples awaiting cleaning.
 func (ix *Index) Deleted() int64 {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -274,8 +287,17 @@ func (ix *Index) Deleted() int64 {
 func (ix *Index) Live(tid model.TID) bool {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	_, ok := ix.posByTID[tid]
+	_, ok := ix.find(tid)
 	return ok
+}
+
+// find returns the tuple-list position of the live tuple tid: a binary search
+// of the tid-ordered mirror. Caller holds ix.mu.
+func (ix *Index) find(tid model.TID) (int64, bool) {
+	pos, ok := slices.BinarySearchFunc(ix.entries, tid, func(e tupleEntry, t model.TID) int {
+		return cmp.Compare(e.tid, t)
+	})
+	return int64(pos), ok && !ix.entries[pos].deleted
 }
 
 // LiveTIDs returns the ids of all live tuples in tuple-list order.
@@ -417,6 +439,7 @@ func (ix *Index) writeSuperblock(slot, crcSlot int) error {
 	binary.LittleEndian.PutUint32(b[sbCRCChainAOff:], uint32(ix.crcChainA))
 	binary.LittleEndian.PutUint32(b[sbCRCChainBOff:], uint32(ix.crcChainB))
 	b[sbCRCSlotOff] = byte(crcSlot)
+	binary.LittleEndian.PutUint32(b[sbDelChainOff:], uint32(ix.delChain))
 	binary.LittleEndian.PutUint32(b[sbCRCOff:], storage.Checksum(b[:sbCRCOff]))
 	return ix.f.WriteAt(b[:], 0)
 }
@@ -515,13 +538,13 @@ func (ix *Index) readAttrList(n int, chain storage.ChainID) error {
 // Crash consistency: the superblock is the single commit point. The
 // attribute list — whose per-attribute bit lengths define how far each
 // vector chain is valid — is written to the slot the committed superblock
-// does NOT reference (ping-pong between attrChain and attrChainB), and the
-// checkpoint chain is append-stable (records for old stripes re-serialize
-// to identical bytes, and the authoritative count lives in the superblock).
-// A crash anywhere before the superblock write therefore leaves the
-// previously committed state fully intact, and the superblock itself is one
-// page-atomic write: reopening always recovers exactly the last synced
-// prefix.
+// does NOT reference (ping-pong between attrChain and attrChainB); the
+// tuple, deletion and vector lists and the checkpoint chain took every write
+// since the last Sync behind their committed ends, whose lengths and counts
+// the superblock holds. A crash anywhere before the superblock write
+// therefore leaves the previously committed state fully intact, and the
+// superblock itself is one page-atomic write: reopening always recovers
+// exactly the last synced prefix.
 func (ix *Index) Sync() error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -544,6 +567,7 @@ func (ix *Index) Sync() error {
 	// the flush errors, a retry will not overwrite the committed slot.
 	ix.attrSlot = target
 	ix.crcSlot = crcTarget
+	ix.commitCheckpoints()
 	ix.commitIntegrity()
 	return ix.f.Sync()
 }
@@ -604,8 +628,8 @@ func Open(f *storage.File, tbl *table.Table, opts Options) (*Index, error) {
 		tupleChain: storage.ChainID(binary.LittleEndian.Uint32(b[24:])),
 		tupleBits:  int64(binary.LittleEndian.Uint64(b[28:])),
 		deleted:    int64(binary.LittleEndian.Uint64(b[44:])),
+		delChain:   storage.ChainID(binary.LittleEndian.Uint32(b[sbDelChainOff:])),
 		attrChain:  storage.ChainID(binary.LittleEndian.Uint32(b[52:])),
-		posByTID:   make(map[model.TID]int64),
 		ckptChain:  storage.ChainID(binary.LittleEndian.Uint32(b[68:])),
 		ckptEvery:  opts.CheckpointEvery,
 		attrChainB: storage.ChainID(binary.LittleEndian.Uint32(b[76:])),
@@ -662,6 +686,9 @@ func Open(f *storage.File, tbl *table.Table, opts Options) (*Index, error) {
 		return nil, err
 	}
 	if err := ix.loadTupleList(entryCount); err != nil {
+		return nil, err
+	}
+	if err := ix.loadDeletions(); err != nil {
 		return nil, err
 	}
 	if err := ix.readCheckpoints(int(binary.LittleEndian.Uint32(b[84:]))); err != nil {
@@ -728,7 +755,9 @@ func (ix *Index) termSource(st *attrState, rd *storage.ChainBitReader) (vector.B
 	return vector.NewBlockSource(st.layout, rd, st.dir, st.codedWords, st.bitLen), nil
 }
 
-// loadTupleList reads the on-disk tuple list into the in-memory mirror.
+// loadTupleList reads the on-disk tuple list into the in-memory mirror, which
+// every search and lookup reads from then on. Its segments verify against the
+// checksum map on the way, so tuple-list damage fails the open.
 func (ix *Index) loadTupleList(entryCount int64) error {
 	r := storage.NewChainBitReader(ix.segs, ix.tupleChain, ix.tupleBits)
 	defer r.Close()
@@ -743,11 +772,28 @@ func (ix *Index) loadTupleList(entryCount int64) error {
 		if err != nil {
 			return err
 		}
-		e := tupleEntry{tid: model.TID(tid), ptr: int64(ptr), deleted: ptr == tombstonePtr}
-		ix.entries = append(ix.entries, e)
-		if !e.deleted {
-			ix.posByTID[e.tid] = i
+		ix.entries = append(ix.entries, tupleEntry{tid: model.TID(tid), ptr: int64(ptr)})
+	}
+	return nil
+}
+
+// loadDeletions applies the committed deletion list to the mirror. A position
+// outside the tuple list or named twice fails the open, like any other
+// damage to the lists the mirror is read from.
+func (ix *Index) loadDeletions() error {
+	r := storage.NewChainBitReader(ix.segs, ix.delChain, ix.deleted*int64(ix.ltid))
+	defer r.Close()
+	ix.attachVerify(r, ix.delChain)
+	for i := int64(0); i < ix.deleted; i++ {
+		pos, err := r.ReadBits(ix.ltid)
+		if err != nil {
+			return err
 		}
+		if pos >= uint64(len(ix.entries)) || ix.entries[pos].deleted {
+			return &storage.CorruptionError{File: "iva.idx", Offset: -1, Segment: storage.NoCorruptSegment,
+				Detail: fmt.Sprintf("deletion list entry %d names position %d of %d, or one named before", i, pos, len(ix.entries))}
+		}
+		ix.entries[pos].deleted = true
 	}
 	return nil
 }

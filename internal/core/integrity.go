@@ -13,7 +13,6 @@ type segCRC struct {
 	crc  uint32 // CRC32C over the committed span
 	n    int    // committed payload bytes (span is always a prefix)
 	mask uint8  // committed bits of the final byte; 0 means all 8
-	off  int64  // byte offset of this crc word in the committed crc chain; -1 = not on disk
 }
 
 // integrityState is the checksum machinery of an open index. The
@@ -72,13 +71,13 @@ func (ix *Index) initIntegrity(full bool) {
 }
 
 // coveredChains lists the chains the checksum map covers together with their
-// committed bit lengths: the tuple list, the attribute-list slot named by
-// slotChain, and every attribute's vector list. The checkpoint chain is
-// covered by per-record trailers instead, and the checksum chains cover
-// themselves with a trailing map CRC.
+// committed bit lengths: the tuple list, the deletion list, the attribute-list
+// slot named by slotChain, and every attribute's vector list. The checkpoint
+// chain is covered by per-record trailers instead, and the checksum chains
+// cover themselves with a trailing map CRC.
 func (ix *Index) coveredChains(attrList storage.ChainID) []chainCover {
-	covers := make([]chainCover, 0, 2+len(ix.attrs))
-	covers = append(covers, chainCover{ix.tupleChain, ix.tupleBits})
+	covers := make([]chainCover, 0, 3+len(ix.attrs))
+	covers = append(covers, chainCover{ix.tupleChain, ix.tupleBits}, chainCover{ix.delChain, ix.deleted * int64(ix.ltid)})
 	if attrList != storage.NoSegment {
 		covers = append(covers, chainCover{attrList, int64(attrElemSize*len(ix.attrs)) * 8})
 	}
@@ -143,7 +142,7 @@ func (ix *Index) recomputeChainCRCs(cov chainCover, onlyStale bool, buf []byte) 
 			crc = storage.Checksum(buf[:n])
 		}
 		it.mu.Lock()
-		it.words[id] = segCRC{crc: crc, n: n, mask: mask, off: -1}
+		it.words[id] = segCRC{crc: crc, n: n, mask: mask}
 		it.verified[id] = struct{}{}
 		it.mu.Unlock()
 	}
@@ -151,10 +150,7 @@ func (ix *Index) recomputeChainCRCs(cov chainCover, onlyStale bool, buf []byte) 
 }
 
 // writeCRCMap recomputes stale segment words, serializes the checksum map,
-// and writes it to the target checksum-chain slot. Offsets of the crc words
-// within the target chain are recorded so a later tombstone can write its word
-// through; they become authoritative when the superblock commits the slot.
-// Caller holds ix.mu.
+// and writes it to the target checksum-chain slot. Caller holds ix.mu.
 func (ix *Index) writeCRCMap(target storage.ChainID) error {
 	it := &ix.integ
 	it.mu.Lock()
@@ -175,11 +171,6 @@ func (ix *Index) writeCRCMap(target storage.ChainID) error {
 	var blob []byte
 	blob = binary.LittleEndian.AppendUint32(blob, crcMapMagic)
 	blob = binary.LittleEndian.AppendUint32(blob, uint32(len(covers)))
-	type wordPos struct {
-		id  storage.SegID
-		off int64
-	}
-	var poss []wordPos
 	for _, cov := range covers {
 		ids, err := ix.segs.ChainSegments(cov.chain)
 		if err != nil {
@@ -190,23 +181,12 @@ func (ix *Index) writeCRCMap(target storage.ChainID) error {
 		blob = binary.LittleEndian.AppendUint32(blob, uint32(len(ids)))
 		it.mu.Lock()
 		for _, id := range ids {
-			poss = append(poss, wordPos{id, int64(len(blob))})
 			blob = binary.LittleEndian.AppendUint32(blob, it.words[id].crc)
 		}
 		it.mu.Unlock()
 	}
 	blob = binary.LittleEndian.AppendUint32(blob, storage.Checksum(blob))
-	if err := ix.segs.WriteAt(target, blob, 0); err != nil {
-		return err
-	}
-	it.mu.Lock()
-	for _, p := range poss {
-		w := it.words[p.id]
-		w.off = p.off
-		it.words[p.id] = w
-	}
-	it.mu.Unlock()
-	return nil
+	return ix.segs.WriteAt(target, blob, 0)
 }
 
 // commitIntegrity finalizes integrity state after the superblock committed:
@@ -288,7 +268,6 @@ func (ix *Index) loadCRCMap(c storage.ChainID) error {
 		var start int64
 		for k := uint32(0); k < nsegs; k++ {
 			var w [4]byte
-			wordOff := pos
 			if !read(w[:]) {
 				return drop()
 			}
@@ -297,7 +276,7 @@ func (ix *Index) loadCRCMap(c storage.ChainID) error {
 			start += pay
 			if int(k) < len(ids) {
 				pending = append(pending, pendingWord{ids[k], segCRC{
-					crc: binary.LittleEndian.Uint32(w[:]), n: n, mask: mask, off: wordOff,
+					crc: binary.LittleEndian.Uint32(w[:]), n: n, mask: mask,
 				}})
 			}
 		}
@@ -397,73 +376,6 @@ func (ix *Index) attachVerify(r *storage.ChainBitReader, c storage.ChainID) {
 		}
 		return nil
 	})
-}
-
-// tombstone overwrites the ptr of tuple-list entry pos with the all-ones
-// marker, in place — the one mutation of committed bytes (§IV-B deletion). The
-// committed checksum map must stay true for those bytes without waiting for a
-// Sync, because the marker may become durable before the Sync that
-// acknowledges it: the word of each segment under the ptr is computed over the
-// bytes as they are about to be and written through first, then the marker. A
-// failure at either write leaves the entry, and this index's view of its
-// checksum, as they were. A crash between the two leaves a detected (never
-// silent) mismatch on that segment; scrub -repair rebuilds.
-func (ix *Index) tombstone(pos int64) error {
-	it := &ix.integ
-	bitOff := pos*int64(ix.elemBits()) + int64(ix.ltid)
-	ids, err := ix.segs.ChainSegments(ix.tupleChain)
-	if err != nil {
-		return err
-	}
-	var marked [2]struct { // a ptr lies in at most two segments
-		id storage.SegID
-		e  segCRC
-	}
-	n := 0
-	for next := bitOff / 8; next <= (bitOff+ptrBits-1)/8; {
-		k, in, pay := storage.SegAt(next)
-		start := next - in // logical offset of segment k's first payload byte
-		next = start + pay
-		if k >= len(ids) {
-			break
-		}
-		it.mu.Lock()
-		e, ok := it.words[ids[k]]
-		it.mu.Unlock()
-		if !ok || e.n == 0 {
-			continue
-		}
-		buf := make([]byte, e.n)
-		if err := ix.segs.ReadSegmentPayload(ids[k], buf); err != nil {
-			return err
-		}
-		for bit := bitOff; bit < bitOff+ptrBits; bit++ {
-			if b := bit/8 - start; b >= 0 && b < int64(e.n) {
-				buf[b] |= 0x80 >> (bit & 7)
-			}
-		}
-		maskTail(buf, e.mask)
-		e.crc = storage.Checksum(buf)
-		if e.off >= 0 && ix.crcChain(ix.crcSlot) != storage.NoSegment {
-			var w [4]byte
-			binary.LittleEndian.PutUint32(w[:], e.crc)
-			if err := ix.segs.WriteAt(ix.crcChain(ix.crcSlot), w[:], e.off); err != nil {
-				return err
-			}
-		}
-		marked[n].id, marked[n].e = ids[k], e
-		n++
-	}
-	if err := storage.WriteBitsAt(ix.segs, ix.tupleChain, bitOff, tombstonePtr, ptrBits); err != nil {
-		return err
-	}
-	it.mu.Lock()
-	for _, m := range marked[:n] {
-		it.words[m.id] = m.e
-		it.verified[m.id] = struct{}{}
-	}
-	it.mu.Unlock()
-	return nil
 }
 
 // verifyChain checks every committed segment of a chain against its word

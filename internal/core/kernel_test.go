@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -14,82 +15,63 @@ import (
 	"github.com/sparsewide/iva/internal/topk"
 )
 
-// decodeBatchReference is decodeBatch as it was before the one-read form: two
-// reads per entry at every tuple-id width.
-func decodeBatchReference(tr *storage.ChainBitReader, ltid int, pos, end int64) (tids []model.TID, poss, ptrs []int64, err error) {
-	if err := tr.SeekBit(pos * int64(ltid+ptrBits)); err != nil {
-		return nil, nil, nil, err
-	}
-	for ; pos < end; pos++ {
-		tid, err := tr.ReadBits(ltid)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		ptr, err := tr.ReadBits(ptrBits)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		if ptr == tombstonePtr {
-			continue
-		}
-		tids, poss, ptrs = append(tids, model.TID(tid)), append(poss, pos), append(ptrs, int64(ptr))
-	}
-	return tids, poss, ptrs, nil
-}
-
-// TestDecodeBatchWidths holds decodeBatch equal to the two-read decoder at
-// every tuple-id width — 1 to 24 bits take the one-read form, 25 to 32 the
-// two-read one — over tuple lists with no tombstone, one at each position
-// (first and last included) and one at every position, decoding ranges that
-// start and end off a byte boundary.
+// TestDecodeBatchWidths round-trips a tuple list through loadTupleList, the
+// one decoder of on-disk elements outside Check, at every tuple-id width — 25
+// to 32 bits make an element wider than 64 — and holds decodeBatch over the
+// mirror to the list as written: with no entry deleted, one at each position
+// (first and last included) and all, over ranges that start and end off a
+// byte boundary.
 func TestDecodeBatchWidths(t *testing.T) {
 	const entries = 37
 	rng := rand.New(rand.NewSource(24))
 	for ltid := 1; ltid <= 32; ltid++ {
-		for dead := -1; dead <= entries; dead++ { // -1: none; entries: all
-			f := storage.NewFile(storage.NewPool(0, 1<<20), storage.NewMemDevice())
-			segs := storage.NewSegStore(f, superblockSize)
-			chain, err := segs.Create()
-			if err != nil {
-				t.Fatal(err)
-			}
-			w := bitio.NewWriter(0)
-			for pos := 0; pos < entries; pos++ {
-				w.WriteBits(rng.Uint64()>>(64-uint(ltid)), ltid)
-				ptr := rng.Uint64() >> (64 - ptrBits)
-				if pos == dead || dead == entries || ptr == tombstonePtr {
-					ptr = tombstonePtr
-				}
-				w.WriteBits(ptr, ptrBits)
-			}
-			bits, err := storage.AppendBits(segs, chain, 0, w.Bytes(), w.Len())
-			if err != nil {
-				t.Fatal(err)
-			}
-			ix := &Index{ltid: ltid}
-			sc := scratchPool.Get().(*workerScratch)
-			sc.tupleRd = storage.NewChainBitReader(segs, chain, bits)
-			ref := storage.NewChainBitReader(segs, chain, bits)
-			for _, r := range [][2]int64{{0, entries}, {3, entries}, {0, 5}, {7, 30}, {entries - 1, entries}, {4, 4}} {
-				n, err := sc.decodeBatch(ix, r[0], r[1])
-				tids, poss, ptrs, refErr := decodeBatchReference(ref, ltid, r[0], r[1])
-				if err != nil || refErr != nil {
-					t.Fatalf("ltid %d dead %d range %v: %v / reference %v", ltid, dead, r, err, refErr)
-				}
-				if n != len(tids) {
-					t.Fatalf("ltid %d dead %d range %v: %d live entries, reference %d", ltid, dead, r, n, len(tids))
-				}
-				for j := 0; j < n; j++ {
-					if sc.tids[j] != tids[j] || sc.pos[j] != poss[j] || sc.ptrs[j] != ptrs[j] {
-						t.Fatalf("ltid %d dead %d range %v entry %d: (%d, %d, %d), reference (%d, %d, %d)",
-							ltid, dead, r, j, sc.tids[j], sc.pos[j], sc.ptrs[j], tids[j], poss[j], ptrs[j])
-					}
-				}
-			}
-			ref.Close()
-			sc.release()
-			f.Close()
+		f := storage.NewFile(storage.NewPool(0, 1<<20), storage.NewMemDevice())
+		segs := storage.NewSegStore(f, superblockSize)
+		chain, err := segs.Create()
+		if err != nil {
+			t.Fatal(err)
 		}
+		want := make([]tupleEntry, entries)
+		w := bitio.NewWriter(0)
+		for pos := range want {
+			want[pos] = tupleEntry{tid: model.TID(rng.Uint64() >> (64 - uint(ltid))), ptr: int64(rng.Uint64() >> (64 - ptrBits))}
+			w.WriteBits(uint64(want[pos].tid), ltid)
+			w.WriteBits(uint64(want[pos].ptr), ptrBits)
+		}
+		bits, err := storage.AppendBits(segs, chain, 0, w.Bytes(), w.Len())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix := &Index{ltid: ltid, segs: segs, tupleChain: chain, tupleBits: bits}
+		if err := ix.loadTupleList(entries); err != nil {
+			t.Fatalf("ltid %d: %v", ltid, err)
+		}
+		if !slices.Equal(ix.entries, want) {
+			t.Fatalf("ltid %d: loaded %v, wrote %v", ltid, ix.entries, want)
+		}
+		sc := scratchPool.Get().(*workerScratch)
+		for dead := -1; dead <= entries; dead++ { // -1: none; entries: all
+			for pos := range ix.entries {
+				ix.entries[pos].deleted = pos == dead || dead == entries
+			}
+			for _, r := range [][2]int64{{0, entries}, {3, entries}, {0, 5}, {7, 30}, {entries - 1, entries}, {4, 4}} {
+				n, j := sc.decodeBatch(ix, r[0], r[1]), 0
+				for pos := r[0]; pos < r[1]; pos++ {
+					if ix.entries[pos].deleted {
+						continue
+					}
+					if j >= n || sc.tids[j] != want[pos].tid || sc.pos[j] != pos || sc.ptrs[j] != want[pos].ptr {
+						t.Fatalf("ltid %d dead %d range %v: entry %d of %d does not hold position %d %+v", ltid, dead, r, j, n, pos, want[pos])
+					}
+					j++
+				}
+				if j != n {
+					t.Fatalf("ltid %d dead %d range %v: %d live entries, want %d", ltid, dead, r, n, j)
+				}
+			}
+		}
+		sc.release()
+		f.Close()
 	}
 }
 
@@ -114,7 +96,6 @@ func BenchmarkScanBatch(b *testing.B) {
 	}
 	defer sw.scratch.release()
 	sw.scratch.forTerms(len(terms))
-	sw.scratch.tupleRd = ix.reopen(sw.scratch.tupleRd, ix.tupleChain, ix.tupleBits)
 	sw.pool.Insert(0, -1) // lower bounds are ≥ 0: every entry is pruned
 
 	b.ReportAllocs()

@@ -127,7 +127,6 @@ const batchSize = 512
 // sync.Pool, so that a query allocates none of it: readers, the columns of
 // the batch at hand, the record buffer of the refine step.
 type workerScratch struct {
-	tupleRd *storage.ChainBitReader
 	termRds []*storage.ChainBitReader
 
 	// The live entries of the batch at hand, in tuple-list order.
@@ -198,37 +197,19 @@ func (ix *Index) reopen(r *storage.ChainBitReader, c storage.ChainID, bits int64
 	return r
 }
 
-// decodeBatch reads tuple-list positions [pos, end) — at most batchSize of
-// them — into the tid/pos/ptr columns, dropping deleted entries, and returns
-// the number of live ones. It is the only decoder of tuple-list entries a
-// search has. An entry of at most 64 bits is one read.
-func (sc *workerScratch) decodeBatch(ix *Index, pos, end int64) (int, error) {
-	tr := sc.tupleRd
-	if err := tr.SeekBit(pos * int64(ix.elemBits())); err != nil {
-		return 0, err
-	}
+// decodeBatch copies tuple-list positions [pos, end) — at most batchSize of
+// them — from the mirror Open verified into the tid/pos/ptr columns, dropping
+// deleted entries, and returns the number of live ones.
+func (sc *workerScratch) decodeBatch(ix *Index, pos, end int64) int {
 	n := 0
-	for ; pos < end; pos++ {
-		var tid, ptr uint64
-		var err error
-		if ix.elemBits() > 64 {
-			if tid, err = tr.ReadBits(ix.ltid); err == nil {
-				ptr, err = tr.ReadBits(ptrBits)
-			}
-		} else {
-			tid, err = tr.ReadBits(ix.elemBits())
-			tid, ptr = tid>>ptrBits, tid&(1<<ptrBits-1)
+	for i, e := range ix.entries[pos:end] {
+		if e.deleted {
+			continue // no filtering, cursors skip in passing
 		}
-		if err != nil {
-			return 0, err
-		}
-		if ptr == tombstonePtr {
-			continue // deleted tuple: no filtering, cursors skip in passing
-		}
-		sc.tids[n], sc.pos[n], sc.ptrs[n] = model.TID(tid), pos, int64(ptr)
+		sc.tids[n], sc.pos[n], sc.ptrs[n] = e.tid, pos+int64(i), e.ptr
 		n++
 	}
-	return n, nil
+	return n
 }
 
 // openTerm positions term i's cursor to resume its attribute's vector list at
@@ -270,9 +251,6 @@ func (sc *workerScratch) openTerm(ix *Index, i int, ts *termState, ck checkpoint
 func (sc *workerScratch) release() {
 	sc.ndef = 0
 	sc.rec.Release()
-	if sc.tupleRd != nil {
-		sc.tupleRd.Close()
-	}
 	for _, r := range sc.termRds {
 		if r != nil {
 			r.Close()
@@ -450,7 +428,6 @@ func (sw *stripeWorker) run() {
 			sw.abort.Store(true) // stops the other workers' next claims too
 		}
 	}()
-	sw.scratch.tupleRd = sw.ix.reopen(sw.scratch.tupleRd, sw.ix.tupleChain, sw.ix.tupleBits)
 	for {
 		s := sw.next.Add(1) - 1
 		if sw.abort.Load() {
@@ -520,10 +497,7 @@ func (sw *stripeWorker) scanStripe(s int64) error {
 				return err
 			}
 		}
-		n, err := sc.decodeBatch(ix, pos, min(pos+batchSize, endPos))
-		if err != nil {
-			return err
-		}
+		n := sc.decodeBatch(ix, pos, min(pos+batchSize, endPos))
 		sw.prof.Scanned += int64(n)
 		for i := range sw.terms {
 			if err := sw.fillColumn(i, n); err != nil {

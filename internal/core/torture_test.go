@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/sparsewide/iva/internal/model"
@@ -10,21 +11,15 @@ import (
 	"github.com/sparsewide/iva/internal/table"
 )
 
-// The fault-point torture sweep: one scripted Build → Insert → Sync sequence
-// is replayed with a FaultDevice armed to fail after every possible number
+// The fault-point torture sweep: one scripted Build → Insert/Delete/Replace →
+// Sync sequence is replayed with a FaultDevice armed to fail after every possible number
 // of successful device operations (budget 0, 1, 2, … until a run completes
 // without tripping), once with the index device armed and once with the
 // table device armed. Every crash point must leave a state from which a
 // fresh process — new page pool, no in-memory leftovers — recovers exactly
-// the last synced prefix: some sync-time snapshot opens cleanly, no acked
-// entry is lost, the full integrity check passes, and the store resumes
-// inserts and syncs.
-//
-// Deletes are deliberately absent from the script: tombstoning overwrites a
-// tuple-list ptr in place (§IV-B), so a tombstone can be durable before the
-// Sync that acknowledges it — the synced-prefix framing used here would call
-// that state "too new". The recovery properties for deletes are covered by
-// the differential oracle's reopen checks instead.
+// the last synced prefix: some sync-time snapshot opens cleanly with exactly
+// its live tuples, no acked entry is lost, the full integrity check passes,
+// and the store resumes inserts, deletes and syncs.
 
 // tortureOpts uses a tiny stripe width so the script's handful of syncs
 // exercise checkpoint persistence too.
@@ -32,11 +27,12 @@ func tortureOpts() Options { return Options{CheckpointEvery: 8} }
 
 const tortureSeedRows = 24
 
-// tortureSnapshot is a recovery candidate: the entry count and catalog as
-// they stood immediately before a sync attempt (equivalently: as committed
-// if that attempt fully succeeds).
+// tortureSnapshot is a recovery candidate: the entry count, live tuples and
+// catalog as they stood immediately before a sync attempt (equivalently: as
+// committed if that attempt fully succeeds).
 type tortureSnapshot struct {
 	entries int64
+	live    []model.TID
 	cat     []byte
 }
 
@@ -98,6 +94,7 @@ func (s *tortureState) row() map[model.AttrID]model.Value {
 func (s *tortureState) record() {
 	s.candidates = append(s.candidates, tortureSnapshot{
 		entries: s.ix.Entries(),
+		live:    s.ix.LiveTIDs(),
 		cat:     s.cat.Encode(),
 	})
 }
@@ -127,6 +124,17 @@ func (s *tortureState) script() error {
 	for i := 0; i < 12; i++ {
 		if _, err := s.ix.Insert(s.row()); err != nil {
 			return err
+		}
+		// Between two syncs, one seed tuple is deleted and one replaced.
+		switch seed := model.TID(2 * (i / 3)); i % 3 {
+		case 0:
+			if err := s.ix.Delete(seed); err != nil {
+				return err
+			}
+		case 1:
+			if _, err := s.ix.Replace(seed+1, s.row()); err != nil {
+				return err
+			}
 		}
 		if (i+1)%3 == 0 {
 			s.record()
@@ -175,6 +183,9 @@ func resumeAssert(t *testing.T, budget int64, s *tortureState, tbl *table.Table,
 		if _, err := ix.Insert(s.row()); err != nil {
 			t.Fatalf("budget %d: resumed insert: %v", budget, err)
 		}
+	}
+	if err := ix.Delete(ix.LiveTIDs()[0]); err != nil {
+		t.Fatalf("budget %d: resumed delete: %v", budget, err)
 	}
 	if err := tbl.Sync(); err != nil {
 		t.Fatalf("budget %d: resumed table sync: %v", budget, err)
@@ -261,6 +272,9 @@ func (s *tortureState) recover(t *testing.T, budget int64) {
 		}
 		if x.Entries() != cand.entries {
 			continue
+		}
+		if live := x.LiveTIDs(); !slices.Equal(live, cand.live) {
+			t.Fatalf("budget %d: candidate %d reopened with live tuples %v, synced %v", budget, i, live, cand.live)
 		}
 		ix2, tbl2 = x, tb
 		s.cat = cat2

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"github.com/sparsewide/iva/internal/bitio"
@@ -34,7 +35,7 @@ func (ix *Index) InsertBatch(batch []map[model.AttrID]model.Value) ([]model.TID,
 
 // Replace is §IV-B's update — a deletion plus an insertion under a fresh tid,
 // which is returned — as one step: the new tuple is appended and old
-// tombstoned, or, on any error, neither.
+// deleted, or, on any error, neither.
 func (ix *Index) Replace(old model.TID, values map[model.AttrID]model.Value) (model.TID, error) {
 	return ix.appendRun([]map[model.AttrID]model.Value{values}, old, true)
 }
@@ -52,12 +53,12 @@ type runScratch struct {
 // table file, an element each at the tail of the tuple list, and elements at
 // the tail of every vector list they touch — attributes registered in the
 // catalog after the last build get fresh Type I lists first. With replacing
-// set, the live tuple old is tombstoned in the same step.
+// set, the live tuple old is deleted in the same step.
 //
 // Everything is validated and encoded before the first write, and nothing is
 // committed before the last: the writes land behind the committed ends of the
 // table and the lists — the table's first, then the tuple list's, then the
-// vector lists' in ascending attribute id, then the tombstone — and only when
+// vector lists' in ascending attribute id, then the deletion list's — and only when
 // all succeeded do those ends, the in-memory mirror, the checkpoints of the
 // stripe boundaries the run crosses and the catalog statistics move. On any
 // error return — ErrNeedsRebuild when a packed field (tid, ptr or string
@@ -165,7 +166,7 @@ func (ix *Index) appendRun(batch []map[model.AttrID]model.Value, old model.TID, 
 		}
 	}
 	if replacing {
-		if err := ix.tombstone(oldPos); err != nil {
+		if err := ix.appendDeletion(oldPos); err != nil {
 			return 0, err
 		}
 	}
@@ -174,9 +175,7 @@ func (ix *Index) appendRun(batch []map[model.AttrID]model.Value, old model.TID, 
 	ix.tbl.CommitRun(run)
 	ix.tupleBits = tupleBits
 	for i := range batch {
-		tid := first + model.TID(i)
-		ix.posByTID[tid] = int64(len(ix.entries))
-		ix.entries = append(ix.entries, tupleEntry{tid: tid, ptr: run.Ptrs[i]})
+		ix.entries = append(ix.entries, tupleEntry{tid: first + model.TID(i), ptr: run.Ptrs[i]})
 	}
 	for a := range ix.attrs {
 		ix.attrs[a].bitLen += int64(sc.lists[a].Len())
@@ -260,9 +259,9 @@ func (ix *Index) growAttrs(n int) error {
 	return nil
 }
 
-// Delete tombstones a tuple: its tuple-list ptr is overwritten with the
-// all-ones marker, the catalog statistics shed its values, and the record
-// stays in the table file until the next rebuild (§IV-B).
+// Delete deletes a tuple: its tuple-list position is appended to the deletion
+// list, the catalog statistics shed its values, and the record stays in the
+// table file until the next rebuild (§IV-B).
 func (ix *Index) Delete(tid model.TID) error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -270,17 +269,26 @@ func (ix *Index) Delete(tid model.TID) error {
 	if err != nil {
 		return err
 	}
-	if err := ix.tombstone(pos); err != nil {
+	if err := ix.appendDeletion(pos); err != nil {
 		return err
 	}
 	ix.dropEntry(pos, tp)
 	return nil
 }
 
+// appendDeletion writes tuple-list position pos behind the deletion list's
+// committed end; dropEntry commits it. Caller holds ix.mu.
+func (ix *Index) appendDeletion(pos int64) error {
+	var b [8]byte // MSB-first, as AppendBits reads its source
+	binary.BigEndian.PutUint64(b[:], uint64(pos)<<(64-ix.ltid))
+	_, err := storage.AppendBits(ix.segs, ix.delChain, ix.deleted*int64(ix.ltid), b[:], ix.ltid)
+	return err
+}
+
 // fetchLive reads the live tuple tid, whose values a deletion takes out of the
 // catalog statistics, and its tuple-list position. Caller holds ix.mu.
 func (ix *Index) fetchLive(tid model.TID) (int64, *model.Tuple, error) {
-	pos, ok := ix.posByTID[tid]
+	pos, ok := ix.find(tid)
 	if !ok {
 		return 0, nil, ErrNotFound
 	}
@@ -288,19 +296,18 @@ func (ix *Index) fetchLive(tid model.TID) (int64, *model.Tuple, error) {
 	return pos, tp, err
 }
 
-// dropEntry is the in-memory half of a deletion, once the entry at pos holds
-// the tombstone.
+// dropEntry is the in-memory half of a deletion, once the deletion list holds
+// pos.
 func (ix *Index) dropEntry(pos int64, tp *model.Tuple) {
 	ix.tbl.NoteDelete(tp.Values)
 	ix.entries[pos].deleted = true
-	delete(ix.posByTID, ix.entries[pos].tid)
 	ix.deleted++
 }
 
 // Fetch returns a live tuple by id (one random table access).
 func (ix *Index) Fetch(tid model.TID) (*model.Tuple, error) {
 	ix.mu.RLock()
-	pos, ok := ix.posByTID[tid]
+	pos, ok := ix.find(tid)
 	var ptr int64
 	if ok {
 		ptr = ix.entries[pos].ptr

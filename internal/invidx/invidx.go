@@ -482,8 +482,7 @@ func (ix *Index) Delete(tid model.TID) error {
 	if err != nil {
 		return err
 	}
-	bitOff := pos*int64(ix.ltid+ptrBits) + int64(ix.ltid)
-	if err := storage.WriteBitsAt(ix.segs, ix.dirChain, bitOff, tombstonePtr, ptrBits); err != nil {
+	if err := ix.markDeleted(pos); err != nil {
 		return err
 	}
 	ix.tbl.NoteDelete(tp.Values)
@@ -491,6 +490,20 @@ func (ix *Index) Delete(tid model.TID) error {
 	delete(ix.posByTID, tid)
 	ix.deleted++
 	return nil
+}
+
+// markDeleted sets every bit of the directory ptr at pos, in place: the SII
+// baseline keeps the paper's §IV-B tombstone.
+func (ix *Index) markDeleted(pos int64) error {
+	off := pos*int64(ix.ltid+ptrBits) + int64(ix.ltid)
+	buf := make([]byte, (off+ptrBits+7)/8-off/8)
+	if err := ix.segs.ReadAt(ix.dirChain, buf, off/8); err != nil {
+		return err
+	}
+	for bit := off; bit < off+ptrBits; bit++ {
+		buf[bit/8-off/8] |= 0x80 >> (bit & 7)
+	}
+	return ix.segs.WriteAt(ix.dirChain, buf, off/8)
 }
 
 // Update is delete + insert under a fresh tid.

@@ -175,33 +175,6 @@ func (r *ChainBitReader) ReadWords(dst []uint64, width int) error {
 	return nil
 }
 
-// WriteBitsAt overwrites `width` bits (≤64) of chain c at absolute bit
-// offset off with the low bits of v (MSB-first). The chain must already
-// cover the range. Used to tombstone tuple-list ptrs in place (§IV-B
-// deletion).
-func WriteBitsAt(s *SegStore, c ChainID, off int64, v uint64, width int) error {
-	if width < 0 || width > 64 {
-		return fmt.Errorf("storage: invalid width %d", width)
-	}
-	startByte := off >> 3
-	endByte := (off + int64(width) + 7) >> 3
-	buf := make([]byte, endByte-startByte)
-	if err := s.ReadAt(c, buf, startByte); err != nil {
-		return err
-	}
-	for i := 0; i < width; i++ {
-		p := int(off&7) + i
-		bit := (v >> uint(width-1-i)) & 1
-		mask := byte(1) << (7 - uint(p&7))
-		if bit != 0 {
-			buf[p>>3] |= mask
-		} else {
-			buf[p>>3] &^= mask
-		}
-	}
-	return s.WriteAt(c, buf, startByte)
-}
-
 // AppendBits appends the first nbits of src (a bitio.Writer buffer) to chain
 // c whose current bit length is bitLen, and returns the new bit length. The
 // first appended byte is merged with the stream's trailing partial byte.

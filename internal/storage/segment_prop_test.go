@@ -97,7 +97,7 @@ func TestSegStoreProperty(t *testing.T) {
 				t.Fatalf("step %d: chain %d handed out twice", step, c)
 			}
 			m.ids, m.data[c] = append(m.ids, c), []byte{}
-		case rng.Intn(8) == 0: // overwrite in place, as a tombstone does
+		case rng.Intn(8) == 0: // overwrite in place, as an attribute-list slot does
 			c := m.ids[rng.Intn(len(m.ids))]
 			if len(m.data[c]) == 0 {
 				continue

@@ -89,7 +89,7 @@ func TestProfileRender(t *testing.T) {
   Filter: Xms  scanned=200 stripes=1
   Refine: Xms  fetched=26
   Merge:  Xms
-  I/O: cache_hits=18 phys_reads=0 pool_hit_ratio=100.0% disk_cost=Xms
+  I/O: cache_hits=14 phys_reads=0 pool_hit_ratio=100.0% disk_cost=Xms
   Worker 0: stripes=1 scanned=200 fetched=26 busy=Xms
 `},
 		{"three-stripes", 4200, `Search k=7 Price=150 Type="Camera"
@@ -97,7 +97,7 @@ func TestProfileRender(t *testing.T) {
   Filter: Xms  scanned=4200 stripes=3
   Refine: Xms  fetched=559
   Merge:  Xms
-  I/O: cache_hits=82 phys_reads=0 pool_hit_ratio=100.0% disk_cost=Xms
+  I/O: cache_hits=71 phys_reads=0 pool_hit_ratio=100.0% disk_cost=Xms
   Worker 0: stripes=3 scanned=4200 fetched=559 busy=Xms
 `},
 	} {

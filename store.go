@@ -52,7 +52,7 @@ type Options struct {
 	// attribute is undefined in a tuple (paper example: 20).
 	NDFPenalty float64
 	// CleanThreshold is β: when deleted/total reaches it, the table and
-	// index files are rebuilt to shed tombstones (§IV-B). Default 0.02.
+	// index files are rebuilt to shed deleted tuples (§IV-B). Default 0.02.
 	// Negative disables automatic rebuilds.
 	CleanThreshold float64
 	// AlphaPerAttr overrides the relative vector length for individual
@@ -229,7 +229,7 @@ func (s *Store) initObs() {
 		defer s.engineMu.RUnlock()
 		return float64(s.tbl.Live())
 	})
-	s.reg.GaugeFunc("iva_tuples_deleted", "Tombstoned tuples awaiting cleaning.", nil, func() float64 {
+	s.reg.GaugeFunc("iva_tuples_deleted", "Deleted tuples awaiting cleaning.", nil, func() float64 {
 		s.engineMu.RLock()
 		defer s.engineMu.RUnlock()
 		return float64(s.ix.Deleted())
@@ -673,7 +673,7 @@ func (s *Store) InsertBatch(rows []Row) ([]TID, error) {
 }
 
 // write is the store's one write section: under the store lock the resolved
-// rows go to the index as one run — which also tombstones the tuple *old, when
+// rows go to the index as one run — which also deletes the tuple *old, when
 // old is set. It owns the one retry: when a packed width has overflowed
 // (core.ErrNeedsRebuild, returned with nothing inserted) the files are rebuilt,
 // leaving headroom tuple ids of space (0: the index's default), and the run is
@@ -734,7 +734,7 @@ func (s *Store) Delete(tid TID) error {
 }
 
 // maintainLocked is the one place the store decides, after a write, to rewrite
-// its files on its own: cleaning when the tombstoned share of the tuple list
+// its files on its own: cleaning when the deleted share of the tuple list
 // has reached β (§IV-B), else the §III-C renewal — once the store has grown
 // past GrowthRebuildFactor times its size at the last build, so that relative
 // domains, list types and packed widths track the data — else nothing.
@@ -791,9 +791,10 @@ type QueryStats struct {
 	// distance is computed from the (verified) table record. Zero on a healthy
 	// store; any other value means the results are still exact — degradation
 	// trades filter I/O for correctness, never the reverse — but the index
-	// needs a scrub and rebuild (also iva_corrupt_segments_total). Corruption
-	// of the tuple list, attribute metadata or table records fails the
-	// operation with a *CorruptionError: there is nothing sound to degrade to.
+	// needs a scrub and rebuild (also iva_corrupt_segments_total). A query
+	// never reads the tuple or deletion list: damage to them, or to the
+	// attribute metadata, fails the open, and a damaged table record fails
+	// the query with a *CorruptionError: there is nothing sound to degrade to.
 	DegradedSegments int
 	// TraceID is the 16-hex-digit id of the query's trace — the join key
 	// into the sampled trace ring (WriteTraces, /debug/trace, whose latency
@@ -928,7 +929,7 @@ func (s *Store) WriteMetrics(w io.Writer) error { return s.reg.WritePrometheus(w
 // MetricsText returns WriteMetrics output as a string.
 func (s *Store) MetricsText() string { return s.reg.Text() }
 
-// Rebuild rewrites the table and index files, dropping tombstones and
+// Rebuild rewrites the table and index files, dropping deleted tuples and
 // re-deriving numeric domains and list layouts. It is called automatically
 // by the cleaning policy but may be invoked explicitly.
 func (s *Store) Rebuild() error {
@@ -994,7 +995,7 @@ type IOStats = storage.Snapshot
 // StoreStats summarize the store's current shape.
 type StoreStats struct {
 	Tuples     int64 // live tuples
-	Deleted    int64 // tombstoned tuples awaiting cleaning
+	Deleted    int64 // deleted tuples awaiting cleaning
 	Attributes int   // registered attributes
 	TableBytes int64
 	IndexBytes int64

@@ -6,7 +6,7 @@
 //
 // A Store bundles the sparse wide table (row-wise interpreted-schema
 // storage), its iVA-file index, and the maintenance policy of §IV-B
-// (tail-append inserts, tombstone deletes, threshold-triggered rebuilds).
+// (tail-append inserts and deletes, threshold-triggered rebuilds).
 // Attributes are identified by name and registered on first use, matching
 // the free-and-easy data publishing model of community web systems:
 //

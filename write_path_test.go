@@ -51,8 +51,7 @@ func TestUpdateFailureKeepsOldTuple(t *testing.T) {
 				}
 				tids = append(tids, tid)
 			}
-			// Synced, so that the tombstone has a committed checksum word to
-			// write through.
+			// Synced, so that the deletion lands behind a committed end.
 			if err := st.Sync(); err != nil {
 				t.Fatal(err)
 			}
