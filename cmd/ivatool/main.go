@@ -379,10 +379,10 @@ func stats(st *iva.Store, dir string, args []string) error {
 		}
 		return nil
 	}
-	bad := snap.Report.CorruptIndexSegments + snap.Report.CorruptCheckpoints + snap.Report.CorruptTable
-	fmt.Printf("  swept %s ago, degraded segments %d, corrupt checkpoints %d, corrupt table records %d\n",
+	bad := snap.Report.CorruptIndexSegments + snap.Report.CorruptTable
+	fmt.Printf("  swept %s ago, degraded segments %d, corrupt table records %d\n",
 		time.Since(snap.LastSweep).Round(time.Second),
-		snap.Report.CorruptIndexSegments, snap.Report.CorruptCheckpoints, snap.Report.CorruptTable)
+		snap.Report.CorruptIndexSegments, snap.Report.CorruptTable)
 	if *strict && (snap.Health == "damaged" || bad > 0 || snap.Err != "") {
 		return fmt.Errorf("stats -strict: scrub recorded damage (health=%s)", snap.Health)
 	}

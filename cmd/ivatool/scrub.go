@@ -105,9 +105,8 @@ func printScrub(rep *iva.ScrubReport) {
 	if !rep.Clean() {
 		status = "fail"
 	}
-	fmt.Printf("scrub: status=%s segments=%d corrupt=%d dirty=%d ckpts=%d ckpt_corrupt=%d ckpt_dropped=%d table_records=%d table_corrupt=%d superblock_ok=%v catalog_ok=%v problems=%d\n",
+	fmt.Printf("scrub: status=%s segments=%d corrupt=%d ckpt_dropped=%d table_records=%d table_corrupt=%d superblock_ok=%v catalog_ok=%v problems=%d\n",
 		status, rep.IndexSegments, rep.CorruptIndexSegments,
-		rep.DirtyIndexSegments, rep.Checkpoints, rep.CorruptCheckpoints,
 		rep.DroppedCheckpoints, rep.TableRecords, rep.CorruptTable,
 		rep.SuperblockOK, rep.CatalogOK, len(rep.Problems))
 	for _, p := range rep.Problems {

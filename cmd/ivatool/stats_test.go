@@ -157,7 +157,7 @@ attributes  3
 table bytes 2179
 index bytes 12311
 rebuilds    0 (clean 0 growth 0 needs_rebuild 0 explicit 0)
-cache hits  462 (99.1% hit rate)
+cache hits  463 (99.1% hit rate)
 phys reads  4 (seq 3 near 1 rand 0)
 phys writes 284
 codec       raw
@@ -186,7 +186,7 @@ scrub       never (no scrub report)
 	_, got, _ = strings.Cut(got, "codec       raw\n")
 	got = regexp.MustCompile(`[0-9hms]+ ago`).ReplaceAllString(got, "T ago")
 	const report = `scrub       T ago, health=ok
-  swept T ago, degraded segments 0, corrupt checkpoints 0, corrupt table records 0
+  swept T ago, degraded segments 0, corrupt table records 0
 `
 	if got != report {
 		t.Errorf("stats output with a scrub report changed:\n got:\n%s\nwant:\n%s", got, report)
@@ -243,7 +243,7 @@ func TestScrubSummaryGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := captureStdout(t, func() { printScrub(rep) })
-	const clean = "scrub: status=ok segments=11 corrupt=0 dirty=0 ckpts=1 ckpt_corrupt=0 ckpt_dropped=0 table_records=60 table_corrupt=0 superblock_ok=true catalog_ok=true problems=0\n"
+	const clean = "scrub: status=ok segments=12 corrupt=0 ckpt_dropped=0 table_records=60 table_corrupt=0 superblock_ok=true catalog_ok=true problems=0\n"
 	if got != clean {
 		t.Errorf("scrub summary changed:\n got: %swant: %s", got, clean)
 	}
@@ -251,7 +251,7 @@ func TestScrubSummaryGolden(t *testing.T) {
 	rep.CorruptIndexSegments = 2
 	rep.Problems = []string{"iva.idx: segment 9 checksum mismatch", "iva.idx: segment 12 checksum mismatch"}
 	got = captureStdout(t, func() { printScrub(rep) })
-	const damaged = "scrub: status=fail segments=11 corrupt=2 dirty=0 ckpts=1 ckpt_corrupt=0 ckpt_dropped=0 table_records=60 table_corrupt=0 superblock_ok=true catalog_ok=true problems=2\n" +
+	const damaged = "scrub: status=fail segments=12 corrupt=2 ckpt_dropped=0 table_records=60 table_corrupt=0 superblock_ok=true catalog_ok=true problems=2\n" +
 		"PROBLEM: iva.idx: segment 9 checksum mismatch\nPROBLEM: iva.idx: segment 12 checksum mismatch\n"
 	if got != damaged {
 		t.Errorf("damaged scrub summary changed:\n got: %swant: %s", got, damaged)
@@ -275,14 +275,14 @@ func TestOldFormatRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	binary.LittleEndian.PutUint32(image[4:], 8)
+	binary.LittleEndian.PutUint32(image[4:], 9)
 	if err := os.WriteFile(idx, image, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	for _, cmd := range []string{"stats", "scrub"} {
 		err := run(cmd, nil, dir, 10, serveOpts{}, opts)
-		if err == nil || !strings.Contains(err.Error(), "version 8 ") || !strings.Contains(err.Error(), "version 9") {
-			t.Fatalf("%s on a version-8 store: %v", cmd, err)
+		if err == nil || !strings.Contains(err.Error(), "version 9 ") || !strings.Contains(err.Error(), "version 10") {
+			t.Fatalf("%s on a version-9 store: %v", cmd, err)
 		}
 		if after, err := os.ReadFile(idx); err != nil || !bytes.Equal(after, image) {
 			t.Fatalf("%s changed the refused index file (%v)", cmd, err)

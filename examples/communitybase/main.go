@@ -2,7 +2,7 @@
 // persistent store. Users submit items with freely invented attributes; the
 // service survives restarts (Open), absorbs churn (inserts, deletes,
 // updates), and lets the §IV-B cleaning policy rebuild the files when
-// tombstones accumulate. ITF weighting makes rare attributes count more, as
+// deletions awaiting cleaning accumulate. ITF weighting makes rare attributes count more, as
 // in the paper's S4–S6 settings.
 //
 // Run with: go run ./examples/communitybase
@@ -25,7 +25,7 @@ func main() {
 	// Phase 1: the service starts and users publish items.
 	st, err := iva.Create(dir, iva.Options{
 		Weights:        "ITF",
-		CleanThreshold: 0.05, // rebuild when 5% of tuples are tombstones
+		CleanThreshold: 0.05, // rebuild when 5% of tuples are deleted, awaiting cleaning
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -98,7 +98,7 @@ func main() {
 		}
 	}
 	s := st.Stats()
-	fmt.Printf("after churn: %d live, %d pending tombstones, %d automatic rebuilds\n\n",
+	fmt.Printf("after churn: %d live, %d deletions awaiting cleaning, %d automatic rebuilds\n\n",
 		s.Tuples, s.Deleted, s.Rebuilds)
 
 	// Phase 4: an ITF-weighted search. "make" is a rare attribute compared

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 
 	"github.com/sparsewide/iva/internal/storage"
 )
@@ -85,21 +86,20 @@ func (ix *Index) currentAttrOffsets(extra func(a int) int64) []int64 {
 
 // Checkpoint chain layout (little-endian, byte-aligned):
 //
-//	count × record: u32 nattrs | nattrs × u64 attrOff | u32 crc
+//	count × record: u32 nattrs | nattrs × u64 attrOff
 //
 // count is the superblock's. Sync appends the records recorded since the
-// last Sync behind the committed ones and commits them with the count. The
-// per-record CRC32C trailer covers the record bytes folded with the record's
-// index, so a record that is bit-perfect but sitting at the wrong position
-// still fails verification.
-const ckptTrailerLen = 4
+// last Sync behind the committed ones and commits them with the count; the
+// checksum map covers the chain like every other list.
 
-// ckptRecordCRC folds a serialized record (nattrs word + offsets) with its
-// index.
-func ckptRecordCRC(rec []byte, index int) uint32 {
-	var idx [4]byte
-	binary.LittleEndian.PutUint32(idx[:], uint32(index))
-	return storage.ChecksumUpdate(storage.Checksum(rec), idx[:])
+// ckptTail returns the chain's end once the records recorded since the last
+// Sync are written behind the committed ones.
+func (ix *Index) ckptTail() int64 {
+	end := ix.ckptEnd
+	for _, c := range ix.ckpts[ix.ckptSynced:] {
+		end += 4 + 8*int64(len(c.attrOff))
+	}
+	return end
 }
 
 // writeCheckpoints writes the records recorded since the last Sync behind the
@@ -109,13 +109,11 @@ func (ix *Index) writeCheckpoints() error {
 		return nil
 	}
 	var buf []byte
-	for i, c := range ix.ckpts[ix.ckptSynced:] {
-		start := len(buf)
+	for _, c := range ix.ckpts[ix.ckptSynced:] {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(c.attrOff)))
 		for _, off := range c.attrOff {
 			buf = binary.LittleEndian.AppendUint64(buf, uint64(off))
 		}
-		buf = binary.LittleEndian.AppendUint32(buf, ckptRecordCRC(buf[start:], ix.ckptSynced+i))
 	}
 	return ix.segs.WriteAt(ix.ckptChain, buf, ix.ckptEnd)
 }
@@ -126,45 +124,15 @@ func (ix *Index) commitCheckpoints() {
 	if !ix.checkpointsEnabled() {
 		return
 	}
-	for _, c := range ix.ckpts[ix.ckptSynced:] {
-		ix.ckptEnd += 4 + 8*int64(len(c.attrOff)) + ckptTrailerLen
-	}
+	ix.ckptEnd = ix.ckptTail()
 	ix.ckptSynced = len(ix.ckpts)
 }
 
-// readCkptRec parses the record at off, returning its offsets, the bytes
-// consumed (including the trailer), and whether it verified as record index.
-// Used by both readCheckpoints and scrubCheckpoints.
-func (ix *Index) readCkptRec(off int64, index int) ([]int64, int64, bool, error) {
-	var nb [4]byte
-	if err := ix.segs.ReadAt(ix.ckptChain, nb[:], off); err != nil {
-		return nil, 0, false, err
-	}
-	nattrs := int(binary.LittleEndian.Uint32(nb[:]))
-	if nattrs > len(ix.attrs) {
-		// An implausible count is corruption (the nattrs word is covered
-		// by the record trailer it ruins).
-		return nil, 0, false, nil
-	}
-	rec := make([]byte, 4+8*nattrs+ckptTrailerLen)
-	if err := ix.segs.ReadAt(ix.ckptChain, rec, off); err != nil {
-		return nil, 0, false, err
-	}
-	body := rec[:len(rec)-ckptTrailerLen]
-	if binary.LittleEndian.Uint32(rec[len(body):]) != ckptRecordCRC(body, index) {
-		return nil, 0, false, nil
-	}
-	offs := make([]int64, nattrs)
-	for a := range offs {
-		offs[a] = int64(binary.LittleEndian.Uint64(body[4+a*8:]))
-	}
-	return offs, int64(len(rec)), true, nil
-}
-
 // readCheckpoints loads the count checkpoint records the superblock
-// committed. The count is clamped to the stripes the committed entry count
-// implies, bounding the pre-allocation below against hostile counts. A torn
-// Sync wrote only behind the committed records.
+// committed, after verifying the chain against the checksum map. The count is
+// clamped to the stripes the committed entry count implies, bounding the
+// pre-allocation below against hostile counts. A torn Sync wrote only behind
+// the committed records.
 func (ix *Index) readCheckpoints(count int) error {
 	if !ix.checkpointsEnabled() {
 		return nil
@@ -172,55 +140,48 @@ func (ix *Index) readCheckpoints(count int) error {
 	if maxCkpts := int64(len(ix.entries))/ix.ckptEvery + 1; int64(count) > maxCkpts {
 		count = int(maxCkpts)
 	}
+	var ce *storage.CorruptionError
+	if err := ix.verifyChain(ix.ckptChain); ix.integ.mapDropped || errors.As(err, &ce) {
+		ix.discardCheckpoints(count)
+		return nil
+	} else if err != nil {
+		return err
+	}
 	ix.ckpts = make([]checkpoint, 0, count)
 	for i := 0; i < count; i++ {
-		offs, n, ok, err := ix.readCkptRec(ix.ckptEnd, i)
-		if err != nil {
+		var nb [4]byte
+		if err := ix.segs.ReadAt(ix.ckptChain, nb[:], ix.ckptEnd); err != nil {
 			return err
 		}
-		if !ok {
-			ix.corruptCheckpoint(i, count)
+		nattrs := int(binary.LittleEndian.Uint32(nb[:]))
+		if nattrs > len(ix.attrs) { // bounds the allocation below
+			ix.discardCheckpoints(count)
 			return nil
 		}
-		ix.ckptEnd += n
+		rec := make([]byte, 8*nattrs)
+		if err := ix.segs.ReadAt(ix.ckptChain, rec, ix.ckptEnd+4); err != nil {
+			return err
+		}
+		offs := make([]int64, nattrs)
+		for a := range offs {
+			offs[a] = int64(binary.LittleEndian.Uint64(rec[a*8:]))
+		}
+		ix.ckptEnd += 4 + int64(len(rec))
 		ix.ckpts = append(ix.ckpts, checkpoint{attrOff: offs})
 	}
 	ix.ckptSynced = count
 	return nil
 }
 
-// scrubCheckpoints re-reads the committed checkpoint records, verifying each
-// trailer. Framing past a damaged or unreadable record is untrustworthy (the
-// length prefix is inside the damage), so the remainder is counted corrupt and
-// the sweep stops.
-func (ix *Index) scrubCheckpoints(count int, yield func()) (checked, bad int) {
-	var off int64
-	for i := 0; i < count; i++ {
-		if yield != nil {
-			yield()
-		}
-		_, n, ok, err := ix.readCkptRec(off, i)
-		if err != nil || !ok {
-			return checked, count - i
-		}
-		off += n
-		checked++
-	}
-	return checked, 0
-}
-
-// corruptCheckpoint handles a checkpoint record whose CRC trailer failed at
-// open: the damaged record and everything after it are dropped — but a
-// truncated checkpoint list cannot drive the striped plan (stripe s resumes
-// from record s, and missing tail records would silently skip the tuples they
-// cover), so checkpointing is disabled in-memory: searches scan a single
+// discardCheckpoints handles a checkpoint chain that cannot be trusted at open:
+// it failed its checksum-map words, or there were no words to check it
+// against. A partial checkpoint list cannot drive the striped plan (stripe s
+// resumes from record s, and missing records would silently skip the tuples
+// they cover), so checkpointing is disabled in-memory: searches scan a single
 // origin-anchored stripe on one worker and the next rebuild re-records a full
 // set. droppedCkpts counts the discarded records.
-func (ix *Index) corruptCheckpoint(i, count int) {
-	it := &ix.integ
-	it.mu.Lock()
-	it.droppedCkpts = count - i
-	it.mu.Unlock()
+func (ix *Index) discardCheckpoints(count int) {
+	ix.integ.droppedCkpts = count
 	ix.ckptChain = storage.NoSegment
 	ix.ckpts = nil
 }

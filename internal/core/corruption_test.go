@@ -535,8 +535,8 @@ func TestCrossLinkedChainsRefused(t *testing.T) {
 
 // TestDamagedHeaderKeepsChecksumMap damages the text list's chain in its
 // segment headers — a class byte, which fails the walk; a next pointer cut
-// over to the checkpoint chain's second segment, which no checksum word
-// covers, so the chain walks one segment short of what the map records —
+// over to the committed checksum map's own second segment, which no checksum
+// word covers, so the chain walks one segment short of what the map records —
 // together with one committed byte of the numeric list. The map's own trailer
 // verifies, so the map stays: the numeric query degrades and answers exactly
 // (the second flip is seen), and the text query fails or degrades, never a
@@ -552,12 +552,12 @@ func TestDamagedHeaderKeepsChecksumMap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ckpt, err := probe.segs.ChainSegments(probe.ckptChain)
+	crcMap, err := probe.segs.ChainSegments(probe.crcChain(probe.crcSlot))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(txt) < 3 || len(ckpt) < 2 {
-		t.Fatalf("fixture chains too short: text %v, checkpoints %v", txt, ckpt)
+	if len(txt) < 3 || len(crcMap) < 2 {
+		t.Fatalf("fixture chains too short: text %v, checksum map %v", txt, crcMap)
 	}
 	offsetOf := probe.segs.SegmentOffset
 	numByte := offsetOf(num[0]) + storage.SegHeaderLen
@@ -572,7 +572,7 @@ func TestDamagedHeaderKeepsChecksumMap(t *testing.T) {
 		{"walk fails", func() { cf.flip(t, offsetOf(txt[1])+4, 1) }},
 		{"walk comes up short", func() {
 			var next [4]byte
-			binary.LittleEndian.PutUint32(next[:], uint32(ckpt[1]))
+			binary.LittleEndian.PutUint32(next[:], uint32(crcMap[1]))
 			if _, err := cf.idxDev.WriteAt(next[:], offsetOf(txt[0])); err != nil {
 				t.Fatal(err)
 			}
@@ -629,5 +629,38 @@ func TestDamagedChecksumMapIsReported(t *testing.T) {
 	}
 	if !rep.MapDropped || rep.Clean() {
 		t.Fatalf("scrub over a damaged checksum map: dropped %v, clean %v", rep.MapDropped, rep.Clean())
+	}
+}
+
+// TestScrubSeesRewriteBehindAppends rewrites one committed tuple-list byte
+// after unsynced inserts have appended behind it, in the same segment. The
+// segment's committed word still holds for the bytes below the committed end,
+// so Scrub reports exactly that segment rather than skipping it as written
+// since the last Sync.
+func TestScrubSeesRewriteBehindAppends(t *testing.T) {
+	fx := newFixture(t, 40, Options{}, 46)
+	ix := fx.ix
+	committed := ix.tupleBits
+	for i := 0; i < 5; i++ {
+		if _, err := ix.Insert(fx.randValues()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	off := committed/8 - 1 // the last byte whose 8 bits are all committed
+	var b [1]byte
+	if err := ix.segs.ReadAt(ix.tupleChain, b[:], off); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0xFF
+	if err := ix.segs.WriteAt(ix.tupleChain, b[:], off); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := ix.Scrub()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.CorruptSegments != 1 || rep.Clean() {
+		t.Fatalf("scrub after rewriting committed byte %d: %d corrupt segments, clean %v, want 1 and false",
+			off, rep.CorruptSegments, rep.Clean())
 	}
 }

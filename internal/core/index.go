@@ -125,7 +125,7 @@ const (
 	// indexVersion is the one on-disk format this package reads and writes.
 	// A format change bumps it; Open refuses every other value (FORMAT.md §
 	// Format policy) — there is no upgrade code.
-	indexVersion = 9
+	indexVersion = 10
 	ptrBits      = 40 // table offsets up to 1 TiB
 )
 

@@ -18,11 +18,11 @@ type segCRC struct {
 // integrityState is the checksum machinery of an open index. The
 // per-segment CRC32C words live out-of-line in a ping-ponged pair of
 // checksum chains committed by the superblock, so segment payloads stay
-// whole pages of list bits.
+// whole pages of list bits. No covered byte below a chain's committed end is
+// written between Syncs, so every word can be checked at any moment.
 type integrityState struct {
 	mu       sync.Mutex
 	words    map[storage.SegID]segCRC
-	dirty    map[storage.SegID]struct{} // written since the last Sync; unverifiable
 	verified map[storage.SegID]struct{} // verified since open
 
 	// full forces the next Sync to recompute every covered segment: set by
@@ -32,10 +32,11 @@ type integrityState struct {
 	// the open continued without it (reads run unverified until the next Sync
 	// rewrites the map).
 	mapDropped bool
-	// droppedCkpts counts checkpoint records discarded at open because their
-	// CRC trailer mismatched; droppedCodecDirs likewise
-	// for packed-list block directories whose open-time header walk failed
-	// (the list then reads degraded and rejects writes until a rebuild).
+	// droppedCkpts counts the committed checkpoint records discarded at open
+	// because their chain failed its words or the map was dropped;
+	// droppedCodecDirs likewise for packed-list block directories whose
+	// open-time header walk failed (the list then reads degraded and rejects
+	// writes until a rebuild).
 	droppedCkpts     int
 	droppedCodecDirs int
 }
@@ -48,38 +49,28 @@ type chainCover struct {
 
 const crcMapMagic = 0x4352434D // "CRCM"
 
-// markDirty is the SegStore write observer: any segment whose payload is
-// written becomes unverifiable until the next Sync recomputes its word.
-func (ix *Index) markDirty(id storage.SegID) {
-	it := &ix.integ
-	it.mu.Lock()
-	it.dirty[id] = struct{}{}
-	delete(it.verified, id)
-	it.mu.Unlock()
-}
-
-// initIntegrity arms the integrity state of a fresh Index and installs the
-// write observer. full requests a whole-map recompute at the next Sync
-// (fresh build).
+// initIntegrity arms the integrity state of a fresh Index. full requests a
+// whole-map recompute at the next Sync (fresh build).
 func (ix *Index) initIntegrity(full bool) {
 	it := &ix.integ
 	it.full = full
 	it.words = make(map[storage.SegID]segCRC)
-	it.dirty = make(map[storage.SegID]struct{})
 	it.verified = make(map[storage.SegID]struct{})
-	ix.segs.SetWriteObserver(ix.markDirty)
 }
 
-// coveredChains lists the chains the checksum map covers together with their
-// committed bit lengths: the tuple list, the deletion list, the attribute-list
-// slot named by slotChain, and every attribute's vector list. The checkpoint
-// chain is covered by per-record trailers instead, and the checksum chains
-// cover themselves with a trailing map CRC.
+// coveredChains lists the chains the checksum map covers together with the
+// bit lengths the next Sync commits: the tuple list, the deletion list, the
+// attribute-list slot named by attrList, the checkpoint chain, and every
+// attribute's vector list. The checksum chains cover themselves with a
+// trailing map CRC.
 func (ix *Index) coveredChains(attrList storage.ChainID) []chainCover {
-	covers := make([]chainCover, 0, 3+len(ix.attrs))
+	covers := make([]chainCover, 0, 4+len(ix.attrs))
 	covers = append(covers, chainCover{ix.tupleChain, ix.tupleBits}, chainCover{ix.delChain, ix.deleted * int64(ix.ltid)})
 	if attrList != storage.NoSegment {
 		covers = append(covers, chainCover{attrList, int64(attrElemSize*len(ix.attrs)) * 8})
+	}
+	if ix.checkpointsEnabled() {
+		covers = append(covers, chainCover{ix.ckptChain, 8 * ix.ckptTail()})
 	}
 	for i := range ix.attrs {
 		if ix.attrs[i].exists {
@@ -113,8 +104,8 @@ func maskTail(p []byte, mask uint8) {
 }
 
 // recomputeChainCRCs refreshes the in-memory words for one covered chain.
-// When onlyStale is true, segments whose dirty flag is clear and whose
-// stored span already matches the committed length are kept as-is.
+// When onlyStale is true, segments whose stored span already matches the
+// committed length are kept as-is: their committed bytes were not written.
 func (ix *Index) recomputeChainCRCs(cov chainCover, onlyStale bool, buf []byte) error {
 	ids, err := ix.segs.ChainSegments(cov.chain)
 	if err != nil {
@@ -128,9 +119,8 @@ func (ix *Index) recomputeChainCRCs(cov chainCover, onlyStale bool, buf []byte) 
 		start += pay
 		it.mu.Lock()
 		old, ok := it.words[id]
-		_, isDirty := it.dirty[id]
 		it.mu.Unlock()
-		if onlyStale && ok && !isDirty && old.n == n && old.mask == mask {
+		if onlyStale && ok && old.n == n && old.mask == mask {
 			continue
 		}
 		var crc uint32
@@ -157,13 +147,15 @@ func (ix *Index) writeCRCMap(target storage.ChainID) error {
 	full := it.full
 	it.mu.Unlock()
 
-	covers := ix.coveredChains(ix.slotChain(1 - ix.attrSlot))
 	// The attribute list being committed is the slot Sync just wrote, which
 	// is the one the superblock is about to point at: 1-attrSlot before the
-	// in-memory flip. coveredChains above received it explicitly.
+	// in-memory flip. Sync rewrote it whole, so its words are recomputed even
+	// where its span did not change; every other chain only grew at its tail.
+	attrList := ix.slotChain(1 - ix.attrSlot)
+	covers := ix.coveredChains(attrList)
 	buf := make([]byte, storage.SegMaxPayload)
 	for _, cov := range covers {
-		if err := ix.recomputeChainCRCs(cov, !full, buf); err != nil {
+		if err := ix.recomputeChainCRCs(cov, !full && cov.chain != attrList, buf); err != nil {
 			return err
 		}
 	}
@@ -190,11 +182,10 @@ func (ix *Index) writeCRCMap(target storage.ChainID) error {
 }
 
 // commitIntegrity finalizes integrity state after the superblock committed:
-// dirty segments were recomputed, the map was written, the new epoch starts.
+// stale words were recomputed and the map was written.
 func (ix *Index) commitIntegrity() {
 	it := &ix.integ
 	it.mu.Lock()
-	it.dirty = make(map[storage.SegID]struct{})
 	it.full = false
 	it.mapDropped = false
 	it.mu.Unlock()
@@ -311,16 +302,11 @@ func (ix *Index) loadCRCMap(c storage.ChainID) error {
 }
 
 // verifySegment checks one segment against its committed CRC32C word on
-// first touch. Dirty (unsynced) and uncovered segments are skipped; a
-// verified segment is not re-read until the next open (Scrub forces a full
-// re-verification).
+// first touch. Uncovered segments are skipped; a verified segment is not
+// re-read until the next open (Scrub forces a full re-verification).
 func (ix *Index) verifySegment(id storage.SegID) error {
 	it := &ix.integ
 	it.mu.Lock()
-	if _, ok := it.dirty[id]; ok {
-		it.mu.Unlock()
-		return nil
-	}
 	if _, ok := it.verified[id]; ok {
 		it.mu.Unlock()
 		return nil
@@ -379,10 +365,9 @@ func (ix *Index) attachVerify(r *storage.ChainBitReader, c storage.ChainID) {
 }
 
 // verifyChain checks every committed segment of a chain against its word
-// immediately (not first-touch). Open uses it on the attribute-list slot,
-// whose reads bypass ChainBitReader: corrupt attribute metadata cannot be
-// degraded around (it defines every layout), so damage here fails the open
-// in both modes.
+// immediately (not first-touch). Open uses it on the chains it reads through
+// segs.ReadAt, which bypasses ChainBitReader: the attribute-list slot and the
+// checkpoint chain.
 func (ix *Index) verifyChain(c storage.ChainID) error {
 	ids, err := ix.segs.ChainSegments(c)
 	if err != nil {
@@ -404,8 +389,9 @@ func (ix *Index) crcChain(slot int) storage.ChainID {
 	return ix.crcChainB
 }
 
-// DroppedCheckpoints returns the number of checkpoint records discarded at
-// open because their CRC trailer failed.
+// DroppedCheckpoints returns the number of committed checkpoint records
+// discarded at open because their chain failed verification or the checksum
+// map was dropped.
 func (ix *Index) DroppedCheckpoints() int {
 	it := &ix.integ
 	it.mu.Lock()

@@ -352,9 +352,9 @@ func TestCheckpointPersistence(t *testing.T) {
 		}
 	}
 
-	// A torn Sync: inserts cross further stripe boundaries and the checkpoint
-	// chain is rewritten — its count word now claims the new records — but
-	// the superblock never commits. The superblock's count is the
+	// A torn Sync: inserts cross further stripe boundaries and the new
+	// checkpoint records are written behind the committed ones, but the
+	// superblock never commits. The superblock's count is the
 	// authoritative one: a reopen sees the committed stripes and no more.
 	for i := 0; i < 300; i++ {
 		if _, err := ix.Insert(map[model.AttrID]model.Value{b: model.Num(float64(i))}); err != nil {
@@ -552,7 +552,8 @@ func singleStripeCases(t *testing.T) []singleStripeCase {
 
 	cf := buildCorruptionFixture(t)
 	probe, probeFiles := cf.open(t, storage.NewPool(0, 1<<20), Options{})
-	// Past the segment header and the chain's count word: inside record 0.
+	// Past the segment header and record 0's nattrs word: inside its first
+	// offset, which the checksum map covers.
 	off := probe.segs.SegmentOffset(probe.ckptChain) + 8 + 4 + 1
 	probeFiles()
 	cf.flip(t, off, 2)

@@ -11,18 +11,12 @@ import (
 // ScrubReport is the machine-readable outcome of one index scrub pass.
 type ScrubReport struct {
 	// Segments is the number of covered index segments swept;
-	// CorruptSegments of them failed their committed CRC32C word, and
-	// DirtySegments were skipped because they hold unsynced writes (their
-	// words are recomputed by the next Sync).
+	// CorruptSegments of them failed their committed CRC32C word.
 	Segments        int
 	CorruptSegments int
-	DirtySegments   int
 
-	// Checkpoints is the number of committed checkpoint records swept;
-	// CorruptCheckpoints failed their record trailer. DroppedCheckpoints
-	// were already discarded when the index was opened.
-	Checkpoints        int
-	CorruptCheckpoints int
+	// DroppedCheckpoints counts the committed checkpoint records discarded
+	// when the index was opened.
 	DroppedCheckpoints int
 
 	// DroppedCodecDirs counts packed vector lists whose block
@@ -42,7 +36,7 @@ type ScrubReport struct {
 
 // Clean reports whether the sweep found no damage.
 func (r *ScrubReport) Clean() bool {
-	return r.CorruptSegments == 0 && r.CorruptCheckpoints == 0 &&
+	return r.CorruptSegments == 0 &&
 		r.DroppedCheckpoints == 0 && r.DroppedCodecDirs == 0 &&
 		r.SuperblockOK && !r.MapDropped && len(r.Problems) == 0
 }
@@ -52,17 +46,17 @@ func (r *ScrubReport) addProblem(format string, args ...interface{}) {
 }
 
 // Scrub sweeps the whole index file verifying every committed checksum: the
-// superblock trailer, each covered segment against its checksum-map word,
-// and each committed checkpoint record against its trailer. Unlike query-time
-// verification it ignores the first-touch cache — every covered byte is
-// re-read — and it never degrades: damage is reported, not worked around.
-// Read-only; safe to run on a live index.
+// superblock trailer and each covered segment against its checksum-map word.
+// Unlike query-time verification it ignores the first-touch cache — every
+// covered byte is re-read — and it never degrades: damage is reported, not
+// worked around. Read-only; safe to run on a live index, at any moment
+// between or after writes.
 func (ix *Index) Scrub() (*ScrubReport, error) { return ix.ScrubYield(nil) }
 
 // ScrubYield is Scrub with a pacing hook: a non-nil yield is called once per
-// verified unit (segment or checkpoint record), letting a background scrubber
-// time-slice and I/O-throttle the sweep. Note the index read lock is held for
-// the whole pass, so yields should stay short.
+// verified segment, letting a background scrubber time-slice and I/O-throttle
+// the sweep. Note the index read lock is held for the whole pass, so yields
+// should stay short.
 func (ix *Index) ScrubYield(yield func()) (*ScrubReport, error) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -88,7 +82,6 @@ func (ix *Index) ScrubYield(yield func()) (*ScrubReport, error) {
 		for _, id := range ids {
 			it.mu.Lock()
 			e, ok := it.words[id]
-			_, dirty := it.dirty[id]
 			it.mu.Unlock()
 			if !ok {
 				continue // beyond the committed prefix (fresh segment)
@@ -96,10 +89,6 @@ func (ix *Index) ScrubYield(yield func()) (*ScrubReport, error) {
 			rep.Segments++
 			if yield != nil {
 				yield()
-			}
-			if dirty {
-				rep.DirtySegments++
-				continue
 			}
 			if err := ix.checkWord(id, e); err != nil {
 				var ce *storage.CorruptionError
@@ -116,9 +105,6 @@ func (ix *Index) ScrubYield(yield func()) (*ScrubReport, error) {
 		}
 	}
 
-	// Committed checkpoint records. The committed count is the superblock's,
-	// not the in-memory tail (records appended since the last Sync are not on
-	// disk yet).
 	it.mu.Lock()
 	rep.DroppedCheckpoints = it.droppedCkpts
 	rep.MapDropped = it.mapDropped
@@ -129,13 +115,6 @@ func (ix *Index) ScrubYield(yield func()) (*ScrubReport, error) {
 	}
 	if rep.MapDropped {
 		rep.addProblem("checksum map unreadable; segment coverage degraded until next sync")
-	}
-	if ix.checkpointsEnabled() {
-		count := int(binary.LittleEndian.Uint32(b[84:]))
-		rep.Checkpoints, rep.CorruptCheckpoints = ix.scrubCheckpoints(count, yield)
-		if bad := rep.CorruptCheckpoints; bad > 0 {
-			rep.addProblem("%d of %d checkpoint records failed verification", bad, count)
-		}
 	}
 	if rep.DroppedCodecDirs > 0 {
 		rep.addProblem("%d packed vector-list block directories dropped at open", rep.DroppedCodecDirs)
@@ -150,8 +129,6 @@ func (ix *Index) ScrubYield(yield func()) (*ScrubReport, error) {
 type VectorExtent struct{ Offset, Len int64 }
 
 // VectorExtents lists the committed spans of every attribute's vector list.
-// Segments with unsynced writes are excluded (their words are stale by
-// design until the next Sync).
 func (ix *Index) VectorExtents() []VectorExtent {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -169,9 +146,8 @@ func (ix *Index) VectorExtents() []VectorExtent {
 		for _, id := range ids {
 			it.mu.Lock()
 			e, ok := it.words[id]
-			_, dirty := it.dirty[id]
 			it.mu.Unlock()
-			if !ok || dirty {
+			if !ok {
 				continue
 			}
 			n := int64(e.n)

@@ -52,6 +52,9 @@ type tortureState struct {
 	built      bool
 	candidates []tortureSnapshot
 	acked      int64 // entries at the last fully acknowledged sync; -1 before
+
+	// afterOp, when set, runs after every index operation of the script.
+	afterOp func() error
 }
 
 func newTortureState(t *testing.T, armTable bool, budget, poolBytes int64) *tortureState {
@@ -91,6 +94,15 @@ func (s *tortureState) row() map[model.AttrID]model.Value {
 	return vals
 }
 
+// op ends one index operation of the script: it passes on the operation's
+// error, or else runs afterOp.
+func (s *tortureState) op(err error) error {
+	if err != nil || s.afterOp == nil {
+		return err
+	}
+	return s.afterOp()
+}
+
 func (s *tortureState) record() {
 	s.candidates = append(s.candidates, tortureSnapshot{
 		entries: s.ix.Entries(),
@@ -114,7 +126,8 @@ func (s *tortureState) script() error {
 	if err := s.tbl.Sync(); err != nil {
 		return err
 	}
-	if s.ix, err = Build(s.tbl, s.idxF, tortureOpts()); err != nil {
+	s.ix, err = Build(s.tbl, s.idxF, tortureOpts())
+	if err := s.op(err); err != nil {
 		return err
 	}
 	// Build ends with a successful Sync: the first committed state.
@@ -122,17 +135,19 @@ func (s *tortureState) script() error {
 	s.record()
 	s.acked = s.ix.Entries()
 	for i := 0; i < 12; i++ {
-		if _, err := s.ix.Insert(s.row()); err != nil {
+		_, err := s.ix.Insert(s.row())
+		if err := s.op(err); err != nil {
 			return err
 		}
 		// Between two syncs, one seed tuple is deleted and one replaced.
 		switch seed := model.TID(2 * (i / 3)); i % 3 {
 		case 0:
-			if err := s.ix.Delete(seed); err != nil {
+			if err := s.op(s.ix.Delete(seed)); err != nil {
 				return err
 			}
 		case 1:
-			if _, err := s.ix.Replace(seed+1, s.row()); err != nil {
+			_, err := s.ix.Replace(seed+1, s.row())
+			if err := s.op(err); err != nil {
 				return err
 			}
 		}
@@ -143,7 +158,7 @@ func (s *tortureState) script() error {
 			if err := s.tbl.Sync(); err != nil {
 				return err
 			}
-			if err := s.ix.Sync(); err != nil {
+			if err := s.op(s.ix.Sync()); err != nil {
 				return err
 			}
 			s.acked = s.ix.Entries()
@@ -341,3 +356,31 @@ func TestTortureSweepTableDevice(t *testing.T) { runTortureSweep(t, true, 1<<20)
 func TestTortureSweepIndexDeviceTinyPool(t *testing.T) { runTortureSweep(t, false, 16<<10) }
 
 func TestTortureSweepTableDeviceTinyPool(t *testing.T) { runTortureSweep(t, true, 16<<10) }
+
+// TestScrubCleanAfterEveryOp runs the torture script on an unarmed device and
+// scrubs the index after every operation. No write lands on a committed byte
+// (FORMAT.md § Checksums), so every committed word holds between Syncs as
+// well as at them: a write that rewrites a committed byte in place fails here
+// before any crash has to expose it.
+func TestScrubCleanAfterEveryOp(t *testing.T) {
+	s := newTortureState(t, false, -1, 1<<20)
+	defer s.close()
+	ops := 0
+	s.afterOp = func() error {
+		ops++
+		rep, err := s.ix.Scrub()
+		if err != nil {
+			return err
+		}
+		if !rep.Clean() || rep.Segments == 0 {
+			return fmt.Errorf("scrub after op %d: %d segments, %v", ops, rep.Segments, rep.Problems)
+		}
+		return nil
+	}
+	if err := s.script(); err != nil {
+		t.Fatal(err)
+	}
+	if ops != 25 { // Build, 12 inserts, 4 deletes, 4 replaces, 4 syncs
+		t.Fatalf("scrubbed after %d ops, want 25", ops)
+	}
+}

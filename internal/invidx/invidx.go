@@ -251,7 +251,8 @@ func (ix *Index) Sync() error {
 	binary.LittleEndian.PutUint32(b[12:], uint32(ix.dirChain))
 	binary.LittleEndian.PutUint64(b[16:], uint64(ix.dirBits))
 	binary.LittleEndian.PutUint64(b[24:], uint64(len(ix.entries)))
-	binary.LittleEndian.PutUint64(b[32:], uint64(ix.deleted))
+	// Bytes 32..40 are unused: a deletion marks its directory entry in place
+	// before any Sync, so Open counts the marks it reads instead.
 	binary.LittleEndian.PutUint32(b[40:], uint32(ix.attrMeta))
 	binary.LittleEndian.PutUint32(b[44:], uint32(len(ix.attrs)))
 	binary.LittleEndian.PutUint32(b[48:], storage.SegGeometry)
@@ -282,7 +283,6 @@ func Open(f *storage.File, tbl *table.Table, opts Options) (*Index, error) {
 		ltid:     int(b[8]),
 		dirChain: storage.ChainID(binary.LittleEndian.Uint32(b[12:])),
 		dirBits:  int64(binary.LittleEndian.Uint64(b[16:])),
-		deleted:  int64(binary.LittleEndian.Uint64(b[32:])),
 		attrMeta: storage.ChainID(binary.LittleEndian.Uint32(b[40:])),
 		posByTID: make(map[model.TID]int64),
 	}
@@ -318,7 +318,9 @@ func Open(f *storage.File, tbl *table.Table, opts Options) (*Index, error) {
 		}
 		e := dirEntry{tid: model.TID(tid), ptr: int64(ptr), deleted: ptr == tombstonePtr}
 		ix.entries = append(ix.entries, e)
-		if !e.deleted {
+		if e.deleted {
+			ix.deleted++
+		} else {
 			ix.posByTID[e.tid] = i
 		}
 	}

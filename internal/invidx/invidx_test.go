@@ -282,6 +282,46 @@ func TestSIIOpenRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSIIDeletedCountsMarks: a deletion marks its directory entry in place
+// before any Sync, so an index reopened without one counts the marks it
+// reads: one deleted entry among 30, and the deleted tid no longer live.
+func TestSIIDeletedCountsMarks(t *testing.T) {
+	cat := table.NewCatalog()
+	tblDev, idxDev := storage.NewMemDevice(), storage.NewMemDevice()
+	pool := storage.NewPool(0, 10<<20)
+	tbl, _ := table.New(storage.NewFile(pool, tblDev), cat)
+	a, _ := cat.AddAttr("x", model.KindText)
+	for i := 0; i < 30; i++ {
+		tbl.Append(map[model.AttrID]model.Value{a: model.Text(words[i%len(words)])})
+	}
+	if err := tbl.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	ix, err := Build(tbl, storage.NewFile(pool, idxDev), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Delete(3); err != nil {
+		t.Fatal(err)
+	}
+
+	pool2 := storage.NewPool(0, 10<<20)
+	tbl2, err := table.Open(storage.NewFile(pool2, tblDev), cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix2, err := Open(storage.NewFile(pool2, idxDev), tbl2, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ix2.Entries() != 30 || ix2.Deleted() != 1 {
+		t.Fatalf("reopened without Sync: entries=%d deleted=%d, want 30 and 1", ix2.Entries(), ix2.Deleted())
+	}
+	if err := ix2.Delete(3); err != ErrNotFound {
+		t.Fatalf("delete of the marked tid after reopen: %v, want ErrNotFound", err)
+	}
+}
+
 func TestSIIFetchesEveryCandidate(t *testing.T) {
 	// SII's weakness (the paper's motivation): it must fetch every tuple
 	// defining a queried attribute, regardless of value.

@@ -548,8 +548,20 @@ func (h *harness) refKeep(tid model.TID) bool {
 
 // --- durability ops ----------------------------------------------------
 
+// syncAll syncs every engine. No write touches a committed index byte, so an
+// iVA-file's committed words hold at any moment: its Scrub must be clean
+// before each Sync.
 func (h *harness) syncAll() error {
 	for _, e := range h.engines {
+		if ix, ok := e.ix.(ivaIndex); ok {
+			rep, err := ix.Scrub()
+			if err != nil {
+				return h.failf("%s scrub before sync: %v", e.name, err)
+			}
+			if !rep.Clean() {
+				return h.failf("%s scrub before sync: %v", e.name, rep.Problems)
+			}
+		}
 		if err := e.tbl.Sync(); err != nil {
 			return h.failf("%s table sync: %v", e.name, err)
 		}

@@ -133,11 +133,6 @@ type SegStore struct {
 	mu     sync.Mutex
 	alloc  segAlloc
 	chains map[ChainID][]SegID // lazily loaded chain → ordered segments
-
-	// onWrite, when set, observes every segment whose payload bytes are
-	// written. The index integrity layer uses it to mark segments dirty so
-	// the next Sync recomputes their CRC32C words.
-	onWrite func(SegID)
 }
 
 // NewSegStore lays segments inside f starting at byte offset base, a multiple
@@ -154,15 +149,6 @@ func NewSegStore(f *File, base int64) *SegStore {
 		s.alloc.pages = (sz - base + segPage - 1) / segPage
 	}
 	return s
-}
-
-// SetWriteObserver installs fn to be called with the id of every segment
-// whose payload bytes are subsequently written. Pass nil to remove it. fn runs
-// inside WriteAt, under the store's lock: it must not call back into the store.
-func (s *SegStore) SetWriteObserver(fn func(SegID)) {
-	s.mu.Lock()
-	s.onWrite = fn
-	s.mu.Unlock()
 }
 
 // ChainSegments returns chain c's segments in logical order. The returned
@@ -331,7 +317,6 @@ func (s *SegStore) WriteAt(c ChainID, p []byte, off int64) error {
 		if lo, hi := max(off, segStart(k)), min(end, segStart(k+1)); lo < hi {
 			piece, in = p[lo-off:hi-off], lo-segStart(k)
 		}
-		payload := len(piece) > 0
 		hdr = hdr[:0]
 		if grown && k >= len(old)-1 { // a fresh segment, or the old tail: its header is written
 			next := NoSegment
@@ -356,9 +341,6 @@ func (s *SegStore) WriteAt(c ChainID, p []byte, off int64) error {
 			if err := s.f.WriteAt(hdr, at); err != nil {
 				return err
 			}
-		}
-		if payload && s.onWrite != nil {
-			s.onWrite(segs[k])
 		}
 	}
 	s.alloc, s.chains[c] = a, segs

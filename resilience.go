@@ -17,17 +17,14 @@ type CorruptionError = storage.CorruptionError
 
 // ScrubReport is the machine-readable outcome of one Store.Scrub pass.
 type ScrubReport struct {
-	// Index segment sweep: segments covered by the committed checksum map,
-	// how many failed their CRC32C word, and how many were skipped because
-	// they hold unsynced writes. Problems names each failing segment.
+	// Index segment sweep: segments covered by the committed checksum map
+	// and how many failed their CRC32C word. Problems names each failing
+	// segment.
 	IndexSegments        int
 	CorruptIndexSegments int
-	DirtyIndexSegments   int
 
-	// Checkpoint record sweep, plus records already dropped when the index
-	// was opened.
-	Checkpoints        int
-	CorruptCheckpoints int
+	// DroppedCheckpoints counts the committed checkpoint records discarded
+	// when the index was opened.
 	DroppedCheckpoints int
 
 	// SuperblockOK reports the index superblock trailer check; MapDropped
@@ -51,25 +48,24 @@ type ScrubReport struct {
 
 // Clean reports whether the scrub found no damage.
 func (r *ScrubReport) Clean() bool {
-	return r.CorruptIndexSegments == 0 && r.CorruptCheckpoints == 0 &&
-		r.DroppedCheckpoints == 0 &&
+	return r.CorruptIndexSegments == 0 && r.DroppedCheckpoints == 0 &&
 		r.SuperblockOK && !r.MapDropped &&
 		r.CorruptTable == 0 && r.CatalogOK
 }
 
 // Scrub sweeps every file of the store verifying every committed checksum:
-// the index superblock, each covered index segment, each checkpoint record,
-// each table record, and the catalog. Unlike query-time verification it
-// re-reads every covered byte (the first-touch cache is ignored) and never
-// degrades — damage is reported, not worked around. Read-only and safe on a
-// live store; pair it with Rebuild to repair a damaged index from a clean
-// table. On a follower, damage instead makes the next poll fetch a Full delta.
+// the index superblock, each covered index segment, each table record, and
+// the catalog. Unlike query-time verification it re-reads every covered byte
+// (the first-touch cache is ignored) and never degrades — damage is reported,
+// not worked around. Read-only and safe on a live store; pair it with Rebuild
+// to repair a damaged index from a clean table. On a follower, damage instead
+// makes the next poll fetch a Full delta.
 func (s *Store) Scrub() (*ScrubReport, error) { return s.scrubYield(nil) }
 
 // scrubYield is Scrub with a pacing hook: a non-nil yield is invoked once per
-// verified unit (index segment, checkpoint record, table record), which the
-// background Scrubber uses to time-slice and throttle the sweep. The engine
-// read lock is held for the whole pass, so yields must stay short.
+// verified unit (index segment, table record), which the background Scrubber
+// uses to time-slice and throttle the sweep. The engine read lock is held for
+// the whole pass, so yields must stay short.
 func (s *Store) scrubYield(yield func()) (*ScrubReport, error) {
 	s.engineMu.RLock()
 	defer s.engineMu.RUnlock()
@@ -80,9 +76,6 @@ func (s *Store) scrubYield(yield func()) (*ScrubReport, error) {
 	rep := &ScrubReport{
 		IndexSegments:        ixRep.Segments,
 		CorruptIndexSegments: ixRep.CorruptSegments,
-		DirtyIndexSegments:   ixRep.DirtySegments,
-		Checkpoints:          ixRep.Checkpoints,
-		CorruptCheckpoints:   ixRep.CorruptCheckpoints,
 		DroppedCheckpoints:   ixRep.DroppedCheckpoints,
 		SuperblockOK:         ixRep.SuperblockOK,
 		MapDropped:           ixRep.MapDropped,

@@ -21,10 +21,10 @@ type ScrubberOptions struct {
 }
 
 // A sweep sleeps scrubThrottle every scrubThrottleEvery verified units (index
-// segments, checkpoint records, table records), bounding its I/O rate. The
-// sweep holds the store's engine read lock throughout — queries proceed (the
-// lock is shared) but rebuilds wait — so the throttle trades sweep I/O
-// pressure against rebuild latency.
+// segments, table records), bounding its I/O rate. The sweep holds the
+// store's engine read lock throughout — queries proceed (the lock is shared)
+// but rebuilds wait — so the throttle trades sweep I/O pressure against
+// rebuild latency.
 const (
 	scrubThrottle      = 200 * time.Microsecond
 	scrubThrottleEvery = 1024
@@ -119,8 +119,8 @@ func (s *Store) StartScrubber(opts ScrubberOptions) *Scrubber {
 	reg := s.reg
 	sc.sweepsCtr = reg.Counter("iva_scrub_sweeps_total", "Completed background sweeps.", nil)
 	sc.errsCtr = reg.Counter("iva_scrub_errors_total", "Background sweeps that failed with an error or could not persist their report.", nil)
-	sc.corruptCtr = reg.Counter("iva_scrub_corrupt_found_total", "Corrupt structures (segments, checkpoints, table records) found by background sweeps.", nil)
-	sc.unitsCtr = reg.Counter("iva_scrub_units_total", "Units (index segments, checkpoint records, table records) verified by background sweeps.", nil)
+	sc.corruptCtr = reg.Counter("iva_scrub_corrupt_found_total", "Corrupt structures (index segments, table records) found by background sweeps.", nil)
+	sc.unitsCtr = reg.Counter("iva_scrub_units_total", "Units (index segments, table records) verified by background sweeps.", nil)
 	sc.throttleCtr = reg.Counter("iva_scrub_throttle_sleeps_total", "Throttle pauses injected into background sweeps.", nil)
 	reg.GaugeFunc("iva_scrub_last_sweep_age_seconds", "Age of the last completed sweep (-1 until the first one).", nil, func() float64 {
 		sc.mu.Lock()
@@ -184,7 +184,7 @@ func (sc *Scrubber) SweepNow() {
 	sc.sweepsCtr.Inc()
 	if err != nil {
 		rec.Err = err.Error()
-	} else if bad := int64(rep.CorruptIndexSegments + rep.CorruptCheckpoints + rep.CorruptTable); bad > 0 {
+	} else if bad := int64(rep.CorruptIndexSegments + rep.CorruptTable); bad > 0 {
 		sc.corruptCtr.Add(bad)
 	}
 
@@ -218,9 +218,9 @@ func (sc *Scrubber) SweepNow() {
 	}
 }
 
-// Units reports how many units (index segments, checkpoint records, table
-// records) the scrubber has verified over its lifetime — the progress
-// counter behind iva_scrub_units_total.
+// Units reports how many units (index segments, table records) the scrubber
+// has verified over its lifetime — the progress counter behind
+// iva_scrub_units_total.
 func (sc *Scrubber) Units() int64 { return sc.units.Load() }
 
 // History returns the most recent completed sweeps, oldest first.
