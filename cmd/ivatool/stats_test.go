@@ -275,14 +275,14 @@ func TestOldFormatRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	binary.LittleEndian.PutUint32(image[4:], 9)
+	binary.LittleEndian.PutUint32(image[4:], 10)
 	if err := os.WriteFile(idx, image, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	for _, cmd := range []string{"stats", "scrub"} {
 		err := run(cmd, nil, dir, 10, serveOpts{}, opts)
-		if err == nil || !strings.Contains(err.Error(), "version 9 ") || !strings.Contains(err.Error(), "version 10") {
-			t.Fatalf("%s on a version-9 store: %v", cmd, err)
+		if err == nil || !strings.Contains(err.Error(), "version 10 ") || !strings.Contains(err.Error(), "version 11") {
+			t.Fatalf("%s on a version-10 store: %v", cmd, err)
 		}
 		if after, err := os.ReadFile(idx); err != nil || !bytes.Equal(after, image) {
 			t.Fatalf("%s changed the refused index file (%v)", cmd, err)

@@ -1,8 +1,8 @@
-// Tuning: sweep the two nG-signature parameters the paper studies — the
-// relative vector length α (Figs. 14/15) and the gram length n (Fig. 16) —
-// on your own workload through the public API, and watch the filter/refine
-// trade-off move. Larger α means longer signatures: slower to scan, sharper
-// at filtering; the sweet spot balances the two.
+// Tuning: sweep the two parameters the paper studies for a string's element
+// width — the relative vector length α (Figs. 14/15) and the gram length n
+// (Fig. 16) — on your own workload through the public API, and watch the
+// filter/refine trade-off move. Larger α means longer elements: slower to
+// scan, sharper at filtering; the sweet spot balances the two.
 //
 // Run with: go run ./examples/tuning
 package main

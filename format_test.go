@@ -41,7 +41,7 @@ func TestFormatGate(t *testing.T) {
 		want []string // substrings of the error
 	}
 	var cases []tamper
-	for _, version := range []uint32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 0xFFFFFFFF} {
+	for _, version := range []uint32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 0xFFFFFFFF} {
 		for _, fixCRC := range []bool{false, true} {
 			cases = append(cases, tamper{
 				name: fmt.Sprintf("index-version=%d/crc-recomputed=%v", version, fixCRC),
@@ -53,7 +53,7 @@ func TestFormatGate(t *testing.T) {
 					}
 					return b
 				},
-				want: []string{fmt.Sprintf("version %d ", version), "version 10"},
+				want: []string{fmt.Sprintf("version %d ", version), "version 11"},
 			})
 		}
 	}
@@ -127,7 +127,7 @@ func TestFormatGate(t *testing.T) {
 	// the same gate before its poll loop starts, and leaves the replica as it
 	// found it.
 	image := append([]byte(nil), clean[indexFileName]...)
-	binary.LittleEndian.PutUint32(image[4:], 9)
+	binary.LittleEndian.PutUint32(image[4:], 10)
 	if err := os.WriteFile(filepath.Join(dir, indexFileName), image, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -138,9 +138,9 @@ func TestFormatGate(t *testing.T) {
 	fol, err := openFollower(dir, localSource{}, FollowerOptions{}, Options{})
 	if err == nil {
 		fol.Close()
-		t.Fatal("follower opened a version-9 replica")
+		t.Fatal("follower opened a version-10 replica")
 	}
-	if msg := err.Error(); !strings.Contains(msg, "version 9 ") || !strings.Contains(msg, "version 10") {
+	if msg := err.Error(); !strings.Contains(msg, "version 10 ") || !strings.Contains(msg, "version 11") {
 		t.Fatalf("follower refusal does not name both versions: %v", err)
 	}
 	for file, b := range readDir(t, dir) {

@@ -245,15 +245,28 @@ func TestAblatePlanShape(t *testing.T) {
 	}
 }
 
+// TestAblateSignatureShape: under every pair sampler the signature's
+// measured error falls with α, the histogram's mean bound is above the
+// signature's at every width, and no bound exceeds its pair's edit distance.
 func TestAblateSignatureShape(t *testing.T) {
 	r := result(t, "ablate-signature")
 	t.Log("\n" + r.Render())
-	if len(r.Rows) < 3 {
-		t.Fatalf("%d rows", len(r.Rows))
+	if len(r.Rows) != 3*len(alphaSweep) {
+		t.Fatalf("%d rows, want 3 samplers × %d α", len(r.Rows), len(alphaSweep))
 	}
-	// Measured error falls with alpha.
-	if parse(t, r.Rows[0][2]) < parse(t, r.Rows[len(r.Rows)-1][2]) {
-		t.Errorf("measured error grew with alpha")
+	for i := 0; i < len(r.Rows); i += len(alphaSweep) {
+		first, last := r.Rows[i], r.Rows[i+len(alphaSweep)-1]
+		if parse(t, first[3]) < parse(t, last[3]) {
+			t.Errorf("%s: measured error grew with alpha", first[0])
+		}
+	}
+	for _, row := range r.Rows {
+		if sig, hist := parse(t, row[5]), parse(t, row[6]); hist <= sig {
+			t.Errorf("%s α=%s: histogram mean %v not above signature mean %v", row[0], row[1], hist, sig)
+		}
+		if row[7] != "0" {
+			t.Errorf("%s α=%s: %s pairs bounded above their edit distance", row[0], row[1], row[7])
+		}
 	}
 }
 

@@ -54,7 +54,7 @@ type Explain struct {
 	// first, keep every tuple whose lower-bound distance is at most
 	// SequentialBar — the k-th smallest upper-bound distance — and then fetch
 	// those SequentialCandidates. Text has no finite upper bound (an unlimited
-	// number of strings share any signature), so a text term makes the bar
+	// number of strings share any element), so a text term makes the bar
 	// +Inf and every scanned tuple a candidate: the paper's argument for the
 	// parallel plan.
 	SequentialCandidates int64

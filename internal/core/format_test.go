@@ -23,7 +23,7 @@ import (
 func TestFormatGate(t *testing.T) {
 	cf := buildCorruptionFixtureWith(t, Options{CheckpointEvery: 16}, false, 48)
 
-	for _, version := range []uint32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 0xFFFFFFFF} {
+	for _, version := range []uint32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 0xFFFFFFFF} {
 		for _, fixCRC := range []bool{false, true} {
 			name := fmt.Sprintf("version=%d/crc-recomputed=%v", version, fixCRC)
 			cf.restore(t)

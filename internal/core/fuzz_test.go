@@ -26,7 +26,7 @@ func FuzzSuperblock(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 	// A refused version behind the right magic (the committed corpus holds
 	// one seed per refused version).
-	f.Add([]byte{'F', 'A', 'V', 'i', 0x0b, 0x00, 0x00, 0x00})
+	f.Add([]byte{'F', 'A', 'V', 'i', 0x0a, 0x00, 0x00, 0x00})
 	// The current version, hostile counters, and a trailer that vouches for
 	// them: past the gate and the checksum, into the field validation.
 	hostile := binary.LittleEndian.AppendUint32(nil, indexMagic)

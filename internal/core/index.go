@@ -8,9 +8,9 @@
 //   - one attribute list: per-attribute metadata (list location and tail,
 //     layout widths, quantizer domain) — the paper's
 //     <ptr1, ptr2, df, str, α> elements, and
-//   - one vector list per attribute holding the approximation vectors
-//     (nG-signatures for text, relative-domain codes for numbers) in one of
-//     the four organizations of §III-D.
+//   - one vector list per attribute holding the approximation vectors (text:
+//     character histograms, numbers: relative-domain codes) in one of the
+//     four organizations of §III-D.
 //
 // Queries run the parallel filter-and-refine plan of Algorithm 1; updates
 // follow §IV-B (tail appends, periodic rebuild), except that a deletion is
@@ -49,7 +49,7 @@ const (
 type Options struct {
 	// Alpha is the relative vector length α (Table I default: 20%).
 	Alpha float64
-	// N is the gram length n (Table I default: 2).
+	// N is the gram length n (Table I default: 2); with α it sets cH widths.
 	N int
 	// TIDHeadroom reserves id space above the build-time maximum tid so
 	// that inserts keep fitting the packed tid width between rebuilds.
@@ -125,7 +125,7 @@ const (
 	// indexVersion is the one on-disk format this package reads and writes.
 	// A format change bumps it; Open refuses every other value (FORMAT.md §
 	// Format policy) — there is no upgrade code.
-	indexVersion = 10
+	indexVersion = 11
 	ptrBits      = 40 // table offsets up to 1 TiB
 )
 

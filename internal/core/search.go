@@ -103,7 +103,7 @@ type termState struct {
 	degraded bool
 }
 
-// Text implements vector.Sink: est over the element's signatures (Eq. 3).
+// Text implements vector.Sink: the text bound over the element's strings.
 func (ts *termState) Text(j int, sigs []signature.Sig) {
 	ts.col[j] = ts.textBound(sigs)
 	ts.hits++
@@ -115,7 +115,7 @@ func (ts *termState) Num(j int, code uint64) {
 	ts.hits++
 }
 
-// textBound is the smallest estimate over a text value's signatures.
+// textBound is the smallest estimate over a text value's strings.
 func (ts *termState) textBound(sigs []signature.Sig) float64 {
 	best := math.Inf(1)
 	for i := range sigs {
@@ -174,7 +174,7 @@ func (ix *Index) SearchContext(ctx context.Context, q *model.Query, m *metric.Me
 }
 
 // prepareTerms resolves the query terms against the attribute list and
-// builds the shared per-term query state: the query string with its gram
+// builds the shared per-term query state: the query string with its lane
 // masks, the exact-difference evaluator with its edit-distance pattern.
 // Cursors are not opened here: each worker opens one per term
 // (workerScratch.openTerm). Caller holds ix.mu.RLock.
@@ -194,9 +194,9 @@ func (ix *Index) prepareTerms(q *model.Query) ([]termState, error) {
 		}
 		if term.Kind == model.KindText {
 			// Per-attribute α overrides give attributes their own codecs;
-			// the query string must hash grams under the same parameters
-			// the data strings were encoded with. QueryString's mask cache
-			// is copy-on-write, so stripe workers share it without locking.
+			// the query string must be bucketed under the data strings'
+			// widths. QueryString's plans are published once each, so
+			// stripe workers share them without locking.
 			codec := ix.codec
 			if ts.st != nil && ts.st.layout.Codec != nil {
 				codec = ts.st.layout.Codec

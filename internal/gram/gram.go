@@ -1,6 +1,6 @@
-// Package gram implements the n-gram machinery behind the nG-signature:
-// n-gram extraction with '#'/'$' padding, positional n-gram multisets, the
-// common-gram-set lower bound est' of Gravano et al. (the paper's Eq. 1–2),
+// Package gram implements the paper's n-gram machinery: n-gram extraction
+// with '#'/'$' padding, positional n-gram multisets, the common-gram-set
+// lower bound est' of Gravano et al. (the paper's Eq. 1–2),
 // and the exact bit-parallel edit distance used by the refine step.
 package gram
 
@@ -90,8 +90,8 @@ func EstPrime(sq, sd string, n int) float64 {
 }
 
 // EstFromCommon evaluates Eq. 1 given the two lengths and the (possibly
-// estimated) common-gram count. It is shared with the signature package,
-// which substitutes the hit-gram count for the common-gram count (Eq. 3).
+// estimated) common-gram count. The ablate-signature experiment's reference
+// nG-signature substitutes the hit-gram count for it (Eq. 3).
 func EstFromCommon(lq, ld, common, n int) float64 {
 	m := lq
 	if ld > m {

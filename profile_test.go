@@ -87,18 +87,18 @@ func TestProfileRender(t *testing.T) {
 		{"one-stripe", 200, `Search k=7 Price=150 Type="Camera"
   time=Xms results=7 workers=1 trace=T
   Filter: Xms  scanned=200 stripes=1
-  Refine: Xms  fetched=26
+  Refine: Xms  fetched=10
   Merge:  Xms
   I/O: cache_hits=14 phys_reads=0 pool_hit_ratio=100.0% disk_cost=Xms
-  Worker 0: stripes=1 scanned=200 fetched=26 busy=Xms
+  Worker 0: stripes=1 scanned=200 fetched=10 busy=Xms
 `},
 		{"three-stripes", 4200, `Search k=7 Price=150 Type="Camera"
   time=Xms results=7 workers=1 trace=T
   Filter: Xms  scanned=4200 stripes=3
-  Refine: Xms  fetched=559
+  Refine: Xms  fetched=7
   Merge:  Xms
-  I/O: cache_hits=71 phys_reads=0 pool_hit_ratio=100.0% disk_cost=Xms
-  Worker 0: stripes=3 scanned=4200 fetched=559 busy=Xms
+  I/O: cache_hits=22 phys_reads=0 pool_hit_ratio=100.0% disk_cost=Xms
+  Worker 0: stripes=3 scanned=4200 fetched=7 busy=Xms
 `},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

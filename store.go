@@ -37,8 +37,8 @@ type Options struct {
 	// Alpha is the relative vector length α controlling the filter/refine
 	// I/O trade-off (paper default 20%).
 	Alpha float64
-	// N is the n-gram length of the string signatures (paper default 2,
-	// the best choice for short text per Fig. 16).
+	// N is the paper's n-gram length (default 2, the best choice for short
+	// text per Fig. 16); with Alpha it sets each string's element width.
 	N int
 	// CacheBytes is the shared file-cache size over the table and index
 	// files (paper setup: 10 MiB).
@@ -1045,7 +1045,7 @@ type TermExplain struct {
 	MaxEst   float64
 	// Tightness is mean(lower bound / exact difference) over the tuples a
 	// real search fetches: 1.0 means the index's bounds are perfect, small
-	// values mean the signatures are too short to discriminate (raise α).
+	// values mean the elements are too short to discriminate (raise α).
 	Tightness float64
 }
 

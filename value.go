@@ -22,7 +22,7 @@
 //	    WhereNum("Price", 200))
 //
 // Results are exact for any monotone similarity metric (Property 3.1): the
-// index filters with provable lower bounds (nG-signatures for strings,
+// index filters with provable lower bounds (character histograms for strings,
 // relative-domain codes for numbers), so no false negatives occur.
 package iva
 
