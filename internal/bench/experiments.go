@@ -56,10 +56,7 @@ func ExpDefaults(e *Env) (Result, error) {
 			}
 		}
 	}
-	meanLen := 0.0
-	if sampleStrs > 0 {
-		meanLen = float64(strBytes) / float64(sampleStrs)
-	}
+	meanLen := float64(strBytes) / float64(max(sampleStrs, 1))
 	r.Rows = append(r.Rows,
 		[]string{"defined values per query", "3", "3"},
 		[]string{"k", "10", "10"},
@@ -88,7 +85,7 @@ func ExpDefaults(e *Env) (Result, error) {
 		return r, err
 	}
 	// DST is slow and constant; 5 measured queries suffice.
-	dst, err := measure(e.dst(), qs[:warm+5], warm, m)
+	dst, err := measure(e.dst(), qs[:warm+5], warm, 1, m)
 	if err != nil {
 		return r, err
 	}
@@ -110,7 +107,7 @@ type sweepPoint struct {
 
 // valueSweep measures Figs. 8–11's sweep once per environment: for each
 // value count, one §V-A query set (10 warm-up queries, then 40 measured)
-// through the iVA-file, then SII. The four figures are views of this run.
+// through the iVA-file, then SII (pair). The four figures view this run.
 func (e *Env) valueSweep() ([]sweepPoint, error) {
 	e.sweepOnce.Do(func() {
 		m, err := e.Metric("EQU", "L2")
@@ -294,7 +291,7 @@ func (e *Env) variantRows(seed int, variants []core.Options, row func(o core.Opt
 		if err != nil {
 			return nil, err
 		}
-		iva, err := measure(ivaOn(ix), qs, warm, m)
+		iva, err := measure(ivaOn(ix), qs, warm, 1, m)
 		if err != nil {
 			return nil, err
 		}

@@ -30,13 +30,11 @@ func (r Result) Render() string {
 		b.WriteByte('\n')
 	}
 	writeRow(r.Header)
+	rule := make([]string, len(widths))
 	for i, w := range widths {
-		if i > 0 {
-			b.WriteString("  ")
-		}
-		b.WriteString(strings.Repeat("-", w))
+		rule[i] = strings.Repeat("-", w)
 	}
-	b.WriteByte('\n')
+	writeRow(rule)
 	for _, row := range r.Rows {
 		writeRow(row)
 	}

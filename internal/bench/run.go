@@ -1,7 +1,9 @@
 package bench
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"time"
 
 	"github.com/sparsewide/iva/internal/core"
@@ -49,46 +51,40 @@ type sample struct {
 	filterWall, refineWall time.Duration
 }
 
+func (s sample) filterMS() float64 { return modelMS(s.filterIO, s.filterWall) }
+func (s sample) refineMS() float64 { return modelMS(s.refineIO, s.refineWall) }
+
 func aggregate(samples []sample) EngineStats {
 	s := EngineStats{Queries: len(samples)}
 	if s.Queries == 0 {
 		return s
 	}
+	n := float64(s.Queries)
 	totals := make([]float64, len(samples))
 	for i, sm := range samples {
-		filter, refine := modelMS(sm.filterIO, sm.filterWall), modelMS(sm.refineIO, sm.refineWall)
-		s.MeanTableAccesses += float64(sm.accesses)
-		s.MeanScanned += float64(sm.scanned)
-		s.MeanFilterPages += float64(sm.filterIO.PhysReads + sm.filterIO.CacheHits)
-		s.FilterModelMS += filter
-		s.RefineModelMS += refine
+		filter, refine := sm.filterMS(), sm.refineMS()
+		s.MeanTableAccesses += float64(sm.accesses) / n
+		s.MeanScanned += float64(sm.scanned) / n
+		s.MeanFilterPages += float64(sm.filterIO.PhysReads+sm.filterIO.CacheHits) / n
+		s.FilterModelMS += filter / n
+		s.RefineModelMS += refine / n
 		totals[i] = filter + refine
 	}
-	n := float64(s.Queries)
-	s.MeanTableAccesses /= n
-	s.MeanScanned /= n
-	s.MeanFilterPages /= n
-	s.FilterModelMS /= n
-	s.RefineModelMS /= n
 	s.TotalModelMS = s.FilterModelMS + s.RefineModelMS
 	s.StdDevModelMS = stddev(totals)
 	return s
 }
 
+// stddev is the population standard deviation of xs, 0 for fewer than two.
 func stddev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	mean := 0.0
+	n, mean, v := float64(max(len(xs), 1)), 0.0, 0.0
 	for _, x := range xs {
-		mean += x
+		mean += x / n
 	}
-	mean /= float64(len(xs))
-	v := 0.0
 	for _, x := range xs {
 		v += (x - mean) * (x - mean)
 	}
-	return math.Sqrt(v / float64(len(xs)))
+	return math.Sqrt(v / n)
 }
 
 // searcher answers one query on one engine and reports its sample.
@@ -121,27 +117,40 @@ func (e *Env) dst() searcher {
 	}
 }
 
-// measure runs a query set through one engine; the first warm queries
-// prime the file cache and are not measured (§V-A).
-func measure(search searcher, queries []*model.Query, warm int, m *metric.Metric) (EngineStats, error) {
-	samples := make([]sample, 0, len(queries))
-	for i, q := range queries {
-		sm, err := search(q, m)
-		if err != nil {
-			return EngineStats{}, err
+// measure runs a query set through one engine rounds times; the first warm
+// queries of a round prime the file cache and are not measured (§V-A). A
+// query reports its median round's filter and, apart, its median round's
+// refine: model times carry wall time, and a preempted phase moves no median.
+func measure(search searcher, queries []*model.Query, warm, rounds int, m *metric.Metric) (EngineStats, error) {
+	runs := make([][]sample, max(len(queries)-warm, 0)) // runs[i]: query warm+i's rounds
+	for range rounds {
+		for i, q := range queries {
+			sm, err := search(q, m)
+			if err != nil {
+				return EngineStats{}, err
+			}
+			if i >= warm {
+				runs[i-warm] = append(runs[i-warm], sm)
+			}
 		}
-		if i >= warm {
-			samples = append(samples, sm)
-		}
+	}
+	samples := make([]sample, len(runs))
+	for i, rs := range runs {
+		slices.SortFunc(rs, func(a, b sample) int { return cmp.Compare(a.filterMS(), b.filterMS()) })
+		samples[i] = rs[rounds/2]
+		slices.SortFunc(rs, func(a, b sample) int { return cmp.Compare(a.refineMS(), b.refineMS()) })
+		mid := rs[rounds/2]
+		samples[i].accesses, samples[i].refineIO, samples[i].refineWall = mid.accesses, mid.refineIO, mid.refineWall
 	}
 	return aggregate(samples), nil
 }
 
-// pair measures the iVA-file, then SII, on the same query set.
+// pair measures the iVA-file, then SII, on the same query set, three rounds
+// each.
 func (e *Env) pair(queries []*model.Query, warm int, m *metric.Metric) (iva, sii EngineStats, err error) {
-	if iva, err = measure(ivaOn(e.IVA), queries, warm, m); err != nil {
+	if iva, err = measure(ivaOn(e.IVA), queries, warm, 3, m); err != nil {
 		return iva, sii, err
 	}
-	sii, err = measure(e.sii(), queries, warm, m)
+	sii, err = measure(e.sii(), queries, warm, 3, m)
 	return iva, sii, err
 }

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"github.com/sparsewide/iva/internal/metric"
+	"github.com/sparsewide/iva/internal/model"
 	"github.com/sparsewide/iva/internal/storage"
 )
 
@@ -38,6 +40,31 @@ func TestAggregate(t *testing.T) {
 	// The disk model prices classed reads: two random reads and 1 ms of wall.
 	if got, want := modelMS(storage.Snapshot{RandReads: 2}, time.Millisecond), 2*disk.RandomMS+CPUFactor; got != want {
 		t.Fatalf("modelMS = %v, want %v", got, want)
+	}
+}
+
+// TestMeasureMedianRounds: over three rounds, one round's slow filter and
+// another round's slow refine move neither half of the query's sample, and
+// each half keeps its own round's count. The warm query is not measured.
+func TestMeasureMedianRounds(t *testing.T) {
+	us := func(n int) time.Duration { return time.Duration(n) * time.Microsecond }
+	calls := []sample{
+		{}, {accesses: 1, scanned: 10, filterWall: us(3000), refineWall: us(400)},
+		{}, {accesses: 2, scanned: 20, filterWall: us(100), refineWall: us(5000)},
+		{}, {accesses: 3, scanned: 30, filterWall: us(90), refineWall: us(450)},
+	}
+	search := func(*model.Query, *metric.Metric) (sample, error) {
+		sm := calls[0]
+		calls = calls[1:]
+		return sm, nil
+	}
+	s, err := measure(search, make([]*model.Query, 2), 1, 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Queries != 1 || s.MeanScanned != 20 || s.MeanTableAccesses != 3 ||
+		s.FilterModelMS != 1 || s.RefineModelMS != 4.5 || len(calls) != 0 {
+		t.Fatalf("measure = %+v with %d calls left, want the 100 µs filter (20 scanned) and the 450 µs refine (3 accesses)", s, len(calls))
 	}
 }
 
