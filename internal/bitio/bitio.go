@@ -102,6 +102,9 @@ func NewReader(buf []byte, nbits int) *Reader {
 // Pos returns the current bit position.
 func (r *Reader) Pos() int { return r.pos }
 
+// Bytes returns the buffer the reader reads. It aliases the reader's input.
+func (r *Reader) Bytes() []byte { return r.buf }
+
 // Remaining returns the number of unread bits.
 func (r *Reader) Remaining() int { return r.nbit - r.pos }
 

@@ -17,9 +17,13 @@ func chainWords(t *testing.T, ix *Index, c storage.ChainID, bits int64) []uint64
 	t.Helper()
 	r := storage.NewChainBitReader(ix.segs, c, bits)
 	defer r.Close()
-	words := make([]uint64, (bits+63)/64)
-	if err := r.ReadWords(words, int(bits)); err != nil {
-		t.Fatal(err)
+	words := make([]uint64, 0, (bits+63)/64)
+	for rest := bits; rest > 0; rest -= 64 {
+		w, err := r.ReadBits(int(min(rest, 64)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		words = append(words, w<<(64-min(rest, 64)))
 	}
 	return words
 }

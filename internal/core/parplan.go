@@ -136,6 +136,11 @@ type workerScratch struct {
 	cols [][]float64 // cols[i][j]: term i's lower bound for entry j
 	est  []float64   // combined lower bounds
 
+	// credit[j] is the term a prune of entry j is credited to, and top[j]
+	// that term's bound (creditTerms).
+	credit []int32
+	top    []float64
+
 	// The deferred list: admitted entries not yet refined, [:ndef] of a
 	// deferCap-long slice, in tuple-list order (a worker's stripe claims
 	// rise). seeds is the seed step's selection heap of list indices.
@@ -153,7 +158,7 @@ type deferred struct {
 	est  float64
 	ptr  int64 // -1 once seed has refined it
 	tid  model.TID
-	term int32 // the term a prune of the entry is credited to (creditTerm)
+	term int32 // the term a prune of the entry is credited to (creditTerms)
 }
 
 // deferCap bounds the deferred list, and only its memory: 192 KiB per
@@ -169,6 +174,7 @@ var scratchPool = sync.Pool{New: func() interface{} {
 	return &workerScratch{
 		tids: make([]model.TID, batchSize), pos: make([]int64, batchSize),
 		ptrs: make([]int64, batchSize), est: make([]float64, batchSize),
+		credit: make([]int32, batchSize), top: make([]float64, batchSize),
 		deferred: make([]deferred, deferCap),
 	}
 }}
@@ -239,7 +245,6 @@ func (sc *workerScratch) openTerm(ix *Index, i int, ts *termState, ck checkpoint
 	if err != nil {
 		return err
 	}
-	cur.EnableScratch()
 	ts.cursor = cur
 	return nil
 }
@@ -507,15 +512,16 @@ func (sw *stripeWorker) scanStripe(s int64) error {
 		if sw.ex != nil {
 			sw.ex.batch(sc.tids, sc.cols, n)
 		}
-		sw.m.CombineColumns(sc.cols[:len(sw.terms)], sw.weights, sc.est[:n])
+		cols := sc.cols[:len(sw.terms)]
+		sw.m.CombineColumns(cols, sw.weights, sc.est[:n])
+		creditTerms(sc.credit[:n], sc.top[:n], cols)
 
 		// The admission walk fetches nothing, so its bar holds for the whole
 		// batch: thr is the looser of admitsEst's two limits, and an estimate
 		// above it is one admitsEst would refuse now and at any later time.
 		thr := min(sw.pool.MaxDist(), sw.bar.load())
-		cols := sc.cols[:len(sw.terms)]
 		for j, est := range sc.est[:n] {
-			term := creditTerm(cols, j)
+			term := sc.credit[j]
 			if est > thr {
 				sw.terms[term].Pruned++
 				continue
@@ -585,17 +591,20 @@ func fill(col []float64, v float64) {
 	}
 }
 
-// creditTerm is the first term with the largest lower bound at batch entry
-// j. A prune of the entry is credited to it: the combiners are monotone, so
-// that term alone pushed the estimate hardest toward the bar.
-func creditTerm(cols [][]float64, j int) int32 {
-	argmax := 0
+// creditTerms sets credit[j] to the first term with the largest lower bound
+// at batch entry j, one column at a time, with top holding the running
+// maximum. A prune of the entry is credited to that term: the combiners are
+// monotone, so it alone pushed the estimate hardest toward the bar.
+func creditTerms(credit []int32, top []float64, cols [][]float64) {
+	copy(top, cols[0])
+	clear(credit)
 	for i := 1; i < len(cols); i++ {
-		if cols[i][j] > cols[argmax][j] {
-			argmax = i
+		for j, v := range cols[i][:len(top)] {
+			if v > top[j] {
+				top[j], credit[j] = v, int32(i)
+			}
 		}
 	}
-	return int32(argmax)
 }
 
 // seed refines the k = pool capacity deferred entries lowest in the pool's

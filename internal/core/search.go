@@ -118,8 +118,14 @@ func (ts *termState) Num(j int, code uint64) {
 // textBound is the smallest estimate over a text value's strings.
 func (ts *termState) textBound(sigs []signature.Sig) float64 {
 	best := math.Inf(1)
-	for i := range sigs {
-		if d := ts.qs.Est(sigs[i]); d < best {
+	for _, s := range sigs {
+		var d float64
+		if len(s.H) == 1 {
+			d = ts.qs.EstWord(s.Len, s.H[0])
+		} else {
+			d = ts.qs.Est(s)
+		}
+		if d < best {
 			best = d
 		}
 		if best == 0 {

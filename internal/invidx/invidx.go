@@ -20,6 +20,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -341,6 +342,9 @@ type SearchStats struct {
 // Total returns the full wall time.
 func (s SearchStats) Total() time.Duration { return s.FilterWall + s.RefineWall }
 
+// candidateSets holds the searches' candidate bitsets, one bit per tid.
+var candidateSets = sync.Pool{New: func() any { return new([]uint64) }}
+
 // Search answers a top-k query: scan the tid lists of the query's
 // attributes, fetch-and-check every tuple defining at least one of them, and
 // admit all-ndf tuples at their exactly-known constant distance without
@@ -360,8 +364,14 @@ func (ix *Index) Search(q *model.Query, m *metric.Metric) ([]model.Result, Searc
 	wallStart := time.Now()
 	startAccesses := ix.tbl.Accesses()
 
-	// Filter: merge the sorted tid lists of the queried attributes.
-	candidates := make(map[model.TID]bool)
+	// Filter: mark the tuples on the queried attributes' tid lists in a
+	// bitset over the table's tids, reused from query to query.
+	bs := candidateSets.Get().(*[]uint64)
+	defer candidateSets.Put(bs)
+	nw := int(ix.tbl.NextTID()/64) + 1
+	candidates := slices.Grow((*bs)[:0], nw)[:nw]
+	clear(candidates)
+	*bs = candidates
 	for _, term := range q.Terms {
 		if int(term.Attr) >= len(ix.attrs) || !ix.attrs[term.Attr].exists {
 			continue
@@ -374,16 +384,23 @@ func (ix *Index) Search(q *model.Query, m *metric.Metric) ([]model.Result, Searc
 				r.Close()
 				return nil, stats, err
 			}
-			candidates[model.TID(v)] = true
+			if w, bit := v/64, uint64(1)<<(v%64); w < uint64(len(candidates)) && candidates[w]&bit == 0 {
+				candidates[w] |= bit
+				stats.Candidates++
+			}
 		}
 		r.Close()
 	}
-	stats.Candidates = int64(len(candidates))
 
 	pool := topk.New(q.K)
 	// Refine: sequential pass over the directory; fetch candidates, admit
-	// non-candidates at the all-ndf distance without fetching.
+	// non-candidates at the all-ndf distance without fetching. The terms'
+	// edit-distance patterns are prepared once, not per candidate.
 	ndfDist := m.AllNDFDistance(q)
+	exact, diffs := make([]metric.TermExact, len(q.Terms)), make([]float64, len(q.Terms))
+	for i, term := range q.Terms {
+		exact[i].Set(term)
+	}
 	refineStart := time.Now()
 	stats.FilterWall = refineStart.Sub(wallStart)
 	stats.FilterIO = pstats.Snapshot().Sub(startIO)
@@ -405,12 +422,15 @@ func (ix *Index) Search(q *model.Query, m *metric.Metric) ([]model.Result, Searc
 		}
 		tid := model.TID(tidBits)
 		stats.Scanned++
-		if candidates[tid] {
+		if w := tidBits / 64; w < uint64(len(candidates)) && candidates[w]&(1<<(tidBits%64)) != 0 {
 			tp, err := ix.tbl.Fetch(int64(ptr))
 			if err != nil {
 				return nil, stats, err
 			}
-			pool.Insert(tid, m.TupleDistance(q, tp))
+			for i := range exact {
+				diffs[i] = exact[i].Diff(tp, m.NDFPenalty)
+			}
+			pool.Insert(tid, m.Distance(q.Terms, diffs))
 		} else if pool.Admits(ndfDist) {
 			pool.Insert(tid, ndfDist)
 		}

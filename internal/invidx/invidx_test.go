@@ -336,3 +336,55 @@ func TestSIIFetchesEveryCandidate(t *testing.T) {
 		t.Fatalf("accesses %d != candidates %d", stats.TableAccesses, stats.Candidates)
 	}
 }
+
+// TestSIISearchAllocs pins that a query's own allocations do not grow with
+// its candidate count. What fetching the candidates allocates is the table's
+// (Table.Fetch materialises every tuple) and is taken off first: the same
+// one-term query then allocates as much over 150 tuples as over 3,000, with
+// about twenty times the candidates. Under -race, which drops pooled
+// bitsets at random, the counts are logged and not compared.
+func TestSIISearchAllocs(t *testing.T) {
+	m := metric.Default()
+	own := func(tuples int) (float64, int64) {
+		fx := newFixture(t, tuples, 61)
+		q := &model.Query{K: 10}
+		q.TextTerm(fx.textAttrs[0], "canon")
+		var ptrs []int64
+		for _, e := range fx.ix.entries {
+			tp, err := fx.tbl.Fetch(e.ptr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := tp.Get(fx.textAttrs[0]); ok {
+				ptrs = append(ptrs, e.ptr)
+			}
+		}
+		var stats SearchStats
+		search := testing.AllocsPerRun(20, func() {
+			var err error
+			if _, stats, err = fx.ix.Search(q, m); err != nil {
+				t.Fatal(err)
+			}
+		})
+		fetch := testing.AllocsPerRun(20, func() {
+			for _, ptr := range ptrs {
+				if _, err := fx.tbl.Fetch(ptr); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		if stats.Candidates != int64(len(ptrs)) {
+			t.Fatalf("%d tuples: %d candidates, %d tuples define the attribute", tuples, stats.Candidates, len(ptrs))
+		}
+		return search - fetch, stats.Candidates
+	}
+	few, nFew := own(150)
+	many, nMany := own(3000)
+	t.Logf("own allocations per query: %v at %d candidates, %v at %d", few, nFew, many, nMany)
+	if nMany < 10*nFew {
+		t.Fatalf("candidates %d and %d: the fixture no longer spreads them", nFew, nMany)
+	}
+	if many > few && !raceEnabled {
+		t.Errorf("a query's own allocations grow with its candidates: %v at %d, %v at %d", few, nFew, many, nMany)
+	}
+}

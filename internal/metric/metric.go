@@ -288,27 +288,34 @@ func (x *TermExact) StrBytes(best float64, s []byte) float64 {
 // any data string for text, |Δ| for numeric, and the ndf penalty when the
 // tuple does not define the attribute or defines it with the other kind.
 func (m *Metric) TermDiff(term model.QueryTerm, tp *model.Tuple) float64 {
-	v, ok := tp.Get(term.Attr)
-	if !ok || v.Kind != term.Kind {
+	if v, ok := tp.Get(term.Attr); !ok || v.Kind != term.Kind {
 		return m.NDFPenalty
 	}
-	switch term.Kind {
-	case model.KindNumeric:
-		return numDiff(term.Num, v.Num)
-	case model.KindText:
-		var x TermExact
-		x.Set(term)
-		best := math.Inf(1)
-		for _, s := range v.Strs {
-			best = x.Str(best, s)
-		}
-		return best
-	}
-	return m.NDFPenalty
+	var x TermExact
+	x.Set(term)
+	return x.Diff(tp, m.NDFPenalty)
 }
 
-// TupleDistance evaluates the exact similarity distance D(T,Q) used by the
-// SII and DST baselines and by ExplainSearch.
+// Diff is TermDiff through x's prepared pattern: a caller that sets one
+// TermExact per term evaluates every tuple without allocating, where TermDiff
+// prepares (and allocates) afresh per call.
+func (x *TermExact) Diff(tp *model.Tuple, ndf float64) float64 {
+	v, ok := tp.Get(x.Term.Attr)
+	if !ok || v.Kind != x.Term.Kind {
+		return ndf
+	}
+	if v.Kind == model.KindNumeric {
+		return x.Num(v.Num)
+	}
+	best := math.Inf(1)
+	for _, s := range v.Strs {
+		best = x.Str(best, s)
+	}
+	return best
+}
+
+// TupleDistance evaluates the exact similarity distance D(T,Q) of a decoded
+// tuple, as the DST baseline and the oracle's reference do.
 func (m *Metric) TupleDistance(q *model.Query, tp *model.Tuple) float64 {
 	var buf [stackTerms]float64
 	diffs := buf[:0]

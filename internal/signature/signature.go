@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"strconv"
 	"sync/atomic"
 )
 
@@ -174,8 +175,11 @@ func (q *QueryString) plan(strLen int) *lenPlan {
 // lane_b|, a lower bound of ed(sq, sd) for the data string sd of sig. A lane
 // value v is the thermometer (v ≥ 1, v ≥ 2, v ≥ 3) = (hi|lo, hi, hi&lo) of its
 // bits, and |u − v| counts the thermometer bits that differ: L1 is three
-// popcounts a cH word.
+// popcounts a cH word. A one-word cH takes EstWord.
 func (q *QueryString) Est(sig Sig) float64 {
+	if len(sig.H) == 1 {
+		return q.EstWord(sig.Len, sig.H[0])
+	}
 	var p *lenPlan
 	if uint(sig.Len) < maxLenPlans {
 		p = q.plans[sig.Len].Load()
@@ -185,13 +189,36 @@ func (q *QueryString) Est(sig Sig) float64 {
 	}
 	l1 := 0
 	for w, x := range sig.H {
-		hi, lo := x&hiBits, (x<<1)&hiBits
-		ge := &p.ge[w]
-		l1 += bits.OnesCount64((hi|lo)^ge[0]) + bits.OnesCount64(hi^ge[1]) + bits.OnesCount64((hi&lo)^ge[2])
+		l1 += laneL1(&p.ge[w], x)
 	}
-	dl := len(q.str) - sig.Len
-	if dl < 0 {
-		dl = -dl
+	return q.bound(sig.Len, l1)
+}
+
+// EstWord is Est for an element whose cH is the one word h: every string of
+// up to 39 bytes at the default α. A one-word plan's masks are inline.
+func (q *QueryString) EstWord(strLen int, h uint64) float64 {
+	var p *lenPlan
+	if uint(strLen) < maxLenPlans {
+		p = q.plans[strLen].Load()
 	}
-	return float64(max(dl, (l1+dl+1)/2))
+	if p == nil {
+		p = q.plan(strLen)
+	}
+	return q.bound(strLen, laneL1(&p.one[0], h))
+}
+
+// laneL1 is the lanes' L1 distance between one cH word x and the query's
+// thermometer masks ge for that word.
+func laneL1(ge *[laneCap]uint64, x uint64) int {
+	hi, lo := x&hiBits, (x<<1)&hiBits
+	return bits.OnesCount64((hi|lo)^ge[0]) + bits.OnesCount64(hi^ge[1]) + bits.OnesCount64((hi&lo)^ge[2])
+}
+
+// bound is the estimate from an element's L1; |Δlen| is taken without a
+// branch, as its sign follows the data.
+func (q *QueryString) bound(strLen, l1 int) float64 {
+	dl := len(q.str) - strLen
+	m := dl >> (strconv.IntSize - 1)
+	dl = (dl ^ m) - m
+	return float64(max(dl, (l1+dl+1)>>1))
 }

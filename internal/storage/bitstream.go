@@ -81,9 +81,6 @@ func (r *ChainBitReader) refill(byteOff int64) error {
 // BitLen returns the stream length in bits.
 func (r *ChainBitReader) BitLen() int64 { return r.bitLen }
 
-// Pos returns the current bit position.
-func (r *ChainBitReader) Pos() int64 { return r.pos }
-
 // Remaining returns the unread bit count.
 func (r *ChainBitReader) Remaining() int64 { return r.bitLen - r.pos }
 
@@ -94,11 +91,6 @@ func (r *ChainBitReader) SeekBit(off int64) error {
 	}
 	r.pos = off
 	return nil
-}
-
-// SkipBits advances the position.
-func (r *ChainBitReader) SkipBits(n int64) error {
-	return r.SeekBit(r.pos + n)
 }
 
 func (r *ChainBitReader) byteAt(byteOff int64) (byte, error) {
@@ -152,27 +144,24 @@ func (r *ChainBitReader) ReadBits(width int) (uint64, error) {
 	return v, nil
 }
 
-// ReadWords reads width bits into dst using the bitio word layout (bit i of
-// the stream is bit 63-i%64 of dst[i/64]).
-func (r *ChainBitReader) ReadWords(dst []uint64, width int) error {
-	i := 0
-	for width >= 64 {
-		v, err := r.ReadBits(64)
-		if err != nil {
-			return err
-		}
-		dst[i] = v
-		i++
-		width -= 64
+// Peek returns the pinned window that holds bit offset off — a view of the
+// page, valid until the reader's next call — and the stream offset of its
+// first bit, for a decoder that reads in place. The view ends where its
+// segment does, so a value across a seam is ReadBits' to assemble, and its
+// bits past the end of the stream are not the stream's. Like a read, a peek
+// at a byte outside the window pins (and on first touch verifies) the
+// segment under it. At or past the end of the stream it returns no view and
+// touches nothing.
+func (r *ChainBitReader) Peek(off int64) ([]byte, int64, error) {
+	if off < 0 || off >= r.bitLen {
+		return nil, 0, nil
 	}
-	if width > 0 {
-		v, err := r.ReadBits(width)
-		if err != nil {
-			return err
+	if byteOff := off >> 3; byteOff < r.bufStart || byteOff >= r.bufStart+int64(len(r.buf)) {
+		if err := r.refill(byteOff); err != nil {
+			return nil, 0, err
 		}
-		dst[i] = v << (64 - width)
 	}
-	return nil
+	return r.buf, 8 * r.bufStart, nil
 }
 
 // AppendBits appends the first nbits of src (a bitio.Writer buffer) to chain

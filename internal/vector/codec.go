@@ -589,30 +589,21 @@ func (b *BlockSource) ReadBits(width int) (uint64, error) {
 	return v, nil
 }
 
-// ReadWords fills dst with width bits in the bitio.Writer WriteWords layout.
-func (b *BlockSource) ReadWords(dst []uint64, width int) error {
-	rem := width
-	for i := range dst {
-		take := 64
-		if rem < 64 {
-			take = rem
-		}
-		v, err := b.ReadBits(take)
-		if err != nil {
-			return err
-		}
-		if take < 64 {
-			v <<= uint(64 - take)
-		}
-		dst[i] = v
-		rem -= take
+// Peek returns the decoded block that holds logical bit offset off, cut to
+// its whole bytes, or the raw tail's view of the physical stream.
+func (b *BlockSource) Peek(off int64) ([]byte, int64, error) {
+	if off < 0 || off >= b.total {
+		return nil, 0, nil
 	}
-	return nil
-}
-
-// SkipBits advances the logical position without decoding skipped blocks.
-func (b *BlockSource) SkipBits(n int64) error {
-	return b.SeekBit(b.pos + n)
+	if off >= b.codedLogical {
+		view, base, err := b.phys.Peek(b.codedWords*64 + (off - b.codedLogical))
+		return view, base - b.codedWords*64 + b.codedLogical, err
+	}
+	if err := b.load(off); err != nil {
+		return nil, 0, err
+	}
+	m := b.dir[b.blk]
+	return b.dec.Bytes()[:m.LogicalBits/8], m.LogicalStart, nil
 }
 
 // SeekBit positions the source at an absolute logical bit offset.
@@ -623,9 +614,6 @@ func (b *BlockSource) SeekBit(off int64) error {
 	b.pos = off
 	return nil
 }
-
-// Pos returns the current logical bit position.
-func (b *BlockSource) Pos() int64 { return b.pos }
 
 // Remaining returns the exact count of logical bits left.
 func (b *BlockSource) Remaining() int64 { return b.total - b.pos }

@@ -1,6 +1,7 @@
 package vector
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"github.com/sparsewide/iva/internal/model"
@@ -40,17 +41,27 @@ type Cursor struct {
 
 	lastPos int64 // last requested position (−1: none), for ordering checks
 
-	// Optional scratch for one element's signatures, see EnableScratch.
-	reuse bool
-	arena []uint64
+	// pos is the cursor's bit offset in the stream and end the stream's
+	// length. view is the source's window the cursor decodes from in place
+	// (BitSource.Peek): its first bit is stream bit base, and lim is the
+	// last offset from which a whole 64-bit word of stream can be loaded
+	// out of it. The source's own position moves only for the reads a view
+	// cannot serve.
+	pos, end  int64
+	view      []byte
+	base, lim int64
+
+	// One element's signatures and their cH words, reused from element to
+	// element.
 	sigs  []signature.Sig
+	words []uint64
 
 	one Entry // MoveTo's batch of one lands here
 }
 
 // Sink receives the elements FillBatch decodes; j is the index of the batch
-// entry the element belongs to. Signatures are valid only during the call
-// when the cursor decodes into scratch.
+// entry the element belongs to. Signatures are the cursor's scratch, valid
+// only during the call.
 type Sink interface {
 	Text(j int, sigs []signature.Sig)
 	Num(j int, code uint64)
@@ -58,18 +69,18 @@ type Sink interface {
 
 // NewCursor returns a cursor at the start of a list.
 func NewCursor(lay Layout, src BitSource) (*Cursor, error) {
-	if err := lay.Validate(); err != nil {
-		return nil, err
-	}
-	return &Cursor{lay: lay, src: src, lastPos: -1}, nil
+	return NewCursorAt(lay, src, 0, 0)
 }
 
 // NewCursorAt returns a cursor resuming a list at a stripe checkpoint, see
 // ResetAt.
 func NewCursorAt(lay Layout, src BitSource, off int64, startPos int64) (*Cursor, error) {
-	c, err := NewCursor(lay, src)
-	if err != nil {
+	if err := lay.Validate(); err != nil {
 		return nil, err
+	}
+	c := &Cursor{lay: lay, src: src}
+	if lay.Kind == model.KindText {
+		c.words = make([]uint64, 0, 64) // one allocation covers most elements
 	}
 	return c, c.ResetAt(off, startPos)
 }
@@ -81,23 +92,24 @@ func NewCursorAt(lay Layout, src BitSource, off int64, startPos int64) (*Cursor,
 // least at. Type IV lists seek absolutely per element, so off is redundant
 // for them but still positioned for uniformity.
 func (c *Cursor) ResetAt(off, startPos int64) error {
+	c.drop()
 	if err := c.src.SeekBit(off); err != nil {
 		return err
 	}
 	c.pending = false
+	c.pos, c.end = off, off+c.src.Remaining()
 	c.nextPos, c.lastPos = startPos, startPos-1
 	return nil
 }
 
-// EnableScratch makes the cursor decode an element's signatures into
-// reusable per-cursor buffers instead of allocating per signature. They then
-// stay valid only until the next element is decoded — during the Sink call,
-// or until the next MoveTo — exactly the lifetime the filter loop needs,
-// which estimates a distance bound from the element and moves on.
-func (c *Cursor) EnableScratch() { c.reuse = true }
+// EnableScratch does nothing: a cursor always decodes an element's
+// signatures into per-cursor buffers, valid until the next element is
+// decoded. The benchmark module's cells still call it.
+func (c *Cursor) EnableScratch() {}
 
 // MoveTo synchronizes the cursor with the tuple at tuple-list position pos
-// holding id tid, and returns that tuple's decoded element.
+// holding id tid, and returns that tuple's decoded element. Its signatures
+// are valid until the next call.
 func (c *Cursor) MoveTo(tid model.TID, pos int64) (Entry, error) {
 	c.one = Entry{NDF: true}
 	tids, poss := [1]model.TID{tid}, [1]int64{pos}
@@ -142,11 +154,11 @@ func (c *Cursor) FillBatch(tids []model.TID, pos []int64, sink Sink) (int, error
 func (c *Cursor) fillTID(tids []model.TID, sink Sink, withCount bool) (int, error) {
 	for j := 0; j < len(tids); {
 		if !c.pending {
-			if c.src.Remaining() < int64(c.lay.LTid) {
+			if c.remaining() < int64(c.lay.LTid) {
 				// Tail reached: everything further is ndf (§IV-A step 5).
 				break
 			}
-			v, err := c.src.ReadBits(c.lay.LTid)
+			v, err := c.take(c.lay.LTid)
 			if err != nil {
 				return j, err
 			}
@@ -181,7 +193,7 @@ func (c *Cursor) fillTID(tids []model.TID, sink Sink, withCount bool) (int, erro
 func (c *Cursor) consumeMatch(j int, tid model.TID, withCount bool, sink Sink) error {
 	c.pending = false
 	if c.lay.Kind == model.KindNumeric {
-		code, err := c.src.ReadBits(c.lay.VecBits)
+		code, err := c.take(c.lay.VecBits)
 		if err != nil {
 			return err
 		}
@@ -193,15 +205,15 @@ func (c *Cursor) consumeMatch(j int, tid model.TID, withCount bool, sink Sink) e
 	}
 	// Type I: one signature per element; collect consecutive same-tid
 	// elements.
-	c.startElement()
+	c.sigs, c.words = c.sigs[:0], c.words[:0]
 	for {
 		if err := c.readSig(); err != nil {
 			return err
 		}
-		if c.src.Remaining() < int64(c.lay.LTid) {
+		if c.remaining() < int64(c.lay.LTid) {
 			break
 		}
-		v, err := c.src.ReadBits(c.lay.LTid)
+		v, err := c.take(c.lay.LTid)
 		if err != nil {
 			return err
 		}
@@ -218,12 +230,12 @@ func (c *Cursor) consumeMatch(j int, tid model.TID, withCount bool, sink Sink) e
 // countedSigs decodes a <num, vector...> body (Types II and III) for batch
 // entry j; a zero count is the Type III ndf element.
 func (c *Cursor) countedSigs(j int, sink Sink) error {
-	n, err := c.src.ReadBits(c.lay.LNum)
+	n, err := c.take(c.lay.LNum)
 	if err != nil || n == 0 {
 		return err
 	}
-	c.startElement()
-	for i := uint64(0); i < n; i++ {
+	c.sigs, c.words = c.sigs[:0], c.words[:0]
+	for ; n > 0; n-- {
 		if err := c.readSig(); err != nil {
 			return err
 		}
@@ -236,21 +248,16 @@ func (c *Cursor) countedSigs(j int, sink Sink) error {
 // read).
 func (c *Cursor) discardBody(withCount bool) error {
 	if c.lay.Kind == model.KindNumeric {
-		return c.src.SkipBits(int64(c.lay.VecBits))
+		return c.skip(c.lay.VecBits)
 	}
-	if withCount {
-		n, err := c.src.ReadBits(c.lay.LNum)
-		if err != nil {
-			return err
-		}
-		for i := uint64(0); i < n; i++ {
-			if err := c.skipSig(); err != nil {
-				return err
-			}
-		}
-		return nil
+	if !withCount {
+		return c.skipSig()
 	}
-	return c.skipSig()
+	n, err := c.take(c.lay.LNum)
+	for ; err == nil && n > 0; n-- {
+		err = c.skipSig()
+	}
+	return err
 }
 
 // fillPositionalText implements Type III.
@@ -274,10 +281,8 @@ func (c *Cursor) fillPositionalText(pos []int64, sink Sink) (int, error) {
 // direct seek.
 func (c *Cursor) fillPositionalNumeric(pos []int64, sink Sink) (int, error) {
 	for j, p := range pos {
-		if err := c.src.SeekBit(p * int64(c.lay.VecBits)); err != nil {
-			return j, err
-		}
-		code, err := c.src.ReadBits(c.lay.VecBits)
+		c.pos = p * int64(c.lay.VecBits)
+		code, err := c.take(c.lay.VecBits)
 		if err != nil {
 			return j, err
 		}
@@ -288,57 +293,108 @@ func (c *Cursor) fillPositionalNumeric(pos []int64, sink Sink) (int, error) {
 	return len(pos), nil
 }
 
-// startElement begins a text element's signature list: in the scratch when
-// the cursor reuses it, freshly allocated otherwise.
-func (c *Cursor) startElement() {
-	if c.reuse {
-		c.sigs, c.arena = c.sigs[:0], c.arena[:0]
-	} else {
-		c.sigs = nil
-	}
-}
-
-// readSig decodes one signature onto c.sigs.
+// readSig decodes one signature onto c.sigs. In the common case its cL and
+// a cH of at most 56 bits are one word of the view; otherwise it takes the
+// cL, then the cH a word at a time (the multi-word branch, which also serves
+// a signature across a seam).
 func (c *Cursor) readSig() error {
-	lv, err := c.src.ReadBits(signature.LenBits)
+	if x, ok := c.word(); ok {
+		lv := int(x >> (64 - signature.LenBits))
+		if w := c.lay.Codec.SigBits(lv); w <= 64-signature.LenBits {
+			k := len(c.words)
+			c.words = append(c.words, x<<signature.LenBits&^(^uint64(0)>>uint(w)))
+			c.sigs = append(c.sigs, signature.Sig{Len: lv, H: c.words[k : k+1 : k+1]})
+			c.pos += int64(signature.LenBits + w)
+			return nil
+		}
+	}
+	lv, err := c.take(signature.LenBits)
 	if err != nil {
 		return err
 	}
-	width := c.lay.Codec.SigBits(int(lv))
-	words := c.sigWords((width + 63) / 64)
-	if err := c.src.ReadWords(words, width); err != nil {
-		return err
+	k := len(c.words)
+	for rest := c.lay.Codec.SigBits(int(lv)); rest > 0; rest -= 64 {
+		w := min(rest, 64)
+		h, err := c.take(w)
+		if err != nil {
+			return err
+		}
+		c.words = append(c.words, h<<uint(64-w))
 	}
-	c.sigs = append(c.sigs, signature.Sig{Len: int(lv), H: words})
+	// A later append may move c.words; this slice keeps the words it holds.
+	c.sigs = append(c.sigs, signature.Sig{Len: int(lv), H: c.words[k:len(c.words):len(c.words)]})
 	return nil
 }
 
-// sigWords returns an nw-word slice for a signature body. With scratch
-// enabled it is carved out of the arena; a grow leaves earlier slices of the
-// same element pointing at the old backing array, which stays alive through
-// their references.
-func (c *Cursor) sigWords(nw int) []uint64 {
-	if !c.reuse {
-		return make([]uint64, nw)
-	}
-	n := len(c.arena)
-	if cap(c.arena)-n < nw {
-		grow := 2*cap(c.arena) + nw
-		if grow < 64 {
-			grow = 64
-		}
-		na := make([]uint64, n, grow)
-		copy(na, c.arena)
-		c.arena = na
-	}
-	c.arena = c.arena[:n+nw]
-	return c.arena[n : n+nw]
-}
-
+// skipSig passes over one signature: its cL gives the width of the cH
+// bits it skips unread.
 func (c *Cursor) skipSig() error {
-	lv, err := c.src.ReadBits(signature.LenBits)
+	lv, err := c.take(signature.LenBits)
 	if err != nil {
 		return err
 	}
-	return c.src.SkipBits(int64(c.lay.Codec.SigBits(int(lv))))
+	return c.skip(c.lay.Codec.SigBits(int(lv)))
 }
+
+// word returns the 64 bits of stream from the cursor's position on, if the
+// view holds them: one load where they lie.
+func (c *Cursor) word() (uint64, bool) {
+	if c.pos > c.lim {
+		return 0, false
+	}
+	rel := c.pos - c.base
+	b, sh := c.view[rel>>3:], uint(rel&7)
+	return binary.BigEndian.Uint64(b)<<sh | uint64(b[8])>>(8-sh), true
+}
+
+// take consumes the next width (1 to 64) bits.
+func (c *Cursor) take(width int) (uint64, error) {
+	x, ok := c.word()
+	if !ok {
+		return c.takeSlow(width)
+	}
+	c.pos += int64(width)
+	return x >> uint(64-width), nil
+}
+
+// takeSlow is take past the view: it peeks the source's window at the
+// cursor's position, and a value that even that window cannot serve — a
+// segment seam or the end of the stream lies within 64 bits — is read from
+// the source.
+func (c *Cursor) takeSlow(width int) (uint64, error) {
+	view, base, err := c.src.Peek(c.pos)
+	if err != nil {
+		return 0, err
+	}
+	c.view, c.base = view, base
+	c.lim = min(c.end-64, base+8*int64(len(view)-8)-1)
+	if x, ok := c.word(); ok {
+		c.pos += int64(width)
+		return x >> uint(64-width), nil
+	}
+	if err := c.seek(); err != nil {
+		return 0, err
+	}
+	c.pos += int64(width)
+	return c.src.ReadBits(width)
+}
+
+// seek moves the source to the cursor's position, for a read no view can
+// serve; the read may move the source's window, so the view is dropped.
+func (c *Cursor) seek() error {
+	c.drop()
+	return c.src.SeekBit(c.pos)
+}
+
+func (c *Cursor) drop() { c.view, c.lim = nil, -1 }
+
+// skip passes over bits unread, failing past the end of the stream.
+func (c *Cursor) skip(bits int) error {
+	if c.pos += int64(bits); c.pos > c.end {
+		return fmt.Errorf("vector: skip past the end of the list (%d bits over)", c.pos-c.end)
+	}
+	return nil
+}
+
+// remaining is the count of bits after the cursor's position.
+func (c *Cursor) remaining() int64 { return c.end - c.pos }

@@ -237,11 +237,14 @@ func (e *Encoder) writeSig(w *bitio.Writer, s signature.Sig) {
 // bitio.Reader (via MemSource) or a storage.ChainBitReader.
 type BitSource interface {
 	ReadBits(width int) (uint64, error)
-	ReadWords(dst []uint64, width int) error
-	SkipBits(n int64) error
 	SeekBit(off int64) error
-	Pos() int64
 	Remaining() int64
+	// Peek returns bytes the source holds at hand, for decoding in place
+	// without moving the position: a view whose first bit is stream bit
+	// base and which holds bit offset off, if off is inside the stream. The
+	// view is valid until the source's next call, and its bits past the end
+	// of the stream are not the stream's.
+	Peek(off int64) (view []byte, base int64, err error)
 }
 
 // MemSource adapts a bitio.Reader to BitSource for tests and in-memory use.
@@ -252,17 +255,11 @@ type MemSource struct {
 // ReadBits implements BitSource.
 func (m MemSource) ReadBits(width int) (uint64, error) { return m.R.ReadBits(width) }
 
-// ReadWords implements BitSource.
-func (m MemSource) ReadWords(dst []uint64, width int) error { return m.R.ReadWords(dst, width) }
-
-// SkipBits implements BitSource.
-func (m MemSource) SkipBits(n int64) error { return m.R.Skip(int(n)) }
-
 // SeekBit implements BitSource.
 func (m MemSource) SeekBit(off int64) error { return m.R.Seek(int(off)) }
 
-// Pos implements BitSource.
-func (m MemSource) Pos() int64 { return int64(m.R.Pos()) }
-
 // Remaining implements BitSource.
 func (m MemSource) Remaining() int64 { return int64(m.R.Remaining()) }
+
+// Peek implements BitSource: the view is the reader's whole buffer.
+func (m MemSource) Peek(int64) ([]byte, int64, error) { return m.R.Bytes(), 0, nil }
