@@ -203,20 +203,6 @@ func BenchmarkFig14Alpha(b *testing.B) {
 	}
 }
 
-// BenchmarkFig16GramLength — Fig. 16: iVA query time vs. gram length n.
-func BenchmarkFig16GramLength(b *testing.B) {
-	e := benchEnv(b)
-	m := defaultMetric(b, e)
-	qs, _ := e.Queries(3, 10, 16, 16)
-	for _, n := range []int{2, 3, 4, 5} {
-		ix, err := e.BuildIVA(core.Options{N: n})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { searchIVA(b, ix, qs, m) })
-	}
-}
-
 // BenchmarkFig17Update — Fig. 17's primitives: the per-operation cost of
 // one insertion and one deletion for each engine (the amortized curves over
 // β come from ivabench -exp fig17, which adds the rebuild term).

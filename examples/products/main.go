@@ -77,7 +77,7 @@ func typo(r *rand.Rand, s string) string {
 }
 
 func main() {
-	st, err := iva.Create("", iva.Options{Alpha: 0.20, N: 2})
+	st, err := iva.Create("", iva.Options{Alpha: 0.20})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,8 +1,7 @@
-// Tuning: sweep the two parameters the paper studies for a string's element
-// width — the relative vector length α (Figs. 14/15) and the gram length n
-// (Fig. 16) — on your own workload through the public API, and watch the
-// filter/refine trade-off move. Larger α means longer elements: slower to
-// scan, sharper at filtering; the sweet spot balances the two.
+// Tuning: sweep the relative vector length α (Figs. 14/15), the one knob of a
+// string's element width, on your own workload through the public API, and
+// watch the filter/refine trade-off move. Larger α means longer elements:
+// slower to scan, sharper at filtering; the sweet spot balances the two.
 //
 // Run with: go run ./examples/tuning
 package main
@@ -77,10 +76,10 @@ func measure(st *iva.Store, queries []*iva.Query) (accesses float64, filter, ref
 }
 
 func main() {
-	fmt.Println("alpha sweep (n=2):")
+	fmt.Println("alpha sweep:")
 	fmt.Println("alpha  accesses/query  filter    refine    index MB")
 	for _, alpha := range []float64{0.10, 0.15, 0.20, 0.25, 0.30} {
-		st, queries, err := buildWorkload(iva.Options{Alpha: alpha, N: 2}, rand.New(rand.NewSource(1)))
+		st, queries, err := buildWorkload(iva.Options{Alpha: alpha}, rand.New(rand.NewSource(1)))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -93,21 +92,5 @@ func main() {
 			float64(st.Stats().IndexBytes)/1e6)
 		st.Close()
 	}
-
-	fmt.Println("\nn sweep (alpha=20%):")
-	fmt.Println("n  accesses/query  filter    refine")
-	for _, n := range []int{2, 3, 4, 5} {
-		st, queries, err := buildWorkload(iva.Options{Alpha: 0.20, N: n}, rand.New(rand.NewSource(1)))
-		if err != nil {
-			log.Fatal(err)
-		}
-		acc, filter, refine, err := measure(st, queries)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("%d  %-15.1f %-9v %v\n",
-			n, acc, filter.Round(time.Microsecond), refine.Round(time.Microsecond))
-		st.Close()
-	}
-	fmt.Println("\nthe paper's Table I default (alpha=20%, n=2) should sit near the minimum")
+	fmt.Println("\nthe paper's Table I default (alpha=20%) should sit near the minimum")
 }

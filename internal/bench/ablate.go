@@ -228,30 +228,21 @@ func ExpAblateSignature(e *Env) (Result, error) {
 		Title:  "Text bound at equal bits: nG-signature (Eq. 3) vs character histogram",
 		Header: []string{"pairs", "alpha", "predicted e", "measured e", "ed", "signature", "histogram", "above ed"},
 	}
-	rng := rand.New(rand.NewSource(23))
-	vocab := func() string { return e.Gen.VocabWord(rng.Intn(e.Gen.NumAttrsTotal()), rng.Intn(64)) }
+	rng := rand.New(rand.NewSource(sigPairSeed))
 	english := englishLetter(rng)
 	samplers := []struct {
 		name string
 		draw func() (string, string)
 	}{
-		{"generator", func() (string, string) { return vocab(), vocab() }},
+		{"generator", generatorPair(e, rng)},
 		{"uniform", func() (string, string) {
 			letter := func() byte { return byte('a' + rng.Intn(26)) }
 			return sampleWords(rng, letter), sampleWords(rng, letter)
 		}},
 		{"english", func() (string, string) { return sampleWords(rng, english), sampleWords(rng, english) }},
 	}
-	const pairs = 2000
 	for _, smp := range samplers {
-		var sq, sd [pairs]string
-		var ed [pairs]float64
-		var edSum float64
-		for i := range sq {
-			sq[i], sd[i] = smp.draw()
-			ed[i] = float64(gram.EditDistance(sq[i], sd[i]))
-			edSum += ed[i]
-		}
+		pairs, edMean := drawPairs(smp.draw)
 		for _, a := range alphaSweep {
 			codec, err := signature.NewCodec(gramN, a)
 			if err != nil {
@@ -259,29 +250,61 @@ func ExpAblateSignature(e *Env) (Result, error) {
 			}
 			var measured, predicted, sigSum, histSum float64
 			var count, above int
-			for i := range sq {
-				est := ngEst(codec, sq[i], ngEncode(codec, sd[i]), len(sd[i]))
-				hist := codec.NewQueryString(sq[i]).Est(codec.Encode(sd[i]))
+			for _, p := range pairs {
+				est := ngEst(codec, p.sq, ngEncode(codec, p.sd), len(p.sd))
+				hist := codec.NewQueryString(p.sq).Est(codec.Encode(p.sd))
 				sigSum, histSum = sigSum+est, histSum+hist
-				if est > ed[i] || hist > ed[i] {
+				if est > p.ed || hist > p.ed {
 					above++
 				}
-				if estPrime := gram.EstPrime(sq[i], sd[i], gramN); estPrime > 0 {
-					l, t := ngParams(codec, len(sd[i]))
+				if estPrime := estPrime(p.sq, p.sd, gramN); estPrime > 0 {
+					l, t := ngParams(codec, len(p.sd))
 					measured += (estPrime - est) / estPrime
-					predicted += expectedError(len(sd[i])+gramN-1, l, t)
+					predicted += expectedError(len(p.sd)+gramN-1, l, t)
 					count++
 				}
 			}
 			c := float64(max(count, 1))
 			r.Rows = append(r.Rows, []string{smp.name, pct(a), f2(predicted / c), f2(measured / c),
-				f2(edSum / pairs), f2(sigSum / pairs), f2(histSum / pairs), fmt.Sprint(above)})
+				f2(edMean), f2(sigSum / sigPairs), f2(histSum / sigPairs), fmt.Sprint(above)})
 		}
 	}
 	r.Notes = append(r.Notes,
 		"Both errors must fall as alpha (hence l) grows; the prediction should track the measurement's order of magnitude.",
 		"The histogram is the engine's element; the signature is the paper's at the same width. \"above ed\" must be 0.")
 	return r, nil
+}
+
+// sigPairs is how many string pairs ablate-signature draws from each sampler
+// and Fig. 16 from the generator's, all from one stream seeded sigPairSeed.
+const (
+	sigPairs    = 2000
+	sigPairSeed = 23
+)
+
+// textPair is a query and a data string with their exact edit distance.
+type textPair struct {
+	sq, sd string
+	ed     float64
+}
+
+// drawPairs draws sigPairs pairs from draw and their mean edit distance.
+func drawPairs(draw func() (string, string)) (pairs []textPair, edMean float64) {
+	pairs = make([]textPair, sigPairs)
+	for i := range pairs {
+		p := &pairs[i]
+		p.sq, p.sd = draw()
+		p.ed = float64(gram.EditDistance(p.sq, p.sd))
+		edMean += p.ed
+	}
+	return pairs, edMean / sigPairs
+}
+
+// generatorPair samples two unrelated vocabulary words of the dataset
+// generator.
+func generatorPair(e *Env, rng *rand.Rand) func() (string, string) {
+	vocab := func() string { return e.Gen.VocabWord(rng.Intn(e.Gen.NumAttrsTotal()), rng.Intn(64)) }
+	return func() (string, string) { return vocab(), vocab() }
 }
 
 // sampleWords returns 13 to 21 bytes of space-separated words of 4 to 8

@@ -204,6 +204,24 @@ func TestFig15Shape(t *testing.T) {
 	}
 }
 
+// TestFig16Shape: the paper's claim in deterministic terms. Its query time
+// grows with n because the nG-signature's bound loosens, so the reference
+// signature's mean bound must fall strictly from n = 2 to n = 5. The rows are
+// counts and bounds over fixed pairs, not timings.
+func TestFig16Shape(t *testing.T) {
+	r := result(t, "fig16")
+	t.Log("\n" + r.Render())
+	if len(r.Rows) != 4 {
+		t.Fatalf("%d rows, want n = 2..5", len(r.Rows))
+	}
+	for i := 1; i < len(r.Rows); i++ {
+		prev, cur := r.Rows[i-1], r.Rows[i]
+		if parse(t, cur[3]) >= parse(t, prev[3]) {
+			t.Errorf("signature bound did not fall from n=%s (%s) to n=%s (%s)", prev[0], prev[3], cur[0], cur[3])
+		}
+	}
+}
+
 func TestFig17Shape(t *testing.T) {
 	r := result(t, "fig17")
 	t.Log("\n" + r.Render())

@@ -24,7 +24,9 @@ import (
 )
 
 // The paper's fixed settings (Table I, §V-A): every environment runs under
-// them, and the α and n sweeps build private variants (BuildIVA) around them.
+// them, and the α sweeps build private variants (BuildIVA) around them. The
+// index fixes n; Fig. 16 and ablate-signature hand it to the reference
+// nG-signature.
 const (
 	pageSize   = 4096
 	cacheBytes = 10 << 20 // the shared file cache (paper setup: 10 MB)
@@ -116,15 +118,12 @@ func NewEnv(cfg Config) (*Env, error) {
 }
 
 // BuildIVA builds an iVA-file over the environment's table under opts,
-// with Table I's α and n where opts leaves them zero. The result is the
-// caller's own: e.IVA stays the default index, so the α and n sweeps and
-// the ablations read a variant without disturbing other readers.
+// with Table I's α where opts leaves it zero. The result is the caller's
+// own: e.IVA stays the default index, so the α sweeps and the ablations
+// read a variant without disturbing other readers.
 func (e *Env) BuildIVA(opts core.Options) (*core.Index, error) {
 	if opts.Alpha == 0 {
 		opts.Alpha = alpha
-	}
-	if opts.N == 0 {
-		opts.N = gramN
 	}
 	if opts.SearchParallelism == 0 {
 		opts.SearchParallelism = e.Cfg.Parallelism

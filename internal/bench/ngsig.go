@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand/v2"
 
-	"github.com/sparsewide/iva/internal/gram"
 	"github.com/sparsewide/iva/internal/signature"
 )
 
@@ -24,7 +23,7 @@ func ngParams(c *signature.Codec, strLen int) (l, t int) {
 func ngEncode(c *signature.Codec, s string) []uint64 {
 	l, t := ngParams(c, len(s))
 	h := make([]uint64, (l+63)/64)
-	for _, g := range gram.Grams(s, c.N()) {
+	for _, g := range grams(s, c.N()) {
 		orMask(h, fnv64(g), l, t)
 	}
 	return h
@@ -36,14 +35,14 @@ func ngEncode(c *signature.Codec, s string) []uint64 {
 func ngEst(c *signature.Codec, sq string, h []uint64, sdLen int) float64 {
 	l, t := ngParams(c, sdLen)
 	hits := 0
-	for g, a := range gram.NewSet(sq, c.N()) {
+	for g, a := range newGramSet(sq, c.N()) {
 		m := make([]uint64, len(h))
 		orMask(m, fnv64(g), l, t)
 		if maskSubset(m, h) {
 			hits += a
 		}
 	}
-	return gram.EstFromCommon(len(sq), sdLen, hits, c.N())
+	return estFromCommon(len(sq), sdLen, hits, c.N())
 }
 
 // optimalT returns the t ∈ [1, l−1] minimizing expectedError(m, l, t).

@@ -104,7 +104,7 @@ func TestNGSigLowerBound(t *testing.T) {
 					t.Fatalf("n=%d α=%v: est(%q, c(%q)) = %v, want 0", n, a, sd, sd, self)
 				}
 				est := ngEst(codec, sq, h, len(sd))
-				if ep := gram.EstPrime(sq, sd, n); est > ep+1e-9 {
+				if ep := estPrime(sq, sd, n); est > ep+1e-9 {
 					t.Fatalf("n=%d α=%v: est(%q, c(%q)) = %v > est' %v", n, a, sq, sd, est, ep)
 				}
 				if ed := float64(gram.EditDistance(sq, sd)); est > ed {

@@ -37,7 +37,7 @@ type updater struct {
 var updaters = []func(e *Env) updater{
 	func(e *Env) updater {
 		return updater{e.IVA.Insert, e.IVA.Delete, func(tbl *table.Table) error {
-			_, err := core.Build(tbl, e.memFile(), core.Options{Alpha: alpha, N: gramN})
+			_, err := core.Build(tbl, e.memFile(), core.Options{Alpha: alpha})
 			return err
 		}}
 	},

@@ -23,7 +23,7 @@ func Build(tbl *table.Table, f *storage.File, opts Options) (*Index, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	codec, err := signature.NewCodec(opts.N, opts.Alpha)
+	codec, err := signature.NewCodec(gramN, opts.Alpha)
 	if err != nil {
 		return nil, err
 	}
@@ -87,7 +87,7 @@ func Build(tbl *table.Table, f *storage.File, opts Options) (*Index, error) {
 		attrCodec := codec
 		alpha := opts.Alpha
 		if o, ok := opts.AlphaOverride[model.AttrID(id)]; ok {
-			if attrCodec, err = signature.NewCodec(opts.N, o); err != nil {
+			if attrCodec, err = signature.NewCodec(gramN, o); err != nil {
 				return nil, fmt.Errorf("core: attribute %q: %w", info.Name, err)
 			}
 			alpha = o

@@ -30,7 +30,7 @@ func referenceBuild(tbl *table.Table, f *storage.File, opts Options) (*Index, er
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	codec, err := signature.NewCodec(opts.N, opts.Alpha)
+	codec, err := signature.NewCodec(gramN, opts.Alpha)
 	if err != nil {
 		return nil, err
 	}
@@ -92,7 +92,7 @@ func referenceBuild(tbl *table.Table, f *storage.File, opts Options) (*Index, er
 		attrCodec := codec
 		alpha := opts.Alpha
 		if o, ok := opts.AlphaOverride[model.AttrID(id)]; ok {
-			if attrCodec, err = signature.NewCodec(opts.N, o); err != nil {
+			if attrCodec, err = signature.NewCodec(gramN, o); err != nil {
 				return nil, fmt.Errorf("core: attribute %q: %w", info.Name, err)
 			}
 			alpha = o
@@ -368,7 +368,7 @@ func TestBuildStreamMatchesReference(t *testing.T) {
 		{"type-IV", Options{ForceType: vector.TypeIV, CheckpointEvery: 64}, 300, false},
 		{"packed", Options{Codec: int(vector.CodecPacked), CheckpointEvery: 64}, 700, false},
 		{"packed-type-I", Options{Codec: int(vector.CodecPacked), ForceType: vector.TypeI, CheckpointEvery: 32}, 300, false},
-		{"alpha-override", Options{AlphaOverride: map[model.AttrID]float64{0: 0.6, 2: 0.05}, N: 3, CheckpointEvery: 64}, 300, false},
+		{"alpha-override", Options{AlphaOverride: map[model.AttrID]float64{0: 0.6, 2: 0.05}, CheckpointEvery: 64}, 300, false},
 		{"one-stripe", Options{}, 300, false},
 		{"flushes", Options{CheckpointEvery: 512}, 2600, true},
 		{"packed-flushes", Options{Codec: int(vector.CodecPacked), CheckpointEvery: 512}, 2600, true},

@@ -201,19 +201,17 @@ func TestSearchAcrossParameters(t *testing.T) {
 		t.Skip("parameter sweep")
 	}
 	for _, alpha := range []float64{0.10, 0.30} {
-		for _, n := range []int{2, 3} {
-			fx := newFixture(t, 200, Options{Alpha: alpha, N: n}, int64(n)*1000+int64(alpha*100))
-			m := metric.Default()
-			for trial := 0; trial < 10; trial++ {
-				q := fx.randQuery(t, 2, 5)
-				got, _, err := fx.ix.Search(q, m)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := bruteForce(t, fx, q, m)
-				if !sameDistances(got, want) {
-					t.Fatalf("α=%v n=%d trial %d: mismatch", alpha, n, trial)
-				}
+		fx := newFixture(t, 200, Options{Alpha: alpha}, 2000+int64(alpha*100))
+		m := metric.Default()
+		for trial := 0; trial < 10; trial++ {
+			q := fx.randQuery(t, 2, 5)
+			got, _, err := fx.ix.Search(q, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := bruteForce(t, fx, q, m)
+			if !sameDistances(got, want) {
+				t.Fatalf("α=%v trial %d: mismatch", alpha, trial)
 			}
 		}
 	}

@@ -11,6 +11,62 @@ import (
 	"github.com/sparsewide/iva/internal/table"
 )
 
+// openRefused sets the superblock's u32 at off of cf's committed image to v,
+// recomputing the trailer if fixCRC, and returns the error of an Open that
+// must refuse the file without a device write or a changed byte.
+func openRefused(t *testing.T, cf *corruptionFixture, name string, off int, v uint32, fixCRC bool) error {
+	t.Helper()
+	cf.restore(t)
+	sb := append([]byte(nil), cf.snapshot[:superblockSize]...)
+	binary.LittleEndian.PutUint32(sb[off:], v)
+	if fixCRC {
+		binary.LittleEndian.PutUint32(sb[sbCRCOff:], storage.Checksum(sb[:sbCRCOff]))
+	}
+	if _, err := cf.idxDev.WriteAt(sb, 0); err != nil {
+		t.Fatal(err)
+	}
+	image := append(sb, cf.snapshot[superblockSize:]...)
+
+	trk := storage.NewTrackDevice(cf.idxDev)
+	trk.Arm()
+	pool := storage.NewPool(0, 64<<10)
+	tblF, idxF := storage.NewFile(pool, cf.tblDev), storage.NewFile(pool, trk)
+	tbl, err := table.Open(tblF, cf.cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Open(idxF, tbl, Options{})
+	if err == nil {
+		t.Fatalf("%s: Open accepted the file", name)
+	}
+	tblF.Close()
+	idxF.Close()
+	if w := trk.TakeDirty(); len(w) != 0 {
+		t.Fatalf("%s: refused open wrote %v", name, w)
+	}
+	if !bytes.Equal(imageOf(t, cf.idxDev), image) {
+		t.Fatalf("%s: refused open changed the file", name)
+	}
+	return err
+}
+
+// TestSuperblockGramLength: the superblock's byte-16 word, the gram length n
+// the width rule offsets by, is a constant of the format. A CRC-valid file
+// that records any other n is refused by name, without a write: its elements
+// have other widths than this build reads.
+func TestSuperblockGramLength(t *testing.T) {
+	cf := buildCorruptionFixtureWith(t, Options{CheckpointEvery: 16}, false, 48)
+	if n := binary.LittleEndian.Uint32(cf.snapshot[16:]); n != gramN {
+		t.Fatalf("superblock records n = %d, want %d", n, gramN)
+	}
+	for _, n := range []uint32{0, 1, 3, 8} {
+		err := openRefused(t, cf, fmt.Sprintf("n=%d", n), 16, n, true)
+		if !strings.Contains(err.Error(), fmt.Sprintf("n = %d", n)) {
+			t.Fatalf("n=%d: error does not name n: %v", n, err)
+		}
+	}
+}
+
 // TestFormatGate pins the format policy (FORMAT.md § Format policy) at the
 // index layer. Open reads exactly one version: every other version word is
 // refused with an error naming it, whether or not the superblock trailer was
@@ -26,40 +82,10 @@ func TestFormatGate(t *testing.T) {
 	for _, version := range []uint32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 0xFFFFFFFF} {
 		for _, fixCRC := range []bool{false, true} {
 			name := fmt.Sprintf("version=%d/crc-recomputed=%v", version, fixCRC)
-			cf.restore(t)
-			sb := append([]byte(nil), cf.snapshot[:superblockSize]...)
-			binary.LittleEndian.PutUint32(sb[4:], version)
-			if fixCRC {
-				binary.LittleEndian.PutUint32(sb[sbCRCOff:], storage.Checksum(sb[:sbCRCOff]))
-			}
-			if _, err := cf.idxDev.WriteAt(sb, 0); err != nil {
-				t.Fatal(err)
-			}
-			image := append(sb, cf.snapshot[superblockSize:]...)
-
-			trk := storage.NewTrackDevice(cf.idxDev)
-			trk.Arm()
-			pool := storage.NewPool(0, 64<<10)
-			tblF, idxF := storage.NewFile(pool, cf.tblDev), storage.NewFile(pool, trk)
-			tbl, err := table.Open(tblF, cf.cat)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, err = Open(idxF, tbl, Options{})
-			if err == nil {
-				t.Fatalf("%s: Open accepted the file", name)
-			}
+			err := openRefused(t, cf, name, 4, version, fixCRC)
 			if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("version %d ", version)) ||
 				!strings.Contains(msg, fmt.Sprintf("version %d", indexVersion)) {
 				t.Fatalf("%s: error does not name the version found and the one supported: %v", name, err)
-			}
-			tblF.Close()
-			idxF.Close()
-			if w := trk.TakeDirty(); len(w) != 0 {
-				t.Fatalf("%s: refused open wrote %v", name, w)
-			}
-			if !bytes.Equal(imageOf(t, cf.idxDev), image) {
-				t.Fatalf("%s: refused open changed the file", name)
 			}
 		}
 	}

@@ -37,6 +37,10 @@ import (
 )
 
 const (
+	// gramN is the paper's gram length n (Table I), which forms no gram here:
+	// it is the width offset in l = 8·⌈α·(|s|+n−1)⌉ of every codec, and the
+	// superblock records it as a constant of the format.
+	gramN = 2
 	// numericBytes is r, the stored width of a numeric value in bytes (a
 	// float64); numeric vectors take ⌈α·r⌉ bytes. The superblock records it.
 	numericBytes = 8
@@ -49,8 +53,6 @@ const (
 type Options struct {
 	// Alpha is the relative vector length α (Table I default: 20%).
 	Alpha float64
-	// N is the gram length n (Table I default: 2); with α it sets cH widths.
-	N int
 	// TIDHeadroom reserves id space above the build-time maximum tid so
 	// that inserts keep fitting the packed tid width between rebuilds.
 	// Zero selects max(1024, |T|/4).
@@ -88,9 +90,6 @@ func (o Options) withDefaults() Options {
 	if o.Alpha == 0 {
 		o.Alpha = 0.20
 	}
-	if o.N == 0 {
-		o.N = 2
-	}
 	if o.CheckpointEvery <= 0 {
 		o.CheckpointEvery = defaultCheckpointEvery
 	}
@@ -101,9 +100,6 @@ func (o Options) withDefaults() Options {
 func (o Options) Validate() error {
 	if o.Alpha <= 0 || o.Alpha > 1 {
 		return fmt.Errorf("core: alpha = %v, want in (0,1]", o.Alpha)
-	}
-	if o.N < 1 || o.N > 8 {
-		return fmt.Errorf("core: n = %d, want in [1,8]", o.N)
 	}
 	if _, ok := vector.CodecByID(uint8(o.Codec)); !ok || o.Codec < 0 || o.Codec > 255 {
 		return fmt.Errorf("core: codec = %d, want a registered codec id", o.Codec)
@@ -341,7 +337,7 @@ func (ix *Index) codecFor(alpha float64) (*signature.Codec, error) {
 	if alpha == ix.codec.Alpha() {
 		return ix.codec, nil
 	}
-	return signature.NewCodec(ix.opts.N, alpha)
+	return signature.NewCodec(gramN, alpha)
 }
 
 // elemBits is the width of one tuple-list element.
@@ -420,7 +416,7 @@ func (ix *Index) writeSuperblock(slot, crcSlot int) error {
 	binary.LittleEndian.PutUint32(b[0:], indexMagic)
 	binary.LittleEndian.PutUint32(b[4:], indexVersion)
 	binary.LittleEndian.PutUint64(b[8:], math.Float64bits(ix.opts.Alpha))
-	binary.LittleEndian.PutUint32(b[16:], uint32(ix.opts.N))
+	binary.LittleEndian.PutUint32(b[16:], gramN)
 	b[20] = byte(ix.ltid)
 	b[21] = ptrBits
 	binary.LittleEndian.PutUint32(b[24:], uint32(ix.tupleChain))
@@ -602,11 +598,13 @@ func Open(f *storage.File, tbl *table.Table, opts Options) (*Index, error) {
 			Segment: storage.NoCorruptSegment, Detail: "superblock checksum mismatch"}
 	}
 	opts.Alpha = math.Float64frombits(binary.LittleEndian.Uint64(b[8:]))
-	opts.N = int(binary.LittleEndian.Uint32(b[16:]))
 	// The superblock fields drive allocations below, so a corrupt or hostile
 	// file must fail validation here rather than panic or exhaust memory.
 	if err := opts.Validate(); err != nil {
 		return nil, fmt.Errorf("core: superblock: %w", err)
+	}
+	if n := binary.LittleEndian.Uint32(b[16:]); n != gramN {
+		return nil, fmt.Errorf("core: superblock: gram length n = %d, want %d", n, gramN)
 	}
 	if r := binary.LittleEndian.Uint32(b[60:]); r != numericBytes {
 		return nil, fmt.Errorf("core: superblock: numeric bytes = %d, want %d", r, numericBytes)
@@ -614,7 +612,7 @@ func Open(f *storage.File, tbl *table.Table, opts Options) (*Index, error) {
 	if g := binary.LittleEndian.Uint32(b[64:]); g != storage.SegGeometry {
 		return nil, fmt.Errorf("core: superblock: segment geometry %#x, want %#x", g, storage.SegGeometry)
 	}
-	codec, err := signature.NewCodec(opts.N, opts.Alpha)
+	codec, err := signature.NewCodec(gramN, opts.Alpha)
 	if err != nil {
 		return nil, err
 	}

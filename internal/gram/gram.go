@@ -1,112 +1,10 @@
-// Package gram implements the paper's n-gram machinery: n-gram extraction
-// with '#'/'$' padding, positional n-gram multisets, the common-gram-set
-// lower bound est' of Gravano et al. (the paper's Eq. 1–2),
-// and the exact bit-parallel edit distance used by the refine step.
+// Package gram holds the refine step's exact metric: the Levenshtein
+// distance, computed bit-parallel against a pattern prepared once per query
+// term. The paper's n-gram machinery (padding, gram multisets and Eq. 1's
+// est') lives on beside the reference nG-signature in internal/bench.
 package gram
 
-// PrefixPad and SuffixPad are the two symbols outside the text alphabet used
-// to extend a string before extracting its n-grams (§III-B.1).
-const (
-	PrefixPad = '#'
-	SuffixPad = '$'
-)
-
-// Grams returns all n-grams of s in order: the string is extended with n−1
-// PrefixPad bytes and n−1 SuffixPad bytes, and every window of n consecutive
-// bytes of the extension is one gram. A string of length m has m+n−1 grams.
-func Grams(s string, n int) []string {
-	if n < 1 {
-		panic("gram: n < 1")
-	}
-	if n == 1 {
-		out := make([]string, len(s))
-		for i := 0; i < len(s); i++ {
-			out[i] = s[i : i+1]
-		}
-		return out
-	}
-	ext := make([]byte, 0, len(s)+2*(n-1))
-	for i := 0; i < n-1; i++ {
-		ext = append(ext, PrefixPad)
-	}
-	ext = append(ext, s...)
-	for i := 0; i < n-1; i++ {
-		ext = append(ext, SuffixPad)
-	}
-	count := len(ext) - n + 1
-	out := make([]string, 0, count)
-	for i := 0; i < count; i++ {
-		out = append(out, string(ext[i:i+n]))
-	}
-	return out
-}
-
-// Set is a positional n-gram multiset: gram → number of occurrences
-// (the paper's g(s), a set of (count, gram) pairs).
-type Set map[string]int
-
-// NewSet returns the n-gram multiset of s.
-func NewSet(s string, n int) Set {
-	set := make(Set)
-	for _, g := range Grams(s, n) {
-		set[g]++
-	}
-	return set
-}
-
-// Size returns |Ω| = Σ counts.
-func (g Set) Size() int {
-	total := 0
-	for _, a := range g {
-		total += a
-	}
-	return total
-}
-
-// CommonSize returns |cg(s1,s2)| = Σ min(a1,a2) over shared grams.
-func (g Set) CommonSize(o Set) int {
-	total := 0
-	for gram, a := range g {
-		if b, ok := o[gram]; ok {
-			if b < a {
-				total += b
-			} else {
-				total += a
-			}
-		}
-	}
-	return total
-}
-
-// EstPrime computes est'(sq, sd) (Eq. 1): the n-gram lower bound of the edit
-// distance between the two strings,
-//
-//	est' = (max(|sq|,|sd|) − |cg(sq,sd)| − 1)/n + 1,
-//
-// clamped at 0 (identical strings yield a non-positive raw value).
-func EstPrime(sq, sd string, n int) float64 {
-	cg := NewSet(sq, n).CommonSize(NewSet(sd, n))
-	return EstFromCommon(len(sq), len(sd), cg, n)
-}
-
-// EstFromCommon evaluates Eq. 1 given the two lengths and the (possibly
-// estimated) common-gram count. The ablate-signature experiment's reference
-// nG-signature substitutes the hit-gram count for it (Eq. 3).
-func EstFromCommon(lq, ld, common, n int) float64 {
-	m := lq
-	if ld > m {
-		m = ld
-	}
-	est := float64(m-common-1)/float64(n) + 1
-	if est < 0 {
-		return 0
-	}
-	return est
-}
-
-// text is what the edit-distance kernels accept: table strings come decoded
-// (string) or straight from verified record bytes ([]byte).
-type text interface{ ~string | ~[]byte }
+import "unsafe"
 
 // Pattern is a string prepared for many exact edit-distance computations: the
 // Peq table of Myers' bit-parallel algorithm (in Hyyrö's global-distance
@@ -120,8 +18,10 @@ type Pattern struct {
 // maxPattern is the longest string the one-word bit-parallel core handles.
 const maxPattern = 64
 
-// Set prepares p for the string s. It is a method on a value so that one-off
-// callers (EditDistance, metric.TermDiff) keep the 2 KiB table on the stack.
+// Set prepares p for the string s. Neither Set nor Distance lets p escape, so
+// one-off callers (EditDistance, metric.TermDiff) keep the 2 KiB table on
+// their stack. That is why the kernel is not generic: a cross-package call of
+// a generic instance lets its pointer arguments escape.
 func (p *Pattern) Set(s string) {
 	if len(p.s) <= maxPattern {
 		for i := 0; i < len(p.s); i++ {
@@ -136,16 +36,17 @@ func (p *Pattern) Set(s string) {
 	}
 }
 
-// Distance returns the edit distance between the pattern and b.
-func (p *Pattern) Distance(b string) int { return patternDistance(p, b) }
+// DistanceBytes is Distance over a byte slice, such as a verified table
+// record's string, read in place: Distance keeps no reference to it.
+func (p *Pattern) DistanceBytes(b []byte) int {
+	return p.Distance(unsafe.String(unsafe.SliceData(b), len(b)))
+}
 
-// DistanceBytes is Distance over a byte slice.
-func (p *Pattern) DistanceBytes(b []byte) int { return patternDistance(p, b) }
-
-// patternDistance is the bit-parallel Levenshtein core: the DP matrix's
-// column of vertical deltas lives in two words (pv: +1, mv: −1), one step per
-// byte of b, and the score follows the bottom row's horizontal delta.
-func patternDistance[T text](p *Pattern, b T) int {
+// Distance returns the edit distance between the pattern and b by the
+// bit-parallel Levenshtein core: the DP matrix's column of vertical deltas
+// lives in two words (pv: +1, mv: −1), one step per byte of b, and the score
+// follows the bottom row's horizontal delta.
+func (p *Pattern) Distance(b string) int {
 	m := len(p.s)
 	if m > maxPattern {
 		return editDistanceDP(p.s, b)
@@ -191,7 +92,7 @@ func EditDistance(a, b string) int {
 // editDistanceDP is the two-row dynamic program: the fallback for a pattern
 // longer than 64 bytes, and the reference the bit-parallel core is tested
 // against.
-func editDistanceDP[T text](a string, b T) int {
+func editDistanceDP(a, b string) int {
 	prev := make([]int, len(b)+1)
 	cur := make([]int, len(b)+1)
 	for j := range prev {

@@ -8,67 +8,6 @@ import (
 	"testing/quick"
 )
 
-func TestGramsPaperExample31(t *testing.T) {
-	// Example 3.1: the 3-grams of "yes" are ##y, #ye, yes, es$, s$$.
-	got := Grams("yes", 3)
-	want := []string{"##y", "#ye", "yes", "es$", "s$$"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Grams(yes,3) = %v, want %v", got, want)
-	}
-}
-
-func TestGramsPaperExample32(t *testing.T) {
-	// Example 3.2: the 2-grams of "ok" are #o, ok, k$.
-	got := Grams("ok", 2)
-	want := []string{"#o", "ok", "k$"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Grams(ok,2) = %v, want %v", got, want)
-	}
-}
-
-func TestGramCount(t *testing.T) {
-	// A string of length m has m+n-1 n-grams.
-	for _, s := range []string{"a", "ab", "hello", "community systems"} {
-		for n := 1; n <= 5; n++ {
-			if got := len(Grams(s, n)); got != len(s)+n-1 {
-				t.Errorf("len(Grams(%q,%d)) = %d, want %d", s, n, got, len(s)+n-1)
-			}
-		}
-	}
-}
-
-func TestGramsN1(t *testing.T) {
-	got := Grams("abc", 1)
-	want := []string{"a", "b", "c"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Grams(abc,1) = %v", got)
-	}
-}
-
-func TestSetPaperExample33(t *testing.T) {
-	// Example 3.3: the 2-gram set of "www" is {(1,#w),(2,ww),(1,w$)}, size 4.
-	set := NewSet("www", 2)
-	want := Set{"#w": 1, "ww": 2, "w$": 1}
-	if !reflect.DeepEqual(set, want) {
-		t.Fatalf("NewSet(www,2) = %v, want %v", set, want)
-	}
-	if set.Size() != 4 {
-		t.Fatalf("Size = %d, want 4", set.Size())
-	}
-}
-
-func TestCommonSize(t *testing.T) {
-	a := NewSet("www", 2)
-	b := NewSet("ww", 2)
-	// grams of "ww": #w, ww, w$. common: #w(1), ww(1), w$(1) -> 3.
-	if got := a.CommonSize(b); got != 3 {
-		t.Fatalf("CommonSize = %d, want 3", got)
-	}
-	if got := b.CommonSize(a); got != 3 {
-		t.Fatalf("CommonSize not symmetric: %d", got)
-	}
-}
-
 func TestEditDistanceKnown(t *testing.T) {
 	cases := []struct {
 		a, b string
@@ -132,41 +71,6 @@ func TestEditDistanceProperties(t *testing.T) {
 	}
 }
 
-func TestEstPrimeLowerBound(t *testing.T) {
-	// Proposition from [9]: est'(sq,sd) <= ed(sq,sd) always.
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 3000; trial++ {
-		a := randomString(rng, 20)
-		b := mutate(rng, a, rng.Intn(6))
-		for _, n := range []int{2, 3, 4, 5} {
-			if a == "" || b == "" {
-				continue
-			}
-			est := EstPrime(a, b, n)
-			ed := float64(EditDistance(a, b))
-			if est > ed {
-				t.Fatalf("est'(%q,%q,n=%d) = %v > ed = %v", a, b, n, est, ed)
-			}
-		}
-	}
-}
-
-func TestEstPrimeIdentical(t *testing.T) {
-	for _, s := range []string{"a", "ok", "digital camera"} {
-		for n := 2; n <= 4; n++ {
-			if got := EstPrime(s, s, n); got != 0 {
-				t.Errorf("EstPrime(%q,%q,%d) = %v, want 0", s, s, n, got)
-			}
-		}
-	}
-}
-
-func TestEstFromCommonClamp(t *testing.T) {
-	if got := EstFromCommon(2, 2, 100, 2); got != 0 {
-		t.Fatalf("negative estimate not clamped: %v", got)
-	}
-}
-
 // TestBitParallelMatchesDP holds the bit-parallel core — through EditDistance
 // and through a prepared Pattern, over strings and bytes — equal to the DP it
 // replaced, across the one-word boundary (63/64/65), bytes ≥ 0x80, empty and
@@ -214,7 +118,7 @@ func randomString(rng *rand.Rand, maxLen int) string {
 	n := 1 + rng.Intn(maxLen)
 	b := make([]byte, n)
 	for i := range b {
-		b[i] = byte('a' + rng.Intn(6)) // small alphabet => many shared grams
+		b[i] = byte('a' + rng.Intn(6)) // small alphabet => many matches
 	}
 	return string(b)
 }
@@ -262,12 +166,6 @@ func BenchmarkEditDistanceDP(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		benchSink += editDistanceDP(x, y)
-	}
-}
-
-func BenchmarkEstPrime(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		EstPrime("digital camera", "digital cannera", 2)
 	}
 }
 

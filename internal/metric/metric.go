@@ -297,8 +297,8 @@ func (m *Metric) TermDiff(term model.QueryTerm, tp *model.Tuple) float64 {
 }
 
 // Diff is TermDiff through x's prepared pattern: a caller that sets one
-// TermExact per term evaluates every tuple without allocating, where TermDiff
-// prepares (and allocates) afresh per call.
+// TermExact per term prepares it once, where TermDiff prepares it afresh on
+// its stack per call.
 func (x *TermExact) Diff(tp *model.Tuple, ndf float64) float64 {
 	v, ok := tp.Get(x.Term.Attr)
 	if !ok || v.Kind != x.Term.Kind {

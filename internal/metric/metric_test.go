@@ -95,6 +95,24 @@ func TestMetricDistanceAndTermWeight(t *testing.T) {
 	}
 }
 
+// TestTermDiffAllocs pins the exact difference of a text term at zero
+// allocations: TermDiff's 2 KiB edit-distance pattern stays on its stack,
+// for the DST baseline and the oracle's reference, which call it per tuple
+// and term. It holds the answer to the edit distance too.
+func TestTermDiffAllocs(t *testing.T) {
+	m := Default()
+	term := model.QueryTerm{Attr: 3, Kind: model.KindText, Str: "Canon EOS"}
+	tp := model.NewTuple(1)
+	tp.Set(3, model.Text("Cannon EOS 450D", "Nikon"))
+	var d float64
+	if n := testing.AllocsPerRun(100, func() { d = m.TermDiff(term, tp) }); n != 0 {
+		t.Fatalf("TermDiff on a text term allocates %v times per call", n)
+	}
+	if d != 6 {
+		t.Fatalf("TermDiff = %v, want 6", d)
+	}
+}
+
 // TestLowerBoundPreservation is the property the whole filter step rests on:
 // if every diff lower-bounds the true diff, the combined distance
 // lower-bounds the true distance.

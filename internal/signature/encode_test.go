@@ -8,14 +8,14 @@ import (
 )
 
 // encodeGrams is the element by its definition: a character histogram is the
-// count of s's 1-grams (gram.Grams with n = 1, no padding), and each count
-// goes into lane byte mod B, clamped at 3, written lane by lane MSB-first.
+// count of s's 1-grams (unpadded 1-grams are its bytes), and each count goes
+// into lane byte mod B, clamped at 3, written lane by lane MSB-first.
 func encodeGrams(c *Codec, s string) Sig {
 	l := c.SigBits(len(s))
 	lanes := l / 2
 	counts := make([]int, lanes)
-	for _, g := range gram.Grams(s, 1) {
-		counts[int(g[0])%lanes]++
+	for i := 0; i < len(s); i++ {
+		counts[int(s[i])%lanes]++
 	}
 	h := make([]uint64, (l+63)/64)
 	for b, n := range counts {

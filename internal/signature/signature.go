@@ -27,8 +27,8 @@ type Sig struct {
 	H   []uint64 // cH: the lane counts
 }
 
-// Codec encodes strings into elements for a fixed gram length n and relative
-// vector length α; n and α set only the cH width.
+// Codec encodes strings into elements for a relative vector length α and a
+// width offset n (the paper's gram length); n and α set only the cH width.
 type Codec struct {
 	n     int
 	alpha float64
@@ -44,7 +44,9 @@ const (
 	hiBits      = 0xAAAAAAAAAAAAAAAA // each lane's high bit in a cH word
 )
 
-// NewCodec returns a codec. n must be ≥ 1 and α in (0, 1].
+// NewCodec returns a codec. n is a width offset, the paper's gram length in
+// the width rule (the index builds every codec with n = 2; the reference
+// nG-signature of internal/bench sweeps it); it must be ≥ 1, and α in (0, 1].
 func NewCodec(n int, alpha float64) (*Codec, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("signature: n = %d, want >= 1", n)
@@ -59,7 +61,7 @@ func NewCodec(n int, alpha float64) (*Codec, error) {
 	return c, nil
 }
 
-// N returns the gram length.
+// N returns the width offset n.
 func (c *Codec) N() int { return c.n }
 
 // Alpha returns the relative vector length.

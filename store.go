@@ -37,9 +37,6 @@ type Options struct {
 	// Alpha is the relative vector length α controlling the filter/refine
 	// I/O trade-off (paper default 20%).
 	Alpha float64
-	// N is the paper's n-gram length (default 2, the best choice for short
-	// text per Fig. 16); with Alpha it sets each string's element width.
-	N int
 	// CacheBytes is the shared file-cache size over the table and index
 	// files (paper setup: 10 MiB).
 	CacheBytes int64
@@ -93,9 +90,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Alpha == 0 {
 		o.Alpha = 0.20
-	}
-	if o.N == 0 {
-		o.N = 2
 	}
 	if o.CacheBytes == 0 {
 		o.CacheBytes = 10 << 20
@@ -311,7 +305,7 @@ type generation struct {
 // overrides are keyed by name publicly, by id internally).
 func (s *Store) coreOptions(cat *table.Catalog) core.Options {
 	opts := core.Options{
-		Alpha: s.opts.Alpha, N: s.opts.N,
+		Alpha:             s.opts.Alpha,
 		SearchParallelism: s.opts.SearchParallelism,
 		Codec:             s.opts.Codec,
 	}
